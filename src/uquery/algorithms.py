@@ -251,17 +251,17 @@ class _Watch:
 
 
 @lru_cache(maxsize=4096)
-def _cost_budget(table: HazardFreeTable) -> int:
+def _cost_budget(table: HazardFreeTable, cap: int | None = None) -> int:
     # Worst case for the solver: bs_1 rounds of 0-certificates, then
     # bs_0 rounds of 1-certificates.  Cached so that sweeping many
     # hidden inputs of one function prices the budget only once.
-    blocks = block_summary(table)
-    certs = certificate_summary(table)
+    blocks = block_summary(table, cap)
+    certs = certificate_summary(table, cap)
     return blocks.by_value[1] * certs.c_u_0 + blocks.by_value[0] * certs.c_u_1
 
 
 def _run_algorithm1(table: HazardFreeTable, oracle: QueryOracle,
-                    watch: _Watch | None) -> SolveResult:
+                    watch: _Watch | None, cap: int | None = None) -> SolveResult:
     f = table.function
     n = table.arity
     if oracle.arity != n:
@@ -270,7 +270,7 @@ def _run_algorithm1(table: HazardFreeTable, oracle: QueryOracle,
         return SolveResult(f.value_at_index(0), oracle.query_count, 0,
                            tuple(oracle.transcript))
 
-    bound = _cost_budget(table)
+    bound = _cost_budget(table, cap)
 
     vals = table.values
     pw3 = tuple(3 ** (n - 1 - p) for p in range(n))
@@ -344,7 +344,8 @@ def _run_algorithm1(table: HazardFreeTable, oracle: QueryOracle,
     return result(UNKNOWN)
 
 
-def algorithm1_solve(table: HazardFreeTable, oracle: QueryOracle) -> SolveResult:
+def algorithm1_solve(table: HazardFreeTable, oracle: QueryOracle,
+                     cap: int | None = None) -> SolveResult:
     """Evaluate the extension of a known function on an oracle-held input.
 
     Rounds of minimum-certificate queries run at consistent 0-valued
@@ -352,9 +353,11 @@ def algorithm1_solve(table: HazardFreeTable, oracle: QueryOracle) -> SolveResult
     round exits early when the answers force a value, and u is returned
     only once neither class has a consistent member.  Constant functions
     are answered immediately with zero queries.  For all others the
-    result's ``queries`` never exceeds its ``bound``.
+    result's ``queries`` never exceeds its ``bound``, which is priced
+    from per-table arrays whose size ``cap`` guards as in
+    ``measure_report``.
     """
-    return _run_algorithm1(table, oracle, None)
+    return _run_algorithm1(table, oracle, None, cap)
 
 
 def certificate_solver(table: HazardFreeTable) -> Solver:

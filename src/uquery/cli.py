@@ -127,7 +127,7 @@ def cmd_solve(args) -> int:
     oracle = Oracle(hidden)
 
     if args.method == "algorithm1":
-        res = algorithm1_solve(table, oracle)
+        res = algorithm1_solve(table, oracle, cap=cap)
         output, bound = res.output, res.bound
     elif args.method == "tree":
         depth, tree = query_complexity_u(table, cap=cap)

@@ -142,12 +142,6 @@ class TernaryString:
         cells[pos] = trit
         return TernaryString(tuple(cells))
 
-    def refines(self, other: "TernaryString") -> bool:
-        """True when self is obtained from other by resolving some u positions."""
-        if len(self) != len(other):
-            return False
-        return all(o == UNKNOWN or s == o for s, o in zip(self.trits, other.trits))
-
 
 def as_ternary(value: "TernaryString | str | Sequence[int]") -> TernaryString:
     if isinstance(value, TernaryString):
@@ -347,11 +341,6 @@ class Orientation:
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
 
-    @classmethod
-    def parse(cls, text: str) -> "Orientation":
-        vals = _parse_chars(text, "01", "orientation")
-        return cls(vals)
-
 
 class HazardFreeTable:
     """The hazard-free extension of a function, tabulated over all 3**n inputs.
@@ -361,21 +350,17 @@ class HazardFreeTable:
     Instances are immutable and safe to share across threads/processes.
     """
 
-    __slots__ = ("function", "values", "_pow3")
+    __slots__ = ("function", "values")
 
     def __init__(self, function: BooleanFunction, values: bytes):
         if len(values) != 3 ** function.arity:
             raise ValueError("value table has wrong size")
         self.function = function
         self.values = values
-        self._pow3 = tuple(3 ** k for k in range(function.arity + 1))
 
     @property
     def arity(self) -> int:
         return self.function.arity
-
-    def value_at_code(self, code: int) -> int:
-        return self.values[code]
 
     def evaluate(self, y: TernaryString | str | Sequence[int]) -> int:
         y = as_ternary(y)

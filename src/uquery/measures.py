@@ -19,6 +19,13 @@ Packing is exact: any disjoint family of sensitive blocks can be shrunk
 member-wise to minimal sensitive blocks without losing disjointness, so
 a maximum packing over the minimal blocks is a maximum packing overall.
 
+The certificate size and s_u at every input come from per-table arrays
+(``_tabulate``), computed once and memoized; every maximum, lex-least
+attaining input and classical s and C is read from them, and each
+witness comes from one pointwise call at the attaining input.  The
+arrays also bound bs at every input, which lets the bs scans skip the
+inputs that cannot change their result.
+
 Everything here is pure and operates on immutable tables, so per-input
 loops can be distributed freely (the verification harness does).
 """
@@ -26,10 +33,15 @@ loops can be distributed freely (the verification harness does).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
+from typing import NamedTuple
+
+import numpy as np
 
 from . import trees
 from .core import (
+    DEFAULT_SEARCH_CAP,
     STAR,
     UNKNOWN,
     BooleanFunction,
@@ -37,6 +49,7 @@ from .core import (
     PartialAssignment,
     TernaryString,
     as_ternary,
+    check_cap,
     hazard_free_table,
 )
 
@@ -101,22 +114,143 @@ class StandardMeasures:
 
 
 # ---------------------------------------------------------------------------
+# Per-input arrays, computed once per table.
+
+_NONE = 0xFF  # no certificate through this cell; above every size
+
+
+class _MeasureArrays(NamedTuple):
+    """Per-input measures of one table, flat and indexed by ternary code."""
+
+    values: np.ndarray       # the extension's value
+    certificate: np.ndarray  # minimum certificate size
+    sensitivity: np.ndarray  # number of sensitive positions (s_u)
+    block_bound: np.ndarray  # min(C, s + (n - s) // 2), at least bs
+
+
+def _measure_arrays(table: HazardFreeTable, cap: int | None = None) -> _MeasureArrays:
+    """The per-input arrays of a table; building them takes 4**n bytes."""
+    check_cap(table.arity, cap, DEFAULT_SEARCH_CAP, "certificate arrays")
+    return _tabulate(table)
+
+
+def _layer(a: np.ndarray, axis: int, k: int) -> np.ndarray:
+    """View of the cells of ``a`` holding k on ``axis`` (the axis is kept)."""
+    return a[(slice(None),) * axis + (slice(k, k + 1),)]
+
+
+def _min_over_coarsenings(a: np.ndarray, coarse: int, fine: tuple[int, ...]) -> None:
+    """In place: a[x] becomes the min of a over x and all its coarsenings.
+
+    A coarsening replaces any set of cells holding a ``fine`` symbol by
+    ``coarse``.  One min per axis suffices, as in the subset zeta
+    transform (Bjorklund, Husfeldt, Kaski, Koivisto, STOC 2007), here
+    over the min-plus semiring and a ternary or quaternary alphabet.
+    """
+    for axis in range(a.ndim):
+        top = _layer(a, axis, coarse)
+        for k in fine:
+            cell = _layer(a, axis, k)
+            np.minimum(cell, top, out=cell)
+
+
+@lru_cache(maxsize=8)
+def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
+    """Certificate size, s_u and the bs bound at every input.
+
+    *0/1-valued x.*  A certificate may drop the u cells of x, and a
+    domain S of resolved cells certifies iff the coarsening of x with u
+    off S is still resolved (its value then is F(x)).  So C(x) is the
+    least resolved count over the resolved coarsenings of x.
+
+    *u-valued x.*  A domain S certifies iff every binary completion of x
+    off S is u-valued.  Over {0, 1, u, *}^n, a cell with a * on some axis
+    is "all completions u" iff both of its binary children on that axis
+    are, which fills the * layers axis by axis as in
+    ``hazard_free_table``; C(x) is then the least number of non-* cells
+    over the certifying cells that x refines.
+
+    *s_u.*  Position p is sensitive at x iff another trit at p changes
+    the value: for 0/1-valued x the u setting is the one to try, for
+    u-valued x the binary ones, and the lookup covers both.
+
+    *The bs bound.*  bs(x) <= min(C(x), s(x) + (n - s(x)) // 2) for
+    every input x, and classically for every binary x with flip blocks
+    and the classical s and C, which are these arrays at binary codes.
+
+    Proof.  Let S be a minimum certificate at x and B a sensitive block:
+    some y equal to x outside B has F(y) != F(x).  If B missed S, y
+    would agree with x on S and so F(y) = F(x).  Hence every sensitive
+    block meets S, and disjoint blocks meet it in distinct positions:
+    bs(x) <= |S| = C(x).  For the second term take a maximum packing of
+    minimal sensitive blocks (shrinking keeps a packing disjoint).  A
+    non-singleton block holding a sensitive position p strictly contains
+    the sensitive block {p} and is not minimal, so the packing has at
+    most s(x) singletons and its other blocks hold at least two
+    positions each, all among the n - s(x) insensitive ones.
+
+    Taking the maximum over x gives bs_u <= max(C_u, C_uu), which the
+    verification suite checks.
+    """
+    n = table.arity
+    vals = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)
+
+    resolved = np.zeros((3,) * n, dtype=np.uint8)
+    for axis in range(n):
+        shape = [1] * n
+        shape[axis] = 3
+        resolved += (np.arange(3) != UNKNOWN).astype(np.uint8).reshape(shape)
+    cert = np.where(vals == UNKNOWN, _NONE, resolved).astype(np.uint8)
+    _min_over_coarsenings(cert, UNKNOWN, (0, 1))
+
+    inner = (slice(0, 3),) * n
+    allu = np.full((4,) * n, _NONE, dtype=np.uint8)
+    allu[inner] = np.where(vals == UNKNOWN, n, _NONE)
+    for axis in range(n):
+        c0, c1 = _layer(allu, axis, 0), _layer(allu, axis, 1)
+        _layer(allu, axis, STAR)[...] = np.where(
+            (c0 != _NONE) & (c1 != _NONE), c0 - 1, _NONE)
+    _min_over_coarsenings(allu, STAR, (0, 1, UNKNOWN))
+    cert = np.where(vals == UNKNOWN, allu[inner], cert)
+
+    sens = np.zeros((3,) * n, dtype=np.uint8)
+    for axis in range(n):
+        v0, v1, vu = (_layer(vals, axis, k) for k in (0, 1, UNKNOWN))
+        d01, d0u, d1u = v0 != v1, v0 != vu, v1 != vu
+        for k, moved in ((0, d01 | d0u), (1, d01 | d1u), (UNKNOWN, d0u | d1u)):
+            cell = _layer(sens, axis, k)
+            cell += moved
+
+    bound = np.minimum(cert, sens + (n - sens) // 2)
+    return _MeasureArrays(vals.reshape(-1), cert.reshape(-1),
+                          sens.reshape(-1), bound.reshape(-1))
+
+
+def _first_max(measure: np.ndarray, mask: np.ndarray) -> int | None:
+    """Least code attaining the maximum of ``measure`` over ``mask``."""
+    if not mask.any():
+        return None
+    return int(np.where(mask, measure.astype(np.int16), -1).argmax())
+
+
+# ---------------------------------------------------------------------------
 # Sensitivity.
 
 
 def sensitivity_u_at(table: HazardFreeTable, x: TernaryString | str) -> int:
     """Number of variables whose singleton block is sensitive at x."""
-    x = as_ternary(x)
+    return len(_sensitive_positions(table, as_ternary(x)))
+
+
+def _sensitive_positions(table: HazardFreeTable, x: TernaryString) -> list[int]:
+    """0-based positions whose singleton block is sensitive at x."""
     n = table.arity
     if len(x) != n:
         raise ValueError(f"input length {len(x)} != arity {n}")
     vals, pw = table.values, _weights(n)
     base, v = x.code(), table.values[x.code()]
-    count = 0
-    for p in range(n):
-        if _position_sensitive(vals, x.trits, base, pw, p, v):
-            count += 1
-    return count
+    return [p for p in range(n)
+            if _position_sensitive(vals, x.trits, base, pw, p, v)]
 
 
 def _position_sensitive(vals, digits, base, pw, p, v) -> bool:
@@ -135,22 +269,13 @@ def sensitivity_u(table: HazardFreeTable) -> int:
     return _sensitivity_scan(table)[0]
 
 
-def _sensitivity_scan(table: HazardFreeTable):
-    n = table.arity
-    vals, pw = table.values, _weights(n)
-    best, best_code, best_var = 0, 0, None
-    for base in range(3 ** n):
-        digits = TernaryString.from_code(base, n).trits
-        v = vals[base]
-        count, first = 0, None
-        for p in range(n):
-            if _position_sensitive(vals, digits, base, pw, p, v):
-                count += 1
-                if first is None:
-                    first = p + 1
-        if count > best:
-            best, best_code, best_var = count, base, first
-    return best, TernaryString.from_code(best_code, n), best_var
+def _sensitivity_scan(table: HazardFreeTable, cap: int | None = None):
+    """s_u, the lex-least input attaining it and its lowest sensitive variable."""
+    sens = _measure_arrays(table, cap).sensitivity
+    code = int(sens.argmax())
+    x = TernaryString.from_code(code, table.arity)
+    positions = _sensitive_positions(table, x)
+    return int(sens[code]), x, (positions[0] + 1 if positions else None)
 
 
 # ---------------------------------------------------------------------------
@@ -211,18 +336,24 @@ def minimal_sensitive_blocks(
     if len(x) != n:
         raise ValueError(f"input length {len(x)} != arity {n}")
     vals, pw = table.values, _weights(n)
-    base, v = x.code(), table.values[x.code()]
-    out = []
-    for blk in _minimal_blocks(vals, n, x.trits, base, pw):
-        altered = _lex_least_alteration(vals, x.trits, base, pw, blk, v)
-        out.append(
-            SensitiveBlockWitness(
-                base=x,
-                block=frozenset(p + 1 for p in blk),
-                altered=TernaryString.from_code(altered, n),
-            )
+    base = x.code()
+    return list(_block_witnesses(vals, x, base, pw,
+                                 _minimal_blocks(vals, n, x.trits, base, pw)))
+
+
+def _block_witnesses(vals, x, base, pw, blocks) -> tuple[SensitiveBlockWitness, ...]:
+    """Each block at x with its lex-least altered string."""
+    return tuple(
+        SensitiveBlockWitness(
+            base=x,
+            block=frozenset(p + 1 for p in blk),
+            altered=TernaryString.from_code(
+                _lex_least_alteration(vals, x.trits, base, pw, blk, vals[base]),
+                len(x),
+            ),
         )
-    return out
+        for blk in blocks
+    )
 
 
 def _max_disjoint(blocks: list[tuple[int, ...]]) -> list[int]:
@@ -264,35 +395,36 @@ def block_sensitivity_u_at(
     return len(picked), tuple(witnesses[j] for j in picked)
 
 
-def block_summary(table: HazardFreeTable) -> BlockSensitivitySummary:
-    """Block sensitivity over all inputs and split by output value."""
+def block_summary(table: HazardFreeTable, cap: int | None = None) -> BlockSensitivitySummary:
+    """Block sensitivity over all inputs and split by output value.
+
+    Inputs are scanned in code order and a maximum moves only on a strict
+    increase, so each attaining input is the lex-least one.  An input
+    whose bound (``_tabulate``) does not exceed the best of its value
+    class so far cannot move that maximum, nor the overall one, which is
+    at least as large; it is skipped without packing its blocks.
+    """
     n = table.arity
     vals, pw = table.values, _weights(n)
+    bound = _measure_arrays(table, cap).block_bound.tolist()
     by_value = [0, 0, 0]
     attaining: list[TernaryString | None] = [None, None, None]
     families: list[tuple[SensitiveBlockWitness, ...]] = [(), (), ()]
     best, best_x, best_family = -1, None, ()
     for base in range(3 ** n):
-        x = TernaryString.from_code(base, n)
         v = vals[base]
+        if attaining[v] is not None and bound[base] <= by_value[v]:
+            continue
+        x = TernaryString.from_code(base, n)
         blocks = _minimal_blocks(vals, n, x.trits, base, pw)
         picked = _max_disjoint(blocks)
         count = len(picked)
-        family = tuple(
-            SensitiveBlockWitness(
-                base=x,
-                block=frozenset(p + 1 for p in blocks[j]),
-                altered=TernaryString.from_code(
-                    _lex_least_alteration(vals, x.trits, base, pw, blocks[j], v), n
-                ),
-            )
-            for j in picked
-        )
         if attaining[v] is None or count > by_value[v]:
+            family = _block_witnesses(vals, x, base, pw, [blocks[j] for j in picked])
             by_value[v] = count
             attaining[v], families[v] = x, family
-        if count > best:
-            best, best_x, best_family = count, x, family
+            if count > best:
+                best, best_x, best_family = count, x, family
     return BlockSensitivitySummary(
         bs_u=best,
         by_value=tuple(by_value),
@@ -371,19 +503,18 @@ def certificate_u_at(
     raise AssertionError("the input itself certifies its value")
 
 
-def certificate_summary(table: HazardFreeTable) -> CertificateSummary:
-    n = table.arity
-    vals = table.values
+def certificate_summary(table: HazardFreeTable, cap: int | None = None) -> CertificateSummary:
+    """Worst minimum certificate per value class, at its lex-least input."""
+    arrays = _measure_arrays(table, cap)
     worst = [0, 0, 0]
     attaining: list[TernaryString | None] = [None, None, None]
     witnesses: list[CertificateWitness | None] = [None, None, None]
-    for base in range(3 ** n):
-        v = vals[base]
-        x = TernaryString.from_code(base, n)
-        w = certificate_u_at(table, x)
-        if attaining[v] is None or w.size > worst[v]:
-            worst[v] = w.size
-            attaining[v], witnesses[v] = x, w
+    for v in (0, 1, UNKNOWN):
+        code = _first_max(arrays.certificate, arrays.values == v)
+        if code is not None:
+            worst[v] = int(arrays.certificate[code])
+            attaining[v] = TernaryString.from_code(code, table.arity)
+            witnesses[v] = certificate_u_at(table, attaining[v])
     return CertificateSummary(
         c_u=max(worst[0], worst[1]),
         c_u_0=worst[0],
@@ -404,29 +535,39 @@ def certificate_complexity_u(table: HazardFreeTable) -> int:
 
 
 def standard_measures(
-    f: BooleanFunction, table: HazardFreeTable | None = None
+    f: BooleanFunction, table: HazardFreeTable | None = None, cap: int | None = None
 ) -> StandardMeasures:
-    """Classical s, bs and C of f over binary inputs with bit-flip blocks."""
+    """Classical s, bs and C of f over binary inputs with bit-flip blocks.
+
+    At a binary input the u-sensitive positions are the flip-sensitive
+    ones and the certificates are the subcubes on which f is constant,
+    so classical s and C are the per-input arrays at the binary codes;
+    the bs scan skips inputs the same way ``block_summary`` does.
+    """
     n = f.arity
     if table is None:
         table = hazard_free_table(f)
-    vals, pw = table.values, _weights(n)
+    arrays = _measure_arrays(table, cap)
+    codes = np.arange(3 ** n).reshape((3,) * n)[(slice(0, 2),) * n].reshape(-1)
+    sens, cert = arrays.sensitivity[codes], arrays.certificate[codes]
+    bound = arrays.block_bound[codes].tolist()
 
-    s_best, s_x, s_var = 0, 0, None
+    def _as_string(idx: int) -> TernaryString:
+        return TernaryString(tuple((idx >> (n - 1 - p)) & 1 for p in range(n)))
+
+    s_x = _as_string(int(sens.argmax()))
+    flips = _sensitive_positions(table, s_x)
+    c_x = _as_string(int(cert.argmax()))
+
     bs_best, bs_x, bs_family = -1, 0, ()
-    c_best, c_x, c_wit = -1, 0, None
     for idx in range(1 << n):
-        fv = f.value_at_index(idx)
-        digits = tuple((idx >> (n - 1 - p)) & 1 for p in range(n))
-
-        flips = [p for p in range(n) if f.value_at_index(idx ^ (1 << (n - 1 - p))) != fv]
-        if len(flips) > s_best:
-            s_best, s_x, s_var = len(flips), idx, flips[0] + 1
-
-        blocks = _classical_minimal_blocks(f, n, idx, fv)
+        if bound[idx] <= bs_best:
+            continue
+        blocks = _classical_minimal_blocks(f, n, idx, f.value_at_index(idx))
         picked = _max_disjoint(blocks)
         if len(picked) > bs_best:
-            base_str = TernaryString(digits)
+            base_str = _as_string(idx)
+            digits = base_str.trits
             bs_best, bs_x = len(picked), idx
             bs_family = tuple(
                 SensitiveBlockWitness(
@@ -442,23 +583,16 @@ def standard_measures(
                 for j in picked
             )
 
-        wit = _classical_certificate(vals, pw, n, digits, fv)
-        if wit.size > c_best:
-            c_best, c_x, c_wit = wit.size, idx, wit
-
-    def _as_string(idx: int) -> TernaryString:
-        return TernaryString(tuple((idx >> (n - 1 - p)) & 1 for p in range(n)))
-
     return StandardMeasures(
-        s=s_best,
+        s=int(sens.max()),
         bs=bs_best,
-        c=c_best,
-        s_attaining=_as_string(s_x),
-        s_variable=s_var,
+        c=int(cert.max()),
+        s_attaining=s_x,
+        s_variable=flips[0] + 1 if flips else None,
         bs_attaining=_as_string(bs_x),
         bs_family=bs_family,
-        c_attaining=_as_string(c_x),
-        c_witness=c_wit,
+        c_attaining=c_x,
+        c_witness=certificate_u_at(table, c_x),
     )
 
 
@@ -478,21 +612,6 @@ def _classical_minimal_blocks(f, n, idx, fv) -> list[tuple[int, ...]]:
                 found.append(blk)
                 masks.append(bm)
     return found
-
-
-def _classical_certificate(vals, pw, n, digits, fv) -> CertificateWitness:
-    # f is constant on the subcube fixing S iff the extension maps the
-    # string with u off S to that constant.
-    all_u = 3 ** n - 1
-    for size in range(n + 1):
-        for S in combinations(range(n), size):
-            code = all_u
-            for p in S:
-                code += (digits[p] - UNKNOWN) * pw[p]
-            if vals[code] == fv:
-                cells = tuple(digits[p] if p in S else STAR for p in range(n))
-                return CertificateWitness(PartialAssignment(cells), fv)
-    raise AssertionError("fixing every position certifies the value")
 
 
 # ---------------------------------------------------------------------------
@@ -609,10 +728,10 @@ def measure_report(
     """Compute every measure of f, including exact decision-tree depths."""
     if table is None:
         table = hazard_free_table(f, cap=table_cap)
-    s_u, s_u_x, s_u_var = _sensitivity_scan(table)
-    blocks = block_summary(table)
-    certs = certificate_summary(table)
-    classical = standard_measures(f, table)
+    s_u, s_u_x, s_u_var = _sensitivity_scan(table, search_cap)
+    blocks = block_summary(table, search_cap)
+    certs = certificate_summary(table, search_cap)
+    classical = standard_measures(f, table, search_cap)
     d_u, tree_u = trees.query_complexity_u(table, cap=search_cap)
     d, tree_b = trees.query_complexity(f, table=table, cap=search_cap)
 

@@ -269,35 +269,59 @@ def serialize_tree(tree: DecisionTree) -> str:
     return json.dumps(tree_to_json_dict(tree), separators=(",", ":"))
 
 
-def tree_from_json_dict(obj, path: str = "$", _seen: frozenset = frozenset()) -> DecisionTree:
-    if not isinstance(obj, dict):
-        raise TreeFormatError(f"{path}: expected an object, got {type(obj).__name__}")
-    if "leaf" in obj:
-        if set(obj) != {"leaf"}:
-            raise TreeFormatError(f"{path}: leaf object has extra keys {sorted(set(obj) - {'leaf'})}")
-        if obj["leaf"] not in ("0", "1", "u"):
-            raise TreeFormatError(f"{path}: leaf value must be '0', '1' or 'u'")
-        return Leaf("01u".index(obj["leaf"]))
-    if "query" not in obj:
-        raise TreeFormatError(f"{path}: object is neither a leaf nor a query node")
-    extra = set(obj) - {"query", "on0", "on1", "onU"}
-    if extra:
-        raise TreeFormatError(f"{path}: unexpected keys {sorted(extra)}")
-    var = obj["query"]
-    if not isinstance(var, int) or isinstance(var, bool) or var < 1:
-        raise TreeFormatError(f"{path}: query must be a positive variable index")
-    if var in _seen:
-        raise TreeFormatError(f"{path}: variable {var} repeats along the path")
-    for key in ("on0", "on1"):
-        if key not in obj:
-            raise TreeFormatError(f"{path}: missing child {key!r}")
-    seen = _seen | {var}
-    on0 = tree_from_json_dict(obj["on0"], f"{path}.on0", seen)
-    on1 = tree_from_json_dict(obj["on1"], f"{path}.on1", seen)
-    onU = None
-    if "onU" in obj:
-        onU = tree_from_json_dict(obj["onU"], f"{path}.onU", seen)
-    return Node(var, on0, on1, onU)
+def tree_from_json_dict(obj, path: str = "$") -> DecisionTree:
+    """Build a tree from its JSON form; error messages carry the JSON path.
+
+    No variable may repeat along a path, so no path is longer than the
+    tree's number of distinct variables; a deeper tree is rejected at
+    its first repeat.  Nodes are validated in pre-order with an explicit
+    stack and built bottom-up, so any nesting depth ends in a tree or a
+    ``TreeFormatError``, never in a ``RecursionError``.
+    """
+    entries: list = []  # pre-order: a Leaf, or (var, {child key: entry index})
+    todo = [(obj, path, frozenset(), None, None)]
+    while todo:
+        obj, path, seen, parent, key = todo.pop()
+        if parent is not None:
+            entries[parent][1][key] = len(entries)
+        if not isinstance(obj, dict):
+            raise TreeFormatError(f"{path}: expected an object, got {type(obj).__name__}")
+        if "leaf" in obj:
+            if set(obj) != {"leaf"}:
+                raise TreeFormatError(f"{path}: leaf object has extra keys {sorted(set(obj) - {'leaf'})}")
+            if obj["leaf"] not in ("0", "1", "u"):
+                raise TreeFormatError(f"{path}: leaf value must be '0', '1' or 'u'")
+            entries.append(Leaf("01u".index(obj["leaf"])))
+            continue
+        if "query" not in obj:
+            raise TreeFormatError(f"{path}: object is neither a leaf nor a query node")
+        extra = set(obj) - {"query", "on0", "on1", "onU"}
+        if extra:
+            raise TreeFormatError(f"{path}: unexpected keys {sorted(extra)}")
+        var = obj["query"]
+        if not isinstance(var, int) or isinstance(var, bool) or var < 1:
+            raise TreeFormatError(f"{path}: query must be a positive variable index")
+        if var in seen:
+            raise TreeFormatError(f"{path}: variable {var} repeats along the path")
+        for key in ("on0", "on1"):
+            if key not in obj:
+                raise TreeFormatError(f"{path}: missing child {key!r}")
+        index, seen = len(entries), seen | {var}
+        entries.append((var, {}))
+        # Pushed in reverse so that on0 is checked first, then on1, then onU.
+        for key in reversed(TRIT_KEYS):
+            if key in obj:
+                todo.append((obj[key], f"{path}.{key}", seen, index, key))
+    built: list = [None] * len(entries)
+    for i in range(len(entries) - 1, -1, -1):
+        entry = entries[i]
+        if isinstance(entry, Leaf):
+            built[i] = entry
+            continue
+        var, kids = entry
+        onU = built[kids["onU"]] if "onU" in kids else None
+        built[i] = Node(var, built[kids["on0"]], built[kids["on1"]], onU)
+    return built[0]
 
 
 def parse_tree(text: str) -> DecisionTree:
@@ -306,4 +330,6 @@ def parse_tree(text: str) -> DecisionTree:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TreeFormatError(f"invalid JSON at position {exc.pos}: {exc.msg}") from exc
+    except RecursionError:
+        raise TreeFormatError("JSON nested too deeply to parse") from None
     return tree_from_json_dict(obj)

@@ -103,22 +103,24 @@ def bs_u(table: dict, n: int, value=None) -> int:
     return best
 
 
+def sensitivity_at(table: dict, n: int, x) -> int:
+    """Positions where some other trit moves the table value."""
+    v = table[x]
+    count = 0
+    for p in range(n):
+        for d in (0, 1, U):
+            if d == x[p]:
+                continue
+            y = list(x)
+            y[p] = d
+            if table[tuple(y)] != v:
+                count += 1
+                break
+    return count
+
+
 def s_u(table: dict, n: int) -> int:
-    best = 0
-    for x in table:
-        v = table[x]
-        count = 0
-        for p in range(n):
-            for d in (0, 1, U):
-                if d == x[p]:
-                    continue
-                y = list(x)
-                y[p] = d
-                if table[tuple(y)] != v:
-                    count += 1
-                    break
-        best = max(best, count)
-    return best
+    return max(sensitivity_at(table, n, x) for x in table)
 
 
 def certificate_at(table: dict, n: int, x) -> int:

@@ -151,6 +151,37 @@ def test_malformed_trees_rejected(text):
         parse_tree(text)
 
 
+def _chain(depth, var_of_level):
+    tree = {"leaf": "0"}
+    for level in range(depth):
+        tree = {"query": var_of_level(level), "on0": tree, "on1": {"leaf": "1"}}
+    return tree
+
+
+def _chain_text(depth):
+    text = '{"leaf":"0"}'
+    for level in range(depth):
+        text = f'{{"query":{level + 1},"on0":{text},"on1":{{"leaf":"1"}}}}'
+    return text
+
+
+@pytest.mark.parametrize("depth", [1000, 1500, 3000])
+def test_deeply_nested_trees_rejected(depth):
+    with pytest.raises(TreeFormatError):
+        parse_tree(_chain_text(depth))
+    # Built without JSON: a path longer than its distinct variables repeats one.
+    with pytest.raises(TreeFormatError, match="repeats along the path"):
+        tree_from_json_dict(_chain(depth, lambda level: level % 7 + 1))
+
+
+def test_deep_tree_without_repeats_builds():
+    node, depth = tree_from_json_dict(_chain(3000, lambda level: level + 1)), 0
+    while isinstance(node, Node):
+        assert node.var == 3000 - depth and node.on1 == Leaf(1)
+        node, depth = node.on0, depth + 1
+    assert (node, depth) == (Leaf(0), 3000)
+
+
 def test_search_cap():
     with pytest.raises(ArityCapError):
         query_complexity_u(hazard_free_table(generate("maj:3")), cap=2)
