@@ -51,31 +51,31 @@ class QueryOracle(Protocol):
 Solver = Callable[[QueryOracle], int]
 
 
-class Oracle:
-    """Answers queries about a hidden ternary string.
+class _CachedOracle:
+    """Range checks, the answer cache and the log shared by every oracle.
 
-    ``query`` takes a 1-based variable index.  The transcript records
-    first-time queries in order; repeats hit the cache and do not count.
+    ``query`` takes a 1-based variable index and asks ``_answer`` only
+    the first time; the transcript records first-time queries in order,
+    and repeats hit the cache and do not count.
     """
 
-    def __init__(self, hidden: TernaryString | str):
-        self._hidden = as_ternary(hidden)
+    def __init__(self, arity: int):
+        self._arity = arity
         self._answers: dict[int, int] = {}
         self._log: list[tuple[int, int]] = []
 
     @property
     def arity(self) -> int:
-        return len(self._hidden)
+        return self._arity
 
-    @property
-    def hidden(self) -> TernaryString:
-        return self._hidden
+    def _answer(self, var: int) -> int:
+        raise NotImplementedError
 
     def query(self, var: int) -> int:
-        if not 1 <= var <= self.arity:
-            raise ValueError(f"query index {var} outside 1..{self.arity}")
+        if not 1 <= var <= self._arity:
+            raise ValueError(f"query index {var} outside 1..{self._arity}")
         if var not in self._answers:
-            answer = self._hidden[var - 1]
+            answer = self._answer(var)
             self._answers[var] = answer
             self._log.append((var, answer))
         return self._answers[var]
@@ -89,7 +89,22 @@ class Oracle:
         return tuple(self._log)
 
 
-class WrappedOracle:
+class Oracle(_CachedOracle):
+    """Answers queries about a hidden ternary string."""
+
+    def __init__(self, hidden: TernaryString | str):
+        self._hidden = as_ternary(hidden)
+        super().__init__(len(self._hidden))
+
+    @property
+    def hidden(self) -> TernaryString:
+        return self._hidden
+
+    def _answer(self, var: int) -> int:
+        return self._hidden[var - 1]
+
+
+class WrappedOracle(_CachedOracle):
     """An oracle derived from another by a per-query rewrite rule.
 
     ``rewrite(var, inner)`` produces the answer and may call
@@ -100,36 +115,16 @@ class WrappedOracle:
 
     def __init__(self, arity: int, inner: QueryOracle,
                  rewrite: Callable[[int, QueryOracle], int]):
-        self._arity = arity
+        super().__init__(arity)
         self._inner = inner
         self._rewrite = rewrite
-        self._answers: dict[int, int] = {}
-        self._log: list[tuple[int, int]] = []
-
-    @property
-    def arity(self) -> int:
-        return self._arity
 
     @property
     def inner(self) -> QueryOracle:
         return self._inner
 
-    def query(self, var: int) -> int:
-        if not 1 <= var <= self._arity:
-            raise ValueError(f"query index {var} outside 1..{self._arity}")
-        if var not in self._answers:
-            answer = self._rewrite(var, self._inner)
-            self._answers[var] = answer
-            self._log.append((var, answer))
-        return self._answers[var]
-
-    @property
-    def query_count(self) -> int:
-        return len(self._answers)
-
-    @property
-    def transcript(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self._log)
+    def _answer(self, var: int) -> int:
+        return self._rewrite(var, self._inner)
 
 
 def fill_unknown_oracle(inner: QueryOracle, fill: Sequence[int]) -> WrappedOracle:
@@ -394,22 +389,16 @@ def monotone_simulate(f: BooleanFunction, tree: DecisionTree,
                       oracle: QueryOracle) -> int:
     """Evaluate the extension of a monotone f with a classical tree, twice.
 
-    Pass one resolves every u answer to 0, pass two to 1.  Monotonicity
-    makes the pair of resolved values bracket the true one: 1 on the
-    all-zeros resolution forces 1, 0 on the all-ones resolution forces
-    0, and the remaining case is exactly the unresolved value u.  Both
-    passes share the oracle, so at most 2 * depth distinct queries.
+    This is ``unate_simulate`` with the all-zero orientation: pass one
+    resolves every u answer to 0, pass two to 1.  Monotonicity makes the
+    pair of resolved values bracket the true one: 1 on the all-zeros
+    resolution forces 1, 0 on the all-ones resolution forces 0, and the
+    remaining case is exactly the unresolved value u.  Both passes share
+    the oracle, so at most 2 * depth distinct queries.
     """
     if not is_monotone(f):
         raise ValueError("monotone_simulate requires a monotone function")
-    run = tree_solver(tree)
-    low = run(fill_unknown_oracle(oracle, (0,) * f.arity))
-    high = run(fill_unknown_oracle(oracle, (1,) * f.arity))
-    if low == 1:
-        return 1
-    if high == 0:
-        return 0
-    return UNKNOWN
+    return unate_simulate(f, Orientation((0,) * f.arity), tree, oracle)
 
 
 def unate_simulate(f: BooleanFunction, orientation: Orientation,

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -395,43 +395,57 @@ def block_sensitivity_u_at(
     return len(picked), tuple(witnesses[j] for j in picked)
 
 
-def block_summary(table: HazardFreeTable, cap: int | None = None) -> BlockSensitivitySummary:
-    """Block sensitivity over all inputs and split by output value.
+def _packing_scan(
+    table: HazardFreeTable, codes: Sequence[int], bound: Sequence[int]
+) -> list:
+    """Per output trit, the largest packing of blocks over the inputs ``codes``.
 
-    Inputs are scanned in code order and a maximum moves only on a strict
-    increase, so each attaining input is the lex-least one.  An input
-    whose bound (``_tabulate``) does not exceed the best of its value
-    class so far cannot move that maximum, nor the overall one, which is
-    at least as large; it is skipped without packing its blocks.
+    Entry v is None when no input of value v is scanned, else (size, x,
+    family) at the first input x of ``codes`` attaining the class
+    maximum: a maximum moves only on a strict increase.  An input whose
+    bound (``_tabulate``, indexed by ternary code) does not exceed the
+    best of its value class so far cannot move that maximum, nor the
+    overall one, which is at least as large; it is skipped without
+    packing its blocks.
     """
     n = table.arity
     vals, pw = table.values, _weights(n)
-    bound = _measure_arrays(table, cap).block_bound.tolist()
-    by_value = [0, 0, 0]
-    attaining: list[TernaryString | None] = [None, None, None]
-    families: list[tuple[SensitiveBlockWitness, ...]] = [(), (), ()]
-    best, best_x, best_family = -1, None, ()
-    for base in range(3 ** n):
+    best: list = [None, None, None]
+    for base in codes:
         v = vals[base]
-        if attaining[v] is not None and bound[base] <= by_value[v]:
+        if best[v] is not None and bound[base] <= best[v][0]:
             continue
         x = TernaryString.from_code(base, n)
         blocks = _minimal_blocks(vals, n, x.trits, base, pw)
         picked = _max_disjoint(blocks)
-        count = len(picked)
-        if attaining[v] is None or count > by_value[v]:
+        if best[v] is None or len(picked) > best[v][0]:
             family = _block_witnesses(vals, x, base, pw, [blocks[j] for j in picked])
-            by_value[v] = count
-            attaining[v], families[v] = x, family
-            if count > best:
-                best, best_x, best_family = count, x, family
+            best[v] = (len(picked), x, family)
+    return best
+
+
+def _overall(best: list) -> tuple:
+    """The largest packing over all value classes, at its least input."""
+    return max((b for b in best if b is not None), key=lambda b: (b[0], -b[1].code()))
+
+
+def block_summary(table: HazardFreeTable, cap: int | None = None) -> BlockSensitivitySummary:
+    """Block sensitivity over all inputs and split by output value.
+
+    Inputs are scanned in code order, so each attaining input is the
+    lex-least one (``_packing_scan``).
+    """
+    bound = _measure_arrays(table, cap).block_bound.tolist()
+    best = _packing_scan(table, range(3 ** table.arity), bound)
+    by_value = tuple(0 if b is None else b[0] for b in best)
+    bs_u, x, family = _overall(best)
     return BlockSensitivitySummary(
-        bs_u=best,
-        by_value=tuple(by_value),
-        attaining=tuple(attaining),
-        families=tuple(families),
-        attaining_global=best_x,
-        family_global=best_family,
+        bs_u=bs_u,
+        by_value=by_value,
+        attaining=tuple(None if b is None else b[1] for b in best),
+        families=tuple(() if b is None else b[2] for b in best),
+        attaining_global=x,
+        family_global=family,
     )
 
 
@@ -541,8 +555,14 @@ def standard_measures(
 
     At a binary input the u-sensitive positions are the flip-sensitive
     ones and the certificates are the subcubes on which f is constant,
-    so classical s and C are the per-input arrays at the binary codes;
-    the bs scan skips inputs the same way ``block_summary`` does.
+    so classical s and C are the per-input arrays at the binary codes.
+
+    Classical bs is the bs_u scan restricted to the binary codes.  At a
+    binary x, setting a block to u reaches every flip inside it, so a
+    block is u-sensitive iff it holds a flip-sensitive block, and the
+    minimal blocks of the two kinds coincide.  An alteration proving a
+    minimal block changes each of its positions (else a smaller block
+    would be sensitive), so the lex-least one is the full flip.
     """
     n = f.arity
     if table is None:
@@ -550,68 +570,24 @@ def standard_measures(
     arrays = _measure_arrays(table, cap)
     codes = np.arange(3 ** n).reshape((3,) * n)[(slice(0, 2),) * n].reshape(-1)
     sens, cert = arrays.sensitivity[codes], arrays.certificate[codes]
-    bound = arrays.block_bound[codes].tolist()
 
-    def _as_string(idx: int) -> TernaryString:
-        return TernaryString(tuple((idx >> (n - 1 - p)) & 1 for p in range(n)))
-
-    s_x = _as_string(int(sens.argmax()))
+    s_x = TernaryString.from_code(int(codes[sens.argmax()]), n)
     flips = _sensitive_positions(table, s_x)
-    c_x = _as_string(int(cert.argmax()))
-
-    bs_best, bs_x, bs_family = -1, 0, ()
-    for idx in range(1 << n):
-        if bound[idx] <= bs_best:
-            continue
-        blocks = _classical_minimal_blocks(f, n, idx, f.value_at_index(idx))
-        picked = _max_disjoint(blocks)
-        if len(picked) > bs_best:
-            base_str = _as_string(idx)
-            digits = base_str.trits
-            bs_best, bs_x = len(picked), idx
-            bs_family = tuple(
-                SensitiveBlockWitness(
-                    base=base_str,
-                    block=frozenset(p + 1 for p in blocks[j]),
-                    altered=TernaryString(
-                        tuple(
-                            digits[p] ^ 1 if p in blocks[j] else digits[p]
-                            for p in range(n)
-                        )
-                    ),
-                )
-                for j in picked
-            )
+    c_x = TernaryString.from_code(int(codes[cert.argmax()]), n)
+    bs, bs_x, bs_family = _overall(
+        _packing_scan(table, codes.tolist(), arrays.block_bound.tolist()))
 
     return StandardMeasures(
         s=int(sens.max()),
-        bs=bs_best,
+        bs=bs,
         c=int(cert.max()),
         s_attaining=s_x,
         s_variable=flips[0] + 1 if flips else None,
-        bs_attaining=_as_string(bs_x),
+        bs_attaining=bs_x,
         bs_family=bs_family,
         c_attaining=c_x,
         c_witness=certificate_u_at(table, c_x),
     )
-
-
-def _classical_minimal_blocks(f, n, idx, fv) -> list[tuple[int, ...]]:
-    found: list[tuple[int, ...]] = []
-    masks: list[int] = []
-    for size in range(1, n + 1):
-        for blk in combinations(range(n), size):
-            bm = 0
-            flip = 0
-            for p in blk:
-                bm |= 1 << p
-                flip |= 1 << (n - 1 - p)
-            if any(bm & fm == fm for fm in masks):
-                continue
-            if f.value_at_index(idx ^ flip) != fv:
-                found.append(blk)
-                masks.append(bm)
-    return found
 
 
 # ---------------------------------------------------------------------------

@@ -5,22 +5,26 @@ A u-model tree branches three ways on the answer to a variable query
 with the extension on every ternary input.  A classical tree branches
 two ways and is evaluated on resolved inputs only (``onU`` is absent).
 
-``query_complexity_u``/``query_complexity`` run an exact minimax game
-search over partial assignments: the solver picks the variable, the
-adversary picks the worst answer.  States are memoized by the packed
-base-4 code of the assignment in a flat array; ties break toward the
-lowest variable index, making results and extracted trees canonical.
+``query_complexity_u``/``query_complexity`` solve the same minimax game,
+the solver picking the variable and the adversary the worst answer,
+with one array kernel over the partial assignments: {0, 1, u, *}^n for
+the u-model and {0, 1, *}^n classically.  Depth 0 marks the cells whose
+value is forced; sweeps along every * axis relax the rest to exact
+depths, and the tree is read off the array, taking at each node the
+lowest variable that attains the optimum, so results are canonical.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
 from typing import Union
+
+import numpy as np
 
 from .core import (
     DEFAULT_SEARCH_CAP,
+    STAR,
     UNKNOWN,
     BooleanFunction,
     HazardFreeTable,
@@ -53,11 +57,24 @@ class Node:
 DecisionTree = Union[Leaf, Node]
 
 
+def _children(node: Node) -> list[tuple[str, DecisionTree]]:
+    """(key, child) pairs of a node in serialization order."""
+    kids = [("on0", node.on0), ("on1", node.on1)]
+    if node.onU is not None:
+        kids.append(("onU", node.onU))
+    return kids
+
+
 def tree_depth(tree: DecisionTree) -> int:
-    if isinstance(tree, Leaf):
-        return 0
-    children = [tree.on0, tree.on1] + ([tree.onU] if tree.onU is not None else [])
-    return 1 + max(tree_depth(c) for c in children)
+    """Length of the longest root-to-leaf path; any depth, no recursion."""
+    deepest, todo = 0, [(tree, 0)]
+    while todo:
+        node, depth = todo.pop()
+        if isinstance(node, Node):
+            todo.extend((child, depth + 1) for _, child in _children(node))
+        elif depth > deepest:
+            deepest = depth
+    return deepest
 
 
 def evaluate_tree(tree: DecisionTree, y: TernaryString | str) -> int:
@@ -98,10 +115,74 @@ def verify_tree(
 
 
 # ---------------------------------------------------------------------------
-# Exact depth search, u-query model.
+# Exact depth: one layered kernel for both answer alphabets.
 
-_NO_VALUE = 0xFF
-_LEAF = 0xFE
+_FAR = 0xFE  # not forced, or not known to be within reach; 1 + _FAR fits a byte
+
+
+def _optimal_tree(
+    depth: np.ndarray, star: int, answers: tuple[int, ...], values: bytes
+) -> tuple[int, DecisionTree]:
+    """Relax ``depth`` in place into exact depths and extract the tree.
+
+    ``depth`` has one axis per variable, indexed by ``answers`` and then
+    ``star`` (the largest index); it holds 0 where the value is forced
+    and _FAR elsewhere, and no cell ever reads below its true depth.
+    Each sweep sets, axis by axis, the cells with a * on that axis to
+    min(depth, 1 + max over the children).  After sweep k every cell of
+    true depth <= k is exact, and every other reads more than k.  So once
+    the all-* root reads at most k + 1 it is exact, every cell below it
+    on an optimal tree is too, and each threshold test of the extraction
+    tells true depths apart.
+    """
+    n, base = depth.ndim, star + 1
+    flat = depth.reshape(-1)
+    worst = np.empty(base ** (n - 1), dtype=np.uint8)
+    axes = []
+    for axis in range(n):
+        view = depth.reshape(base ** axis, base, base ** (n - 1 - axis))
+        kids = [view[:, a] for a in answers]
+        axes.append((kids, view[:, star], worst.reshape(kids[0].shape)))
+    sweep = 0
+    while flat[-1] > sweep + 1:
+        sweep += 1
+        for kids, top, w in axes:
+            np.maximum(kids[0], kids[1], out=w)
+            for kid in kids[2:]:
+                np.maximum(w, kid, out=w)
+            w += 1
+            np.minimum(top, w, out=top)
+
+    reach = memoryview(flat).__getitem__
+    steps = [[(a - star) * base ** (n - 1 - p) for a in answers] for p in range(n)]
+    coarse_steps = [[(a - UNKNOWN) * 3 ** (n - 1 - p) for a in answers] for p in range(n)]
+    root = _read_tree(reach, steps, coarse_steps, values,
+                      flat.size - 1, 3 ** n - 1, list(range(n)))
+    return int(flat[-1]), root
+
+
+def _read_tree(reach, steps, coarse_steps, values: bytes,
+               key: int, coarse: int, free: list[int]) -> DecisionTree:
+    """The optimal tree below the cell ``key`` of exact relaxed depth.
+
+    Each node queries the lowest * axis whose children all sit below its
+    depth: the first variable attaining the minimax value.  ``steps[p]``
+    moves a cell to its children on axis p and ``coarse_steps[p]`` moves
+    its coarsest completion (u at every *) alongside, whose value a leaf
+    reads.  A module function, not a closure, so that the depth array is
+    freed as soon as the tree is built.
+    """
+    d = reach(key)
+    if not d:
+        return Leaf(values[coarse])
+    for p in free:
+        kids = [key + step for step in steps[p]]
+        if max(map(reach, kids)) < d:
+            rest = [q for q in free if q != p]
+            return Node(p + 1, *[
+                _read_tree(reach, steps, coarse_steps, values, kid, coarse + step, rest)
+                for kid, step in zip(kids, coarse_steps[p])])
+    raise AssertionError("relaxed depth has no optimal query")
 
 
 def query_complexity_u(
@@ -110,79 +191,21 @@ def query_complexity_u(
     """Exact optimal depth for computing the extension, with a witness tree."""
     n = table.arity
     check_cap(n, cap, DEFAULT_SEARCH_CAP, "u-model depth search")
-    vals = table.values
-    pw4 = tuple(4 ** (n - 1 - p) for p in range(n))
-    pw3 = tuple(3 ** (n - 1 - p) for p in range(n))
-    value = bytearray([_NO_VALUE]) * (4 ** n)
-    choice = bytearray([_NO_VALUE]) * (4 ** n)
-
-    def leaf_value(cells: list[int]) -> int:
-        """The forced constant over all completions, or _NO_VALUE.
-
-        The completion with u at every unassigned cell is the coarsest,
-        so a 0/1 there settles it; a u there is constant only if every
-        binary setting of the unassigned cells stays u.
-        """
-        coarse = 0
-        for p in range(n):
-            c = cells[p]
-            coarse += (UNKNOWN if c == 3 else c) * pw3[p]
-        forced = vals[coarse]
-        if forced != UNKNOWN:
-            return forced
-        stars = [p for p in range(n) if cells[p] == 3]
-        fixed = coarse - sum(UNKNOWN * pw3[p] for p in stars)
-        for w in product((0, 1), repeat=len(stars)):
-            code = fixed
-            for k, p in enumerate(stars):
-                code += w[k] * pw3[p]
-            if vals[code] != UNKNOWN:
-                return _NO_VALUE
-        return UNKNOWN
-
-    def solve(cells: list[int], key: int) -> int:
-        cached = value[key]
-        if cached != _NO_VALUE:
-            return cached
-        if leaf_value(cells) != _NO_VALUE:
-            value[key], choice[key] = 0, _LEAF
-            return 0
-        best, best_p = _NO_VALUE, _NO_VALUE
-        for p in range(n):
-            if cells[p] != 3:
-                continue
-            worst = 0
-            for a in (0, 1, 2):
-                cells[p] = a
-                d = solve(cells, key + (a - 3) * pw4[p])
-                cells[p] = 3
-                if d > worst:
-                    worst = d
-                if worst + 1 >= best:
-                    break
-            if worst + 1 < best:
-                best, best_p = worst + 1, p
-        value[key], choice[key] = best, best_p
-        return best
-
-    def extract(cells: list[int], key: int) -> DecisionTree:
-        p = choice[key]
-        if p == _LEAF:
-            return Leaf(leaf_value(cells))
-        kids = []
-        for a in (0, 1, 2):
-            cells[p] = a
-            kids.append(extract(cells, key + (a - 3) * pw4[p]))
-            cells[p] = 3
-        return Node(p + 1, kids[0], kids[1], kids[2])
-
-    start = [3] * n
-    depth = solve(start, 4 ** n - 1)
-    return depth, extract(start, 4 ** n - 1)
-
-
-# ---------------------------------------------------------------------------
-# Exact depth search, classical model.
+    # Forced values over {0, 1, u, *}^n, built axis by axis as in
+    # hazard_free_table: a cell with a * is forced iff its 0 and 1
+    # children are forced to the same value (the u child, coarser than
+    # both, then is too); _FAR marks the rest.  The last write of a cell,
+    # at its highest * axis, reads children already final.
+    depth = np.empty((4,) * n, dtype=np.uint8)
+    depth[(slice(0, 3),) * n] = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)
+    for axis in range(n):
+        view = depth.reshape(4 ** axis, 4, 4 ** (n - 1 - axis))
+        top = view[:, STAR]
+        top[...] = view[:, 0]
+        np.copyto(top, _FAR, where=view[:, 0] != view[:, 1])
+    depth >>= 7  # forced 0, 1, u -> 0; _FAR -> 1
+    depth *= _FAR
+    return _optimal_tree(depth, STAR, (0, 1, UNKNOWN), table.values)
 
 
 def query_complexity(
@@ -195,56 +218,12 @@ def query_complexity(
     check_cap(n, cap, DEFAULT_SEARCH_CAP, "classical depth search")
     if table is None:
         table = hazard_free_table(f)
-    vals = table.values
-    pw3 = tuple(3 ** (n - 1 - p) for p in range(n))
-    value = bytearray([_NO_VALUE]) * (3 ** n)
-    choice = bytearray([_NO_VALUE]) * (3 ** n)
-
-    # Cells are 0, 1 or 2 = unset here; the extension's value on the
-    # string with u at every unset cell decides subcube constancy.
-    def leaf_value(key: int) -> int:
-        forced = vals[key]
-        return forced if forced != UNKNOWN else _NO_VALUE
-
-    def solve(cells: list[int], key: int) -> int:
-        cached = value[key]
-        if cached != _NO_VALUE:
-            return cached
-        if leaf_value(key) != _NO_VALUE:
-            value[key], choice[key] = 0, _LEAF
-            return 0
-        best, best_p = _NO_VALUE, _NO_VALUE
-        for p in range(n):
-            if cells[p] != 2:
-                continue
-            worst = 0
-            for a in (0, 1):
-                cells[p] = a
-                d = solve(cells, key + (a - 2) * pw3[p])
-                cells[p] = 2
-                if d > worst:
-                    worst = d
-                if worst + 1 >= best:
-                    break
-            if worst + 1 < best:
-                best, best_p = worst + 1, p
-        value[key], choice[key] = best, best_p
-        return best
-
-    def extract(cells: list[int], key: int) -> DecisionTree:
-        p = choice[key]
-        if p == _LEAF:
-            return Leaf(leaf_value(key))
-        kids = []
-        for a in (0, 1):
-            cells[p] = a
-            kids.append(extract(cells, key + (a - 2) * pw3[p]))
-            cells[p] = 2
-        return Node(p + 1, kids[0], kids[1], None)
-
-    start = [2] * n
-    depth = solve(start, 3 ** n - 1)
-    return depth, extract(start, 3 ** n - 1)
+    # Over {0, 1, *}^n with u read as *, the extension is resolved
+    # exactly at the subcubes on which f is constant.
+    depth = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n).copy()
+    depth >>= 1  # 0, 1 -> 0; u -> 1
+    depth *= _FAR
+    return _optimal_tree(depth, UNKNOWN, (0, 1), table.values)
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +232,20 @@ def query_complexity(
 
 
 def tree_to_json_dict(tree: DecisionTree) -> dict:
-    if isinstance(tree, Leaf):
-        return {"leaf": "01u"[tree.value]}
-    out = {
-        "query": tree.var,
-        "on0": tree_to_json_dict(tree.on0),
-        "on1": tree_to_json_dict(tree.on1),
-    }
-    if tree.onU is not None:
-        out["onU"] = tree_to_json_dict(tree.onU)
-    return out
+    """The JSON form of a tree, built top-down with an explicit stack."""
+    holder: dict = {}
+    todo = [(tree, holder, "tree")]
+    while todo:
+        node, parent, key = todo.pop()
+        if isinstance(node, Leaf):
+            parent[key] = {"leaf": "01u"[node.value]}
+            continue
+        kids = _children(node)
+        # Every key is placed before any child is filled in, so the key
+        # order is query, on0, on1, onU as serialize_tree writes it.
+        out = parent[key] = {"query": node.var, **{k: None for k, _ in kids}}
+        todo.extend((child, out, k) for k, child in kids)
+    return holder["tree"]
 
 
 def serialize_tree(tree: DecisionTree) -> str:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from random import Random
 from time import perf_counter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .algorithms import (
     Oracle,
@@ -426,33 +426,38 @@ def _alg1_function_rows(f: BooleanFunction, cap: int | None):
     return {cid: tuple(slot) for cid, slot in agg.items()}
 
 
-def _monotone_function_rows(f: BooleanFunction, cap: int | None):
+def _simulation_row(f: BooleanFunction, table: HazardFreeTable, d: int,
+                    simulate: Callable[[Oracle], int]):
+    """Run ``simulate(oracle)`` on every ternary input against 2 * d queries."""
     n = f.arity
+    runs, fails, ce = 3 ** n, 0, None
+    for code in range(runs):
+        hidden = TernaryString.from_code(code, n)
+        oracle = Oracle(hidden)
+        got = simulate(oracle)
+        if got != table.values[code] or oracle.query_count > 2 * d:
+            fails += 1
+            ce = ce or {
+                "function": f.to_spec(), "input": str(hidden),
+                "got": _trit(got), "expected": _trit(table.values[code]),
+                "queries": oracle.query_count, "budget": 2 * d,
+            }
+    return runs, fails, ce
+
+
+def _monotone_function_rows(f: BooleanFunction, cap: int | None):
     table = hazard_free_table(f)
     d, tree_b = query_complexity(f, table=table, cap=cap)
     du, _ = query_complexity_u(table, cap=cap)
-    spec = f.to_spec()
     rows: dict[str, tuple[int, int, dict | None]] = {}
 
     ok = d <= du <= 2 * d
     rows["monotone-depth-bracket"] = (
         1, 0 if ok else 1,
-        None if ok else {"function": spec, "D": d, "D_u": du},
+        None if ok else {"function": f.to_spec(), "D": d, "D_u": du},
     )
-
-    runs, fails, ce = 3 ** n, 0, None
-    for code in range(runs):
-        hidden = TernaryString.from_code(code, n)
-        oracle = Oracle(hidden)
-        got = monotone_simulate(f, tree_b, oracle)
-        if got != table.values[code] or oracle.query_count > 2 * d:
-            fails += 1
-            ce = ce or {
-                "function": spec, "input": str(hidden),
-                "got": _trit(got), "expected": _trit(table.values[code]),
-                "queries": oracle.query_count, "budget": 2 * d,
-            }
-    rows["monotone-simulation"] = (runs, fails, ce)
+    rows["monotone-simulation"] = _simulation_row(
+        f, table, d, lambda oracle: monotone_simulate(f, tree_b, oracle))
     return rows
 
 
@@ -460,25 +465,13 @@ def _unate_function_rows(f: BooleanFunction, cap: int | None):
     n = f.arity
     table = hazard_free_table(f)
     d, tree_b = query_complexity(f, table=table, cap=cap)
-    spec = f.to_spec()
     orientation = unate_orientation(f)
     if orientation is None:
         return {"unate-simulation": (3 ** n, 3 ** n,
-                                     {"function": spec,
+                                     {"function": f.to_spec(),
                                       "orientation": "missing"})}
-    runs, fails, ce = 3 ** n, 0, None
-    for code in range(runs):
-        hidden = TernaryString.from_code(code, n)
-        oracle = Oracle(hidden)
-        got = unate_simulate(f, orientation, tree_b, oracle)
-        if got != table.values[code] or oracle.query_count > 2 * d:
-            fails += 1
-            ce = ce or {
-                "function": spec, "input": str(hidden),
-                "got": _trit(got), "expected": _trit(table.values[code]),
-                "queries": oracle.query_count, "budget": 2 * d,
-            }
-    return {"unate-simulation": (runs, fails, ce)}
+    return {"unate-simulation": _simulation_row(
+        f, table, d, lambda oracle: unate_simulate(f, orientation, tree_b, oracle))}
 
 
 def _closure_function_rows(f: BooleanFunction, cap: int | None):

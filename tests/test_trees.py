@@ -1,6 +1,8 @@
 """Optimal decision trees for the binary and ternary query models."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -21,6 +23,7 @@ from uquery.trees import (
     tree_to_json_dict,
     verify_tree,
 )
+from uquery.verification import monotone_functions
 
 # spec -> (binary depth, ternary depth)
 KNOWN_DEPTHS = {
@@ -48,12 +51,20 @@ def test_known_depths(spec, want):
 
 
 def _sampled_functions():
+    """Every table with n <= 3, then seeded n = 4 tables.
+
+    The n = 3 tables start with a seeded sample (its repeats included),
+    followed by the rest in order, so earlier test ids stay as they were.
+    """
     for n in (1, 2):
         for bits in range(1 << (1 << n)):
             yield n, bits
     rng = random.Random(11)
-    for _ in range(20):
-        yield 3, rng.getrandbits(8)
+    sample = [rng.getrandbits(8) for _ in range(20)]
+    for bits in sample + sorted(set(range(256)) - set(sample)):
+        yield 3, bits
+    for _ in range(24):
+        yield 4, rng.getrandbits(16)
 
 
 @pytest.mark.parametrize("n,bits", list(_sampled_functions()))
@@ -72,6 +83,29 @@ def test_depths_match_brute_force(n, bits):
     for i in range(1 << n):
         y = format(i, f"0{n}b")
         assert evaluate_tree(tree, y) == f.evaluate(y)
+    assert parse_tree(serialize_tree(tree_u)) == tree_u
+
+
+# sha256 of the sorted-key JSON of (D, D_u and both trees), one line per
+# function, over every monotone function of 4 variables and ind:1..3,
+# mind:2 and mind:4.  Recorded from the memoized minimax searches that the
+# layered kernel replaced.
+TREE_DIGEST = "415ff7d8fc154ee92b6cff3673c0c7eb2e788a7ee013ea66f47d0b1e802c8ea6"
+
+
+def test_trees_byte_identical():
+    functions = monotone_functions(4) + [
+        generate(spec) for spec in ("ind:1", "ind:2", "ind:3", "mind:2", "mind:4")]
+    digest = hashlib.sha256()
+    for f in functions:
+        table = hazard_free_table(f)
+        d, tree = query_complexity(f, table=table)
+        du, tree_u = query_complexity_u(table)
+        record = {"D": d, "D_u": du, "tree": tree_to_json_dict(tree),
+                  "tree_u": tree_to_json_dict(tree_u)}
+        digest.update(json.dumps(record, sort_keys=True).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == TREE_DIGEST
 
 
 def test_binary_tree_rejects_unresolved_input():
@@ -175,11 +209,15 @@ def test_deeply_nested_trees_rejected(depth):
 
 
 def test_deep_tree_without_repeats_builds():
-    node, depth = tree_from_json_dict(_chain(3000, lambda level: level + 1)), 0
-    while isinstance(node, Node):
-        assert node.var == 3000 - depth and node.on1 == Leaf(1)
-        node, depth = node.on0, depth + 1
-    assert (node, depth) == (Leaf(0), 3000)
+    tree = tree_from_json_dict(_chain(3000, lambda level: level + 1))
+    assert tree_depth(tree) == 3000
+    # Dataclass equality recurses, so both trees are compared by walking them.
+    for node in (tree, tree_from_json_dict(tree_to_json_dict(tree))):
+        depth = 0
+        while isinstance(node, Node):
+            assert node.var == 3000 - depth and node.on1 == Leaf(1)
+            node, depth = node.on0, depth + 1
+        assert (node, depth) == (Leaf(0), 3000)
 
 
 def test_search_cap():
