@@ -33,7 +33,6 @@ from .core import (
 )
 from .measures import measure_report
 from .trees import (
-    evaluate_tree,
     query_complexity,
     query_complexity_u,
     serialize_tree,
@@ -178,16 +177,9 @@ def cmd_tree(args) -> int:
     table = hazard_free_table(f, cap=cap)
     if args.model == "u":
         depth, tree = query_complexity_u(table, cap=cap)
-        ok, bad = verify_tree(tree, table)
     else:
         depth, tree = query_complexity(f, table=table, cap=cap)
-        ok, bad = True, None
-        for idx in range(1 << f.arity):
-            y = TernaryString(tuple((idx >> (f.arity - 1 - p)) & 1
-                                    for p in range(f.arity)))
-            if evaluate_tree(tree, y) != f.value_at_index(idx):
-                ok, bad = False, y
-                break
+    ok, bad = verify_tree(tree, table)
     if not ok:
         print(f"error: optimal tree misevaluates {bad}", file=sys.stderr)
         return 1

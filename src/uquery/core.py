@@ -377,6 +377,22 @@ class HazardFreeTable:
         return hash((self.function, self.values))
 
 
+def _merge_axes(cells: np.ndarray, top: int, clash: int) -> None:
+    """In place, along each axis: the ``top`` layer takes the 0 layer
+    where that agrees with the 1 layer, and ``clash`` elsewhere.
+
+    Axis k is variable k+1.  Merging axis by axis is sound because the
+    entry with ``top`` on a set S of axes is (re)written at every axis in
+    S and the last write, at max(S), reads children whose sets are
+    subsets of S already finalized by earlier axes.
+    """
+    n, size = cells.ndim, cells.shape[0]
+    for axis in range(n):
+        view = cells.reshape(size ** axis, size, size ** (n - 1 - axis))
+        view[:, top] = view[:, 0]
+        np.copyto(view[:, top], clash, where=view[:, 0] != view[:, 1])
+
+
 def hazard_free_table(f: BooleanFunction, cap: int | None = None) -> HazardFreeTable:
     """Tabulate the hazard-free extension of f over all 3**n ternary inputs.
 
@@ -392,32 +408,49 @@ def hazard_free_table(f: BooleanFunction, cap: int | None = None) -> HazardFreeT
         ((f.bits >> i) & 1 for i in range(1 << n)), dtype=np.uint8, count=1 << n
     )
     vals[np.ix_(*([0, 1],) * n)] = table.reshape((2,) * n)
-    # Axis k is variable k+1.  Merging axis by axis is sound because the
-    # entry for a u-set S is (re)written at every axis in S and the last
-    # write, at max(S), reads children whose u-sets are subsets of S
-    # already finalized by earlier axes.
-    for axis in range(n):
-        sl0 = tuple(slice(None) if a != axis else 0 for a in range(n))
-        sl1 = tuple(slice(None) if a != axis else 1 for a in range(n))
-        slu = tuple(slice(None) if a != axis else 2 for a in range(n))
-        a0, a1 = vals[sl0], vals[sl1]
-        vals[slu] = np.where(a0 == a1, a0, np.uint8(UNKNOWN))
+    _merge_axes(vals, UNKNOWN, UNKNOWN)
     return HazardFreeTable(f, vals.reshape(-1).tobytes())
+
+
+NOT_FORCED = 0xFE  # a partial assignment whose completions disagree
+
+
+def forced_value_table(table: HazardFreeTable) -> np.ndarray:
+    """The value each partial assignment forces, over {0, 1, u, *}^n.
+
+    Entry ``[c_1, ..., c_n]`` (cells 0, 1, u -> 2, * -> 3) is the common
+    value of the extension on every {0, 1, u}-completion of the *s, or
+    NOT_FORCED when they differ; cells without a * hold the table.  It
+    is the four-symbol continuation of ``hazard_free_table``: a cell
+    with a * is forced iff its 0 and 1 children are forced to the same
+    value, because a completion with u there is coarser than one through
+    each child and so keeps their common resolved value, or stays u.
+    Takes 4**n bytes; callers cap n.
+    """
+    n = table.arity
+    cells = np.empty((4,) * n, dtype=np.uint8)
+    cells[(slice(0, 3),) * n] = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)
+    _merge_axes(cells, STAR, NOT_FORCED)
+    return cells
+
+
+def _slopes(f: BooleanFunction) -> list[tuple[bool, bool]]:
+    """Per variable 1..n: (rises, falls), whether raising that bit alone
+    raises the value at some input, and whether it lowers it at some.
+    ``low`` masks the table indices with the bit clear."""
+    n, size = f.arity, 1 << f.arity
+    out = []
+    for var in range(1, n + 1):
+        weight = 1 << (n - var)
+        low = ((1 << weight) - 1) * (((1 << size) - 1) // ((1 << 2 * weight) - 1))
+        lo, hi = f.bits & low, (f.bits >> weight) & low
+        out.append((bool(hi & ~lo), bool(lo & ~hi)))
+    return out
 
 
 def dependent_variables(f: BooleanFunction) -> frozenset[int]:
     """Variable indices (1-based) the function actually depends on."""
-    n = f.arity
-    deps = set()
-    for var in range(1, n + 1):
-        weight = 1 << (n - var)
-        for idx in range(1 << n):
-            if idx & weight:
-                continue
-            if f.value_at_index(idx) != f.value_at_index(idx | weight):
-                deps.add(var)
-                break
-    return frozenset(deps)
+    return frozenset(var for var, (up, down) in enumerate(_slopes(f), 1) if up or down)
 
 
 def is_nondegenerate(f: BooleanFunction) -> bool:
@@ -426,15 +459,7 @@ def is_nondegenerate(f: BooleanFunction) -> bool:
 
 def is_monotone(f: BooleanFunction) -> bool:
     """True when raising any input bit never lowers the output."""
-    n = f.arity
-    for var in range(n):
-        weight = 1 << var
-        for idx in range(1 << n):
-            if idx & weight:
-                continue
-            if f.value_at_index(idx) > f.value_at_index(idx | weight):
-                return False
-    return True
+    return not any(down for _, down in _slopes(f))
 
 
 def unate_orientation(f: BooleanFunction) -> Orientation | None:
@@ -444,23 +469,10 @@ def unate_orientation(f: BooleanFunction) -> Orientation | None:
     nonincreasing; variables with mixed behaviour make f non-unate and
     variables with no influence get the bit 0.
     """
-    n = f.arity
-    bits = []
-    for var in range(1, n + 1):
-        weight = 1 << (n - var)
-        up = down = False
-        for idx in range(1 << n):
-            if idx & weight:
-                continue
-            lo, hi = f.value_at_index(idx), f.value_at_index(idx | weight)
-            if lo < hi:
-                up = True
-            elif lo > hi:
-                down = True
-        if up and down:
-            return None
-        bits.append(1 if down else 0)
-    return Orientation(tuple(bits))
+    slopes = _slopes(f)
+    if any(up and down for up, down in slopes):
+        return None
+    return Orientation(tuple(int(down) for _, down in slopes))
 
 
 def downward_closure(f: BooleanFunction) -> BooleanFunction:

@@ -42,6 +42,7 @@ import numpy as np
 from . import trees
 from .core import (
     DEFAULT_SEARCH_CAP,
+    NOT_FORCED,
     STAR,
     UNKNOWN,
     BooleanFunction,
@@ -50,6 +51,7 @@ from .core import (
     TernaryString,
     as_ternary,
     check_cap,
+    forced_value_table,
     hazard_free_table,
 )
 
@@ -116,9 +118,6 @@ class StandardMeasures:
 # ---------------------------------------------------------------------------
 # Per-input arrays, computed once per table.
 
-_NONE = 0xFF  # no certificate through this cell; above every size
-
-
 class _MeasureArrays(NamedTuple):
     """Per-input measures of one table, flat and indexed by ternary code."""
 
@@ -139,36 +138,39 @@ def _layer(a: np.ndarray, axis: int, k: int) -> np.ndarray:
     return a[(slice(None),) * axis + (slice(k, k + 1),)]
 
 
-def _min_over_coarsenings(a: np.ndarray, coarse: int, fine: tuple[int, ...]) -> None:
-    """In place: a[x] becomes the min of a over x and all its coarsenings.
+def _min_over_coarsenings(a: np.ndarray) -> None:
+    """In place over {0, 1, u, *}^n: a[x] becomes the least a[y] - k over
+    x and every cell y made from x by turning k of its cells into *.
 
-    A coarsening replaces any set of cells holding a ``fine`` symbol by
-    ``coarse``.  One min per axis suffices, as in the subset zeta
-    transform (Bjorklund, Husfeldt, Kaski, Koivisto, STOC 2007), here
-    over the min-plus semiring and a ternary or quaternary alphabet.
+    One pass per axis suffices, as in the subset zeta transform
+    (Bjorklund, Husfeldt, Kaski, Koivisto, STOC 2007), here over the
+    min-plus semiring: each of the 0, 1 and u layers takes the min with
+    the * layer less one, through one layer-sized scratch buffer.
     """
+    lower = np.empty_like(_layer(a, 0, STAR))
     for axis in range(a.ndim):
-        top = _layer(a, axis, coarse)
-        for k in fine:
+        top = _layer(a, axis, STAR)
+        scratch = lower.reshape(top.shape)
+        np.subtract(top, 1, out=scratch)
+        for k in (0, 1, UNKNOWN):
             cell = _layer(a, axis, k)
-            np.minimum(cell, top, out=cell)
+            np.minimum(cell, scratch, out=cell)
 
 
 @lru_cache(maxsize=8)
 def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
     """Certificate size, s_u and the bs bound at every input.
 
-    *0/1-valued x.*  A certificate may drop the u cells of x, and a
-    domain S of resolved cells certifies iff the coarsening of x with u
-    off S is still resolved (its value then is F(x)).  So C(x) is the
-    least resolved count over the resolved coarsenings of x.
-
-    *u-valued x.*  A domain S certifies iff every binary completion of x
-    off S is u-valued.  Over {0, 1, u, *}^n, a cell with a * on some axis
-    is "all completions u" iff both of its binary children on that axis
-    are, which fills the * layers axis by axis as in
-    ``hazard_free_table``; C(x) is then the least number of non-* cells
-    over the certifying cells that x refines.
+    *Certificates.*  A domain S certifies x iff the cell equal to x on S
+    and * elsewhere is forced (``forced_value_table``): every string
+    consistent with S is a completion of that cell, and x is one of
+    them, so the forced value is F(x).  Hence C(x) is n minus the most
+    *s that a forced coarsening of x adds (x itself adds none).  Every
+    forced cell starts at n and ``_min_over_coarsenings`` leaves n minus
+    the most *s added at each ternary cell.  A cell that is not forced
+    starts at NOT_FORCED and passes on at least NOT_FORCED - n, above
+    every real count, so no second marker is needed; and no cell drops
+    below its own number of *s, so none wraps below zero.
 
     *s_u.*  Position p is sensitive at x iff another trit at p changes
     the value: for 0/1-valued x the u setting is the one to try, for
@@ -195,23 +197,10 @@ def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
     n = table.arity
     vals = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)
 
-    resolved = np.zeros((3,) * n, dtype=np.uint8)
-    for axis in range(n):
-        shape = [1] * n
-        shape[axis] = 3
-        resolved += (np.arange(3) != UNKNOWN).astype(np.uint8).reshape(shape)
-    cert = np.where(vals == UNKNOWN, _NONE, resolved).astype(np.uint8)
-    _min_over_coarsenings(cert, UNKNOWN, (0, 1))
-
-    inner = (slice(0, 3),) * n
-    allu = np.full((4,) * n, _NONE, dtype=np.uint8)
-    allu[inner] = np.where(vals == UNKNOWN, n, _NONE)
-    for axis in range(n):
-        c0, c1 = _layer(allu, axis, 0), _layer(allu, axis, 1)
-        _layer(allu, axis, STAR)[...] = np.where(
-            (c0 != _NONE) & (c1 != _NONE), c0 - 1, _NONE)
-    _min_over_coarsenings(allu, STAR, (0, 1, UNKNOWN))
-    cert = np.where(vals == UNKNOWN, allu[inner], cert)
+    cert = forced_value_table(table)
+    cert[cert != NOT_FORCED] = n
+    _min_over_coarsenings(cert)
+    cert = np.ascontiguousarray(cert[(slice(0, 3),) * n])
 
     sens = np.zeros((3,) * n, dtype=np.uint8)
     for axis in range(n):

@@ -9,21 +9,26 @@ two ways and is evaluated on resolved inputs only (``onU`` is absent).
 the solver picking the variable and the adversary the worst answer,
 with one array kernel over the partial assignments: {0, 1, u, *}^n for
 the u-model and {0, 1, *}^n classically.  Depth 0 marks the cells whose
-value is forced; sweeps along every * axis relax the rest to exact
-depths, and the tree is read off the array, taking at each node the
-lowest variable that attains the optimum, so results are canonical.
+value is forced: for the u-model these are read off
+``core.forced_value_table``, the same table the certificate sizes of
+``measures`` come from, and classically off the hazard-free table with
+u read as *.  Sweeps along every * axis relax the rest to exact depths,
+and the tree is read off the array, taking at each node the lowest
+variable that attains the optimum, so results are canonical.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 from typing import Union
 
 import numpy as np
 
 from .core import (
     DEFAULT_SEARCH_CAP,
+    NOT_FORCED,
     STAR,
     UNKNOWN,
     BooleanFunction,
@@ -31,6 +36,7 @@ from .core import (
     TernaryString,
     as_ternary,
     check_cap,
+    forced_value_table,
     hazard_free_table,
 )
 
@@ -101,15 +107,25 @@ def evaluate_tree(tree: DecisionTree, y: TernaryString | str) -> int:
 def verify_tree(
     tree: DecisionTree, table: HazardFreeTable
 ) -> tuple[bool, TernaryString | None]:
-    """Check the tree against every ternary input.
+    """Check the tree against every input of its model, in code order.
 
-    Returns (True, None) or (False, c) with the lexicographically least
-    counterexample under the position-wise order 0 < 1 < u.
+    A classical tree (a root ``Node`` without ``onU``) is checked on the
+    2**n binary inputs against f, any other tree on all 3**n ternary
+    inputs against the extension.  Returns (True, None) or (False, c)
+    with the lexicographically least counterexample under the
+    position-wise order 0 < 1 < u.  Malformed trees raise the
+    ``ValueError`` of ``evaluate_tree``.
     """
     n = table.arity
-    for code in range(3 ** n):
-        y = TernaryString.from_code(code, n)
-        if evaluate_tree(tree, y) != table.values[code]:
+    if isinstance(tree, Node) and tree.onU is None:
+        inputs, value = product((0, 1), repeat=n), table.function.value_at_index
+    else:
+        inputs, value = product((0, 1, UNKNOWN), repeat=n), table.values.__getitem__
+    # The position of an input in either product is its truth-table
+    # index or its ternary code, whichever ``value`` reads.
+    for index, trits in enumerate(inputs):
+        y = TernaryString(trits)
+        if evaluate_tree(tree, y) != value(index):
             return False, y
     return True, None
 
@@ -117,7 +133,7 @@ def verify_tree(
 # ---------------------------------------------------------------------------
 # Exact depth: one layered kernel for both answer alphabets.
 
-_FAR = 0xFE  # not forced, or not known to be within reach; 1 + _FAR fits a byte
+_FAR = NOT_FORCED  # not forced, or not known to be within reach; 1 + _FAR fits a byte
 
 
 def _optimal_tree(
@@ -191,19 +207,8 @@ def query_complexity_u(
     """Exact optimal depth for computing the extension, with a witness tree."""
     n = table.arity
     check_cap(n, cap, DEFAULT_SEARCH_CAP, "u-model depth search")
-    # Forced values over {0, 1, u, *}^n, built axis by axis as in
-    # hazard_free_table: a cell with a * is forced iff its 0 and 1
-    # children are forced to the same value (the u child, coarser than
-    # both, then is too); _FAR marks the rest.  The last write of a cell,
-    # at its highest * axis, reads children already final.
-    depth = np.empty((4,) * n, dtype=np.uint8)
-    depth[(slice(0, 3),) * n] = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)
-    for axis in range(n):
-        view = depth.reshape(4 ** axis, 4, 4 ** (n - 1 - axis))
-        top = view[:, STAR]
-        top[...] = view[:, 0]
-        np.copyto(top, _FAR, where=view[:, 0] != view[:, 1])
-    depth >>= 7  # forced 0, 1, u -> 0; _FAR -> 1
+    depth = forced_value_table(table)
+    depth >>= 7  # forced 0, 1, u -> 0; NOT_FORCED -> 1
     depth *= _FAR
     return _optimal_tree(depth, STAR, (0, 1, UNKNOWN), table.values)
 
@@ -249,7 +254,13 @@ def tree_to_json_dict(tree: DecisionTree) -> dict:
 
 
 def serialize_tree(tree: DecisionTree) -> str:
-    return json.dumps(tree_to_json_dict(tree), separators=(",", ":"))
+    """Compact JSON text of a tree; as in ``parse_tree``, a tree nested
+    deeper than ``json`` recurses raises ``TreeFormatError``."""
+    obj = tree_to_json_dict(tree)
+    try:
+        return json.dumps(obj, separators=(",", ":"))
+    except RecursionError:
+        raise TreeFormatError("tree nested too deeply to serialize") from None
 
 
 def tree_from_json_dict(obj, path: str = "$") -> DecisionTree:

@@ -52,7 +52,6 @@ from .measures import (
     validate_certificate,
 )
 from .trees import (
-    evaluate_tree,
     query_complexity,
     query_complexity_u,
     tree_depth,
@@ -374,10 +373,8 @@ def _witness_problems(f: BooleanFunction, table: HazardFreeTable,
     tb = tree_from_json_dict(d["tree"])
     if d["depth"] != m.D or tree_depth(tb) != m.D:
         return "classical tree depth differs from the reported value"
-    for idx in range(1 << n):
-        y = TernaryString(tuple((idx >> (n - 1 - p)) & 1 for p in range(n)))
-        if evaluate_tree(tb, y) != f.value_at_index(idx):
-            return "classical tree misevaluates a resolved input"
+    if not verify_tree(tb, table)[0]:
+        return "classical tree misevaluates a resolved input"
 
     d = w["D_u"]
     tu = tree_from_json_dict(d["tree"])

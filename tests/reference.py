@@ -54,6 +54,57 @@ def full_table(bits: int, n: int) -> dict:
     return {x: resolution_eval(bits, n, x) for x in ternary_strings(n)}
 
 
+def forced_value(table: dict, cell):
+    """Common value of every {0, 1, U}-completion of the * cells (3), or
+    None when two completions differ."""
+    stars = [p for p in range(len(cell)) if cell[p] == 3]
+    seen = set()
+    for fill in product((0, 1, U), repeat=len(stars)):
+        y = list(cell)
+        for k, p in enumerate(stars):
+            y[p] = fill[k]
+        seen.add(table[tuple(y)])
+    return seen.pop() if len(seen) == 1 else None
+
+
+# ---------------------------------------------------------------------------
+# Variable influence, straight from the definitions.
+
+
+def flips(bits: int, n: int, p: int):
+    """(f at x with bit p cleared, f at x with bit p set) over all x."""
+    for idx in range(1 << n):
+        x = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
+        x[p] = 0
+        lo = bin_index(x)
+        x[p] = 1
+        yield (bits >> lo) & 1, (bits >> bin_index(x)) & 1
+
+
+def dependent_variables(bits: int, n: int) -> frozenset:
+    """1-based variables whose flip changes the value somewhere."""
+    return frozenset(p + 1 for p in range(n)
+                     if any(lo != hi for lo, hi in flips(bits, n, p)))
+
+
+def is_monotone(bits: int, n: int) -> bool:
+    return all(lo <= hi for p in range(n) for lo, hi in flips(bits, n, p))
+
+
+def unate_orientation(bits: int, n: int):
+    """Bits s with x -> f(x xor s) monotone, 0 where either works; or None."""
+    out = []
+    for p in range(n):
+        pairs = list(flips(bits, n, p))
+        if all(lo <= hi for lo, hi in pairs):
+            out.append(0)
+        elif all(lo >= hi for lo, hi in pairs):
+            out.append(1)
+        else:
+            return None
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Measures, straight from the definitions.
 

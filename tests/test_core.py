@@ -1,5 +1,8 @@
 """Core types: ternary strings, assignments, functions, extensions."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +26,7 @@ from uquery import (
     resolutions,
     unate_orientation,
 )
+from uquery.core import NOT_FORCED, forced_value_table
 
 
 def test_ternary_parse_and_str():
@@ -199,6 +203,38 @@ def test_is_monotone_brute():
             for i in range(4) for k in range(2)
         )
         assert is_monotone(f) == want
+
+
+def _small_and_seeded(counts):
+    """(n, bits) for every table with n <= 3, then ``counts[n]`` seeded
+    tables at each larger n."""
+    for n in (1, 2, 3):
+        for bits in range(1 << (1 << n)):
+            yield n, bits
+    rng = random.Random(2024)
+    for n, count in counts.items():
+        for _ in range(count):
+            yield n, rng.getrandbits(1 << n)
+
+
+def test_influence_helpers_match_definitions():
+    for n, bits in _small_and_seeded({4: 200, 5: 20, 6: 5}):
+        f = BooleanFunction(n, bits)
+        assert dependent_variables(f) == R.dependent_variables(bits, n)
+        assert is_monotone(f) == R.is_monotone(bits, n)
+        o = unate_orientation(f)
+        assert (None if o is None else o.bits) == R.unate_orientation(bits, n)
+        assert is_monotone(f) == (o is not None and not any(o.bits))
+
+
+def test_forced_value_table_matches_definition():
+    for n, bits in _small_and_seeded({4: 12, 5: 4, 6: 2}):
+        ref = R.full_table(bits, n)
+        forced = forced_value_table(hazard_free_table(BooleanFunction(n, bits)))
+        assert forced.shape == (4,) * n
+        for cell in itertools.product(range(4), repeat=n):
+            want = R.forced_value(ref, cell)
+            assert forced[cell] == (NOT_FORCED if want is None else want), (bits, cell)
 
 
 def test_unate_orientation_validity():

@@ -131,6 +131,30 @@ def test_verify_tree_flags_tampering():
     assert evaluate_tree(tampered, x) != table.evaluate(x)
 
 
+def test_verify_tree_checks_classical_trees_on_binary_inputs():
+    f = generate("maj:3")
+    table = hazard_free_table(f)
+    _, tree = query_complexity(f, table=table)
+    assert verify_tree(tree, table) == (True, None)
+    # Evaluating a classical tree on a u input raises, so a counterexample
+    # at all means only binary inputs were tried; it is the least of them.
+    tampered = Node(tree.var, tree.on0, Leaf(0))
+    want = next(y for y in itertools.product((0, 1), repeat=3)
+                if evaluate_tree(tampered, y) != f.evaluate(y))
+    ok, x = verify_tree(tampered, table)
+    assert (ok, x.trits) == (False, want) == (False, (1, 0, 1))
+
+
+@pytest.mark.parametrize("var", [2, 0, 4])
+def test_verify_tree_raises_on_malformed_trees(var):
+    table = hazard_free_table(generate("maj:3"))
+    # A repeat of variable 2, or a variable outside 1..3, on the all-0 path.
+    inner = Node(var, Leaf(0), Leaf(1))
+    for tree in (Node(2, inner, Leaf(1)), Node(2, inner, Leaf(1), Leaf(2))):
+        with pytest.raises(ValueError):
+            verify_tree(tree, table)
+
+
 def test_no_single_query_tree_computes_or2():
     # exhaust every depth<=1 ternary tree: none computes the extension
     table = hazard_free_table(generate("or:2"))
@@ -218,6 +242,9 @@ def test_deep_tree_without_repeats_builds():
             assert node.var == 3000 - depth and node.on1 == Leaf(1)
             node, depth = node.on0, depth + 1
         assert (node, depth) == (Leaf(0), 3000)
+    # json.dumps nests no deeper than parse_tree's json.loads reads.
+    with pytest.raises(TreeFormatError):
+        serialize_tree(tree)
 
 
 def test_search_cap():
