@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Protocol, Sequence
 
-import numpy as np
-
 from .core import (
     STAR,
     UNKNOWN,
@@ -270,23 +268,28 @@ def _run_algorithm1(table: HazardFreeTable, oracle: QueryOracle,
     bound = _cost_budget(table, cap)
 
     vals = table.values
-    grid = np.frombuffer(vals, dtype=np.uint8).reshape((3,) * n)
-    codes = np.arange(3 ** n).reshape((3,) * n)
+    pw3 = tuple(3 ** (n - 1 - p) for p in range(n))
+    digit_cache = [TernaryString.from_code(c, n).trits for c in range(3 ** n)]
     cells = [STAR] * n
 
     def consistent_input(want: int) -> int | None:
-        """Code of the lex-least input of the wanted value consistent with
-        the answers: the first hit, in C order, of the table block that
-        fixes each answered axis (the Ellipsis keeps a block of one cell
-        an array)."""
-        block = tuple(slice(None) if c == STAR else c for c in cells) + (Ellipsis,)
-        hits = codes[block][grid[block] == want]
-        return int(hits[0]) if hits.size else None
+        """Lex-least input of the wanted value consistent with the answers."""
+        for code in range(3 ** n):
+            if vals[code] != want:
+                continue
+            digits = digit_cache[code]
+            if all(cells[p] == STAR or cells[p] == digits[p] for p in range(n)):
+                return code
+        return None
 
     def forces(b: int) -> bool:
         # The answers force value b iff the coarsest consistent string
         # (u at every unqueried position) already evaluates to b.
-        return grid[tuple(UNKNOWN if c == STAR else c for c in cells)] == b
+        code = 0
+        for p in range(n):
+            c = cells[p]
+            code += (UNKNOWN if c == STAR else c) * pw3[p]
+        return vals[code] == b
 
     def result(output: int) -> SolveResult:
         return SolveResult(output, oracle.query_count, bound,
@@ -304,7 +307,7 @@ def _run_algorithm1(table: HazardFreeTable, oracle: QueryOracle,
             code = consistent_input(stage_value)
             if code is None:
                 break
-            cert = certificate_u_at(table, TernaryString.from_code(code, n))
+            cert = certificate_u_at(table, TernaryString(digit_cache[code]))
             for var in sorted(cert.assignment.domain()):
                 cells[var - 1] = oracle.query(var)
             if forces(0):
@@ -321,7 +324,7 @@ def _run_algorithm1(table: HazardFreeTable, oracle: QueryOracle,
             for code in range(3 ** n):
                 if vals[code] != want:
                     continue
-                digits = TernaryString.from_code(code, n).trits
+                digits = digit_cache[code]
                 if all(digits[p] == a for p, a in answered.items()):
                     return code
             return None
