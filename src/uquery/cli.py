@@ -9,6 +9,7 @@ codes: 0 on success, 1 when a verification or consistency check fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -241,7 +242,10 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built on first use and reused: it reads no
+    environment default and no action appends to a shared list."""
     top = argparse.ArgumentParser(
         prog="uquery",
         description="Hazard-free extensions, query-complexity measures, "

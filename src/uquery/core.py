@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -96,12 +96,6 @@ class TernaryString:
             code, trits[pos] = divmod(code, 3)
         return cls(tuple(trits))
 
-    @classmethod
-    def all_strings(cls, arity: int) -> Iterator["TernaryString"]:
-        """All 3**arity strings in lexicographic order (0 < 1 < u per position)."""
-        for trits in product((0, 1, 2), repeat=arity):
-            yield cls(trits)
-
     def code(self) -> int:
         """Base-3 encoding with digit map 0->0, 1->1, u->2."""
         c = 0
@@ -136,11 +130,6 @@ class TernaryString:
         for t in self.trits:
             idx = idx * 2 + t
         return idx
-
-    def replace(self, pos: int, trit: int) -> "TernaryString":
-        cells = list(self.trits)
-        cells[pos] = trit
-        return TernaryString(tuple(cells))
 
 
 def as_ternary(value: "TernaryString | str | Sequence[int]") -> TernaryString:
@@ -186,10 +175,6 @@ class PartialAssignment:
         return cls(_parse_chars(text, CELL_CHARS, "partial assignment"))
 
     @classmethod
-    def blank(cls, arity: int) -> "PartialAssignment":
-        return cls((STAR,) * arity)
-
-    @classmethod
     def restriction(cls, x: TernaryString, domain: Iterable[int]) -> "PartialAssignment":
         """x kept on the given variable indices (1-based), '*' elsewhere."""
         cells = [STAR] * len(x)
@@ -214,11 +199,6 @@ class PartialAssignment:
     def domain(self) -> frozenset[int]:
         """Assigned variable indices, 1-based."""
         return frozenset(p + 1 for p, c in enumerate(self.cells) if c != STAR)
-
-    def assign(self, pos: int, trit: int) -> "PartialAssignment":
-        cells = list(self.cells)
-        cells[pos] = trit
-        return PartialAssignment(tuple(cells))
 
     def is_consistent(self, y: TernaryString | str) -> bool:
         y = as_ternary(y)
@@ -268,13 +248,6 @@ class BooleanFunction:
                 raise ValueError(f"table entry {v!r} is not a bit")
             bits |= v << idx
         return cls(n, bits)
-
-    @classmethod
-    def constant(cls, arity: int, value: int) -> "BooleanFunction":
-        if value not in (0, 1):
-            raise ValueError("constant value must be 0 or 1")
-        bits = ((1 << (1 << arity)) - 1) if value else 0
-        return cls(arity, bits)
 
     @classmethod
     def from_hex(cls, hex_table: str, arity: int) -> "BooleanFunction":

@@ -15,13 +15,20 @@ value is forced: for the u-model these are read off
 u read as *.  Sweeps along every * axis relax the rest to exact depths,
 and the tree is read off the array, taking at each node the lowest
 variable that attains the optimum, so results are canonical.
+
+``verify_tree`` checks a tree without replaying it input by input: one
+walk writes each leaf's value into its block of a prediction array (the
+inputs that follow the leaf's path), and one comparison with the table
+finds the least counterexample.  A malformed node raises the error that
+``evaluate_tree`` gives the least input reaching it, unless a mismatch
+comes first in code order; on a tie the error wins.  The check reads
+only the tree and the table, never the depth arrays.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
 from typing import Union
 
 import numpy as np
@@ -83,25 +90,45 @@ def tree_depth(tree: DecisionTree) -> int:
     return deepest
 
 
+_UNRESOLVED = "classical tree evaluated on an unresolved input"
+
+
+def _query_error(var: int, n: int, seen) -> str | None:
+    """Why a node querying ``var`` fails on inputs of length n that reach
+    it after querying the variables in ``seen``; None when it does not."""
+    if not 1 <= var <= n:
+        return f"tree queries variable {var} outside 1..{n}"
+    if var in seen:
+        return f"tree queries variable {var} twice on one path"
+    return None
+
+
 def evaluate_tree(tree: DecisionTree, y: TernaryString | str) -> int:
     """Walk the tree reading answers off y; returns the leaf trit."""
     y = as_ternary(y)
     node = tree
     seen: set[int] = set()
     while isinstance(node, Node):
-        if not 1 <= node.var <= len(y):
-            raise ValueError(f"tree queries variable {node.var} outside 1..{len(y)}")
-        if node.var in seen:
-            raise ValueError(f"tree queries variable {node.var} twice on one path")
+        error = _query_error(node.var, len(y), seen)
+        if error is not None:
+            raise ValueError(error)
         seen.add(node.var)
         answer = y[node.var - 1]
         if answer == UNKNOWN:
             if node.onU is None:
-                raise ValueError("classical tree evaluated on an unresolved input")
+                raise ValueError(_UNRESOLVED)
             node = node.onU
         else:
             node = (node.on0, node.on1)[answer]
     return node.value
+
+
+_NO_LEAF = 3  # a cell no leaf predicts; never a table value
+
+
+def _least_input(block: tuple) -> tuple[int, ...]:
+    """The least input in a block: its fixed answers, 0 on every slice."""
+    return tuple(0 if isinstance(b, slice) else b for b in block)
 
 
 def verify_tree(
@@ -113,21 +140,54 @@ def verify_tree(
     2**n binary inputs against f, any other tree on all 3**n ternary
     inputs against the extension.  Returns (True, None) or (False, c)
     with the lexicographically least counterexample under the
-    position-wise order 0 < 1 < u.  Malformed trees raise the
-    ``ValueError`` of ``evaluate_tree``.
+    position-wise order 0 < 1 < u.
+
+    The tree is walked once.  Each leaf writes its value into its block
+    of a prediction array with one axis per variable: the block is the
+    leaf's path answer on each queried axis and a full slice on every
+    other.  The array is compared with the table in one step, and as
+    0 < 1 < u is code order, its first mismatch in C order is the least
+    counterexample.  A malformed node raises the ``ValueError`` that
+    ``evaluate_tree`` raises on the least input reaching it (path
+    answers, 0 elsewhere; u at its variable for a missing ``onU``), and
+    nothing below it is walked.  Its block predicts nothing, so it
+    mismatches from that input on: the earlier of the least such input
+    and the first mismatch decides, the error on a tie.
     """
     n = table.arity
-    if isinstance(tree, Node) and tree.onU is None:
-        inputs, value = product((0, 1), repeat=n), table.function.value_at_index
-    else:
-        inputs, value = product((0, 1, UNKNOWN), repeat=n), table.values.__getitem__
-    # The position of an input in either product is its truth-table
-    # index or its ternary code, whichever ``value`` reads.
-    for index, trits in enumerate(inputs):
-        y = TernaryString(trits)
-        if evaluate_tree(tree, y) != value(index):
-            return False, y
-    return True, None
+    expected = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)
+    classical = isinstance(tree, Node) and tree.onU is None
+    if classical:
+        expected = expected[(slice(0, 2),) * n]
+    predicted = np.full(expected.shape, _NO_LEAF, dtype=np.uint8)
+    faults = []  # (least input reaching a malformed node, its error)
+    todo = [(tree, (slice(None),) * n, ())]
+    while todo:
+        node, block, seen = todo.pop()
+        if not isinstance(node, Node):
+            predicted[block] = node.value if node.value in (0, 1, UNKNOWN) else _NO_LEAF
+            continue
+        error = _query_error(node.var, n, seen)
+        if error is not None:
+            faults.append((_least_input(block), error))
+            continue
+        p, seen = node.var - 1, seen + (node.var,)
+        kids = (node.on0, node.on1) if classical else (node.on0, node.on1, node.onU)
+        for answer, kid in enumerate(kids):
+            below = block[:p] + (answer,) + block[p + 1:]
+            if kid is None:
+                faults.append((_least_input(below), _UNRESOLVED))
+            else:
+                todo.append((kid, below, seen))
+
+    mismatch = predicted != expected
+    if not mismatch.any():  # so no malformed node either: its block mismatches
+        return True, None
+    first = tuple(int(d) for d in np.unravel_index(int(mismatch.argmax()), mismatch.shape))
+    fault = min(faults, default=None)
+    if fault is not None and fault[0] <= first:
+        raise ValueError(fault[1])
+    return False, TernaryString(first)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,15 @@ Everything here recomputes definitions by plain enumeration over raw
 truth-table integers, deliberately independent of the package's
 optimized code paths.  Trits are 0, 1 and U = 2; truth-table bit i is
 the value at binary index i with variable 1 as the most significant
-bit of the index.
+bit of the index.  The one exception, ``verify_tree_by_inputs``, replays
+package trees on package tables input by input.
 """
 
 from functools import lru_cache
 from itertools import combinations, product
+
+from uquery.core import TernaryString
+from uquery.trees import Node, evaluate_tree
 
 U = 2
 
@@ -302,3 +306,24 @@ def downward_closure_bits(bits: int, n: int) -> int:
             hit |= (bits >> sub) & 1
         out |= hit << idx
     return out
+
+
+# ---------------------------------------------------------------------------
+# Decision trees, replayed input by input.
+
+
+def verify_tree_by_inputs(tree, table):
+    """``trees.verify_tree`` by evaluating the tree on each input in code
+    order: the first input that raises or mismatches decides."""
+    n = table.arity
+    if isinstance(tree, Node) and tree.onU is None:
+        inputs, value = product((0, 1), repeat=n), table.function.value_at_index
+    else:
+        inputs, value = product((0, 1, U), repeat=n), table.values.__getitem__
+    # The position of an input in either product is its truth-table
+    # index or its ternary code, whichever ``value`` reads.
+    for index, trits in enumerate(inputs):
+        y = TernaryString(trits)
+        if evaluate_tree(tree, y) != value(index):
+            return False, y
+    return True, None

@@ -268,3 +268,21 @@ def test_module_invocation():
         capture_output=True, text=True, timeout=60, env=child_env())
     assert proc.returncode == 0
     assert "spec = table:6:2" in proc.stdout
+
+
+def test_one_process_matches_fresh_interpreters(capsys):
+    # main reuses one parser across calls; each command run after others
+    # in this process prints what it prints in an interpreter of its own.
+    commands = [
+        ["tree", "ind:1"],
+        ["solve", "maj:3", "u10", "--method", "tree"],
+        ["verify", "core", "--n", "1..2", "--workers", "1"],
+        ["tree", "maj:3", "--model", "binary"],
+    ]
+    for argv in commands:
+        rc, out, _ = run(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "uquery.cli", *argv],
+            capture_output=True, text=True, timeout=120, env=child_env())
+        assert (rc, out) == (fresh.returncode, fresh.stdout)
+        assert rc == 0

@@ -1,5 +1,6 @@
 """Optimal decision trees for the binary and ternary query models."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -153,6 +154,77 @@ def test_verify_tree_raises_on_malformed_trees(var):
     for tree in (Node(2, inner, Leaf(1)), Node(2, inner, Leaf(1), Leaf(2))):
         with pytest.raises(ValueError):
             verify_tree(tree, table)
+
+
+def _replace_random_node(tree, rng, n):
+    """A copy of the tree with one node, picked at random, replaced: by a
+    random leaf, or by the same node with a variable out of range or
+    drawn at random (possibly repeating one on its path), without onU,
+    with on0 and on1 swapped, or with onU a random leaf."""
+    spots, todo = [], [(tree, ())]
+    while todo:
+        node, path = todo.pop()
+        spots.append(path)
+        if isinstance(node, Node):
+            todo.extend((kid, path + (key,)) for key, kid in
+                        (("on0", node.on0), ("on1", node.on1), ("onU", node.onU))
+                        if kid is not None)
+    path = rng.choice(spots)
+
+    def rebuild(node, path):
+        if path:
+            key = path[0]
+            return dataclasses.replace(node, **{key: rebuild(getattr(node, key), path[1:])})
+        kind = 0 if isinstance(node, Leaf) else rng.randrange(5)
+        if kind == 0:
+            return Leaf(rng.randrange(3))
+        if kind == 1:
+            return dataclasses.replace(node, var=rng.choice((0, n + 1, rng.randint(1, n))))
+        if kind == 2:
+            return dataclasses.replace(node, onU=None)
+        if kind == 3:
+            return dataclasses.replace(node, on0=node.on1, on1=node.on0)
+        return dataclasses.replace(node, onU=Leaf(rng.randrange(3)))
+
+    return rebuild(tree, path)
+
+
+def _outcome(check, tree, table):
+    try:
+        return check(tree, table)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_verify_tree_matches_the_input_replay(n):
+    rng = random.Random(600 + n)
+    if n <= 3:
+        tables = range(1 << (1 << n))
+    else:
+        tables = [rng.getrandbits(1 << n) for _ in range(12)] + [0, (1 << (1 << n)) - 1]
+    kinds = set()
+    for bits in tables:
+        f = BooleanFunction(n, bits)
+        table = hazard_free_table(f)
+        candidates = [Leaf(-1)]  # not a trit: mismatches at once
+        for tree in (query_complexity(f, table=table)[1], query_complexity_u(table)[1]):
+            candidates.append(tree)
+            for _ in range(5):
+                tree = _replace_random_node(tree, rng, n)
+                candidates.append(tree)
+        if f.is_constant():
+            # A malformed root leaves every cell unpredicted, so the block
+            # check's first mismatch is the least input that raises, a tie
+            # the error must win, though every leaf below is right.
+            value = f.value_at_index(0)
+            candidates += [Node(n + 1, Leaf(value), Leaf(value), Leaf(value)),
+                           Node(0, Leaf(value), Leaf(value))]
+        for tree in candidates:
+            got = _outcome(verify_tree, tree, table)
+            assert got == _outcome(R.verify_tree_by_inputs, tree, table)
+            kinds.add(got[0])
+    assert kinds == {True, False, "ValueError"}
 
 
 def test_no_single_query_tree_computes_or2():
