@@ -307,7 +307,7 @@ def _run_algorithm1(table: HazardFreeTable, oracle: QueryOracle,
             code = consistent_input(stage_value)
             if code is None:
                 break
-            cert = certificate_u_at(table, TernaryString(digit_cache[code]))
+            cert = certificate_u_at(table, TernaryString(digit_cache[code]), cap)
             for var in sorted(cert.assignment.domain()):
                 cells[var - 1] = oracle.query(var)
             if forces(0):

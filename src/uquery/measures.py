@@ -20,11 +20,16 @@ member-wise to minimal sensitive blocks without losing disjointness, so
 a maximum packing over the minimal blocks is a maximum packing overall.
 
 The certificate size and s_u at every input come from per-table arrays
-(``_tabulate``), computed once and memoized; every maximum, lex-least
-attaining input and classical s and C is read from them, and each
-witness comes from one pointwise call at the attaining input.  The
-arrays also bound bs at every input, which lets the bs scans skip the
-inputs that cannot change their result.
+(``_tabulate``), computed once and memoized beside the forced-value
+table over {0, 1, u, *}^n; every maximum, lex-least attaining input and
+classical s and C is read from them.  One forced-cell test answers the
+pointwise questions for every value of x: B is sensitive at x iff the
+cell equal to x off B and * on B is not forced to F(x), and S certifies
+x iff the cell equal to x on S and * elsewhere is forced.  So the
+minimal blocks of a packed input are one gather, and a certificate
+witness costs one lookup per candidate domain.  The arrays also bound
+bs at every input, which lets the bs scans skip the inputs that cannot
+change their result.
 
 Everything here is pure and operates on immutable tables, so per-input
 loops can be distributed freely (the verification harness does).
@@ -125,10 +130,12 @@ class _MeasureArrays(NamedTuple):
     certificate: np.ndarray  # minimum certificate size
     sensitivity: np.ndarray  # number of sensitive positions (s_u)
     block_bound: np.ndarray  # min(C, s + (n - s) // 2), at least bs
+    forced: np.ndarray       # ``forced_value_table``, by base-4 code
 
 
 def _measure_arrays(table: HazardFreeTable, cap: int | None = None) -> _MeasureArrays:
-    """The per-input arrays of a table; building them takes 4**n bytes."""
+    """The per-input arrays of a table; they hold 4**n bytes and building
+    them takes 4**n more."""
     check_cap(table.arity, cap, DEFAULT_SEARCH_CAP, "certificate arrays")
     return _tabulate(table)
 
@@ -197,8 +204,8 @@ def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
     n = table.arity
     vals = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)
 
-    cert = forced_value_table(table)
-    cert[cert != NOT_FORCED] = n
+    forced = forced_value_table(table)
+    cert = np.where(forced != NOT_FORCED, n, forced)
     _min_over_coarsenings(cert)
     cert = np.ascontiguousarray(cert[(slice(0, 3),) * n])
 
@@ -212,7 +219,7 @@ def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
 
     bound = np.minimum(cert, sens + (n - sens) // 2)
     return _MeasureArrays(vals.reshape(-1), cert.reshape(-1),
-                          sens.reshape(-1), bound.reshape(-1))
+                          sens.reshape(-1), bound.reshape(-1), forced.reshape(-1))
 
 
 def _first_max(measure: np.ndarray, mask: np.ndarray) -> int | None:
@@ -271,21 +278,6 @@ def _sensitivity_scan(table: HazardFreeTable, cap: int | None = None):
 # Sensitive blocks and block sensitivity.
 
 
-def _block_sensitive(vals, digits, base, pw, blk, v) -> bool:
-    if v != UNKNOWN:
-        code = base
-        for p in blk:
-            code += (UNKNOWN - digits[p]) * pw[p]
-        return vals[code] != v
-    for w in product((0, 1), repeat=len(blk)):
-        code = base
-        for k, p in enumerate(blk):
-            code += (w[k] - digits[p]) * pw[p]
-        if vals[code] != UNKNOWN:
-            return True
-    return False
-
-
 def _lex_least_alteration(vals, digits, base, pw, blk, v) -> int:
     """Code of the smallest altered string proving the block sensitive."""
     for tv in product((0, 1, 2), repeat=len(blk)):
@@ -297,23 +289,40 @@ def _lex_least_alteration(vals, digits, base, pw, blk, v) -> int:
     raise AssertionError("block reported sensitive but no alteration found")
 
 
-def _minimal_blocks(vals, n, digits, base, pw) -> list[tuple[int, ...]]:
-    v = vals[base]
-    found: list[tuple[int, ...]] = []
-    masks: list[int] = []
-    for size in range(1, n + 1):
-        for blk in combinations(range(n), size):
-            bm = 0
+@lru_cache(maxsize=None)
+def _block_lattice(n: int):
+    """The nonempty blocks of n positions, by size then in ``combinations``
+    order; their 0/1 membership matrix; and, per position p, the index of
+    each block less p (the sentinel len(blocks) where p is not a member or
+    the block is {p})."""
+    blocks = [blk for size in range(1, n + 1) for blk in combinations(range(n), size)]
+    index = {blk: i for i, blk in enumerate(blocks)}
+    members = np.zeros((len(blocks), n), dtype=np.int64)
+    less = np.full((n, len(blocks)), len(blocks), dtype=np.intp)
+    for i, blk in enumerate(blocks):
+        members[i, list(blk)] = 1
+        if len(blk) > 1:
             for p in blk:
-                bm |= 1 << p
-            # supersets of a sensitive block are never minimal; every
-            # strict subset of a survivor was already tested insensitive
-            if any(bm & fm == fm for fm in masks):
-                continue
-            if _block_sensitive(vals, digits, base, pw, blk, v):
-                found.append(blk)
-                masks.append(bm)
-    return found
+                less[p, i] = index[tuple(q for q in blk if q != p)]
+    return tuple(blocks), members, less
+
+
+def _minimal_blocks(forced: np.ndarray, digits: Sequence[int], v: int) -> list[tuple[int, ...]]:
+    """The minimal sensitive blocks at the input x with trits ``digits``.
+
+    The cell equal to x off B and * on B has x among its completions, so
+    ``forced`` holds F(x) there or NOT_FORCED: B is sensitive iff that
+    cell does not hold v = F(x), whatever v is.  Supersets of a
+    sensitive block are sensitive, so a block is minimal iff it is
+    sensitive and none of the blocks one position smaller is.
+    """
+    n = len(digits)
+    blocks, members, less = _block_lattice(n)
+    x = np.array(digits, dtype=np.int64)
+    pw4 = 4 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    sensitive = np.append(forced[x @ pw4 + members @ ((STAR - x) * pw4)] != v, False)
+    minimal = sensitive[:-1] & ~sensitive[less].any(axis=0)
+    return [blocks[i] for i in np.flatnonzero(minimal)]
 
 
 def minimal_sensitive_blocks(
@@ -326,8 +335,8 @@ def minimal_sensitive_blocks(
         raise ValueError(f"input length {len(x)} != arity {n}")
     vals, pw = table.values, _weights(n)
     base = x.code()
-    return list(_block_witnesses(vals, x, base, pw,
-                                 _minimal_blocks(vals, n, x.trits, base, pw)))
+    blocks = _minimal_blocks(_measure_arrays(table).forced, x.trits, vals[base])
+    return list(_block_witnesses(vals, x, base, pw, blocks))
 
 
 def _block_witnesses(vals, x, base, pw, blocks) -> tuple[SensitiveBlockWitness, ...]:
@@ -385,7 +394,7 @@ def block_sensitivity_u_at(
 
 
 def _packing_scan(
-    table: HazardFreeTable, codes: Sequence[int], bound: Sequence[int]
+    table: HazardFreeTable, arrays: _MeasureArrays, codes: Sequence[int]
 ) -> list:
     """Per output trit, the largest packing of blocks over the inputs ``codes``.
 
@@ -399,13 +408,14 @@ def _packing_scan(
     """
     n = table.arity
     vals, pw = table.values, _weights(n)
+    bound = arrays.block_bound.tolist()
     best: list = [None, None, None]
     for base in codes:
         v = vals[base]
         if best[v] is not None and bound[base] <= best[v][0]:
             continue
         x = TernaryString.from_code(base, n)
-        blocks = _minimal_blocks(vals, n, x.trits, base, pw)
+        blocks = _minimal_blocks(arrays.forced, x.trits, v)
         picked = _max_disjoint(blocks)
         if best[v] is None or len(picked) > best[v][0]:
             family = _block_witnesses(vals, x, base, pw, [blocks[j] for j in picked])
@@ -424,8 +434,7 @@ def block_summary(table: HazardFreeTable, cap: int | None = None) -> BlockSensit
     Inputs are scanned in code order, so each attaining input is the
     lex-least one (``_packing_scan``).
     """
-    bound = _measure_arrays(table, cap).block_bound.tolist()
-    best = _packing_scan(table, range(3 ** table.arity), bound)
+    best = _packing_scan(table, _measure_arrays(table, cap), range(3 ** table.arity))
     by_value = tuple(0 if b is None else b[0] for b in best)
     bs_u, x, family = _overall(best)
     return BlockSensitivitySummary(
@@ -454,56 +463,33 @@ def block_sensitivity_u_value(table: HazardFreeTable, value: int) -> int:
 
 
 def certificate_u_at(
-    table: HazardFreeTable, x: TernaryString | str
+    table: HazardFreeTable, x: TernaryString | str, cap: int | None = None
 ) -> CertificateWitness:
     """A minimum certificate at x; domain chosen smallest, then lex-least.
 
-    For 0/1-valued inputs it suffices to search subsets of the resolved
-    positions of x (a u cell can always be dropped from a certificate)
-    and to test a candidate domain S with the single lookup of x with
-    everything outside S coarsened to u.  For u-valued inputs candidate
-    domains range over all positions and acceptance checks completions
-    that are binary outside S; unresolved completions only coarsen.
+    Its size C(x) is read from the per-table arrays, whose size ``cap``
+    guards as in ``measure_report``.  A domain S certifies x iff the cell
+    equal to x on S and * elsewhere is forced (``_tabulate``), so each
+    domain of size C(x), in ``combinations`` order, costs one lookup in
+    the forced table, whatever the value of x.
     """
     x = as_ternary(x)
     n = table.arity
     if len(x) != n:
         raise ValueError(f"input length {len(x)} != arity {n}")
-    vals, pw = table.values, _weights(n)
-    digits = x.trits
-    base, v = x.code(), table.values[x.code()]
-    all_u = 3 ** n - 1
-
-    if v != UNKNOWN:
-        positions = [p for p in range(n) if digits[p] != UNKNOWN]
-        for size in range(len(positions) + 1):
-            for S in combinations(positions, size):
-                code = all_u
-                for p in S:
-                    code += (digits[p] - UNKNOWN) * pw[p]
-                if vals[code] == v:
-                    return CertificateWitness(
-                        PartialAssignment.restriction(x, (p + 1 for p in S)), v
-                    )
-        raise AssertionError("the input itself certifies its value")
-
-    for size in range(n + 1):
-        for S in combinations(range(n), size):
-            rest = [p for p in range(n) if p not in S]
-            fixed = sum(digits[p] * pw[p] for p in S)
-            ok = True
-            for w in product((0, 1), repeat=len(rest)):
-                code = fixed
-                for k, p in enumerate(rest):
-                    code += w[k] * pw[p]
-                if vals[code] != UNKNOWN:
-                    ok = False
-                    break
-            if ok:
-                return CertificateWitness(
-                    PartialAssignment.restriction(x, (p + 1 for p in S)), v
-                )
-    raise AssertionError("the input itself certifies its value")
+    arrays = _measure_arrays(table, cap)
+    digits, pw4 = x.trits, tuple(4 ** (n - 1 - p) for p in range(n))
+    all_star = 4 ** n - 1
+    for S in combinations(range(n), int(arrays.certificate[x.code()])):
+        code = all_star
+        for p in S:
+            code += (digits[p] - STAR) * pw4[p]
+        if arrays.forced[code] != NOT_FORCED:
+            return CertificateWitness(
+                PartialAssignment.restriction(x, (p + 1 for p in S)),
+                int(arrays.forced[code]),
+            )
+    raise AssertionError("the certificate array names no certifying domain")
 
 
 def certificate_summary(table: HazardFreeTable, cap: int | None = None) -> CertificateSummary:
@@ -517,7 +503,7 @@ def certificate_summary(table: HazardFreeTable, cap: int | None = None) -> Certi
         if code is not None:
             worst[v] = int(arrays.certificate[code])
             attaining[v] = TernaryString.from_code(code, table.arity)
-            witnesses[v] = certificate_u_at(table, attaining[v])
+            witnesses[v] = certificate_u_at(table, attaining[v], cap)
     return CertificateSummary(
         c_u=max(worst[0], worst[1]),
         c_u_0=worst[0],
@@ -564,7 +550,7 @@ def standard_measures(
     flips = _sensitive_positions(table, s_x)
     c_x = TernaryString.from_code(int(codes[cert.argmax()]), n)
     bs, bs_x, bs_family = _overall(
-        _packing_scan(table, codes.tolist(), arrays.block_bound.tolist()))
+        _packing_scan(table, arrays, codes.tolist()))
 
     return StandardMeasures(
         s=int(sens.max()),
@@ -575,7 +561,7 @@ def standard_measures(
         bs_attaining=bs_x,
         bs_family=bs_family,
         c_attaining=c_x,
-        c_witness=certificate_u_at(table, c_x),
+        c_witness=certificate_u_at(table, c_x, cap),
     )
 
 

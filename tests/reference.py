@@ -178,15 +178,21 @@ def s_u(table: dict, n: int) -> int:
     return max(sensitivity_at(table, n, x) for x in table)
 
 
-def certificate_at(table: dict, n: int, x) -> int:
-    """Minimum domain size forcing the value on all consistent strings."""
+def certificate_domain_at(table: dict, n: int, x) -> tuple:
+    """The lex-least of the smallest domains forcing the value on all
+    consistent strings (0-based positions)."""
     v = table[x]
     for r in range(n + 1):
         for dom in combinations(range(n), r):
             if all(table[y] == v for y in table
                    if all(y[p] == x[p] for p in dom)):
-                return r
-    return n
+                return dom
+    raise AssertionError("the full domain forces the value")
+
+
+def certificate_at(table: dict, n: int, x) -> int:
+    """Minimum domain size forcing the value on all consistent strings."""
+    return len(certificate_domain_at(table, n, x))
 
 
 def certificate_u(table: dict, n: int):

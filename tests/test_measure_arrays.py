@@ -15,6 +15,7 @@ import random
 import pytest
 
 import reference as R
+import uquery.measures
 from uquery import ArityCapError, BooleanFunction, TernaryString, generate, hazard_free_table
 from uquery.algorithms import Oracle, algorithm1_solve
 from uquery.measures import (
@@ -155,18 +156,27 @@ def _check_summaries(n, bits):
         assert (classical.s, classical.bs, classical.c) == R.classical_measures(bits, n)
 
 
-def test_array_size_is_capped():
+def test_array_size_is_capped(monkeypatch):
     f = generate("maj:3")
     table = hazard_free_table(f)
     for summary in (block_summary, certificate_summary, _sensitivity_scan):
         with pytest.raises(ArityCapError):
             summary(table, cap=2)
     with pytest.raises(ArityCapError):
+        certificate_u_at(table, "010", cap=2)
+    with pytest.raises(ArityCapError):
         standard_measures(f, table, cap=2)
     with pytest.raises(ArityCapError):
         measure_report(f, search_cap=2)
     with pytest.raises(ArityCapError):
         algorithm1_solve(table, Oracle("010"), cap=2)
+    assert measure_report(f, search_cap=3).bs_u == 3
+    assert algorithm1_solve(table, Oracle("010"), cap=3).output == 0
+    # Below the default cap only an explicit cap reaches the arrays, so
+    # every reader on these paths must be handed it.
+    monkeypatch.setattr(uquery.measures, "DEFAULT_SEARCH_CAP", 2)
+    with pytest.raises(ArityCapError):
+        minimal_sensitive_blocks(table, "010")
     assert measure_report(f, search_cap=3).bs_u == 3
     assert algorithm1_solve(table, Oracle("010"), cap=3).output == 0
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import reference as R
-from uquery import BooleanFunction, generate, hazard_free_table
+from uquery import BooleanFunction, PartialAssignment, TernaryString, generate, hazard_free_table
 from uquery.measures import (
     block_sensitivity_u,
     block_sensitivity_u_at,
@@ -88,18 +88,45 @@ def test_pointwise_accessors():
     assert validate_block_family(table, "u01", family)
 
 
+def _definition_tables(sampled):
+    """Every table with n <= 3, then seeded samples of the given arities."""
+    for n in (1, 2, 3):
+        for bits in range(1 << (1 << n)):
+            yield n, bits
+    rng = random.Random(11)
+    for n, count in sampled:
+        for _ in range(count):
+            yield n, rng.getrandbits(1 << n)
+
+
 def test_minimal_blocks_definition():
-    # every reported block is sensitive and has no sensitive proper subset
-    table = hazard_free_table(generate("table:e0:3"))
-    ref = R.full_table(0x7, 3)
-    for x in R.ternary_strings(3):
-        got = {w.block for w in minimal_sensitive_blocks(table, x)}
-        # the oracle reports 0-based positions; witnesses are 1-based
-        brute = {frozenset(i + 1 for i in b)
-                 for b in R.sensitive_blocks(ref, 3, x)}
-        minimal = {b for b in brute
-                   if not any(o < b for o in brute)}
-        assert got == minimal, x
+    # every reported block is sensitive and has no sensitive proper
+    # subset; the order (size, then combinations order) is pinned too,
+    # because the packing search picks its family by it
+    for n, bits in _definition_tables(((4, 12), (5, 3))):
+        table = hazard_free_table(BooleanFunction(n, bits))
+        ref = R.full_table(bits, n)
+        for x in R.ternary_strings(n):
+            # witnesses are 1-based; the oracle reports 0-based positions
+            got = [tuple(sorted(p - 1 for p in w.block))
+                   for w in minimal_sensitive_blocks(table, x)]
+            brute = R.sensitive_blocks(ref, n, x)
+            minimal = [tuple(sorted(b)) for b in brute
+                       if not any(o < b for o in brute)]
+            assert got == minimal, (n, bits, x)
+
+
+def test_certificate_domain_is_lex_least():
+    for n, bits in _definition_tables(((4, 12),)):
+        table = hazard_free_table(BooleanFunction(n, bits))
+        ref = R.full_table(bits, n)
+        for trits in R.ternary_strings(n):
+            x = TernaryString(trits)
+            witness = certificate_u_at(table, x)
+            dom = R.certificate_domain_at(ref, n, trits)
+            assert witness.assignment == PartialAssignment.restriction(
+                x, (p + 1 for p in dom)), (n, bits, x)
+            assert witness.value == ref[trits], (n, bits, x)
 
 
 def test_block_witnesses_change_the_value():
