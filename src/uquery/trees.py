@@ -12,9 +12,12 @@ the u-model and {0, 1, *}^n classically.  Depth 0 marks the cells whose
 value is forced: for the u-model these are read off
 ``core.forced_value_table``, the same table the certificate sizes of
 ``measures`` come from, and classically off the hazard-free table with
-u read as *.  Sweeps along every * axis relax the rest to exact depths,
-and the tree is read off the array, taking at each node the lowest
-variable that attains the optimum, so results are canonical.
+u read as *.  Every other cell starts at its number of *s, an upper
+bound, as querying all of them leaves a forced cell.  Sweeps along every
+* axis relax the cells down to exact depths, stopping once the root is
+known exact or a sweep changes nothing, and the tree is read off the
+array, taking at each node the lowest variable that attains the optimum,
+so results are canonical.
 
 ``verify_tree`` checks a tree without replaying it input by input: one
 walk writes each leaf's value into its block of a prediction array (the
@@ -29,13 +32,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from typing import Union
 
 import numpy as np
 
 from .core import (
     DEFAULT_SEARCH_CAP,
-    NOT_FORCED,
     STAR,
     UNKNOWN,
     BooleanFunction,
@@ -193,7 +196,15 @@ def verify_tree(
 # ---------------------------------------------------------------------------
 # Exact depth: one layered kernel for both answer alphabets.
 
-_FAR = NOT_FORCED  # not forced, or not known to be within reach; 1 + _FAR fits a byte
+@cache
+def _star_counts(base: int, k: int) -> np.ndarray:
+    """The number of digits ``base - 1`` (the *) in each k-digit code in
+    base ``base``, one byte per code; shared, so read-only."""
+    counts = np.zeros(1, dtype=np.uint8)
+    for _ in range(k):
+        counts = (counts[:, None] + (np.arange(base) == base - 1)).reshape(-1)
+    counts.flags.writeable = False
+    return counts
 
 
 def _optimal_tree(
@@ -203,24 +214,53 @@ def _optimal_tree(
 
     ``depth`` has one axis per variable, indexed by ``answers`` and then
     ``star`` (the largest index); it holds 0 where the value is forced
-    and _FAR elsewhere, and no cell ever reads below its true depth.
-    Each sweep sets, axis by axis, the cells with a * on that axis to
-    min(depth, 1 + max over the children).  After sweep k every cell of
-    true depth <= k is exact, and every other reads more than k.  So once
-    the all-* root reads at most k + 1 it is exact, every cell below it
-    on an optimal tree is too, and each threshold test of the extraction
-    tells true depths apart.
+    and 1 elsewhere.  Each cell that is not forced starts at its number
+    of *s: querying every * leaves a cell without one, which is always
+    forced, so no cell starts below its true depth.  Each sweep sets,
+    axis by axis, the cells with a * on that axis to
+    min(depth, 1 + max over the children), so cells only fall, and never
+    below their true depth.  After sweep k every cell of true depth <= k
+    is exact (the children of its optimal query were, after sweep
+    k - 1), and every other reads more than k.  Two exits follow:
+
+    - once the all-* root reads at most k + 1 it is exact, every cell
+      below it on an optimal tree is too, and each threshold test of the
+      extraction tells true depths apart;
+    - once a sweep leaves the sum of the array unchanged, it changed no
+      cell, and every cell is exact: by induction on the number of *s,
+      a cell reads at most 1 + the max over the exact children on any of
+      its * axes, so at most its true depth, and never less.
+
+    The update is monotone, so no cell reads more than it would after a
+    start at the top of the byte, and the root test fires no later than
+    it would there.  It is taken before the sum, which a root already
+    known exact never pays for.
     """
     n, base = depth.ndim, star + 1
     flat = depth.reshape(-1)
+    # Forced cells to 0x80 and the rest to 0, plus the star count of the
+    # high and low halves of each code, then forced cells (0x80 + count,
+    # negative as int8) clamped to 0.
+    depth ^= 1
+    depth <<= 7
+    high = n // 2
+    halves = flat.reshape(base ** high, base ** (n - high))
+    halves += _star_counts(base, high)[:, None]
+    halves += _star_counts(base, n - high)
+    signed = flat.view(np.int8)
+    np.maximum(signed, 0, out=signed)
+
     worst = np.empty(base ** (n - 1), dtype=np.uint8)
     axes = []
     for axis in range(n):
         view = depth.reshape(base ** axis, base, base ** (n - 1 - axis))
         kids = [view[:, a] for a in answers]
         axes.append((kids, view[:, star], worst.reshape(kids[0].shape)))
-    sweep = 0
+    sweep, total = 0, None
     while flat[-1] > sweep + 1:
+        last, total = total, int(flat.sum(dtype=np.uint64))
+        if total == last:
+            break
         sweep += 1
         for kids, top, w in axes:
             np.maximum(kids[0], kids[1], out=w)
@@ -269,7 +309,6 @@ def query_complexity_u(
     check_cap(n, cap, DEFAULT_SEARCH_CAP, "u-model depth search")
     depth = forced_value_table(table)
     depth >>= 7  # forced 0, 1, u -> 0; NOT_FORCED -> 1
-    depth *= _FAR
     return _optimal_tree(depth, STAR, (0, 1, UNKNOWN), table.values)
 
 
@@ -287,7 +326,6 @@ def query_complexity(
     # exactly at the subcubes on which f is constant.
     depth = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n).copy()
     depth >>= 1  # 0, 1 -> 0; u -> 1
-    depth *= _FAR
     return _optimal_tree(depth, UNKNOWN, (0, 1), table.values)
 
 

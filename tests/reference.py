@@ -4,15 +4,19 @@ Everything here recomputes definitions by plain enumeration over raw
 truth-table integers, deliberately independent of the package's
 optimized code paths.  Trits are 0, 1 and U = 2; truth-table bit i is
 the value at binary index i with variable 1 as the most significant
-bit of the index.  The one exception, ``verify_tree_by_inputs``, replays
-package trees on package tables input by input.
+bit of the index.  The exceptions run package code the plain way:
+``verify_tree_by_inputs`` replays package trees on package tables input
+by input, and ``far_start_tree`` is the depth kernel as it was before
+the relaxation started at each cell's number of *s.
 """
 
 from functools import lru_cache
 from itertools import combinations, product
 
+import numpy as np
+
 from uquery.core import TernaryString
-from uquery.trees import Node, evaluate_tree
+from uquery.trees import Node, _read_tree, evaluate_tree
 
 U = 2
 
@@ -250,8 +254,9 @@ def classical_measures(bits: int, n: int):
 # Exact depths as plain minimax games.
 
 
-def depth_u(table: dict, n: int) -> int:
-    """Optimal ternary-tree depth: adversary picks any trit answer."""
+def cell_depths_u(table: dict, n: int):
+    """Optimal ternary-tree depth at each cell (a tuple of 0, 1, U and
+    3 for *): the adversary picks any trit answer."""
 
     @lru_cache(maxsize=None)
     def go(cells):
@@ -273,11 +278,17 @@ def depth_u(table: dict, n: int) -> int:
             best = min(best, 1 + worst)
         return best
 
-    return go((3,) * n)
+    return go
 
 
-def depth(bits: int, n: int) -> int:
-    """Optimal classical depth over binary inputs and answers."""
+def depth_u(table: dict, n: int) -> int:
+    """Optimal ternary-tree depth: adversary picks any trit answer."""
+    return cell_depths_u(table, n)((3,) * n)
+
+
+def cell_depths(bits: int, n: int):
+    """Optimal classical depth at each cell (a tuple of 0, 1 and 3 for
+    *) over binary inputs and answers."""
 
     @lru_cache(maxsize=None)
     def go(cells):
@@ -298,7 +309,45 @@ def depth(bits: int, n: int) -> int:
             best = min(best, 1 + worst)
         return best
 
-    return go((3,) * n)
+    return go
+
+
+def depth(bits: int, n: int) -> int:
+    """Optimal classical depth over binary inputs and answers."""
+    return cell_depths(bits, n)((3,) * n)
+
+
+def far_start_tree(grid, star, answers, values):
+    """The depth kernel ``trees._optimal_tree`` replaced: ``grid`` (0
+    where forced, 1 elsewhere) starts every cell that is not forced at
+    0xFE, and sweeps run until the root reads at most sweep + 1.  The
+    tree is read off the relaxed array with the package's ``_read_tree``.
+    """
+    grid *= 0xFE
+    n, base = grid.ndim, star + 1
+    flat = grid.reshape(-1)
+    worst = np.empty(base ** (n - 1), dtype=np.uint8)
+    axes = []
+    for axis in range(n):
+        view = grid.reshape(base ** axis, base, base ** (n - 1 - axis))
+        kids = [view[:, a] for a in answers]
+        axes.append((kids, view[:, star], worst.reshape(kids[0].shape)))
+    sweep = 0
+    while flat[-1] > sweep + 1:
+        sweep += 1
+        for kids, top, w in axes:
+            np.maximum(kids[0], kids[1], out=w)
+            for kid in kids[2:]:
+                np.maximum(w, kid, out=w)
+            w += 1
+            np.minimum(top, w, out=top)
+
+    reach = memoryview(flat).__getitem__
+    steps = [[(a - star) * base ** (n - 1 - p) for a in answers] for p in range(n)]
+    coarse_steps = [[(a - U) * 3 ** (n - 1 - p) for a in answers] for p in range(n)]
+    root = _read_tree(reach, steps, coarse_steps, values,
+                      flat.size - 1, 3 ** n - 1, list(range(n)))
+    return int(flat[-1]), root
 
 
 def downward_closure_bits(bits: int, n: int) -> int:

@@ -6,14 +6,17 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 import reference as R
 from uquery import ArityCapError, BooleanFunction, generate, hazard_free_table
+from uquery.core import STAR, UNKNOWN, forced_value_table
 from uquery.trees import (
     Leaf,
     Node,
     TreeFormatError,
+    _optimal_tree,
     evaluate_tree,
     parse_tree,
     query_complexity,
@@ -107,6 +110,62 @@ def test_trees_byte_identical():
         digest.update(json.dumps(record, sort_keys=True).encode())
         digest.update(b"\n")
     assert digest.hexdigest() == TREE_DIGEST
+
+
+def _kernel_tables(n, count):
+    """Every table of arity n <= 3, else ``count`` seeded ones."""
+    if n <= 3:
+        return range(1 << (1 << n))
+    rng = random.Random(800 + n)
+    return [rng.getrandbits(1 << n) for _ in range(count)]
+
+
+def _kernel_inputs(table):
+    """The (array, star, answers) the u-model and classical searches
+    hand ``_optimal_tree``: 0 where the value is forced, 1 elsewhere."""
+    n = table.arity
+    classical = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n) >> 1
+    return [(forced_value_table(table) >> 7, STAR, (0, 1, UNKNOWN)),
+            (classical, UNKNOWN, (0, 1))]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_depth_kernel_matches_the_far_start(n):
+    """Starting at the star counts gives the depth and tree of starting
+    every open cell far away."""
+    for bits in _kernel_tables(n, 30):
+        table = hazard_free_table(BooleanFunction(n, bits))
+        for grid, star, answers in _kernel_inputs(table):
+            got = _optimal_tree(grid.copy(), star, answers, table.values)
+            want = R.far_start_tree(grid.copy(), star, answers, table.values)
+            assert got[0] == want[0]
+            assert tree_to_json_dict(got[1]) == tree_to_json_dict(want[1])
+
+
+@pytest.mark.parametrize("n,count", [(1, 0), (2, 0), (3, 0), (4, 6), (5, 2), (6, 1)])
+def test_relaxed_depths_against_the_minimax(n, count):
+    """After the kernel, no cell reads below its minimax depth, and the
+    root and every cell on the returned tree's paths read exactly it."""
+    for bits in _kernel_tables(n, count):
+        table = hazard_free_table(BooleanFunction(n, bits))
+        minimax = (R.cell_depths_u(R.full_table(bits, n), n), R.cell_depths(bits, n))
+        for (grid, star, answers), exact in zip(_kernel_inputs(table), minimax):
+            d, tree = _optimal_tree(grid, star, answers, table.values)
+
+            def want(cell):  # the reference writes * as 3
+                return exact(tuple(3 if c == star else c for c in cell))
+
+            assert all(grid[cell] >= want(cell) for cell in np.ndindex(grid.shape))
+            root = (star,) * n
+            assert grid[root] == d == want(root)
+            todo = [(tree, root)]
+            while todo:
+                node, cell = todo.pop()
+                assert grid[cell] == want(cell)
+                if isinstance(node, Node):
+                    p = node.var - 1
+                    todo.extend((kid, cell[:p] + (a,) + cell[p + 1:])
+                                for a, kid in zip(answers, (node.on0, node.on1, node.onU)))
 
 
 def test_binary_tree_rejects_unresolved_input():
