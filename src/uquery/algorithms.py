@@ -37,6 +37,7 @@ from .core import (
     as_ternary,
     is_monotone,
     Orientation,
+    _slopes,
 )
 from .measures import block_summary, certificate_summary, certificate_u_at
 from .trees import DecisionTree, Node
@@ -362,12 +363,14 @@ def certificate_solver(table: HazardFreeTable) -> Solver:
 
 
 def instrumented_claims_check(table: HazardFreeTable,
-                              hidden: TernaryString | str) -> ClaimsReport:
-    """Run the solver on one hidden input with the final-state claims checked."""
+                              hidden: TernaryString | str,
+                              cap: int | None = None) -> ClaimsReport:
+    """Run the solver on one hidden input with the final-state claims
+    checked; ``cap`` guards as in ``algorithm1_solve``."""
     hidden = as_ternary(hidden)
     oracle = Oracle(hidden)
     watch = _Watch()
-    res = _run_algorithm1(table, oracle, watch)
+    res = _run_algorithm1(table, oracle, watch, cap)
     return ClaimsReport(
         output=res.output,
         expected=table.values[hidden.code()],
@@ -411,13 +414,9 @@ def unate_simulate(f: BooleanFunction, orientation: Orientation,
     n = f.arity
     if len(orientation.bits) != n:
         raise ValueError("orientation length differs from arity")
-    shift = 0
-    for b in orientation.bits:
-        shift = shift * 2 + b
-    shifted_bits = 0
-    for idx in range(1 << n):
-        shifted_bits |= f.value_at_index(idx ^ shift) << idx
-    if not is_monotone(BooleanFunction(n, shifted_bits)):
+    # Complementing variable i swaps its rises and falls.
+    if any(rises if b else falls
+           for b, (rises, falls) in zip(orientation.bits, _slopes(f))):
         raise ValueError("orientation does not make the function monotone")
     run = tree_solver(tree)
     low = run(fill_unknown_oracle(oracle, orientation.bits))

@@ -2,13 +2,16 @@
 
 A suite sweeps a function population, every function at small arity
 plus seeded random tables at arity four, and aggregates per-check
-results into a report.  Failing records always carry a concrete
-witness: the function spec together with the offending input or the
-measured numbers.
+results into a report.  Each check's result is a row (cases, failures,
+first counterexample): ``_row`` tallies one from per-case outcomes and
+``_fold`` adds rows check by check.  Failing records always carry a
+concrete witness: the function spec together with the offending input
+or the measured numbers.
 
-Populations are swept in a fixed order and chunk results merge in
-submission order, so for fixed parameters a report is deterministic in
-everything except its duration field.
+Populations are swept in a fixed order and rows fold in submission
+order, so for fixed parameters a report is deterministic in everything
+except its duration field, whatever the worker count: its
+counterexample is the one a one-worker sweep meets first.
 """
 
 from __future__ import annotations
@@ -159,7 +162,28 @@ def _sample_bits(arity: int, samples: int, seed: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Shared helpers.
 
-_Rows = "dict[str, tuple[int, int, dict | None]]"
+def _row(problems) -> tuple[int, int, dict | None]:
+    """Tally ``problems``, which yields None for each passing case and the
+    counterexample dict for each failing one, into (cases, failures,
+    first counterexample)."""
+    cases = fails = 0
+    ce = None
+    for problem in problems:
+        cases += 1
+        if problem is not None:
+            fails += 1
+            if ce is None:
+                ce = problem
+    return cases, fails, ce
+
+
+def _fold(into: dict, rows: dict) -> None:
+    """Add ``rows`` into ``into`` check by check, keeping the first
+    non-None counterexample; a new check joins at the end."""
+    for cid, (cases, fails, ce) in rows.items():
+        had_cases, had_fails, had_ce = into.get(cid, (0, 0, None))
+        into[cid] = (had_cases + cases, had_fails + fails,
+                     ce if had_ce is None else had_ce)
 
 
 def _trit(v: int) -> str:
@@ -217,41 +241,37 @@ def _sensitive_count(table: HazardFreeTable, x: TernaryString) -> int:
 
 def _core_function_rows(f: BooleanFunction, cap: int | None):
     n = f.arity
+    spec = f.to_spec()
     table = hazard_free_table(f)
     m = measure_report(f, with_witnesses=True, table=table, search_cap=cap)
-    rows: dict[str, tuple[int, int, dict | None]] = {}
 
-    fails, ce = 0, None
-    for code in range(3 ** n):
-        x = TernaryString.from_code(code, n)
-        want = _resolution_value(f, x)
-        if table.values[code] != want:
-            fails += 1
-            ce = ce or {
-                "function": f.to_spec(), "input": str(x),
+    def resolutions():
+        for code in range(3 ** n):
+            x = TernaryString.from_code(code, n)
+            want = _resolution_value(f, x)
+            yield None if table.values[code] == want else {
+                "function": spec, "input": str(x),
                 "got": _trit(table.values[code]), "expected": _trit(want),
             }
-    rows["extension-matches-resolutions"] = (3 ** n, fails, ce)
 
-    cases, fails, ce = 0, 0, None
-    for code in range(3 ** n):
-        v = table.values[code]
-        if v == UNKNOWN:
-            continue
-        x = TernaryString.from_code(code, n)
-        spots = [p for p in range(n) if x[p] == UNKNOWN]
-        for fill in product((0, 1, UNKNOWN), repeat=len(spots)):
-            y = list(x.trits)
-            for k, p in enumerate(spots):
-                y[p] = fill[k]
-            cases += 1
-            if table.values[TernaryString(tuple(y)).code()] != v:
-                fails += 1
-                ce = ce or {
-                    "function": f.to_spec(), "input": str(x),
-                    "refinement": str(TernaryString(tuple(y))),
+    def refinements():
+        for code in range(3 ** n):
+            v = table.values[code]
+            if v == UNKNOWN:
+                continue
+            x = TernaryString.from_code(code, n)
+            spots = [p for p in range(n) if x[p] == UNKNOWN]
+            for fill in product((0, 1, UNKNOWN), repeat=len(spots)):
+                y = list(x.trits)
+                for k, p in enumerate(spots):
+                    y[p] = fill[k]
+                y = TernaryString(tuple(y))
+                yield None if table.values[y.code()] == v else {
+                    "function": spec, "input": str(x), "refinement": str(y),
                 }
-    rows["refinement-monotone"] = (cases, fails, ce)
+
+    rows = {"extension-matches-resolutions": _row(resolutions()),
+            "refinement-monotone": _row(refinements())}
 
     links = (
         ("s<=s_u", m.s <= m.s_u),
@@ -269,22 +289,14 @@ def _core_function_rows(f: BooleanFunction, cap: int | None):
         ("D_u<=n", m.D_u <= n),
     )
     for cid, ok in links:
-        rows[cid] = (1, 0 if ok else 1,
-                     None if ok else {"function": f.to_spec(),
-                                      "values": _values_dict(m)})
-
-    excess = m.bs_u > m.C_u
-    rows["bs_u-exceeds-C_u"] = (
-        1, 1 if excess else 0,
-        {"function": f.to_spec(), "bs_u": m.bs_u, "C_u": m.C_u,
-         "C_uu": m.C_u_uval} if excess else None,
-    )
-
+        rows[cid] = _row([None if ok else {"function": spec,
+                                           "values": _values_dict(m)}])
+    rows["bs_u-exceeds-C_u"] = _row([
+        {"function": spec, "bs_u": m.bs_u, "C_u": m.C_u, "C_uu": m.C_u_uval}
+        if m.bs_u > m.C_u else None])
     problem = _witness_problems(f, table, m)
-    rows["witness-integrity"] = (
-        1, 1 if problem else 0,
-        {"function": f.to_spec(), "witness": problem} if problem else None,
-    )
+    rows["witness-integrity"] = _row([
+        {"function": spec, "witness": problem} if problem else None])
     return rows
 
 
@@ -389,73 +401,58 @@ def _witness_problems(f: BooleanFunction, table: HazardFreeTable,
 def _alg1_function_rows(f: BooleanFunction, cap: int | None):
     n = f.arity
     table = hazard_free_table(f)
-    runs = 3 ** n
     spec = f.to_spec()
-    agg = {
-        "solver-correct": [runs, 0, None],
-        "solver-within-budget": [runs, 0, None],
-        "solver-final-claims": [runs, 0, None],
-    }
-    for code in range(runs):
-        hidden = TernaryString.from_code(code, n)
-        rep = instrumented_claims_check(table, hidden)
-        if rep.output != rep.expected:
-            slot = agg["solver-correct"]
-            slot[1] += 1
-            slot[2] = slot[2] or {
+    hiddens = [TernaryString.from_code(code, n) for code in range(3 ** n)]
+    runs = [(h, instrumented_claims_check(table, h, cap=cap)) for h in hiddens]
+    return {
+        "solver-correct": _row(
+            None if rep.output == rep.expected else {
                 "function": spec, "input": str(hidden),
                 "got": _trit(rep.output), "expected": _trit(rep.expected),
-            }
-        if rep.queries > rep.bound:
-            slot = agg["solver-within-budget"]
-            slot[1] += 1
-            slot[2] = slot[2] or {
+            } for hidden, rep in runs),
+        "solver-within-budget": _row(
+            None if rep.queries <= rep.bound else {
                 "function": spec, "input": str(hidden),
                 "queries": rep.queries, "budget": rep.bound,
-            }
-        if not rep.claims_hold:
-            slot = agg["solver-final-claims"]
-            slot[1] += 1
-            slot[2] = slot[2] or {
+            } for hidden, rep in runs),
+        "solver-final-claims": _row(
+            None if rep.claims_hold else {
                 "function": spec, "input": str(hidden),
                 "survivor": str(rep.counterexample),
-            }
-    return {cid: tuple(slot) for cid, slot in agg.items()}
+            } for hidden, rep in runs),
+    }
 
 
 def _simulation_row(f: BooleanFunction, table: HazardFreeTable, d: int,
                     simulate: Callable[[Oracle], int]):
     """Run ``simulate(oracle)`` on every ternary input against 2 * d queries."""
     n = f.arity
-    runs, fails, ce = 3 ** n, 0, None
-    for code in range(runs):
-        hidden = TernaryString.from_code(code, n)
-        oracle = Oracle(hidden)
-        got = simulate(oracle)
-        if got != table.values[code] or oracle.query_count > 2 * d:
-            fails += 1
-            ce = ce or {
+
+    def runs():
+        for code in range(3 ** n):
+            hidden = TernaryString.from_code(code, n)
+            oracle = Oracle(hidden)
+            got = simulate(oracle)
+            ok = got == table.values[code] and oracle.query_count <= 2 * d
+            yield None if ok else {
                 "function": f.to_spec(), "input": str(hidden),
                 "got": _trit(got), "expected": _trit(table.values[code]),
                 "queries": oracle.query_count, "budget": 2 * d,
             }
-    return runs, fails, ce
+    return _row(runs())
 
 
 def _monotone_function_rows(f: BooleanFunction, cap: int | None):
     table = hazard_free_table(f)
     d, tree_b = query_complexity(f, table=table, cap=cap)
     du, _ = query_complexity_u(table, cap=cap)
-    rows: dict[str, tuple[int, int, dict | None]] = {}
-
-    ok = d <= du <= 2 * d
-    rows["monotone-depth-bracket"] = (
-        1, 0 if ok else 1,
-        None if ok else {"function": f.to_spec(), "D": d, "D_u": du},
-    )
-    rows["monotone-simulation"] = _simulation_row(
-        f, table, d, lambda oracle: monotone_simulate(f, tree_b, oracle))
-    return rows
+    return {
+        "monotone-depth-bracket": _row([
+            None if d <= du <= 2 * d
+            else {"function": f.to_spec(), "D": d, "D_u": du}]),
+        "monotone-simulation": _simulation_row(
+            f, table, d, lambda oracle: monotone_simulate(f, tree_b, oracle)),
+    }
 
 
 def _unate_function_rows(f: BooleanFunction, cap: int | None):
@@ -479,29 +476,24 @@ def _closure_function_rows(f: BooleanFunction, cap: int | None):
     dg, _ = query_complexity(g, cap=cap)
     solver = tree_solver(ut)
     spec = f.to_spec()
-    rows: dict[str, tuple[int, int, dict | None]] = {}
 
-    runs, fails, ce = 1 << n, 0, None
-    for idx in range(runs):
-        x = TernaryString(tuple((idx >> (n - 1 - p)) & 1 for p in range(n)))
-        oracle = Oracle(x)
-        got = downward_closure_solve(f, solver, oracle)
-        want = g.value_at_index(idx)
-        if got != want or oracle.query_count > du:
-            fails += 1
-            ce = ce or {
+    def runs():
+        for idx in range(1 << n):
+            x = TernaryString(tuple((idx >> (n - 1 - p)) & 1 for p in range(n)))
+            oracle = Oracle(x)
+            got = downward_closure_solve(f, solver, oracle)
+            want = g.value_at_index(idx)
+            yield None if got == want and oracle.query_count <= du else {
                 "function": spec, "input": str(x),
                 "got": got, "expected": want,
                 "queries": oracle.query_count, "budget": du,
             }
-    rows["closure-pointwise"] = (runs, fails, ce)
-
-    ok = dg <= du
-    rows["closure-depth"] = (
-        1, 0 if ok else 1,
-        None if ok else {"function": spec, "closure_depth": dg, "D_u": du},
-    )
-    return rows
+    return {
+        "closure-pointwise": _row(runs()),
+        "closure-depth": _row([
+            None if dg <= du
+            else {"function": spec, "closure_depth": dg, "D_u": du}]),
+    }
 
 
 _KINDS = {
@@ -516,15 +508,9 @@ _KINDS = {
 def _chunk_worker(payload):
     kind, arity, bits_chunk, cap = payload
     run = _KINDS[kind]
-    agg: dict[str, list] = {}
+    agg: dict = {}
     for bits in bits_chunk:
-        rows = run(BooleanFunction(arity, bits), cap)
-        for cid, (cases, fails, ce) in rows.items():
-            slot = agg.setdefault(cid, [0, 0, None])
-            slot[0] += cases
-            slot[1] += fails
-            if slot[2] is None and ce is not None:
-                slot[2] = ce
+        _fold(agg, run(BooleanFunction(arity, bits), cap))
     return agg
 
 
@@ -544,38 +530,32 @@ _EXACT_DEPTHS = (
 
 
 def _kleene_rows():
-    cases, fails, ce = 0, 0, None
-    for spec, expect in (("and:2", _K_AND), ("or:2", _K_OR),
-                         ("table:8:1", _K_NOT)):
-        table = hazard_free_table(generate(spec))
-        for text, val in expect.items():
-            cases += 1
-            got = _trit(table.values[as_ternary(text).code()])
-            if got != val:
-                fails += 1
-                ce = ce or {"function": spec, "input": text,
-                            "got": got, "expected": val}
-    return {"kleene-tables": (cases, fails, ce)}
+    def entries():
+        for spec, expect in (("and:2", _K_AND), ("or:2", _K_OR),
+                             ("table:8:1", _K_NOT)):
+            table = hazard_free_table(generate(spec))
+            for text, val in expect.items():
+                got = _trit(table.values[as_ternary(text).code()])
+                yield None if got == val else {"function": spec, "input": text,
+                                               "got": got, "expected": val}
+    return {"kleene-tables": _row(entries())}
 
 
 def _depth_rows(entries, cid: str, cap: int | None):
-    cases, fails, ce = 0, 0, None
-    for spec, d_want, du_want in entries:
-        cases += 1
-        f = generate(spec)
-        table = hazard_free_table(f)
-        d, _ = query_complexity(f, table=table, cap=cap)
-        du, _ = query_complexity_u(table, cap=cap)
-        if (d, du) != (d_want, du_want):
-            fails += 1
-            ce = ce or {"function": spec, "D": d, "D_u": du,
-                        "expected_D": d_want, "expected_D_u": du_want}
-    return {cid: (cases, fails, ce)}
+    def depths():
+        for spec, d_want, du_want in entries:
+            f = generate(spec)
+            table = hazard_free_table(f)
+            d, _ = query_complexity(f, table=table, cap=cap)
+            du, _ = query_complexity_u(table, cap=cap)
+            yield None if (d, du) == (d_want, du_want) else {
+                "function": spec, "D": d, "D_u": du,
+                "expected_D": d_want, "expected_D_u": du_want}
+    return {cid: _row(depths())}
 
 
 def _reduction_rows(cap: int | None):
-    correct = [0, 0, None]
-    cost = [0, 0, None]
+    correct, cost = [], []
     for n in (1, 2):
         m = 1 << n
         table = hazard_free_table(generate(f"ind:{n}"))
@@ -588,23 +568,17 @@ def _reduction_rows(cap: int | None):
             oracle = Oracle(x)
             got = or_via_ind_reduction(n, solver, oracle)
             want = 1 if xbits else 0
-            correct[0] += 1
-            if got != want:
-                correct[1] += 1
-                correct[2] = correct[2] or {
-                    "function": f"or:{m}", "input": str(x),
-                    "got": got, "expected": want,
-                }
+            correct.append(None if got == want else {
+                "function": f"or:{m}", "input": str(x),
+                "got": got, "expected": want,
+            })
             worst = max(worst, oracle.query_count)
-        cost[0] += 1
         # Any sound unresolved-model indexing solver must pay the full
         # classical cost of OR on some input.
-        if worst < m:
-            cost[1] += 1
-            cost[2] = cost[2] or {"function": f"or:{m}",
-                                  "worst_queries": worst, "required": m}
-    return {"or-via-indexing": tuple(correct),
-            "or-reduction-cost": tuple(cost)}
+        cost.append(None if worst >= m else {
+            "function": f"or:{m}", "worst_queries": worst, "required": m})
+    return {"or-via-indexing": _row(correct),
+            "or-reduction-cost": _row(cost)}
 
 
 # ---------------------------------------------------------------------------
@@ -667,22 +641,16 @@ def _plain_record(cid: str, cases: int, fails: int, ce) -> CheckRecord:
     )
 
 
-def _inventory_record(keys, merged, exhaustive_ns) -> CheckRecord:
+def _inventory_record(merged, total, exhaustive_ns) -> CheckRecord:
     # The one catalogued exception set: bs_u can exceed C_u because the
     # block-sensitivity maximum also ranges over unresolved inputs.
     expected = {1: 0, 2: 0, 3: 80}
     least_spec = "table:e0:3"
     passed = True
-    cases = fails = 0
     flagged = {}
     counterexample = None
-    for key in keys:
-        label, arity = key[1], key[2]
-        row = merged[key].get("bs_u-exceeds-C_u")
-        if row is None:
-            continue
-        cases += row[0]
-        fails += row[1]
+    for (_kind, label, arity), rows in merged.items():
+        row = rows["bs_u-exceeds-C_u"]
         name = f"n={arity}" if label == "exhaustive" else f"sampled n={arity}"
         flagged[name] = row[1]
         if label != "exhaustive":
@@ -704,8 +672,8 @@ def _inventory_record(keys, merged, exhaustive_ns) -> CheckRecord:
     return CheckRecord(
         check="bs_u-exceeds-C_u",
         passed=passed,
-        cases=cases,
-        failures=fails,
+        cases=total[0],
+        failures=total[1],
         note=_NOTES["bs_u-exceeds-C_u"],
         counterexample=counterexample,
         details=details,
@@ -713,7 +681,8 @@ def _inventory_record(keys, merged, exhaustive_ns) -> CheckRecord:
 
 
 def _execute(jobs, workers: int, cap: int | None):
-    """Run per-function jobs, merging chunk results in submission order."""
+    """Run per-function jobs; fold chunk rows per (kind, label, arity) key
+    in submission order."""
     chunks = []
     for kind, label, arity, bits in jobs:
         if not bits:
@@ -732,34 +701,10 @@ def _execute(jobs, workers: int, cap: int | None):
     else:
         results = [_chunk_worker(payload) for _, payload in chunks]
 
-    merged: dict[tuple, dict[str, list]] = {}
-    keys: list[tuple] = []
+    merged: dict[tuple, dict] = {}
     for (key, _payload), rows in zip(chunks, results):
-        if key not in merged:
-            merged[key] = {}
-            keys.append(key)
-        slot = merged[key]
-        for cid, (cases, fails, ce) in rows.items():
-            agg = slot.setdefault(cid, [0, 0, None])
-            agg[0] += cases
-            agg[1] += fails
-            if agg[2] is None and ce is not None:
-                agg[2] = ce
-    return keys, merged
-
-
-def _sum_rows(keys, merged, cid):
-    cases = fails = 0
-    ce = None
-    for key in keys:
-        row = merged[key].get(cid)
-        if row is None:
-            continue
-        cases += row[0]
-        fails += row[1]
-        if ce is None:
-            ce = row[2]
-    return cases, fails, ce
+        _fold(merged.setdefault(key, {}), rows)
+    return merged
 
 
 def _run_part(part, ns, samples, sample_arity, seed, workers, cap,
@@ -774,52 +719,45 @@ def _run_part(part, ns, samples, sample_arity, seed, workers, cap,
         parent.update(_kleene_rows())
         parent.update(_depth_rows(_EXACT_DEPTHS, "exact-depths", cap))
     if part in ("core", "algorithm1", "closure"):
-        kind = {"core": "core", "algorithm1": "algorithm1",
-                "closure": "closure"}[part]
         for n in full_ns:
-            jobs.append((kind, "exhaustive", n,
+            jobs.append((part, "exhaustive", n,
                          tuple(range(1 << (1 << n)))))
         if samples:
-            jobs.append((kind, "sampled", sample_arity,
+            jobs.append((part, "sampled", sample_arity,
                          _sample_bits(sample_arity, samples, seed)))
     elif part == "monotone":
         parent.update(_depth_rows((("mind:2", 3, 3),), "mind-depths", cap))
-        cases = fails = 0
-        ce = None
+        population = []
         for n in [k for k in ns if k <= _MONOTONE_MAX]:
             pop = monotone_functions(n)
-            cases += 1 + len(pop)
             want = _MONOTONE_COUNTS.get(n)
-            if want is not None and len(pop) != want:
-                fails += 1
-                ce = ce or {"arity": n, "count": len(pop), "expected": want}
-            for f in pop:
-                if not is_monotone(f):
-                    fails += 1
-                    ce = ce or {"function": f.to_spec(),
-                                "monotone": False}
+            population.append(
+                None if want is None or len(pop) == want
+                else {"arity": n, "count": len(pop), "expected": want})
+            population.extend(
+                None if is_monotone(f)
+                else {"function": f.to_spec(), "monotone": False}
+                for f in pop)
             jobs.append(("monotone", "exhaustive", n,
                          tuple(f.bits for f in pop)))
-        parent["monotone-population"] = (cases, fails, ce)
+        parent["monotone-population"] = _row(population)
         for n in [k for k in ns if k <= _UNATE_MAX]:
             jobs.append(("unate", "exhaustive", n,
                          tuple(f.bits for f in unate_functions(n))))
     elif part == "reduction":
         parent.update(_reduction_rows(cap))
 
-    keys, merged = _execute(jobs, workers, cap)
+    merged = _execute(jobs, workers, cap)
+    total: dict = {}
+    for rows in merged.values():
+        _fold(total, rows)
 
-    records = [_plain_record(cid, *parent[cid]) for cid in parent]
-    seen: list[str] = []
-    for key in keys:
-        for cid in merged[key]:
-            if cid not in seen:
-                seen.append(cid)
-    for cid in seen:
+    records = [_plain_record(cid, *row) for cid, row in parent.items()]
+    for cid, row in total.items():
         if cid == "bs_u-exceeds-C_u":
-            records.append(_inventory_record(keys, merged, full_ns))
+            records.append(_inventory_record(merged, row, full_ns))
         else:
-            records.append(_plain_record(cid, *_sum_rows(keys, merged, cid)))
+            records.append(_plain_record(cid, *row))
     return records
 
 

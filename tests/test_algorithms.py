@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import reference as R
 from uquery import (
     BooleanFunction,
     TernaryString,
@@ -28,6 +29,7 @@ from uquery.algorithms import (
     tree_solver,
     unate_simulate,
 )
+from uquery.core import Orientation
 from uquery.measures import block_summary, certificate_summary
 from uquery.trees import query_complexity, query_complexity_u
 
@@ -228,6 +230,24 @@ def test_unate_simulation():
         got = unate_simulate(f, orientation, tree, oracle)
         assert got == table.evaluate(hidden)
         assert oracle.query_count <= 2 * d
+
+
+def test_unate_simulation_rejects_bad_orientations():
+    for n in (1, 2, 3):
+        for bits in range(1 << (1 << n)):
+            f = BooleanFunction(n, bits)
+            _, tree = query_complexity(f)
+            for shift in range(1 << n):
+                orientation = Orientation(
+                    tuple((shift >> (n - 1 - p)) & 1 for p in range(n)))
+                shifted = sum(f.value_at_index(idx ^ shift) << idx
+                              for idx in range(1 << n))
+                if R.is_monotone(shifted, n):
+                    unate_simulate(f, orientation, tree, Oracle("u" * n))
+                else:
+                    with pytest.raises(ValueError, match="orientation does "
+                                       "not make the function monotone"):
+                        unate_simulate(f, orientation, tree, Oracle("u" * n))
 
 
 def test_downward_closure_solver():

@@ -1,7 +1,12 @@
 """Verification harness: suites, populations, and determinism."""
 
+import hashlib
+import json
+
 import pytest
 
+import uquery.verification
+from uquery.core import ArityCapError, HazardFreeTable
 from uquery.verification import (
     SUITES,
     CheckRecord,
@@ -120,9 +125,14 @@ def test_sampling_is_seeded():
     assert strip(a) == strip(b)
 
 
-def test_worker_count_does_not_change_records():
-    one = run_suite("algorithm1", ns=(1, 2), workers=1)
-    two = run_suite("algorithm1", ns=(1, 2), workers=2)
+@pytest.mark.parametrize("suite, ns", [("algorithm1", (1, 2)),
+                                       ("core", (3,))],
+                         ids=["algorithm1", "core"])
+def test_worker_count_does_not_change_records(suite, ns):
+    # core at n = 3 carries the 80 bs_u-exceeds-C_u failures and their
+    # first counterexample across chunk merges
+    one = run_suite(suite, ns=ns, workers=1)
+    two = run_suite(suite, ns=ns, workers=2)
     assert [r.to_json_dict() for r in one.records] \
         == [r.to_json_dict() for r in two.records]
     assert one.parameters["workers"] == 1
@@ -151,3 +161,50 @@ def test_record_fields():
         suite="core", parameters={}, records=(record,), passed=False,
         duration_seconds=0.0)
     assert not report.passed
+
+
+def test_algorithm1_suite_honours_the_cap():
+    with pytest.raises(ArityCapError):
+        run_suite("algorithm1", ns=(3,), cap=2, workers=1)
+    assert run_suite("algorithm1", ns=(1, 2), cap=2, workers=1).passed
+
+
+def _records_digest(reports) -> str:
+    digest = hashlib.sha256()
+    for report in reports:
+        records = [r.to_json_dict() for r in report.records]
+        digest.update(json.dumps(records, sort_keys=True).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+# sha256 of the sorted-key JSON of the records of
+# run_suite("all", ns=(1, 2, 3), samples=5, workers=1); covers the
+# exhaustive and the sampled populations of every suite.  Both digests
+# were recorded before the checks tallied through _row and _fold.
+VERIFY_DIGEST = "56a1542e5a8d94398799a69982598d0c9a374784ec898fabd20816c83e97ee24"
+
+# The same, one line per suite at ns=(1, 2, 3), with every table the
+# harness builds corrupted at its all-u entry, so that 17 checks fail:
+# pins every counterexample dict and which failure is reported first.
+FAILING_VERIFY_DIGEST = "586c2100185999213f30c28e10691cd5044a2ed2523c7106af5f1940d6712ef7"
+
+
+def test_verify_records_byte_identical():
+    report = run_suite("all", ns=(1, 2, 3), samples=5, workers=1)
+    assert _records_digest([report]) == VERIFY_DIGEST
+
+
+def test_failing_verify_records_byte_identical(monkeypatch):
+    build = uquery.verification.hazard_free_table
+
+    def corrupted(f, *args, **kwargs):
+        table = build(f, *args, **kwargs)
+        values = bytearray(table.values)
+        values[-1] = (values[-1] + 1) % 3
+        return HazardFreeTable(table.function, bytes(values))
+
+    monkeypatch.setattr(uquery.verification, "hazard_free_table", corrupted)
+    reports = [run_suite(suite, ns=(1, 2, 3), workers=1) for suite in SUITES]
+    assert sum(r.failures > 0 for rep in reports for r in rep.records) == 17
+    assert _records_digest(reports) == FAILING_VERIFY_DIGEST
