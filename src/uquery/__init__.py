@@ -54,8 +54,6 @@ from .measures import (
 )
 from .trees import (
     DecisionTree,
-    Leaf,
-    Node,
     TreeFormatError,
     evaluate_tree,
     parse_tree,

@@ -40,7 +40,7 @@ from .core import (
     _slopes,
 )
 from .measures import block_summary, certificate_summary, certificate_u_at
-from .trees import DecisionTree, Node
+from .trees import DecisionTree
 
 
 class QueryOracle(Protocol):
@@ -172,18 +172,16 @@ def transcript_json(transcript: Sequence[tuple[int, int]]) -> list[dict]:
 
 def tree_solver(tree: DecisionTree) -> Solver:
     """Turn a decision tree into a solver that walks it against an oracle."""
+    var, leaf, first = tree.var, tree.leaf, tree.first
 
     def run(oracle: QueryOracle) -> int:
-        node = tree
-        while isinstance(node, Node):
-            answer = oracle.query(node.var)
-            if answer == UNKNOWN:
-                if node.onU is None:
-                    raise ValueError("classical tree received a u answer")
-                node = node.onU
-            else:
-                node = (node.on0, node.on1)[answer]
-        return node.value
+        i = 0
+        while var[i]:
+            kid = first[i] + oracle.query(var[i])
+            if kid >= first[i + 1]:
+                raise ValueError("classical tree received a u answer")
+            i = kid
+        return leaf[i]
 
     return run
 

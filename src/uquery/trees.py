@@ -5,6 +5,13 @@ A u-model tree branches three ways on the answer to a variable query
 with the extension on every ternary input.  A classical tree branches
 two ways and is evaluated on resolved inputs only (``onU`` is absent).
 
+A ``DecisionTree`` is three flat node arrays laid out layer by layer:
+the variable each node queries (0 at a leaf), the trit each leaf
+outputs, and the index of each node's first child, its two or three
+children being consecutive.  The depth search builds them directly,
+parsing builds them from the JSON form, and serialization, evaluation
+and checking read them; no per-node object exists.
+
 ``query_complexity_u``/``query_complexity`` solve the same minimax game,
 the solver picking the variable and the adversary the worst answer,
 with one array kernel over the partial assignments: {0, 1, u, *}^n for
@@ -15,12 +22,15 @@ value is forced: for the u-model these are read off
 u read as *.  Every other cell starts at its number of *s, an upper
 bound, as querying all of them leaves a forced cell.  Sweeps along every
 * axis relax the cells down to exact depths, stopping once the root is
-known exact or a sweep changes nothing, and the tree is read off the
-array, taking at each node the lowest variable that attains the optimum,
-so results are canonical.
+known exact or a sweep changes nothing.  The tree is then read off the
+array one layer of cells at a time, taking at each node the lowest
+variable that attains the optimum, so results are canonical.
 
-``verify_tree`` checks a tree without replaying it input by input: one
-walk writes each leaf's value into its block of a prediction array (the
+``serialize_tree`` and ``tree_to_json_dict`` build the JSON form bottom
+up, layer by layer, each node from its children's text or dicts, so any
+depth serializes without recursion.  ``verify_tree`` checks a tree
+without replaying it input by input: one walk over the node indices
+writes each leaf's value into its block of a prediction array (the
 inputs that follow the leaf's path), and one comparison with the table
 finds the least counterexample.  A malformed node raises the error that
 ``evaluate_tree`` gives the least input reaching it, unless a mismatch
@@ -31,9 +41,10 @@ only the tree and the table, never the depth arrays.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cache
-from typing import Union
+from typing import Callable
 
 import numpy as np
 
@@ -57,40 +68,90 @@ class TreeFormatError(ValueError):
     """Raised for malformed serialized trees."""
 
 
-@dataclass(frozen=True)
-class Leaf:
-    value: int  # a trit
+@dataclass(frozen=True, slots=True)
+class DecisionTree:
+    """A decision tree as flat node arrays, one entry per node.
+
+    Node 0 is the root and the nodes come layer by layer.  ``var[i]`` is
+    the variable node i queries, 1-based, or 0 at a leaf; ``leaf[i]`` is
+    the trit a leaf outputs, 0 at a query node.  The children of node i
+    are nodes ``first[i]`` to ``first[i + 1] - 1``, answering 0, 1 and,
+    when there are three, u; a leaf has none.  ``first`` has one entry
+    more than there are nodes, the node count, so that ``first[i + 1]``
+    always exists.  Children are laid out in the order of their parents,
+    which is what makes the nodes come in layers.  The constructor
+    refuses arrays that do not make such a tree with ``TreeFormatError``.
+    """
+
+    var: tuple[int, ...]
+    leaf: tuple[int, ...]
+    first: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        for name in ("var", "leaf", "first"):
+            object.__setattr__(self, name, tuple(map(operator.index, getattr(self, name))))
+        error = _layout_error(self.var, self.leaf, self.first)
+        if error is not None:
+            raise TreeFormatError(error)
+
+    @classmethod
+    def _of(cls, var: tuple, leaf: tuple, first: tuple) -> "DecisionTree":
+        """Wrap node arrays that are well formed by construction, without
+        the constructor's check, which visits every node in Python."""
+        tree = object.__new__(cls)
+        for name, array in zip(("var", "leaf", "first"), (var, leaf, first)):
+            object.__setattr__(tree, name, array)
+        return tree
 
 
-@dataclass(frozen=True)
-class Node:
-    var: int  # variable index, 1-based
-    on0: "DecisionTree"
-    on1: "DecisionTree"
-    onU: "DecisionTree | None" = None  # None only in classical trees
+def _layout_error(var, leaf, first) -> str | None:
+    """Why the node arrays do not make a tree; None when they do.  With
+    ``first[0] == 1`` and every query node's children after it, each node
+    but the root is the child of exactly one earlier node."""
+    size = len(var)
+    if not size or len(leaf) != size or len(first) != size + 1:
+        return "a tree needs one var and leaf entry per node, at least one node, and one first entry more"
+    if first[0] != 1 or first[size] != size:
+        return f"first must run from 1 to the node count {size}"
+    for i, (v, trit, start, stop) in enumerate(zip(var, leaf, first, first[1:])):
+        if v < 0:
+            return f"node {i}: variable {v} is below 1"
+        if v == 0 and stop != start:
+            return f"node {i}: variable 0 marks a leaf, which has no children"
+        if v == 0 and trit not in (0, 1, UNKNOWN):
+            return f"node {i}: leaf value {trit} is not a trit (0, 1 or 2)"
+        if v and (stop - start not in (2, 3) or start <= i or trit != 0):
+            return f"node {i}: a query node needs 2 or 3 children after it, and leaf value 0"
+    return None
 
 
-DecisionTree = Union[Leaf, Node]
-
-
-def _children(node: Node) -> list[tuple[str, DecisionTree]]:
-    """(key, child) pairs of a node in serialization order."""
-    kids = [("on0", node.on0), ("on1", node.on1)]
-    if node.onU is not None:
-        kids.append(("onU", node.onU))
-    return kids
+def _layer_starts(first: tuple[int, ...]) -> list[int]:
+    """The first node of each layer, then the node count.  The children
+    of one layer make up the next, so each layer starts at the first
+    child of the layer before it."""
+    starts = [0]
+    while starts[-1] < len(first) - 1:
+        starts.append(first[starts[-1]])
+    return starts
 
 
 def tree_depth(tree: DecisionTree) -> int:
-    """Length of the longest root-to-leaf path; any depth, no recursion."""
-    deepest, todo = 0, [(tree, 0)]
-    while todo:
-        node, depth = todo.pop()
-        if isinstance(node, Node):
-            todo.extend((child, depth + 1) for _, child in _children(node))
-        elif depth > deepest:
-            deepest = depth
-    return deepest
+    """Length of the longest root-to-leaf path: the number of layers - 1."""
+    return len(_layer_starts(tree.first)) - 2
+
+
+def _bottom_up(tree: DecisionTree, leaf_of: Callable, node_of: Callable):
+    """Fold the tree from its deepest layer up: a leaf becomes
+    ``leaf_of(trit)``, a query node ``node_of(var, children's results)``.
+    Only the results of the layer below are held while a layer is built.
+    """
+    var, leaf, first = tree.var, tree.leaf, tree.first
+    starts = _layer_starts(first)
+    below: list = []
+    for start, stop in zip(starts[-2::-1], starts[:0:-1]):
+        below = [node_of(var[i], below[first[i] - stop:first[i + 1] - stop])
+                 if var[i] else leaf_of(leaf[i]) for i in range(start, stop)]
+    return below[0]
 
 
 _UNRESOLVED = "classical tree evaluated on an unresolved input"
@@ -109,21 +170,18 @@ def _query_error(var: int, n: int, seen) -> str | None:
 def evaluate_tree(tree: DecisionTree, y: TernaryString | str) -> int:
     """Walk the tree reading answers off y; returns the leaf trit."""
     y = as_ternary(y)
-    node = tree
-    seen: set[int] = set()
-    while isinstance(node, Node):
-        error = _query_error(node.var, len(y), seen)
+    var, first = tree.var, tree.first
+    i, seen = 0, set()
+    while var[i]:
+        error = _query_error(var[i], len(y), seen)
         if error is not None:
             raise ValueError(error)
-        seen.add(node.var)
-        answer = y[node.var - 1]
-        if answer == UNKNOWN:
-            if node.onU is None:
-                raise ValueError(_UNRESOLVED)
-            node = node.onU
-        else:
-            node = (node.on0, node.on1)[answer]
-    return node.value
+        seen.add(var[i])
+        kid = first[i] + y[var[i] - 1]
+        if kid >= first[i + 1]:
+            raise ValueError(_UNRESOLVED)
+        i = kid
+    return tree.leaf[i]
 
 
 _NO_LEAF = 3  # a cell no leaf predicts; never a table value
@@ -139,58 +197,59 @@ def verify_tree(
 ) -> tuple[bool, TernaryString | None]:
     """Check the tree against every input of its model, in code order.
 
-    A classical tree (a root ``Node`` without ``onU``) is checked on the
-    2**n binary inputs against f, any other tree on all 3**n ternary
-    inputs against the extension.  Returns (True, None) or (False, c)
-    with the lexicographically least counterexample under the
-    position-wise order 0 < 1 < u.
+    A classical tree (a root with two children) is checked on the 2**n
+    binary inputs against f, any other tree on all 3**n ternary inputs
+    against the extension.  Returns (True, None) or (False, c) with the
+    lexicographically least counterexample under the position-wise order
+    0 < 1 < u.
 
-    The tree is walked once.  Each leaf writes its value into its block
-    of a prediction array with one axis per variable: the block is the
-    leaf's path answer on each queried axis and a full slice on every
-    other.  The array is compared with the table in one step, and as
-    0 < 1 < u is code order, its first mismatch in C order is the least
-    counterexample.  A malformed node raises the ``ValueError`` that
-    ``evaluate_tree`` raises on the least input reaching it (path
-    answers, 0 elsewhere; u at its variable for a missing ``onU``), and
-    nothing below it is walked.  Its block predicts nothing, so it
-    mismatches from that input on: the earlier of the least such input
-    and the first mismatch decides, the error on a tie.
+    The tree is walked once, node index by node index.  Each leaf writes
+    its value into its block of a prediction array with one axis per
+    variable: the block is the leaf's path answer on each queried axis
+    and a full slice on every other.  The array is compared with the
+    table in one step, and as 0 < 1 < u is code order, its first
+    mismatch in C order is the least counterexample.  A malformed node
+    raises the ``ValueError`` that ``evaluate_tree`` raises on the least
+    input reaching it (path answers, 0 elsewhere; u at its variable for a
+    missing ``onU``), and nothing below it is walked.  Its block predicts
+    nothing, so it mismatches from that input on: the earlier of the
+    least such input and the first mismatch decides, the error on a tie.
     """
     n = table.arity
+    var, leaf, first = tree.var, tree.leaf, tree.first
     expected = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)
-    classical = isinstance(tree, Node) and tree.onU is None
-    if classical:
+    answers = range(first[1] - first[0] if var[0] else 3)
+    if len(answers) == 2:
         expected = expected[(slice(0, 2),) * n]
     predicted = np.full(expected.shape, _NO_LEAF, dtype=np.uint8)
     faults = []  # (least input reaching a malformed node, its error)
-    todo = [(tree, (slice(None),) * n, ())]
+    todo = [(0, (slice(None),) * n, ())]
     while todo:
-        node, block, seen = todo.pop()
-        if not isinstance(node, Node):
-            predicted[block] = node.value if node.value in (0, 1, UNKNOWN) else _NO_LEAF
+        i, block, seen = todo.pop()
+        v = var[i]
+        if not v:
+            predicted[block] = leaf[i]
             continue
-        error = _query_error(node.var, n, seen)
-        if error is not None:
-            faults.append((_least_input(block), error))
+        if v > n or v in seen:
+            faults.append((_least_input(block), _query_error(v, n, seen)))
             continue
-        p, seen = node.var - 1, seen + (node.var,)
-        kids = (node.on0, node.on1) if classical else (node.on0, node.on1, node.onU)
-        for answer, kid in enumerate(kids):
-            below = block[:p] + (answer,) + block[p + 1:]
-            if kid is None:
-                faults.append((_least_input(below), _UNRESOLVED))
+        head, tail, seen = block[:v - 1], block[v:], seen + (v,)
+        kid, end = first[i], first[i + 1]
+        for answer in answers:
+            below = head + (answer,) + tail
+            if kid + answer < end:
+                todo.append((kid + answer, below, seen))
             else:
-                todo.append((kid, below, seen))
+                faults.append((_least_input(below), _UNRESOLVED))
 
     mismatch = predicted != expected
     if not mismatch.any():  # so no malformed node either: its block mismatches
         return True, None
-    first = tuple(int(d) for d in np.unravel_index(int(mismatch.argmax()), mismatch.shape))
+    first_bad = tuple(int(d) for d in np.unravel_index(int(mismatch.argmax()), mismatch.shape))
     fault = min(faults, default=None)
-    if fault is not None and fault[0] <= first:
+    if fault is not None and fault[0] <= first_bad:
         raise ValueError(fault[1])
-    return False, TernaryString(first)
+    return False, TernaryString(first_bad)
 
 
 # ---------------------------------------------------------------------------
@@ -269,36 +328,77 @@ def _optimal_tree(
             w += 1
             np.minimum(top, w, out=top)
 
-    reach = memoryview(flat).__getitem__
-    steps = [[(a - star) * base ** (n - 1 - p) for a in answers] for p in range(n)]
-    coarse_steps = [[(a - UNKNOWN) * 3 ** (n - 1 - p) for a in answers] for p in range(n)]
-    root = _read_tree(reach, steps, coarse_steps, values,
-                      flat.size - 1, 3 ** n - 1, list(range(n)))
-    return int(flat[-1]), root
+    return int(flat[-1]), _read_tree(flat, n, star, answers, values)
 
 
-def _read_tree(reach, steps, coarse_steps, values: bytes,
-               key: int, coarse: int, free: list[int]) -> DecisionTree:
-    """The optimal tree below the cell ``key`` of exact relaxed depth.
+@cache
+def _moves(n: int, star: int, answers: tuple[int, ...]):
+    """Per axis p of an n-digit code in base ``star + 1``: the (span, top)
+    with ``key % span >= top`` exactly when digit p of key is the star,
+    and the steps from a cell to its children on the axis, stacked over
+    the steps of its coarsest completion (a ternary code) alongside."""
+    base = star + 1
+    strides = [base ** (n - 1 - p) for p in range(n)]
+    steps = np.outer(strides, np.subtract(answers, star))
+    coarse_steps = np.outer([3 ** (n - 1 - p) for p in range(n)],
+                            np.subtract(answers, UNKNOWN))
+    both = np.stack([steps, coarse_steps])
+    for array in (steps, both):
+        array.flags.writeable = False  # shared through the cache
+    return [(base * s, star * s) for s in strides], steps, both
 
-    Each node queries the lowest * axis whose children all sit below its
-    depth: the first variable attaining the minimax value.  ``steps[p]``
-    moves a cell to its children on axis p and ``coarse_steps[p]`` moves
-    its coarsest completion (u at every *) alongside, whose value a leaf
-    reads.  A module function, not a closure, so that the depth array is
-    freed as soon as the tree is built.
+
+def _read_tree(flat: np.ndarray, n: int, star: int, answers: tuple[int, ...],
+               values: bytes) -> DecisionTree:
+    """The optimal tree below the all-* cell of the relaxed array ``flat``.
+
+    The tree is read layer by layer from a frontier that starts at the
+    root cell, each cell carried with its coarsest completion (u at
+    every *).  A cell of depth 0 is a leaf and reads ``values`` at that
+    completion.  Any other cell queries the lowest * axis whose children
+    all sit below its depth: the first variable attaining the minimax
+    value.  Its children make up the next frontier in (parent, answer)
+    order, so every temporary has the size of a frontier.  A module
+    function, not a closure, so that the depth array is freed as soon as
+    the tree is built.
     """
-    d = reach(key)
-    if not d:
-        return Leaf(values[coarse])
-    for p in free:
-        kids = [key + step for step in steps[p]]
-        if max(map(reach, kids)) < d:
-            rest = [q for q in free if q != p]
-            return Node(p + 1, *[
-                _read_tree(reach, steps, coarse_steps, values, kid, coarse + step, rest)
-                for kid, step in zip(kids, coarse_steps[p])])
-    raise AssertionError("relaxed depth has no optimal query")
+    axes, steps, both = _moves(n, star, answers)
+    cells = np.array([[flat.size - 1], [3 ** n - 1]])  # cell codes, completions
+    var_layers, coarse_layers = [], []
+    while True:
+        key = cells[0]
+        depth = flat[key]
+        var = np.zeros(key.size, dtype=np.intp)
+        var_layers.append(var)
+        coarse_layers.append(cells[1])
+        undecided = depth > 0
+        left = np.count_nonzero(undecided)
+        if not left:
+            break
+        for p, (span, top) in enumerate(axes):
+            # Off the * the steps land on other cells (or wrap round from
+            # the end), whose depths the mask drops.
+            found = key % span >= top
+            found &= np.maximum.reduce(flat[key[:, None] + steps[p]], axis=1) < depth
+            found &= undecided
+            var[found] = p + 1
+            left -= np.count_nonzero(found)
+            if not left:
+                break
+            undecided ^= found
+        else:
+            raise AssertionError("relaxed depth has no optimal query")
+        inner = var.nonzero()[0]
+        cells = (cells[:, inner, None] + both[:, var[inner] - 1]).reshape(2, -1)
+    var = np.concatenate(var_layers)
+    inner = var > 0
+    leaf = np.frombuffer(values, dtype=np.uint8)[np.concatenate(coarse_layers)]
+    leaf[inner] = 0
+    first = np.empty(var.size + 1, dtype=np.intp)  # 1 + children before each node
+    first[0] = 1
+    np.cumsum(inner * len(answers), out=first[1:])
+    first[1:] += 1
+    return DecisionTree._of(tuple(var.tolist()), tuple(leaf.tolist()), tuple(first.tolist()))
 
 
 def query_complexity_u(
@@ -334,31 +434,23 @@ def query_complexity(
 # with "onU" omitted in classical trees.
 
 
+_LEAF_TEXT = ('{"leaf":"0"}', '{"leaf":"1"}', '{"leaf":"u"}')
+_NODE_TEXT = {2: '{"query":%d,"on0":%s,"on1":%s}',
+              3: '{"query":%d,"on0":%s,"on1":%s,"onU":%s}'}
+
+
 def tree_to_json_dict(tree: DecisionTree) -> dict:
-    """The JSON form of a tree, built top-down with an explicit stack."""
-    holder: dict = {}
-    todo = [(tree, holder, "tree")]
-    while todo:
-        node, parent, key = todo.pop()
-        if isinstance(node, Leaf):
-            parent[key] = {"leaf": "01u"[node.value]}
-            continue
-        kids = _children(node)
-        # Every key is placed before any child is filled in, so the key
-        # order is query, on0, on1, onU as serialize_tree writes it.
-        out = parent[key] = {"query": node.var, **{k: None for k, _ in kids}}
-        todo.extend((child, out, k) for k, child in kids)
-    return holder["tree"]
+    """The JSON form of a tree, built bottom-up, layer by layer."""
+    return _bottom_up(
+        tree, lambda trit: {"leaf": "01u"[trit]},
+        lambda var, kids: {"query": var, **dict(zip(TRIT_KEYS, kids))})
 
 
 def serialize_tree(tree: DecisionTree) -> str:
-    """Compact JSON text of a tree; as in ``parse_tree``, a tree nested
-    deeper than ``json`` recurses raises ``TreeFormatError``."""
-    obj = tree_to_json_dict(tree)
-    try:
-        return json.dumps(obj, separators=(",", ":"))
-    except RecursionError:
-        raise TreeFormatError("tree nested too deeply to serialize") from None
+    """Compact JSON text of a tree, the text ``json.dumps`` gives its JSON
+    form, written bottom-up: each node formats its children's text."""
+    return _bottom_up(tree, _LEAF_TEXT.__getitem__,
+                      lambda var, kids: _NODE_TEXT[len(kids)] % (var, *kids))
 
 
 def tree_from_json_dict(obj, path: str = "$") -> DecisionTree:
@@ -367,15 +459,15 @@ def tree_from_json_dict(obj, path: str = "$") -> DecisionTree:
     No variable may repeat along a path, so no path is longer than the
     tree's number of distinct variables; a deeper tree is rejected at
     its first repeat.  Nodes are validated in pre-order with an explicit
-    stack and built bottom-up, so any nesting depth ends in a tree or a
-    ``TreeFormatError``, never in a ``RecursionError``.
+    stack and then laid out layer by layer, so any nesting depth ends in
+    a tree or a ``TreeFormatError``, never in a ``RecursionError``.
     """
-    entries: list = []  # pre-order: a Leaf, or (var, {child key: entry index})
-    todo = [(obj, path, frozenset(), None, None)]
+    entries: list = []  # pre-order: (var, leaf trit, child entry indices)
+    todo = [(obj, path, frozenset(), None)]
     while todo:
-        obj, path, seen, parent, key = todo.pop()
+        obj, path, seen, parent = todo.pop()
         if parent is not None:
-            entries[parent][1][key] = len(entries)
+            entries[parent][2].append(len(entries))
         if not isinstance(obj, dict):
             raise TreeFormatError(f"{path}: expected an object, got {type(obj).__name__}")
         if "leaf" in obj:
@@ -383,7 +475,7 @@ def tree_from_json_dict(obj, path: str = "$") -> DecisionTree:
                 raise TreeFormatError(f"{path}: leaf object has extra keys {sorted(set(obj) - {'leaf'})}")
             if obj["leaf"] not in ("0", "1", "u"):
                 raise TreeFormatError(f"{path}: leaf value must be '0', '1' or 'u'")
-            entries.append(Leaf("01u".index(obj["leaf"])))
+            entries.append((0, "01u".index(obj["leaf"]), ()))
             continue
         if "query" not in obj:
             raise TreeFormatError(f"{path}: object is neither a leaf nor a query node")
@@ -399,21 +491,23 @@ def tree_from_json_dict(obj, path: str = "$") -> DecisionTree:
             if key not in obj:
                 raise TreeFormatError(f"{path}: missing child {key!r}")
         index, seen = len(entries), seen | {var}
-        entries.append((var, {}))
-        # Pushed in reverse so that on0 is checked first, then on1, then onU.
+        entries.append((var, 0, []))
+        # Pushed in reverse so that on0 is checked first, then on1, then onU;
+        # each child appends itself to its parent's list in that order.
         for key in reversed(TRIT_KEYS):
             if key in obj:
-                todo.append((obj[key], f"{path}.{key}", seen, index, key))
-    built: list = [None] * len(entries)
-    for i in range(len(entries) - 1, -1, -1):
-        entry = entries[i]
-        if isinstance(entry, Leaf):
-            built[i] = entry
-            continue
-        var, kids = entry
-        onU = built[kids["onU"]] if "onU" in kids else None
-        built[i] = Node(var, built[kids["on0"]], built[kids["on1"]], onU)
-    return built[0]
+                todo.append((obj[key], f"{path}.{key}", seen, index))
+    # Lay the entries out layer by layer: a queue of entries in node order,
+    # each node's children appended as it is reached.
+    order, var, leaf, first = [0], [], [], []
+    for entry in order:
+        v, trit, kids = entries[entry]
+        var.append(v)
+        leaf.append(trit)
+        first.append(len(order))
+        order.extend(kids)
+    first.append(len(order))
+    return DecisionTree._of(tuple(var), tuple(leaf), tuple(first))
 
 
 def parse_tree(text: str) -> DecisionTree:

@@ -6,8 +6,10 @@ optimized code paths.  Trits are 0, 1 and U = 2; truth-table bit i is
 the value at binary index i with variable 1 as the most significant
 bit of the index.  The exceptions run package code the plain way:
 ``verify_tree_by_inputs`` replays package trees on package tables input
-by input, and ``far_start_tree`` is the depth kernel as it was before
-the relaxation started at each cell's number of *s.
+by input, ``read_tree`` is the recursive tree extraction the layered one
+of ``trees._read_tree`` replaced, and ``far_start_tree`` is the depth
+kernel as it was before the relaxation started at each cell's number of
+*s.
 """
 
 from functools import lru_cache
@@ -16,7 +18,7 @@ from itertools import combinations, product
 import numpy as np
 
 from uquery.core import TernaryString
-from uquery.trees import Node, _read_tree, evaluate_tree
+from uquery.trees import evaluate_tree
 
 U = 2
 
@@ -317,11 +319,39 @@ def depth(bits: int, n: int) -> int:
     return cell_depths(bits, n)((3,) * n)
 
 
+def read_tree(grid, star, answers, values):
+    """The JSON form of the optimal tree below the all-* cell of a relaxed
+    depth array (``trees._optimal_tree`` leaves one in ``grid``), read
+    recursively: each node queries the lowest * axis whose children all
+    sit below its depth, and a leaf reads ``values`` at the cell's
+    coarsest completion (u at every *)."""
+    n, base = grid.ndim, star + 1
+    reach = memoryview(grid.reshape(-1)).__getitem__
+    steps = [[(a - star) * base ** (n - 1 - p) for a in answers] for p in range(n)]
+    coarse_steps = [[(a - U) * 3 ** (n - 1 - p) for a in answers] for p in range(n)]
+    keys = ("on0", "on1", "onU")
+
+    def read(key, coarse, free):
+        d = reach(key)
+        if not d:
+            return {"leaf": "01u"[values[coarse]]}
+        for p in free:
+            kids = [key + step for step in steps[p]]
+            if max(map(reach, kids)) < d:
+                rest = [q for q in free if q != p]
+                return {"query": p + 1, **{
+                    name: read(kid, coarse + step, rest)
+                    for name, kid, step in zip(keys, kids, coarse_steps[p])}}
+        raise AssertionError("relaxed depth has no optimal query")
+
+    return read(grid.size - 1, 3 ** n - 1, list(range(n)))
+
+
 def far_start_tree(grid, star, answers, values):
     """The depth kernel ``trees._optimal_tree`` replaced: ``grid`` (0
     where forced, 1 elsewhere) starts every cell that is not forced at
     0xFE, and sweeps run until the root reads at most sweep + 1.  The
-    tree is read off the relaxed array with the package's ``_read_tree``.
+    tree, in its JSON form, is read off the relaxed array by ``read_tree``.
     """
     grid *= 0xFE
     n, base = grid.ndim, star + 1
@@ -341,13 +371,7 @@ def far_start_tree(grid, star, answers, values):
                 np.maximum(w, kid, out=w)
             w += 1
             np.minimum(top, w, out=top)
-
-    reach = memoryview(flat).__getitem__
-    steps = [[(a - star) * base ** (n - 1 - p) for a in answers] for p in range(n)]
-    coarse_steps = [[(a - U) * 3 ** (n - 1 - p) for a in answers] for p in range(n)]
-    root = _read_tree(reach, steps, coarse_steps, values,
-                      flat.size - 1, 3 ** n - 1, list(range(n)))
-    return int(flat[-1]), root
+    return int(flat[-1]), read_tree(grid, star, answers, values)
 
 
 def downward_closure_bits(bits: int, n: int) -> int:
@@ -371,7 +395,7 @@ def verify_tree_by_inputs(tree, table):
     """``trees.verify_tree`` by evaluating the tree on each input in code
     order: the first input that raises or mismatches decides."""
     n = table.arity
-    if isinstance(tree, Node) and tree.onU is None:
+    if tree.var[0] and tree.first[1] - tree.first[0] == 2:  # a classical root
         inputs, value = product((0, 1), repeat=n), table.function.value_at_index
     else:
         inputs, value = product((0, 1, U), repeat=n), table.values.__getitem__

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -166,6 +167,49 @@ def test_tree_binary_model(capsys, tmp_path):
     data = json.loads(path.read_text())
     assert data["depth"] == 2
     assert "onU" not in json.dumps(data["tree"])
+
+
+# sha256 of the stdout of `tree SPEC --model MODEL`, then of the stdout and
+# the file of the same command with `--out`, recorded when trees were
+# still built as nested node objects.
+TREE_COMMAND_DIGESTS = {
+    ("ind:3", "u"): (
+        "c257f68b3fe5d2287ba560aa5bcafcffc22c590a991388ee64b0aaf10103cff7",
+        "5e4e91398dba23a3123bf7e027ccdad6d9c47b85c777df2175f856ce678262b3",
+        "84ef2a0330b872d06cc5d73e72be0db7b3d56d100f5d2eaa3bb14aaa78195d7c"),
+    ("ind:3", "binary"): (
+        "a66152f1ff8db115a8e16591075299039b38d29736e9aa74d15baaa1b62b9b98",
+        "b69763775ba837667eecc91e60315951c9f17035211f64c37a6103f743177906",
+        "5a4049996d11e04c9c56352ee4d7fe69a29502bdb65d34c945d4c133fa060fd5"),
+    ("mind:4", "u"): (
+        "fd4ed43da3118c0bf5cb8d5a0af669d20a0340231b7284284376941e337255d7",
+        "269330c2b138c81acf2366994136bb6c3aaa02e3f7983becdaf5e706119bc5d2",
+        "bf9df70a81446a07842211f70b16989140f703a9510d79a238d0fe2f0dd985cd"),
+    ("mind:4", "binary"): (
+        "5fd1d254486313d5ecd202fc3dcd44f348467631c8b163a8b7189dbe86c360e9",
+        "8b0db90120193ac5650f35da5451785f72c7f9c91a9b454c7258e20ec469d240",
+        "c2e5feef1915713a9909c4ec9bd7f141034fb8d05a3d431a8942fe8ab02a18fc"),
+    ("random:8:1", "u"): (
+        "740381887d23d42fadeb2f6f6ba5ad61df65c5d6aafbaba984cd500e0cafa0ab",
+        "e3ab4a99424a149dedad26dc892c2c0c2ac2826f3cbf71dee0611fb2e8b15d88",
+        "572f5a5b7ec8ff9b8ad71ca96994e27d198d9a356792fa7fd0c29001c20e092b"),
+    ("random:8:1", "binary"): (
+        "91bb8eb755f6741bb82ade80f3205ed6d4488c093d161b5bac6595fb1df9f5a7",
+        "35ac487ee72f6a799053423fe0deaa0b09c6ffa07f45225c24c365e9de477cf6",
+        "1c79b03ed307d2c626af8dda31b0be2b3475bd2528c38294ede3417abcd3006c"),
+}
+
+
+@pytest.mark.parametrize("spec,model", sorted(TREE_COMMAND_DIGESTS))
+def test_tree_command_bytes(capsys, tmp_path, spec, model):
+    rc, out, _ = run(capsys, "tree", spec, "--model", model)
+    assert rc == 0
+    path = tmp_path / "tree.json"
+    rc, out_with_file, _ = run(capsys, "tree", spec, "--model", model, "--out", str(path))
+    assert rc == 0
+    digests = tuple(hashlib.sha256(data).hexdigest() for data in
+                    (out.encode(), out_with_file.encode(), path.read_bytes()))
+    assert digests == TREE_COMMAND_DIGESTS[spec, model]
 
 
 def test_bad_spec_exits_2(capsys):

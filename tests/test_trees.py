@@ -1,6 +1,5 @@
 """Optimal decision trees for the binary and ternary query models."""
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -13,8 +12,8 @@ import reference as R
 from uquery import ArityCapError, BooleanFunction, generate, hazard_free_table
 from uquery.core import STAR, UNKNOWN, forced_value_table
 from uquery.trees import (
-    Leaf,
-    Node,
+    TRIT_KEYS,
+    DecisionTree,
     TreeFormatError,
     _optimal_tree,
     evaluate_tree,
@@ -139,7 +138,19 @@ def test_depth_kernel_matches_the_far_start(n):
             got = _optimal_tree(grid.copy(), star, answers, table.values)
             want = R.far_start_tree(grid.copy(), star, answers, table.values)
             assert got[0] == want[0]
-            assert tree_to_json_dict(got[1]) == tree_to_json_dict(want[1])
+            assert tree_to_json_dict(got[1]) == want[1]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_layered_tree_matches_the_recursive_reading(n):
+    """The tree read layer by layer off the relaxed array serializes to
+    the JSON of the tree the recursive reading gives on the same array."""
+    for bits in _kernel_tables(n, 20):
+        table = hazard_free_table(BooleanFunction(n, bits))
+        for grid, star, answers in _kernel_inputs(table):
+            _, tree = _optimal_tree(grid, star, answers, table.values)
+            want = R.read_tree(grid, star, answers, table.values)
+            assert serialize_tree(tree) == json.dumps(want, separators=(",", ":"))
 
 
 @pytest.mark.parametrize("n,count", [(1, 0), (2, 0), (3, 0), (4, 6), (5, 2), (6, 1)])
@@ -158,14 +169,14 @@ def test_relaxed_depths_against_the_minimax(n, count):
             assert all(grid[cell] >= want(cell) for cell in np.ndindex(grid.shape))
             root = (star,) * n
             assert grid[root] == d == want(root)
-            todo = [(tree, root)]
+            todo = [(0, root)]
             while todo:
-                node, cell = todo.pop()
+                i, cell = todo.pop()
                 assert grid[cell] == want(cell)
-                if isinstance(node, Node):
-                    p = node.var - 1
-                    todo.extend((kid, cell[:p] + (a,) + cell[p + 1:])
-                                for a, kid in zip(answers, (node.on0, node.on1, node.onU)))
+                if tree.var[i]:
+                    p = tree.var[i] - 1
+                    todo.extend((tree.first[i] + j, cell[:p] + (a,) + cell[p + 1:])
+                                for j, a in enumerate(answers))
 
 
 def test_binary_tree_rejects_unresolved_input():
@@ -185,7 +196,7 @@ def test_verify_tree_flags_tampering():
     table = hazard_free_table(generate("maj:3"))
     _, tree = query_complexity_u(table)
     assert verify_tree(tree, table) == (True, None)
-    tampered = Node(tree.var, tree.on0, tree.on1, Leaf(0))
+    tampered = tree_from_json_dict({**tree_to_json_dict(tree), "onU": {"leaf": "0"}})
     ok, x = verify_tree(tampered, table)
     assert not ok
     assert evaluate_tree(tampered, x) != table.evaluate(x)
@@ -198,54 +209,98 @@ def test_verify_tree_checks_classical_trees_on_binary_inputs():
     assert verify_tree(tree, table) == (True, None)
     # Evaluating a classical tree on a u input raises, so a counterexample
     # at all means only binary inputs were tried; it is the least of them.
-    tampered = Node(tree.var, tree.on0, Leaf(0))
+    tampered = tree_from_json_dict({**tree_to_json_dict(tree), "on1": {"leaf": "0"}})
     want = next(y for y in itertools.product((0, 1), repeat=3)
                 if evaluate_tree(tampered, y) != f.evaluate(y))
     ok, x = verify_tree(tampered, table)
     assert (ok, x.trits) == (False, want) == (False, (1, 0, 1))
 
 
+def _build(obj):
+    """A tree from its JSON form through the ``DecisionTree`` constructor,
+    laid out layer by layer.  Unlike ``tree_from_json_dict`` it lets a
+    variable repeat on a path, and leaves every other check to the
+    constructor."""
+    order, var, leaf, first = [obj], [], [], []
+    for node in order:
+        first.append(len(order))
+        if "leaf" in node:
+            var.append(0)
+            leaf.append("01u".index(node["leaf"]))
+        else:
+            var.append(node["query"])
+            leaf.append(0)
+            order.extend(node[key] for key in TRIT_KEYS if key in node)
+    first.append(len(order))
+    return DecisionTree(var, leaf, first)
+
+
 @pytest.mark.parametrize("var", [2, 0, 4])
 def test_verify_tree_raises_on_malformed_trees(var):
     table = hazard_free_table(generate("maj:3"))
-    # A repeat of variable 2, or a variable outside 1..3, on the all-0 path.
-    inner = Node(var, Leaf(0), Leaf(1))
-    for tree in (Node(2, inner, Leaf(1)), Node(2, inner, Leaf(1), Leaf(2))):
+    # A repeat of variable 2, or a variable outside 1..3, on the all-0 path;
+    # variable 0 is refused as the tree is built, with a TreeFormatError.
+    inner = {"query": var, "on0": {"leaf": "0"}, "on1": {"leaf": "1"}}
+    for onU in ({}, {"onU": {"leaf": "u"}}):
         with pytest.raises(ValueError):
-            verify_tree(tree, table)
+            verify_tree(_build({"query": 2, "on0": inner, "on1": {"leaf": "1"}, **onU}), table)
+
+
+@pytest.mark.parametrize("var,leaf,first", [
+    ((0,), (-1,), (1, 1)),                  # a leaf -1
+    ((0,), (3,), (1, 1)),                   # a leaf 3
+    ((1, 0, 0), (0, 0, 7), (1, 3, 3, 3)),   # a leaf 7 below a query of x1
+    ((0, 0, 0), (0, 0, 1), (1, 3, 3, 3)),   # a query of variable 0
+    ((1, 0, 0), (0, 0, 1), (1, 2, 3, 3)),   # a query node with one child
+    ((1, 0, 0), (1, 0, 1), (1, 3, 3, 3)),   # a query node with a leaf value
+])
+def test_bad_node_arrays_are_refused(var, leaf, first):
+    # Leaf values are trits and variables are 1-based, so a leaf value of
+    # -1, 3 or 7 or a query of variable 0 cannot be built, nor arrays that
+    # do not lay out a tree.
+    with pytest.raises(TreeFormatError):
+        DecisionTree(var, leaf, first)
 
 
 def _replace_random_node(tree, rng, n):
-    """A copy of the tree with one node, picked at random, replaced: by a
-    random leaf, or by the same node with a variable out of range or
-    drawn at random (possibly repeating one on its path), without onU,
-    with on0 and on1 swapped, or with onU a random leaf."""
+    """A copy of the JSON form of a tree with one node, picked at random,
+    replaced: by a random leaf, or by the same node with a variable out
+    of range (0 among them) or drawn at random (possibly repeating one on
+    its path), without onU, with on0 and on1 swapped, or with onU a
+    random leaf."""
     spots, todo = [], [(tree, ())]
     while todo:
         node, path = todo.pop()
         spots.append(path)
-        if isinstance(node, Node):
-            todo.extend((kid, path + (key,)) for key, kid in
-                        (("on0", node.on0), ("on1", node.on1), ("onU", node.onU))
-                        if kid is not None)
+        todo.extend((node[key], path + (key,)) for key in TRIT_KEYS if key in node)
     path = rng.choice(spots)
 
     def rebuild(node, path):
         if path:
-            key = path[0]
-            return dataclasses.replace(node, **{key: rebuild(getattr(node, key), path[1:])})
-        kind = 0 if isinstance(node, Leaf) else rng.randrange(5)
+            return {**node, path[0]: rebuild(node[path[0]], path[1:])}
+        kind = 0 if "leaf" in node else rng.randrange(5)
         if kind == 0:
-            return Leaf(rng.randrange(3))
+            return {"leaf": "01u"[rng.randrange(3)]}
         if kind == 1:
-            return dataclasses.replace(node, var=rng.choice((0, n + 1, rng.randint(1, n))))
+            return {**node, "query": rng.choice((0, n + 1, rng.randint(1, n)))}
         if kind == 2:
-            return dataclasses.replace(node, onU=None)
+            return {key: kid for key, kid in node.items() if key != "onU"}
         if kind == 3:
-            return dataclasses.replace(node, on0=node.on1, on1=node.on0)
-        return dataclasses.replace(node, onU=Leaf(rng.randrange(3)))
+            return {**node, "on0": node["on1"], "on1": node["on0"]}
+        return {**node, "onU": {"leaf": "01u"[rng.randrange(3)]}}
 
     return rebuild(tree, path)
+
+
+def _queries(obj):
+    """Every variable a tree in JSON form queries."""
+    found, todo = [], [obj]
+    while todo:
+        node = todo.pop()
+        if "query" in node:
+            found.append(node["query"])
+            todo.extend(node[key] for key in TRIT_KEYS if key in node)
+    return found
 
 
 def _outcome(check, tree, table):
@@ -266,20 +321,26 @@ def test_verify_tree_matches_the_input_replay(n):
     for bits in tables:
         f = BooleanFunction(n, bits)
         table = hazard_free_table(f)
-        candidates = [Leaf(-1)]  # not a trit: mismatches at once
+        candidates = []
         for tree in (query_complexity(f, table=table)[1], query_complexity_u(table)[1]):
-            candidates.append(tree)
+            obj = tree_to_json_dict(tree)
+            candidates.append(obj)
             for _ in range(5):
-                tree = _replace_random_node(tree, rng, n)
-                candidates.append(tree)
+                obj = _replace_random_node(obj, rng, n)
+                candidates.append(obj)
         if f.is_constant():
             # A malformed root leaves every cell unpredicted, so the block
             # check's first mismatch is the least input that raises, a tie
             # the error must win, though every leaf below is right.
-            value = f.value_at_index(0)
-            candidates += [Node(n + 1, Leaf(value), Leaf(value), Leaf(value)),
-                           Node(0, Leaf(value), Leaf(value))]
-        for tree in candidates:
+            leaf = {"leaf": "01u"[f.value_at_index(0)]}
+            candidates += [{"query": n + 1, "on0": leaf, "on1": leaf, "onU": leaf},
+                           {"query": 0, "on0": leaf, "on1": leaf}]
+        for obj in candidates:
+            try:
+                tree = _build(obj)
+            except TreeFormatError:
+                assert 0 in _queries(obj)  # the one node a tree cannot hold
+                continue
             got = _outcome(verify_tree, tree, table)
             assert got == _outcome(R.verify_tree_by_inputs, tree, table)
             kinds.add(got[0])
@@ -289,10 +350,11 @@ def test_verify_tree_matches_the_input_replay(n):
 def test_no_single_query_tree_computes_or2():
     # exhaust every depth<=1 ternary tree: none computes the extension
     table = hazard_free_table(generate("or:2"))
-    candidates = [Leaf(v) for v in (0, 1, 2)]
+    leaves = [{"leaf": v} for v in "01u"]
+    candidates = [tree_from_json_dict(leaf) for leaf in leaves]
     for var in (1, 2):
-        for a, b, c in itertools.product((0, 1, 2), repeat=3):
-            candidates.append(Node(var, Leaf(a), Leaf(b), Leaf(c)))
+        for kids in itertools.product(leaves, repeat=3):
+            candidates.append(tree_from_json_dict({"query": var, **dict(zip(TRIT_KEYS, kids))}))
     assert all(not verify_tree(t, table)[0] for t in candidates)
     # while a depth-2 tree does
     du, tree = query_complexity_u(table)
@@ -366,16 +428,18 @@ def test_deeply_nested_trees_rejected(depth):
 def test_deep_tree_without_repeats_builds():
     tree = tree_from_json_dict(_chain(3000, lambda level: level + 1))
     assert tree_depth(tree) == 3000
-    # Dataclass equality recurses, so both trees are compared by walking them.
-    for node in (tree, tree_from_json_dict(tree_to_json_dict(tree))):
-        depth = 0
-        while isinstance(node, Node):
-            assert node.var == 3000 - depth and node.on1 == Leaf(1)
-            node, depth = node.on0, depth + 1
-        assert (node, depth) == (Leaf(0), 3000)
-    # json.dumps nests no deeper than parse_tree's json.loads reads.
-    with pytest.raises(TreeFormatError):
-        serialize_tree(tree)
+    assert tree_from_json_dict(tree_to_json_dict(tree)) == tree
+    i = 0
+    for depth in range(3000):
+        on0, on1 = tree.first[i], tree.first[i] + 1
+        assert tree.var[i] == 3000 - depth and (tree.var[on1], tree.leaf[on1]) == (0, 1)
+        i = on0
+    assert (tree.var[i], tree.leaf[i]) == (0, 0)
+    # Written bottom-up, the text nests deeper than parse_tree's json.loads reads.
+    text = serialize_tree(tree)
+    assert text == _chain_text(3000)
+    with pytest.raises(TreeFormatError, match="nested too deeply"):
+        parse_tree(text)
 
 
 def test_search_cap():
@@ -390,4 +454,4 @@ def test_constant_trees():
     d, tree = query_complexity(f)
     du, tree_u = query_complexity_u(hazard_free_table(f))
     assert (d, du) == (0, 0)
-    assert tree == Leaf(1) and tree_u == Leaf(1)
+    assert tree == tree_u == DecisionTree((0,), (1,), (1, 1))
