@@ -34,10 +34,10 @@ from .core import (
 )
 from .measures import measure_report
 from .trees import (
+    indented_tree_text,
     query_complexity,
     query_complexity_u,
     serialize_tree,
-    tree_to_json_dict,
     verify_tree,
 )
 from .verification import SUITES, run_suite
@@ -58,10 +58,17 @@ def _resolve_cap(args) -> int | None:
         raise ValueError(f"{ENV_CAP} must be an integer, got {text!r}") from None
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _write_json(path: str, payload: dict, tree: str | None = None) -> None:
+    """Write the payload as indented JSON with sorted keys.  ``tree``, the
+    indented text of a tree one object deep, is written in place of the
+    payload's null "tree" value."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        if tree is not None:
+            head, _, text = text.partition('"tree": null')
+            handle.write(head + '"tree": ')
+            handle.write(tree)
+        handle.write(text + "\n")
 
 
 def _input_for(f, text: str) -> TernaryString:
@@ -192,8 +199,8 @@ def cmd_tree(args) -> int:
             "function": f.to_spec(),
             "model": args.model,
             "depth": depth,
-            "tree": tree_to_json_dict(tree),
-        })
+            "tree": None,
+        }, tree=indented_tree_text(tree, 1))
     else:
         print(f"tree = {serialize_tree(tree)}")
     return 0

@@ -14,28 +14,30 @@ and checking read them; no per-node object exists.
 
 ``query_complexity_u``/``query_complexity`` solve the same minimax game,
 the solver picking the variable and the adversary the worst answer,
-with one array kernel over the partial assignments: {0, 1, u, *}^n for
-the u-model and {0, 1, *}^n classically.  Depth 0 marks the cells whose
-value is forced: for the u-model these are read off
-``core.forced_value_table``, the same table the certificate sizes of
-``measures`` come from, and classically off the hazard-free table with
-u read as *.  Every other cell starts at its number of *s, an upper
-bound, as querying all of them leaves a forced cell.  Sweeps along every
-* axis relax the cells down to exact depths, stopping once the root is
-known exact or a sweep changes nothing.  The tree is then read off the
-array one layer of cells at a time, taking at each node the lowest
-variable that attains the optimum, so results are canonical.
+with one search over packed bitsets of the partial assignments:
+{0, 1, u, *}^n for the u-model and {0, 1, *}^n classically, a bit per
+cell.  Level L_0 marks the cells whose value is forced, built from the
+hazard-free table: for the u-model one bit plane per value, merged axis
+by axis as ``core.forced_value_table`` merges its bytes, and classically
+the table read with u as *.  L_k adds every cell with a * on some axis
+whose children all lie in L_{k-1}, so L_k holds exactly the cells of
+depth at most k, and the search stops at the level the all-* root
+enters: D.  A level costs a shift and a mask per axis inside a 64-bit
+word, and an AND of views per axis across words.  Each cell's level is
+kept as bit planes, and the tree is read off them one layer of cells at
+a time, taking at each node the lowest variable that attains the
+optimum, so results are canonical.
 
-``serialize_tree`` and ``tree_to_json_dict`` build the JSON form bottom
-up, layer by layer, each node from its children's text or dicts, so any
-depth serializes without recursion.  ``verify_tree`` checks a tree
+``serialize_tree``, ``indented_tree_text`` and ``tree_to_json_dict``
+build the JSON form bottom up, layer by layer, each node from its
+children's text or dicts, so any depth serializes without recursion.  ``verify_tree`` checks a tree
 without replaying it input by input: one walk over the node indices
 writes each leaf's value into its block of a prediction array (the
 inputs that follow the leaf's path), and one comparison with the table
 finds the least counterexample.  A malformed node raises the error that
 ``evaluate_tree`` gives the least input reaching it, unless a mismatch
 comes first in code order; on a tie the error wins.  The check reads
-only the tree and the table, never the depth arrays.
+only the tree and the table, never the level planes.
 """
 
 from __future__ import annotations
@@ -44,20 +46,18 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import (
     DEFAULT_SEARCH_CAP,
-    STAR,
     UNKNOWN,
     BooleanFunction,
     HazardFreeTable,
     TernaryString,
     as_ternary,
     check_cap,
-    forced_value_table,
     hazard_free_table,
 )
 
@@ -140,15 +140,18 @@ def tree_depth(tree: DecisionTree) -> int:
     return len(_layer_starts(tree.first)) - 2
 
 
-def _bottom_up(tree: DecisionTree, leaf_of: Callable, node_of: Callable):
-    """Fold the tree from its deepest layer up: a leaf becomes
+def _bottom_up(tree: DecisionTree, folds: Callable):
+    """Fold the tree from its deepest layer up.  ``folds(layer)`` gives the
+    (leaf_of, node_of) of a layer, the root's being 0: a leaf becomes
     ``leaf_of(trit)``, a query node ``node_of(var, children's results)``.
     Only the results of the layer below are held while a layer is built.
     """
     var, leaf, first = tree.var, tree.leaf, tree.first
     starts = _layer_starts(first)
     below: list = []
-    for start, stop in zip(starts[-2::-1], starts[:0:-1]):
+    for layer in reversed(range(len(starts) - 1)):
+        start, stop = starts[layer], starts[layer + 1]
+        leaf_of, node_of = folds(layer)
         below = [node_of(var[i], below[first[i] - stop:first[i + 1] - stop])
                  if var[i] else leaf_of(leaf[i]) for i in range(start, stop)]
     return below[0]
@@ -253,143 +256,310 @@ def verify_tree(
 
 
 # ---------------------------------------------------------------------------
-# Exact depth: one layered kernel for both answer alphabets.
+# Exact depth: one search over packed bitsets for both answer alphabets.
+#
+# A bitset holds one bit per cell of {answers, *}^n.  The last min(n, 3)
+# axes lie inside a 64-bit word, in base 4 with * at digit 3, so that
+# 4**3 cells fill a word; the axes before them index the words, in base
+# len(answers) + 1 with * as the largest digit (the classical model
+# stores no u there).  A cell's key is its bit index, a mixed-radix code.
+# A bitset of up to ``_SMALL_CELLS`` bits is a Python int, on which every
+# axis is a shift and a mask, each far cheaper than a NumPy call; a larger
+# one is a uint64 array, one entry per word, whose word axes are views.
 
-@cache
-def _star_counts(base: int, k: int) -> np.ndarray:
-    """The number of digits ``base - 1`` (the *) in each k-digit code in
-    base ``base``, one byte per code; shared, so read-only."""
-    counts = np.zeros(1, dtype=np.uint8)
-    for _ in range(k):
-        counts = (counts[:, None] + (np.arange(base) == base - 1)).reshape(-1)
-    counts.flags.writeable = False
-    return counts
+_SMALL_CELLS = 1 << 16
 
 
-def _optimal_tree(
-    depth: np.ndarray, star: int, answers: tuple[int, ...], values: bytes
-) -> tuple[int, DecisionTree]:
-    """Relax ``depth`` in place into exact depths and extract the tree.
+class _Layout(NamedTuple):
+    """The bitsets of one arity and alphabet."""
 
-    ``depth`` has one axis per variable, indexed by ``answers`` and then
-    ``star`` (the largest index); it holds 0 where the value is forced
-    and 1 elsewhere.  Each cell that is not forced starts at its number
-    of *s: querying every * leaves a cell without one, which is always
-    forced, so no cell starts below its true depth.  Each sweep sets,
-    axis by axis, the cells with a * on that axis to
-    min(depth, 1 + max over the children), so cells only fall, and never
-    below their true depth.  After sweep k every cell of true depth <= k
-    is exact (the children of its optimal query were, after sweep
-    k - 1), and every other reads more than k.  Two exits follow:
-
-    - once the all-* root reads at most k + 1 it is exact, every cell
-      below it on an optimal tree is too, and each threshold test of the
-      extraction tells true depths apart;
-    - once a sweep leaves the sum of the array unchanged, it changed no
-      cell, and every cell is exact: by induction on the number of *s,
-      a cell reads at most 1 + the max over the exact children on any of
-      its * axes, so at most its true depth, and never less.
-
-    The update is monotone, so no cell reads more than it would after a
-    start at the top of the byte, and the root test fires no later than
-    it would there.  It is taken before the sum, which a root already
-    known exact never pays for.
-    """
-    n, base = depth.ndim, star + 1
-    flat = depth.reshape(-1)
-    # Forced cells to 0x80 and the rest to 0, plus the star count of the
-    # high and low halves of each code, then forced cells (0x80 + count,
-    # negative as int8) clamped to 0.
-    depth ^= 1
-    depth <<= 7
-    high = n // 2
-    halves = flat.reshape(base ** high, base ** (n - high))
-    halves += _star_counts(base, high)[:, None]
-    halves += _star_counts(base, n - high)
-    signed = flat.view(np.int8)
-    np.maximum(signed, 0, out=signed)
-
-    worst = np.empty(base ** (n - 1), dtype=np.uint8)
-    axes = []
-    for axis in range(n):
-        view = depth.reshape(base ** axis, base, base ** (n - 1 - axis))
-        kids = [view[:, a] for a in answers]
-        axes.append((kids, view[:, star], worst.reshape(kids[0].shape)))
-    sweep, total = 0, None
-    while flat[-1] > sweep + 1:
-        last, total = total, int(flat.sum(dtype=np.uint64))
-        if total == last:
-            break
-        sweep += 1
-        for kids, top, w in axes:
-            np.maximum(kids[0], kids[1], out=w)
-            for kid in kids[2:]:
-                np.maximum(w, kid, out=w)
-            w += 1
-            np.minimum(top, w, out=top)
-
-    return int(flat[-1]), _read_tree(flat, n, star, answers, values)
+    size: int        # bits: one per cell
+    as_int: bool     # a Python int, else a uint64 array
+    shifts: tuple    # per axis done by shifts: (stride, star digit, mask of its * cells)
+    views: tuple     # per word axis of an array: the (before, digit, after) shape
 
 
 @cache
-def _moves(n: int, star: int, answers: tuple[int, ...]):
-    """Per axis p of an n-digit code in base ``star + 1``: the (span, top)
-    with ``key % span >= top`` exactly when digit p of key is the star,
-    and the steps from a cell to its children on the axis, stacked over
-    the steps of its coarsest completion (a ternary code) alongside."""
-    base = star + 1
-    strides = [base ** (n - 1 - p) for p in range(n)]
-    steps = np.outer(strides, np.subtract(answers, star))
-    coarse_steps = np.outer([3 ** (n - 1 - p) for p in range(n)],
-                            np.subtract(answers, UNKNOWN))
-    both = np.stack([steps, coarse_steps])
-    for array in (steps, both):
+def _moves(n: int, answers: tuple[int, ...]):
+    """Per axis p of a cell key: the (span, top) with ``key % span >= top``
+    exactly when digit p is the *, and the steps from a cell to its
+    children on the axis; the same steps stacked over the steps of the
+    cell's coarsest completion (a ternary code), indexed by the 1-based
+    variable (row 0 unused); and the root's key."""
+    inner = min(n, 3)
+    bases = [len(answers) + 1] * (n - inner) + [4] * inner
+    strides = [1] * n
+    for p in reversed(range(n - 1)):
+        strides[p] = strides[p + 1] * bases[p + 1]
+    span = np.multiply(bases, strides)
+    top = span - strides
+    steps = np.outer(strides, answers) - top[:, None]
+    both = np.zeros((2, n + 1, len(answers)), dtype=np.intp)
+    both[0, 1:] = steps
+    both[1, 1:] = np.outer([3 ** (n - 1 - p) for p in range(n)], np.subtract(answers, UNKNOWN))
+    for array in (span, top, steps, both):
         array.flags.writeable = False  # shared through the cache
-    return [(base * s, star * s) for s in strides], steps, both
+    return span, top, steps, both, int(top.sum())
 
 
-def _read_tree(flat: np.ndarray, n: int, star: int, answers: tuple[int, ...],
+@cache
+def _layout(n: int, answers: tuple[int, ...], small: int) -> _Layout:
+    """The bitsets of arity n over ``answers``; those of up to ``small``
+    bits, and those of less than a word, are ints."""
+    span, top, _, _, root = _moves(n, answers)
+    size = root + 1
+    as_int = size <= small or size < 64
+    width = size if as_int else 64  # the bits a mask covers
+    shifts = []
+    for p in range(n):
+        cycle, star = int(span[p]), int(top[p])
+        if as_int or cycle <= 64:
+            mask, stride = (1 << cycle) - (1 << star), cycle - star  # the * cells of one cycle
+            while cycle < width:
+                mask |= mask << cycle
+                cycle *= 2
+            shifts.append((stride, star // stride, mask & (1 << width) - 1))
+    base, outer = len(answers) + 1, 0 if as_int else n - len(shifts)
+    views = tuple((base ** p, base, base ** (outer - 1 - p)) for p in range(outer))
+    return _Layout(size, as_int, tuple(shifts), views)
+
+
+def _bit_layout(n: int, answers: tuple[int, ...]) -> _Layout:
+    """The layout at the module's ``_SMALL_CELLS``, read at each call."""
+    return _layout(n, answers, _SMALL_CELLS)
+
+
+def _kids_by_shift(bits, stride: int, star: int, answers: tuple[int, ...]):
+    """The AND of the children on an axis of this stride, at each cell's
+    bit; it reads true children only where the axis holds the ``star``
+    digit, the child answering a lying (star - a) * stride bits below."""
+    kids = bits << (star - answers[0]) * stride
+    for a in answers[1:]:
+        kids &= bits << (star - a) * stride
+    return kids
+
+
+def _kids_in_view(view: np.ndarray, answers: tuple[int, ...]) -> np.ndarray:
+    """The AND of the children on an axis, ``view`` being the bitset (or
+    bit planes) as (before, digit, after)."""
+    kids = view[:, answers[0]] & view[:, answers[1]]
+    for a in answers[2:]:
+        kids &= view[:, a]
+    return kids
+
+
+@cache
+def _in_word_codes(inner: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell of ``inner`` in-word digits, by bit: the ternary code of
+    its coarsest completion (u at every *), and whether it has no *."""
+    codes, starless = np.zeros(1, dtype=np.intp), np.ones(1, dtype=bool)
+    for _ in range(inner):
+        codes = (3 * codes[:, None] + [0, 1, UNKNOWN, UNKNOWN]).reshape(-1)
+        starless = (starless[:, None] & [True, True, True, False]).reshape(-1)
+    for array in (codes, starless):
+        array.flags.writeable = False  # shared through the cache
+    return codes, starless
+
+
+def _packed(cells: np.ndarray, layout: _Layout):
+    """The bitset of a bool per cell, in key order."""
+    bits = np.packbits(cells.reshape(-1), bitorder="little")
+    return int.from_bytes(bits, "little") if layout.as_int else bits.view(np.uint64)
+
+
+def _forced_bits(table: HazardFreeTable, answers: tuple[int, ...]):
+    """L_0: the cells of {answers, *}^n whose value is forced.
+
+    Classically the extension is resolved exactly where f is constant,
+    so a cell is forced iff the table, read with u at every *, is 0 or
+    1; the word axes, in base 3 with * at 2, index the table as they
+    stand.  For the u-model, one bit plane per answer value v marks the
+    cells forced to v, the cells ``forced_value_table`` does not mark
+    NOT_FORCED: a cell without a * reads the table, and a * cell is
+    forced to v iff its 0 and 1 children are, the rule of
+    ``core._merge_axes``.  The planes are merged on the in-word axes a
+    byte per cell while they hold only the words of ternary cells, then
+    packed, spread over the words of * cells and merged on the word axes.
+    """
+    n = table.arity
+    layout = _bit_layout(n, answers)
+    inner, outer = min(n, 3), n - min(n, 3)
+    codes, starless = _in_word_codes(inner)
+    table_values = np.frombuffer(table.values, dtype=np.uint8).reshape(-1, 3 ** inner)
+    cells = table_values.take(codes, axis=1)  # C order, which the in-place merges below need
+    if len(answers) == 2:
+        return _packed(cells != UNKNOWN, layout)
+    planes = cells == np.array(answers, dtype=np.uint8)[:, None, None]
+    planes &= starless
+    for q in range(inner):
+        view = planes.reshape(-1, 4, 4 ** (inner - 1 - q))
+        view[:, 3] = _kids_in_view(view, (0, 1))
+    if not outer:
+        return _packed(np.bitwise_or.reduce(planes, axis=0), layout)
+    planes = np.packbits(planes.reshape(-1), bitorder="little").view(np.uint64)
+    words = np.zeros((len(answers),) + (4,) * outer, dtype=np.uint64)
+    ternary = words[(slice(None),) + (slice(0, 3),) * outer]  # the words of ternary cells
+    ternary[...] = planes.reshape(ternary.shape)
+    for p in range(outer):
+        view = words.reshape(len(answers) * 4 ** p, 4, -1)
+        view[:, 3] = _kids_in_view(view, (0, 1))
+    forced = np.bitwise_or.reduce(words.reshape(len(answers), -1), axis=0)
+    return int.from_bytes(forced, "little") if layout.as_int else forced
+
+
+def _depth_levels(level, n: int, answers: tuple[int, ...]):
+    """Grow L_0, the bitset ``level``, level by level until the all-* root
+    enters.
+
+    L_k adds to L_{k-1} every cell with a * on some axis whose children
+    there all lie in L_{k-1}.  By induction on k, L_k holds exactly the
+    cells of depth at most k: a query with every answer leading to depth
+    at most k - 1 is a tree of depth k, and the first query of such a
+    tree is one.  So the root enters at k = D.  Each level reads only
+    L_{k-1}, and axis by axis ORs the children's AND into a new bitset.
+
+    Returns D and the level of each cell, the least k with the cell in
+    L_k, as m bit planes: plane j holds bit j of every level, and a cell
+    outside L_D reads 2**m - 1, above any depth.
+    """
+    layout = _bit_layout(n, answers)
+    star = len(answers)
+    m = (n + 1).bit_length()
+    last = layout.size - 1 if layout.as_int else 63  # the root's bit, in the int or the last word
+    full = (2 << last) - 1
+    planes = [full ^ level for _ in range(m)]
+    k = 0
+    while not (level if layout.as_int else int(level[-1])) >> last:
+        if k == n:  # every cell without a * is forced, so D <= n
+            raise AssertionError("the root entered no level up to n")
+        k += 1
+        grown = level
+        for stride, digit, mask in layout.shifts:
+            kids = _kids_by_shift(level, stride, digit, answers)
+            kids &= mask
+            kids |= grown
+            grown = kids
+        for shape in layout.views:
+            grown.reshape(shape)[:, star] |= _kids_in_view(level.reshape(shape), answers)
+        new = grown ^ level
+        for j in range(m):
+            if not k >> j & 1:
+                planes[j] ^= new
+        level = grown
+    return k, planes
+
+
+def _level_reader(planes: list, size: int) -> Callable[[np.ndarray], np.ndarray]:
+    """A lookup of the level of the cells with the given keys.
+
+    Up to ``_SMALL_CELLS`` cells the planes are unpacked into one byte
+    per cell, and a lookup is one gather.  Beyond, a byte per cell would
+    outweigh the planes, so they are interleaved instead: word i of the
+    lookup array holds byte i of every plane, one plane per byte, and a
+    lookup gathers one word, keeps the key's bit of each byte and
+    multiplies the bits together into the level.
+    """
+    m, nbytes = len(planes), -(-size // 8)
+    if isinstance(planes[0], int):
+        planes = np.frombuffer(b"".join(plane.to_bytes(nbytes, "little") for plane in planes),
+                               dtype=np.uint8).reshape(m, nbytes)
+    else:
+        planes = [plane.view(np.uint8) for plane in planes]
+    if size <= _SMALL_CELLS:
+        bits = np.unpackbits(np.asarray(planes), axis=1, bitorder="little")
+        level = bits[0]
+        for j in range(1, m):
+            level |= bits[j] << j
+        return level.__getitem__
+    width = 4 if m <= 4 else 8
+    words = np.zeros((nbytes, width), dtype=np.uint8)
+    for j, plane in enumerate(planes):
+        words[:, j] = plane
+    words = words.view(f"<u{width}")[:, 0]
+    ones = sum(1 << 8 * j for j in range(width))  # bit 0 of each byte
+    high = 8 * width - 8
+    # Bit 0 of byte j, times 2**(high - 7j), lands on bit high + j; every
+    # other product lands on a distinct bit below high or at 8 * width and
+    # above, where the word's arithmetic drops it.
+    magic = sum(1 << high - 7 * j for j in range(width))
+
+    def lookup(keys: np.ndarray) -> np.ndarray:
+        found = words[keys >> 3]
+        found >>= (keys & 7).astype(words.dtype)
+        found &= ones
+        found *= magic
+        found >>= high
+        return found
+
+    return lookup
+
+
+_CHUNK = 1 << 14  # child lookups per pass over the axes of some cells
+
+
+def _query_axes(keys: np.ndarray, level: np.ndarray, level_of: Callable,
+                n: int, answers: tuple[int, ...]) -> np.ndarray:
+    """The variable each cell queries on an optimal tree: the lowest *
+    axis whose children all sit below the cell's level, the first
+    variable attaining the minimax value; 0 at level 0.  Every cell of
+    level d >= 1 entered L_d through such an axis, so the last axes tried
+    serve every cell left (a cell outside L_D, which no tree reaches,
+    gets an arbitrary variable).  The axes are tried a few at a time, as
+    many as keep the lookups of the cells still without one under
+    ``_CHUNK``."""
+    span, top, steps, _, _ = _moves(n, answers)
+    var = np.zeros(keys.size, dtype=np.intp)
+    todo = level.nonzero()[0]
+    p = 0
+    while todo.size:
+        stop = min(n, p + max(1, _CHUNK // (todo.size * len(answers))))
+        at = keys[todo, None]
+        # Off the * the steps land on other cells (or wrap round from the
+        # end), whose levels the star test drops.
+        found = at % span[p:stop] >= top[p:stop]
+        found &= level_of(at[:, :, None] + steps[p:stop]).max(axis=2) < level[todo, None]
+        if stop == n:
+            var[todo] = found.argmax(axis=1) + (p + 1)
+            break
+        hit = found.any(axis=1)
+        var[todo[hit]] = found[hit].argmax(axis=1) + (p + 1)
+        todo = todo[~hit]
+        p = stop
+    return var
+
+
+def _read_tree(level_of: Callable, n: int, answers: tuple[int, ...],
                values: bytes) -> DecisionTree:
-    """The optimal tree below the all-* cell of the relaxed array ``flat``.
+    """The optimal tree below the all-* cell, read off the cell levels
+    that ``level_of`` looks up.
 
     The tree is read layer by layer from a frontier that starts at the
     root cell, each cell carried with its coarsest completion (u at
-    every *).  A cell of depth 0 is a leaf and reads ``values`` at that
-    completion.  Any other cell queries the lowest * axis whose children
-    all sit below its depth: the first variable attaining the minimax
-    value.  Its children make up the next frontier in (parent, answer)
-    order, so every temporary has the size of a frontier.  A module
-    function, not a closure, so that the depth array is freed as soon as
-    the tree is built.
+    every *).  A cell of level 0 is a leaf and reads ``values`` at that
+    completion; any other cell queries the variable ``_query_axes``
+    gives it, found for the frontier's cells at once, or, when all the
+    cells take fewer lookups than one chunk, for all of them before the
+    first layer.  The children make up the next frontier in (parent,
+    answer) order, so every temporary has the size of a frontier.
     """
-    axes, steps, both = _moves(n, star, answers)
-    cells = np.array([[flat.size - 1], [3 ** n - 1]])  # cell codes, completions
+    _, _, _, both, root = _moves(n, answers)
+    size = _bit_layout(n, answers).size
+    if size * n * len(answers) <= _CHUNK:
+        every = np.arange(size)
+        query = _query_axes(every, level_of(every), level_of, n, answers).__getitem__
+    else:
+        def query(key):
+            return _query_axes(key, level_of(key), level_of, n, answers)
+    cells = np.array([[root], [3 ** n - 1]])  # cell keys, completions
     var_layers, coarse_layers = [], []
     while True:
-        key = cells[0]
-        depth = flat[key]
-        var = np.zeros(key.size, dtype=np.intp)
+        var = query(cells[0])
         var_layers.append(var)
         coarse_layers.append(cells[1])
-        undecided = depth > 0
-        left = np.count_nonzero(undecided)
-        if not left:
-            break
-        for p, (span, top) in enumerate(axes):
-            # Off the * the steps land on other cells (or wrap round from
-            # the end), whose depths the mask drops.
-            found = key % span >= top
-            found &= np.maximum.reduce(flat[key[:, None] + steps[p]], axis=1) < depth
-            found &= undecided
-            var[found] = p + 1
-            left -= np.count_nonzero(found)
-            if not left:
-                break
-            undecided ^= found
-        else:
-            raise AssertionError("relaxed depth has no optimal query")
         inner = var.nonzero()[0]
-        cells = (cells[:, inner, None] + both[:, var[inner] - 1]).reshape(2, -1)
+        if not inner.size:
+            break
+        cells = (cells[:, inner, None] + both[:, var[inner]]).reshape(2, -1)
     var = np.concatenate(var_layers)
     inner = var > 0
     leaf = np.frombuffer(values, dtype=np.uint8)[np.concatenate(coarse_layers)]
@@ -401,15 +571,22 @@ def _read_tree(flat: np.ndarray, n: int, star: int, answers: tuple[int, ...],
     return DecisionTree._of(tuple(var.tolist()), tuple(leaf.tolist()), tuple(first.tolist()))
 
 
+def _optimal_tree(table: HazardFreeTable,
+                  answers: tuple[int, ...]) -> tuple[int, DecisionTree]:
+    """The exact depth over ``answers`` and the canonical optimal tree."""
+    n = table.arity
+    depth, planes = _depth_levels(_forced_bits(table, answers), n, answers)
+    level_of = _level_reader(planes, _bit_layout(n, answers).size)
+    del planes  # the lookup holds what it reads: at n = 12 the planes take 8 MB
+    return depth, _read_tree(level_of, n, answers, table.values)
+
+
 def query_complexity_u(
     table: HazardFreeTable, cap: int | None = None
 ) -> tuple[int, DecisionTree]:
     """Exact optimal depth for computing the extension, with a witness tree."""
-    n = table.arity
-    check_cap(n, cap, DEFAULT_SEARCH_CAP, "u-model depth search")
-    depth = forced_value_table(table)
-    depth >>= 7  # forced 0, 1, u -> 0; NOT_FORCED -> 1
-    return _optimal_tree(depth, STAR, (0, 1, UNKNOWN), table.values)
+    check_cap(table.arity, cap, DEFAULT_SEARCH_CAP, "u-model depth search")
+    return _optimal_tree(table, (0, 1, UNKNOWN))
 
 
 def query_complexity(
@@ -418,15 +595,10 @@ def query_complexity(
     cap: int | None = None,
 ) -> tuple[int, DecisionTree]:
     """Exact optimal classical decision-tree depth, with a witness tree."""
-    n = f.arity
-    check_cap(n, cap, DEFAULT_SEARCH_CAP, "classical depth search")
+    check_cap(f.arity, cap, DEFAULT_SEARCH_CAP, "classical depth search")
     if table is None:
         table = hazard_free_table(f)
-    # Over {0, 1, *}^n with u read as *, the extension is resolved
-    # exactly at the subcubes on which f is constant.
-    depth = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n).copy()
-    depth >>= 1  # 0, 1 -> 0; u -> 1
-    return _optimal_tree(depth, UNKNOWN, (0, 1), table.values)
+    return _optimal_tree(table, (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +613,34 @@ _NODE_TEXT = {2: '{"query":%d,"on0":%s,"on1":%s}',
 
 def tree_to_json_dict(tree: DecisionTree) -> dict:
     """The JSON form of a tree, built bottom-up, layer by layer."""
-    return _bottom_up(
-        tree, lambda trit: {"leaf": "01u"[trit]},
-        lambda var, kids: {"query": var, **dict(zip(TRIT_KEYS, kids))})
+    folds = (lambda trit: {"leaf": "01u"[trit]},
+             lambda var, kids: {"query": var, **dict(zip(TRIT_KEYS, kids))})
+    return _bottom_up(tree, lambda layer: folds)
 
 
 def serialize_tree(tree: DecisionTree) -> str:
     """Compact JSON text of a tree, the text ``json.dumps`` gives its JSON
     form, written bottom-up: each node formats its children's text."""
-    return _bottom_up(tree, _LEAF_TEXT.__getitem__,
-                      lambda var, kids: _NODE_TEXT[len(kids)] % (var, *kids))
+    folds = (_LEAF_TEXT.__getitem__,
+             lambda var, kids: _NODE_TEXT[len(kids)] % (var, *kids))
+    return _bottom_up(tree, lambda layer: folds)
+
+
+def indented_tree_text(tree: DecisionTree, nesting: int = 0) -> str:
+    """The text ``json.dumps(..., indent=2, sort_keys=True)`` gives the JSON
+    form of a tree that sits ``nesting`` objects deep, written bottom-up
+    like ``serialize_tree``: the indent of a node is fixed by its layer.
+    The ``json`` module's indenting encoder is pure Python, and on a tree
+    of 100k nodes takes ten times as long."""
+    def folds(layer: int):
+        inner = "\n" + "  " * (nesting + layer + 1)
+        outer = "\n" + "  " * (nesting + layer)
+        leaves = tuple("{" + inner + '"leaf": "%s"' % trit + outer + "}" for trit in "01u")
+        keys = "".join(inner + '"%s": %%s,' % key for key in TRIT_KEYS)
+        node = {3: "{" + keys + inner + '"query": %d' + outer + "}"}
+        node[2] = node[3].replace(inner + '"onU": %s,', "")
+        return leaves.__getitem__, lambda var, kids: node[len(kids)] % (*kids, var)
+    return _bottom_up(tree, folds)
 
 
 def tree_from_json_dict(obj, path: str = "$") -> DecisionTree:

@@ -7,9 +7,9 @@ the value at binary index i with variable 1 as the most significant
 bit of the index.  The exceptions run package code the plain way:
 ``verify_tree_by_inputs`` replays package trees on package tables input
 by input, ``read_tree`` is the recursive tree extraction the layered one
-of ``trees._read_tree`` replaced, and ``far_start_tree`` is the depth
-kernel as it was before the relaxation started at each cell's number of
-*s.
+of ``trees._read_tree`` replaced, and ``far_start_tree`` is a byte
+relaxation of the depths from a start far above them, the depth kernel
+before the level search.
 """
 
 from functools import lru_cache
@@ -320,10 +320,10 @@ def depth(bits: int, n: int) -> int:
 
 
 def read_tree(grid, star, answers, values):
-    """The JSON form of the optimal tree below the all-* cell of a relaxed
-    depth array (``trees._optimal_tree`` leaves one in ``grid``), read
-    recursively: each node queries the lowest * axis whose children all
-    sit below its depth, and a leaf reads ``values`` at the cell's
+    """The JSON form of the optimal tree below the all-* cell of an array
+    of exact cell depths (cells off every optimal tree may read more),
+    read recursively: each node queries the lowest * axis whose children
+    all sit below its depth, and a leaf reads ``values`` at the cell's
     coarsest completion (u at every *)."""
     n, base = grid.ndim, star + 1
     reach = memoryview(grid.reshape(-1)).__getitem__
@@ -342,16 +342,17 @@ def read_tree(grid, star, answers, values):
                 return {"query": p + 1, **{
                     name: read(kid, coarse + step, rest)
                     for name, kid, step in zip(keys, kids, coarse_steps[p])}}
-        raise AssertionError("relaxed depth has no optimal query")
+        raise AssertionError("depth array has no optimal query")
 
     return read(grid.size - 1, 3 ** n - 1, list(range(n)))
 
 
 def far_start_tree(grid, star, answers, values):
-    """The depth kernel ``trees._optimal_tree`` replaced: ``grid`` (0
-    where forced, 1 elsewhere) starts every cell that is not forced at
-    0xFE, and sweeps run until the root reads at most sweep + 1.  The
-    tree, in its JSON form, is read off the relaxed array by ``read_tree``.
+    """A byte relaxation of the depths: ``grid`` (0 where forced, 1
+    elsewhere) starts every cell that is not forced at 0xFE, and sweeps
+    set each cell with a * to min(itself, 1 + the max over its children
+    on that axis) until the root reads at most sweep + 1.  The tree, in
+    its JSON form, is read off the relaxed array by ``read_tree``.
     """
     grid *= 0xFE
     n, base = grid.ndim, star + 1

@@ -11,10 +11,12 @@ n <= 3 and on seeded samples for n = 4..6.
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
 import reference as R
+import uquery.core
 import uquery.measures
 from uquery import ArityCapError, BooleanFunction, TernaryString, generate, hazard_free_table
 from uquery.algorithms import Oracle, algorithm1_solve
@@ -202,3 +204,26 @@ def test_reports_byte_identical():
         digest.update(json.dumps(report, sort_keys=True).encode())
         digest.update(b"\n")
     assert digest.hexdigest() == REPORT_DIGEST
+
+
+def test_measure_report_builds_the_forced_table_once(monkeypatch):
+    """A report on a fresh table builds the forced-value table once, for
+    the certificate arrays; the depth search builds its own bitsets from
+    the hazard-free table.  Every module binding of the builder counts."""
+    original = uquery.core.forced_value_table
+    calls = []
+
+    def counted(table):
+        calls.append(table)
+        return original(table)
+
+    bindings = [module for name, module in sys.modules.items()
+                if name.split(".")[0] == "uquery"
+                and getattr(module, "forced_value_table", None) is original]
+    assert uquery.core in bindings and uquery.measures in bindings
+    for module in bindings:
+        monkeypatch.setattr(module, "forced_value_table", counted)
+    uquery.measures._tabulate.cache_clear()
+    f = BooleanFunction(5, random.Random(41).getrandbits(32))
+    measure_report(f, with_witnesses=True)
+    assert len(calls) == 1

@@ -9,14 +9,19 @@ import numpy as np
 import pytest
 
 import reference as R
+import uquery.trees
 from uquery import ArityCapError, BooleanFunction, generate, hazard_free_table
-from uquery.core import STAR, UNKNOWN, forced_value_table
+from uquery.core import UNKNOWN, forced_value_table
 from uquery.trees import (
     TRIT_KEYS,
     DecisionTree,
     TreeFormatError,
+    _bit_layout,
+    _depth_levels,
+    _forced_bits,
     _optimal_tree,
     evaluate_tree,
+    indented_tree_text,
     parse_tree,
     query_complexity,
     query_complexity_u,
@@ -119,64 +124,157 @@ def _kernel_tables(n, count):
     return [rng.getrandbits(1 << n) for _ in range(count)]
 
 
-def _kernel_inputs(table):
-    """The (array, star, answers) the u-model and classical searches
-    hand ``_optimal_tree``: 0 where the value is forced, 1 elsewhere."""
+MODELS = ((0, 1, UNKNOWN), (0, 1))  # the answers of the u-model and the classical model
+
+
+def _reference_grid(table, answers):
+    """The array the reference kernels read: one axis per variable,
+    indexed by ``answers`` and then * (``len(answers)``), 0 where the
+    value is forced and 1 elsewhere; classically the hazard-free table
+    with u read as *."""
+    if len(answers) == 3:
+        return forced_value_table(table) >> 7
+    return np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * table.arity) >> 1
+
+
+def _representations(monkeypatch):
+    """Yield twice: first with the bitsets and level lookups that small
+    tables get (ints, a byte per cell), then with those of large ones
+    (uint64 arrays from 64 cells on, interleaved planes)."""
+    yield
+    monkeypatch.setattr(uquery.trees, "_SMALL_CELLS", 0)
+    yield
+
+
+def _bitset_bytes(bits, size):
+    """The bytes of a bitset of ``size`` cells, lowest cell first; a
+    small bitset is an int."""
+    if isinstance(bits, int):
+        return bits.to_bytes(-(-size // 8), "little")
+    return bits.tobytes()
+
+
+def _cell_levels(table, answers):
+    """The depth the level search finds and the level of every cell, in
+    the layout of ``_reference_grid``.  The bitsets keep the in-word
+    axes in base 4 in both models, so the classical u digit is dropped."""
     n = table.arity
-    classical = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n) >> 1
-    return [(forced_value_table(table) >> 7, STAR, (0, 1, UNKNOWN)),
-            (classical, UNKNOWN, (0, 1))]
+    size = _bit_layout(n, answers).size
+    depth, planes = _depth_levels(_forced_bits(table, answers), n, answers)
+    level = np.zeros(size, dtype=np.uint8)
+    for j, plane in enumerate(planes):
+        bits = np.unpackbits(np.frombuffer(_bitset_bytes(plane, size), dtype=np.uint8),
+                             bitorder="little")
+        level |= bits[:size] << j
+    inner, base = min(n, 3), len(answers) + 1
+    level = level.reshape((base,) * (n - inner) + (4,) * inner)
+    for axis in range(n - inner, n):
+        level = np.take(level, list(answers) + [3], axis=axis)
+    return depth, level
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_depth_kernel_matches_the_far_start(n):
-    """Starting at the star counts gives the depth and tree of starting
-    every open cell far away."""
-    for bits in _kernel_tables(n, 30):
-        table = hazard_free_table(BooleanFunction(n, bits))
-        for grid, star, answers in _kernel_inputs(table):
-            got = _optimal_tree(grid.copy(), star, answers, table.values)
-            want = R.far_start_tree(grid.copy(), star, answers, table.values)
-            assert got[0] == want[0]
-            assert tree_to_json_dict(got[1]) == want[1]
+def test_forced_bits_match_the_forced_table(monkeypatch, n):
+    """L_0 of the u-model marks the cells ``forced_value_table`` forces;
+    classically, those where the table, read with u at every * (and at
+    the u digit the in-word axes keep), is 0 or 1."""
+    inner = min(n, 3)
+    codes = np.zeros(1, dtype=np.intp)  # the ternary code read at each classical cell
+    for axis in range(n):
+        digits = [0, 1, UNKNOWN] + ([UNKNOWN] if axis >= n - inner else [])
+        codes = (3 * codes[:, None] + digits).reshape(-1)
+    for _ in _representations(monkeypatch):
+        for bits in _kernel_tables(n, 30):
+            table = hazard_free_table(BooleanFunction(n, bits))
+            u_model = np.packbits(forced_value_table(table).reshape(-1) < 0x80, bitorder="little")
+            size = _bit_layout(n, MODELS[0]).size
+            assert _bitset_bytes(_forced_bits(table, MODELS[0]), size) == u_model.tobytes()
+            values = np.frombuffer(table.values, dtype=np.uint8)
+            classical = np.packbits(values[codes] != UNKNOWN, bitorder="little")
+            size = _bit_layout(n, MODELS[1]).size
+            assert _bitset_bytes(_forced_bits(table, MODELS[1]), size) == classical.tobytes()
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_interleaved_levels_match_the_dense_ones(monkeypatch, m):
+    """The lookup through interleaved planes reads every level that the
+    byte per cell holds, for 1 to 6 planes (the word holding them grows
+    from 4 bytes to 8 past 4 planes), from arrays and from ints."""
+    rng = np.random.default_rng(m)
+    size = 64 * 40
+    planes = [rng.integers(0, 1 << 64, size // 64, dtype=np.uint64, endpoint=False)
+              for _ in range(m)]
+    keys = np.arange(size)
+    dense = uquery.trees._level_reader(planes, size)(keys)
+    assert dense.max() == 2 ** m - 1
+    monkeypatch.setattr(uquery.trees, "_SMALL_CELLS", 0)
+    assert (uquery.trees._level_reader(planes, size)(keys) == dense).all()
+    as_ints = [int.from_bytes(plane.tobytes(), "little") for plane in planes]
+    assert (uquery.trees._level_reader(as_ints, size)(keys) == dense).all()
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_layered_tree_matches_the_recursive_reading(n):
-    """The tree read layer by layer off the relaxed array serializes to
-    the JSON of the tree the recursive reading gives on the same array."""
-    for bits in _kernel_tables(n, 20):
-        table = hazard_free_table(BooleanFunction(n, bits))
-        for grid, star, answers in _kernel_inputs(table):
-            _, tree = _optimal_tree(grid, star, answers, table.values)
-            want = R.read_tree(grid, star, answers, table.values)
-            assert serialize_tree(tree) == json.dumps(want, separators=(",", ":"))
+def test_depth_kernel_matches_the_far_start(monkeypatch, n):
+    """The level search gives the depth and tree of the byte relaxation
+    that starts every open cell far away."""
+    for _ in _representations(monkeypatch):
+        for bits in _kernel_tables(n, 30):
+            table = hazard_free_table(BooleanFunction(n, bits))
+            for answers in MODELS:
+                got = _optimal_tree(table, answers)
+                want = R.far_start_tree(_reference_grid(table, answers), len(answers),
+                                        answers, table.values)
+                assert got[0] == want[0]
+                assert tree_to_json_dict(got[1]) == want[1]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_layered_tree_matches_the_recursive_reading(monkeypatch, n):
+    """The tree read layer by layer off the level planes serializes to
+    the JSON of the tree the recursive reading gives on the same levels."""
+    for _ in _representations(monkeypatch):
+        for bits in _kernel_tables(n, 20):
+            table = hazard_free_table(BooleanFunction(n, bits))
+            for answers in MODELS:
+                _, tree = _optimal_tree(table, answers)
+                _, level = _cell_levels(table, answers)
+                want = R.read_tree(level, len(answers), answers, table.values)
+                assert serialize_tree(tree) == json.dumps(want, separators=(",", ":"))
 
 
 @pytest.mark.parametrize("n,count", [(1, 0), (2, 0), (3, 0), (4, 6), (5, 2), (6, 1)])
-def test_relaxed_depths_against_the_minimax(n, count):
-    """After the kernel, no cell reads below its minimax depth, and the
-    root and every cell on the returned tree's paths read exactly it."""
-    for bits in _kernel_tables(n, count):
-        table = hazard_free_table(BooleanFunction(n, bits))
-        minimax = (R.cell_depths_u(R.full_table(bits, n), n), R.cell_depths(bits, n))
-        for (grid, star, answers), exact in zip(_kernel_inputs(table), minimax):
-            d, tree = _optimal_tree(grid, star, answers, table.values)
+def test_relaxed_depths_against_the_minimax(monkeypatch, n, count):
+    """No cell's level is below its minimax depth; every cell of depth at
+    most D reads it exactly and every other reads the mark above any
+    depth; the root and every cell on the returned tree's paths read
+    exactly their depth."""
+    for _ in _representations(monkeypatch):
+        for bits in _kernel_tables(n, count):
+            table = hazard_free_table(BooleanFunction(n, bits))
+            minimax = (R.cell_depths_u(R.full_table(bits, n), n), R.cell_depths(bits, n))
+            for answers, exact in zip(MODELS, minimax):
+                star = len(answers)
+                d, tree = _optimal_tree(table, answers)
+                depth, grid = _cell_levels(table, answers)
+                assert depth == d
+                unreached = 2 ** (n + 1).bit_length() - 1
 
-            def want(cell):  # the reference writes * as 3
-                return exact(tuple(3 if c == star else c for c in cell))
+                def want(cell):  # the reference writes * as 3
+                    return exact(tuple(3 if c == star else c for c in cell))
 
-            assert all(grid[cell] >= want(cell) for cell in np.ndindex(grid.shape))
-            root = (star,) * n
-            assert grid[root] == d == want(root)
-            todo = [(0, root)]
-            while todo:
-                i, cell = todo.pop()
-                assert grid[cell] == want(cell)
-                if tree.var[i]:
-                    p = tree.var[i] - 1
-                    todo.extend((tree.first[i] + j, cell[:p] + (a,) + cell[p + 1:])
-                                for j, a in enumerate(answers))
+                assert all(grid[cell] >= want(cell) for cell in np.ndindex(grid.shape))
+                assert all(grid[cell] == (want(cell) if want(cell) <= d else unreached)
+                           for cell in np.ndindex(grid.shape))
+                root = (star,) * n
+                assert grid[root] == d == want(root)
+                todo = [(0, root)]
+                while todo:
+                    i, cell = todo.pop()
+                    assert grid[cell] == want(cell)
+                    if tree.var[i]:
+                        p = tree.var[i] - 1
+                        todo.extend((tree.first[i] + j, cell[:p] + (a,) + cell[p + 1:])
+                                    for j, a in enumerate(answers))
 
 
 def test_binary_tree_rejects_unresolved_input():
@@ -455,3 +553,16 @@ def test_constant_trees():
     du, tree_u = query_complexity_u(hazard_free_table(f))
     assert (d, du) == (0, 0)
     assert tree == tree_u == DecisionTree((0,), (1,), (1, 1))
+
+
+def test_indented_text_matches_the_json_module():
+    trees = [query_complexity_u(hazard_free_table(generate(spec)))[1]
+             for spec in ("or:1", "ind:1", "maj:3", "random:5:3")]
+    trees += [query_complexity(generate(spec))[1] for spec in ("maj:3", "random:5:3")]
+    trees.append(DecisionTree((0,), (2,), (1, 1)))
+    for tree in trees:
+        obj = tree_to_json_dict(tree)
+        assert indented_tree_text(tree) == json.dumps(obj, indent=2, sort_keys=True)
+        nested = json.dumps({"a": 1, "tree": obj, "z": [2]}, indent=2, sort_keys=True)
+        spliced = json.dumps({"a": 1, "tree": None, "z": [2]}, indent=2, sort_keys=True)
+        assert spliced.replace("null", indented_tree_text(tree, 1)) == nested
