@@ -34,11 +34,11 @@ from .core import (
 )
 from .measures import measure_report
 from .trees import (
-    indented_tree_text,
     query_complexity,
     query_complexity_u,
     serialize_tree,
     verify_tree,
+    write_indented_tree,
 )
 from .verification import SUITES, run_suite
 
@@ -58,17 +58,10 @@ def _resolve_cap(args) -> int | None:
         raise ValueError(f"{ENV_CAP} must be an integer, got {text!r}") from None
 
 
-def _write_json(path: str, payload: dict, tree: str | None = None) -> None:
-    """Write the payload as indented JSON with sorted keys.  ``tree``, the
-    indented text of a tree one object deep, is written in place of the
-    payload's null "tree" value."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        if tree is not None:
-            head, _, text = text.partition('"tree": null')
-            handle.write(head + '"tree": ')
-            handle.write(tree)
-        handle.write(text + "\n")
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def _input_for(f, text: str) -> TernaryString:
@@ -195,12 +188,14 @@ def cmd_tree(args) -> int:
     print(f"model = {args.model}")
     print(f"depth = {depth}")
     if args.out:
-        _write_json(args.out, {
-            "function": f.to_spec(),
-            "model": args.model,
-            "depth": depth,
-            "tree": None,
-        }, tree=indented_tree_text(tree, 1))
+        # The file is the payload as _write_json writes it, with "tree",
+        # the last key in sorted order, written by write_indented_tree.
+        head = json.dumps({"depth": depth, "function": f.to_spec(), "model": args.model},
+                          indent=2, sort_keys=True)
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(head.removesuffix("\n}") + ',\n  "tree": ')
+            write_indented_tree(tree, handle, 1)
+            handle.write("\n}\n")
     else:
         print(f"tree = {serialize_tree(tree)}")
     return 0

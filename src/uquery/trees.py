@@ -28,9 +28,10 @@ kept as bit planes, and the tree is read off them one layer of cells at
 a time, taking at each node the lowest variable that attains the
 optimum, so results are canonical.
 
-``serialize_tree``, ``indented_tree_text`` and ``tree_to_json_dict``
+``serialize_tree``, ``write_indented_tree`` and ``tree_to_json_dict``
 build the JSON form bottom up, layer by layer, each node from its
-children's text or dicts, so any depth serializes without recursion.  ``verify_tree`` checks a tree
+children's text or dicts, so any depth serializes without recursion.
+``verify_tree`` checks a tree
 without replaying it input by input: one walk over the node indices
 writes each leaf's value into its block of a prediction array (the
 inputs that follow the leaf's path), and one comparison with the table
@@ -263,9 +264,13 @@ def verify_tree(
 # 4**3 cells fill a word; the axes before them index the words, in base
 # len(answers) + 1 with * as the largest digit (the classical model
 # stores no u there).  A cell's key is its bit index, a mixed-radix code.
-# A bitset of up to ``_SMALL_CELLS`` bits is a Python int, on which every
-# axis is a shift and a mask, each far cheaper than a NumPy call; a larger
-# one is a uint64 array, one entry per word, whose word axes are views.
+# A bitset of fewer than ``_SMALL_CELLS`` bits is a Python int, on which
+# every axis is a shift and a mask, each far cheaper than a NumPy call; a
+# larger one is a uint64 array, one entry per word, whose word axes are
+# views.  Timed with each forced (2-CPU x86-64), ints take 40% less time
+# at 64 cells (maj:3), 3-6% less at 46,656 (the classical search at
+# n = 9), 10% more at 65,536 (the u-model at n = 8) and 2-4 times as long
+# from 2**20 on.
 
 _SMALL_CELLS = 1 << 16
 
@@ -303,12 +308,12 @@ def _moves(n: int, answers: tuple[int, ...]):
 
 
 @cache
-def _layout(n: int, answers: tuple[int, ...], small: int) -> _Layout:
-    """The bitsets of arity n over ``answers``; those of up to ``small``
-    bits, and those of less than a word, are ints."""
+def _layout(n: int, answers: tuple[int, ...]) -> _Layout:
+    """The bitsets of arity n over ``answers``; those of fewer than
+    ``_SMALL_CELLS`` bits, and those of less than a word, are ints."""
     span, top, _, _, root = _moves(n, answers)
     size = root + 1
-    as_int = size <= small or size < 64
+    as_int = size < _SMALL_CELLS or size < 64
     width = size if as_int else 64  # the bits a mask covers
     shifts = []
     for p in range(n):
@@ -322,11 +327,6 @@ def _layout(n: int, answers: tuple[int, ...], small: int) -> _Layout:
     base, outer = len(answers) + 1, 0 if as_int else n - len(shifts)
     views = tuple((base ** p, base, base ** (outer - 1 - p)) for p in range(outer))
     return _Layout(size, as_int, tuple(shifts), views)
-
-
-def _bit_layout(n: int, answers: tuple[int, ...]) -> _Layout:
-    """The layout at the module's ``_SMALL_CELLS``, read at each call."""
-    return _layout(n, answers, _SMALL_CELLS)
 
 
 def _kids_by_shift(bits, stride: int, star: int, answers: tuple[int, ...]):
@@ -382,7 +382,7 @@ def _forced_bits(table: HazardFreeTable, answers: tuple[int, ...]):
     packed, spread over the words of * cells and merged on the word axes.
     """
     n = table.arity
-    layout = _bit_layout(n, answers)
+    layout = _layout(n, answers)
     inner, outer = min(n, 3), n - min(n, 3)
     codes, starless = _in_word_codes(inner)
     table_values = np.frombuffer(table.values, dtype=np.uint8).reshape(-1, 3 ** inner)
@@ -422,7 +422,7 @@ def _depth_levels(level, n: int, answers: tuple[int, ...]):
     L_k, as m bit planes: plane j holds bit j of every level, and a cell
     outside L_D reads 2**m - 1, above any depth.
     """
-    layout = _bit_layout(n, answers)
+    layout = _layout(n, answers)
     star = len(answers)
     m = (n + 1).bit_length()
     last = layout.size - 1 if layout.as_int else 63  # the root's bit, in the int or the last word
@@ -452,29 +452,18 @@ def _depth_levels(level, n: int, answers: tuple[int, ...]):
 def _level_reader(planes: list, size: int) -> Callable[[np.ndarray], np.ndarray]:
     """A lookup of the level of the cells with the given keys.
 
-    Up to ``_SMALL_CELLS`` cells the planes are unpacked into one byte
-    per cell, and a lookup is one gather.  Beyond, a byte per cell would
-    outweigh the planes, so they are interleaved instead: word i of the
-    lookup array holds byte i of every plane, one plane per byte, and a
-    lookup gathers one word, keeps the key's bit of each byte and
-    multiplies the bits together into the level.
+    The planes are interleaved, one per byte of a word: word i of the
+    lookup array holds byte i of every plane, so a lookup gathers one
+    word, keeps the key's bit of each byte and multiplies the bits
+    together into the level.  At n = 12 this takes 8 MB, where a byte per
+    cell would take 16.
     """
     m, nbytes = len(planes), -(-size // 8)
-    if isinstance(planes[0], int):
-        planes = np.frombuffer(b"".join(plane.to_bytes(nbytes, "little") for plane in planes),
-                               dtype=np.uint8).reshape(m, nbytes)
-    else:
-        planes = [plane.view(np.uint8) for plane in planes]
-    if size <= _SMALL_CELLS:
-        bits = np.unpackbits(np.asarray(planes), axis=1, bitorder="little")
-        level = bits[0]
-        for j in range(1, m):
-            level |= bits[j] << j
-        return level.__getitem__
     width = 4 if m <= 4 else 8
     words = np.zeros((nbytes, width), dtype=np.uint8)
     for j, plane in enumerate(planes):
-        words[:, j] = plane
+        words[:, j] = np.frombuffer(plane.to_bytes(nbytes, "little"), dtype=np.uint8) \
+            if isinstance(plane, int) else plane.view(np.uint8)
     words = words.view(f"<u{width}")[:, 0]
     ones = sum(1 << 8 * j for j in range(width))  # bit 0 of each byte
     high = 8 * width - 8
@@ -494,7 +483,13 @@ def _level_reader(planes: list, size: int) -> Callable[[np.ndarray], np.ndarray]
     return lookup
 
 
-_CHUNK = 1 << 14  # child lookups per pass over the axes of some cells
+# Child lookups per pass over the axes of some cells.  When those of all
+# cells fit one pass, ``_read_tree`` makes it before the first layer;
+# timed with each way forced (2-CPU x86-64), that wins by 30% at n = 4
+# (u-model, 3,072 lookups: 0.13 against 0.19 ms), by 1.5% at 15,360
+# (u-model n = 5) and loses from 20,736 on (classical n = 6, 0.53
+# against 0.25 ms on random:6:1).
+_CHUNK = 1 << 14
 
 
 def _query_axes(keys: np.ndarray, level: np.ndarray, level_of: Callable,
@@ -539,14 +534,16 @@ def _read_tree(level_of: Callable, n: int, answers: tuple[int, ...],
     completion; any other cell queries the variable ``_query_axes``
     gives it, found for the frontier's cells at once, or, when all the
     cells take fewer lookups than one chunk, for all of them before the
-    first layer.  The children make up the next frontier in (parent,
-    answer) order, so every temporary has the size of a frontier.
+    first layer, through the level of every cell.  The children make up
+    the next frontier in (parent, answer) order, so every temporary has
+    the size of a frontier or of a small table.
     """
     _, _, _, both, root = _moves(n, answers)
-    size = _bit_layout(n, answers).size
+    size = _layout(n, answers).size
     if size * n * len(answers) <= _CHUNK:
         every = np.arange(size)
-        query = _query_axes(every, level_of(every), level_of, n, answers).__getitem__
+        level = level_of(every)
+        query = _query_axes(every, level, level.__getitem__, n, answers).__getitem__
     else:
         def query(key):
             return _query_axes(key, level_of(key), level_of, n, answers)
@@ -576,7 +573,7 @@ def _optimal_tree(table: HazardFreeTable,
     """The exact depth over ``answers`` and the canonical optimal tree."""
     n = table.arity
     depth, planes = _depth_levels(_forced_bits(table, answers), n, answers)
-    level_of = _level_reader(planes, _bit_layout(n, answers).size)
+    level_of = _level_reader(planes, _layout(n, answers).size)
     del planes  # the lookup holds what it reads: at n = 12 the planes take 8 MB
     return depth, _read_tree(level_of, n, answers, table.values)
 
@@ -626,21 +623,27 @@ def serialize_tree(tree: DecisionTree) -> str:
     return _bottom_up(tree, lambda layer: folds)
 
 
-def indented_tree_text(tree: DecisionTree, nesting: int = 0) -> str:
-    """The text ``json.dumps(..., indent=2, sort_keys=True)`` gives the JSON
-    form of a tree that sits ``nesting`` objects deep, written bottom-up
-    like ``serialize_tree``: the indent of a node is fixed by its layer.
-    The ``json`` module's indenting encoder is pure Python, and on a tree
-    of 100k nodes takes ten times as long."""
+def write_indented_tree(tree: DecisionTree, handle, nesting: int = 0) -> None:
+    """Write the text ``json.dumps(..., indent=2, sort_keys=True)`` gives the
+    JSON form of a tree that sits ``nesting`` objects deep.  The text is
+    built bottom-up like ``serialize_tree``, the indent of a node fixed by
+    its layer, except the root's, as long as all the others together: its
+    fragments and its children's texts are written one by one.  The
+    ``json`` module's indenting encoder is pure Python, and on a tree of
+    100k nodes takes ten times as long."""
     def folds(layer: int):
         inner = "\n" + "  " * (nesting + layer + 1)
         outer = "\n" + "  " * (nesting + layer)
         leaves = tuple("{" + inner + '"leaf": "%s"' % trit + outer + "}" for trit in "01u")
-        keys = "".join(inner + '"%s": %%s,' % key for key in TRIT_KEYS)
-        node = {3: "{" + keys + inner + '"query": %d' + outer + "}"}
-        node[2] = node[3].replace(inner + '"onU": %s,', "")
-        return leaves.__getitem__, lambda var, kids: node[len(kids)] % (*kids, var)
-    return _bottom_up(tree, folds)
+        heads = ["{" + inner + '"on0": '] + ["," + inner + '"%s": ' % key for key in TRIT_KEYS[1:]]
+        tail = "," + inner + '"query": %d' + outer + "}"
+
+        def pieces(var, kids):
+            return [text for pair in zip(heads, kids) for text in pair] + [tail % var]
+        if layer:
+            return leaves.__getitem__, lambda var, kids: "".join(pieces(var, kids))
+        return lambda trit: [leaves[trit]], pieces
+    handle.writelines(_bottom_up(tree, folds))
 
 
 def tree_from_json_dict(obj, path: str = "$") -> DecisionTree:

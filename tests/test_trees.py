@@ -1,6 +1,7 @@
 """Optimal decision trees for the binary and ternary query models."""
 
 import hashlib
+import io
 import itertools
 import json
 import random
@@ -16,12 +17,12 @@ from uquery.trees import (
     TRIT_KEYS,
     DecisionTree,
     TreeFormatError,
-    _bit_layout,
     _depth_levels,
     _forced_bits,
+    _layout,
+    _level_reader,
     _optimal_tree,
     evaluate_tree,
-    indented_tree_text,
     parse_tree,
     query_complexity,
     query_complexity_u,
@@ -30,6 +31,7 @@ from uquery.trees import (
     tree_from_json_dict,
     tree_to_json_dict,
     verify_tree,
+    write_indented_tree,
 )
 from uquery.verification import monotone_functions
 
@@ -137,13 +139,21 @@ def _reference_grid(table, answers):
     return np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * table.arity) >> 1
 
 
-def _representations(monkeypatch):
-    """Yield twice: first with the bitsets and level lookups that small
-    tables get (ints, a byte per cell), then with those of large ones
-    (uint64 arrays from 64 cells on, interleaved planes)."""
-    yield
-    monkeypatch.setattr(uquery.trees, "_SMALL_CELLS", 0)
-    yield
+@pytest.fixture
+def both_paths(monkeypatch):
+    """An iterator that yields twice: first with the paths a table of its
+    size takes, then with those of large tables (uint64 bitsets from 64
+    cells on, the query axes found one frontier at a time), here one
+    axis per pass."""
+    def paths():
+        yield
+        monkeypatch.setattr(uquery.trees, "_SMALL_CELLS", 0)
+        monkeypatch.setattr(uquery.trees, "_CHUNK", 0)
+        _layout.cache_clear()
+        yield
+    yield paths()
+    monkeypatch.undo()
+    _layout.cache_clear()
 
 
 def _bitset_bytes(bits, size):
@@ -159,7 +169,7 @@ def _cell_levels(table, answers):
     the layout of ``_reference_grid``.  The bitsets keep the in-word
     axes in base 4 in both models, so the classical u digit is dropped."""
     n = table.arity
-    size = _bit_layout(n, answers).size
+    size = _layout(n, answers).size
     depth, planes = _depth_levels(_forced_bits(table, answers), n, answers)
     level = np.zeros(size, dtype=np.uint8)
     for j, plane in enumerate(planes):
@@ -174,7 +184,7 @@ def _cell_levels(table, answers):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_forced_bits_match_the_forced_table(monkeypatch, n):
+def test_forced_bits_match_the_forced_table(both_paths, n):
     """L_0 of the u-model marks the cells ``forced_value_table`` forces;
     classically, those where the table, read with u at every * (and at
     the u digit the in-word axes keep), is 0 or 1."""
@@ -183,41 +193,43 @@ def test_forced_bits_match_the_forced_table(monkeypatch, n):
     for axis in range(n):
         digits = [0, 1, UNKNOWN] + ([UNKNOWN] if axis >= n - inner else [])
         codes = (3 * codes[:, None] + digits).reshape(-1)
-    for _ in _representations(monkeypatch):
+    for _ in both_paths:
         for bits in _kernel_tables(n, 30):
             table = hazard_free_table(BooleanFunction(n, bits))
             u_model = np.packbits(forced_value_table(table).reshape(-1) < 0x80, bitorder="little")
-            size = _bit_layout(n, MODELS[0]).size
+            size = _layout(n, MODELS[0]).size
             assert _bitset_bytes(_forced_bits(table, MODELS[0]), size) == u_model.tobytes()
             values = np.frombuffer(table.values, dtype=np.uint8)
             classical = np.packbits(values[codes] != UNKNOWN, bitorder="little")
-            size = _bit_layout(n, MODELS[1]).size
+            size = _layout(n, MODELS[1]).size
             assert _bitset_bytes(_forced_bits(table, MODELS[1]), size) == classical.tobytes()
 
 
 @pytest.mark.parametrize("m", range(1, 7))
-def test_interleaved_levels_match_the_dense_ones(monkeypatch, m):
-    """The lookup through interleaved planes reads every level that the
-    byte per cell holds, for 1 to 6 planes (the word holding them grows
-    from 4 bytes to 8 past 4 planes), from arrays and from ints."""
+def test_level_reader_decodes_the_planes(m):
+    """The lookup through interleaved planes reads, at every key, the
+    level whose bit j is the key's bit in plane j, for 1 to 6 planes (the
+    word holding them grows from 4 bytes to 8 past 4 planes), from arrays
+    and from ints, and wraps a negative key round from the end."""
     rng = np.random.default_rng(m)
     size = 64 * 40
     planes = [rng.integers(0, 1 << 64, size // 64, dtype=np.uint64, endpoint=False)
               for _ in range(m)]
-    keys = np.arange(size)
-    dense = uquery.trees._level_reader(planes, size)(keys)
-    assert dense.max() == 2 ** m - 1
-    monkeypatch.setattr(uquery.trees, "_SMALL_CELLS", 0)
-    assert (uquery.trees._level_reader(planes, size)(keys) == dense).all()
+    want = np.zeros(size, dtype=np.int64)
+    for j, plane in enumerate(planes):
+        want |= np.unpackbits(plane.view(np.uint8), bitorder="little").astype(np.int64) << j
+    assert want.max() == 2 ** m - 1
+    keys = np.arange(-size, size)
     as_ints = [int.from_bytes(plane.tobytes(), "little") for plane in planes]
-    assert (uquery.trees._level_reader(as_ints, size)(keys) == dense).all()
+    for given in (planes, as_ints):
+        assert (_level_reader(given, size)(keys) == np.tile(want, 2)).all()
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_depth_kernel_matches_the_far_start(monkeypatch, n):
+def test_depth_kernel_matches_the_far_start(both_paths, n):
     """The level search gives the depth and tree of the byte relaxation
     that starts every open cell far away."""
-    for _ in _representations(monkeypatch):
+    for _ in both_paths:
         for bits in _kernel_tables(n, 30):
             table = hazard_free_table(BooleanFunction(n, bits))
             for answers in MODELS:
@@ -229,10 +241,10 @@ def test_depth_kernel_matches_the_far_start(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_layered_tree_matches_the_recursive_reading(monkeypatch, n):
+def test_layered_tree_matches_the_recursive_reading(both_paths, n):
     """The tree read layer by layer off the level planes serializes to
     the JSON of the tree the recursive reading gives on the same levels."""
-    for _ in _representations(monkeypatch):
+    for _ in both_paths:
         for bits in _kernel_tables(n, 20):
             table = hazard_free_table(BooleanFunction(n, bits))
             for answers in MODELS:
@@ -243,12 +255,12 @@ def test_layered_tree_matches_the_recursive_reading(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n,count", [(1, 0), (2, 0), (3, 0), (4, 6), (5, 2), (6, 1)])
-def test_relaxed_depths_against_the_minimax(monkeypatch, n, count):
+def test_relaxed_depths_against_the_minimax(both_paths, n, count):
     """No cell's level is below its minimax depth; every cell of depth at
     most D reads it exactly and every other reads the mark above any
     depth; the root and every cell on the returned tree's paths read
     exactly their depth."""
-    for _ in _representations(monkeypatch):
+    for _ in both_paths:
         for bits in _kernel_tables(n, count):
             table = hazard_free_table(BooleanFunction(n, bits))
             minimax = (R.cell_depths_u(R.full_table(bits, n), n), R.cell_depths(bits, n))
@@ -562,7 +574,8 @@ def test_indented_text_matches_the_json_module():
     trees.append(DecisionTree((0,), (2,), (1, 1)))
     for tree in trees:
         obj = tree_to_json_dict(tree)
-        assert indented_tree_text(tree) == json.dumps(obj, indent=2, sort_keys=True)
-        nested = json.dumps({"a": 1, "tree": obj, "z": [2]}, indent=2, sort_keys=True)
-        spliced = json.dumps({"a": 1, "tree": None, "z": [2]}, indent=2, sort_keys=True)
-        assert spliced.replace("null", indented_tree_text(tree, 1)) == nested
+        for nesting, want in enumerate([json.dumps(obj, indent=2, sort_keys=True),
+                                        json.dumps({"tree": obj}, indent=2, sort_keys=True)[12:-2]]):
+            handle = io.StringIO()
+            write_indented_tree(tree, handle, nesting)
+            assert handle.getvalue() == want
