@@ -64,7 +64,6 @@ from .trees import (
     verify_tree,
 )
 from .algorithms import (
-    ClaimsReport,
     Oracle,
     SolveResult,
     WrappedOracle,
@@ -73,7 +72,6 @@ from .algorithms import (
     downward_closure_solve,
     fill_unknown_oracle,
     indexing_oracle_from_or,
-    instrumented_claims_check,
     mask_ones_oracle,
     monotone_simulate,
     or_via_ind_reduction,

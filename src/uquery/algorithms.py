@@ -10,7 +10,10 @@ exists, and the second does the same with 1-certificates of consistent
 a value, and control reaches the answer u only once no 0-valued and no
 1-valued input remains consistent, which is what makes that answer
 sound.  Every round reveals at least one new position, and the total
-number of distinct queries stays within bs_1 * C_0 + bs_0 * C_1.
+number of distinct queries stays within bs_1 * C_0 + bs_0 * C_1.  The
+solver is a pure function of table and oracle and does not audit that
+final-state claim itself: the ``algorithm1`` verify suite re-derives it
+from each run's transcript alone.
 
 Also here: the doubled-tree simulation for monotone (and, with an
 orientation, unate) functions, the downward-closure wrapper that turns
@@ -202,48 +205,6 @@ class SolveResult:
                 "bound": self.bound}
 
 
-@dataclass(frozen=True)
-class ClaimsReport:
-    """Instrumented run: the final-state emptiness claims, checked.
-
-    A run may answer u only after abandoning both binary answers, so at
-    fall-through no 1-valued input may remain consistent with the
-    recorded answers (claim 1) and no 0-valued input either (claim 2).
-    Both are rechecked there from the oracle transcript alone; a
-    violation carries the offending input.  Runs that exit with 0 or 1
-    leave the claims unchecked (None).
-    """
-
-    output: int
-    expected: int
-    queries: int
-    bound: int
-    phase2_entered: bool
-    fallthrough: bool
-    claim1_holds: bool | None
-    claim2_holds: bool | None
-    counterexample: TernaryString | None
-
-    @property
-    def correct(self) -> bool:
-        return self.output == self.expected
-
-    @property
-    def claims_hold(self) -> bool:
-        return self.claim1_holds in (None, True) and self.claim2_holds in (None, True)
-
-
-class _Watch:
-    __slots__ = ("phase2_entered", "fallthrough", "claim1", "claim2", "culprit")
-
-    def __init__(self):
-        self.phase2_entered = False
-        self.fallthrough = False
-        self.claim1 = None
-        self.claim2 = None
-        self.culprit = None
-
-
 @lru_cache(maxsize=4096)
 def _cost_budget(table: HazardFreeTable, cap: int | None = None) -> int:
     # Worst case for the solver: bs_1 rounds of 0-certificates, then
@@ -255,7 +216,7 @@ def _cost_budget(table: HazardFreeTable, cap: int | None = None) -> int:
 
 
 def _run_algorithm1(table: HazardFreeTable, oracle: QueryOracle,
-                    watch: _Watch | None, cap: int | None = None) -> SolveResult:
+                    cap: int | None = None) -> SolveResult:
     f = table.function
     n = table.arity
     if oracle.arity != n:
@@ -300,8 +261,6 @@ def _run_algorithm1(table: HazardFreeTable, oracle: QueryOracle,
     # inside already-answered positions cannot occur (the previous
     # forces check would have exited), so every round makes progress.
     for stage_value in (0, 1):
-        if watch is not None and stage_value == 1:
-            watch.phase2_entered = True
         while True:
             code = consistent_input(stage_value)
             if code is None:
@@ -314,27 +273,6 @@ def _run_algorithm1(table: HazardFreeTable, oracle: QueryOracle,
             if forces(1):
                 return result(1)
 
-    if watch is not None:
-        watch.fallthrough = True
-        answered = {var - 1: a for var, a in oracle.transcript}
-
-        def survivor(want: int) -> int | None:
-            # Recheck from the transcript alone, independently of cells.
-            for code in range(3 ** n):
-                if vals[code] != want:
-                    continue
-                digits = digit_cache[code]
-                if all(digits[p] == a for p, a in answered.items()):
-                    return code
-            return None
-
-        bad1 = survivor(1)
-        bad0 = survivor(0)
-        watch.claim1 = bad1 is None
-        watch.claim2 = bad1 is None and bad0 is None
-        bad = bad1 if bad1 is not None else bad0
-        if bad is not None:
-            watch.culprit = TernaryString.from_code(bad, n)
     return result(UNKNOWN)
 
 
@@ -351,35 +289,13 @@ def algorithm1_solve(table: HazardFreeTable, oracle: QueryOracle,
     from per-table arrays whose size ``cap`` guards as in
     ``measure_report``.
     """
-    return _run_algorithm1(table, oracle, None, cap)
+    return _run_algorithm1(table, oracle, cap)
 
 
 def certificate_solver(table: HazardFreeTable) -> Solver:
     def run(oracle: QueryOracle) -> int:
-        return _run_algorithm1(table, oracle, None).output
+        return _run_algorithm1(table, oracle).output
     return run
-
-
-def instrumented_claims_check(table: HazardFreeTable,
-                              hidden: TernaryString | str,
-                              cap: int | None = None) -> ClaimsReport:
-    """Run the solver on one hidden input with the final-state claims
-    checked; ``cap`` guards as in ``algorithm1_solve``."""
-    hidden = as_ternary(hidden)
-    oracle = Oracle(hidden)
-    watch = _Watch()
-    res = _run_algorithm1(table, oracle, watch, cap)
-    return ClaimsReport(
-        output=res.output,
-        expected=table.values[hidden.code()],
-        queries=res.queries,
-        bound=res.bound,
-        phase2_entered=watch.phase2_entered,
-        fallthrough=watch.fallthrough,
-        claim1_holds=watch.claim1,
-        claim2_holds=watch.claim2,
-        counterexample=watch.culprit,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -105,8 +105,7 @@ def cmd_eval(args) -> int:
 def cmd_measures(args) -> int:
     cap = _resolve_cap(args)
     f = generate(args.spec, cap=cap)
-    report = measure_report(f, with_witnesses=args.witnesses,
-                            table_cap=cap, search_cap=cap)
+    report = measure_report(f, with_witnesses=args.witnesses, cap=cap)
     print(f"function = {f.to_spec()}")
     print(f"arity = {f.arity}")
     print(report.to_text())

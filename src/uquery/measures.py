@@ -673,18 +673,21 @@ def measure_report(
     *,
     with_witnesses: bool = False,
     table: HazardFreeTable | None = None,
-    table_cap: int | None = None,
-    search_cap: int | None = None,
+    cap: int | None = None,
 ) -> MeasureReport:
-    """Compute every measure of f, including exact decision-tree depths."""
+    """Compute every measure of f, including exact decision-tree depths.
+
+    ``cap`` bounds the arity of the table, when it is built here, and
+    of every per-table array and search behind the measures.
+    """
     if table is None:
-        table = hazard_free_table(f, cap=table_cap)
-    s_u, s_u_x, s_u_var = _sensitivity_scan(table, search_cap)
-    blocks = block_summary(table, search_cap)
-    certs = certificate_summary(table, search_cap)
-    classical = standard_measures(f, table, search_cap)
-    d_u, tree_u = trees.query_complexity_u(table, cap=search_cap)
-    d, tree_b = trees.query_complexity(f, table=table, cap=search_cap)
+        table = hazard_free_table(f, cap=cap)
+    s_u, s_u_x, s_u_var = _sensitivity_scan(table, cap)
+    blocks = block_summary(table, cap)
+    certs = certificate_summary(table, cap)
+    classical = standard_measures(f, table, cap)
+    d_u, tree_u = trees.query_complexity_u(table, cap=cap)
+    d, tree_b = trees.query_complexity(f, table=table, cap=cap)
 
     witnesses = None
     if with_witnesses:

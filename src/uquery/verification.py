@@ -8,6 +8,12 @@ first counterexample): ``_row`` tallies one from per-case outcomes and
 concrete witness: the function spec together with the offending input
 or the measured numbers.
 
+The ``algorithm1`` suite checks the solver's final-state claims itself,
+from each run's transcript alone: at every u answer, no 1-valued and no
+0-valued input may still agree with every recorded answer.  It finds
+the least such survivor with one vectorised test over a per-arity
+3**n x n digit matrix and never reads the solver's state.
+
 Populations are swept in a fixed order and rows fold in submission
 order, so for fixed parameters a report is deterministic in everything
 except its duration field, whatever the worker count: its
@@ -19,15 +25,18 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from random import Random
 from time import perf_counter
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .algorithms import (
     Oracle,
+    algorithm1_solve,
     downward_closure_solve,
-    instrumented_claims_check,
     monotone_simulate,
     or_via_ind_reduction,
     tree_solver,
@@ -218,13 +227,14 @@ def _values_dict(m: MeasureReport) -> dict:
     }
 
 
-def _sensitive_count(table: HazardFreeTable, x: TernaryString) -> int:
+def _sensitive_count(table: HazardFreeTable, x: TernaryString,
+                     alphabet: Sequence[int]) -> int:
     # Definitional recount: a position is sensitive when any other
-    # digit there changes the table value.
+    # digit of the alphabet there changes the table value.
     v = table.values[x.code()]
     count = 0
     for p in range(len(x)):
-        for d in (0, 1, 2):
+        for d in alphabet:
             if d == x[p]:
                 continue
             y = list(x.trits)
@@ -243,7 +253,7 @@ def _core_function_rows(f: BooleanFunction, cap: int | None):
     n = f.arity
     spec = f.to_spec()
     table = hazard_free_table(f)
-    m = measure_report(f, with_witnesses=True, table=table, search_cap=cap)
+    m = measure_report(f, with_witnesses=True, table=table, cap=cap)
 
     def resolutions():
         for code in range(3 ** n):
@@ -294,107 +304,119 @@ def _core_function_rows(f: BooleanFunction, cap: int | None):
     rows["bs_u-exceeds-C_u"] = _row([
         {"function": spec, "bs_u": m.bs_u, "C_u": m.C_u, "C_uu": m.C_u_uval}
         if m.bs_u > m.C_u else None])
-    problem = _witness_problems(f, table, m)
+    problem = _witness_problems(table, m)
     rows["witness-integrity"] = _row([
         {"function": spec, "witness": problem} if problem else None])
     return rows
 
 
-def _witness_problems(f: BooleanFunction, table: HazardFreeTable,
-                      m: MeasureReport) -> str | None:
-    """First defect in the emitted witnesses, validated definitionally."""
-    n = table.arity
-    w = m.witnesses
-    vals = table.values
+def _sensitivity_problem(table: HazardFreeTable, key: str, d: dict, want: int,
+                         alphabet: Sequence[int]) -> str | None:
+    x = as_ternary(d["input"])
+    if _sensitive_count(table, x, alphabet) != want:
+        return f"{key} input attains a different sensitivity"
+    if want > 0 and d["variable"] is None:
+        return f"{key} witness names no variable"
+    return None
 
-    x = as_ternary(w["s_u"]["input"])
-    if _sensitive_count(table, x) != m.s_u:
-        return "s_u input attains a different sensitivity"
-    if m.s_u > 0 and w["s_u"]["variable"] is None:
-        return "s_u witness names no variable"
 
-    for key, want, cls in (("bs_u", m.bs_u, None), ("bs_u_0", m.bs_u_0, 0),
-                           ("bs_u_1", m.bs_u_1, 1),
-                           ("bs_u_uval", m.bs_u_uval, 2)):
-        d = w[key]
-        if d is None:
-            if want != 0:
-                return f"{key} reported {want} without a witness"
-            continue
-        base = as_ternary(d["input"])
-        if cls is not None and vals[base.code()] != cls:
-            return f"{key} input has the wrong value"
-        fam = tuple(
-            SensitiveBlockWitness(base, frozenset(blk), as_ternary(alt))
-            for blk, alt in zip(d["blocks"], d["altered"])
-        )
-        if len(fam) != want:
-            return f"{key} family size differs from the reported value"
-        if not validate_block_family(table, base, fam):
-            return f"{key} family fails validation"
-
-    for key, want, classes in (("C_u_0", m.C_u_0, (0,)),
-                               ("C_u_1", m.C_u_1, (1,)),
-                               ("C_u", m.C_u, (0, 1)),
-                               ("C_u_uval", m.C_u_uval, (2,))):
-        d = w[key]
-        if d is None:
-            if want != 0:
-                return f"{key} reported {want} without a witness"
-            continue
-        x = as_ternary(d["input"])
-        v = vals[x.code()]
-        if v not in classes:
-            return f"{key} input has the wrong value"
-        pa = PartialAssignment.parse(d["certificate"])
-        if pa.size != want:
-            return f"{key} certificate size differs from the reported value"
-        if not pa.is_consistent(x):
-            return f"{key} certificate conflicts with its input"
-        if not validate_certificate(table, CertificateWitness(pa, v)):
-            return f"{key} certificate fails validation"
-
-    x = as_ternary(w["s"]["input"])
-    idx = x.bin_index()
-    v = f.value_at_index(idx)
-    count = sum(
-        1 for p in range(n)
-        if f.value_at_index(idx ^ (1 << (n - 1 - p))) != v
-    )
-    if count != m.s:
-        return "s input attains a different sensitivity"
-
-    d = w["bs"]
+def _family_problem(table: HazardFreeTable, key: str, d: dict | None,
+                    want: int, cls: int | None) -> str | None:
+    if d is None:
+        return f"{key} reported {want} without a witness" if want else None
     base = as_ternary(d["input"])
+    if cls is not None and table.values[base.code()] != cls:
+        return f"{key} input has the wrong value"
     fam = tuple(
         SensitiveBlockWitness(base, frozenset(blk), as_ternary(alt))
         for blk, alt in zip(d["blocks"], d["altered"])
     )
-    if len(fam) != m.bs or not validate_block_family(table, base, fam):
-        return "bs family fails validation"
+    if len(fam) != want:
+        return f"{key} family size differs from the reported value"
+    if not validate_block_family(table, base, fam):
+        return f"{key} family fails validation"
+    return None
 
-    d = w["C"]
+
+def _certificate_problem(table: HazardFreeTable, key: str, d: dict | None,
+                         want: int, classes: tuple[int, ...]) -> str | None:
+    if d is None:
+        return f"{key} reported {want} without a witness" if want else None
     x = as_ternary(d["input"])
+    v = table.values[x.code()]
+    if v not in classes:
+        return f"{key} input has the wrong value"
     pa = PartialAssignment.parse(d["certificate"])
-    if pa.size != m.C or not pa.is_consistent(x):
-        return "C certificate conflicts with its input or size"
-    if not validate_certificate(table, CertificateWitness(pa, vals[x.code()])):
-        return "C certificate fails validation"
+    if pa.size != want:
+        return f"{key} certificate size differs from the reported value"
+    if not pa.is_consistent(x):
+        return f"{key} certificate conflicts with its input"
+    if not validate_certificate(table, CertificateWitness(pa, v)):
+        return f"{key} certificate fails validation"
+    return None
 
-    d = w["D"]
-    tb = tree_from_json_dict(d["tree"])
-    if d["depth"] != m.D or tree_depth(tb) != m.D:
-        return "classical tree depth differs from the reported value"
-    if not verify_tree(tb, table)[0]:
-        return "classical tree misevaluates a resolved input"
 
-    d = w["D_u"]
-    tu = tree_from_json_dict(d["tree"])
-    if d["depth"] != m.D_u or tree_depth(tu) != m.D_u:
-        return "u-model tree depth differs from the reported value"
-    ok, bad = verify_tree(tu, table)
-    if not ok:
-        return f"u-model tree misevaluates {bad}"
+def _tree_problem(table: HazardFreeTable, key: str, d: dict, want: int,
+                  model: str) -> str | None:
+    tree = tree_from_json_dict(d["tree"])
+    if d["depth"] != want or tree_depth(tree) != want:
+        return f"{model} tree depth differs from the reported value"
+    ok, bad = verify_tree(tree, table)
+    return None if ok else f"{model} tree misevaluates {bad}"
+
+
+def _witness_problems(table: HazardFreeTable, m: MeasureReport) -> str | None:
+    """First defect in the emitted witnesses, validated definitionally.
+
+    The classical witnesses s, bs and C are binary inputs, checked like
+    their u-model counterparts with the alphabet {0, 1}.
+    """
+    checks = (
+        (_sensitivity_problem, "s_u", m.s_u, (0, 1, UNKNOWN)),
+        (_family_problem, "bs_u", m.bs_u, None),
+        (_family_problem, "bs_u_0", m.bs_u_0, 0),
+        (_family_problem, "bs_u_1", m.bs_u_1, 1),
+        (_family_problem, "bs_u_uval", m.bs_u_uval, UNKNOWN),
+        (_certificate_problem, "C_u_0", m.C_u_0, (0,)),
+        (_certificate_problem, "C_u_1", m.C_u_1, (1,)),
+        (_certificate_problem, "C_u", m.C_u, (0, 1)),
+        (_certificate_problem, "C_u_uval", m.C_u_uval, (UNKNOWN,)),
+        (_sensitivity_problem, "s", m.s, (0, 1)),
+        (_family_problem, "bs", m.bs, None),
+        (_certificate_problem, "C", m.C, (0, 1)),
+        (_tree_problem, "D", m.D, "classical"),
+        (_tree_problem, "D_u", m.D_u, "u-model"),
+    )
+    for check, key, want, arg in checks:
+        problem = check(table, key, m.witnesses[key], want, arg)
+        if problem:
+            return problem
+    return None
+
+
+@lru_cache(maxsize=None)
+def _digit_matrix(n: int) -> np.ndarray:
+    """The 3**n x n uint8 trits of every ternary code, one row per code."""
+    return np.indices((3,) * n, dtype=np.uint8).reshape(n, -1).T.copy()
+
+
+def _survivor(table: HazardFreeTable,
+              transcript: Sequence[tuple[int, int]]) -> TernaryString | None:
+    """The least 1-valued input that agrees with every answer of the
+    transcript, else the least such 0-valued one, else None.
+
+    A solver may answer u only when this is None.  The test reads the
+    table and the transcript alone, never the solver's own state.
+    """
+    n = table.arity
+    cols = [var - 1 for var, _ in transcript]
+    answers = [a for _, a in transcript]
+    agree = (_digit_matrix(n)[:, cols] == answers).all(axis=1)
+    vals = np.frombuffer(table.values, dtype=np.uint8)
+    for want in (1, 0):
+        hits = np.flatnonzero(agree & (vals == want))
+        if hits.size:
+            return TernaryString.from_code(int(hits[0]), n)
     return None
 
 
@@ -402,24 +424,27 @@ def _alg1_function_rows(f: BooleanFunction, cap: int | None):
     n = f.arity
     table = hazard_free_table(f)
     spec = f.to_spec()
-    hiddens = [TernaryString.from_code(code, n) for code in range(3 ** n)]
-    runs = [(h, instrumented_claims_check(table, h, cap=cap)) for h in hiddens]
+    runs = []
+    for code in range(3 ** n):
+        hidden = TernaryString.from_code(code, n)
+        res = algorithm1_solve(table, Oracle(hidden), cap)
+        bad = _survivor(table, res.transcript) if res.output == UNKNOWN else None
+        runs.append((str(hidden), table.values[code], res, bad))
     return {
         "solver-correct": _row(
-            None if rep.output == rep.expected else {
-                "function": spec, "input": str(hidden),
-                "got": _trit(rep.output), "expected": _trit(rep.expected),
-            } for hidden, rep in runs),
+            None if res.output == want else {
+                "function": spec, "input": hidden,
+                "got": _trit(res.output), "expected": _trit(want),
+            } for hidden, want, res, _ in runs),
         "solver-within-budget": _row(
-            None if rep.queries <= rep.bound else {
-                "function": spec, "input": str(hidden),
-                "queries": rep.queries, "budget": rep.bound,
-            } for hidden, rep in runs),
+            None if res.queries <= res.bound else {
+                "function": spec, "input": hidden,
+                "queries": res.queries, "budget": res.bound,
+            } for hidden, _, res, _ in runs),
         "solver-final-claims": _row(
-            None if rep.claims_hold else {
-                "function": spec, "input": str(hidden),
-                "survivor": str(rep.counterexample),
-            } for hidden, rep in runs),
+            None if bad is None else {
+                "function": spec, "input": hidden, "survivor": str(bad),
+            } for hidden, _, _, bad in runs),
     }
 
 

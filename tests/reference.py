@@ -213,6 +213,17 @@ def certificate_u(table: dict, n: int):
     return tuple(out)
 
 
+def survivor(table: dict, transcript):
+    """The least 1-valued input agreeing with every (variable, answer)
+    of a solver transcript, else the least such 0-valued one, else None.
+    A sound solver answers u only when this is None."""
+    for want in (1, 0):
+        for x in table:
+            if table[x] == want and all(x[var - 1] == a for var, a in transcript):
+                return x
+    return None
+
+
 def classical_measures(bits: int, n: int):
     """(s, bs, C) over binary inputs with flip blocks."""
     def value(idx):

@@ -20,8 +20,8 @@ from uquery import (
 )
 from uquery.algorithms import (
     Oracle,
+    algorithm1_solve,
     downward_closure_solve,
-    instrumented_claims_check,
     monotone_simulate,
     or_via_ind_reduction,
     tree_solver,
@@ -199,18 +199,18 @@ def test_criterion_5_certificate_guided_solver(capsys):
         c0, c1, _ = R.certificate_u(ref, n)
         budget = R.bs_u(ref, n, 1) * c0 + R.bs_u(ref, n, 0) * c1
         for code in range(3 ** n):
-            report = instrumented_claims_check(
-                table, TernaryString.from_code(code, n))
-            assert report.output == report.expected
-            assert report.bound == budget
-            assert report.queries <= budget
-            assert report.claims_hold
+            res = algorithm1_solve(table, Oracle(TernaryString.from_code(code, n)))
+            assert res.output == table.values[code]
+            assert res.bound == budget
+            assert res.queries <= budget
+            if res.output == R.U:
+                assert R.survivor(ref, res.transcript) is None
             runs += 1
     assert runs == 7068
     _say(capsys, f"criterion 5: PASS — solver output equals the extension "
                  f"on all {runs} (function, hidden) pairs at n<=3, query "
-                 "counts within bs_u1*C_u0+bs_u0*C_u1, claim checks never "
-                 "fired")
+                 "counts within bs_u1*C_u0+bs_u0*C_u1, no survivor at any "
+                 "u answer")
 
 
 def test_criterion_6_monotone_bracket_and_simulation(capsys):

@@ -21,7 +21,6 @@ from uquery.algorithms import (
     downward_closure_solve,
     fill_unknown_oracle,
     indexing_oracle_from_or,
-    instrumented_claims_check,
     mask_ones_oracle,
     monotone_simulate,
     or_via_ind_reduction,
@@ -117,17 +116,17 @@ def _sweep_functions():
 def test_solver_sweep(n, bits):
     f = BooleanFunction(n, bits)
     table = hazard_free_table(f)
+    ref = R.full_table(bits, n)
     blocks = block_summary(table)
     certs = certificate_summary(table)
     budget = (blocks.by_value[1] * certs.c_u_0
               + blocks.by_value[0] * certs.c_u_1)
     for code in range(3 ** n):
-        report = instrumented_claims_check(
-            table, TernaryString.from_code(code, n))
-        assert report.output == report.expected
-        assert report.queries <= report.bound == budget
-        assert report.claims_hold
-        assert report.counterexample is None
+        res = algorithm1_solve(table, Oracle(TernaryString.from_code(code, n)))
+        assert res.output == table.values[code]
+        assert res.queries <= res.bound == budget
+        if res.output == R.U:
+            assert R.survivor(ref, res.transcript) is None
 
 
 # sha256 of repr((output, queries, bound, transcript)) of algorithm1_solve,
@@ -162,13 +161,14 @@ def test_budget_is_at_most_twice_cu_bsu():
         assert budget <= 2 * blocks.bs_u * certs.c_u
 
 
-def test_claims_instrumentation_fallthrough():
-    # parity on a fully unresolved input drains both phases and lands on u
-    table = hazard_free_table(generate("parity:2"))
-    report = instrumented_claims_check(table, "uu")
-    assert report.output == 2 and report.expected == 2
-    assert report.phase2_entered and report.fallthrough
-    assert report.claim1_holds and report.claim2_holds
+def test_solver_fallthrough_leaves_no_survivor():
+    # parity on a fully unresolved input drains both stages and lands on u
+    f = generate("parity:2")
+    table = hazard_free_table(f)
+    res = algorithm1_solve(table, Oracle("uu"))
+    assert res.output == 2 and table.evaluate("uu") == 2
+    assert res.transcript == ((1, 2), (2, 2))
+    assert R.survivor(R.full_table(f.bits, 2), res.transcript) is None
 
 
 def test_certificate_solver_matches_extension():

@@ -169,17 +169,19 @@ def test_array_size_is_capped(monkeypatch):
     with pytest.raises(ArityCapError):
         standard_measures(f, table, cap=2)
     with pytest.raises(ArityCapError):
-        measure_report(f, search_cap=2)
+        measure_report(f, cap=2)
+    with pytest.raises(ArityCapError):
+        measure_report(f, table=table, cap=2)
     with pytest.raises(ArityCapError):
         algorithm1_solve(table, Oracle("010"), cap=2)
-    assert measure_report(f, search_cap=3).bs_u == 3
+    assert measure_report(f, cap=3).bs_u == 3
     assert algorithm1_solve(table, Oracle("010"), cap=3).output == 0
     # Below the default cap only an explicit cap reaches the arrays, so
     # every reader on these paths must be handed it.
     monkeypatch.setattr(uquery.measures, "DEFAULT_SEARCH_CAP", 2)
     with pytest.raises(ArityCapError):
         minimal_sensitive_blocks(table, "010")
-    assert measure_report(f, search_cap=3).bs_u == 3
+    assert measure_report(f, cap=3).bs_u == 3
     assert algorithm1_solve(table, Oracle("010"), cap=3).output == 0
 
 

@@ -57,7 +57,7 @@ def test_measures_follow_npn_transforms(n):
         if negate:
             want = {OUTPUT_SWAP.get(k, k): v for k, v in want.items()}
         assert _values(report) == want, (f.to_spec(), perm, flips, negate)
-        assert _witness_problems(g, table, report) is None
+        assert _witness_problems(table, report) is None
 
 
 def _npn_orbit(f):

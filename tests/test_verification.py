@@ -1,12 +1,26 @@
 """Verification harness: suites, populations, and determinism."""
 
+import copy
+import dataclasses
 import hashlib
 import json
+import random
+from itertools import product
 
 import pytest
 
+import reference as R
+import uquery.algorithms
 import uquery.verification
-from uquery.core import ArityCapError, HazardFreeTable
+from uquery.algorithms import SolveResult
+from uquery.core import (
+    UNKNOWN,
+    ArityCapError,
+    BooleanFunction,
+    HazardFreeTable,
+    hazard_free_table,
+)
+from uquery.measures import measure_report
 from uquery.verification import (
     SUITES,
     CheckRecord,
@@ -167,6 +181,98 @@ def test_algorithm1_suite_honours_the_cap():
     with pytest.raises(ArityCapError):
         run_suite("algorithm1", ns=(3,), cap=2, workers=1)
     assert run_suite("algorithm1", ns=(1, 2), cap=2, workers=1).passed
+
+
+def test_witness_problems_reach_the_classical_witnesses():
+    f = BooleanFunction(3, 0b11101000)  # maj:3
+    table = hazard_free_table(f)
+    report = measure_report(f, with_witnesses=True, table=table)
+    problems = uquery.verification._witness_problems
+    assert problems(table, report) is None
+
+    def broken(**edits):
+        w = copy.deepcopy(report.witnesses)
+        for key, fields in edits.items():
+            w[key].update(fields)
+        return problems(table, dataclasses.replace(report, witnesses=w))
+
+    assert broken(s={"input": "000"}) == "s input attains a different sensitivity"
+    assert broken(s={"variable": None}) == "s witness names no variable"
+    assert broken(bs={"blocks": [[1]], "altered": ["101"]}) \
+        == "bs family size differs from the reported value"
+    assert broken(bs={"altered": ["101", "001"]}) == "bs family fails validation"
+    assert broken(C={"certificate": "0**"}) \
+        == "C certificate size differs from the reported value"
+    assert broken(C={"certificate": "01*"}) == "C certificate conflicts with its input"
+    assert broken(D={"depth": 2}) == "classical tree depth differs from the reported value"
+    # the checks keep their order: u-model witnesses before classical ones
+    assert broken(s_u={"input": "000"}, s={"input": "000"}) \
+        == "s_u input attains a different sensitivity"
+    assert broken(C={"certificate": "01*"}, D={"depth": 2}) \
+        == "C certificate conflicts with its input"
+
+
+def test_survivor_prefers_the_least_one_valued_input():
+    table = hazard_free_table(BooleanFunction(2, 0b1000))  # and:2
+    survivor = uquery.verification._survivor
+    # 11 is the only 1-valued input; 00 is the least 0-valued one
+    assert str(survivor(table, ())) == "11"
+    assert str(survivor(table, ((2, 0),))) == "00"
+    assert str(survivor(table, ((1, UNKNOWN),))) == "u0"
+    assert survivor(table, ((2, UNKNOWN), (1, UNKNOWN))) is None
+
+
+def test_survivor_matches_the_reference_scan():
+    # every table with n <= 3 against every set of answers, each in a
+    # shuffled query order
+    rng = random.Random(7)
+    survivor = uquery.verification._survivor
+    for n in (1, 2, 3):
+        for bits in range(1 << (1 << n)):
+            table = hazard_free_table(BooleanFunction(n, bits))
+            ref = R.full_table(bits, n)
+            for cells in product((0, 1, UNKNOWN, None), repeat=n):
+                transcript = [(p + 1, c) for p, c in enumerate(cells)
+                              if c is not None]
+                rng.shuffle(transcript)
+                want = R.survivor(ref, transcript)
+                got = survivor(table, tuple(transcript))
+                assert (got.trits if got is not None else None) == want
+
+
+def test_final_claims_fail_on_an_early_u(monkeypatch):
+    # A solver that answers u after its first query leaves survivors;
+    # the row must fail and name the least one of the first bad run.
+    real = uquery.algorithms._run_algorithm1
+
+    def early_u(table, oracle, cap=None):
+        res = real(table, oracle, cap)
+        return SolveResult(UNKNOWN, res.queries, res.bound, res.transcript[:1])
+
+    expected, failures = None, 0
+    for n in (1, 2):
+        for bits in range(1 << (1 << n)):
+            f = BooleanFunction(n, bits)
+            table = hazard_free_table(f)
+            ref = R.full_table(bits, n)
+            for hidden in R.ternary_strings(n):
+                res = real(table, uquery.algorithms.Oracle(hidden))
+                bad = R.survivor(ref, res.transcript[:1])
+                if bad is None:
+                    continue
+                failures += 1
+                if expected is None:
+                    expected = {"function": f.to_spec(),
+                                "input": "".join("01u"[t] for t in hidden),
+                                "survivor": "".join("01u"[t] for t in bad)}
+
+    monkeypatch.setattr(uquery.algorithms, "_run_algorithm1", early_u)
+    report = run_suite("algorithm1", ns=(1, 2), workers=1)
+    record = {r.check: r for r in report.records}["solver-final-claims"]
+    assert not record.passed and not report.passed
+    assert record.cases == 156
+    assert 0 < failures == record.failures
+    assert record.counterexample == expected
 
 
 def _records_digest(reports) -> str:
