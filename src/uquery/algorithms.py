@@ -9,7 +9,10 @@ exists, and the second does the same with 1-certificates of consistent
 1-valued inputs.  A stage exits the moment the recorded answers force
 a value, and control reaches the answer u only once no 0-valued and no
 1-valued input remains consistent, which is what makes that answer
-sound.  Every round reveals at least one new position, and the total
+sound.  The least consistent input is read off the table viewed as a
+(3,) * n grid: the answers fix a block of it, and the block's first hit
+in C order is the lex-least, so no round decodes the other inputs.
+Every round reveals at least one new position, and the total
 number of distinct queries stays within bs_1 * C_0 + bs_0 * C_1.  The
 solver is a pure function of table and oracle and does not audit that
 final-state claim itself: the ``algorithm1`` verify suite re-derives it
@@ -30,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Protocol, Sequence
+
+import numpy as np
 
 from .core import (
     STAR,
@@ -227,29 +232,27 @@ def _run_algorithm1(table: HazardFreeTable, oracle: QueryOracle,
 
     bound = _cost_budget(table, cap)
 
-    vals = table.values
-    pw3 = tuple(3 ** (n - 1 - p) for p in range(n))
-    digit_cache = [TernaryString.from_code(c, n).trits for c in range(3 ** n)]
+    grid = np.frombuffer(table.values, np.uint8).reshape((3,) * n)
     cells = [STAR] * n
 
-    def consistent_input(want: int) -> int | None:
-        """Lex-least input of the wanted value consistent with the answers."""
-        for code in range(3 ** n):
-            if vals[code] != want:
-                continue
-            digits = digit_cache[code]
-            if all(cells[p] == STAR or cells[p] == digits[p] for p in range(n)):
-                return code
-        return None
+    def consistent_input(want: int) -> tuple[int, ...] | None:
+        """Lex-least input of the wanted value consistent with the answers.
+
+        The answers fix a block of the value grid, free on the unanswered
+        axes; C order over those axes is lex order of the whole input, so
+        the block's first hit is the least consistent input.
+        """
+        block = grid[tuple(slice(None) if c == STAR else c for c in cells)]
+        hits = np.flatnonzero(block == want)
+        if not hits.size:
+            return None
+        free = iter(np.unravel_index(hits[0], block.shape))
+        return tuple(int(next(free)) if c == STAR else c for c in cells)
 
     def forces(b: int) -> bool:
         # The answers force value b iff the coarsest consistent string
         # (u at every unqueried position) already evaluates to b.
-        code = 0
-        for p in range(n):
-            c = cells[p]
-            code += (UNKNOWN if c == STAR else c) * pw3[p]
-        return vals[code] == b
+        return grid[tuple(UNKNOWN if c == STAR else c for c in cells)] == b
 
     def result(output: int) -> SolveResult:
         return SolveResult(output, oracle.query_count, bound,
@@ -262,10 +265,10 @@ def _run_algorithm1(table: HazardFreeTable, oracle: QueryOracle,
     # forces check would have exited), so every round makes progress.
     for stage_value in (0, 1):
         while True:
-            code = consistent_input(stage_value)
-            if code is None:
+            digits = consistent_input(stage_value)
+            if digits is None:
                 break
-            cert = certificate_u_at(table, TernaryString(digit_cache[code]), cap)
+            cert = certificate_u_at(table, TernaryString(digits), cap)
             for var in sorted(cert.assignment.domain()):
                 cells[var - 1] = oracle.query(var)
             if forces(0):

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from typing import Sequence
 
@@ -34,6 +35,7 @@ from .core import (
 )
 from .measures import measure_report
 from .trees import (
+    DecisionTree,
     query_complexity,
     query_complexity_u,
     serialize_tree,
@@ -58,9 +60,25 @@ def _resolve_cap(args) -> int | None:
         raise ValueError(f"{ENV_CAP} must be an integer, got {text!r}") from None
 
 
-def _write_json(path: str, payload: dict) -> None:
+# The payload value _write_json replaces with the tree of that index.
+_TREE_SLOT = "\0tree%d"
+
+
+def _write_json(path: str, payload: dict, trees: Sequence[DecisionTree] = ()) -> None:
+    """Write ``json.dump(payload, indent=2, sort_keys=True)`` and a newline,
+    where ``trees[k]`` stands in the payload as ``_TREE_SLOT % k``.  Those
+    trees are written by ``write_indented_tree`` at the nesting of their
+    slot: the ``json`` module's indenting encoder is pure Python, and on a
+    tree of 100k nodes takes ten times as long."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    pieces = re.split(r'"\\u0000tree(\d+)"', text)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write(pieces[0])
+        for k in range(1, len(pieces), 2):
+            line = pieces[k - 1].rpartition("\n")[2]
+            nesting = (len(line) - len(line.lstrip(" "))) // 2
+            write_indented_tree(trees[int(pieces[k])], handle, nesting)
+            handle.write(pieces[k + 1])
         handle.write("\n")
 
 
@@ -114,7 +132,14 @@ def cmd_measures(args) -> int:
     if args.json_path:
         payload = {"function": f.to_spec(), "arity": f.arity}
         payload.update(report.to_json_dict())
-        _write_json(args.json_path, payload)
+        if args.witnesses:
+            payload["witnesses"] = witnesses = dict(report.witnesses)
+            for k, key in enumerate(("D", "D_u")):
+                witnesses[key] = {**witnesses[key], "tree": _TREE_SLOT % k}
+        # The report's own tree dicts go before the tree texts are built.
+        trees = report.witness_trees
+        del report
+        _write_json(args.json_path, payload, trees)
     return 0
 
 
@@ -187,14 +212,8 @@ def cmd_tree(args) -> int:
     print(f"model = {args.model}")
     print(f"depth = {depth}")
     if args.out:
-        # The file is the payload as _write_json writes it, with "tree",
-        # the last key in sorted order, written by write_indented_tree.
-        head = json.dumps({"depth": depth, "function": f.to_spec(), "model": args.model},
-                          indent=2, sort_keys=True)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(head.removesuffix("\n}") + ',\n  "tree": ')
-            write_indented_tree(tree, handle, 1)
-            handle.write("\n}\n")
+        _write_json(args.out, {"depth": depth, "function": f.to_spec(),
+                               "model": args.model, "tree": _TREE_SLOT % 0}, [tree])
     else:
         print(f"tree = {serialize_tree(tree)}")
     return 0

@@ -366,6 +366,13 @@ def _merge_axes(cells: np.ndarray, top: int, clash: int) -> None:
         np.copyto(view[:, top], clash, where=view[:, 0] != view[:, 1])
 
 
+def _truth_bits(f: BooleanFunction) -> np.ndarray:
+    """The 2**n truth-table bits of f as uint8, entry i the value at index i."""
+    size = 1 << f.arity
+    packed = np.frombuffer(f.bits.to_bytes(max(1, size // 8), "little"), np.uint8)
+    return np.unpackbits(packed, bitorder="little")[:size]
+
+
 def hazard_free_table(f: BooleanFunction, cap: int | None = None) -> HazardFreeTable:
     """Tabulate the hazard-free extension of f over all 3**n ternary inputs.
 
@@ -377,10 +384,7 @@ def hazard_free_table(f: BooleanFunction, cap: int | None = None) -> HazardFreeT
     n = f.arity
     check_cap(n, cap, DEFAULT_TABLE_CAP, "hazard-free table")
     vals = np.empty((3,) * n, dtype=np.uint8)
-    table = np.fromiter(
-        ((f.bits >> i) & 1 for i in range(1 << n)), dtype=np.uint8, count=1 << n
-    )
-    vals[np.ix_(*([0, 1],) * n)] = table.reshape((2,) * n)
+    vals[np.ix_(*([0, 1],) * n)] = _truth_bits(f).reshape((2,) * n)
     _merge_axes(vals, UNKNOWN, UNKNOWN)
     return HazardFreeTable(f, vals.reshape(-1).tobytes())
 

@@ -37,7 +37,7 @@ loops can be distributed freely (the verification harness does).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple, Sequence
@@ -641,6 +641,10 @@ class MeasureReport:
     D: int
     D_u: int
     witnesses: dict | None = None
+    # The D and D_u witness trees themselves, for writers that format
+    # them without going through their dicts in ``witnesses``.
+    witness_trees: tuple[trees.DecisionTree, trees.DecisionTree] | None = field(
+        default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         out = {name: getattr(self, name) for name in _REPORT_FIELDS}
@@ -731,4 +735,5 @@ def measure_report(
         D=d,
         D_u=d_u,
         witnesses=witnesses,
+        witness_trees=(tree_b, tree_u),
     )

@@ -7,9 +7,10 @@ the value at binary index i with variable 1 as the most significant
 bit of the index.  The exceptions run package code the plain way:
 ``verify_tree_by_inputs`` replays package trees on package tables input
 by input, ``read_tree`` is the recursive tree extraction the layered one
-of ``trees._read_tree`` replaced, and ``far_start_tree`` is a byte
+of ``trees._read_tree`` replaced, ``far_start_tree`` is a byte
 relaxation of the depths from a start far above them, the depth kernel
-before the level search.
+before the level search, and ``solve_by_scan`` is the certificate-guided
+solver that scanned every decoded input for the least consistent one.
 """
 
 from functools import lru_cache
@@ -17,7 +18,9 @@ from itertools import combinations, product
 
 import numpy as np
 
+from uquery.algorithms import SolveResult
 from uquery.core import TernaryString
+from uquery.measures import block_summary, certificate_summary, certificate_u_at
 from uquery.trees import evaluate_tree
 
 U = 2
@@ -418,3 +421,34 @@ def verify_tree_by_inputs(tree, table):
         if evaluate_tree(tree, y) != value(index):
             return False, y
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# The certificate-guided solver, scanning decoded inputs.
+
+
+def solve_by_scan(table, oracle):
+    """``algorithms.algorithm1_solve`` with each round's least consistent
+    input of the stage value found by scanning all 3**n inputs in code
+    order; the budget and the certificates come from the package."""
+    n, f = table.arity, table.function
+    if f.is_constant():
+        return SolveResult(f.value_at_index(0), oracle.query_count, 0, oracle.transcript)
+    blocks, certs = block_summary(table), certificate_summary(table)
+    bound = blocks.by_value[1] * certs.c_u_0 + blocks.by_value[0] * certs.c_u_1
+    inputs = list(ternary_strings(n))
+    answers = {}
+    for want in (0, 1):
+        while True:
+            x = next((y for code, y in enumerate(inputs) if table.values[code] == want
+                      and all(answers.get(p, y[p]) == y[p] for p in range(n))), None)
+            if x is None:
+                break
+            cert = certificate_u_at(table, TernaryString(x))
+            for var in sorted(cert.assignment.domain()):
+                answers[var - 1] = oracle.query(var)
+            # The coarsest consistent input, u wherever unanswered.
+            value = table.evaluate([answers.get(p, U) for p in range(n)])
+            if value != U:
+                return SolveResult(value, oracle.query_count, bound, oracle.transcript)
+    return SolveResult(U, oracle.query_count, bound, oracle.transcript)

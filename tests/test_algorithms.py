@@ -2,10 +2,12 @@
 
 import hashlib
 import random
+import sys
 
 import pytest
 
 import reference as R
+import uquery
 from uquery import (
     BooleanFunction,
     TernaryString,
@@ -149,6 +151,54 @@ def test_solver_runs_byte_identical():
             digest.update(repr((res.output, res.queries, res.bound, res.transcript)).encode())
             digest.update(b"\n")
     assert digest.hexdigest() == SOLVE_DIGEST
+
+
+def _scan_cases():
+    """Every hidden input of every table with n <= 3 and of seeded tables
+    at n = 4 and 5, and a seeded sample of hidden inputs at n = 6."""
+    for n in (1, 2, 3):
+        for bits in range(1 << (1 << n)):
+            yield BooleanFunction(n, bits), range(3 ** n)
+    rng = random.Random(14)
+    for n, tables, inputs in ((4, 30, 81), (5, 8, 243), (6, 4, 200)):
+        for _ in range(tables):
+            yield BooleanFunction(n, rng.getrandbits(1 << n)), sorted(rng.sample(range(3 ** n), inputs))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_solver_matches_the_scan(n):
+    for f, codes in _scan_cases():
+        if f.arity != n:
+            continue
+        table = hazard_free_table(f)
+        for code in codes:
+            hidden = TernaryString.from_code(code, n)
+            assert algorithm1_solve(table, Oracle(hidden)) == R.solve_by_scan(table, Oracle(hidden)), \
+                (f.to_spec(), str(hidden))
+
+
+def test_a_solve_decodes_no_more_inputs_than_it_queries(monkeypatch):
+    """Once the table's budget is priced, a solve decodes at most one
+    input a query: the least consistent inputs are read off the value
+    grid, not found among all 3**n decoded inputs.  Every package binding
+    of ``TernaryString`` is the class whose ``from_code`` is counted."""
+    original = TernaryString.from_code.__func__
+    calls = []
+
+    def counted(cls, code, arity):
+        calls.append(code)
+        return original(cls, code, arity)
+
+    bindings = {module.TernaryString for name, module in sys.modules.items()
+                if name.split(".")[0] == "uquery" and hasattr(module, "TernaryString")}
+    assert bindings == {uquery.core.TernaryString}
+    monkeypatch.setattr(TernaryString, "from_code", classmethod(counted))
+    table = hazard_free_table(generate("random:8:1"))
+    algorithm1_solve(table, Oracle("0" * 8))  # prices the budget of the table
+    calls.clear()
+    res = algorithm1_solve(table, Oracle("1u0u1u1u"))
+    assert res.queries == 6
+    assert len(calls) <= res.queries
 
 
 def test_budget_is_at_most_twice_cu_bsu():

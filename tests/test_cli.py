@@ -212,6 +212,39 @@ def test_tree_command_bytes(capsys, tmp_path, spec, model):
     assert digests == TREE_COMMAND_DIGESTS[spec, model]
 
 
+# sha256 of the stdout of `solve SPEC HIDDEN`, recorded from the solver that
+# scanned all 3**n decoded inputs per round for the least consistent one.
+SOLVE_COMMAND_DIGESTS = {
+    ("random:8:1", "1u0u1u1u"):
+        "8185c1da2f1bf9d65c35a126315c9e4e0430de45f0dd439e674e09ed6ffc6d2d",
+    ("random:10:1", "1u0u1u1u01"):
+        "4ea2d1e9c0f02d533b5f080581905654ba6db380d9212717a7cf39778bb90d2d",
+}
+
+
+@pytest.mark.parametrize("spec,hidden", sorted(SOLVE_COMMAND_DIGESTS))
+def test_solve_command_bytes(capsys, spec, hidden):
+    rc, out, _ = run(capsys, "solve", spec, hidden)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_COMMAND_DIGESTS[spec, hidden]
+
+
+@pytest.mark.parametrize("spec", ["maj:5", "ind:2", "random:7:1"])
+@pytest.mark.parametrize("witnesses", [False, True])
+def test_measures_json_is_the_json_module_text(capsys, tmp_path, spec, witnesses):
+    """The file is ``json.dump(payload, indent=2, sort_keys=True)`` and a
+    newline, though its witness trees are written by write_indented_tree."""
+    path = tmp_path / "m.json"
+    flags = ["--witnesses"] if witnesses else []
+    rc, _, _ = run(capsys, "measures", spec, *flags, "--json", str(path))
+    assert rc == 0
+    f = uquery.generate(spec)
+    payload = {"function": f.to_spec(), "arity": f.arity}
+    payload.update(uquery.measure_report(f, with_witnesses=witnesses).to_json_dict())
+    assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert ('"tree"' in path.read_text()) == witnesses
+
+
 def test_bad_spec_exits_2(capsys):
     rc, _, err = run(capsys, "gen", "bogus:1")
     assert rc == 2

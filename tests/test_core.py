@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,7 @@ from uquery import (
     resolutions,
     unate_orientation,
 )
-from uquery.core import NOT_FORCED, forced_value_table
+from uquery.core import NOT_FORCED, _truth_bits, forced_value_table
 
 
 def test_ternary_parse_and_str():
@@ -155,6 +156,19 @@ def test_caps():
     with pytest.raises(ArityCapError):
         generate("or:5", cap=4)
     assert generate("or:5", cap=5).arity == 5
+
+
+def test_truth_bits_match_the_generator():
+    # n = 1 and 2 pack fewer than 8 bits into their one byte.
+    functions = [BooleanFunction(n, bits) for n in (1, 2) for bits in range(1 << (1 << n))]
+    rng = random.Random(3)
+    functions += [BooleanFunction(n, rng.getrandbits(1 << n)) for n in range(3, 13)]
+    functions += [generate("random:8:1"), generate("random:12:1"), generate("or:12")]
+    for f in functions:
+        want = np.fromiter(((f.bits >> i) & 1 for i in range(1 << f.arity)),
+                           dtype=np.uint8, count=1 << f.arity)
+        got = _truth_bits(f)
+        assert got.dtype == np.uint8 and np.array_equal(got, want), f.to_spec()
 
 
 def test_extension_matches_brute_force():
