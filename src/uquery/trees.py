@@ -28,21 +28,24 @@ kept as bit planes, and the tree is read off them one layer of cells at
 a time, taking at each node the lowest variable that attains the
 optimum, so results are canonical.
 
-``serialize_tree``, ``write_indented_tree`` and ``tree_to_json_dict``
-build the JSON form bottom up, layer by layer, each node from its
-children's text or dicts, so any depth serializes without recursion.
-``verify_tree`` checks a tree
-without replaying it input by input: one walk over the node indices
-writes each leaf's value into its block of a prediction array (the
-inputs that follow the leaf's path), and one comparison with the table
-finds the least counterexample.  A malformed node raises the error that
-``evaluate_tree`` gives the least input reaching it, unless a mismatch
-comes first in code order; on a tie the error wins.  The check reads
-only the tree and the table, never the level planes.
+``tree_to_json_dict`` builds the JSON form bottom up, layer by layer,
+each node from its children's dicts, so any depth converts without
+recursion.  ``serialize_tree`` and ``write_indented_tree`` lay the nodes
+out in pre-order with NumPy, from subtree sizes found a layer at a time,
+and join a text fragment per node and a closer per query node from
+small tables.  ``verify_tree`` checks a tree without replaying it input
+by input: it finds each node's least input and queried axes a layer at
+a time, writes the leaves into a prediction array one group of leaves
+with the same queried axes at a time, and compares the array with the
+table once to find the least counterexample.  A malformed node raises
+the error that ``evaluate_tree`` gives the least input reaching it,
+unless a mismatch comes first in code order; on a tie the error wins.
+The check reads only the tree and the table, never the level planes.
 """
 
 from __future__ import annotations
 
+import array
 import json
 import operator
 from dataclasses import dataclass
@@ -141,21 +144,30 @@ def tree_depth(tree: DecisionTree) -> int:
     return len(_layer_starts(tree.first)) - 2
 
 
-def _bottom_up(tree: DecisionTree, folds: Callable):
-    """Fold the tree from its deepest layer up.  ``folds(layer)`` gives the
-    (leaf_of, node_of) of a layer, the root's being 0: a leaf becomes
-    ``leaf_of(trit)``, a query node ``node_of(var, children's results)``.
-    Only the results of the layer below are held while a layer is built.
-    """
-    var, leaf, first = tree.var, tree.leaf, tree.first
-    starts = _layer_starts(first)
-    below: list = []
-    for layer in reversed(range(len(starts) - 1)):
-        start, stop = starts[layer], starts[layer + 1]
-        leaf_of, node_of = folds(layer)
-        below = [node_of(var[i], below[first[i] - stop:first[i + 1] - stop])
-                 if var[i] else leaf_of(leaf[i]) for i in range(start, stop)]
-    return below[0]
+def _node_values(values: tuple[int, ...]) -> np.ndarray:
+    """A node array as int64, read without a Python step per node.  One
+    holding a value of 2**31 or more (a variable no table has) becomes an
+    array of Python ints, on which the same NumPy calls work, so that no
+    sum or product of a value and a node count overflows."""
+    try:
+        return np.frombuffer(array.array("i", values), dtype=np.int32).astype(np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _links(tree: DecisionTree) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The first node of each layer (then the node count), and per node
+    its parent (0 at the root) and the answer that leads to it (3 at the
+    root).  As the children of each node are consecutive and come in the
+    order of their parents, node j > 0 is a child of the node repeated at
+    j - 1 when each node is repeated once per child."""
+    first = _node_values(tree.first)
+    size = len(first) - 1
+    parent = np.zeros(size, dtype=np.intp)
+    parent[1:] = np.repeat(np.arange(size), first[1:] - first[:-1])
+    answer = np.arange(size) - first[parent]
+    answer[0] = 3
+    return _layer_starts(tree.first), parent, answer
 
 
 _UNRESOLVED = "classical tree evaluated on an unresolved input"
@@ -188,12 +200,23 @@ def evaluate_tree(tree: DecisionTree, y: TernaryString | str) -> int:
     return tree.leaf[i]
 
 
+@cache
+def _axis_steps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per variable v, with n + 1 standing for any outside 1..n: the
+    weight of its answer in the code of an input of length n, its bit
+    among a set of queried axes, and per answer a, a times the weight
+    plus the bit times 3**n; all 0 at v = 0 and at n + 1."""
+    weight = np.zeros(n + 2, dtype=np.int64)
+    weight[1:n + 1] = 3 ** np.arange(n - 1, -1, -1)
+    bit = np.zeros(n + 2, dtype=np.int64)
+    bit[1:n + 1] = 1 << np.arange(n)
+    step = np.outer(weight, range(4)) + bit[:, None] * 3 ** n
+    for table in (weight, bit, step):
+        table.flags.writeable = False  # shared through the cache
+    return weight, bit, step
+
+
 _NO_LEAF = 3  # a cell no leaf predicts; never a table value
-
-
-def _least_input(block: tuple) -> tuple[int, ...]:
-    """The least input in a block: its fixed answers, 0 on every slice."""
-    return tuple(0 if isinstance(b, slice) else b for b in block)
 
 
 def verify_tree(
@@ -207,53 +230,85 @@ def verify_tree(
     lexicographically least counterexample under the position-wise order
     0 < 1 < u.
 
-    The tree is walked once, node index by node index.  Each leaf writes
-    its value into its block of a prediction array with one axis per
-    variable: the block is the leaf's path answer on each queried axis
-    and a full slice on every other.  The array is compared with the
-    table in one step, and as 0 < 1 < u is code order, its first
-    mismatch in C order is the least counterexample.  A malformed node
-    raises the ``ValueError`` that ``evaluate_tree`` raises on the least
-    input reaching it (path answers, 0 elsewhere; u at its variable for a
-    missing ``onU``), and nothing below it is walked.  Its block predicts
-    nothing, so it mismatches from that input on: the earlier of the
-    least such input and the first mismatch decides, the error on a tie.
+    The nodes are taken a layer at a time.  Each node gets the code of
+    the least input reaching it (its path answers, 0 elsewhere) and the
+    set of axes its path queries, from its parent's by one addition per
+    layer.  The leaves are grouped by that set, and each group writes its
+    values into a prediction array with one axis per variable in one
+    assignment, through a view with the group's queried axes first: a
+    leaf's block is its path answer on each of them and every value on
+    the others.  The array is compared with the table in one step, and
+    as 0 < 1 < u is code order, its first mismatch in C order is the
+    least counterexample.
+
+    A malformed node raises the ``ValueError`` that ``evaluate_tree``
+    raises on the least input reaching it (u at its variable for a
+    missing ``onU``), and nothing below it is walked, nor the third child
+    of a node in a classical tree.  The blocks of the walked leaves, of
+    the malformed nodes and of the missing answers partition the inputs,
+    and only the leaves predict, so the least input of such a node
+    mismatches.  When the first mismatch is unpredicted, it is therefore
+    the least input of a malformed node or missing answer, which comes
+    before every other mismatch: the error wins a tie.
     """
     n = table.arity
-    var, leaf, first = tree.var, tree.leaf, tree.first
+    starts, parent, answer = _links(tree)
+    # n + 1 stands for every variable outside 1..n
+    var = np.minimum(_node_values(tree.var), n + 1).astype(np.intp, copy=False)
     expected = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)
-    answers = range(first[1] - first[0] if var[0] else 3)
-    if len(answers) == 2:
+    answers = tree.first[1] - tree.first[0] if tree.var[0] else 3
+    if answers == 2:
         expected = expected[(slice(0, 2),) * n]
-    predicted = np.full(expected.shape, _NO_LEAF, dtype=np.uint8)
-    faults = []  # (least input reaching a malformed node, its error)
-    todo = [(0, (slice(None),) * n, ())]
-    while todo:
-        i, block, seen = todo.pop()
-        v = var[i]
-        if not v:
-            predicted[block] = leaf[i]
-            continue
-        if v > n or v in seen:
-            faults.append((_least_input(block), _query_error(v, n, seen)))
-            continue
-        head, tail, seen = block[:v - 1], block[v:], seen + (v,)
-        kid, end = first[i], first[i + 1]
-        for answer in answers:
-            below = head + (answer,) + tail
-            if kid + answer < end:
-                todo.append((kid + answer, below, seen))
-            else:
-                faults.append((_least_input(below), _UNRESOLVED))
+    weight, bit, step = _axis_steps(n)
+    # Per node, its queried axes times 3**n plus the code of the least
+    # input reaching it, which is below 3**n; both fit an int64 for every
+    # n a table can have.  Below a malformed node these read anything, and
+    # nothing reads them.
+    reach = step[var[parent], answer]
+    reach[0] = 0
+    for start, stop in zip(starts[1:], starts[2:]):
+        reach[start:stop] += reach[parent[start:stop]]
+    bad = (var > n) | (reach // 3 ** n & bit[var] != 0)
+    cut = bad | (answer == 2) if answers == 2 else bad  # the third child of a classical node
+    walked = True
+    if cut.any():
+        below = cut
+        for start, stop in zip(starts[1:], starts[2:]):
+            below[start:stop] |= below[parent[start:stop]]
+        walked = ~below[parent]
+        walked[0] = True
+        if answers == 2:
+            walked &= answer != 2
+
+    leaves = (walked & (var == 0)).nonzero()[0]
+    leaves = leaves[np.argsort(reach[leaves])]  # by queried axes
+    groups, codes = np.divmod(reach[leaves], 3 ** n)
+    edges = ((groups[1:] != groups[:-1]).nonzero()[0] + 1).tolist()
+    bounds = [0, *edges, leaves.size] if leaves.size else []
+    values = np.frombuffer(bytes(tree.leaf), dtype=np.uint8)[leaves]
+    predicted = np.empty(expected.shape, dtype=np.uint8)
+    predicted.fill(_NO_LEAF)
+    for lo, hi in zip(bounds, bounds[1:]):
+        mask = int(groups[lo])
+        fixed = [p for p in range(n) if mask >> p & 1]
+        free = [p for p in range(n) if not mask >> p & 1]
+        digits = np.unravel_index(codes[lo:hi], (3,) * n)
+        predicted.transpose(fixed + free)[tuple(digits[p] for p in fixed)] = \
+            values[lo:hi].reshape((-1,) + (1,) * len(free))
 
     mismatch = predicted != expected
-    if not mismatch.any():  # so no malformed node either: its block mismatches
+    if not mismatch.any():
         return True, None
-    first_bad = tuple(int(d) for d in np.unravel_index(int(mismatch.argmax()), mismatch.shape))
-    fault = min(faults, default=None)
-    if fault is not None and fault[0] <= first_bad:
-        raise ValueError(fault[1])
-    return False, TernaryString(first_bad)
+    first_bad = np.unravel_index(int(mismatch.argmax()), mismatch.shape)
+    if predicted[first_bad] == _NO_LEAF:
+        least = np.ravel_multi_index(first_bad, (3,) * n)
+        at = (walked & bad & (reach % 3 ** n == least)).nonzero()[0]
+        if not at.size:
+            raise ValueError(_UNRESOLVED)
+        i = int(at[0])
+        seen = {p + 1 for p in range(n) if int(reach[i]) // 3 ** n >> p & 1}
+        raise ValueError(_query_error(tree.var[i], n, seen))
+    return False, TernaryString(tuple(int(d) for d in first_bad))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +548,7 @@ _CHUNK = 1 << 14
 
 
 def _query_axes(keys: np.ndarray, level: np.ndarray, level_of: Callable,
-                n: int, answers: tuple[int, ...]) -> np.ndarray:
+                n: int, answers: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray | None]:
     """The variable each cell queries on an optimal tree: the lowest *
     axis whose children all sit below the cell's level, the first
     variable attaining the minimax value; 0 at level 0.  Every cell of
@@ -501,10 +556,13 @@ def _query_axes(keys: np.ndarray, level: np.ndarray, level_of: Callable,
     serve every cell left (a cell outside L_D, which no tree reaches,
     gets an arbitrary variable).  The axes are tried a few at a time, as
     many as keep the lookups of the cells still without one under
-    ``_CHUNK``."""
+    ``_CHUNK``.  When one chunk tried every axis of every cell, also
+    returns the levels of the children on the chosen axes, a row for each
+    cell of level >= 1 in order; else None."""
     span, top, steps, _, _ = _moves(n, answers)
     var = np.zeros(keys.size, dtype=np.intp)
     todo = level.nonzero()[0]
+    kids = None
     p = 0
     while todo.size:
         stop = min(n, p + max(1, _CHUNK // (todo.size * len(answers))))
@@ -512,15 +570,19 @@ def _query_axes(keys: np.ndarray, level: np.ndarray, level_of: Callable,
         # Off the * the steps land on other cells (or wrap round from the
         # end), whose levels the star test drops.
         found = at % span[p:stop] >= top[p:stop]
-        found &= level_of(at[:, :, None] + steps[p:stop]).max(axis=2) < level[todo, None]
+        levels = level_of(at[:, :, None] + steps[p:stop])
+        found &= levels.max(axis=2) < level[todo, None]
         if stop == n:
-            var[todo] = found.argmax(axis=1) + (p + 1)
+            axis = found.argmax(axis=1)
+            var[todo] = axis + (p + 1)
+            if not p:
+                kids = levels[np.arange(todo.size), axis]
             break
         hit = found.any(axis=1)
         var[todo[hit]] = found[hit].argmax(axis=1) + (p + 1)
         todo = todo[~hit]
         p = stop
-    return var
+    return var, kids
 
 
 def _read_tree(level_of: Callable, n: int, answers: tuple[int, ...],
@@ -536,27 +598,33 @@ def _read_tree(level_of: Callable, n: int, answers: tuple[int, ...],
     cells take fewer lookups than one chunk, for all of them before the
     first layer, through the level of every cell.  The children make up
     the next frontier in (parent, answer) order, so every temporary has
-    the size of a frontier or of a small table.
+    the size of a frontier or of a small table.  Their levels are those
+    ``_query_axes`` looked up to choose the variables when it tried every
+    axis in one chunk, and are looked up again only otherwise.
     """
     _, _, _, both, root = _moves(n, answers)
     size = _layout(n, answers).size
     if size * n * len(answers) <= _CHUNK:
         every = np.arange(size)
         level = level_of(every)
-        query = _query_axes(every, level, level.__getitem__, n, answers).__getitem__
+        var_of = _query_axes(every, level, level.__getitem__, n, answers)[0]
     else:
-        def query(key):
-            return _query_axes(key, level_of(key), level_of, n, answers)
+        var_of, level = None, level_of(np.array([root]))
     cells = np.array([[root], [3 ** n - 1]])  # cell keys, completions
     var_layers, coarse_layers = [], []
     while True:
-        var = query(cells[0])
+        if var_of is None:
+            var, kids = _query_axes(cells[0], level, level_of, n, answers)
+        else:
+            var = var_of[cells[0]]
         var_layers.append(var)
         coarse_layers.append(cells[1])
         inner = var.nonzero()[0]
         if not inner.size:
             break
         cells = (cells[:, inner, None] + both[:, var[inner]]).reshape(2, -1)
+        if var_of is None:
+            level = level_of(cells[0]) if kids is None else kids.reshape(-1)
     var = np.concatenate(var_layers)
     inner = var > 0
     leaf = np.frombuffer(values, dtype=np.uint8)[np.concatenate(coarse_layers)]
@@ -603,47 +671,119 @@ def query_complexity(
 # with "onU" omitted in classical trees.
 
 
-_LEAF_TEXT = ('{"leaf":"0"}', '{"leaf":"1"}', '{"leaf":"u"}')
-_NODE_TEXT = {2: '{"query":%d,"on0":%s,"on1":%s}',
-              3: '{"query":%d,"on0":%s,"on1":%s,"onU":%s}'}
-
-
 def tree_to_json_dict(tree: DecisionTree) -> dict:
-    """The JSON form of a tree, built bottom-up, layer by layer."""
-    folds = (lambda trit: {"leaf": "01u"[trit]},
-             lambda var, kids: {"query": var, **dict(zip(TRIT_KEYS, kids))})
-    return _bottom_up(tree, lambda layer: folds)
+    """The JSON form of a tree, built bottom-up, layer by layer: only the
+    dicts of the layer below are held while a layer is built."""
+    var, leaf, first = tree.var, tree.leaf, tree.first
+    starts = _layer_starts(first)
+    below: list = []
+    for start, stop in reversed(list(zip(starts, starts[1:]))):
+        below = [{"query": var[i],
+                  **dict(zip(TRIT_KEYS, below[first[i] - stop:first[i + 1] - stop]))}
+                 if var[i] else {"leaf": "01u"[leaf[i]]} for i in range(start, stop)]
+    return below[0]
+
+
+def _slots(tree: DecisionTree, query: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each node's layer and the answer that leads to it (3 at the root),
+    and where the fragment of each node and the closer of each query
+    node go among the pieces of the tree's text.
+
+    Subtree sizes are summed a layer at a time from the deepest up.  In
+    pre-order a node then comes right after its parent and its earlier
+    siblings' subtrees, found a layer at a time from the root down.  The
+    closers of the query nodes whose subtree ends at a node follow its
+    fragment, deepest first.
+    """
+    starts, parent, answer = _links(tree)
+    layer = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    size = np.ones(len(parent), dtype=np.int64)
+    for start, stop in reversed(list(zip(starts[1:], starts[2:]))):
+        np.add.at(size, parent[start:stop], size[start:stop])
+    pos = np.cumsum(size)
+    pos -= size  # the subtrees of the nodes before each, in node order
+    pos -= pos[np.maximum(np.arange(len(pos)) - answer, 0)]  # of its earlier siblings only
+    pos += 1
+    pos[0] = 0
+    for start, stop in zip(starts[1:], starts[2:]):
+        pos[start:stop] += pos[parent[start:stop]]
+    end = pos[query] + size[query] - 1  # the position a query node's subtree ends at
+    # The piece of each position: the position and the closers before it.
+    at = np.bincount(end, minlength=len(pos))
+    at = np.cumsum(at) - at
+    at += np.arange(len(pos))
+    layer_at = np.empty_like(layer)  # the layer of the node at each position
+    layer_at[pos] = layer
+    return layer, answer, at[pos], at[end] + layer_at[end] - layer[query]
+
+
+def _preorder_text(tree: DecisionTree, fragment: Callable, closer: Callable) -> list:
+    """The text of a tree as pieces, in the order they are written.
+
+    Each node, in pre-order, writes ``fragment(answer, layer, head)``: its
+    key among its siblings (answer 0, 1 or 2; 3 at the root, which has
+    none), then its head, a leaf trit or 3 + the variable it queries.
+    After it come, for each query node whose subtree ends there, deepest
+    first, ``closer(layer, var)``.  A table holds the text of each
+    distinct fragment and closer, so no text is made per node.
+    """
+    var = _node_values(tree.var)
+    query = var.nonzero()[0]
+    layer, answer, fragment_at, closer_at = _slots(tree, query)
+    layers = int(layer[-1]) + 1
+    pieces = np.empty(len(var) + len(query), dtype=object)
+    pieces[closer_at] = _texts(var[query] * layers + layer[query],
+                               lambda key: closer(key % layers, key // layers))
+    head = np.where(var > 0, var + 3, np.frombuffer(bytes(tree.leaf), dtype=np.uint8))
+    head *= layers
+    head += layer
+    head *= 4
+    head += answer
+    del var, layer, answer  # freed for the lookup of the fragments, the peak of memory
+    pieces[fragment_at] = _texts(
+        head, lambda key: fragment(key % 4, key // 4 % layers, key // 4 // layers))
+    return pieces.tolist()
+
+
+def _texts(keys: np.ndarray, text: Callable) -> np.ndarray:
+    """``text(key)`` for each key, made once per distinct key."""
+    distinct, index = np.unique(keys, return_inverse=True)
+    return np.array([text(key) for key in distinct.tolist()], dtype=object)[index]
+
+
+_LEAF_TEXT = ('{"leaf":"0"}', '{"leaf":"1"}', '{"leaf":"u"}')
+_KEY_TEXT = ('"on0":', ',"on1":', ',"onU":', "")
 
 
 def serialize_tree(tree: DecisionTree) -> str:
     """Compact JSON text of a tree, the text ``json.dumps`` gives its JSON
-    form, written bottom-up: each node formats its children's text."""
-    folds = (_LEAF_TEXT.__getitem__,
-             lambda var, kids: _NODE_TEXT[len(kids)] % (var, *kids))
-    return _bottom_up(tree, lambda layer: folds)
+    form, joined from its pre-order pieces."""
+    def fragment(answer, layer, head):
+        return _KEY_TEXT[answer] + (_LEAF_TEXT[head] if head < 3 else '{"query":%d,' % (head - 3))
+    return "".join(_preorder_text(tree, fragment, lambda layer, var: "}"))
 
 
 def write_indented_tree(tree: DecisionTree, handle, nesting: int = 0) -> None:
     """Write the text ``json.dumps(..., indent=2, sort_keys=True)`` gives the
-    JSON form of a tree that sits ``nesting`` objects deep.  The text is
-    built bottom-up like ``serialize_tree``, the indent of a node fixed by
-    its layer, except the root's, as long as all the others together: its
-    fragments and its children's texts are written one by one.  The
-    ``json`` module's indenting encoder is pure Python, and on a tree of
-    100k nodes takes ten times as long."""
-    def folds(layer: int):
-        inner = "\n" + "  " * (nesting + layer + 1)
-        outer = "\n" + "  " * (nesting + layer)
-        leaves = tuple("{" + inner + '"leaf": "%s"' % trit + outer + "}" for trit in "01u")
-        heads = ["{" + inner + '"on0": '] + ["," + inner + '"%s": ' % key for key in TRIT_KEYS[1:]]
-        tail = "," + inner + '"query": %d' + outer + "}"
+    JSON form of a tree that sits ``nesting`` objects deep.  The pieces are
+    those of ``serialize_tree``, indented by the node's layer, with the
+    ``"query"`` line in the closer as ``sort_keys`` puts it last; they are
+    written one by one, so the whole text is never held.  The ``json``
+    module's indenting encoder is pure Python, and on a tree of 100k nodes
+    takes ten times as long."""
+    def indent(layer):
+        return "\n" + "  " * (nesting + layer)
 
-        def pieces(var, kids):
-            return [text for pair in zip(heads, kids) for text in pair] + [tail % var]
-        if layer:
-            return leaves.__getitem__, lambda var, kids: "".join(pieces(var, kids))
-        return lambda trit: [leaves[trit]], pieces
-    handle.writelines(_bottom_up(tree, folds))
+    def fragment(answer, layer, head):
+        key = "" if answer == 3 else \
+            "," * (answer > 0) + indent(layer) + '"%s": ' % TRIT_KEYS[answer]
+        if head >= 3:
+            return key + "{"
+        return key + "{" + indent(layer + 1) + '"leaf": "%s"' % "01u"[head] + indent(layer) + "}"
+
+    def closer(layer, var):
+        return "," + indent(layer + 1) + '"query": %d' % var + indent(layer) + "}"
+    handle.writelines(_preorder_text(tree, fragment, closer))
 
 
 def tree_from_json_dict(obj, path: str = "$") -> DecisionTree:

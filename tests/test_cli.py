@@ -171,7 +171,8 @@ def test_tree_binary_model(capsys, tmp_path):
 
 # sha256 of the stdout of `tree SPEC --model MODEL`, then of the stdout and
 # the file of the same command with `--out`, recorded when trees were
-# still built as nested node objects.
+# still built as nested node objects; maj:11 (variables above 9, long runs
+# of closing braces) was recorded from the node-by-node text writers.
 TREE_COMMAND_DIGESTS = {
     ("ind:3", "u"): (
         "c257f68b3fe5d2287ba560aa5bcafcffc22c590a991388ee64b0aaf10103cff7",
@@ -181,6 +182,10 @@ TREE_COMMAND_DIGESTS = {
         "a66152f1ff8db115a8e16591075299039b38d29736e9aa74d15baaa1b62b9b98",
         "b69763775ba837667eecc91e60315951c9f17035211f64c37a6103f743177906",
         "5a4049996d11e04c9c56352ee4d7fe69a29502bdb65d34c945d4c133fa060fd5"),
+    ("maj:11", "u"): (
+        "90073885d27cc28c764db78b1ac5f8c4585714b611a6feffa6db3d9d0e695961",
+        "bf6c6118bd19bc488f74e8b5c28066df6363be60e7277520702a06618dc9e623",
+        "b26e9e76b2facaf0ec74e91987d37f7ecca2f76c184067c0aab9a8832e070360"),
     ("mind:4", "u"): (
         "fd4ed43da3118c0bf5cb8d5a0af669d20a0340231b7284284376941e337255d7",
         "269330c2b138c81acf2366994136bb6c3aaa02e3f7983becdaf5e706119bc5d2",

@@ -420,22 +420,62 @@ def _outcome(check, tree, table):
         return "ValueError", str(exc)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+def _edge_trees(n):
+    """Hand-built trees in JSON form over n variables, each a case a layer
+    by layer check could get wrong: two malformed nodes in different
+    layers, the deeper one reached by the smaller input; a malformed node
+    below another; a u-model node three layers down without onU; a
+    classical tree holding a three-child node, whose onU subtree is never
+    reached, once with a malformed node there; variables near and beyond
+    the top of int64."""
+    leaf = [{"leaf": value} for value in "01u"]
+
+    def node(var, *kids):
+        return {"query": var, **dict(zip(TRIT_KEYS, kids))}
+
+    trees = [node(2 ** 61, *leaf), node(1, leaf[0], node(2 ** 70, *leaf), leaf[2])]
+    if n >= 2:
+        trees += [
+            node(1, node(2, node(2, *leaf), *leaf[1:]), node(n + 1, *leaf), leaf[2]),
+            node(1, leaf[0], node(1, node(n + 1, *leaf), *leaf[1:]), leaf[2]),
+            node(1, node(2, leaf[1], leaf[0], node(n + 1, *leaf)), leaf[1]),
+        ]
+    if n >= 3:
+        # The onU subtree repeats x2, so the malformed node in it adds up the
+        # code of the least input of the malformed node below x1 = 1.
+        unreached = node(2, leaf[0], node(n + 1, leaf[0], leaf[0]))
+        trees.append(node(1, node(2, leaf[0], leaf[0], unreached),
+                          node(2, node(3, node(1, leaf[0], leaf[0]), leaf[0]), leaf[0])))
+    if n >= 4:
+        trees.append(node(1, node(2, node(3, node(4, leaf[0], leaf[1]), *leaf[1:]), *leaf[1:]),
+                          *leaf[1:]))
+    return trees
+
+
+def _flip_last_leaf(tree):
+    """The tree with its last node, a leaf of the deepest layer, changed."""
+    leaf = tree.leaf[:-1] + ((tree.leaf[-1] + 1) % 2,)
+    return DecisionTree(tree.var, leaf, tree.first)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
 def test_verify_tree_matches_the_input_replay(n):
     rng = random.Random(600 + n)
     if n <= 3:
         tables = range(1 << (1 << n))
-    else:
+    elif n <= 6:
         tables = [rng.getrandbits(1 << n) for _ in range(12)] + [0, (1 << (1 << n)) - 1]
+    else:  # the replay takes 3**7 steps a tree: a few trees only
+        tables = [rng.getrandbits(1 << n) for _ in range(2)]
     kinds = set()
     for bits in tables:
         f = BooleanFunction(n, bits)
         table = hazard_free_table(f)
-        candidates = []
+        candidates = list(_edge_trees(n))
         for tree in (query_complexity(f, table=table)[1], query_complexity_u(table)[1]):
             obj = tree_to_json_dict(tree)
-            candidates.append(obj)
-            for _ in range(5):
+            candidates += [obj, tree_to_json_dict(_flip_last_leaf(tree))]
+            for _ in range(5 if n <= 6 else 0):
                 obj = _replace_random_node(obj, rng, n)
                 candidates.append(obj)
         if f.is_constant():
@@ -567,15 +607,36 @@ def test_constant_trees():
     assert tree == tree_u == DecisionTree((0,), (1,), (1, 1))
 
 
+def _text_trees():
+    """The optimal trees of every table of arity n <= 3 and of seeded
+    n = 4-6 ones, in both models, then trees that mix nodes with two and
+    three children, repeat a variable or query one beyond int64."""
+    for n in range(1, 7):
+        for bits in _kernel_tables(n, 4):
+            f = BooleanFunction(n, bits)
+            table = hazard_free_table(f)
+            yield query_complexity(f, table=table)[1]
+            yield query_complexity_u(table)[1]
+        yield from map(_build, _edge_trees(n))
+    yield DecisionTree((0,), (2,), (1, 1))
+
+
+def _json_at_nesting(obj, nesting):
+    """The text ``json.dumps(..., indent=2, sort_keys=True)`` gives obj
+    where it sits ``nesting`` objects deep."""
+    for _ in range(nesting):
+        obj = {"t": obj}
+    text = json.dumps(obj, indent=2, sort_keys=True)
+    for depth in range(nesting):
+        text = text[len("{\n" + "  " * (depth + 1) + '"t": '):-len("\n" + "  " * depth + "}")]
+    return text
+
+
 def test_indented_text_matches_the_json_module():
-    trees = [query_complexity_u(hazard_free_table(generate(spec)))[1]
-             for spec in ("or:1", "ind:1", "maj:3", "random:5:3")]
-    trees += [query_complexity(generate(spec))[1] for spec in ("maj:3", "random:5:3")]
-    trees.append(DecisionTree((0,), (2,), (1, 1)))
-    for tree in trees:
+    for tree in _text_trees():
         obj = tree_to_json_dict(tree)
-        for nesting, want in enumerate([json.dumps(obj, indent=2, sort_keys=True),
-                                        json.dumps({"tree": obj}, indent=2, sort_keys=True)[12:-2]]):
+        assert serialize_tree(tree) == json.dumps(obj, separators=(",", ":"))
+        for nesting in range(3):
             handle = io.StringIO()
             write_indented_tree(tree, handle, nesting)
-            assert handle.getvalue() == want
+            assert handle.getvalue() == _json_at_nesting(obj, nesting)
