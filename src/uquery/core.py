@@ -13,7 +13,7 @@ Conventions used throughout the package:
   of every index (truth tables, ternary codes, hex serializations);
 * trits are the ints 0, 1 and 2, with 2 rendered as the character 'u';
 * partial assignments add a fourth cell value 3, rendered as '*', for
-  positions not assigned at all.
+  unassigned positions (``trees._forced_bits`` finds those forcing a value).
 
 All types here are immutable; every function of the module is pure.
 """
@@ -94,6 +94,8 @@ class TernaryString:
         trits = [0] * arity
         for pos in range(arity - 1, -1, -1):
             code, trits[pos] = divmod(code, 3)
+        if code:
+            raise ValueError(f"code outside 0..3**{arity} - 1")
         return cls(tuple(trits))
 
     def code(self) -> int:
@@ -179,7 +181,9 @@ class PartialAssignment:
         """x kept on the given variable indices (1-based), '*' elsewhere."""
         cells = [STAR] * len(x)
         for var in domain:
-            cells[var - 1] = x[var - 1]
+            if not 0 < var <= len(cells):
+                raise ValueError(f"variable {var} outside 1..{len(cells)}")
+            cells[var - 1] = x.trits[var - 1]
         return cls(tuple(cells))
 
     def __str__(self) -> str:
@@ -350,20 +354,20 @@ class HazardFreeTable:
         return hash((self.function, self.values))
 
 
-def _merge_axes(cells: np.ndarray, top: int, clash: int) -> None:
-    """In place, along each axis: the ``top`` layer takes the 0 layer
-    where that agrees with the 1 layer, and ``clash`` elsewhere.
+def _merge_axes(vals: np.ndarray) -> None:
+    """In place, along each axis: the u layer takes the 0 layer where
+    that agrees with the 1 layer, and u elsewhere.
 
     Axis k is variable k+1.  Merging axis by axis is sound because the
-    entry with ``top`` on a set S of axes is (re)written at every axis in
-    S and the last write, at max(S), reads children whose sets are
-    subsets of S already finalized by earlier axes.
+    entry with u on a set S of axes is (re)written at every axis in S
+    and the last write, at max(S), reads children whose sets are subsets
+    of S already finalized by earlier axes.
     """
-    n, size = cells.ndim, cells.shape[0]
+    n = vals.ndim
     for axis in range(n):
-        view = cells.reshape(size ** axis, size, size ** (n - 1 - axis))
-        view[:, top] = view[:, 0]
-        np.copyto(view[:, top], clash, where=view[:, 0] != view[:, 1])
+        view = vals.reshape(3 ** axis, 3, 3 ** (n - 1 - axis))
+        view[:, UNKNOWN] = view[:, 0]
+        np.copyto(view[:, UNKNOWN], UNKNOWN, where=view[:, 0] != view[:, 1])
 
 
 def _truth_bits(f: BooleanFunction) -> np.ndarray:
@@ -385,30 +389,8 @@ def hazard_free_table(f: BooleanFunction, cap: int | None = None) -> HazardFreeT
     check_cap(n, cap, DEFAULT_TABLE_CAP, "hazard-free table")
     vals = np.empty((3,) * n, dtype=np.uint8)
     vals[np.ix_(*([0, 1],) * n)] = _truth_bits(f).reshape((2,) * n)
-    _merge_axes(vals, UNKNOWN, UNKNOWN)
+    _merge_axes(vals)
     return HazardFreeTable(f, vals.reshape(-1).tobytes())
-
-
-NOT_FORCED = 0xFE  # a partial assignment whose completions disagree
-
-
-def forced_value_table(table: HazardFreeTable) -> np.ndarray:
-    """The value each partial assignment forces, over {0, 1, u, *}^n.
-
-    Entry ``[c_1, ..., c_n]`` (cells 0, 1, u -> 2, * -> 3) is the common
-    value of the extension on every {0, 1, u}-completion of the *s, or
-    NOT_FORCED when they differ; cells without a * hold the table.  It
-    is the four-symbol continuation of ``hazard_free_table``: a cell
-    with a * is forced iff its 0 and 1 children are forced to the same
-    value, because a completion with u there is coarser than one through
-    each child and so keeps their common resolved value, or stays u.
-    Takes 4**n bytes; callers cap n.
-    """
-    n = table.arity
-    cells = np.empty((4,) * n, dtype=np.uint8)
-    cells[(slice(0, 3),) * n] = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)
-    _merge_axes(cells, STAR, NOT_FORCED)
-    return cells
 
 
 def _slopes(f: BooleanFunction) -> list[tuple[bool, bool]]:

@@ -20,16 +20,16 @@ member-wise to minimal sensitive blocks without losing disjointness, so
 a maximum packing over the minimal blocks is a maximum packing overall.
 
 The certificate size and s_u at every input come from per-table arrays
-(``_tabulate``), computed once and memoized beside the forced-value
-table over {0, 1, u, *}^n; every maximum, lex-least attaining input and
-classical s and C is read from them.  One forced-cell test answers the
-pointwise questions for every value of x: B is sensitive at x iff the
-cell equal to x off B and * on B is not forced to F(x), and S certifies
-x iff the cell equal to x on S and * elsewhere is forced.  So the
-minimal blocks of a packed input are one gather, and a certificate
-witness costs one lookup per candidate domain.  The arrays also bound
-bs at every input, which lets the bs scans skip the inputs that cannot
-change their result.
+(``_tabulate``), computed once and memoized beside the forced cells of
+{0, 1, u, *}^n (``trees._forced_bits``); every maximum, lex-least
+attaining input and classical s and C is read from them.  One forced-cell
+test answers the pointwise questions for every value of x: B is sensitive
+at x iff the cell equal to x off B and * on B is not forced to F(x), and
+S certifies x iff the cell equal to x on S and * elsewhere is forced.  So
+the minimal blocks of a packed input take two gathers, and a certificate
+witness one lookup per candidate domain.  The arrays also bound bs at
+every input, letting the bs scans skip the inputs that cannot change
+their result.
 
 Everything here is pure and operates on immutable tables, so per-input
 loops can be distributed freely (the verification harness does).
@@ -47,7 +47,6 @@ import numpy as np
 from . import trees
 from .core import (
     DEFAULT_SEARCH_CAP,
-    NOT_FORCED,
     STAR,
     UNKNOWN,
     BooleanFunction,
@@ -56,14 +55,14 @@ from .core import (
     TernaryString,
     as_ternary,
     check_cap,
-    forced_value_table,
     hazard_free_table,
 )
 
 
-def _weights(n: int) -> tuple[int, ...]:
-    """Base-3 weight of each position (variable 1 most significant)."""
-    return tuple(3 ** (n - 1 - p) for p in range(n))
+@lru_cache(maxsize=None)
+def _weights(n: int, base: int = 3) -> tuple[int, ...]:
+    """Weight of each position in a code (variable 1 most significant)."""
+    return tuple(base ** (n - 1 - p) for p in range(n))
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,7 @@ class _MeasureArrays(NamedTuple):
     certificate: np.ndarray  # minimum certificate size
     sensitivity: np.ndarray  # number of sensitive positions (s_u)
     block_bound: np.ndarray  # min(C, s + (n - s) // 2), at least bs
-    forced: np.ndarray       # ``forced_value_table``, by base-4 code
+    forced: np.ndarray       # whether each cell of {0, 1, u, *}^n is forced, by base-4 code
 
 
 def _measure_arrays(table: HazardFreeTable, cap: int | None = None) -> _MeasureArrays:
@@ -169,15 +168,15 @@ def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
     """Certificate size, s_u and the bs bound at every input.
 
     *Certificates.*  A domain S certifies x iff the cell equal to x on S
-    and * elsewhere is forced (``forced_value_table``): every string
-    consistent with S is a completion of that cell, and x is one of
-    them, so the forced value is F(x).  Hence C(x) is n minus the most
-    *s that a forced coarsening of x adds (x itself adds none).  Every
-    forced cell starts at n and ``_min_over_coarsenings`` leaves n minus
-    the most *s added at each ternary cell.  A cell that is not forced
-    starts at NOT_FORCED and passes on at least NOT_FORCED - n, above
-    every real count, so no second marker is needed; and no cell drops
-    below its own number of *s, so none wraps below zero.
+    and * elsewhere is forced (``trees._forced_bits``, unpacked to a bool
+    per cell): every string consistent with S is a completion of it.
+    Hence C(x) is n minus the most *s that a forced coarsening of x adds
+    (x itself adds none).  Every forced cell starts at n and
+    ``_min_over_coarsenings`` leaves n minus the most *s added at each
+    ternary cell.  A cell that is not forced starts at 0xFE and passes on
+    at least 0xFE - n, above every real count, so no second marker is
+    needed; and no cell drops below its own number of *s, so none wraps
+    below zero.
 
     *s_u.*  Position p is sensitive at x iff another trit at p changes
     the value: for 0/1-valued x the u setting is the one to try, for
@@ -204,8 +203,9 @@ def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
     n = table.arity
     vals = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)
 
-    forced = forced_value_table(table)
-    cert = np.where(forced != NOT_FORCED, n, forced)
+    bits, size = trees._forced_bits(table, (0, 1, UNKNOWN)), 4 ** n
+    forced = np.unpackbits(trees._bitset_bytes(bits, size), count=size, bitorder="little").view(bool)
+    cert = np.where(forced, np.uint8(n), np.uint8(0xFE)).reshape((4,) * n)
     _min_over_coarsenings(cert)
     cert = np.ascontiguousarray(cert[(slice(0, 3),) * n])
 
@@ -219,7 +219,7 @@ def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
 
     bound = np.minimum(cert, sens + (n - sens) // 2)
     return _MeasureArrays(vals.reshape(-1), cert.reshape(-1),
-                          sens.reshape(-1), bound.reshape(-1), forced.reshape(-1))
+                          sens.reshape(-1), bound.reshape(-1), forced)
 
 
 def _first_max(measure: np.ndarray, mask: np.ndarray) -> int | None:
@@ -292,35 +292,38 @@ def _lex_least_alteration(vals, digits, base, pw, blk, v) -> int:
 @lru_cache(maxsize=None)
 def _block_lattice(n: int):
     """The nonempty blocks of n positions, by size then in ``combinations``
-    order; their 0/1 membership matrix; and, per position p, the index of
-    each block less p (the sentinel len(blocks) where p is not a member or
-    the block is {p})."""
+    order; the weights and offsets taking the trits of an input x to the
+    base-4 code of the cell equal to x off B and * on B and the base-3
+    code of its 0-fill (x off B, 0 on B), per block B and then the empty
+    block; and, per position p, the index of each block less p (the empty
+    block's where p is not a member or the block is {p})."""
     blocks = [blk for size in range(1, n + 1) for blk in combinations(range(n), size)]
     index = {blk: i for i, blk in enumerate(blocks)}
-    members = np.zeros((len(blocks), n), dtype=np.int64)
+    kept = np.ones((len(blocks) + 1, n), dtype=np.int64)
     less = np.full((n, len(blocks)), len(blocks), dtype=np.intp)
     for i, blk in enumerate(blocks):
-        members[i, list(blk)] = 1
+        kept[i, list(blk)] = 0
         if len(blk) > 1:
             for p in blk:
                 less[p, i] = index[tuple(q for q in blk if q != p)]
-    return tuple(blocks), members, less
+    pw3, pw4 = np.array(_weights(n)), np.array(_weights(n, 4))
+    offsets = np.outer((1, 0), (1 - kept) @ (STAR * pw4))  # the *s, in the cell code only
+    return tuple(blocks), np.stack((kept * pw4, kept * pw3)), offsets, less
 
 
-def _minimal_blocks(forced: np.ndarray, digits: Sequence[int], v: int) -> list[tuple[int, ...]]:
+def _minimal_blocks(arrays: _MeasureArrays, digits: Sequence[int], v: int) -> list[tuple[int, ...]]:
     """The minimal sensitive blocks at the input x with trits ``digits``.
 
-    The cell equal to x off B and * on B has x among its completions, so
-    ``forced`` holds F(x) there or NOT_FORCED: B is sensitive iff that
-    cell does not hold v = F(x), whatever v is.  Supersets of a
-    sensitive block are sensitive, so a block is minimal iff it is
-    sensitive and none of the blocks one position smaller is.
+    B is sensitive iff the cell equal to x off B and * on B is not forced
+    to v = F(x), whatever v is: not forced, or its value, the table's at
+    its 0-fill (x off B, 0 on B; F(x) on an extension), is not v.  The
+    empty block's cell is x, forced to v.  Supersets of a sensitive block
+    are sensitive, so a block is minimal iff it is sensitive and none of
+    the blocks one position smaller is.
     """
-    n = len(digits)
-    blocks, members, less = _block_lattice(n)
-    x = np.array(digits, dtype=np.int64)
-    pw4 = 4 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    sensitive = np.append(forced[x @ pw4 + members @ ((STAR - x) * pw4)] != v, False)
+    blocks, weights, offsets, less = _block_lattice(len(digits))
+    cell, zero_fill = weights @ np.array(digits, dtype=np.int64) + offsets
+    sensitive = ~arrays.forced[cell] | (arrays.values[zero_fill] != v)
     minimal = sensitive[:-1] & ~sensitive[less].any(axis=0)
     return [blocks[i] for i in np.flatnonzero(minimal)]
 
@@ -333,9 +336,8 @@ def minimal_sensitive_blocks(
     n = table.arity
     if len(x) != n:
         raise ValueError(f"input length {len(x)} != arity {n}")
-    vals, pw = table.values, _weights(n)
-    base = x.code()
-    blocks = _minimal_blocks(_measure_arrays(table).forced, x.trits, vals[base])
+    vals, pw, base = table.values, _weights(n), x.code()
+    blocks = _minimal_blocks(_measure_arrays(table), x.trits, vals[base])
     return list(_block_witnesses(vals, x, base, pw, blocks))
 
 
@@ -415,7 +417,7 @@ def _packing_scan(
         if best[v] is not None and bound[base] <= best[v][0]:
             continue
         x = TernaryString.from_code(base, n)
-        blocks = _minimal_blocks(arrays.forced, x.trits, v)
+        blocks = _minimal_blocks(arrays, x.trits, v)
         picked = _max_disjoint(blocks)
         if best[v] is None or len(picked) > best[v][0]:
             family = _block_witnesses(vals, x, base, pw, [blocks[j] for j in picked])
@@ -470,24 +472,25 @@ def certificate_u_at(
     Its size C(x) is read from the per-table arrays, whose size ``cap``
     guards as in ``measure_report``.  A domain S certifies x iff the cell
     equal to x on S and * elsewhere is forced (``_tabulate``), so each
-    domain of size C(x), in ``combinations`` order, costs one lookup in
-    the forced table, whatever the value of x.
+    domain of size C(x), in ``combinations`` order, costs one lookup; the
+    value is the table's at x on S and 0 elsewhere, F(x) on an extension.
     """
     x = as_ternary(x)
     n = table.arity
     if len(x) != n:
         raise ValueError(f"input length {len(x)} != arity {n}")
     arrays = _measure_arrays(table, cap)
-    digits, pw4 = x.trits, tuple(4 ** (n - 1 - p) for p in range(n))
+    digits, pw3, pw4 = x.trits, _weights(n), _weights(n, 4)
     all_star = 4 ** n - 1
     for S in combinations(range(n), int(arrays.certificate[x.code()])):
         code = all_star
         for p in S:
             code += (digits[p] - STAR) * pw4[p]
-        if arrays.forced[code] != NOT_FORCED:
+        if arrays.forced[code]:
+            zero = sum([digits[p] * pw3[p] for p in S])  # x on S, 0 elsewhere
             return CertificateWitness(
                 PartialAssignment.restriction(x, (p + 1 for p in S)),
-                int(arrays.forced[code]),
+                table.values[zero],
             )
     raise AssertionError("the certificate array names no certifying domain")
 
@@ -542,6 +545,8 @@ def standard_measures(
     n = f.arity
     if table is None:
         table = hazard_free_table(f)
+    elif table.function != f:
+        raise ValueError("the table is the extension of another function")
     arrays = _measure_arrays(table, cap)
     codes = np.arange(3 ** n).reshape((3,) * n)[(slice(0, 2),) * n].reshape(-1)
     sens, cert = arrays.sensitivity[codes], arrays.certificate[codes]
@@ -686,6 +691,8 @@ def measure_report(
     """
     if table is None:
         table = hazard_free_table(f, cap=cap)
+    elif table.function != f:
+        raise ValueError("the table is the extension of another function")
     s_u, s_u_x, s_u_var = _sensitivity_scan(table, cap)
     blocks = block_summary(table, cap)
     certs = certificate_summary(table, cap)

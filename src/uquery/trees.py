@@ -18,15 +18,15 @@ with one search over packed bitsets of the partial assignments:
 {0, 1, u, *}^n for the u-model and {0, 1, *}^n classically, a bit per
 cell.  Level L_0 marks the cells whose value is forced, built from the
 hazard-free table: for the u-model one bit plane per value, merged axis
-by axis as ``core.forced_value_table`` merges its bytes, and classically
-the table read with u as *.  L_k adds every cell with a * on some axis
-whose children all lie in L_{k-1}, so L_k holds exactly the cells of
-depth at most k, and the search stops at the level the all-* root
-enters: D.  A level costs a shift and a mask per axis inside a 64-bit
-word, and an AND of views per axis across words.  Each cell's level is
-kept as bit planes, and the tree is read off them one layer of cells at
-a time, taking at each node the lowest variable that attains the
-optimum, so results are canonical.
+by axis (the measures read this L_0 too), and classically the table read
+with u as *.  L_k adds every cell with a * on some axis whose children
+all lie in L_{k-1}, so L_k holds exactly the cells of depth at most k,
+and the search stops at the level the all-* root enters: D.  A level
+costs a shift and a mask per axis inside a 64-bit word, and an AND of
+views per axis across words.  Each cell's level is kept as bit planes,
+and the tree is read off them one layer of cells at a time, taking at
+each node the lowest variable that attains the optimum, so results are
+canonical.
 
 ``tree_to_json_dict`` builds the JSON form bottom up, layer by layer,
 each node from its children's dicts, so any depth converts without
@@ -422,19 +422,28 @@ def _packed(cells: np.ndarray, layout: _Layout):
     return int.from_bytes(bits, "little") if layout.as_int else bits.view(np.uint64)
 
 
+def _bitset_bytes(bits, size: int) -> np.ndarray:
+    """The bytes of a bitset of ``size`` cells as uint8, lowest cell first."""
+    if isinstance(bits, int):
+        return np.frombuffer(bits.to_bytes(-(-size // 8), "little"), dtype=np.uint8)
+    return bits.view(np.uint8)
+
+
 def _forced_bits(table: HazardFreeTable, answers: tuple[int, ...]):
     """L_0: the cells of {answers, *}^n whose value is forced.
 
     Classically the extension is resolved exactly where f is constant,
     so a cell is forced iff the table, read with u at every *, is 0 or
     1; the word axes, in base 3 with * at 2, index the table as they
-    stand.  For the u-model, one bit plane per answer value v marks the
-    cells forced to v, the cells ``forced_value_table`` does not mark
-    NOT_FORCED: a cell without a * reads the table, and a * cell is
-    forced to v iff its 0 and 1 children are, the rule of
-    ``core._merge_axes``.  The planes are merged on the in-word axes a
-    byte per cell while they hold only the words of ternary cells, then
-    packed, spread over the words of * cells and merged on the word axes.
+    stand.  For the u-model, whose keys are base-4 codes, one bit plane
+    per answer value v marks the cells forced to v: a cell without a *
+    reads the table, and a * cell is forced to v iff its 0 and 1 children
+    are, as a completion with u there is coarser than one through each
+    child and so keeps their common resolved value, or stays u.  So a
+    forced cell's value is the table's at its 0-fill (0 at every *), on
+    any table.  The planes are merged on the in-word axes a byte per cell
+    while they hold only the words of ternary cells, then packed, spread
+    over the words of * cells and merged on the word axes.
     """
     n = table.arity
     layout = _layout(n, answers)
@@ -517,8 +526,7 @@ def _level_reader(planes: list, size: int) -> Callable[[np.ndarray], np.ndarray]
     width = 4 if m <= 4 else 8
     words = np.zeros((nbytes, width), dtype=np.uint8)
     for j, plane in enumerate(planes):
-        words[:, j] = np.frombuffer(plane.to_bytes(nbytes, "little"), dtype=np.uint8) \
-            if isinstance(plane, int) else plane.view(np.uint8)
+        words[:, j] = _bitset_bytes(plane, size)
     words = words.view(f"<u{width}")[:, 0]
     ones = sum(1 << 8 * j for j in range(width))  # bit 0 of each byte
     high = 8 * width - 8
@@ -663,6 +671,8 @@ def query_complexity(
     check_cap(f.arity, cap, DEFAULT_SEARCH_CAP, "classical depth search")
     if table is None:
         table = hazard_free_table(f)
+    elif table.function != f:
+        raise ValueError("the table is the extension of another function")
     return _optimal_tree(table, (0, 1))
 
 

@@ -1,6 +1,5 @@
 """Core types: ternary strings, assignments, functions, extensions."""
 
-import itertools
 import random
 
 import numpy as np
@@ -27,7 +26,7 @@ from uquery import (
     resolutions,
     unate_orientation,
 )
-from uquery.core import NOT_FORCED, _truth_bits, forced_value_table
+from uquery.core import _truth_bits
 
 
 def test_ternary_parse_and_str():
@@ -57,6 +56,13 @@ def test_code_roundtrip_is_lexicographic():
     assert seen == sorted(seen)
 
 
+@pytest.mark.parametrize("code", [9, 10, 100, -1, -9])
+def test_from_code_rejects_codes_outside_the_range(code):
+    with pytest.raises(ValueError):
+        TernaryString.from_code(code, 2)
+    assert str(TernaryString.from_code(8, 2)) == "uu"
+
+
 def test_bin_index_msb_first():
     assert as_ternary("10").bin_index() == 2
     assert as_ternary("011").bin_index() == 3
@@ -84,6 +90,13 @@ def test_partial_assignment_basics():
 def test_partial_assignment_restriction():
     pa = PartialAssignment.restriction(as_ternary("01u"), (1, 3))
     assert str(pa) == "0*u"
+    assert str(PartialAssignment.restriction(as_ternary("01u"), ())) == "***"
+
+
+@pytest.mark.parametrize("var", [0, -1, 4, 5])
+def test_restriction_rejects_variables_outside_the_arity(var):
+    with pytest.raises(ValueError):
+        PartialAssignment.restriction(as_ternary("01u"), [1, var])
 
 
 def test_resolutions():
@@ -239,16 +252,6 @@ def test_influence_helpers_match_definitions():
         o = unate_orientation(f)
         assert (None if o is None else o.bits) == R.unate_orientation(bits, n)
         assert is_monotone(f) == (o is not None and not any(o.bits))
-
-
-def test_forced_value_table_matches_definition():
-    for n, bits in _small_and_seeded({4: 12, 5: 4, 6: 2}):
-        ref = R.full_table(bits, n)
-        forced = forced_value_table(hazard_free_table(BooleanFunction(n, bits)))
-        assert forced.shape == (4,) * n
-        for cell in itertools.product(range(4), repeat=n):
-            want = R.forced_value(ref, cell)
-            assert forced[cell] == (NOT_FORCED if want is None else want), (bits, cell)
 
 
 def test_unate_orientation_validity():

@@ -12,13 +12,22 @@ import hashlib
 import json
 import random
 import sys
+from itertools import product
 
 import pytest
 
 import reference as R
-import uquery.core
 import uquery.measures
-from uquery import ArityCapError, BooleanFunction, TernaryString, generate, hazard_free_table
+import uquery.trees
+from uquery import (
+    STAR,
+    ArityCapError,
+    BooleanFunction,
+    HazardFreeTable,
+    TernaryString,
+    generate,
+    hazard_free_table,
+)
 from uquery.algorithms import Oracle, algorithm1_solve
 from uquery.measures import (
     _measure_arrays,
@@ -81,16 +90,22 @@ def _classical_bs_at(f, x):
     return R.max_disjoint(blocks)
 
 
+# Both tests run under both bitset forms of the forced cells the arrays
+# are unpacked from: a Python int below 2**16 cells, which the measures
+# use up to n = 7, and a uint64 array.
+
 @pytest.mark.parametrize("n", ARITIES)
-def test_pointwise_arrays(n):
-    for bits in _tables(n):
-        _check_pointwise(n, bits)
+def test_pointwise_arrays(both_paths, n):
+    for _ in both_paths:
+        for bits in _tables(n):
+            _check_pointwise(n, bits)
 
 
 @pytest.mark.parametrize("n", ARITIES)
-def test_summaries_match_pointwise_maxima(n):
-    for bits in _tables(n):
-        _check_summaries(n, bits)
+def test_summaries_match_pointwise_maxima(both_paths, n):
+    for _ in both_paths:
+        for bits in _tables(n):
+            _check_summaries(n, bits)
 
 
 def _check_pointwise(n, bits):
@@ -158,6 +173,29 @@ def _check_summaries(n, bits):
         assert (classical.s, classical.bs, classical.c) == R.classical_measures(bits, n)
 
 
+def test_certificates_on_a_table_that_is_no_extension():
+    """On a table corrupted at its all-u entry, as the verify harness
+    builds to test itself, a cell is forced when the completions of its
+    *s by 0s and 1s agree, and a certificate reports their value, which
+    can differ from the table's at x."""
+    differs = 0
+    for n, bits in _all_small():
+        values = bytearray(hazard_free_table(BooleanFunction(n, bits)).values)
+        values[-1] = (values[-1] + 1) % 3
+        table = HazardFreeTable(BooleanFunction(n, bits), bytes(values))
+        for x in _inputs(n):
+            w = certificate_u_at(table, x)
+            cells = w.assignment.cells
+            stars = [p for p in range(n) if cells[p] == STAR]
+            for fill in product((0, 1), repeat=len(stars)):
+                y = list(cells)
+                for p, b in zip(stars, fill):
+                    y[p] = b
+                assert table.values[TernaryString(tuple(y)).code()] == w.value, (bits, x)
+            differs += w.value != table.values[x.code()]
+    assert differs
+
+
 def test_array_size_is_capped(monkeypatch):
     f = generate("maj:3")
     table = hazard_free_table(f)
@@ -209,23 +247,37 @@ def test_reports_byte_identical():
 
 
 def test_measure_report_builds_the_forced_table_once(monkeypatch):
-    """A report on a fresh table builds the forced-value table once, for
-    the certificate arrays; the depth search builds its own bitsets from
-    the hazard-free table.  Every module binding of the builder counts."""
-    original = uquery.core.forced_value_table
+    """A report on a fresh table builds the forced cells once for the
+    measure arrays, whose readers share them; the depth searches build
+    their own L_0, one more u-model bitset and a classical one.  Every
+    module binding of the builder counts."""
+    original = uquery.trees._forced_bits
     calls = []
 
-    def counted(table):
-        calls.append(table)
-        return original(table)
+    def counted(table, answers):
+        calls.append(answers)
+        return original(table, answers)
 
     bindings = [module for name, module in sys.modules.items()
                 if name.split(".")[0] == "uquery"
-                and getattr(module, "forced_value_table", None) is original]
-    assert uquery.core in bindings and uquery.measures in bindings
+                and getattr(module, "_forced_bits", None) is original]
+    assert uquery.trees in bindings
     for module in bindings:
-        monkeypatch.setattr(module, "forced_value_table", counted)
+        monkeypatch.setattr(module, "_forced_bits", counted)
     uquery.measures._tabulate.cache_clear()
     f = BooleanFunction(5, random.Random(41).getrandbits(32))
     measure_report(f, with_witnesses=True)
-    assert len(calls) == 1
+    assert sorted(calls) == [(0, 1), (0, 1, 2), (0, 1, 2)]
+
+
+def test_measures_refuse_the_table_of_another_function():
+    """A table is read only with the function it extends: another
+    function of the same arity or of another one is a ValueError."""
+    f = generate("or:2")
+    for other in ("and:2", "or:3"):
+        table = hazard_free_table(generate(other))
+        with pytest.raises(ValueError):
+            measure_report(f, table=table)
+        with pytest.raises(ValueError):
+            standard_measures(f, table)
+    assert measure_report(f, table=hazard_free_table(f)) == measure_report(f)

@@ -1,5 +1,6 @@
 """Optimal decision trees for the binary and ternary query models."""
 
+import functools
 import hashlib
 import io
 import itertools
@@ -12,11 +13,12 @@ import pytest
 import reference as R
 import uquery.trees
 from uquery import ArityCapError, BooleanFunction, generate, hazard_free_table
-from uquery.core import UNKNOWN, forced_value_table
+from uquery.core import UNKNOWN
 from uquery.trees import (
     TRIT_KEYS,
     DecisionTree,
     TreeFormatError,
+    _bitset_bytes,
     _depth_levels,
     _forced_bits,
     _layout,
@@ -135,33 +137,25 @@ def _reference_grid(table, answers):
     value is forced and 1 elsewhere; classically the hazard-free table
     with u read as *."""
     if len(answers) == 3:
-        return forced_value_table(table) >> 7
+        return (_forced_values(table) == _OPEN).astype(np.uint8)
     return np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * table.arity) >> 1
 
 
-@pytest.fixture
-def both_paths(monkeypatch):
-    """An iterator that yields twice: first with the paths a table of its
-    size takes, then with those of large tables (uint64 bitsets from 64
-    cells on, the query axes found one frontier at a time), here one
-    axis per pass."""
-    def paths():
-        yield
-        monkeypatch.setattr(uquery.trees, "_SMALL_CELLS", 0)
-        monkeypatch.setattr(uquery.trees, "_CHUNK", 0)
-        _layout.cache_clear()
-        yield
-    yield paths()
-    monkeypatch.undo()
-    _layout.cache_clear()
+_OPEN = 3  # a cell whose completions disagree; never a table value
 
 
-def _bitset_bytes(bits, size):
-    """The bytes of a bitset of ``size`` cells, lowest cell first; a
-    small bitset is an int."""
-    if isinstance(bits, int):
-        return bits.to_bytes(-(-size // 8), "little")
-    return bits.tobytes()
+@functools.cache
+def _forced_values(table):
+    """Per cell of {0, 1, u, *}^n, the value ``reference.forced_value``
+    finds every completion of the table taking, or ``_OPEN``."""
+    n = table.arity
+    values = dict(zip(itertools.product((0, 1, UNKNOWN), repeat=n), table.values))
+    grid = np.empty((4,) * n, dtype=np.uint8)
+    for cell in itertools.product(range(4), repeat=n):
+        value = R.forced_value(values, cell)
+        grid[cell] = _OPEN if value is None else value
+    grid.flags.writeable = False  # shared through the cache
+    return grid
 
 
 def _cell_levels(table, answers):
@@ -173,9 +167,7 @@ def _cell_levels(table, answers):
     depth, planes = _depth_levels(_forced_bits(table, answers), n, answers)
     level = np.zeros(size, dtype=np.uint8)
     for j, plane in enumerate(planes):
-        bits = np.unpackbits(np.frombuffer(_bitset_bytes(plane, size), dtype=np.uint8),
-                             bitorder="little")
-        level |= bits[:size] << j
+        level |= np.unpackbits(_bitset_bytes(plane, size), count=size, bitorder="little") << j
     inner, base = min(n, 3), len(answers) + 1
     level = level.reshape((base,) * (n - inner) + (4,) * inner)
     for axis in range(n - inner, n):
@@ -185,24 +177,32 @@ def _cell_levels(table, answers):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_forced_bits_match_the_forced_table(both_paths, n):
-    """L_0 of the u-model marks the cells ``forced_value_table`` forces;
-    classically, those where the table, read with u at every * (and at
-    the u digit the in-word axes keep), is 0 or 1."""
+    """L_0 of the u-model, keyed by base-4 code, marks the cells whose
+    completions ``reference.forced_value`` finds taking one value, and
+    that value is the table's at the completion with 0 at every *, the
+    value the measures read; classically L_0 marks the cells where the
+    table, read with u at every * (and at the u digit the in-word axes
+    keep), is 0 or 1."""
     inner = min(n, 3)
     codes = np.zeros(1, dtype=np.intp)  # the ternary code read at each classical cell
+    zero_fill = np.zeros(1, dtype=np.intp)  # that of each u-model cell with 0 at every *
     for axis in range(n):
         digits = [0, 1, UNKNOWN] + ([UNKNOWN] if axis >= n - inner else [])
         codes = (3 * codes[:, None] + digits).reshape(-1)
+        zero_fill = (3 * zero_fill[:, None] + [0, 1, UNKNOWN, 0]).reshape(-1)
     for _ in both_paths:
         for bits in _kernel_tables(n, 30):
             table = hazard_free_table(BooleanFunction(n, bits))
-            u_model = np.packbits(forced_value_table(table).reshape(-1) < 0x80, bitorder="little")
-            size = _layout(n, MODELS[0]).size
-            assert _bitset_bytes(_forced_bits(table, MODELS[0]), size) == u_model.tobytes()
             values = np.frombuffer(table.values, dtype=np.uint8)
+            size = _layout(n, MODELS[0]).size
+            forced = np.unpackbits(_bitset_bytes(_forced_bits(table, MODELS[0]), size),
+                                   count=size, bitorder="little")
+            want = _forced_values(table).reshape(-1)
+            assert (forced == (want != _OPEN)).all()
+            assert (values[zero_fill] == want)[want != _OPEN].all()
             classical = np.packbits(values[codes] != UNKNOWN, bitorder="little")
             size = _layout(n, MODELS[1]).size
-            assert _bitset_bytes(_forced_bits(table, MODELS[1]), size) == classical.tobytes()
+            assert _bitset_bytes(_forced_bits(table, MODELS[1]), size).tobytes() == classical.tobytes()
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -287,6 +287,14 @@ def test_relaxed_depths_against_the_minimax(both_paths, n, count):
                         p = tree.var[i] - 1
                         todo.extend((tree.first[i] + j, cell[:p] + (a,) + cell[p + 1:])
                                     for j, a in enumerate(answers))
+
+
+def test_classical_depth_refuses_the_table_of_another_function():
+    f = generate("or:2")
+    for other in ("and:2", "or:3"):
+        with pytest.raises(ValueError):
+            query_complexity(f, table=hazard_free_table(generate(other)))
+    assert query_complexity(f, table=hazard_free_table(f)) == query_complexity(f)
 
 
 def test_binary_tree_rejects_unresolved_input():
