@@ -68,6 +68,7 @@ from .algorithms import (
     SolveResult,
     WrappedOracle,
     algorithm1_solve,
+    algorithm1_tree,
     certificate_solver,
     downward_closure_solve,
     fill_unknown_oracle,

@@ -13,10 +13,17 @@ sound.  The least consistent input is read off the table viewed as a
 (3,) * n grid: the answers fix a block of it, and the block's first hit
 in C order is the lex-least, so no round decodes the other inputs.
 Every round reveals at least one new position, and the total
-number of distinct queries stays within bs_1 * C_0 + bs_0 * C_1.  The
-solver is a pure function of table and oracle and does not audit that
-final-state claim itself: the ``algorithm1`` verify suite re-derives it
-from each run's transcript alone.
+number of distinct queries stays within bs_1 * C_0 + bs_0 * C_1.
+
+One step function, ``_algorithm1_step``, takes the answers so far to
+the next round's queries or to the output, and two drivers run it.
+The oracle driver behind ``algorithm1_solve`` asks an oracle for each
+round's answers.  ``algorithm1_tree`` asks for every answer at once:
+the solver never queries a position twice, so its runs over all hidden
+inputs are the paths of one u-model decision tree, which it builds a
+layer at a time.  The solver is a pure function of table and oracle
+and does not audit its final-state claim itself: the ``algorithm1``
+verify suite re-derives it from the tree's u leaves alone.
 
 Also here: the doubled-tree simulation for monotone (and, with an
 orientation, unate) functions, the downward-closure wrapper that turns
@@ -220,6 +227,54 @@ def _cost_budget(table: HazardFreeTable, cap: int | None = None) -> int:
     return blocks.by_value[1] * certs.c_u_0 + blocks.by_value[0] * certs.c_u_1
 
 
+def _value_grid(table: HazardFreeTable) -> np.ndarray:
+    """The table's values as a (3,) * n grid, one axis per variable."""
+    return np.frombuffer(table.values, np.uint8).reshape((3,) * table.arity)
+
+
+def _algorithm1_step(table: HazardFreeTable, grid: np.ndarray,
+                     cells: Sequence[int], stage: int | None,
+                     cap: int | None) -> int | tuple[int, tuple[int, ...]]:
+    """One step of Algorithm 1 on a non-constant function: from the answers
+    so far to the output, or to the stage and queries of the next round.
+
+    ``cells`` holds the answer at each position, STAR where none was asked,
+    ``grid`` is the table's ``_value_grid`` and ``stage`` the stage value of
+    the round that just ended, None before the first.  A run that ended a
+    round exits the moment its answers force a value: then the coarsest
+    consistent string, u at every unasked position, already evaluates to
+    it.  Otherwise the next round of the stage, or of stage 1 once no
+    consistent input of value 0 is left, picks the least consistent input
+    of that value and queries the domain of a minimum certificate at it;
+    the answers fix a block of the grid, free on the unasked axes, whose
+    first hit in C order is that input.  Returns the output, or the
+    round's (stage value, unasked positions of the domain in sorted
+    order, 1-based).  Once neither value has a consistent input the
+    output is u.
+    """
+    if stage is None:
+        stage = 0
+    else:
+        coarsest = int(grid[tuple(UNKNOWN if c == STAR else c for c in cells)])
+        if coarsest != UNKNOWN:
+            return coarsest
+    for want in range(stage, 2):
+        block = grid[tuple(slice(None) if c == STAR else c for c in cells)]
+        hits = np.flatnonzero(block == want)
+        if not hits.size:
+            continue
+        free = iter(np.unravel_index(hits[0], block.shape))
+        x = TernaryString(tuple(int(next(free)) if c == STAR else c for c in cells))
+        cert = certificate_u_at(table, x, cap)
+        todo = tuple(sorted(v for v in cert.assignment.domain() if cells[v - 1] == STAR))
+        # A domain inside the asked positions is certified by the answers,
+        # which the forced test before it would have caught.
+        if not todo:
+            raise AssertionError(f"a round at {x} asks nothing new")
+        return want, todo
+    return UNKNOWN
+
+
 def _run_algorithm1(table: HazardFreeTable, oracle: QueryOracle,
                     cap: int | None = None) -> SolveResult:
     f = table.function
@@ -231,52 +286,56 @@ def _run_algorithm1(table: HazardFreeTable, oracle: QueryOracle,
                            tuple(oracle.transcript))
 
     bound = _cost_budget(table, cap)
-
-    grid = np.frombuffer(table.values, np.uint8).reshape((3,) * n)
+    grid = _value_grid(table)
     cells = [STAR] * n
+    stage = None
+    while True:
+        step = _algorithm1_step(table, grid, cells, stage, cap)
+        if isinstance(step, int):
+            return SolveResult(step, oracle.query_count, bound,
+                               tuple(oracle.transcript))
+        stage, todo = step
+        for var in todo:
+            cells[var - 1] = oracle.query(var)
 
-    def consistent_input(want: int) -> tuple[int, ...] | None:
-        """Lex-least input of the wanted value consistent with the answers.
 
-        The answers fix a block of the value grid, free on the unanswered
-        axes; C order over those axes is lex order of the whole input, so
-        the block's first hit is the least consistent input.
-        """
-        block = grid[tuple(slice(None) if c == STAR else c for c in cells)]
-        hits = np.flatnonzero(block == want)
-        if not hits.size:
-            return None
-        free = iter(np.unravel_index(hits[0], block.shape))
-        return tuple(int(next(free)) if c == STAR else c for c in cells)
+def algorithm1_tree(table: HazardFreeTable, cap: int | None = None) -> DecisionTree:
+    """Algorithm 1 over every hidden input at once, as one u-model tree.
 
-    def forces(b: int) -> bool:
-        # The answers force value b iff the coarsest consistent string
-        # (u at every unqueried position) already evaluates to b.
-        return grid[tuple(UNKNOWN if c == STAR else c for c in cells)] == b
-
-    def result(output: int) -> SolveResult:
-        return SolveResult(output, oracle.query_count, bound,
-                           tuple(oracle.transcript))
-
-    # Each stage drains one value class: a round picks the least
-    # consistent input of the stage value and queries the whole domain
-    # of a minimum certificate at it.  A round whose certificate lies
-    # inside already-answered positions cannot occur (the previous
-    # forces check would have exited), so every round makes progress.
-    for stage_value in (0, 1):
-        while True:
-            digits = consistent_input(stage_value)
-            if digits is None:
-                break
-            cert = certificate_u_at(table, TernaryString(digits), cap)
-            for var in sorted(cert.assignment.domain()):
-                cells[var - 1] = oracle.query(var)
-            if forces(0):
-                return result(0)
-            if forces(1):
-                return result(1)
-
-    return result(UNKNOWN)
+    The solver is deterministic and never queries a position twice, so
+    its runs are the root-to-leaf paths of one tree, each leaf holding a
+    run's output; a constant function is a leaf alone.  The tree is built
+    a layer at a time from a frontier of answer states, each with the
+    stage and the unasked queries of its round: a round becomes a chain
+    of query nodes over its domain, and the step at the end of the chain
+    gives the next round or the leaf.  ``cap`` guards the per-table
+    arrays behind the certificates as in ``algorithm1_solve``.
+    """
+    f = table.function
+    if f.is_constant():
+        return DecisionTree._of((0,), (f.value_at_index(0),), (1, 1))
+    grid = _value_grid(table)
+    var, leaf, first = [], [], [1]
+    layer = [((STAR,) * table.arity, None, ())]
+    while layer:
+        below = []
+        for cells, stage, todo in layer:
+            if not todo:
+                step = _algorithm1_step(table, grid, cells, stage, cap)
+                if isinstance(step, int):
+                    var.append(0)
+                    leaf.append(step)
+                    first.append(first[-1])
+                    continue
+                stage, todo = step
+            p = todo[0] - 1
+            var.append(todo[0])
+            leaf.append(0)
+            first.append(first[-1] + 3)
+            below.extend((cells[:p] + (a,) + cells[p + 1:], stage, todo[1:])
+                         for a in (0, 1, UNKNOWN))
+        layer = below
+    return DecisionTree._of(tuple(var), tuple(leaf), tuple(first))
 
 
 def algorithm1_solve(table: HazardFreeTable, oracle: QueryOracle,

@@ -697,7 +697,8 @@ def measure_report(
     blocks = block_summary(table, cap)
     certs = certificate_summary(table, cap)
     classical = standard_measures(f, table, cap)
-    d_u, tree_u = trees.query_complexity_u(table, cap=cap)
+    d_u, tree_u = trees.query_complexity_u(table, cap=cap,
+                                           forced=_measure_arrays(table, cap).forced)
     d, tree_b = trees.query_complexity(f, table=table, cap=cap)
 
     witnesses = None

@@ -37,10 +37,12 @@ small tables.  ``verify_tree`` checks a tree without replaying it input
 by input: it finds each node's least input and queried axes a layer at
 a time, writes the leaves into a prediction array one group of leaves
 with the same queried axes at a time, and compares the array with the
-table once to find the least counterexample.  A malformed node raises
-the error that ``evaluate_tree`` gives the least input reaching it,
-unless a mismatch comes first in code order; on a tie the error wins.
-The check reads only the tree and the table, never the level planes.
+table once to find the least counterexample; the verify harness writes
+leaf indices the same way (``_leaf_grid``) to find the leaf each input
+reaches.  A malformed node raises the error that ``evaluate_tree``
+gives the least input reaching it, unless a mismatch comes first in
+code order; on a tie the error wins.  The check reads only the tree
+and the table, never the level planes.
 """
 
 from __future__ import annotations
@@ -219,46 +221,42 @@ def _axis_steps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _NO_LEAF = 3  # a cell no leaf predicts; never a table value
 
 
-def verify_tree(
-    tree: DecisionTree, table: HazardFreeTable
-) -> tuple[bool, TernaryString | None]:
-    """Check the tree against every input of its model, in code order.
+class _Leaves(NamedTuple):
+    """Where the leaves of a tree lie among the inputs of its model."""
 
-    A classical tree (a root with two children) is checked on the 2**n
-    binary inputs against f, any other tree on all 3**n ternary inputs
-    against the extension.  Returns (True, None) or (False, c) with the
-    lexicographically least counterexample under the position-wise order
-    0 < 1 < u.
+    grid: np.ndarray   # per input, one axis per variable: its leaf's entry, or the filler
+    reach: np.ndarray  # per node: its queried axes times 3**n plus its least input's code
+    stops: np.ndarray  # per node: walked and malformed, where the walk raises
 
-    The nodes are taken a layer at a time.  Each node gets the code of
-    the least input reaching it (its path answers, 0 elsewhere) and the
-    set of axes its path queries, from its parent's by one addition per
-    layer.  The leaves are grouped by that set, and each group writes its
-    values into a prediction array with one axis per variable in one
+
+def _answers(tree: DecisionTree) -> int:
+    """The answers a node branches on: 2 under a classical root, else 3."""
+    return tree.first[1] - tree.first[0] if tree.var[0] else 3
+
+
+def _leaf_grid(tree: DecisionTree, n: int, entry: np.ndarray, filler: int) -> _Leaves:
+    """Write ``entry[i]`` at every input of length n that reaches leaf i.
+
+    The grid has one axis per variable over the tree's answers, and holds
+    ``filler`` at the inputs that reach no leaf.  The nodes are taken a
+    layer at a time.  Each node gets the code of the least input reaching
+    it (its path answers, 0 elsewhere) and the set of axes its path
+    queries, from its parent's by one addition per layer.  The leaves are
+    grouped by that set, and each group writes its entries in one
     assignment, through a view with the group's queried axes first: a
     leaf's block is its path answer on each of them and every value on
-    the others.  The array is compared with the table in one step, and
-    as 0 < 1 < u is code order, its first mismatch in C order is the
-    least counterexample.
+    the others.
 
-    A malformed node raises the ``ValueError`` that ``evaluate_tree``
-    raises on the least input reaching it (u at its variable for a
-    missing ``onU``), and nothing below it is walked, nor the third child
-    of a node in a classical tree.  The blocks of the walked leaves, of
-    the malformed nodes and of the missing answers partition the inputs,
-    and only the leaves predict, so the least input of such a node
-    mismatches.  When the first mismatch is unpredicted, it is therefore
-    the least input of a malformed node or missing answer, which comes
-    before every other mismatch: the error wins a tie.
+    A malformed node (a variable outside 1..n, or one its path already
+    queried) stops the walk, as does the third child of a node in a
+    classical tree: nothing below it is walked, so the inputs reaching it
+    keep the filler.  The blocks of the walked leaves, of the malformed
+    nodes and of the missing answers partition the inputs.
     """
-    n = table.arity
     starts, parent, answer = _links(tree)
     # n + 1 stands for every variable outside 1..n
     var = np.minimum(_node_values(tree.var), n + 1).astype(np.intp, copy=False)
-    expected = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)
-    answers = tree.first[1] - tree.first[0] if tree.var[0] else 3
-    if answers == 2:
-        expected = expected[(slice(0, 2),) * n]
+    answers = _answers(tree)
     weight, bit, step = _axis_steps(n)
     # Per node, its queried axes times 3**n plus the code of the least
     # input reaching it, which is below 3**n; both fit an int64 for every
@@ -285,16 +283,50 @@ def verify_tree(
     groups, codes = np.divmod(reach[leaves], 3 ** n)
     edges = ((groups[1:] != groups[:-1]).nonzero()[0] + 1).tolist()
     bounds = [0, *edges, leaves.size] if leaves.size else []
-    values = np.frombuffer(bytes(tree.leaf), dtype=np.uint8)[leaves]
-    predicted = np.empty(expected.shape, dtype=np.uint8)
-    predicted.fill(_NO_LEAF)
+    entry = entry[leaves]
+    grid = np.empty((answers,) * n, dtype=entry.dtype)
+    grid.fill(filler)
     for lo, hi in zip(bounds, bounds[1:]):
         mask = int(groups[lo])
         fixed = [p for p in range(n) if mask >> p & 1]
         free = [p for p in range(n) if not mask >> p & 1]
         digits = np.unravel_index(codes[lo:hi], (3,) * n)
-        predicted.transpose(fixed + free)[tuple(digits[p] for p in fixed)] = \
-            values[lo:hi].reshape((-1,) + (1,) * len(free))
+        grid.transpose(fixed + free)[tuple(digits[p] for p in fixed)] = \
+            entry[lo:hi].reshape((-1,) + (1,) * len(free))
+    return _Leaves(grid, reach, walked & bad)
+
+
+def verify_tree(
+    tree: DecisionTree, table: HazardFreeTable
+) -> tuple[bool, TernaryString | None]:
+    """Check the tree against every input of its model, in code order.
+
+    A classical tree (a root with two children) is checked on the 2**n
+    binary inputs against f, any other tree on all 3**n ternary inputs
+    against the extension.  Returns (True, None) or (False, c) with the
+    lexicographically least counterexample under the position-wise order
+    0 < 1 < u.
+
+    ``_leaf_grid`` writes the leaf values into a prediction array with one
+    axis per variable, a group of leaves at a time.  The array is
+    compared with the table in one step, and as 0 < 1 < u is code order,
+    its first mismatch in C order is the least counterexample.
+
+    A malformed node raises the ``ValueError`` that ``evaluate_tree``
+    raises on the least input reaching it (u at its variable for a
+    missing ``onU``), and nothing below it is walked, nor the third child
+    of a node in a classical tree.  Only the walked leaves predict, so
+    the least input of such a node mismatches.  When the first mismatch
+    is unpredicted, it is therefore the least input of a malformed node
+    or missing answer, which comes before every other mismatch: the
+    error wins a tie.
+    """
+    n = table.arity
+    expected = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)
+    if _answers(tree) == 2:
+        expected = expected[(slice(0, 2),) * n]
+    predicted, reach, stops = _leaf_grid(
+        tree, n, np.frombuffer(bytes(tree.leaf), dtype=np.uint8), _NO_LEAF)
 
     mismatch = predicted != expected
     if not mismatch.any():
@@ -302,7 +334,7 @@ def verify_tree(
     first_bad = np.unravel_index(int(mismatch.argmax()), mismatch.shape)
     if predicted[first_bad] == _NO_LEAF:
         least = np.ravel_multi_index(first_bad, (3,) * n)
-        at = (walked & bad & (reach % 3 ** n == least)).nonzero()[0]
+        at = (stops & (reach % 3 ** n == least)).nonzero()[0]
         if not at.size:
             raise ValueError(_UNRESOLVED)
         i = int(at[0])
@@ -644,22 +676,31 @@ def _read_tree(level_of: Callable, n: int, answers: tuple[int, ...],
     return DecisionTree._of(tuple(var.tolist()), tuple(leaf.tolist()), tuple(first.tolist()))
 
 
-def _optimal_tree(table: HazardFreeTable,
-                  answers: tuple[int, ...]) -> tuple[int, DecisionTree]:
-    """The exact depth over ``answers`` and the canonical optimal tree."""
+def _optimal_tree(table: HazardFreeTable, answers: tuple[int, ...],
+                  forced: np.ndarray | None = None) -> tuple[int, DecisionTree]:
+    """The exact depth over ``answers`` and the canonical optimal tree;
+    L_0 is packed from ``forced``, a bool per cell in key order, when
+    given, and built from the table otherwise."""
     n = table.arity
-    depth, planes = _depth_levels(_forced_bits(table, answers), n, answers)
+    level = _forced_bits(table, answers) if forced is None else _packed(forced, _layout(n, answers))
+    depth, planes = _depth_levels(level, n, answers)
     level_of = _level_reader(planes, _layout(n, answers).size)
     del planes  # the lookup holds what it reads: at n = 12 the planes take 8 MB
     return depth, _read_tree(level_of, n, answers, table.values)
 
 
 def query_complexity_u(
-    table: HazardFreeTable, cap: int | None = None
+    table: HazardFreeTable, cap: int | None = None, *,
+    forced: np.ndarray | None = None,
 ) -> tuple[int, DecisionTree]:
-    """Exact optimal depth for computing the extension, with a witness tree."""
+    """Exact optimal depth for computing the extension, with a witness tree.
+
+    ``forced``, when given, must say for each cell of {0, 1, u, *}^n, by
+    base-4 code, whether the table forces its value, as the measure
+    arrays hold it; the search then packs it instead of building its L_0.
+    """
     check_cap(table.arity, cap, DEFAULT_SEARCH_CAP, "u-model depth search")
-    return _optimal_tree(table, (0, 1, UNKNOWN))
+    return _optimal_tree(table, (0, 1, UNKNOWN), forced)
 
 
 def query_complexity(

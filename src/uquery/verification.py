@@ -8,11 +8,14 @@ first counterexample): ``_row`` tallies one from per-case outcomes and
 concrete witness: the function spec together with the offending input
 or the measured numbers.
 
-The ``algorithm1`` suite checks the solver's final-state claims itself,
-from each run's transcript alone: at every u answer, no 1-valued and no
-0-valued input may still agree with every recorded answer.  It finds
-the least such survivor with one vectorised test over a per-arity
-3**n x n digit matrix and never reads the solver's state.
+The ``algorithm1`` suite replays no solver run per input.  It builds
+the solver's decision tree once per table (``algorithm1_tree``) and
+reads every row off the leaf each input reaches: the output, the query
+count against the budget, and the final-state claims.  At a u leaf no
+1-valued and no 0-valued input may still agree with the path's answers;
+each u leaf's block of the value grid is tested once, from the path
+alone, never from the solver's state.  One oracle run per table must
+walk the tree's deepest path.
 
 Populations are swept in a fixed order and rows fold in submission
 order, so for fixed parameters a report is deterministic in everything
@@ -25,7 +28,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from random import Random
 from time import perf_counter
@@ -36,6 +38,7 @@ import numpy as np
 from .algorithms import (
     Oracle,
     algorithm1_solve,
+    algorithm1_tree,
     downward_closure_solve,
     monotone_simulate,
     or_via_ind_reduction,
@@ -64,6 +67,8 @@ from .measures import (
     validate_certificate,
 )
 from .trees import (
+    _layer_starts,
+    _leaf_grid,
     query_complexity,
     query_complexity_u,
     tree_depth,
@@ -394,57 +399,85 @@ def _witness_problems(table: HazardFreeTable, m: MeasureReport) -> str | None:
     return None
 
 
-@lru_cache(maxsize=None)
-def _digit_matrix(n: int) -> np.ndarray:
-    """The 3**n x n uint8 trits of every ternary code, one row per code."""
-    return np.indices((3,) * n, dtype=np.uint8).reshape(n, -1).T.copy()
-
-
 def _survivor(table: HazardFreeTable,
               transcript: Sequence[tuple[int, int]]) -> TernaryString | None:
     """The least 1-valued input that agrees with every answer of the
     transcript, else the least such 0-valued one, else None.
 
-    A solver may answer u only when this is None.  The test reads the
-    table and the transcript alone, never the solver's own state.
+    A solver may answer u only when this is None.  The answers fix a
+    block of the table's (3,) * n value grid, free on the unasked axes,
+    and as C order over those axes is lex order of the whole input, the
+    block's first hit is the least such input.  The test reads the table
+    and the transcript alone, never the solver's own state.
     """
     n = table.arity
-    cols = [var - 1 for var, _ in transcript]
-    answers = [a for _, a in transcript]
-    agree = (_digit_matrix(n)[:, cols] == answers).all(axis=1)
-    vals = np.frombuffer(table.values, dtype=np.uint8)
+    cells: list = [slice(None)] * n
+    for var, answer in transcript:
+        cells[var - 1] = answer
+    block = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)[tuple(cells)]
     for want in (1, 0):
-        hits = np.flatnonzero(agree & (vals == want))
+        hits = np.flatnonzero(block == want)
         if hits.size:
-            return TernaryString.from_code(int(hits[0]), n)
+            free = iter(np.unravel_index(hits[0], block.shape))
+            return TernaryString(tuple(int(next(free)) if isinstance(c, slice) else c
+                                       for c in cells))
     return None
 
 
 def _alg1_function_rows(f: BooleanFunction, cap: int | None):
+    """The solver's rows, read off ``algorithm1_tree``.  The run on an
+    input is the path to the leaf it reaches: the leaf's value is the
+    output and its depth the query count.  The inputs of a u leaf share
+    its path, so its block is tested for survivors once.  The oracle
+    driver runs once, on the least input of the deepest leaf; it must
+    walk that path, and its bound is the budget."""
     n = f.arity
     table = hazard_free_table(f)
     spec = f.to_spec()
-    runs = []
-    for code in range(3 ** n):
-        hidden = TernaryString.from_code(code, n)
-        res = algorithm1_solve(table, Oracle(hidden), cap)
-        bad = _survivor(table, res.transcript) if res.output == UNKNOWN else None
-        runs.append((str(hidden), table.values[code], res, bad))
+    tree = algorithm1_tree(table, cap)
+    size = len(tree.var)
+    leaves = _leaf_grid(tree, n, np.arange(size), -1)
+    node = leaves.grid.reshape(-1)  # per input, the leaf it reaches
+    starts = _layer_starts(tree.first)
+    depth = np.repeat(np.arange(len(starts) - 1), np.diff(starts))[node]
+    output = np.array(tree.leaf)[node]
+
+    hidden = TernaryString.from_code(int(depth.argmax()), n)
+    res = algorithm1_solve(table, Oracle(hidden), cap)
+    walk = Oracle(hidden)
+    if (res.output, res.queries, res.transcript) != \
+            (tree_solver(tree)(walk), walk.query_count, walk.transcript):
+        raise AssertionError(f"{spec}: the solver's run on {hidden} leaves its tree")
+
+    u_leaves = np.flatnonzero((np.array(tree.var) == 0) & (np.array(tree.leaf) == UNKNOWN))
+    axes, codes = np.divmod(leaves.reach[u_leaves], 3 ** n)
+    paths = np.stack(np.unravel_index(codes, (3,) * n), axis=1).tolist()
+    survivors = {}
+    for i, mask, trits in zip(u_leaves.tolist(), axes.tolist(), paths):
+        bad = _survivor(table, [(p + 1, trits[p]) for p in range(n) if mask >> p & 1])
+        if bad is not None:
+            survivors[i] = str(bad)
+    claimed = np.zeros(size, dtype=bool)
+    claimed[list(survivors)] = True
+
+    values = np.frombuffer(table.values, dtype=np.uint8)
+
+    def row(fails: np.ndarray, problem: Callable[[int], dict]):
+        count = int(np.count_nonzero(fails))
+        if not count:
+            return 3 ** n, 0, None
+        code = int(fails.argmax())
+        return 3 ** n, count, {"function": spec,
+                               "input": str(TernaryString.from_code(code, n)),
+                               **problem(code)}
+
     return {
-        "solver-correct": _row(
-            None if res.output == want else {
-                "function": spec, "input": hidden,
-                "got": _trit(res.output), "expected": _trit(want),
-            } for hidden, want, res, _ in runs),
-        "solver-within-budget": _row(
-            None if res.queries <= res.bound else {
-                "function": spec, "input": hidden,
-                "queries": res.queries, "budget": res.bound,
-            } for hidden, _, res, _ in runs),
-        "solver-final-claims": _row(
-            None if bad is None else {
-                "function": spec, "input": hidden, "survivor": str(bad),
-            } for hidden, _, _, bad in runs),
+        "solver-correct": row(output != values, lambda code: {
+            "got": _trit(output[code]), "expected": _trit(values[code])}),
+        "solver-within-budget": row(depth > res.bound, lambda code: {
+            "queries": int(depth[code]), "budget": res.bound}),
+        "solver-final-claims": row(claimed[node], lambda code: {
+            "survivor": survivors[int(node[code])]}),
     }
 
 

@@ -19,6 +19,7 @@ from uquery import (
 from uquery.algorithms import (
     Oracle,
     algorithm1_solve,
+    algorithm1_tree,
     certificate_solver,
     downward_closure_solve,
     fill_unknown_oracle,
@@ -32,7 +33,7 @@ from uquery.algorithms import (
 )
 from uquery.core import Orientation
 from uquery.measures import block_summary, certificate_summary
-from uquery.trees import query_complexity, query_complexity_u
+from uquery.trees import query_complexity, query_complexity_u, tree_depth, verify_tree
 
 
 def test_oracle_counts_distinct_queries():
@@ -330,3 +331,35 @@ def test_or_via_indexing_reduction():
     oracle = Oracle("0000")
     or_via_ind_reduction(2, solver, oracle)
     assert oracle.query_count == 4
+
+
+def _compile_cases():
+    """Every table with n <= 3, and seeded tables at n = 4 to 6."""
+    for n in (1, 2, 3):
+        for bits in range(1 << (1 << n)):
+            yield BooleanFunction(n, bits)
+    rng = random.Random(17)
+    for n, tables in ((4, 20), (5, 6), (6, 3)):
+        for _ in range(tables):
+            yield BooleanFunction(n, rng.getrandbits(1 << n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_compiled_tree_walks_every_run(n):
+    """Walking ``algorithm1_tree`` against an oracle is the oracle driver:
+    the same output, query count and transcript on every hidden input.
+    The tree computes the extension, within the solver's budget."""
+    for f in _compile_cases():
+        if f.arity != n:
+            continue
+        table = hazard_free_table(f)
+        tree = algorithm1_tree(table)
+        walk = tree_solver(tree)
+        for code in range(3 ** n):
+            hidden = TernaryString.from_code(code, n)
+            res = algorithm1_solve(table, Oracle(hidden))
+            oracle = Oracle(hidden)
+            assert (walk(oracle), oracle.query_count, oracle.transcript) \
+                == (res.output, res.queries, res.transcript), (f.to_spec(), str(hidden))
+        assert verify_tree(tree, table) == (True, None)
+        assert tree_depth(tree) <= res.bound

@@ -247,10 +247,10 @@ def test_reports_byte_identical():
 
 
 def test_measure_report_builds_the_forced_table_once(monkeypatch):
-    """A report on a fresh table builds the forced cells once for the
-    measure arrays, whose readers share them; the depth searches build
-    their own L_0, one more u-model bitset and a classical one.  Every
-    module binding of the builder counts."""
+    """A report on a fresh table builds the forced cells of the u-model
+    once, for the measure arrays, whose readers share them and whose
+    cells the u-model depth search packs into its L_0; the classical
+    search builds its own.  Every module binding of the builder counts."""
     original = uquery.trees._forced_bits
     calls = []
 
@@ -267,7 +267,7 @@ def test_measure_report_builds_the_forced_table_once(monkeypatch):
     uquery.measures._tabulate.cache_clear()
     f = BooleanFunction(5, random.Random(41).getrandbits(32))
     measure_report(f, with_witnesses=True)
-    assert sorted(calls) == [(0, 1), (0, 1, 2), (0, 1, 2)]
+    assert sorted(calls) == [(0, 1), (0, 1, 2)]
 
 
 def test_measures_refuse_the_table_of_another_function():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import reference as R
+import uquery.measures
 import uquery.trees
 from uquery import ArityCapError, BooleanFunction, generate, hazard_free_table
 from uquery.core import UNKNOWN
@@ -238,6 +239,17 @@ def test_depth_kernel_matches_the_far_start(both_paths, n):
                                         answers, table.values)
                 assert got[0] == want[0]
                 assert tree_to_json_dict(got[1]) == want[1]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_depth_search_packs_the_measure_arrays_cells(both_paths, n):
+    """Given the forced cells the measure arrays hold, the u-model search
+    finds the depth and tree it finds building its L_0 from the table."""
+    for _ in both_paths:
+        for bits in _kernel_tables(n, 10):
+            table = hazard_free_table(BooleanFunction(n, bits))
+            forced = uquery.measures._measure_arrays(table).forced
+            assert query_complexity_u(table, forced=forced) == query_complexity_u(table)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -12,7 +12,6 @@ import pytest
 import reference as R
 import uquery.algorithms
 import uquery.verification
-from uquery.algorithms import SolveResult
 from uquery.core import (
     UNKNOWN,
     ArityCapError,
@@ -240,39 +239,91 @@ def test_survivor_matches_the_reference_scan():
                 assert (got.trits if got is not None else None) == want
 
 
-def test_final_claims_fail_on_an_early_u(monkeypatch):
-    # A solver that answers u after its first query leaves survivors;
-    # the row must fail and name the least one of the first bad run.
-    real = uquery.algorithms._run_algorithm1
-
-    def early_u(table, oracle, cap=None):
-        res = real(table, oracle, cap)
-        return SolveResult(UNKNOWN, res.queries, res.bound, res.transcript[:1])
-
-    expected, failures = None, 0
+def _faulty_record(monkeypatch, name, fault, check, problem):
+    """Put ``fault`` in place of ``uquery.algorithms.<name>``, sweep the
+    algorithm1 suite at n = 1, 2, and check its ``check`` record against
+    a tally over the reference solver's runs.  ``problem(f, run, want)``
+    says how the faulty solver fails the run on a table whose reference
+    value is ``want``: None when it passes, else the counterexample's
+    fields after the function and the input.  A constant table is
+    answered before any step or budget, so no fault reaches it."""
+    failures, expected = 0, None
     for n in (1, 2):
         for bits in range(1 << (1 << n)):
             f = BooleanFunction(n, bits)
+            if f.is_constant():
+                continue
             table = hazard_free_table(f)
             ref = R.full_table(bits, n)
             for hidden in R.ternary_strings(n):
-                res = real(table, uquery.algorithms.Oracle(hidden))
-                bad = R.survivor(ref, res.transcript[:1])
-                if bad is None:
+                text = "".join("01u"[t] for t in hidden)
+                run = R.solve_by_scan(table, uquery.algorithms.Oracle(text))
+                fields = problem(f, run, ref[hidden])
+                if fields is None:
                     continue
                 failures += 1
                 if expected is None:
-                    expected = {"function": f.to_spec(),
-                                "input": "".join("01u"[t] for t in hidden),
-                                "survivor": "".join("01u"[t] for t in bad)}
+                    expected = {"function": f.to_spec(), "input": text, **fields}
 
-    monkeypatch.setattr(uquery.algorithms, "_run_algorithm1", early_u)
+    monkeypatch.setattr(uquery.algorithms, name, fault)
     report = run_suite("algorithm1", ns=(1, 2), workers=1)
-    record = {r.check: r for r in report.records}["solver-final-claims"]
+    record = {r.check: r for r in report.records}[check]
     assert not record.passed and not report.passed
     assert record.cases == 156
     assert 0 < failures == record.failures
     assert record.counterexample == expected
+
+
+def test_final_claims_fail_on_an_early_u(monkeypatch):
+    # A solver that answers u after its first answer leaves survivors;
+    # the row must fail and name the least one of the first bad run.
+    real = uquery.algorithms._algorithm1_step
+
+    def early_u(table, grid, cells, stage, cap):
+        if stage is not None:
+            return UNKNOWN
+        stage, todo = real(table, grid, cells, stage, cap)
+        return stage, todo[:1]
+
+    def problem(f, run, want):
+        bad = R.survivor(R.full_table(f.bits, f.arity), run.transcript[:1])
+        return None if bad is None else {"survivor": "".join("01u"[t] for t in bad)}
+
+    _faulty_record(monkeypatch, "_algorithm1_step", early_u,
+                   "solver-final-claims", problem)
+
+
+def test_correct_fails_on_a_flipped_output(monkeypatch):
+    # A solver that swaps the outputs 0 and 1 is wrong wherever the
+    # extension is resolved.
+    real = uquery.algorithms._algorithm1_step
+
+    def flipped(table, grid, cells, stage, cap):
+        step = real(table, grid, cells, stage, cap)
+        return 1 - step if step in (0, 1) else step
+
+    def problem(f, run, want):
+        got = 1 - run.output if run.output in (0, 1) else run.output
+        return None if got == want else {"got": "01u"[got], "expected": "01u"[want]}
+
+    _faulty_record(monkeypatch, "_algorithm1_step", flipped,
+                   "solver-correct", problem)
+
+
+def test_within_budget_fails_on_a_lowered_budget(monkeypatch):
+    # Every run at n <= 3 stays at least one query below its budget, so
+    # the budget is lowered by 2 for some runs to exceed it.
+    real = uquery.algorithms._cost_budget
+
+    def lowered(table, cap=None):
+        return real(table, cap) - 2
+
+    def problem(f, run, want):
+        budget = run.bound - 2
+        return None if run.queries <= budget else {"queries": run.queries, "budget": budget}
+
+    _faulty_record(monkeypatch, "_cost_budget", lowered,
+                   "solver-within-budget", problem)
 
 
 def _records_digest(reports) -> str:
