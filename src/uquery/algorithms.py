@@ -38,7 +38,6 @@ query, so query-count bounds transfer across reductions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -217,11 +216,11 @@ class SolveResult:
                 "bound": self.bound}
 
 
-@lru_cache(maxsize=4096)
 def _cost_budget(table: HazardFreeTable, cap: int | None = None) -> int:
     # Worst case for the solver: bs_1 rounds of 0-certificates, then
-    # bs_0 rounds of 1-certificates.  Cached so that sweeping many
-    # hidden inputs of one function prices the budget only once.
+    # bs_0 rounds of 1-certificates.  Both summaries are kept with the
+    # table's measure arrays, so many solves on one table, or a report
+    # before them, price the budget only once.
     blocks = block_summary(table, cap)
     certs = certificate_summary(table, cap)
     return blocks.by_value[1] * certs.c_u_0 + blocks.by_value[0] * certs.c_u_1

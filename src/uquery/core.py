@@ -34,6 +34,7 @@ UNKNOWN = 2  # the trit 'u'
 STAR = 3     # unassigned cell of a partial assignment, never a query answer
 
 TRIT_CHARS = "01u"
+_TRITS = frozenset({ZERO, ONE, UNKNOWN})
 CELL_CHARS = "01u*"
 
 # Arity caps guard against accidental huge allocations (3**n and 4**n
@@ -81,7 +82,11 @@ class TernaryString:
     def __post_init__(self) -> None:
         if not self.trits:
             raise ValueError("ternary string must have length >= 1")
-        if any(t not in (0, 1, 2) for t in self.trits):
+        try:
+            trits = _TRITS.issuperset(self.trits)
+        except TypeError:  # an unhashable element is no trit either
+            trits = False
+        if not trits:
             raise ValueError(f"trits must be 0, 1 or 2, got {self.trits}")
 
     @classmethod

@@ -29,7 +29,9 @@ S certifies x iff the cell equal to x on S and * elsewhere is forced.  So
 the minimal blocks of a packed input take two gathers, and a certificate
 witness one lookup per candidate domain.  The arrays also bound bs at
 every input, letting the bs scans skip the inputs that cannot change
-their result.
+their result.  The entry also keeps the table's block and certificate
+summaries once first read, so a report and the solver's budget price
+them once between them.
 
 Everything here is pure and operates on immutable tables, so per-input
 loops can be distributed freely (the verification harness does).
@@ -40,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -122,14 +124,18 @@ class StandardMeasures:
 # ---------------------------------------------------------------------------
 # Per-input arrays, computed once per table.
 
-class _MeasureArrays(NamedTuple):
-    """Per-input measures of one table, flat and indexed by ternary code."""
+@dataclass(eq=False)
+class _MeasureArrays:
+    """Per-input measures of one table, flat and indexed by ternary code,
+    and the table's two summaries, each kept here on first use."""
 
     values: np.ndarray       # the extension's value
     certificate: np.ndarray  # minimum certificate size
     sensitivity: np.ndarray  # number of sensitive positions (s_u)
     block_bound: np.ndarray  # min(C, s + (n - s) // 2), at least bs
     forced: np.ndarray       # whether each cell of {0, 1, u, *}^n is forced, by base-4 code
+    blocks: BlockSensitivitySummary | None = None
+    certificates: CertificateSummary | None = None
 
 
 def _measure_arrays(table: HazardFreeTable, cap: int | None = None) -> _MeasureArrays:
@@ -434,9 +440,18 @@ def block_summary(table: HazardFreeTable, cap: int | None = None) -> BlockSensit
     """Block sensitivity over all inputs and split by output value.
 
     Inputs are scanned in code order, so each attaining input is the
-    lex-least one (``_packing_scan``).
+    lex-least one (``_packing_scan``).  The scan runs once per table: its
+    summary is kept with the table's arrays (``_tabulate``), so a report
+    and the solver's budget read the same one.
     """
-    best = _packing_scan(table, _measure_arrays(table, cap), range(3 ** table.arity))
+    arrays = _measure_arrays(table, cap)
+    if arrays.blocks is None:
+        arrays.blocks = _block_summary(table, arrays)
+    return arrays.blocks
+
+
+def _block_summary(table: HazardFreeTable, arrays: _MeasureArrays) -> BlockSensitivitySummary:
+    best = _packing_scan(table, arrays, range(3 ** table.arity))
     by_value = tuple(0 if b is None else b[0] for b in best)
     bs_u, x, family = _overall(best)
     return BlockSensitivitySummary(
@@ -496,8 +511,16 @@ def certificate_u_at(
 
 
 def certificate_summary(table: HazardFreeTable, cap: int | None = None) -> CertificateSummary:
-    """Worst minimum certificate per value class, at its lex-least input."""
+    """Worst minimum certificate per value class, at its lex-least input;
+    kept with the table's arrays on first use, as in ``block_summary``."""
     arrays = _measure_arrays(table, cap)
+    if arrays.certificates is None:
+        arrays.certificates = _certificate_summary(table, arrays, cap)
+    return arrays.certificates
+
+
+def _certificate_summary(table: HazardFreeTable, arrays: _MeasureArrays,
+                         cap: int | None) -> CertificateSummary:
     worst = [0, 0, 0]
     attaining: list[TernaryString | None] = [None, None, None]
     witnesses: list[CertificateWitness | None] = [None, None, None]

@@ -8,6 +8,17 @@ first counterexample): ``_row`` tallies one from per-case outcomes and
 concrete witness: the function spec together with the offending input
 or the measured numbers.
 
+The ``core``, ``algorithm1`` and ``closure`` suites check one population
+(every table at n <= 3, at n = 4 too when exhaustive, and the seeded
+sample), and it is swept once, whichever of them run.  Each function
+gets one ``_Table``: its hazard-free table, built once, and the ``core``
+report made on it.  Every requested suite's rows run on that state in
+``SUITES`` order: ``algorithm1`` reads the measure arrays and summaries
+``core`` just left in the table's ``measures._tabulate`` entry, so the
+budget is priced once, and ``closure`` takes D_u and its tree from the
+report instead of searching again.  A sweep of one suite is the same
+sweep with one kind of check.
+
 The ``algorithm1`` suite replays no solver run per input.  It builds
 the solver's decision tree once per table (``algorithm1_tree``) and
 reads every row off the leaf each input reaches: the output, the query
@@ -17,10 +28,11 @@ each u leaf's block of the value grid is tested once, from the path
 alone, never from the solver's state.  One oracle run per table must
 walk the tree's deepest path.
 
-Populations are swept in a fixed order and rows fold in submission
-order, so for fixed parameters a report is deterministic in everything
-except its duration field, whatever the worker count: its
-counterexample is the one a one-worker sweep meets first.
+Populations are swept in a fixed order and rows fold per suite in
+submission order, so for fixed parameters a report is deterministic in
+everything except its duration field, whatever the worker count and
+whichever suites share the sweep: its counterexample is the one a
+one-worker sweep of that suite alone meets first.
 """
 
 from __future__ import annotations
@@ -254,11 +266,29 @@ def _sensitive_count(table: HazardFreeTable, x: TernaryString,
 # Per-function checks, grouped by worker kind.
 
 
-def _core_function_rows(f: BooleanFunction, cap: int | None):
+class _Table:
+    """One function's state in a sweep, read by every kind of check run
+    on it: the hazard-free table, built once, and the ``core`` report,
+    once that check has made it."""
+
+    def __init__(self, f: BooleanFunction, cap: int | None):
+        self.f, self.cap = f, cap
+        self.table = hazard_free_table(f)
+        self.report: MeasureReport | None = None
+
+    def u_depth(self):
+        """D_u and an optimal u-model tree: the report's, else searched."""
+        if self.report is not None:
+            return self.report.D_u, self.report.witness_trees[1]
+        return query_complexity_u(self.table, cap=self.cap)
+
+
+def _core_function_rows(state: _Table):
+    f, table = state.f, state.table
     n = f.arity
     spec = f.to_spec()
-    table = hazard_free_table(f)
-    m = measure_report(f, with_witnesses=True, table=table, cap=cap)
+    m = state.report = measure_report(f, with_witnesses=True, table=table,
+                                      cap=state.cap)
 
     def resolutions():
         for code in range(3 ** n):
@@ -424,15 +454,15 @@ def _survivor(table: HazardFreeTable,
     return None
 
 
-def _alg1_function_rows(f: BooleanFunction, cap: int | None):
+def _alg1_function_rows(state: _Table):
     """The solver's rows, read off ``algorithm1_tree``.  The run on an
     input is the path to the leaf it reaches: the leaf's value is the
     output and its depth the query count.  The inputs of a u leaf share
     its path, so its block is tested for survivors once.  The oracle
     driver runs once, on the least input of the deepest leaf; it must
     walk that path, and its bound is the budget."""
+    f, table, cap = state.f, state.table, state.cap
     n = f.arity
-    table = hazard_free_table(f)
     spec = f.to_spec()
     tree = algorithm1_tree(table, cap)
     size = len(tree.var)
@@ -500,10 +530,10 @@ def _simulation_row(f: BooleanFunction, table: HazardFreeTable, d: int,
     return _row(runs())
 
 
-def _monotone_function_rows(f: BooleanFunction, cap: int | None):
-    table = hazard_free_table(f)
-    d, tree_b = query_complexity(f, table=table, cap=cap)
-    du, _ = query_complexity_u(table, cap=cap)
+def _monotone_function_rows(state: _Table):
+    f, table = state.f, state.table
+    d, tree_b = query_complexity(f, table=table, cap=state.cap)
+    du, _ = state.u_depth()
     return {
         "monotone-depth-bracket": _row([
             None if d <= du <= 2 * d
@@ -513,10 +543,10 @@ def _monotone_function_rows(f: BooleanFunction, cap: int | None):
     }
 
 
-def _unate_function_rows(f: BooleanFunction, cap: int | None):
+def _unate_function_rows(state: _Table):
+    f, table = state.f, state.table
     n = f.arity
-    table = hazard_free_table(f)
-    d, tree_b = query_complexity(f, table=table, cap=cap)
+    d, tree_b = query_complexity(f, table=table, cap=state.cap)
     orientation = unate_orientation(f)
     if orientation is None:
         return {"unate-simulation": (3 ** n, 3 ** n,
@@ -526,12 +556,12 @@ def _unate_function_rows(f: BooleanFunction, cap: int | None):
         f, table, d, lambda oracle: unate_simulate(f, orientation, tree_b, oracle))}
 
 
-def _closure_function_rows(f: BooleanFunction, cap: int | None):
+def _closure_function_rows(state: _Table):
+    f = state.f
     n = f.arity
-    table = hazard_free_table(f)
-    du, ut = query_complexity_u(table, cap=cap)
+    du, ut = state.u_depth()
     g = downward_closure(f)
-    dg, _ = query_complexity(g, cap=cap)
+    dg, _ = query_complexity(g, cap=state.cap)
     solver = tree_solver(ut)
     spec = f.to_spec()
 
@@ -564,11 +594,14 @@ _KINDS = {
 
 
 def _chunk_worker(payload):
-    kind, arity, bits_chunk, cap = payload
-    run = _KINDS[kind]
-    agg: dict = {}
+    """Per kind, the rows of a chunk of one population: each function's
+    state is built once and every kind's checks run on it in order."""
+    kinds, arity, bits_chunk, cap = payload
+    agg: dict = {kind: {} for kind in kinds}
     for bits in bits_chunk:
-        _fold(agg, run(BooleanFunction(arity, bits), cap))
+        state = _Table(BooleanFunction(arity, bits), cap)
+        for kind in kinds:
+            _fold(agg[kind], _KINDS[kind](state))
     return agg
 
 
@@ -739,10 +772,11 @@ def _inventory_record(merged, total, exhaustive_ns) -> CheckRecord:
 
 
 def _execute(jobs, workers: int, cap: int | None):
-    """Run per-function jobs; fold chunk rows per (kind, label, arity) key
-    in submission order."""
+    """Run per-function jobs, each a population with the kinds of check
+    that read it; fold chunk rows per (kind, label, arity) key in
+    submission order."""
     chunks = []
-    for kind, label, arity, bits in jobs:
+    for kinds, label, arity, bits in jobs:
         if not bits:
             continue
         if workers > 1:
@@ -750,8 +784,8 @@ def _execute(jobs, workers: int, cap: int | None):
         else:
             size = len(bits)
         for i in range(0, len(bits), size):
-            chunks.append(((kind, label, arity),
-                           (kind, arity, tuple(bits[i:i + size]), cap)))
+            chunks.append(((label, arity),
+                           (kinds, arity, tuple(bits[i:i + size]), cap)))
     if workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_chunk_worker,
@@ -760,30 +794,34 @@ def _execute(jobs, workers: int, cap: int | None):
         results = [_chunk_worker(payload) for _, payload in chunks]
 
     merged: dict[tuple, dict] = {}
-    for (key, _payload), rows in zip(chunks, results):
-        _fold(merged.setdefault(key, {}), rows)
+    for ((label, arity), _payload), by_kind in zip(chunks, results):
+        for kind, rows in by_kind.items():
+            _fold(merged.setdefault((kind, label, arity), {}), rows)
     return merged
 
 
-def _run_part(part, ns, samples, sample_arity, seed, workers, cap,
-              exhaustive):
-    parent: dict[str, tuple] = {}
-    jobs = []
-    full_ns = [n for n in ns if n <= _FULL_MAX]
-    if exhaustive and _FULL_MAX + 1 in ns:
-        full_ns.append(_FULL_MAX + 1)
+# The parts that check the full population, swept once between them.
+_SHARED = ("core", "algorithm1", "closure")
 
-    if part == "core":
-        parent.update(_kleene_rows())
-        parent.update(_depth_rows(_EXACT_DEPTHS, "exact-depths", cap))
-    if part in ("core", "algorithm1", "closure"):
+
+def _plan(parts, ns, full_ns, samples, sample_arity, seed, cap):
+    """Each part's rows that need no sweep, and the sweep's jobs: the
+    full population once for the requested shared parts, and the
+    monotone and unate populations for ``monotone``."""
+    parents: dict[str, dict] = {part: {} for part in parts}
+    jobs = []
+    shared = tuple(part for part in parts if part in _SHARED)
+    if shared:
         for n in full_ns:
-            jobs.append((part, "exhaustive", n,
-                         tuple(range(1 << (1 << n)))))
+            jobs.append((shared, "exhaustive", n, tuple(range(1 << (1 << n)))))
         if samples:
-            jobs.append((part, "sampled", sample_arity,
+            jobs.append((shared, "sampled", sample_arity,
                          _sample_bits(sample_arity, samples, seed)))
-    elif part == "monotone":
+    if "core" in parts:
+        parents["core"].update(_kleene_rows())
+        parents["core"].update(_depth_rows(_EXACT_DEPTHS, "exact-depths", cap))
+    if "monotone" in parts:
+        parent = parents["monotone"]
         parent.update(_depth_rows((("mind:2", 3, 3),), "mind-depths", cap))
         population = []
         for n in [k for k in ns if k <= _MONOTONE_MAX]:
@@ -796,24 +834,30 @@ def _run_part(part, ns, samples, sample_arity, seed, workers, cap,
                 None if is_monotone(f)
                 else {"function": f.to_spec(), "monotone": False}
                 for f in pop)
-            jobs.append(("monotone", "exhaustive", n,
+            jobs.append((("monotone",), "exhaustive", n,
                          tuple(f.bits for f in pop)))
         parent["monotone-population"] = _row(population)
         for n in [k for k in ns if k <= _UNATE_MAX]:
-            jobs.append(("unate", "exhaustive", n,
+            jobs.append((("unate",), "exhaustive", n,
                          tuple(f.bits for f in unate_functions(n))))
-    elif part == "reduction":
-        parent.update(_reduction_rows(cap))
+    if "reduction" in parts:
+        parents["reduction"].update(_reduction_rows(cap))
+    return parents, jobs
 
-    merged = _execute(jobs, workers, cap)
+
+def _part_records(part, parent: dict, merged: dict, full_ns) -> list[CheckRecord]:
+    """A part's records: its unswept rows, then its swept checks in the
+    order they first appear."""
+    kinds = ("monotone", "unate") if part == "monotone" else (part,)
+    mine = {key: rows for key, rows in merged.items() if key[0] in kinds}
     total: dict = {}
-    for rows in merged.values():
+    for rows in mine.values():
         _fold(total, rows)
 
     records = [_plain_record(cid, *row) for cid, row in parent.items()]
     for cid, row in total.items():
         if cid == "bs_u-exceeds-C_u":
-            records.append(_inventory_record(merged, row, full_ns))
+            records.append(_inventory_record(mine, row, full_ns))
         else:
             records.append(_plain_record(cid, *row))
     return records
@@ -838,6 +882,8 @@ def run_suite(
     ``ns`` they additionally sweep all 65536 arity-4 tables.  The
     monotone part instead enumerates monotone functions up to arity 4
     and unate ones up to 3; the reduction part uses fixed families only.
+    A core, algorithm1 or closure part that would sweep no function is a
+    ValueError, not a vacuous pass.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
@@ -851,13 +897,21 @@ def run_suite(
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
-    start = perf_counter()
     parts = list(SUITES) if suite == "all" else [suite]
-    records: list[CheckRecord] = []
-    for part in parts:
-        records.extend(
-            _run_part(part, ns, samples, sample_arity, seed, workers, cap,
-                      exhaustive))
+    full_ns = [n for n in ns if n <= _FULL_MAX]
+    if exhaustive and _FULL_MAX + 1 in ns:
+        full_ns.append(_FULL_MAX + 1)
+    if not full_ns and not samples and any(part in _SHARED for part in parts):
+        raise ValueError(
+            f"suite {suite} sweeps no function at arities {list(ns)}: its "
+            f"tables have n <= {_FULL_MAX}; add --samples, or --exhaustive "
+            f"for n = {_FULL_MAX + 1}")
+
+    start = perf_counter()
+    parents, jobs = _plan(parts, ns, full_ns, samples, sample_arity, seed, cap)
+    merged = _execute(jobs, workers, cap)
+    records = [record for part in parts
+               for record in _part_records(part, parents[part], merged, full_ns)]
     return VerificationReport(
         suite=suite,
         parameters={

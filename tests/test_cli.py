@@ -312,6 +312,23 @@ def test_verify_single_n(capsys):
     assert "PASS solver-correct: 144 cases" in out
 
 
+@pytest.mark.parametrize("suite", ["all", "core", "algorithm1", "closure"])
+def test_verify_refuses_a_sweep_of_no_function(capsys, suite):
+    # At n = 4 the full population needs --samples or --exhaustive; a
+    # suite that would sweep nothing is an error, not a vacuous PASS.
+    rc, out, err = run(capsys, "verify", suite, "--n", "4", "--workers", "1")
+    assert rc == 2
+    assert not out
+    assert "--samples" in err and "--exhaustive" in err
+
+
+def test_verify_monotone_runs_at_n_4(capsys):
+    rc, out, _ = run(capsys, "verify", "monotone", "--n", "4", "--workers", "1")
+    assert rc == 0
+    assert "PASS monotone-simulation: 13608 cases" in out
+    assert out.splitlines()[-1] == "suite monotone: PASS (4 checks)"
+
+
 def test_verify_bad_range(capsys):
     rc, _, err = run(capsys, "verify", "core", "--n", "3..1")
     assert rc == 2

@@ -46,6 +46,13 @@ def test_ternary_rejects_bad_literals():
         TernaryString(())
 
 
+@pytest.mark.parametrize("bad", [3, -1, "0", None, [0]])
+def test_ternary_rejects_every_non_trit_with_value_error(bad):
+    # Unhashable elements too: no TypeError escapes the trit test.
+    with pytest.raises(ValueError, match="trits must be 0, 1 or 2"):
+        TernaryString((0, bad, 1))
+
+
 def test_code_roundtrip_is_lexicographic():
     # base-3 codes enumerate strings in lex order under 0 < 1 < u
     seen = []

@@ -5,18 +5,24 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
+from collections import Counter
 from itertools import product
 
 import pytest
 
 import reference as R
 import uquery.algorithms
+import uquery.core
+import uquery.measures
+import uquery.trees
 import uquery.verification
 from uquery.core import (
     UNKNOWN,
     ArityCapError,
     BooleanFunction,
     HazardFreeTable,
+    downward_closure,
     hazard_free_table,
 )
 from uquery.measures import measure_report
@@ -352,7 +358,8 @@ def test_verify_records_byte_identical():
     assert _records_digest([report]) == VERIFY_DIGEST
 
 
-def test_failing_verify_records_byte_identical(monkeypatch):
+def _corrupt_tables(monkeypatch) -> None:
+    """Make every table the harness builds wrong at its all-u entry."""
     build = uquery.verification.hazard_free_table
 
     def corrupted(f, *args, **kwargs):
@@ -362,6 +369,79 @@ def test_failing_verify_records_byte_identical(monkeypatch):
         return HazardFreeTable(table.function, bytes(values))
 
     monkeypatch.setattr(uquery.verification, "hazard_free_table", corrupted)
+
+
+def test_failing_verify_records_byte_identical(monkeypatch):
+    _corrupt_tables(monkeypatch)
     reports = [run_suite(suite, ns=(1, 2, 3), workers=1) for suite in SUITES]
     assert sum(r.failures > 0 for rep in reports for r in rep.records) == 17
     assert _records_digest(reports) == FAILING_VERIFY_DIGEST
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupted"])
+def test_all_gives_the_records_of_each_suite_run_alone(monkeypatch, corrupt):
+    """``all`` sweeps the full population once for core, algorithm1 and
+    closure, on one state per table; its records are still those of the
+    five suites run one by one, counterexamples included."""
+    if corrupt:
+        _corrupt_tables(monkeypatch)
+    for samples, workers in product((0, 5), (1, 2)):
+        shared = run_suite("all", ns=(1, 2, 3), samples=samples, workers=workers)
+        alone = [record for suite in SUITES
+                 for record in run_suite(suite, ns=(1, 2, 3), samples=samples,
+                                         workers=workers).records]
+        assert list(shared.records) == alone, (samples, workers)
+        if corrupt and not samples:
+            assert sum(r.failures > 0 for r in shared.records) == 17
+
+
+def _count_table_work(monkeypatch) -> dict[str, Counter]:
+    """Per function, the calls through every module binding of the table
+    builder, the D_u search and the pricing of the two summaries."""
+    counts = {}
+    for owner, name in ((uquery.core, "hazard_free_table"),
+                        (uquery.trees, "query_complexity_u"),
+                        (uquery.measures, "_block_summary"),
+                        (uquery.measures, "_certificate_summary")):
+        original, counter = getattr(owner, name), Counter()
+
+        def counted(first, *args, original=original, counter=counter, **kwargs):
+            counter[first if isinstance(first, BooleanFunction) else first.function] += 1
+            return original(first, *args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "uquery" and \
+                    getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+        counts[name] = counter
+    return counts
+
+
+def test_all_builds_searches_and_prices_each_shared_table_once(monkeypatch):
+    """Beyond the work of the monotone and reduction suites and core's
+    fixed checks, ``all`` at n = 3 builds each of the 256 tables once,
+    searches its D_u once and prices its block and certificate summaries
+    once; the closure check also builds the table of each function's
+    downward closure."""
+    counts = _count_table_work(monkeypatch)
+
+    def tally(run) -> dict[str, Counter]:
+        for counter in counts.values():
+            counter.clear()
+        uquery.measures._tabulate.cache_clear()
+        run()
+        return {name: counter.copy() for name, counter in counts.items()}
+
+    def rest():
+        for suite in ("monotone", "reduction"):
+            run_suite(suite, ns=(3,), workers=1)
+        uquery.verification._kleene_rows()
+        uquery.verification._depth_rows(uquery.verification._EXACT_DEPTHS, "exact-depths", None)
+
+    others = tally(rest)
+    whole = tally(lambda: run_suite("all", ns=(3,), workers=1))
+    shared = Counter(BooleanFunction(3, bits) for bits in range(256))
+    closures = Counter(downward_closure(f) for f in shared)
+    assert whole["hazard_free_table"] == others["hazard_free_table"] + shared + closures
+    for name in ("query_complexity_u", "_block_summary", "_certificate_summary"):
+        assert whole[name] == others[name] + shared, name
