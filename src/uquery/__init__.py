@@ -69,7 +69,6 @@ from .algorithms import (
     WrappedOracle,
     algorithm1_solve,
     algorithm1_tree,
-    certificate_solver,
     downward_closure_solve,
     fill_unknown_oracle,
     indexing_oracle_from_or,
@@ -85,7 +84,6 @@ from .verification import (
     VerificationReport,
     monotone_functions,
     run_suite,
-    unate_functions,
 )
 
 __version__ = "0.1.0"

@@ -353,12 +353,6 @@ def algorithm1_solve(table: HazardFreeTable, oracle: QueryOracle,
     return _run_algorithm1(table, oracle, cap)
 
 
-def certificate_solver(table: HazardFreeTable) -> Solver:
-    def run(oracle: QueryOracle) -> int:
-        return _run_algorithm1(table, oracle).output
-    return run
-
-
 # ---------------------------------------------------------------------------
 # Simulations and reductions.
 

@@ -508,9 +508,8 @@ def _monotone_indexing_function(n: int) -> BooleanFunction:
         raise SpecError("mind:n requires even n")
     half = n // 2
     middle = [s for s in range(1 << n) if s.bit_count() == half]
-    # Lex order on bit strings with variable 1 as MSB is descending
-    # integer order of the reversed... integer order with MSB-first
-    # reading is exactly lexicographic order of the strings.
+    # With variable 1 as the most significant bit, ascending integer
+    # order is the lexicographic order of the strings.
     middle.sort()
     rank = {s: i for i, s in enumerate(middle)}
     k = len(middle)

@@ -10,14 +10,18 @@ or the measured numbers.
 
 The ``core``, ``algorithm1`` and ``closure`` suites check one population
 (every table at n <= 3, at n = 4 too when exhaustive, and the seeded
-sample), and it is swept once, whichever of them run.  Each function
-gets one ``_Table``: its hazard-free table, built once, and the ``core``
-report made on it.  Every requested suite's rows run on that state in
-``SUITES`` order: ``algorithm1`` reads the measure arrays and summaries
-``core`` just left in the table's ``measures._tabulate`` entry, so the
-budget is priced once, and ``closure`` takes D_u and its tree from the
-report instead of searching again.  A sweep of one suite is the same
-sweep with one kind of check.
+sample), and it is swept once, whichever of them run.  Below arity 4
+the ``monotone`` suite's functions are in that population too, so its
+check rides the same sweep: on a function ``unate_orientation`` rejects
+it gives no rows.  Only its arity-4 monotone functions are a population
+of their own.  Each function gets one ``_Table``: its hazard-free table,
+built once, and the ``core`` report made on it.  Every requested
+suite's rows run on that state in ``SUITES`` order: ``algorithm1`` reads
+the measure arrays and summaries ``core`` just left in the table's
+``measures._tabulate`` entry, so the budget is priced once, and
+``monotone`` and ``closure`` take D, D_u and their trees from the report
+instead of searching again.  A sweep of one suite is the same sweep
+with one kind of check.
 
 The ``algorithm1`` suite replays no solver run per input.  It builds
 the solver's decision tree once per table (``algorithm1_tree``) and
@@ -90,8 +94,9 @@ from .trees import (
 
 SUITES = ("core", "algorithm1", "monotone", "closure", "reduction")
 
-# Arity bounds per population: full sweeps stop at 3 (4**n tables),
-# monotone sweeps reach 4 (168 functions), unate ones stop at 3.
+# Arity bounds: the full sweep stops at 3 (4**n tables) and carries the
+# monotone check there; that check's own population, the monotone
+# functions, reaches 4 (168 of them), and its unate rows stop at 3.
 _FULL_MAX = 3
 _MONOTONE_MAX = 4
 _UNATE_MAX = 3
@@ -168,16 +173,6 @@ def monotone_functions(arity: int) -> list[BooleanFunction]:
             if g0 | g1 == g1
         )
     return [BooleanFunction(arity, bits) for bits in layer]
-
-
-def unate_functions(arity: int) -> list[BooleanFunction]:
-    """Every function with an orientation making it monotone, bits order."""
-    out = []
-    for bits in range(1 << (1 << arity)):
-        f = BooleanFunction(arity, bits)
-        if unate_orientation(f) is not None:
-            out.append(f)
-    return out
 
 
 def _sample_bits(arity: int, samples: int, seed: int) -> tuple[int, ...]:
@@ -275,6 +270,12 @@ class _Table:
         self.f, self.cap = f, cap
         self.table = hazard_free_table(f)
         self.report: MeasureReport | None = None
+
+    def depth(self):
+        """D and an optimal classical tree: the report's, else searched."""
+        if self.report is not None:
+            return self.report.D, self.report.witness_trees[0]
+        return query_complexity(self.f, table=self.table, cap=self.cap)
 
     def u_depth(self):
         """D_u and an optimal u-model tree: the report's, else searched."""
@@ -531,29 +532,26 @@ def _simulation_row(f: BooleanFunction, table: HazardFreeTable, d: int,
 
 
 def _monotone_function_rows(state: _Table):
+    """The bracket D <= D_u <= 2D and the two-pass simulation on a
+    monotone function, and the oriented simulation on any unate one of
+    arity <= 3; a function that is not unate gets no rows."""
     f, table = state.f, state.table
-    d, tree_b = query_complexity(f, table=table, cap=state.cap)
-    du, _ = state.u_depth()
-    return {
-        "monotone-depth-bracket": _row([
-            None if d <= du <= 2 * d
-            else {"function": f.to_spec(), "D": d, "D_u": du}]),
-        "monotone-simulation": _simulation_row(
-            f, table, d, lambda oracle: monotone_simulate(f, tree_b, oracle)),
-    }
-
-
-def _unate_function_rows(state: _Table):
-    f, table = state.f, state.table
-    n = f.arity
-    d, tree_b = query_complexity(f, table=table, cap=state.cap)
     orientation = unate_orientation(f)
     if orientation is None:
-        return {"unate-simulation": (3 ** n, 3 ** n,
-                                     {"function": f.to_spec(),
-                                      "orientation": "missing"})}
-    return {"unate-simulation": _simulation_row(
-        f, table, d, lambda oracle: unate_simulate(f, orientation, tree_b, oracle))}
+        return {}
+    d, tree_b = state.depth()
+    rows = {}
+    if not any(orientation.bits):  # no variable flipped: f is monotone
+        du, _ = state.u_depth()
+        rows["monotone-depth-bracket"] = _row([
+            None if d <= du <= 2 * d
+            else {"function": f.to_spec(), "D": d, "D_u": du}])
+        rows["monotone-simulation"] = _simulation_row(
+            f, table, d, lambda oracle: monotone_simulate(f, tree_b, oracle))
+    if f.arity <= _UNATE_MAX:
+        rows["unate-simulation"] = _simulation_row(
+            f, table, d, lambda oracle: unate_simulate(f, orientation, tree_b, oracle))
+    return rows
 
 
 def _closure_function_rows(state: _Table):
@@ -588,7 +586,6 @@ _KINDS = {
     "core": _core_function_rows,
     "algorithm1": _alg1_function_rows,
     "monotone": _monotone_function_rows,
-    "unate": _unate_function_rows,
     "closure": _closure_function_rows,
 }
 
@@ -618,6 +615,7 @@ _EXACT_DEPTHS = (
     ("or:1", 1, 1), ("or:2", 2, 2), ("or:3", 3, 3), ("or:4", 4, 4),
     ("ind:1", 2, 3), ("ind:2", 3, 6),
 )
+_MIND_DEPTHS = (("mind:2", 3, 3),)
 
 
 def _kleene_rows():
@@ -786,8 +784,11 @@ def _execute(jobs, workers: int, cap: int | None):
         for i in range(0, len(bits), size):
             chunks.append(((label, arity),
                            (kinds, arity, tuple(bits[i:i + size]), cap)))
-    if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    # A fork pool starts all of its processes at the first submit, so
+    # start no more than there are chunks or CPUs.
+    processes = min(workers, len(chunks), os.cpu_count() or 1)
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_chunk_worker,
                                     [payload for _, payload in chunks]))
     else:
@@ -800,29 +801,33 @@ def _execute(jobs, workers: int, cap: int | None):
     return merged
 
 
-# The parts that check the full population, swept once between them.
+# The parts that check the full population, swept once between them;
+# below arity 4 ``monotone`` rides the same sweep.
 _SHARED = ("core", "algorithm1", "closure")
 
 
 def _plan(parts, ns, full_ns, samples, sample_arity, seed, cap):
     """Each part's rows that need no sweep, and the sweep's jobs: the
-    full population once for the requested shared parts, and the
-    monotone and unate populations for ``monotone``."""
+    full population once for the requested shared parts, with
+    ``monotone`` too below arity 4, and the arity-4 monotone functions
+    for ``monotone``."""
     parents: dict[str, dict] = {part: {} for part in parts}
     jobs = []
     shared = tuple(part for part in parts if part in _SHARED)
-    if shared:
-        for n in full_ns:
-            jobs.append((shared, "exhaustive", n, tuple(range(1 << (1 << n)))))
-        if samples:
-            jobs.append((shared, "sampled", sample_arity,
-                         _sample_bits(sample_arity, samples, seed)))
+    small = tuple(part for part in parts if part in _SHARED or part == "monotone")
+    for n in full_ns:
+        kinds = small if n <= _FULL_MAX else shared
+        if kinds:
+            jobs.append((kinds, "exhaustive", n, tuple(range(1 << (1 << n)))))
+    if shared and samples:
+        jobs.append((shared, "sampled", sample_arity,
+                     _sample_bits(sample_arity, samples, seed)))
     if "core" in parts:
         parents["core"].update(_kleene_rows())
         parents["core"].update(_depth_rows(_EXACT_DEPTHS, "exact-depths", cap))
     if "monotone" in parts:
         parent = parents["monotone"]
-        parent.update(_depth_rows((("mind:2", 3, 3),), "mind-depths", cap))
+        parent.update(_depth_rows(_MIND_DEPTHS, "mind-depths", cap))
         population = []
         for n in [k for k in ns if k <= _MONOTONE_MAX]:
             pop = monotone_functions(n)
@@ -834,12 +839,10 @@ def _plan(parts, ns, full_ns, samples, sample_arity, seed, cap):
                 None if is_monotone(f)
                 else {"function": f.to_spec(), "monotone": False}
                 for f in pop)
-            jobs.append((("monotone",), "exhaustive", n,
-                         tuple(f.bits for f in pop)))
+            if n > _FULL_MAX:
+                jobs.append((("monotone",), "exhaustive", n,
+                             tuple(f.bits for f in pop)))
         parent["monotone-population"] = _row(population)
-        for n in [k for k in ns if k <= _UNATE_MAX]:
-            jobs.append((("unate",), "exhaustive", n,
-                         tuple(f.bits for f in unate_functions(n))))
     if "reduction" in parts:
         parents["reduction"].update(_reduction_rows(cap))
     return parents, jobs
@@ -848,8 +851,7 @@ def _plan(parts, ns, full_ns, samples, sample_arity, seed, cap):
 def _part_records(part, parent: dict, merged: dict, full_ns) -> list[CheckRecord]:
     """A part's records: its unswept rows, then its swept checks in the
     order they first appear."""
-    kinds = ("monotone", "unate") if part == "monotone" else (part,)
-    mine = {key: rows for key, rows in merged.items() if key[0] in kinds}
+    mine = {key: rows for key, rows in merged.items() if key[0] == part}
     total: dict = {}
     for rows in mine.values():
         _fold(total, rows)
@@ -880,8 +882,9 @@ def run_suite(
     to 3 and, when ``samples`` is positive, that many seeded random
     tables of arity ``sample_arity``.  With ``exhaustive`` set and 4 in
     ``ns`` they additionally sweep all 65536 arity-4 tables.  The
-    monotone part instead enumerates monotone functions up to arity 4
-    and unate ones up to 3; the reduction part uses fixed families only.
+    monotone part checks the unate functions of the full population up
+    to arity 3 and the monotone ones of arity 4, never the samples; the
+    reduction part uses fixed families only.
     A core, algorithm1 or closure part that would sweep no function is a
     ValueError, not a vacuous pass.
     """

@@ -24,6 +24,7 @@ from uquery.core import (
     HazardFreeTable,
     downward_closure,
     hazard_free_table,
+    unate_orientation,
 )
 from uquery.measures import measure_report
 from uquery.verification import (
@@ -32,7 +33,6 @@ from uquery.verification import (
     VerificationReport,
     monotone_functions,
     run_suite,
-    unate_functions,
 )
 
 
@@ -53,7 +53,9 @@ def test_unknown_suite_rejected():
 def test_population_counts():
     assert [len(monotone_functions(n)) for n in (1, 2, 3, 4)] \
         == [3, 6, 20, 168]
-    assert [len(unate_functions(n)) for n in (1, 2, 3)] == [4, 14, 104]
+    unate = [sum(unate_orientation(BooleanFunction(n, bits)) is not None
+                 for bits in range(1 << (1 << n))) for n in (1, 2, 3)]
+    assert unate == [4, 14, 104]
     # monotone functions really are monotone and pairwise distinct
     fs = monotone_functions(3)
     assert len({f.bits for f in fs}) == 20
@@ -397,9 +399,11 @@ def test_all_gives_the_records_of_each_suite_run_alone(monkeypatch, corrupt):
 
 def _count_table_work(monkeypatch) -> dict[str, Counter]:
     """Per function, the calls through every module binding of the table
-    builder, the D_u search and the pricing of the two summaries."""
+    builder, the D and D_u searches and the pricing of the two
+    summaries."""
     counts = {}
     for owner, name in ((uquery.core, "hazard_free_table"),
+                        (uquery.trees, "query_complexity"),
                         (uquery.trees, "query_complexity_u"),
                         (uquery.measures, "_block_summary"),
                         (uquery.measures, "_certificate_summary")):
@@ -418,12 +422,14 @@ def _count_table_work(monkeypatch) -> dict[str, Counter]:
 
 
 def test_all_builds_searches_and_prices_each_shared_table_once(monkeypatch):
-    """Beyond the work of the monotone and reduction suites and core's
-    fixed checks, ``all`` at n = 3 builds each of the 256 tables once,
-    searches its D_u once and prices its block and certificate summaries
-    once; the closure check also builds the table of each function's
+    """Beyond the reduction suite and the fixed rows of core and
+    monotone, ``all`` at n = 3 builds each of the 256 tables once,
+    searches its D and its D_u once and prices its block and
+    certificate summaries once, the monotone check included; the
+    closure check also builds and searches the table of each function's
     downward closure."""
     counts = _count_table_work(monkeypatch)
+    V = uquery.verification
 
     def tally(run) -> dict[str, Counter]:
         for counter in counts.values():
@@ -433,15 +439,67 @@ def test_all_builds_searches_and_prices_each_shared_table_once(monkeypatch):
         return {name: counter.copy() for name, counter in counts.items()}
 
     def rest():
-        for suite in ("monotone", "reduction"):
-            run_suite(suite, ns=(3,), workers=1)
-        uquery.verification._kleene_rows()
-        uquery.verification._depth_rows(uquery.verification._EXACT_DEPTHS, "exact-depths", None)
+        run_suite("reduction", ns=(3,), workers=1)
+        V._kleene_rows()
+        V._depth_rows(V._EXACT_DEPTHS, "exact-depths", None)
+        V._depth_rows(V._MIND_DEPTHS, "mind-depths", None)
 
     others = tally(rest)
     whole = tally(lambda: run_suite("all", ns=(3,), workers=1))
     shared = Counter(BooleanFunction(3, bits) for bits in range(256))
     closures = Counter(downward_closure(f) for f in shared)
-    assert whole["hazard_free_table"] == others["hazard_free_table"] + shared + closures
+    for name in ("hazard_free_table", "query_complexity"):
+        assert whole[name] == others[name] + shared + closures, name
     for name in ("query_complexity_u", "_block_summary", "_certificate_summary"):
         assert whole[name] == others[name] + shared, name
+
+
+# sha256 of the records of run_suite("monotone", ns=(1, 2, 3, 4),
+# workers=1) and of run_suite("all", ns=(1, 2, 3, 4), samples=5,
+# workers=2), each digested alone: the only pins on the monotone
+# check's own arity-4 population.
+ARITY_4_DIGESTS = {
+    "monotone": "6dc8740e5653256c73f59175f38d6fcb3af910c69ddc25f3ee446fa7cfde8e48",
+    "all": "7eece31c7131ec9f597b818cf283f6423c21ac484600fe84d92619457c031618",
+}
+
+
+def test_arity_4_monotone_records_byte_identical():
+    monotone = run_suite("monotone", ns=(1, 2, 3, 4), workers=1)
+    everything = run_suite("all", ns=(1, 2, 3, 4), samples=5, workers=2)
+    assert {"monotone": _records_digest([monotone]),
+            "all": _records_digest([everything])} == ARITY_4_DIGESTS
+
+
+@pytest.mark.parametrize("workers, cpus, started", [
+    (16, 64, 4),    # four chunks, one per table of arity 1
+    (16, 3, 3),     # three CPUs
+    (16, None, None),  # an unknown CPU count is one: no pool
+    (2, 64, 2),     # as many as asked for
+])
+def test_the_pool_starts_no_more_processes_than_chunks_or_cpus(
+        monkeypatch, workers, cpus, started):
+    """A fork pool starts every process at its first submit, so the
+    pool is sized to the chunks and the CPUs; the report keeps the
+    worker count asked for."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(uquery.verification, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(uquery.verification.os, "cpu_count", lambda: cpus)
+    report = run_suite("closure", ns=(1,), workers=workers)
+    assert pools == ([] if started is None else [started])
+    assert report.parameters["workers"] == workers
+    assert report.records == run_suite("closure", ns=(1,), workers=1).records
