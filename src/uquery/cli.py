@@ -19,7 +19,6 @@ from typing import Sequence
 from .algorithms import (
     Oracle,
     algorithm1_solve,
-    monotone_simulate,
     transcript_json,
     tree_solver,
     unate_simulate,
@@ -29,7 +28,6 @@ from .core import (
     as_ternary,
     generate,
     hazard_free_table,
-    is_monotone,
     parse_spec,
     unate_orientation,
 )
@@ -156,18 +154,11 @@ def cmd_solve(args) -> int:
     elif args.method == "tree":
         depth, tree = query_complexity_u(table, cap=cap)
         output, bound = tree_solver(tree)(oracle), depth
-    elif args.method == "monotone":
-        if not is_monotone(f):
-            raise ValueError(
-                "the monotone method needs a monotone function; "
-                "use algorithm1 or tree instead")
-        depth, tree = query_complexity(f, table=table, cap=cap)
-        output, bound = monotone_simulate(f, tree, oracle), 2 * depth
-    else:
+    else:  # monotone is unate at the all-zero orientation
         orientation = unate_orientation(f)
-        if orientation is None:
+        if orientation is None or args.method == "monotone" and any(orientation.bits):
             raise ValueError(
-                "the unate method needs a unate function; "
+                f"the {args.method} method needs a {args.method} function; "
                 "use algorithm1 or tree instead")
         depth, tree = query_complexity(f, table=table, cap=cap)
         output = unate_simulate(f, orientation, tree, oracle)

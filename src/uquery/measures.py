@@ -598,19 +598,16 @@ def standard_measures(
 
 
 def validate_certificate(table: HazardFreeTable, witness: CertificateWitness) -> bool:
-    """Check a certificate by enumerating every consistent ternary string."""
+    """Check a certificate on its block of the value grid: the ternary
+    strings consistent with it, each assigned cell fixed and each * free,
+    must all take the witness's value."""
     n = table.arity
     cells = witness.assignment.cells
     if len(cells) != n:
         return False
-    free = [p for p in range(n) if cells[p] == STAR]
-    for fill in product((0, 1, 2), repeat=len(free)):
-        y = list(cells)
-        for k, p in enumerate(free):
-            y[p] = fill[k]
-        if table.values[TernaryString(tuple(y)).code()] != witness.value:
-            return False
-    return True
+    block = tuple(slice(None) if c == STAR else c for c in cells)
+    grid = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)
+    return bool((grid[block] == witness.value).all())
 
 
 def validate_block_family(

@@ -33,16 +33,17 @@ each node from its children's dicts, so any depth converts without
 recursion.  ``serialize_tree`` and ``write_indented_tree`` lay the nodes
 out in pre-order with NumPy, from subtree sizes found a layer at a time,
 and join a text fragment per node and a closer per query node from
-small tables.  ``verify_tree`` checks a tree without replaying it input
-by input: it finds each node's least input and queried axes a layer at
-a time, writes the leaves into a prediction array one group of leaves
-with the same queried axes at a time, and compares the array with the
-table once to find the least counterexample; the verify harness writes
-leaf indices the same way (``_leaf_grid``) to find the leaf each input
-reaches.  A malformed node raises the error that ``evaluate_tree``
-gives the least input reaching it, unless a mismatch comes first in
-code order; on a tie the error wins.  The check reads only the tree
-and the table, never the level planes.
+small tables.  ``verify_tree`` checks a well-formed tree without
+replaying it input by input: it finds each node's least input and
+queried axes a layer at a time, writes the leaves into a prediction
+array one group of leaves with the same queried axes at a time, and
+compares the array with the table once to find the least
+counterexample; the verify harness writes leaf indices the same way
+(``_leaf_grid``) to find the leaf each input reaches.  A tree that is
+not well formed (a variable outside 1..n or repeated on a path, or a
+node with another child count than the root) is evaluated input by
+input instead; no tree the package builds is one.  The check reads only
+the tree and the table, never the level planes.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -172,61 +174,44 @@ def _links(tree: DecisionTree) -> tuple[list[int], np.ndarray, np.ndarray]:
     return _layer_starts(tree.first), parent, answer
 
 
-_UNRESOLVED = "classical tree evaluated on an unresolved input"
-
-
-def _query_error(var: int, n: int, seen) -> str | None:
-    """Why a node querying ``var`` fails on inputs of length n that reach
-    it after querying the variables in ``seen``; None when it does not."""
-    if not 1 <= var <= n:
-        return f"tree queries variable {var} outside 1..{n}"
-    if var in seen:
-        return f"tree queries variable {var} twice on one path"
-    return None
-
-
 def evaluate_tree(tree: DecisionTree, y: TernaryString | str) -> int:
     """Walk the tree reading answers off y; returns the leaf trit."""
     y = as_ternary(y)
     var, first = tree.var, tree.first
     i, seen = 0, set()
     while var[i]:
-        error = _query_error(var[i], len(y), seen)
-        if error is not None:
-            raise ValueError(error)
+        if not 1 <= var[i] <= len(y):
+            raise ValueError(f"tree queries variable {var[i]} outside 1..{len(y)}")
+        if var[i] in seen:
+            raise ValueError(f"tree queries variable {var[i]} twice on one path")
         seen.add(var[i])
         kid = first[i] + y[var[i] - 1]
         if kid >= first[i + 1]:
-            raise ValueError(_UNRESOLVED)
+            raise ValueError("classical tree evaluated on an unresolved input")
         i = kid
     return tree.leaf[i]
 
 
 @cache
-def _axis_steps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per variable v, with n + 1 standing for any outside 1..n: the
-    weight of its answer in the code of an input of length n, its bit
-    among a set of queried axes, and per answer a, a times the weight
-    plus the bit times 3**n; all 0 at v = 0 and at n + 1."""
-    weight = np.zeros(n + 2, dtype=np.int64)
-    weight[1:n + 1] = 3 ** np.arange(n - 1, -1, -1)
-    bit = np.zeros(n + 2, dtype=np.int64)
-    bit[1:n + 1] = 1 << np.arange(n)
+def _axis_steps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per variable v in 0..n: its bit among a set of queried axes, and
+    per answer a, a times its weight in the code of an input of length n
+    plus the bit times 3**n; both 0 at v = 0."""
+    weight = np.zeros(n + 1, dtype=np.int64)
+    weight[1:] = 3 ** np.arange(n - 1, -1, -1)
+    bit = np.zeros(n + 1, dtype=np.int64)
+    bit[1:] = 1 << np.arange(n)
     step = np.outer(weight, range(4)) + bit[:, None] * 3 ** n
-    for table in (weight, bit, step):
+    for table in (bit, step):
         table.flags.writeable = False  # shared through the cache
-    return weight, bit, step
-
-
-_NO_LEAF = 3  # a cell no leaf predicts; never a table value
+    return bit, step
 
 
 class _Leaves(NamedTuple):
-    """Where the leaves of a tree lie among the inputs of its model."""
+    """Where the leaves of a well-formed tree lie among the inputs of its model."""
 
-    grid: np.ndarray   # per input, one axis per variable: its leaf's entry, or the filler
+    grid: np.ndarray   # per input, one axis per variable: its leaf's entry
     reach: np.ndarray  # per node: its queried axes times 3**n plus its least input's code
-    stops: np.ndarray  # per node: walked and malformed, where the walk raises
 
 
 def _answers(tree: DecisionTree) -> int:
@@ -234,58 +219,47 @@ def _answers(tree: DecisionTree) -> int:
     return tree.first[1] - tree.first[0] if tree.var[0] else 3
 
 
-def _leaf_grid(tree: DecisionTree, n: int, entry: np.ndarray, filler: int) -> _Leaves:
-    """Write ``entry[i]`` at every input of length n that reaches leaf i.
+def _leaf_grid(tree: DecisionTree, n: int, entry: np.ndarray) -> _Leaves | None:
+    """Write ``entry[i]`` at every input of length n that reaches leaf i;
+    None when the tree is not well formed for arity n.
 
-    The grid has one axis per variable over the tree's answers, and holds
-    ``filler`` at the inputs that reach no leaf.  The nodes are taken a
-    layer at a time.  Each node gets the code of the least input reaching
-    it (its path answers, 0 elsewhere) and the set of axes its path
-    queries, from its parent's by one addition per layer.  The leaves are
-    grouped by that set, and each group writes its entries in one
-    assignment, through a view with the group's queried axes first: a
-    leaf's block is its path answer on each of them and every value on
-    the others.
-
-    A malformed node (a variable outside 1..n, or one its path already
-    queried) stops the walk, as does the third child of a node in a
-    classical tree: nothing below it is walked, so the inputs reaching it
-    keep the filler.  The blocks of the walked leaves, of the malformed
-    nodes and of the missing answers partition the inputs.
+    Well formed means that every query variable lies in 1..n, that no
+    variable repeats on a path and that every query node has as many
+    children as the root, so that every input of the tree's model reaches
+    exactly one leaf.  The grid has one axis per variable over the tree's
+    answers.  The nodes are taken a layer at a time.  Each node gets the
+    code of the least input reaching it (its path answers, 0 elsewhere)
+    and the set of axes its path queries, from its parent's by one
+    addition per layer.  The leaves are grouped by that set, and each
+    group writes its entries in one assignment, through a view with the
+    group's queried axes first: a leaf's block is its path answer on each
+    of them and every value on the others.
     """
     starts, parent, answer = _links(tree)
-    # n + 1 stands for every variable outside 1..n
-    var = np.minimum(_node_values(tree.var), n + 1).astype(np.intp, copy=False)
-    answers = _answers(tree)
-    weight, bit, step = _axis_steps(n)
+    var = _node_values(tree.var)
+    kids = np.bincount(parent[1:], minlength=parent.size)
+    if (var > n).any() or (kids[var != 0] != kids[0]).any():
+        return None
+    var = var.astype(np.intp)
+    bit, step = _axis_steps(n)
     # Per node, its queried axes times 3**n plus the code of the least
     # input reaching it, which is below 3**n; both fit an int64 for every
-    # n a table can have.  Below a malformed node these read anything, and
-    # nothing reads them.
+    # n a table can have.  Below a repeated variable these read anything,
+    # and the tree is refused.
     reach = step[var[parent], answer]
     reach[0] = 0
     for start, stop in zip(starts[1:], starts[2:]):
         reach[start:stop] += reach[parent[start:stop]]
-    bad = (var > n) | (reach // 3 ** n & bit[var] != 0)
-    cut = bad | (answer == 2) if answers == 2 else bad  # the third child of a classical node
-    walked = True
-    if cut.any():
-        below = cut
-        for start, stop in zip(starts[1:], starts[2:]):
-            below[start:stop] |= below[parent[start:stop]]
-        walked = ~below[parent]
-        walked[0] = True
-        if answers == 2:
-            walked &= answer != 2
+    if (reach // 3 ** n & bit[var]).any():
+        return None
 
-    leaves = (walked & (var == 0)).nonzero()[0]
+    leaves = (var == 0).nonzero()[0]
     leaves = leaves[np.argsort(reach[leaves])]  # by queried axes
     groups, codes = np.divmod(reach[leaves], 3 ** n)
     edges = ((groups[1:] != groups[:-1]).nonzero()[0] + 1).tolist()
-    bounds = [0, *edges, leaves.size] if leaves.size else []
+    bounds = [0, *edges, leaves.size]
     entry = entry[leaves]
-    grid = np.empty((answers,) * n, dtype=entry.dtype)
-    grid.fill(filler)
+    grid = np.empty((_answers(tree),) * n, dtype=entry.dtype)
     for lo, hi in zip(bounds, bounds[1:]):
         mask = int(groups[lo])
         fixed = [p for p in range(n) if mask >> p & 1]
@@ -293,7 +267,7 @@ def _leaf_grid(tree: DecisionTree, n: int, entry: np.ndarray, filler: int) -> _L
         digits = np.unravel_index(codes[lo:hi], (3,) * n)
         grid.transpose(fixed + free)[tuple(digits[p] for p in fixed)] = \
             entry[lo:hi].reshape((-1,) + (1,) * len(free))
-    return _Leaves(grid, reach, walked & bad)
+    return _Leaves(grid, reach)
 
 
 def verify_tree(
@@ -307,39 +281,31 @@ def verify_tree(
     lexicographically least counterexample under the position-wise order
     0 < 1 < u.
 
-    ``_leaf_grid`` writes the leaf values into a prediction array with one
-    axis per variable, a group of leaves at a time.  The array is
-    compared with the table in one step, and as 0 < 1 < u is code order,
-    its first mismatch in C order is the least counterexample.
-
-    A malformed node raises the ``ValueError`` that ``evaluate_tree``
-    raises on the least input reaching it (u at its variable for a
-    missing ``onU``), and nothing below it is walked, nor the third child
-    of a node in a classical tree.  Only the walked leaves predict, so
-    the least input of such a node mismatches.  When the first mismatch
-    is unpredicted, it is therefore the least input of a malformed node
-    or missing answer, which comes before every other mismatch: the
-    error wins a tie.
+    A well-formed tree (see ``_leaf_grid``) is checked in one step: its
+    leaf values fill a prediction array with one axis per variable, and
+    as 0 < 1 < u is code order, the array's first mismatch with the table
+    in C order is the least counterexample.  Any other tree is evaluated
+    on each input in code order, and the ``ValueError`` that
+    ``evaluate_tree`` raises at the least input that fails propagates
+    unless a mismatch comes first.  That walk takes a Python step per
+    input, seconds at n = 12, and only trees from outside input take it:
+    every tree the package builds is well formed.
     """
     n = table.arity
+    answers = _answers(tree)
     expected = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)
-    if _answers(tree) == 2:
-        expected = expected[(slice(0, 2),) * n]
-    predicted, reach, stops = _leaf_grid(
-        tree, n, np.frombuffer(bytes(tree.leaf), dtype=np.uint8), _NO_LEAF)
-
-    mismatch = predicted != expected
+    expected = expected[(slice(0, answers),) * n]
+    leaves = _leaf_grid(tree, n, np.frombuffer(bytes(tree.leaf), dtype=np.uint8))
+    if leaves is None:
+        for trits, want in zip(product(range(answers), repeat=n), expected.ravel().tolist()):
+            y = TernaryString(trits)
+            if evaluate_tree(tree, y) != want:
+                return False, y
+        return True, None
+    mismatch = leaves.grid != expected
     if not mismatch.any():
         return True, None
     first_bad = np.unravel_index(int(mismatch.argmax()), mismatch.shape)
-    if predicted[first_bad] == _NO_LEAF:
-        least = np.ravel_multi_index(first_bad, (3,) * n)
-        at = (stops & (reach % 3 ** n == least)).nonzero()[0]
-        if not at.size:
-            raise ValueError(_UNRESOLVED)
-        i = int(at[0])
-        seen = {p + 1 for p in range(n) if int(reach[i]) // 3 ** n >> p & 1}
-        raise ValueError(_query_error(tree.var[i], n, seen))
     return False, TernaryString(tuple(int(d) for d in first_bad))
 
 
@@ -837,7 +803,7 @@ def write_indented_tree(tree: DecisionTree, handle, nesting: int = 0) -> None:
     handle.writelines(_preorder_text(tree, fragment, closer))
 
 
-def tree_from_json_dict(obj, path: str = "$") -> DecisionTree:
+def tree_from_json_dict(obj) -> DecisionTree:
     """Build a tree from its JSON form; error messages carry the JSON path.
 
     No variable may repeat along a path, so no path is longer than the
@@ -847,7 +813,7 @@ def tree_from_json_dict(obj, path: str = "$") -> DecisionTree:
     a tree or a ``TreeFormatError``, never in a ``RecursionError``.
     """
     entries: list = []  # pre-order: (var, leaf trit, child entry indices)
-    todo = [(obj, path, frozenset(), None)]
+    todo = [(obj, "$", frozenset(), None)]
     while todo:
         obj, path, seen, parent = todo.pop()
         if parent is not None:

@@ -96,10 +96,12 @@ SUITES = ("core", "algorithm1", "monotone", "closure", "reduction")
 
 # Arity bounds: the full sweep stops at 3 (4**n tables) and carries the
 # monotone check there; that check's own population, the monotone
-# functions, reaches 4 (168 of them), and its unate rows stop at 3.
+# functions, reaches 4 (168 of them), and its unate rows stop at 3.  The
+# seeded sample's tables have arity 4.
 _FULL_MAX = 3
 _MONOTONE_MAX = 4
 _UNATE_MAX = 3
+_SAMPLE_ARITY = 4
 
 _MONOTONE_COUNTS = {1: 3, 2: 6, 3: 20, 4: 168}
 
@@ -467,7 +469,9 @@ def _alg1_function_rows(state: _Table):
     spec = f.to_spec()
     tree = algorithm1_tree(table, cap)
     size = len(tree.var)
-    leaves = _leaf_grid(tree, n, np.arange(size), -1)
+    leaves = _leaf_grid(tree, n, np.arange(size))
+    if leaves is None:
+        raise AssertionError(f"{spec}: the solver's tree is not well formed")
     node = leaves.grid.reshape(-1)  # per input, the leaf it reaches
     starts = _layer_starts(tree.first)
     depth = np.repeat(np.arange(len(starts) - 1), np.diff(starts))[node]
@@ -534,14 +538,17 @@ def _simulation_row(f: BooleanFunction, table: HazardFreeTable, d: int,
 def _monotone_function_rows(state: _Table):
     """The bracket D <= D_u <= 2D and the two-pass simulation on a
     monotone function, and the oriented simulation on any unate one of
-    arity <= 3; a function that is not unate gets no rows."""
+    arity <= 3; a function that is not unate gets no rows.  On a monotone
+    function the orientation is all zeros, so the oriented simulation is
+    the two-pass one and its row is reused."""
     f, table = state.f, state.table
     orientation = unate_orientation(f)
     if orientation is None:
         return {}
     d, tree_b = state.depth()
     rows = {}
-    if not any(orientation.bits):  # no variable flipped: f is monotone
+    monotone = not any(orientation.bits)  # no variable flipped
+    if monotone:
         du, _ = state.u_depth()
         rows["monotone-depth-bracket"] = _row([
             None if d <= du <= 2 * d
@@ -549,7 +556,7 @@ def _monotone_function_rows(state: _Table):
         rows["monotone-simulation"] = _simulation_row(
             f, table, d, lambda oracle: monotone_simulate(f, tree_b, oracle))
     if f.arity <= _UNATE_MAX:
-        rows["unate-simulation"] = _simulation_row(
+        rows["unate-simulation"] = rows["monotone-simulation"] if monotone else _simulation_row(
             f, table, d, lambda oracle: unate_simulate(f, orientation, tree_b, oracle))
     return rows
 
@@ -806,7 +813,7 @@ def _execute(jobs, workers: int, cap: int | None):
 _SHARED = ("core", "algorithm1", "closure")
 
 
-def _plan(parts, ns, full_ns, samples, sample_arity, seed, cap):
+def _plan(parts, ns, full_ns, samples, seed, cap):
     """Each part's rows that need no sweep, and the sweep's jobs: the
     full population once for the requested shared parts, with
     ``monotone`` too below arity 4, and the arity-4 monotone functions
@@ -820,8 +827,8 @@ def _plan(parts, ns, full_ns, samples, sample_arity, seed, cap):
         if kinds:
             jobs.append((kinds, "exhaustive", n, tuple(range(1 << (1 << n)))))
     if shared and samples:
-        jobs.append((shared, "sampled", sample_arity,
-                     _sample_bits(sample_arity, samples, seed)))
+        jobs.append((shared, "sampled", _SAMPLE_ARITY,
+                     _sample_bits(_SAMPLE_ARITY, samples, seed)))
     if "core" in parts:
         parents["core"].update(_kleene_rows())
         parents["core"].update(_depth_rows(_EXACT_DEPTHS, "exact-depths", cap))
@@ -870,7 +877,6 @@ def run_suite(
     *,
     ns: Sequence[int] = (1, 2, 3),
     samples: int = 0,
-    sample_arity: int = 4,
     seed: int = 0,
     workers: int | None = None,
     cap: int | None = None,
@@ -880,8 +886,8 @@ def run_suite(
 
     Full-population parts cover every function with arity in ``ns`` up
     to 3 and, when ``samples`` is positive, that many seeded random
-    tables of arity ``sample_arity``.  With ``exhaustive`` set and 4 in
-    ``ns`` they additionally sweep all 65536 arity-4 tables.  The
+    tables of arity 4.  With ``exhaustive`` set and 4 in ``ns`` they
+    additionally sweep all 65536 arity-4 tables.  The
     monotone part checks the unate functions of the full population up
     to arity 3 and the monotone ones of arity 4, never the samples; the
     reduction part uses fixed families only.
@@ -911,7 +917,7 @@ def run_suite(
             f"for n = {_FULL_MAX + 1}")
 
     start = perf_counter()
-    parents, jobs = _plan(parts, ns, full_ns, samples, sample_arity, seed, cap)
+    parents, jobs = _plan(parts, ns, full_ns, samples, seed, cap)
     merged = _execute(jobs, workers, cap)
     records = [record for part in parts
                for record in _part_records(part, parents[part], merged, full_ns)]
@@ -920,7 +926,7 @@ def run_suite(
         parameters={
             "ns": list(ns),
             "samples": samples,
-            "sample_arity": sample_arity,
+            "sample_arity": _SAMPLE_ARITY,
             "seed": seed,
             "workers": workers,
             "exhaustive": exhaustive,

@@ -216,6 +216,16 @@ def certificate_u(table: dict, n: int):
     return tuple(out)
 
 
+def certificate_holds(table: dict, n: int, cells, value) -> bool:
+    """Whether every ternary string agreeing with the assigned cells of
+    an assignment (3 marks a *) has ``value``; an assignment of another
+    length than n certifies nothing."""
+    if len(cells) != n:
+        return False
+    return all(table[y] == value for y in table
+               if all(c == 3 or y[p] == c for p, c in enumerate(cells)))
+
+
 def survivor(table: dict, transcript):
     """The least 1-valued input agreeing with every (variable, answer)
     of a solver transcript, else the least such 0-valued one, else None.

@@ -14,6 +14,7 @@ import reference as R
 import uquery.measures
 import uquery.trees
 from uquery import ArityCapError, BooleanFunction, generate, hazard_free_table
+from uquery.algorithms import algorithm1_tree
 from uquery.core import UNKNOWN
 from uquery.trees import (
     TRIT_KEYS,
@@ -23,6 +24,7 @@ from uquery.trees import (
     _depth_levels,
     _forced_bits,
     _layout,
+    _leaf_grid,
     _level_reader,
     _optimal_tree,
     evaluate_tree,
@@ -515,6 +517,38 @@ def test_verify_tree_matches_the_input_replay(n):
             assert got == _outcome(R.verify_tree_by_inputs, tree, table)
             kinds.add(got[0])
     assert kinds == {True, False, "ValueError"}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_built_trees_take_the_leaf_grid(n):
+    # Every tree the package builds is well formed, so the vectorised check
+    # takes it; the grid sends each input to a leaf holding the table value.
+    rng = random.Random(700 + n)
+    tables = range(1 << (1 << n)) if n <= 3 else [rng.getrandbits(1 << n) for _ in range(12)]
+    for bits in tables:
+        f = BooleanFunction(n, bits)
+        table = hazard_free_table(f)
+        values = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)
+        for tree in (query_complexity(f, table=table)[1], query_complexity_u(table)[1],
+                     algorithm1_tree(table)):
+            classical = tree.var[0] and tree.first[1] - tree.first[0] == 2
+            block = values[(slice(0, 2 if classical else 3),) * n]
+            leaves = _leaf_grid(tree, n, np.arange(len(tree.var)))
+            assert leaves is not None and leaves.grid.shape == block.shape
+            assert (np.array(tree.leaf)[leaves.grid] == block).all()
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_leaf_grid_refuses_malformed_trees(n):
+    # Each edge tree is malformed, and so are a bad root and a repeat alone.
+    leaf = {"leaf": "0"}
+
+    def node(var, kid):
+        return {"query": var, "on0": kid, "on1": leaf, "onU": leaf}
+
+    for obj in _edge_trees(n) + [node(n + 1, leaf), node(1, node(1, leaf))]:
+        tree = _build(obj)
+        assert _leaf_grid(tree, n, np.arange(len(tree.var))) is None
 
 
 def test_no_single_query_tree_computes_or2():

@@ -131,19 +131,21 @@ def test_reduction_suite():
 
 
 def test_sampling_extends_population():
-    report = run_suite("core", ns=(1,), samples=5, sample_arity=3, seed=1)
+    report = run_suite("core", ns=(1,), samples=5, seed=1)
     assert report.passed
     record = {r.check: r for r in report.records}["s<=s_u"]
     assert record.cases == 9  # 4 exhaustive + 5 sampled
     assert report.parameters["samples"] == 5
     assert report.parameters["seed"] == 1
+    assert report.parameters["sample_arity"] == 4
 
 
 def test_sampling_is_seeded():
-    a = run_suite("core", ns=(1,), samples=8, sample_arity=3, seed=3)
-    b = run_suite("core", ns=(1,), samples=8, sample_arity=3, seed=3)
+    a = run_suite("core", ns=(1,), samples=8, seed=3)
+    b = run_suite("core", ns=(1,), samples=8, seed=3)
     strip = lambda rep: [r.to_json_dict() for r in rep.records]
     assert strip(a) == strip(b)
+    assert a.parameters["sample_arity"] == b.parameters["sample_arity"] == 4
 
 
 @pytest.mark.parametrize("suite, ns", [("algorithm1", (1, 2)),
