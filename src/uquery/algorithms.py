@@ -9,9 +9,9 @@ exists, and the second does the same with 1-certificates of consistent
 1-valued inputs.  A stage exits the moment the recorded answers force
 a value, and control reaches the answer u only once no 0-valued and no
 1-valued input remains consistent, which is what makes that answer
-sound.  The least consistent input is read off the table viewed as a
-(3,) * n grid: the answers fix a block of it, and the block's first hit
-in C order is the lex-least, so no round decodes the other inputs.
+sound.  The least consistent input is the table's own
+``least_input``: the answers fix a block of its value grid, whose first
+hit in C order is the lex-least, so no round decodes the other inputs.
 Every round reveals at least one new position, and the total
 number of distinct queries stays within bs_1 * C_0 + bs_0 * C_1.
 
@@ -39,8 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
-
-import numpy as np
 
 from .core import (
     STAR,
@@ -226,44 +224,33 @@ def _cost_budget(table: HazardFreeTable, cap: int | None = None) -> int:
     return blocks.by_value[1] * certs.c_u_0 + blocks.by_value[0] * certs.c_u_1
 
 
-def _value_grid(table: HazardFreeTable) -> np.ndarray:
-    """The table's values as a (3,) * n grid, one axis per variable."""
-    return np.frombuffer(table.values, np.uint8).reshape((3,) * table.arity)
-
-
-def _algorithm1_step(table: HazardFreeTable, grid: np.ndarray,
-                     cells: Sequence[int], stage: int | None,
+def _algorithm1_step(table: HazardFreeTable, cells: Sequence[int], stage: int | None,
                      cap: int | None) -> int | tuple[int, tuple[int, ...]]:
     """One step of Algorithm 1 on a non-constant function: from the answers
     so far to the output, or to the stage and queries of the next round.
 
     ``cells`` holds the answer at each position, STAR where none was asked,
-    ``grid`` is the table's ``_value_grid`` and ``stage`` the stage value of
-    the round that just ended, None before the first.  A run that ended a
-    round exits the moment its answers force a value: then the coarsest
-    consistent string, u at every unasked position, already evaluates to
-    it.  Otherwise the next round of the stage, or of stage 1 once no
-    consistent input of value 0 is left, picks the least consistent input
-    of that value and queries the domain of a minimum certificate at it;
-    the answers fix a block of the grid, free on the unasked axes, whose
-    first hit in C order is that input.  Returns the output, or the
-    round's (stage value, unasked positions of the domain in sorted
-    order, 1-based).  Once neither value has a consistent input the
-    output is u.
+    and ``stage`` is the stage value of the round that just ended, None
+    before the first.  A run that ended a round exits the moment its
+    answers force a value: then the coarsest consistent string, u at
+    every unasked position, already evaluates to it.  Otherwise the next
+    round of the stage, or of stage 1 once no consistent input of value 0
+    is left, picks the least consistent input of that value
+    (``HazardFreeTable.least_input``) and queries the domain of a minimum
+    certificate at it.  Returns the output, or the round's (stage value,
+    unasked positions of the domain in sorted order, 1-based).  Once
+    neither value has a consistent input the output is u.
     """
     if stage is None:
         stage = 0
     else:
-        coarsest = int(grid[tuple(UNKNOWN if c == STAR else c for c in cells)])
+        coarsest = int(table.grid[tuple(UNKNOWN if c == STAR else c for c in cells)])
         if coarsest != UNKNOWN:
             return coarsest
     for want in range(stage, 2):
-        block = grid[tuple(slice(None) if c == STAR else c for c in cells)]
-        hits = np.flatnonzero(block == want)
-        if not hits.size:
+        x = table.least_input(cells, want)
+        if x is None:
             continue
-        free = iter(np.unravel_index(hits[0], block.shape))
-        x = TernaryString(tuple(int(next(free)) if c == STAR else c for c in cells))
         cert = certificate_u_at(table, x, cap)
         todo = tuple(sorted(v for v in cert.assignment.domain() if cells[v - 1] == STAR))
         # A domain inside the asked positions is certified by the answers,
@@ -285,11 +272,10 @@ def _run_algorithm1(table: HazardFreeTable, oracle: QueryOracle,
                            tuple(oracle.transcript))
 
     bound = _cost_budget(table, cap)
-    grid = _value_grid(table)
     cells = [STAR] * n
     stage = None
     while True:
-        step = _algorithm1_step(table, grid, cells, stage, cap)
+        step = _algorithm1_step(table, cells, stage, cap)
         if isinstance(step, int):
             return SolveResult(step, oracle.query_count, bound,
                                tuple(oracle.transcript))
@@ -313,14 +299,13 @@ def algorithm1_tree(table: HazardFreeTable, cap: int | None = None) -> DecisionT
     f = table.function
     if f.is_constant():
         return DecisionTree._of((0,), (f.value_at_index(0),), (1, 1))
-    grid = _value_grid(table)
     var, leaf, first = [], [], [1]
     layer = [((STAR,) * table.arity, None, ())]
     while layer:
         below = []
         for cells, stage, todo in layer:
             if not todo:
-                step = _algorithm1_step(table, grid, cells, stage, cap)
+                step = _algorithm1_step(table, cells, stage, cap)
                 if isinstance(step, int):
                     var.append(0)
                     leaf.append(step)

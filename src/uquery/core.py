@@ -13,7 +13,10 @@ Conventions used throughout the package:
   of every index (truth tables, ternary codes, hex serializations);
 * trits are the ints 0, 1 and 2, with 2 rendered as the character 'u';
 * partial assignments add a fourth cell value 3, rendered as '*', for
-  unassigned positions (``trees._forced_bits`` finds those forcing a value).
+  unassigned positions (``trees._forced_bits`` finds those forcing a value);
+* a hazard-free table's ``grid`` is its values viewed read-only as a
+  (3,) * n array, one axis per variable, so C order is code order and a
+  partial assignment's consistent inputs are a block of it.
 
 All types here are immutable; every function of the module is pure.
 """
@@ -328,17 +331,19 @@ class HazardFreeTable:
     """The hazard-free extension of a function, tabulated over all 3**n inputs.
 
     ``values[code]`` is the extension's value at the ternary string with
-    that base-3 code (digits 0, 1, u->2; variable 1 most significant).
+    that base-3 code (digits 0, 1, u->2; variable 1 most significant), and
+    ``grid`` the same bytes viewed read-only as a (3,) * n array.
     Instances are immutable and safe to share across threads/processes.
     """
 
-    __slots__ = ("function", "values")
+    __slots__ = ("function", "values", "grid")
 
     def __init__(self, function: BooleanFunction, values: bytes):
         if len(values) != 3 ** function.arity:
             raise ValueError("value table has wrong size")
         self.function = function
         self.values = values
+        self.grid = np.frombuffer(values, np.uint8).reshape((3,) * function.arity)
 
     @property
     def arity(self) -> int:
@@ -350,6 +355,18 @@ class HazardFreeTable:
             raise ValueError(f"input length {len(y)} != arity {self.arity}")
         return self.values[y.code()]
 
+    def least_input(self, cells: Sequence[int], value: int) -> TernaryString | None:
+        """The least input of the given value agreeing with every cell
+        that is not STAR, or None.  The cells fix a block of the grid,
+        free on the STAR axes, and as C order over those axes is lex order
+        of the whole input, the block's first hit is the least input."""
+        block = self.grid[tuple(slice(None) if c == STAR else c for c in cells)]
+        hits = np.flatnonzero(block == value)
+        if not hits.size:
+            return None
+        free = iter(np.unravel_index(hits[0], block.shape))
+        return TernaryString(tuple(int(next(free)) if c == STAR else c for c in cells))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HazardFreeTable):
             return NotImplemented
@@ -357,6 +374,10 @@ class HazardFreeTable:
 
     def __hash__(self) -> int:
         return hash((self.function, self.values))
+
+    def __reduce__(self):
+        # Rebuilt from its bytes, so a copy's grid is a read-only view too.
+        return HazardFreeTable, (self.function, self.values)
 
 
 def _merge_axes(vals: np.ndarray) -> None:
@@ -396,6 +417,16 @@ def hazard_free_table(f: BooleanFunction, cap: int | None = None) -> HazardFreeT
     vals[np.ix_(*([0, 1],) * n)] = _truth_bits(f).reshape((2,) * n)
     _merge_axes(vals)
     return HazardFreeTable(f, vals.reshape(-1).tobytes())
+
+
+def _table_of(f: BooleanFunction, table: HazardFreeTable | None,
+              cap: int | None = None) -> HazardFreeTable:
+    """The given table, checked to be f's extension, else f's built here."""
+    if table is None:
+        return hazard_free_table(f, cap=cap)
+    if table.function != f:
+        raise ValueError("the table is the extension of another function")
+    return table
 
 
 def _slopes(f: BooleanFunction) -> list[tuple[bool, bool]]:

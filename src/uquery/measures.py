@@ -56,8 +56,8 @@ from .core import (
     PartialAssignment,
     TernaryString,
     as_ternary,
+    _table_of,
     check_cap,
-    hazard_free_table,
 )
 
 
@@ -129,7 +129,6 @@ class _MeasureArrays:
     """Per-input measures of one table, flat and indexed by ternary code,
     and the table's two summaries, each kept here on first use."""
 
-    values: np.ndarray       # the extension's value
     certificate: np.ndarray  # minimum certificate size
     sensitivity: np.ndarray  # number of sensitive positions (s_u)
     block_bound: np.ndarray  # min(C, s + (n - s) // 2), at least bs
@@ -184,9 +183,11 @@ def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
     needed; and no cell drops below its own number of *s, so none wraps
     below zero.
 
-    *s_u.*  Position p is sensitive at x iff another trit at p changes
-    the value: for 0/1-valued x the u setting is the one to try, for
-    u-valued x the binary ones, and the lookup covers both.
+    *s_u.*  Position p is sensitive at x iff either other trit at p
+    changes the value, on any table; ``_sensitive_positions`` applies
+    the same rule at one input, so the s_u witness variable agrees with
+    the count.  (On an extension the u setting alone decides it for a
+    0/1-valued x, but a corrupted table need not be an extension.)
 
     *The bs bound.*  bs(x) <= min(C(x), s(x) + (n - s(x)) // 2) for
     every input x, and classically for every binary x with flip blocks
@@ -207,7 +208,7 @@ def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
     verification suite checks.
     """
     n = table.arity
-    vals = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)
+    vals = table.grid
 
     bits, size = trees._forced_bits(table, (0, 1, UNKNOWN)), 4 ** n
     forced = np.unpackbits(trees._bitset_bytes(bits, size), count=size, bitorder="little").view(bool)
@@ -224,8 +225,7 @@ def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
             cell += moved
 
     bound = np.minimum(cert, sens + (n - sens) // 2)
-    return _MeasureArrays(vals.reshape(-1), cert.reshape(-1),
-                          sens.reshape(-1), bound.reshape(-1), forced)
+    return _MeasureArrays(cert.reshape(-1), sens.reshape(-1), bound.reshape(-1), forced)
 
 
 def _first_max(measure: np.ndarray, mask: np.ndarray) -> int | None:
@@ -245,26 +245,19 @@ def sensitivity_u_at(table: HazardFreeTable, x: TernaryString | str) -> int:
 
 
 def _sensitive_positions(table: HazardFreeTable, x: TernaryString) -> list[int]:
-    """0-based positions whose singleton block is sensitive at x."""
+    """0-based positions whose singleton block is sensitive at x: those
+    where either other trit changes the value, as in ``_tabulate``."""
     n = table.arity
     if len(x) != n:
         raise ValueError(f"input length {len(x)} != arity {n}")
-    vals, pw = table.values, _weights(n)
-    base, v = x.code(), table.values[x.code()]
-    return [p for p in range(n)
-            if _position_sensitive(vals, x.trits, base, pw, p, v)]
-
-
-def _position_sensitive(vals, digits, base, pw, p, v) -> bool:
-    # For a 0/1-valued input the u-setting is the coarsest change and is
-    # off-value iff some change is; for a u-valued input only resolved
-    # settings can leave u.
-    if v != UNKNOWN:
-        return vals[base + (UNKNOWN - digits[p]) * pw[p]] != v
-    for t in (0, 1):
-        if t != digits[p] and vals[base + (t - digits[p]) * pw[p]] != v:
-            return True
-    return False
+    vals, pw, base = table.values, _weights(n), x.code()
+    v = vals[base]
+    out = []
+    for p, t in enumerate(x.trits):
+        low = base - t * pw[p]  # x with 0 at p
+        if vals[low + (t + 1) % 3 * pw[p]] != v or vals[low + (t + 2) % 3 * pw[p]] != v:
+            out.append(p)
+    return out
 
 
 def sensitivity_u(table: HazardFreeTable) -> int:
@@ -317,7 +310,8 @@ def _block_lattice(n: int):
     return tuple(blocks), np.stack((kept * pw4, kept * pw3)), offsets, less
 
 
-def _minimal_blocks(arrays: _MeasureArrays, digits: Sequence[int], v: int) -> list[tuple[int, ...]]:
+def _minimal_blocks(table: HazardFreeTable, arrays: _MeasureArrays,
+                    digits: Sequence[int], v: int) -> list[tuple[int, ...]]:
     """The minimal sensitive blocks at the input x with trits ``digits``.
 
     B is sensitive iff the cell equal to x off B and * on B is not forced
@@ -329,7 +323,7 @@ def _minimal_blocks(arrays: _MeasureArrays, digits: Sequence[int], v: int) -> li
     """
     blocks, weights, offsets, less = _block_lattice(len(digits))
     cell, zero_fill = weights @ np.array(digits, dtype=np.int64) + offsets
-    sensitive = ~arrays.forced[cell] | (arrays.values[zero_fill] != v)
+    sensitive = ~arrays.forced[cell] | (table.grid.take(zero_fill) != v)
     minimal = sensitive[:-1] & ~sensitive[less].any(axis=0)
     return [blocks[i] for i in np.flatnonzero(minimal)]
 
@@ -343,7 +337,7 @@ def minimal_sensitive_blocks(
     if len(x) != n:
         raise ValueError(f"input length {len(x)} != arity {n}")
     vals, pw, base = table.values, _weights(n), x.code()
-    blocks = _minimal_blocks(_measure_arrays(table), x.trits, vals[base])
+    blocks = _minimal_blocks(table, _measure_arrays(table), x.trits, vals[base])
     return list(_block_witnesses(vals, x, base, pw, blocks))
 
 
@@ -423,7 +417,7 @@ def _packing_scan(
         if best[v] is not None and bound[base] <= best[v][0]:
             continue
         x = TernaryString.from_code(base, n)
-        blocks = _minimal_blocks(arrays, x.trits, v)
+        blocks = _minimal_blocks(table, arrays, x.trits, v)
         picked = _max_disjoint(blocks)
         if best[v] is None or len(picked) > best[v][0]:
             family = _block_witnesses(vals, x, base, pw, [blocks[j] for j in picked])
@@ -525,7 +519,7 @@ def _certificate_summary(table: HazardFreeTable, arrays: _MeasureArrays,
     attaining: list[TernaryString | None] = [None, None, None]
     witnesses: list[CertificateWitness | None] = [None, None, None]
     for v in (0, 1, UNKNOWN):
-        code = _first_max(arrays.certificate, arrays.values == v)
+        code = _first_max(arrays.certificate, table.grid.reshape(-1) == v)
         if code is not None:
             worst[v] = int(arrays.certificate[code])
             attaining[v] = TernaryString.from_code(code, table.arity)
@@ -566,10 +560,7 @@ def standard_measures(
     would be sensitive), so the lex-least one is the full flip.
     """
     n = f.arity
-    if table is None:
-        table = hazard_free_table(f)
-    elif table.function != f:
-        raise ValueError("the table is the extension of another function")
+    table = _table_of(f, table)
     arrays = _measure_arrays(table, cap)
     codes = np.arange(3 ** n).reshape((3,) * n)[(slice(0, 2),) * n].reshape(-1)
     sens, cert = arrays.sensitivity[codes], arrays.certificate[codes]
@@ -601,13 +592,11 @@ def validate_certificate(table: HazardFreeTable, witness: CertificateWitness) ->
     """Check a certificate on its block of the value grid: the ternary
     strings consistent with it, each assigned cell fixed and each * free,
     must all take the witness's value."""
-    n = table.arity
     cells = witness.assignment.cells
-    if len(cells) != n:
+    if len(cells) != table.arity:
         return False
     block = tuple(slice(None) if c == STAR else c for c in cells)
-    grid = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)
-    return bool((grid[block] == witness.value).all())
+    return bool((table.grid[block] == witness.value).all())
 
 
 def validate_block_family(
@@ -709,10 +698,7 @@ def measure_report(
     ``cap`` bounds the arity of the table, when it is built here, and
     of every per-table array and search behind the measures.
     """
-    if table is None:
-        table = hazard_free_table(f, cap=cap)
-    elif table.function != f:
-        raise ValueError("the table is the extension of another function")
+    table = _table_of(f, table, cap)
     s_u, s_u_x, s_u_var = _sensitivity_scan(table, cap)
     blocks = block_summary(table, cap)
     certs = certificate_summary(table, cap)

@@ -65,8 +65,8 @@ from .core import (
     HazardFreeTable,
     TernaryString,
     as_ternary,
+    _table_of,
     check_cap,
-    hazard_free_table,
 )
 
 TRIT_KEYS = ("on0", "on1", "onU")
@@ -293,8 +293,7 @@ def verify_tree(
     """
     n = table.arity
     answers = _answers(tree)
-    expected = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)
-    expected = expected[(slice(0, answers),) * n]
+    expected = table.grid[(slice(0, answers),) * n]
     leaves = _leaf_grid(tree, n, np.frombuffer(bytes(tree.leaf), dtype=np.uint8))
     if leaves is None:
         for trits, want in zip(product(range(answers), repeat=n), expected.ravel().tolist()):
@@ -447,8 +446,8 @@ def _forced_bits(table: HazardFreeTable, answers: tuple[int, ...]):
     layout = _layout(n, answers)
     inner, outer = min(n, 3), n - min(n, 3)
     codes, starless = _in_word_codes(inner)
-    table_values = np.frombuffer(table.values, dtype=np.uint8).reshape(-1, 3 ** inner)
-    cells = table_values.take(codes, axis=1)  # C order, which the in-place merges below need
+    # C order, which the in-place merges below need
+    cells = table.grid.reshape(-1, 3 ** inner).take(codes, axis=1)
     if len(answers) == 2:
         return _packed(cells != UNKNOWN, layout)
     planes = cells == np.array(answers, dtype=np.uint8)[:, None, None]
@@ -592,17 +591,18 @@ def _query_axes(keys: np.ndarray, level: np.ndarray, level_of: Callable,
 
 
 def _read_tree(level_of: Callable, n: int, answers: tuple[int, ...],
-               values: bytes) -> DecisionTree:
+               values: np.ndarray) -> DecisionTree:
     """The optimal tree below the all-* cell, read off the cell levels
     that ``level_of`` looks up.
 
     The tree is read layer by layer from a frontier that starts at the
     root cell, each cell carried with its coarsest completion (u at
-    every *).  A cell of level 0 is a leaf and reads ``values`` at that
-    completion; any other cell queries the variable ``_query_axes``
-    gives it, found for the frontier's cells at once, or, when all the
-    cells take fewer lookups than one chunk, for all of them before the
-    first layer, through the level of every cell.  The children make up
+    every *).  A cell of level 0 is a leaf and reads ``values``, the
+    table's values by code, at that completion; any other cell queries
+    the variable ``_query_axes`` gives it, found for the frontier's cells
+    at once, or, when all the cells take fewer lookups than one chunk,
+    for all of them before the first layer, through the level of every
+    cell.  The children make up
     the next frontier in (parent, answer) order, so every temporary has
     the size of a frontier or of a small table.  Their levels are those
     ``_query_axes`` looked up to choose the variables when it tried every
@@ -633,7 +633,7 @@ def _read_tree(level_of: Callable, n: int, answers: tuple[int, ...],
             level = level_of(cells[0]) if kids is None else kids.reshape(-1)
     var = np.concatenate(var_layers)
     inner = var > 0
-    leaf = np.frombuffer(values, dtype=np.uint8)[np.concatenate(coarse_layers)]
+    leaf = values[np.concatenate(coarse_layers)]
     leaf[inner] = 0
     first = np.empty(var.size + 1, dtype=np.intp)  # 1 + children before each node
     first[0] = 1
@@ -652,7 +652,7 @@ def _optimal_tree(table: HazardFreeTable, answers: tuple[int, ...],
     depth, planes = _depth_levels(level, n, answers)
     level_of = _level_reader(planes, _layout(n, answers).size)
     del planes  # the lookup holds what it reads: at n = 12 the planes take 8 MB
-    return depth, _read_tree(level_of, n, answers, table.values)
+    return depth, _read_tree(level_of, n, answers, table.grid.reshape(-1))
 
 
 def query_complexity_u(
@@ -676,11 +676,7 @@ def query_complexity(
 ) -> tuple[int, DecisionTree]:
     """Exact optimal classical decision-tree depth, with a witness tree."""
     check_cap(f.arity, cap, DEFAULT_SEARCH_CAP, "classical depth search")
-    if table is None:
-        table = hazard_free_table(f)
-    elif table.function != f:
-        raise ValueError("the table is the extension of another function")
-    return _optimal_tree(table, (0, 1))
+    return _optimal_tree(_table_of(f, table), (0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,7 @@ from .algorithms import (
     unate_simulate,
 )
 from .core import (
+    STAR,
     UNKNOWN,
     BooleanFunction,
     HazardFreeTable,
@@ -437,24 +438,16 @@ def _survivor(table: HazardFreeTable,
     """The least 1-valued input that agrees with every answer of the
     transcript, else the least such 0-valued one, else None.
 
-    A solver may answer u only when this is None.  The answers fix a
-    block of the table's (3,) * n value grid, free on the unasked axes,
-    and as C order over those axes is lex order of the whole input, the
-    block's first hit is the least such input.  The test reads the table
-    and the transcript alone, never the solver's own state.
+    A solver may answer u only when this is None.  The answers are the
+    cells of ``HazardFreeTable.least_input``, STAR at the unasked
+    positions.  The test reads the table and the transcript alone, never
+    the solver's own state.
     """
-    n = table.arity
-    cells: list = [slice(None)] * n
+    cells = [STAR] * table.arity
     for var, answer in transcript:
         cells[var - 1] = answer
-    block = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)[tuple(cells)]
-    for want in (1, 0):
-        hits = np.flatnonzero(block == want)
-        if hits.size:
-            free = iter(np.unravel_index(hits[0], block.shape))
-            return TernaryString(tuple(int(next(free)) if isinstance(c, slice) else c
-                                       for c in cells))
-    return None
+    x = table.least_input(cells, 1)
+    return x if x is not None else table.least_input(cells, 0)
 
 
 def _alg1_function_rows(state: _Table):
@@ -495,7 +488,7 @@ def _alg1_function_rows(state: _Table):
     claimed = np.zeros(size, dtype=bool)
     claimed[list(survivors)] = True
 
-    values = np.frombuffer(table.values, dtype=np.uint8)
+    values = table.grid.reshape(-1)
 
     def row(fails: np.ndarray, problem: Callable[[int], dict]):
         count = int(np.count_nonzero(fails))

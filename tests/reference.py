@@ -237,6 +237,15 @@ def survivor(table: dict, transcript):
     return None
 
 
+def least_input(table: dict, cells, value):
+    """The lex-least input of the given value agreeing with every
+    assigned cell (3 marks a *), else None."""
+    for x in table:
+        if table[x] == value and all(c == 3 or x[p] == c for p, c in enumerate(cells)):
+            return x
+    return None
+
+
 def classical_measures(bits: int, n: int):
     """(s, bs, C) over binary inputs with flip blocks."""
     def value(idx):

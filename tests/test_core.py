@@ -1,5 +1,7 @@
 """Core types: ternary strings, assignments, functions, extensions."""
 
+import itertools
+import pickle
 import random
 
 import numpy as np
@@ -12,6 +14,7 @@ from uquery import (
     ArityCapError,
     BooleanFunction,
     PartialAssignment,
+    STAR,
     SpecError,
     TernaryString,
     UNKNOWN,
@@ -227,6 +230,39 @@ def test_refinement_monotonicity():
                     y = list(x)
                     y[p] = d
                     assert table.evaluate(tuple(y)) == v
+
+
+def test_grid_is_a_read_only_view_of_the_values():
+    for n in range(1, 7):
+        table = hazard_free_table(generate(f"random:{n}:{n}"))
+        grid = table.grid
+        assert grid.shape == (3,) * n and grid.dtype == np.uint8
+        assert grid.tobytes() == table.values and not grid.flags.owndata
+        with pytest.raises(ValueError):
+            grid[(0,) * n] = 1
+        copy = pickle.loads(pickle.dumps(table))
+        assert copy == table and not copy.grid.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_least_input_matches_the_reference_scan(n):
+    # every table and cell vector at n <= 3, seeded ones at n = 4..6
+    rng = random.Random(25 + n)
+    if n <= 3:
+        tables = range(1 << (1 << n))
+        cell_sets = list(itertools.product(range(4), repeat=n))
+    else:
+        tables = [rng.getrandbits(1 << n) for _ in range(6)]
+        cell_sets = [tuple(rng.choice((0, 1, UNKNOWN, STAR, STAR)) for _ in range(n))
+                     for _ in range(40)]
+    for bits in tables:
+        table = hazard_free_table(BooleanFunction(n, bits))
+        ref = R.full_table(bits, n)
+        for cells in cell_sets:
+            for value in (0, 1, UNKNOWN):
+                got = table.least_input(cells, value)
+                want = R.least_input(ref, cells, value)
+                assert (None if got is None else got.trits) == want, (bits, cells, value)
 
 
 def test_is_monotone_brute():

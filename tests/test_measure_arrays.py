@@ -196,6 +196,19 @@ def test_certificates_on_a_table_that_is_no_extension():
     assert differs
 
 
+def test_pointwise_sensitivity_follows_the_array_on_corrupted_tables():
+    """On a table corrupted at its all-u entry the u setting alone no
+    longer decides a position; the pointwise count still reads the rule
+    of the s_u array, so the s_u witness variable agrees with the count."""
+    for n, bits in _all_small():
+        values = bytearray(hazard_free_table(BooleanFunction(n, bits)).values)
+        values[-1] = (values[-1] + 1) % 3
+        table = HazardFreeTable(BooleanFunction(n, bits), bytes(values))
+        sens = _measure_arrays(table).sensitivity
+        for x in _inputs(n):
+            assert sensitivity_u_at(table, x) == sens[x.code()], (bits, x)
+
+
 def test_array_size_is_capped(monkeypatch):
     f = generate("maj:3")
     table = hazard_free_table(f)

@@ -501,9 +501,9 @@ def test_verify_tree_matches_the_input_replay(n):
                 obj = _replace_random_node(obj, rng, n)
                 candidates.append(obj)
         if f.is_constant():
-            # A malformed root leaves every cell unpredicted, so the block
-            # check's first mismatch is the least input that raises, a tie
-            # the error must win, though every leaf below is right.
+            # A malformed tree is evaluated input by input, so the least
+            # input that raises wins, though every leaf below the root is
+            # right.
             leaf = {"leaf": "01u"[f.value_at_index(0)]}
             candidates += [{"query": n + 1, "on0": leaf, "on1": leaf, "onU": leaf},
                            {"query": 0, "on0": leaf, "on1": leaf}]

@@ -289,10 +289,10 @@ def test_final_claims_fail_on_an_early_u(monkeypatch):
     # the row must fail and name the least one of the first bad run.
     real = uquery.algorithms._algorithm1_step
 
-    def early_u(table, grid, cells, stage, cap):
+    def early_u(table, cells, stage, cap):
         if stage is not None:
             return UNKNOWN
-        stage, todo = real(table, grid, cells, stage, cap)
+        stage, todo = real(table, cells, stage, cap)
         return stage, todo[:1]
 
     def problem(f, run, want):
@@ -308,8 +308,8 @@ def test_correct_fails_on_a_flipped_output(monkeypatch):
     # extension is resolved.
     real = uquery.algorithms._algorithm1_step
 
-    def flipped(table, grid, cells, stage, cap):
-        step = real(table, grid, cells, stage, cap)
+    def flipped(table, cells, stage, cap):
+        step = real(table, cells, stage, cap)
         return 1 - step if step in (0, 1) else step
 
     def problem(f, run, want):
