@@ -30,12 +30,16 @@ from .core import (
     resolutions,
     unate_orientation,
 )
+from .check import (
+    CertificateWitness,
+    SensitiveBlockWitness,
+    validate_block_family,
+    validate_certificate,
+)
 from .measures import (
     BlockSensitivitySummary,
     CertificateSummary,
-    CertificateWitness,
     MeasureReport,
-    SensitiveBlockWitness,
     StandardMeasures,
     block_sensitivity_u,
     block_sensitivity_u_at,
@@ -49,16 +53,13 @@ from .measures import (
     sensitivity_u,
     sensitivity_u_at,
     standard_measures,
-    validate_block_family,
-    validate_certificate,
 )
+from .depth import query_complexity, query_complexity_u
 from .trees import (
     DecisionTree,
     TreeFormatError,
     evaluate_tree,
     parse_tree,
-    query_complexity,
-    query_complexity_u,
     serialize_tree,
     tree_depth,
     verify_tree,
@@ -73,7 +74,6 @@ from .algorithms import (
     fill_unknown_oracle,
     indexing_oracle_from_or,
     mask_ones_oracle,
-    monotone_simulate,
     or_via_ind_reduction,
     tree_solver,
     unate_simulate,

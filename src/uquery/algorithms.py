@@ -25,10 +25,11 @@ layer at a time.  The solver is a pure function of table and oracle
 and does not audit its final-state claim itself: the ``algorithm1``
 verify suite re-derives it from the tree's u leaves alone.
 
-Also here: the doubled-tree simulation for monotone (and, with an
-orientation, unate) functions, the downward-closure wrapper that turns
-a u-model solver into a classical one, and the reduction computing OR
-on 2**n bits through any u-model solver for the indexing function.
+Also here: the doubled-tree simulation for unate functions (monotone
+ones at the all-zero orientation), the downward-closure wrapper that
+turns a u-model solver into a classical one, and the reduction
+computing OR on 2**n bits through any u-model solver for the indexing
+function.
 
 Oracles count distinct queried positions; repeats are served from a
 cache and are free.  Wrappers make at most one inner query per outer
@@ -47,7 +48,6 @@ from .core import (
     HazardFreeTable,
     TernaryString,
     as_ternary,
-    is_monotone,
     Orientation,
     _slopes,
 )
@@ -261,29 +261,6 @@ def _algorithm1_step(table: HazardFreeTable, cells: Sequence[int], stage: int | 
     return UNKNOWN
 
 
-def _run_algorithm1(table: HazardFreeTable, oracle: QueryOracle,
-                    cap: int | None = None) -> SolveResult:
-    f = table.function
-    n = table.arity
-    if oracle.arity != n:
-        raise ValueError(f"oracle arity {oracle.arity} != function arity {n}")
-    if f.is_constant():
-        return SolveResult(f.value_at_index(0), oracle.query_count, 0,
-                           tuple(oracle.transcript))
-
-    bound = _cost_budget(table, cap)
-    cells = [STAR] * n
-    stage = None
-    while True:
-        step = _algorithm1_step(table, cells, stage, cap)
-        if isinstance(step, int):
-            return SolveResult(step, oracle.query_count, bound,
-                               tuple(oracle.transcript))
-        stage, todo = step
-        for var in todo:
-            cells[var - 1] = oracle.query(var)
-
-
 def algorithm1_tree(table: HazardFreeTable, cap: int | None = None) -> DecisionTree:
     """Algorithm 1 over every hidden input at once, as one u-model tree.
 
@@ -335,35 +312,42 @@ def algorithm1_solve(table: HazardFreeTable, oracle: QueryOracle,
     from per-table arrays whose size ``cap`` guards as in
     ``measure_report``.
     """
-    return _run_algorithm1(table, oracle, cap)
+    f = table.function
+    n = table.arity
+    if oracle.arity != n:
+        raise ValueError(f"oracle arity {oracle.arity} != function arity {n}")
+    if f.is_constant():
+        return SolveResult(f.value_at_index(0), oracle.query_count, 0,
+                           tuple(oracle.transcript))
+
+    bound = _cost_budget(table, cap)
+    cells = [STAR] * n
+    stage = None
+    while True:
+        step = _algorithm1_step(table, cells, stage, cap)
+        if isinstance(step, int):
+            return SolveResult(step, oracle.query_count, bound,
+                               tuple(oracle.transcript))
+        stage, todo = step
+        for var in todo:
+            cells[var - 1] = oracle.query(var)
+
+
+_run_algorithm1 = algorithm1_solve  # the benchmark tracer's name, until ROADMAP item 1
 
 
 # ---------------------------------------------------------------------------
 # Simulations and reductions.
 
 
-def monotone_simulate(f: BooleanFunction, tree: DecisionTree,
-                      oracle: QueryOracle) -> int:
-    """Evaluate the extension of a monotone f with a classical tree, twice.
-
-    This is ``unate_simulate`` with the all-zero orientation: pass one
-    resolves every u answer to 0, pass two to 1.  Monotonicity makes the
-    pair of resolved values bracket the true one: 1 on the all-zeros
-    resolution forces 1, 0 on the all-ones resolution forces 0, and the
-    remaining case is exactly the unresolved value u.  Both passes share
-    the oracle, so at most 2 * depth distinct queries.
-    """
-    if not is_monotone(f):
-        raise ValueError("monotone_simulate requires a monotone function")
-    return unate_simulate(f, Orientation((0,) * f.arity), tree, oracle)
-
-
 def unate_simulate(f: BooleanFunction, orientation: Orientation,
                    tree: DecisionTree, oracle: QueryOracle) -> int:
-    """Monotone simulation transported along a per-variable complementation.
+    """Evaluate the extension of a unate f with a classical tree, twice.
 
-    ``orientation`` must make x -> f(x xor s) monotone; pass one then
-    resolves u at variable i to s_i, pass two to 1 - s_i.
+    ``orientation`` must make x -> f(x xor s) monotone (all zeros for a
+    monotone f).  Pass one resolves u at variable i to s_i, pass two to
+    1 - s_i; 1 on pass one forces 1, 0 on pass two forces 0, and else the
+    value is u.  Both passes share the oracle: at most 2 * depth queries.
     """
     n = f.arity
     if len(orientation.bits) != n:

@@ -31,11 +31,10 @@ from .core import (
     parse_spec,
     unate_orientation,
 )
+from .depth import query_complexity, query_complexity_u
 from .measures import measure_report
 from .trees import (
     DecisionTree,
-    query_complexity,
-    query_complexity_u,
     serialize_tree,
     verify_tree,
     write_indented_tree,

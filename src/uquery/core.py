@@ -13,7 +13,7 @@ Conventions used throughout the package:
   of every index (truth tables, ternary codes, hex serializations);
 * trits are the ints 0, 1 and 2, with 2 rendered as the character 'u';
 * partial assignments add a fourth cell value 3, rendered as '*', for
-  unassigned positions (``trees._forced_bits`` finds those forcing a value);
+  unassigned positions (``depth._forced_bits`` finds those forcing a value);
 * a hazard-free table's ``grid`` is its values viewed read-only as a
   (3,) * n array, one axis per variable, so C order is code order and a
   partial assignment's consistent inputs are a block of it.
@@ -331,8 +331,9 @@ class HazardFreeTable:
     """The hazard-free extension of a function, tabulated over all 3**n inputs.
 
     ``values[code]`` is the extension's value at the ternary string with
-    that base-3 code (digits 0, 1, u->2; variable 1 most significant), and
-    ``grid`` the same bytes viewed read-only as a (3,) * n array.
+    that base-3 code (digits 0, 1, u->2; variable 1 most significant), kept
+    as ``bytes`` whatever buffer it came in, and ``grid`` the same bytes
+    viewed read-only as a (3,) * n array.
     Instances are immutable and safe to share across threads/processes.
     """
 
@@ -342,7 +343,7 @@ class HazardFreeTable:
         if len(values) != 3 ** function.arity:
             raise ValueError("value table has wrong size")
         self.function = function
-        self.values = values
+        self.values = values = bytes(values)
         self.grid = np.frombuffer(values, np.uint8).reshape((3,) * function.arity)
 
     @property

@@ -21,7 +21,7 @@ a maximum packing over the minimal blocks is a maximum packing overall.
 
 The certificate size and s_u at every input come from per-table arrays
 (``_tabulate``), computed once and memoized beside the forced cells of
-{0, 1, u, *}^n (``trees._forced_bits``); every maximum, lex-least
+{0, 1, u, *}^n (``depth._forced_bits``); every maximum, lex-least
 attaining input and classical s and C is read from them.  One forced-cell
 test answers the pointwise questions for every value of x: B is sensitive
 at x iff the cell equal to x off B and * on B is not forced to F(x), and
@@ -46,7 +46,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import trees
+from . import depth, trees
+from .check import CertificateWitness, SensitiveBlockWitness
+# Re-exported for perfbench/workloads.py, until ROADMAP item 1.
+from .check import validate_block_family, validate_certificate  # noqa: F401
 from .core import (
     DEFAULT_SEARCH_CAP,
     STAR,
@@ -65,27 +68,6 @@ from .core import (
 def _weights(n: int, base: int = 3) -> tuple[int, ...]:
     """Weight of each position in a code (variable 1 most significant)."""
     return tuple(base ** (n - 1 - p) for p in range(n))
-
-
-@dataclass(frozen=True)
-class SensitiveBlockWitness:
-    """A sensitive block together with the altered input exhibiting it."""
-
-    base: TernaryString
-    block: frozenset[int]      # variable indices, 1-based
-    altered: TernaryString
-
-
-@dataclass(frozen=True)
-class CertificateWitness:
-    """A certificate: consistent strings all evaluate to ``value``."""
-
-    assignment: PartialAssignment
-    value: int
-
-    @property
-    def size(self) -> int:
-        return self.assignment.size
 
 
 @dataclass(frozen=True)
@@ -173,7 +155,7 @@ def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
     """Certificate size, s_u and the bs bound at every input.
 
     *Certificates.*  A domain S certifies x iff the cell equal to x on S
-    and * elsewhere is forced (``trees._forced_bits``, unpacked to a bool
+    and * elsewhere is forced (``depth._forced_bits``, unpacked to a bool
     per cell): every string consistent with S is a completion of it.
     Hence C(x) is n minus the most *s that a forced coarsening of x adds
     (x itself adds none).  Every forced cell starts at n and
@@ -210,8 +192,8 @@ def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
     n = table.arity
     vals = table.grid
 
-    bits, size = trees._forced_bits(table, (0, 1, UNKNOWN)), 4 ** n
-    forced = np.unpackbits(trees._bitset_bytes(bits, size), count=size, bitorder="little").view(bool)
+    bits, size = depth._forced_bits(table, (0, 1, UNKNOWN)), 4 ** n
+    forced = np.unpackbits(depth._bitset_bytes(bits, size), count=size, bitorder="little").view(bool)
     cert = np.where(forced, np.uint8(n), np.uint8(0xFE)).reshape((4,) * n)
     _min_over_coarsenings(cert)
     cert = np.ascontiguousarray(cert[(slice(0, 3),) * n])
@@ -585,47 +567,6 @@ def standard_measures(
 
 
 # ---------------------------------------------------------------------------
-# Witness validation by the definitional quantifiers (used by the harness).
-
-
-def validate_certificate(table: HazardFreeTable, witness: CertificateWitness) -> bool:
-    """Check a certificate on its block of the value grid: the ternary
-    strings consistent with it, each assigned cell fixed and each * free,
-    must all take the witness's value."""
-    cells = witness.assignment.cells
-    if len(cells) != table.arity:
-        return False
-    block = tuple(slice(None) if c == STAR else c for c in cells)
-    return bool((table.grid[block] == witness.value).all())
-
-
-def validate_block_family(
-    table: HazardFreeTable,
-    base: TernaryString | str,
-    family: tuple[SensitiveBlockWitness, ...],
-) -> bool:
-    """Disjointness plus, per block, the altered string proving sensitivity."""
-    base = as_ternary(base)
-    n = table.arity
-    v = table.values[base.code()]
-    used: set[int] = set()
-    for w in family:
-        if w.base != base or not w.block or not all(1 <= i <= n for i in w.block):
-            return False
-        if used & w.block:
-            return False
-        used |= w.block
-        if len(w.altered) != n:
-            return False
-        for p in range(n):
-            if (p + 1) not in w.block and w.altered[p] != base[p]:
-                return False
-        if table.values[w.altered.code()] == v:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # The combined report.
 
 
@@ -703,9 +644,9 @@ def measure_report(
     blocks = block_summary(table, cap)
     certs = certificate_summary(table, cap)
     classical = standard_measures(f, table, cap)
-    d_u, tree_u = trees.query_complexity_u(table, cap=cap,
+    d_u, tree_u = depth.query_complexity_u(table, cap=cap,
                                            forced=_measure_arrays(table, cap).forced)
-    d, tree_b = trees.query_complexity(f, table=table, cap=cap)
+    d, tree_b = depth.query_complexity(f, table=table, cap=cap)
 
     witnesses = None
     if with_witnesses:

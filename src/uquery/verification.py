@@ -56,17 +56,15 @@ from .algorithms import (
     algorithm1_solve,
     algorithm1_tree,
     downward_closure_solve,
-    monotone_simulate,
     or_via_ind_reduction,
     tree_solver,
     unate_simulate,
 )
+from .check import _resolution_value, _survivor, _witness_problems
 from .core import (
-    STAR,
     UNKNOWN,
     BooleanFunction,
     HazardFreeTable,
-    PartialAssignment,
     TernaryString,
     as_ternary,
     downward_closure,
@@ -75,23 +73,9 @@ from .core import (
     is_monotone,
     unate_orientation,
 )
-from .measures import (
-    CertificateWitness,
-    MeasureReport,
-    SensitiveBlockWitness,
-    measure_report,
-    validate_block_family,
-    validate_certificate,
-)
-from .trees import (
-    _layer_starts,
-    _leaf_grid,
-    query_complexity,
-    query_complexity_u,
-    tree_depth,
-    tree_from_json_dict,
-    verify_tree,
-)
+from .depth import query_complexity, query_complexity_u
+from .measures import MeasureReport, measure_report
+from .trees import _layer_starts, _leaf_grid
 
 SUITES = ("core", "algorithm1", "monotone", "closure", "reduction")
 
@@ -214,50 +198,12 @@ def _trit(v: int) -> str:
     return "01u"[v]
 
 
-def _resolution_value(f: BooleanFunction, x: TernaryString) -> int:
-    """Extension value by brute enumeration of all binary resolutions."""
-    n = f.arity
-    spots = [p for p in range(n) if x[p] == UNKNOWN]
-    base = 0
-    for p in range(n):
-        if x[p] == 1:
-            base |= 1 << (n - 1 - p)
-    seen: set[int] = set()
-    for fill in product((0, 1), repeat=len(spots)):
-        idx = base
-        for k, p in enumerate(spots):
-            if fill[k]:
-                idx |= 1 << (n - 1 - p)
-        seen.add(f.value_at_index(idx))
-        if len(seen) == 2:
-            return UNKNOWN
-    return seen.pop()
-
-
 def _values_dict(m: MeasureReport) -> dict:
     return {
         "s": m.s, "bs": m.bs, "C": m.C, "D": m.D,
         "s_u": m.s_u, "bs_u": m.bs_u, "C_u": m.C_u,
         "C_uu": m.C_u_uval, "D_u": m.D_u,
     }
-
-
-def _sensitive_count(table: HazardFreeTable, x: TernaryString,
-                     alphabet: Sequence[int]) -> int:
-    # Definitional recount: a position is sensitive when any other
-    # digit of the alphabet there changes the table value.
-    v = table.values[x.code()]
-    count = 0
-    for p in range(len(x)):
-        for d in alphabet:
-            if d == x[p]:
-                continue
-            y = list(x.trits)
-            y[p] = d
-            if table.values[TernaryString(tuple(y)).code()] != v:
-                count += 1
-                break
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -349,107 +295,6 @@ def _core_function_rows(state: _Table):
     return rows
 
 
-def _sensitivity_problem(table: HazardFreeTable, key: str, d: dict, want: int,
-                         alphabet: Sequence[int]) -> str | None:
-    x = as_ternary(d["input"])
-    if _sensitive_count(table, x, alphabet) != want:
-        return f"{key} input attains a different sensitivity"
-    if want > 0 and d["variable"] is None:
-        return f"{key} witness names no variable"
-    return None
-
-
-def _family_problem(table: HazardFreeTable, key: str, d: dict | None,
-                    want: int, cls: int | None) -> str | None:
-    if d is None:
-        return f"{key} reported {want} without a witness" if want else None
-    base = as_ternary(d["input"])
-    if cls is not None and table.values[base.code()] != cls:
-        return f"{key} input has the wrong value"
-    fam = tuple(
-        SensitiveBlockWitness(base, frozenset(blk), as_ternary(alt))
-        for blk, alt in zip(d["blocks"], d["altered"])
-    )
-    if len(fam) != want:
-        return f"{key} family size differs from the reported value"
-    if not validate_block_family(table, base, fam):
-        return f"{key} family fails validation"
-    return None
-
-
-def _certificate_problem(table: HazardFreeTable, key: str, d: dict | None,
-                         want: int, classes: tuple[int, ...]) -> str | None:
-    if d is None:
-        return f"{key} reported {want} without a witness" if want else None
-    x = as_ternary(d["input"])
-    v = table.values[x.code()]
-    if v not in classes:
-        return f"{key} input has the wrong value"
-    pa = PartialAssignment.parse(d["certificate"])
-    if pa.size != want:
-        return f"{key} certificate size differs from the reported value"
-    if not pa.is_consistent(x):
-        return f"{key} certificate conflicts with its input"
-    if not validate_certificate(table, CertificateWitness(pa, v)):
-        return f"{key} certificate fails validation"
-    return None
-
-
-def _tree_problem(table: HazardFreeTable, key: str, d: dict, want: int,
-                  model: str) -> str | None:
-    tree = tree_from_json_dict(d["tree"])
-    if d["depth"] != want or tree_depth(tree) != want:
-        return f"{model} tree depth differs from the reported value"
-    ok, bad = verify_tree(tree, table)
-    return None if ok else f"{model} tree misevaluates {bad}"
-
-
-def _witness_problems(table: HazardFreeTable, m: MeasureReport) -> str | None:
-    """First defect in the emitted witnesses, validated definitionally.
-
-    The classical witnesses s, bs and C are binary inputs, checked like
-    their u-model counterparts with the alphabet {0, 1}.
-    """
-    checks = (
-        (_sensitivity_problem, "s_u", m.s_u, (0, 1, UNKNOWN)),
-        (_family_problem, "bs_u", m.bs_u, None),
-        (_family_problem, "bs_u_0", m.bs_u_0, 0),
-        (_family_problem, "bs_u_1", m.bs_u_1, 1),
-        (_family_problem, "bs_u_uval", m.bs_u_uval, UNKNOWN),
-        (_certificate_problem, "C_u_0", m.C_u_0, (0,)),
-        (_certificate_problem, "C_u_1", m.C_u_1, (1,)),
-        (_certificate_problem, "C_u", m.C_u, (0, 1)),
-        (_certificate_problem, "C_u_uval", m.C_u_uval, (UNKNOWN,)),
-        (_sensitivity_problem, "s", m.s, (0, 1)),
-        (_family_problem, "bs", m.bs, None),
-        (_certificate_problem, "C", m.C, (0, 1)),
-        (_tree_problem, "D", m.D, "classical"),
-        (_tree_problem, "D_u", m.D_u, "u-model"),
-    )
-    for check, key, want, arg in checks:
-        problem = check(table, key, m.witnesses[key], want, arg)
-        if problem:
-            return problem
-    return None
-
-
-def _survivor(table: HazardFreeTable,
-              transcript: Sequence[tuple[int, int]]) -> TernaryString | None:
-    """The least 1-valued input that agrees with every answer of the
-    transcript, else the least such 0-valued one, else None.
-
-    A solver may answer u only when this is None.  The answers are the
-    cells of ``HazardFreeTable.least_input``, STAR at the unasked
-    positions.  The test reads the table and the transcript alone, never
-    the solver's own state.
-    """
-    cells = [STAR] * table.arity
-    for var, answer in transcript:
-        cells[var - 1] = answer
-    x = table.least_input(cells, 1)
-    return x if x is not None else table.least_input(cells, 0)
-
-
 def _alg1_function_rows(state: _Table):
     """The solver's rows, read off ``algorithm1_tree``.  The run on an
     input is the path to the leaf it reaches: the leaf's value is the
@@ -533,7 +378,7 @@ def _monotone_function_rows(state: _Table):
     monotone function, and the oriented simulation on any unate one of
     arity <= 3; a function that is not unate gets no rows.  On a monotone
     function the orientation is all zeros, so the oriented simulation is
-    the two-pass one and its row is reused."""
+    the two-pass one, and one run of it fills both rows."""
     f, table = state.f, state.table
     orientation = unate_orientation(f)
     if orientation is None:
@@ -546,11 +391,10 @@ def _monotone_function_rows(state: _Table):
         rows["monotone-depth-bracket"] = _row([
             None if d <= du <= 2 * d
             else {"function": f.to_spec(), "D": d, "D_u": du}])
-        rows["monotone-simulation"] = _simulation_row(
-            f, table, d, lambda oracle: monotone_simulate(f, tree_b, oracle))
-    if f.arity <= _UNATE_MAX:
-        rows["unate-simulation"] = rows["monotone-simulation"] if monotone else _simulation_row(
-            f, table, d, lambda oracle: unate_simulate(f, orientation, tree_b, oracle))
+    names = ("monotone-simulation",) * monotone + ("unate-simulation",) * (f.arity <= _UNATE_MAX)
+    if names:
+        rows.update(dict.fromkeys(names, _simulation_row(
+            f, table, d, lambda oracle: unate_simulate(f, orientation, tree_b, oracle))))
     return rows
 
 

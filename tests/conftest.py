@@ -2,8 +2,8 @@
 
 import pytest
 
+import uquery.depth
 import uquery.measures
-import uquery.trees
 
 
 @pytest.fixture
@@ -14,13 +14,13 @@ def both_paths(monkeypatch):
     axis per pass.  The memoized bitset layouts and measure arrays are
     dropped at each switch, so each pass builds its own."""
     def clear():
-        uquery.trees._layout.cache_clear()
+        uquery.depth._layout.cache_clear()
         uquery.measures._tabulate.cache_clear()
 
     def paths():
         yield
-        monkeypatch.setattr(uquery.trees, "_SMALL_CELLS", 0)
-        monkeypatch.setattr(uquery.trees, "_CHUNK", 0)
+        monkeypatch.setattr(uquery.depth, "_SMALL_CELLS", 0)
+        monkeypatch.setattr(uquery.depth, "_CHUNK", 0)
         clear()
         yield
     yield paths()

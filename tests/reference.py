@@ -7,7 +7,7 @@ the value at binary index i with variable 1 as the most significant
 bit of the index.  The exceptions run package code the plain way:
 ``verify_tree_by_inputs`` replays package trees on package tables input
 by input, ``read_tree`` is the recursive tree extraction the layered one
-of ``trees._read_tree`` replaced, ``far_start_tree`` is a byte
+of ``depth._read_tree`` replaced, ``far_start_tree`` is a byte
 relaxation of the depths from a start far above them, the depth kernel
 before the level search, and ``solve_by_scan`` is the certificate-guided
 solver that scanned every decoded input for the least consistent one.

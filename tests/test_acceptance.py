@@ -22,24 +22,20 @@ from uquery.algorithms import (
     Oracle,
     algorithm1_solve,
     downward_closure_solve,
-    monotone_simulate,
     or_via_ind_reduction,
     tree_solver,
+    unate_simulate,
 )
+from uquery.check import validate_block_family, validate_certificate
+from uquery.core import Orientation
+from uquery.depth import query_complexity, query_complexity_u
 from uquery.measures import (
     block_summary,
     certificate_summary,
     measure_report,
     standard_measures,
-    validate_block_family,
-    validate_certificate,
 )
-from uquery.trees import (
-    evaluate_tree,
-    query_complexity,
-    query_complexity_u,
-    verify_tree,
-)
+from uquery.trees import evaluate_tree, verify_tree
 from uquery.verification import monotone_functions
 
 
@@ -229,7 +225,7 @@ def test_criterion_6_monotone_bracket_and_simulation(capsys):
             for code in range(3 ** n):
                 hidden = TernaryString.from_code(code, n)
                 oracle = Oracle(hidden)
-                got = monotone_simulate(f, tree, oracle)
+                got = unate_simulate(f, Orientation((0,) * n), tree, oracle)
                 assert got == table.values[code]
                 assert oracle.query_count <= 2 * d
                 sims += 1

@@ -24,15 +24,15 @@ from uquery.algorithms import (
     fill_unknown_oracle,
     indexing_oracle_from_or,
     mask_ones_oracle,
-    monotone_simulate,
     or_via_ind_reduction,
     transcript_json,
     tree_solver,
     unate_simulate,
 )
 from uquery.core import Orientation
+from uquery.depth import query_complexity, query_complexity_u
 from uquery.measures import block_summary, certificate_summary
-from uquery.trees import query_complexity, query_complexity_u, tree_depth, verify_tree
+from uquery.trees import tree_depth, verify_tree
 
 
 def test_oracle_counts_distinct_queries():
@@ -255,7 +255,7 @@ def test_monotone_simulation():
         for code in range(3 ** f.arity):
             hidden = TernaryString.from_code(code, f.arity)
             oracle = Oracle(hidden)
-            got = monotone_simulate(f, tree, oracle)
+            got = unate_simulate(f, Orientation((0,) * f.arity), tree, oracle)
             assert got == table.evaluate(hidden)
             assert oracle.query_count <= 2 * d
 
@@ -264,7 +264,7 @@ def test_monotone_simulation_rejects_non_monotone():
     f = generate("parity:2")
     _, tree = query_complexity(f)
     with pytest.raises(ValueError):
-        monotone_simulate(f, tree, Oracle("0u"))
+        unate_simulate(f, Orientation((0, 0)), tree, Oracle("0u"))
 
 
 def test_unate_simulation():

@@ -17,8 +17,8 @@ from itertools import product
 import pytest
 
 import reference as R
+import uquery.depth
 import uquery.measures
-import uquery.trees
 from uquery import (
     STAR,
     ArityCapError,
@@ -29,6 +29,7 @@ from uquery import (
     hazard_free_table,
 )
 from uquery.algorithms import Oracle, algorithm1_solve
+from uquery.check import validate_block_family
 from uquery.measures import (
     _measure_arrays,
     _sensitivity_scan,
@@ -40,7 +41,6 @@ from uquery.measures import (
     minimal_sensitive_blocks,
     sensitivity_u_at,
     standard_measures,
-    validate_block_family,
 )
 
 
@@ -264,7 +264,7 @@ def test_measure_report_builds_the_forced_table_once(monkeypatch):
     once, for the measure arrays, whose readers share them and whose
     cells the u-model depth search packs into its L_0; the classical
     search builds its own.  Every module binding of the builder counts."""
-    original = uquery.trees._forced_bits
+    original = uquery.depth._forced_bits
     calls = []
 
     def counted(table, answers):
@@ -274,13 +274,29 @@ def test_measure_report_builds_the_forced_table_once(monkeypatch):
     bindings = [module for name, module in sys.modules.items()
                 if name.split(".")[0] == "uquery"
                 and getattr(module, "_forced_bits", None) is original]
-    assert uquery.trees in bindings
+    assert uquery.depth in bindings
     for module in bindings:
         monkeypatch.setattr(module, "_forced_bits", counted)
     uquery.measures._tabulate.cache_clear()
     f = BooleanFunction(5, random.Random(41).getrandbits(32))
     measure_report(f, with_witnesses=True)
     assert sorted(calls) == [(0, 1), (0, 1, 2)]
+
+
+def test_a_table_built_from_a_bytearray_stores_bytes():
+    """A table built from a writable buffer keeps its values as bytes: its
+    grid is read-only, and its report, tabulated afresh, is the one of
+    the table built from bytes."""
+    for spec in ("maj:3", "random:5:2"):
+        f = generate(spec)
+        table = hazard_free_table(f)
+        copy = HazardFreeTable(f, bytearray(table.values))
+        assert type(copy.values) is bytes and not copy.grid.flags.writeable
+        with pytest.raises(ValueError):
+            copy.grid[(0,) * f.arity] = 1
+        uquery.measures._tabulate.cache_clear()
+        assert measure_report(f, with_witnesses=True, table=copy) \
+            == measure_report(f, with_witnesses=True, table=table)
 
 
 def test_measures_refuse_the_table_of_another_function():

@@ -6,8 +6,8 @@ import pytest
 
 import reference as R
 from uquery import BooleanFunction, PartialAssignment, TernaryString, generate, hazard_free_table
+from uquery.check import CertificateWitness, validate_block_family, validate_certificate
 from uquery.measures import (
-    CertificateWitness,
     block_sensitivity_u,
     block_sensitivity_u_at,
     block_sensitivity_u_value,
@@ -20,8 +20,6 @@ from uquery.measures import (
     sensitivity_u,
     sensitivity_u_at,
     standard_measures,
-    validate_block_family,
-    validate_certificate,
 )
 
 # (s, bs, C, s_u, bs_u, C_u, C_u on u-valued inputs)

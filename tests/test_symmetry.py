@@ -14,7 +14,7 @@ import random
 import pytest
 
 from uquery import BooleanFunction, generate, hazard_free_table, measure_report
-from uquery.verification import _witness_problems
+from uquery.check import _witness_problems
 
 # The report fields an output negation swaps; every other field is kept.
 OUTPUT_SWAP = {"bs_u_0": "bs_u_1", "bs_u_1": "bs_u_0",

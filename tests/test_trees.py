@@ -16,21 +16,23 @@ import uquery.trees
 from uquery import ArityCapError, BooleanFunction, generate, hazard_free_table
 from uquery.algorithms import algorithm1_tree
 from uquery.core import UNKNOWN
-from uquery.trees import (
-    TRIT_KEYS,
-    DecisionTree,
-    TreeFormatError,
+from uquery.depth import (
     _bitset_bytes,
     _depth_levels,
     _forced_bits,
     _layout,
-    _leaf_grid,
     _level_reader,
     _optimal_tree,
-    evaluate_tree,
-    parse_tree,
     query_complexity,
     query_complexity_u,
+)
+from uquery.trees import (
+    TRIT_KEYS,
+    DecisionTree,
+    TreeFormatError,
+    _leaf_grid,
+    evaluate_tree,
+    parse_tree,
     serialize_tree,
     tree_depth,
     tree_from_json_dict,

@@ -13,9 +13,10 @@ import pytest
 
 import reference as R
 import uquery.algorithms
+import uquery.check
 import uquery.core
+import uquery.depth
 import uquery.measures
-import uquery.trees
 import uquery.verification
 from uquery.core import (
     UNKNOWN,
@@ -196,7 +197,7 @@ def test_witness_problems_reach_the_classical_witnesses():
     f = BooleanFunction(3, 0b11101000)  # maj:3
     table = hazard_free_table(f)
     report = measure_report(f, with_witnesses=True, table=table)
-    problems = uquery.verification._witness_problems
+    problems = uquery.check._witness_problems
     assert problems(table, report) is None
 
     def broken(**edits):
@@ -223,7 +224,7 @@ def test_witness_problems_reach_the_classical_witnesses():
 
 def test_survivor_prefers_the_least_one_valued_input():
     table = hazard_free_table(BooleanFunction(2, 0b1000))  # and:2
-    survivor = uquery.verification._survivor
+    survivor = uquery.check._survivor
     # 11 is the only 1-valued input; 00 is the least 0-valued one
     assert str(survivor(table, ())) == "11"
     assert str(survivor(table, ((2, 0),))) == "00"
@@ -235,7 +236,7 @@ def test_survivor_matches_the_reference_scan():
     # every table with n <= 3 against every set of answers, each in a
     # shuffled query order
     rng = random.Random(7)
-    survivor = uquery.verification._survivor
+    survivor = uquery.check._survivor
     for n in (1, 2, 3):
         for bits in range(1 << (1 << n)):
             table = hazard_free_table(BooleanFunction(n, bits))
@@ -405,8 +406,8 @@ def _count_table_work(monkeypatch) -> dict[str, Counter]:
     summaries."""
     counts = {}
     for owner, name in ((uquery.core, "hazard_free_table"),
-                        (uquery.trees, "query_complexity"),
-                        (uquery.trees, "query_complexity_u"),
+                        (uquery.depth, "query_complexity"),
+                        (uquery.depth, "query_complexity_u"),
                         (uquery.measures, "_block_summary"),
                         (uquery.measures, "_certificate_summary")):
         original, counter = getattr(owner, name), Counter()
