@@ -67,7 +67,6 @@ from .trees import (
 from .algorithms import (
     Oracle,
     SolveResult,
-    WrappedOracle,
     algorithm1_solve,
     algorithm1_tree,
     downward_closure_solve,
@@ -76,7 +75,7 @@ from .algorithms import (
     mask_ones_oracle,
     or_via_ind_reduction,
     tree_solver,
-    unate_simulate,
+    unate_solver,
 )
 from .verification import (
     SUITES,

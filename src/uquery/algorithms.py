@@ -25,15 +25,16 @@ layer at a time.  The solver is a pure function of table and oracle
 and does not audit its final-state claim itself: the ``algorithm1``
 verify suite re-derives it from the tree's u leaves alone.
 
-Also here: the doubled-tree simulation for unate functions (monotone
-ones at the all-zero orientation), the downward-closure wrapper that
-turns a u-model solver into a classical one, and the reduction
-computing OR on 2**n bits through any u-model solver for the indexing
-function.
+Also here: ``unate_solver``, the doubled-tree simulation for unate
+functions (monotone ones at the all-zero orientation), checked and
+built once per function; the downward-closure wrapper that turns a
+u-model solver into a classical one; and the reduction computing OR on
+2**n bits through any u-model solver for the indexing function.
 
-Oracles count distinct queried positions; repeats are served from a
-cache and are free.  Wrappers make at most one inner query per outer
-query, so query-count bounds transfer across reductions.
+Every oracle is one class, ``_CachedOracle``, given its answer rule:
+it counts distinct queried positions, and repeats are served from its
+cache for free.  ``Oracle`` answers from a hidden string, and each
+wrapper's rule asks its inner oracle at most once.
 """
 
 from __future__ import annotations
@@ -67,22 +68,20 @@ Solver = Callable[[QueryOracle], int]
 class _CachedOracle:
     """Range checks, the answer cache and the log shared by every oracle.
 
-    ``query`` takes a 1-based variable index and asks ``_answer`` only
+    ``query`` takes a 1-based variable index and asks ``answer`` only
     the first time; the transcript records first-time queries in order,
     and repeats hit the cache and do not count.
     """
 
-    def __init__(self, arity: int):
+    def __init__(self, arity: int, answer: Callable[[int], int]):
         self._arity = arity
+        self._answer = answer
         self._answers: dict[int, int] = {}
         self._log: list[tuple[int, int]] = []
 
     @property
     def arity(self) -> int:
         return self._arity
-
-    def _answer(self, var: int) -> int:
-        raise NotImplementedError
 
     def query(self, var: int) -> int:
         if not 1 <= var <= self._arity:
@@ -107,60 +106,38 @@ class Oracle(_CachedOracle):
 
     def __init__(self, hidden: TernaryString | str):
         self._hidden = as_ternary(hidden)
-        super().__init__(len(self._hidden))
+        trits = self._hidden.trits  # not self: no reference cycle per oracle
+        super().__init__(len(trits), lambda var: trits[var - 1])
 
     @property
     def hidden(self) -> TernaryString:
         return self._hidden
 
-    def _answer(self, var: int) -> int:
-        return self._hidden[var - 1]
+
+# The wrappers below answer each outer query with at most one inner
+# query, and cache it like any oracle, so the inner oracle is asked at
+# most once per distinct outer index and query-count bounds transfer
+# across the reductions.
 
 
-class WrappedOracle(_CachedOracle):
-    """An oracle derived from another by a per-query rewrite rule.
-
-    ``rewrite(var, inner)`` produces the answer and may call
-    ``inner.query`` at most once; this keeps every outer query bound
-    to at most one inner query.  Outer repeats are cached here, so the
-    inner oracle is consulted at most once per distinct outer index.
-    """
-
-    def __init__(self, arity: int, inner: QueryOracle,
-                 rewrite: Callable[[int, QueryOracle], int]):
-        super().__init__(arity)
-        self._inner = inner
-        self._rewrite = rewrite
-
-    @property
-    def inner(self) -> QueryOracle:
-        return self._inner
-
-    def _answer(self, var: int) -> int:
-        return self._rewrite(var, self._inner)
-
-
-def fill_unknown_oracle(inner: QueryOracle, fill: Sequence[int]) -> WrappedOracle:
+def fill_unknown_oracle(inner: QueryOracle, fill: Sequence[int]) -> QueryOracle:
     """Substitute fill[var-1] for every u answer of the inner oracle."""
     fill = tuple(fill)
 
-    def rewrite(var: int, o: QueryOracle) -> int:
-        a = o.query(var)
+    def answer(var: int) -> int:
+        a = inner.query(var)
         return fill[var - 1] if a == UNKNOWN else a
 
-    return WrappedOracle(len(fill), inner, rewrite)
+    return _CachedOracle(len(fill), answer)
 
 
-def mask_ones_oracle(inner: QueryOracle) -> WrappedOracle:
+def mask_ones_oracle(inner: QueryOracle) -> QueryOracle:
     """Downward-closure wrapper over a resolved oracle: 0 -> 0, 1 -> u."""
-
-    def rewrite(var: int, o: QueryOracle) -> int:
-        return UNKNOWN if o.query(var) == 1 else 0
-
-    return WrappedOracle(inner.arity, inner, rewrite)
+    return _CachedOracle(inner.arity,
+                         lambda var: UNKNOWN if inner.query(var) == 1 else 0)
 
 
-def indexing_oracle_from_or(or_oracle: QueryOracle, n: int) -> WrappedOracle:
+def indexing_oracle_from_or(or_oracle: QueryOracle, n: int) -> QueryOracle:
     """Present an OR oracle on 2**n bits as an indexing-function input.
 
     The n addressing variables answer u without consulting the inner
@@ -169,13 +146,8 @@ def indexing_oracle_from_or(or_oracle: QueryOracle, n: int) -> WrappedOracle:
     targets = or_oracle.arity
     if targets != 1 << n:
         raise ValueError(f"inner oracle has {targets} bits, expected {1 << n}")
-
-    def rewrite(var: int, o: QueryOracle) -> int:
-        if var <= n:
-            return UNKNOWN
-        return o.query(var - n)
-
-    return WrappedOracle(n + targets, or_oracle, rewrite)
+    return _CachedOracle(n + targets,
+                         lambda var: UNKNOWN if var <= n else or_oracle.query(var - n))
 
 
 def transcript_json(transcript: Sequence[tuple[int, int]]) -> list[dict]:
@@ -340,30 +312,34 @@ _run_algorithm1 = algorithm1_solve  # the benchmark tracer's name, until ROADMAP
 # Simulations and reductions.
 
 
-def unate_simulate(f: BooleanFunction, orientation: Orientation,
-                   tree: DecisionTree, oracle: QueryOracle) -> int:
-    """Evaluate the extension of a unate f with a classical tree, twice.
+def unate_solver(f: BooleanFunction, orientation: Orientation,
+                 tree: DecisionTree) -> Solver:
+    """A solver for the extension of a unate f from a classical tree.
 
     ``orientation`` must make x -> f(x xor s) monotone (all zeros for a
-    monotone f).  Pass one resolves u at variable i to s_i, pass two to
-    1 - s_i; 1 on pass one forces 1, 0 on pass two forces 0, and else the
-    value is u.  Both passes share the oracle: at most 2 * depth queries.
+    monotone f); it is checked once, here.  Each run walks the tree
+    twice: pass one resolves u at variable i to s_i, pass two to 1 - s_i;
+    1 on pass one forces 1, 0 on pass two forces 0, and else the value is
+    u.  Both passes share the oracle: at most 2 * depth queries.
     """
-    n = f.arity
-    if len(orientation.bits) != n:
+    if len(orientation.bits) != f.arity:
         raise ValueError("orientation length differs from arity")
     # Complementing variable i swaps its rises and falls.
     if any(rises if b else falls
            for b, (rises, falls) in zip(orientation.bits, _slopes(f))):
         raise ValueError("orientation does not make the function monotone")
-    run = tree_solver(tree)
-    low = run(fill_unknown_oracle(oracle, orientation.bits))
-    high = run(fill_unknown_oracle(oracle, tuple(1 - b for b in orientation.bits)))
-    if low == 1:
-        return 1
-    if high == 0:
-        return 0
-    return UNKNOWN
+    walk = tree_solver(tree)
+    fills = (orientation.bits, tuple(1 - b for b in orientation.bits))
+
+    def run(oracle: QueryOracle) -> int:
+        low, high = [walk(fill_unknown_oracle(oracle, fill)) for fill in fills]
+        if low == 1:
+            return 1
+        if high == 0:
+            return 0
+        return UNKNOWN
+
+    return run
 
 
 def downward_closure_solve(f: BooleanFunction, u_solver: Solver,

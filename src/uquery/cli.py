@@ -21,7 +21,7 @@ from .algorithms import (
     algorithm1_solve,
     transcript_json,
     tree_solver,
-    unate_simulate,
+    unate_solver,
 )
 from .core import (
     TernaryString,
@@ -160,7 +160,7 @@ def cmd_solve(args) -> int:
                 f"the {args.method} method needs a {args.method} function; "
                 "use algorithm1 or tree instead")
         depth, tree = query_complexity(f, table=table, cap=cap)
-        output = unate_simulate(f, orientation, tree, oracle)
+        output = unate_solver(f, orientation, tree)(oracle)
         bound = 2 * depth
 
     shown = " ".join(f"{var}:{'01u'[ans]}" for var, ans in oracle.transcript)
@@ -226,14 +226,12 @@ def _parse_range(text: str) -> tuple[int, ...]:
 
 
 def cmd_verify(args) -> int:
-    cap = _resolve_cap(args)
     report = run_suite(
         args.suite,
         ns=_parse_range(args.n_range),
         samples=args.samples,
         seed=args.seed,
         workers=args.workers,
-        cap=cap,
         exhaustive=args.exhaustive,
     )
     for r in report.records:
@@ -317,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="with --n reaching 4: sweep all 65536 tables")
     p.add_argument("--json", dest="json_path", metavar="PATH",
                    help="write the machine-readable report")
-    cap_flag(p)
     p.set_defaults(run=cmd_verify)
     return top
 

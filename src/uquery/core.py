@@ -218,14 +218,6 @@ class PartialAssignment:
             raise ValueError("length mismatch")
         return all(c == STAR or c == t for c, t in zip(self.cells, y.trits))
 
-    def coarsest(self) -> TernaryString:
-        """The consistent string with u at every unassigned position.
-
-        Every consistent string resolves to a subset of its resolutions,
-        which makes it the single lookup deciding value-forcing tests.
-        """
-        return TernaryString(tuple(UNKNOWN if c == STAR else c for c in self.cells))
-
 
 def _hex_width(arity: int) -> int:
     return max(1, (1 << arity) // 4)
@@ -275,22 +267,16 @@ class BooleanFunction:
         except ValueError:
             raise SpecError(f"malformed hex table {hex_table!r}") from None
         size = 1 << arity
-        total_bits = 4 * width
-        if total_bits > size and packed & ((1 << (total_bits - size)) - 1):
+        pad = 4 * width - size
+        if packed & ((1 << pad) - 1):
             raise SpecError(f"hex table {hex_table!r} has nonzero padding bits")
-        bits = 0
-        for idx in range(size):
-            bits |= ((packed >> (total_bits - 1 - idx)) & 1) << idx
-        return cls(arity, bits)
+        return cls(arity, int(format(packed >> pad, f"0{size}b")[::-1], 2))
 
     def to_hex(self) -> str:
         """Table bits MSB-first: entry 0 lands in the top bit of digit 0."""
         width = _hex_width(self.arity)
         size = 1 << self.arity
-        packed = 0
-        total_bits = 4 * width
-        for idx in range(size):
-            packed |= ((self.bits >> idx) & 1) << (total_bits - 1 - idx)
+        packed = int(format(self.bits, f"0{size}b")[::-1], 2) << (4 * width - size)
         return format(packed, f"0{width}x")
 
     def to_spec(self) -> str:
@@ -503,8 +489,6 @@ def _parity_function(n: int) -> BooleanFunction:
 
 
 def _majority_function(n: int) -> BooleanFunction:
-    if n % 2 == 0:
-        raise SpecError("maj:n requires odd n")
     bits = 0
     for idx in range(1 << n):
         if 2 * idx.bit_count() > n:
@@ -536,8 +520,6 @@ def _monotone_indexing_function(n: int) -> BooleanFunction:
     n/2 it is the target variable indexed by the addressing string (the
     weight-n/2 strings ordered lexicographically).
     """
-    if n % 2 != 0:
-        raise SpecError("mind:n requires even n")
     half = n // 2
     middle = [s for s in range(1 << n) if s.bit_count() == half]
     # With variable 1 as the most significant bit, ascending integer
@@ -565,6 +547,18 @@ def _random_function(n: int, seed: int) -> BooleanFunction:
     return BooleanFunction(n, rng.getrandbits(1 << n))
 
 
+# The families with one size parameter n: the builder, the arity at n,
+# and the parity n must have (None for any n).
+_FAMILIES = {
+    "or": (_or_function, lambda n: n, None),
+    "and": (_and_function, lambda n: n, None),
+    "parity": (_parity_function, lambda n: n, None),
+    "maj": (_majority_function, lambda n: n, "odd"),
+    "ind": (_indexing_function, lambda n: n + (1 << n), None),
+    "mind": (_monotone_indexing_function, lambda n: n + comb(n, n // 2), "even"),
+}
+
+
 def parse_spec(spec: str) -> dict:
     """Parse a function spec string into family metadata.
 
@@ -579,23 +573,16 @@ def parse_spec(spec: str) -> dict:
         except ValueError:
             raise SpecError(f"{name} in spec {spec!r} must be an integer") from None
 
-    if family in ("or", "and", "parity", "maj", "ind", "mind"):
+    if family in _FAMILIES:
         if len(parts) != 2:
             raise SpecError(f"spec {spec!r} must look like {family}:<n>")
         n = int_param(parts[1], "n")
         if n < 1:
             raise SpecError(f"n must be >= 1 in spec {spec!r}")
-        if family == "maj" and n % 2 == 0:
-            raise SpecError("maj:n requires odd n")
-        if family == "mind" and n % 2 != 0:
-            raise SpecError("mind:n requires even n")
-        if family == "ind":
-            arity = n + (1 << n)
-        elif family == "mind":
-            arity = n + comb(n, n // 2)
-        else:
-            arity = n
-        return {"family": family, "params": {"n": n}, "arity": arity}
+        _, arity, parity = _FAMILIES[family]
+        if parity is not None and n % 2 != (parity == "odd"):
+            raise SpecError(f"{family}:n requires {parity} n")
+        return {"family": family, "params": {"n": n}, "arity": arity(n)}
     if family == "table":
         if len(parts) != 3:
             raise SpecError(f"spec {spec!r} must look like table:<hex>:<n>")
@@ -624,18 +611,8 @@ def generate(spec: str, cap: int | None = None) -> BooleanFunction:
     arity = meta["arity"]
     check_cap(arity, cap, DEFAULT_TABLE_CAP, f"function spec {spec!r}")
     family, params = meta["family"], meta["params"]
-    if family == "or":
-        return _or_function(params["n"])
-    if family == "and":
-        return _and_function(params["n"])
-    if family == "parity":
-        return _parity_function(params["n"])
-    if family == "maj":
-        return _majority_function(params["n"])
-    if family == "ind":
-        return _indexing_function(params["n"])
-    if family == "mind":
-        return _monotone_indexing_function(params["n"])
+    if family in _FAMILIES:
+        return _FAMILIES[family][0](params["n"])
     if family == "table":
         return BooleanFunction.from_hex(params["hex"], params["n"])
     return _random_function(params["n"], params["seed"])

@@ -371,10 +371,11 @@ def block_sensitivity_u_at(
 ) -> tuple[int, tuple[SensitiveBlockWitness, ...]]:
     """Maximum number of disjoint sensitive blocks at x, with a witness family."""
     x = as_ternary(x)
-    witnesses = minimal_sensitive_blocks(table, x)
-    blocks = [tuple(sorted(v - 1 for v in w.block)) for w in witnesses]
-    picked = _max_disjoint(blocks)
-    return len(picked), tuple(witnesses[j] for j in picked)
+    if len(x) != table.arity:
+        raise ValueError(f"input length {len(x)} != arity {table.arity}")
+    code = x.code()
+    size, _, family = _packing_scan(table, _measure_arrays(table), [code])[table.values[code]]
+    return size, family
 
 
 def _packing_scan(

@@ -53,12 +53,13 @@ import numpy as np
 
 from .algorithms import (
     Oracle,
+    Solver,
     algorithm1_solve,
     algorithm1_tree,
     downward_closure_solve,
     or_via_ind_reduction,
     tree_solver,
-    unate_simulate,
+    unate_solver,
 )
 from .check import _resolution_value, _survivor, _witness_problems
 from .core import (
@@ -215,8 +216,8 @@ class _Table:
     on it: the hazard-free table, built once, and the ``core`` report,
     once that check has made it."""
 
-    def __init__(self, f: BooleanFunction, cap: int | None):
-        self.f, self.cap = f, cap
+    def __init__(self, f: BooleanFunction):
+        self.f = f
         self.table = hazard_free_table(f)
         self.report: MeasureReport | None = None
 
@@ -224,21 +225,20 @@ class _Table:
         """D and an optimal classical tree: the report's, else searched."""
         if self.report is not None:
             return self.report.D, self.report.witness_trees[0]
-        return query_complexity(self.f, table=self.table, cap=self.cap)
+        return query_complexity(self.f, table=self.table)
 
     def u_depth(self):
         """D_u and an optimal u-model tree: the report's, else searched."""
         if self.report is not None:
             return self.report.D_u, self.report.witness_trees[1]
-        return query_complexity_u(self.table, cap=self.cap)
+        return query_complexity_u(self.table)
 
 
 def _core_function_rows(state: _Table):
     f, table = state.f, state.table
     n = f.arity
     spec = f.to_spec()
-    m = state.report = measure_report(f, with_witnesses=True, table=table,
-                                      cap=state.cap)
+    m = state.report = measure_report(f, with_witnesses=True, table=table)
 
     def resolutions():
         for code in range(3 ** n):
@@ -302,10 +302,10 @@ def _alg1_function_rows(state: _Table):
     its path, so its block is tested for survivors once.  The oracle
     driver runs once, on the least input of the deepest leaf; it must
     walk that path, and its bound is the budget."""
-    f, table, cap = state.f, state.table, state.cap
+    f, table = state.f, state.table
     n = f.arity
     spec = f.to_spec()
-    tree = algorithm1_tree(table, cap)
+    tree = algorithm1_tree(table)
     size = len(tree.var)
     leaves = _leaf_grid(tree, n, np.arange(size))
     if leaves is None:
@@ -316,7 +316,7 @@ def _alg1_function_rows(state: _Table):
     output = np.array(tree.leaf)[node]
 
     hidden = TernaryString.from_code(int(depth.argmax()), n)
-    res = algorithm1_solve(table, Oracle(hidden), cap)
+    res = algorithm1_solve(table, Oracle(hidden))
     walk = Oracle(hidden)
     if (res.output, res.queries, res.transcript) != \
             (tree_solver(tree)(walk), walk.query_count, walk.transcript):
@@ -355,15 +355,15 @@ def _alg1_function_rows(state: _Table):
 
 
 def _simulation_row(f: BooleanFunction, table: HazardFreeTable, d: int,
-                    simulate: Callable[[Oracle], int]):
-    """Run ``simulate(oracle)`` on every ternary input against 2 * d queries."""
+                    solver: Solver):
+    """Run ``solver`` on every ternary input against 2 * d queries."""
     n = f.arity
 
     def runs():
         for code in range(3 ** n):
             hidden = TernaryString.from_code(code, n)
             oracle = Oracle(hidden)
-            got = simulate(oracle)
+            got = solver(oracle)
             ok = got == table.values[code] and oracle.query_count <= 2 * d
             yield None if ok else {
                 "function": f.to_spec(), "input": str(hidden),
@@ -394,7 +394,7 @@ def _monotone_function_rows(state: _Table):
     names = ("monotone-simulation",) * monotone + ("unate-simulation",) * (f.arity <= _UNATE_MAX)
     if names:
         rows.update(dict.fromkeys(names, _simulation_row(
-            f, table, d, lambda oracle: unate_simulate(f, orientation, tree_b, oracle))))
+            f, table, d, unate_solver(f, orientation, tree_b))))
     return rows
 
 
@@ -403,7 +403,7 @@ def _closure_function_rows(state: _Table):
     n = f.arity
     du, ut = state.u_depth()
     g = downward_closure(f)
-    dg, _ = query_complexity(g, cap=state.cap)
+    dg, _ = query_complexity(g)
     solver = tree_solver(ut)
     spec = f.to_spec()
 
@@ -437,10 +437,10 @@ _KINDS = {
 def _chunk_worker(payload):
     """Per kind, the rows of a chunk of one population: each function's
     state is built once and every kind's checks run on it in order."""
-    kinds, arity, bits_chunk, cap = payload
+    kinds, arity, bits_chunk = payload
     agg: dict = {kind: {} for kind in kinds}
     for bits in bits_chunk:
-        state = _Table(BooleanFunction(arity, bits), cap)
+        state = _Table(BooleanFunction(arity, bits))
         for kind in kinds:
             _fold(agg[kind], _KINDS[kind](state))
     return agg
@@ -474,25 +474,25 @@ def _kleene_rows():
     return {"kleene-tables": _row(entries())}
 
 
-def _depth_rows(entries, cid: str, cap: int | None):
+def _depth_rows(entries, cid: str):
     def depths():
         for spec, d_want, du_want in entries:
             f = generate(spec)
             table = hazard_free_table(f)
-            d, _ = query_complexity(f, table=table, cap=cap)
-            du, _ = query_complexity_u(table, cap=cap)
+            d, _ = query_complexity(f, table=table)
+            du, _ = query_complexity_u(table)
             yield None if (d, du) == (d_want, du_want) else {
                 "function": spec, "D": d, "D_u": du,
                 "expected_D": d_want, "expected_D_u": du_want}
     return {cid: _row(depths())}
 
 
-def _reduction_rows(cap: int | None):
+def _reduction_rows():
     correct, cost = [], []
     for n in (1, 2):
         m = 1 << n
         table = hazard_free_table(generate(f"ind:{n}"))
-        _, tree = query_complexity_u(table, cap=cap)
+        _, tree = query_complexity_u(table)
         solver = tree_solver(tree)
         worst = 0
         for xbits in range(1 << m):
@@ -613,7 +613,7 @@ def _inventory_record(merged, total, exhaustive_ns) -> CheckRecord:
     )
 
 
-def _execute(jobs, workers: int, cap: int | None):
+def _execute(jobs, workers: int):
     """Run per-function jobs, each a population with the kinds of check
     that read it; fold chunk rows per (kind, label, arity) key in
     submission order."""
@@ -627,7 +627,7 @@ def _execute(jobs, workers: int, cap: int | None):
             size = len(bits)
         for i in range(0, len(bits), size):
             chunks.append(((label, arity),
-                           (kinds, arity, tuple(bits[i:i + size]), cap)))
+                           (kinds, arity, tuple(bits[i:i + size]))))
     # A fork pool starts all of its processes at the first submit, so
     # start no more than there are chunks or CPUs.
     processes = min(workers, len(chunks), os.cpu_count() or 1)
@@ -650,7 +650,7 @@ def _execute(jobs, workers: int, cap: int | None):
 _SHARED = ("core", "algorithm1", "closure")
 
 
-def _plan(parts, ns, full_ns, samples, seed, cap):
+def _plan(parts, ns, full_ns, samples, seed):
     """Each part's rows that need no sweep, and the sweep's jobs: the
     full population once for the requested shared parts, with
     ``monotone`` too below arity 4, and the arity-4 monotone functions
@@ -668,10 +668,10 @@ def _plan(parts, ns, full_ns, samples, seed, cap):
                      _sample_bits(_SAMPLE_ARITY, samples, seed)))
     if "core" in parts:
         parents["core"].update(_kleene_rows())
-        parents["core"].update(_depth_rows(_EXACT_DEPTHS, "exact-depths", cap))
+        parents["core"].update(_depth_rows(_EXACT_DEPTHS, "exact-depths"))
     if "monotone" in parts:
         parent = parents["monotone"]
-        parent.update(_depth_rows(_MIND_DEPTHS, "mind-depths", cap))
+        parent.update(_depth_rows(_MIND_DEPTHS, "mind-depths"))
         population = []
         for n in [k for k in ns if k <= _MONOTONE_MAX]:
             pop = monotone_functions(n)
@@ -688,7 +688,7 @@ def _plan(parts, ns, full_ns, samples, seed, cap):
                              tuple(f.bits for f in pop)))
         parent["monotone-population"] = _row(population)
     if "reduction" in parts:
-        parents["reduction"].update(_reduction_rows(cap))
+        parents["reduction"].update(_reduction_rows())
     return parents, jobs
 
 
@@ -716,7 +716,6 @@ def run_suite(
     samples: int = 0,
     seed: int = 0,
     workers: int | None = None,
-    cap: int | None = None,
     exhaustive: bool = False,
 ) -> VerificationReport:
     """Sweep one named suite (or all of them) and aggregate the records.
@@ -754,8 +753,8 @@ def run_suite(
             f"for n = {_FULL_MAX + 1}")
 
     start = perf_counter()
-    parents, jobs = _plan(parts, ns, full_ns, samples, seed, cap)
-    merged = _execute(jobs, workers, cap)
+    parents, jobs = _plan(parts, ns, full_ns, samples, seed)
+    merged = _execute(jobs, workers)
     records = [record for part in parts
                for record in _part_records(part, parents[part], merged, full_ns)]
     return VerificationReport(

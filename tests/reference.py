@@ -408,6 +408,25 @@ def far_start_tree(grid, star, answers, values):
     return int(flat[-1]), read_tree(grid, star, answers, values)
 
 
+def to_hex(bits: int, n: int) -> str:
+    """The hex serialization of a table, entry by entry: entry idx lands
+    at bit 4 * width - 1 - idx of the packed digits."""
+    width = max(1, (1 << n) // 4)
+    packed = 0
+    for idx in range(1 << n):
+        packed |= ((bits >> idx) & 1) << (4 * width - 1 - idx)
+    return format(packed, f"0{width}x")
+
+
+def from_hex(text: str, n: int) -> int:
+    """Inverse of ``to_hex``, entry by entry."""
+    packed = int(text, 16)
+    bits = 0
+    for idx in range(1 << n):
+        bits |= ((packed >> (4 * len(text) - 1 - idx)) & 1) << idx
+    return bits
+
+
 def downward_closure_bits(bits: int, n: int) -> int:
     """OR of f over all binary points below x, as a table integer."""
     out = 0

@@ -24,7 +24,7 @@ from uquery.algorithms import (
     downward_closure_solve,
     or_via_ind_reduction,
     tree_solver,
-    unate_simulate,
+    unate_solver,
 )
 from uquery.check import validate_block_family, validate_certificate
 from uquery.core import Orientation
@@ -222,10 +222,11 @@ def test_criterion_6_monotone_bracket_and_simulation(capsys):
             du, _ = query_complexity_u(table)
             assert d <= du <= 2 * d
             functions += 1
+            solver = unate_solver(f, Orientation((0,) * n), tree)
             for code in range(3 ** n):
                 hidden = TernaryString.from_code(code, n)
                 oracle = Oracle(hidden)
-                got = unate_simulate(f, Orientation((0,) * n), tree, oracle)
+                got = solver(oracle)
                 assert got == table.values[code]
                 assert oracle.query_count <= 2 * d
                 sims += 1

@@ -27,7 +27,7 @@ from uquery.algorithms import (
     or_via_ind_reduction,
     transcript_json,
     tree_solver,
-    unate_simulate,
+    unate_solver,
 )
 from uquery.core import Orientation
 from uquery.depth import query_complexity, query_complexity_u
@@ -73,6 +73,35 @@ def test_indexing_oracle_from_or():
     assert [wrapped.query(i) for i in (3, 4, 5, 6)] == [0, 1, 0, 0]
     # addressing queries cost nothing on the inner oracle
     assert inner.query_count == 4
+
+
+class _CountingOracle:
+    """An Oracle that records how often each index is asked."""
+
+    def __init__(self, hidden: str):
+        self._oracle = Oracle(hidden)
+        self.arity = self._oracle.arity
+        self.asked: dict[int, int] = {}
+
+    def query(self, var: int) -> int:
+        self.asked[var] = self.asked.get(var, 0) + 1
+        return self._oracle.query(var)
+
+
+@pytest.mark.parametrize("wrap,hidden", [
+    (lambda inner: fill_unknown_oracle(inner, (1, 0, 1)), "u1u"),
+    (mask_ones_oracle, "101"),
+    (lambda inner: indexing_oracle_from_or(inner, 2), "0110"),
+])
+def test_wrappers_cache_repeats(wrap, hidden):
+    inner = _CountingOracle(hidden)
+    wrapped = wrap(inner)
+    first = [wrapped.query(i) for i in range(1, wrapped.arity + 1)]
+    again = [wrapped.query(i) for i in range(1, wrapped.arity + 1)]
+    assert again == first
+    assert wrapped.query_count == wrapped.arity
+    assert wrapped.transcript == tuple(zip(range(1, wrapped.arity + 1), first))
+    assert all(count == 1 for count in inner.asked.values())
 
 
 def test_frozen_run_and2():
@@ -252,10 +281,11 @@ def test_monotone_simulation():
         f = generate(spec)
         table = hazard_free_table(f)
         d, tree = query_complexity(f)
+        solver = unate_solver(f, Orientation((0,) * f.arity), tree)
         for code in range(3 ** f.arity):
             hidden = TernaryString.from_code(code, f.arity)
             oracle = Oracle(hidden)
-            got = unate_simulate(f, Orientation((0,) * f.arity), tree, oracle)
+            got = solver(oracle)
             assert got == table.evaluate(hidden)
             assert oracle.query_count <= 2 * d
 
@@ -264,7 +294,7 @@ def test_monotone_simulation_rejects_non_monotone():
     f = generate("parity:2")
     _, tree = query_complexity(f)
     with pytest.raises(ValueError):
-        unate_simulate(f, Orientation((0, 0)), tree, Oracle("0u"))
+        unate_solver(f, Orientation((0, 0)), tree)
 
 
 def test_unate_simulation():
@@ -273,10 +303,11 @@ def test_unate_simulation():
     assert orientation is not None
     table = hazard_free_table(f)
     d, tree = query_complexity(f)
+    solver = unate_solver(f, orientation, tree)
     for code in range(27):
         hidden = TernaryString.from_code(code, 3)
         oracle = Oracle(hidden)
-        got = unate_simulate(f, orientation, tree, oracle)
+        got = solver(oracle)
         assert got == table.evaluate(hidden)
         assert oracle.query_count <= 2 * d
 
@@ -292,11 +323,11 @@ def test_unate_simulation_rejects_bad_orientations():
                 shifted = sum(f.value_at_index(idx ^ shift) << idx
                               for idx in range(1 << n))
                 if R.is_monotone(shifted, n):
-                    unate_simulate(f, orientation, tree, Oracle("u" * n))
+                    unate_solver(f, orientation, tree)(Oracle("u" * n))
                 else:
                     with pytest.raises(ValueError, match="orientation does "
                                        "not make the function monotone"):
-                        unate_simulate(f, orientation, tree, Oracle("u" * n))
+                        unate_solver(f, orientation, tree)(Oracle("u" * n))
 
 
 def test_downward_closure_solver():

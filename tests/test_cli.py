@@ -234,6 +234,27 @@ def test_solve_command_bytes(capsys, spec, hidden):
     assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_COMMAND_DIGESTS[spec, hidden]
 
 
+# sha256 of the stdout of `solve SPEC HIDDEN --method METHOD`, transcript
+# included, recorded from the simulation that re-checked its orientation
+# and rebuilt its tree walker on every call.
+SIMULATION_COMMAND_DIGESTS = {
+    ("mind:2", "01u0", "monotone"):
+        "276e2be3341461abb11443900924e5623e3a6f7743690bbc2a9a416298862205",
+    ("table:e8:3", "u0u", "unate"):
+        "17ba3f773f27a708fe17e1f7d548fc2693d55ad8bd80c70411d73eb7f798b195",
+    ("table:e8:3", "1uu", "unate"):
+        "deb43e6b7aec06b0b75702aaf035fb44138d09a39806518b7c77d6a0ad0581bb",
+}
+
+
+@pytest.mark.parametrize("spec,hidden,method", sorted(SIMULATION_COMMAND_DIGESTS))
+def test_simulation_command_bytes(capsys, spec, hidden, method):
+    rc, out, _ = run(capsys, "solve", spec, hidden, "--method", method)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        SIMULATION_COMMAND_DIGESTS[spec, hidden, method]
+
+
 @pytest.mark.parametrize("spec", ["maj:5", "ind:2", "random:7:1"])
 @pytest.mark.parametrize("witnesses", [False, True])
 def test_measures_json_is_the_json_module_text(capsys, tmp_path, spec, witnesses):
@@ -270,6 +291,15 @@ def test_cap_env(capsys, monkeypatch):
     # an explicit flag wins over the environment
     rc, out, _ = run(capsys, "measures", "or:5", "--cap", "5")
     assert rc == 0 and "D_u=5" in out
+
+
+def test_verify_ignores_the_cap(capsys, monkeypatch):
+    # verify's largest table (ind:2, six variables) is fixed by its
+    # suites, so an arity cap has nothing to guard there.
+    monkeypatch.setenv("UQUERY_CAP", "5")
+    rc, out, _ = run(capsys, "verify", "core", "--n", "1..2", "--workers", "1")
+    assert rc == 0
+    assert out.splitlines()[-1].startswith("suite core: PASS")
 
 
 def test_cap_env_must_be_integer(capsys, monkeypatch):

@@ -20,7 +20,6 @@ import uquery.measures
 import uquery.verification
 from uquery.core import (
     UNKNOWN,
-    ArityCapError,
     BooleanFunction,
     HazardFreeTable,
     downward_closure,
@@ -185,12 +184,6 @@ def test_record_fields():
         suite="core", parameters={}, records=(record,), passed=False,
         duration_seconds=0.0)
     assert not report.passed
-
-
-def test_algorithm1_suite_honours_the_cap():
-    with pytest.raises(ArityCapError):
-        run_suite("algorithm1", ns=(3,), cap=2, workers=1)
-    assert run_suite("algorithm1", ns=(1, 2), cap=2, workers=1).passed
 
 
 def test_witness_problems_reach_the_classical_witnesses():
@@ -444,8 +437,8 @@ def test_all_builds_searches_and_prices_each_shared_table_once(monkeypatch):
     def rest():
         run_suite("reduction", ns=(3,), workers=1)
         V._kleene_rows()
-        V._depth_rows(V._EXACT_DEPTHS, "exact-depths", None)
-        V._depth_rows(V._MIND_DEPTHS, "mind-depths", None)
+        V._depth_rows(V._EXACT_DEPTHS, "exact-depths")
+        V._depth_rows(V._MIND_DEPTHS, "mind-depths")
 
     others = tally(rest)
     whole = tally(lambda: run_suite("all", ns=(3,), workers=1))
