@@ -186,18 +186,18 @@ class SolveResult:
                 "bound": self.bound}
 
 
-def _cost_budget(table: HazardFreeTable, cap: int | None = None) -> int:
+def _cost_budget(table: HazardFreeTable) -> int:
     # Worst case for the solver: bs_1 rounds of 0-certificates, then
     # bs_0 rounds of 1-certificates.  Both summaries are kept with the
     # table's measure arrays, so many solves on one table, or a report
     # before them, price the budget only once.
-    blocks = block_summary(table, cap)
-    certs = certificate_summary(table, cap)
+    blocks = block_summary(table)
+    certs = certificate_summary(table)
     return blocks.by_value[1] * certs.c_u_0 + blocks.by_value[0] * certs.c_u_1
 
 
-def _algorithm1_step(table: HazardFreeTable, cells: Sequence[int], stage: int | None,
-                     cap: int | None) -> int | tuple[int, tuple[int, ...]]:
+def _algorithm1_step(table: HazardFreeTable, cells: Sequence[int],
+                     stage: int | None) -> int | tuple[int, tuple[int, ...]]:
     """One step of Algorithm 1 on a non-constant function: from the answers
     so far to the output, or to the stage and queries of the next round.
 
@@ -223,7 +223,7 @@ def _algorithm1_step(table: HazardFreeTable, cells: Sequence[int], stage: int | 
         x = table.least_input(cells, want)
         if x is None:
             continue
-        cert = certificate_u_at(table, x, cap)
+        cert = certificate_u_at(table, x)
         todo = tuple(sorted(v for v in cert.assignment.domain() if cells[v - 1] == STAR))
         # A domain inside the asked positions is certified by the answers,
         # which the forced test before it would have caught.
@@ -233,7 +233,7 @@ def _algorithm1_step(table: HazardFreeTable, cells: Sequence[int], stage: int | 
     return UNKNOWN
 
 
-def algorithm1_tree(table: HazardFreeTable, cap: int | None = None) -> DecisionTree:
+def algorithm1_tree(table: HazardFreeTable) -> DecisionTree:
     """Algorithm 1 over every hidden input at once, as one u-model tree.
 
     The solver is deterministic and never queries a position twice, so
@@ -242,8 +242,7 @@ def algorithm1_tree(table: HazardFreeTable, cap: int | None = None) -> DecisionT
     a layer at a time from a frontier of answer states, each with the
     stage and the unasked queries of its round: a round becomes a chain
     of query nodes over its domain, and the step at the end of the chain
-    gives the next round or the leaf.  ``cap`` guards the per-table
-    arrays behind the certificates as in ``algorithm1_solve``.
+    gives the next round or the leaf.
     """
     f = table.function
     if f.is_constant():
@@ -254,7 +253,7 @@ def algorithm1_tree(table: HazardFreeTable, cap: int | None = None) -> DecisionT
         below = []
         for cells, stage, todo in layer:
             if not todo:
-                step = _algorithm1_step(table, cells, stage, cap)
+                step = _algorithm1_step(table, cells, stage)
                 if isinstance(step, int):
                     var.append(0)
                     leaf.append(step)
@@ -271,8 +270,7 @@ def algorithm1_tree(table: HazardFreeTable, cap: int | None = None) -> DecisionT
     return DecisionTree._of(tuple(var), tuple(leaf), tuple(first))
 
 
-def algorithm1_solve(table: HazardFreeTable, oracle: QueryOracle,
-                     cap: int | None = None) -> SolveResult:
+def algorithm1_solve(table: HazardFreeTable, oracle: QueryOracle) -> SolveResult:
     """Evaluate the extension of a known function on an oracle-held input.
 
     Rounds of minimum-certificate queries run at consistent 0-valued
@@ -280,9 +278,7 @@ def algorithm1_solve(table: HazardFreeTable, oracle: QueryOracle,
     round exits early when the answers force a value, and u is returned
     only once neither class has a consistent member.  Constant functions
     are answered immediately with zero queries.  For all others the
-    result's ``queries`` never exceeds its ``bound``, which is priced
-    from per-table arrays whose size ``cap`` guards as in
-    ``measure_report``.
+    result's ``queries`` never exceeds its ``bound``.
     """
     f = table.function
     n = table.arity
@@ -292,11 +288,11 @@ def algorithm1_solve(table: HazardFreeTable, oracle: QueryOracle,
         return SolveResult(f.value_at_index(0), oracle.query_count, 0,
                            tuple(oracle.transcript))
 
-    bound = _cost_budget(table, cap)
+    bound = _cost_budget(table)
     cells = [STAR] * n
     stage = None
     while True:
-        step = _algorithm1_step(table, cells, stage, cap)
+        step = _algorithm1_step(table, cells, stage)
         if isinstance(step, int):
             return SolveResult(step, oracle.query_count, bound,
                                tuple(oracle.transcript))

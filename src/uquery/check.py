@@ -67,6 +67,8 @@ def validate_block_family(
     """Disjointness plus, per block, the altered string proving sensitivity."""
     base = as_ternary(base)
     n = table.arity
+    if len(base) != n:
+        return False
     v = table.values[base.code()]
     used: set[int] = set()
     for w in family:
@@ -190,6 +192,8 @@ def _witness_problems(table: HazardFreeTable, m) -> str | None:
         d = m.witnesses[key]
         if d is None:
             problem = f"{key} reported {want} without a witness" if want else None
+        elif "input" in d and len(d["input"]) != table.arity:
+            problem = f"{key} input has the wrong length"
         else:
             problem = check(table, key, d, want, arg)
         if problem:

@@ -120,7 +120,7 @@ def cmd_eval(args) -> int:
 def cmd_measures(args) -> int:
     cap = _resolve_cap(args)
     f = generate(args.spec, cap=cap)
-    report = measure_report(f, with_witnesses=args.witnesses, cap=cap)
+    report = measure_report(hazard_free_table(f, cap=cap), with_witnesses=args.witnesses)
     print(f"function = {f.to_spec()}")
     print(f"arity = {f.arity}")
     print(report.to_text())
@@ -148,10 +148,10 @@ def cmd_solve(args) -> int:
     oracle = Oracle(hidden)
 
     if args.method == "algorithm1":
-        res = algorithm1_solve(table, oracle, cap=cap)
+        res = algorithm1_solve(table, oracle)
         output, bound = res.output, res.bound
     elif args.method == "tree":
-        depth, tree = query_complexity_u(table, cap=cap)
+        depth, tree = query_complexity_u(table)
         output, bound = tree_solver(tree)(oracle), depth
     else:  # monotone is unate at the all-zero orientation
         orientation = unate_orientation(f)
@@ -159,7 +159,7 @@ def cmd_solve(args) -> int:
             raise ValueError(
                 f"the {args.method} method needs a {args.method} function; "
                 "use algorithm1 or tree instead")
-        depth, tree = query_complexity(f, table=table, cap=cap)
+        depth, tree = query_complexity(table)
         output = unate_solver(f, orientation, tree)(oracle)
         bound = 2 * depth
 
@@ -191,9 +191,9 @@ def cmd_tree(args) -> int:
     f = generate(args.spec, cap=cap)
     table = hazard_free_table(f, cap=cap)
     if args.model == "u":
-        depth, tree = query_complexity_u(table, cap=cap)
+        depth, tree = query_complexity_u(table)
     else:
-        depth, tree = query_complexity(f, table=table, cap=cap)
+        depth, tree = query_complexity(table)
     ok, bad = verify_tree(tree, table)
     if not ok:
         print(f"error: optimal tree misevaluates {bad}", file=sys.stderr)

@@ -24,6 +24,7 @@ All types here are immutable; every function of the module is pure.
 from __future__ import annotations
 
 import random as _random
+import re
 from dataclasses import dataclass
 from itertools import product
 from math import comb
@@ -41,8 +42,8 @@ _TRITS = frozenset({ZERO, ONE, UNKNOWN})
 CELL_CHARS = "01u*"
 
 # Arity caps guard against accidental huge allocations (3**n and 4**n
-# table/memo sizes).  They are defaults, not hard limits: every entry
-# point that builds such a table takes a cap argument.
+# table/memo sizes).  They are defaults, not hard limits: a hazard-free
+# table is built under a cap, and every array and search on it obeys it.
 DEFAULT_TABLE_CAP = 16
 DEFAULT_SEARCH_CAP = 12
 
@@ -262,10 +263,9 @@ class BooleanFunction:
             raise SpecError(
                 f"hex table {hex_table!r} must have exactly {width} digits for arity {arity}"
             )
-        try:
-            packed = int(hex_table, 16)
-        except ValueError:
-            raise SpecError(f"malformed hex table {hex_table!r}") from None
+        if not re.fullmatch("[0-9a-fA-F]+", hex_table):
+            raise SpecError(f"malformed hex table {hex_table!r}")
+        packed = int(hex_table, 16)
         size = 1 << arity
         pad = 4 * width - size
         if packed & ((1 << pad) - 1):
@@ -319,16 +319,19 @@ class HazardFreeTable:
     ``values[code]`` is the extension's value at the ternary string with
     that base-3 code (digits 0, 1, u->2; variable 1 most significant), kept
     as ``bytes`` whatever buffer it came in, and ``grid`` the same bytes
-    viewed read-only as a (3,) * n array.
+    viewed read-only as a (3,) * n array.  ``cap`` is the arity cap the
+    table was built under: its per-table arrays and depth searches obey
+    it, and None means their defaults.  Equality and hashing ignore it.
     Instances are immutable and safe to share across threads/processes.
     """
 
-    __slots__ = ("function", "values", "grid")
+    __slots__ = ("function", "values", "grid", "cap")
 
-    def __init__(self, function: BooleanFunction, values: bytes):
+    def __init__(self, function: BooleanFunction, values: bytes, cap: int | None = None):
         if len(values) != 3 ** function.arity:
             raise ValueError("value table has wrong size")
         self.function = function
+        self.cap = cap
         self.values = values = bytes(values)
         self.grid = np.frombuffer(values, np.uint8).reshape((3,) * function.arity)
 
@@ -347,6 +350,8 @@ class HazardFreeTable:
         that is not STAR, or None.  The cells fix a block of the grid,
         free on the STAR axes, and as C order over those axes is lex order
         of the whole input, the block's first hit is the least input."""
+        if len(cells) != self.arity:
+            raise ValueError(f"cells length {len(cells)} != arity {self.arity}")
         block = self.grid[tuple(slice(None) if c == STAR else c for c in cells)]
         hits = np.flatnonzero(block == value)
         if not hits.size:
@@ -364,7 +369,7 @@ class HazardFreeTable:
 
     def __reduce__(self):
         # Rebuilt from its bytes, so a copy's grid is a read-only view too.
-        return HazardFreeTable, (self.function, self.values)
+        return HazardFreeTable, (self.function, self.values, self.cap)
 
 
 def _merge_axes(vals: np.ndarray) -> None:
@@ -403,17 +408,7 @@ def hazard_free_table(f: BooleanFunction, cap: int | None = None) -> HazardFreeT
     vals = np.empty((3,) * n, dtype=np.uint8)
     vals[np.ix_(*([0, 1],) * n)] = _truth_bits(f).reshape((2,) * n)
     _merge_axes(vals)
-    return HazardFreeTable(f, vals.reshape(-1).tobytes())
-
-
-def _table_of(f: BooleanFunction, table: HazardFreeTable | None,
-              cap: int | None = None) -> HazardFreeTable:
-    """The given table, checked to be f's extension, else f's built here."""
-    if table is None:
-        return hazard_free_table(f, cap=cap)
-    if table.function != f:
-        raise ValueError("the table is the extension of another function")
-    return table
+    return HazardFreeTable(f, vals.reshape(-1).tobytes(), cap)
 
 
 def _slopes(f: BooleanFunction) -> list[tuple[bool, bool]]:
@@ -568,10 +563,10 @@ def parse_spec(spec: str) -> dict:
     family = parts[0]
 
     def int_param(text: str, name: str) -> int:
-        try:
-            return int(text, 10)
-        except ValueError:
-            raise SpecError(f"{name} in spec {spec!r} must be an integer") from None
+        # Digits only: int() would also take a sign, spaces and underscores.
+        if not re.fullmatch("[0-9]+", text):
+            raise SpecError(f"{name} in spec {spec!r} must be an integer")
+        return int(text, 10)
 
     if family in _FAMILIES:
         if len(parts) != 2:

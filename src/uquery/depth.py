@@ -27,9 +27,7 @@ import numpy as np
 from .core import (
     DEFAULT_SEARCH_CAP,
     UNKNOWN,
-    BooleanFunction,
     HazardFreeTable,
-    _table_of,
     check_cap,
 )
 from .trees import DecisionTree
@@ -379,8 +377,7 @@ def _optimal_tree(table: HazardFreeTable, answers: tuple[int, ...],
 
 
 def query_complexity_u(
-    table: HazardFreeTable, cap: int | None = None, *,
-    forced: np.ndarray | None = None,
+    table: HazardFreeTable, *, forced: np.ndarray | None = None,
 ) -> tuple[int, DecisionTree]:
     """Exact optimal depth for computing the extension, with a witness tree.
 
@@ -388,15 +385,12 @@ def query_complexity_u(
     base-4 code, whether the table forces its value, as the measure
     arrays hold it; the search then packs it instead of building its L_0.
     """
-    check_cap(table.arity, cap, DEFAULT_SEARCH_CAP, "u-model depth search")
+    check_cap(table.arity, table.cap, DEFAULT_SEARCH_CAP, "u-model depth search")
     return _optimal_tree(table, (0, 1, UNKNOWN), forced)
 
 
-def query_complexity(
-    f: BooleanFunction,
-    table: HazardFreeTable | None = None,
-    cap: int | None = None,
-) -> tuple[int, DecisionTree]:
-    """Exact optimal classical decision-tree depth, with a witness tree."""
-    check_cap(f.arity, cap, DEFAULT_SEARCH_CAP, "classical depth search")
-    return _optimal_tree(_table_of(f, table), (0, 1))
+def query_complexity(table: HazardFreeTable) -> tuple[int, DecisionTree]:
+    """Exact optimal classical decision-tree depth of the table's f, with
+    a witness tree."""
+    check_cap(table.arity, table.cap, DEFAULT_SEARCH_CAP, "classical depth search")
+    return _optimal_tree(table, (0, 1))

@@ -54,12 +54,10 @@ from .core import (
     DEFAULT_SEARCH_CAP,
     STAR,
     UNKNOWN,
-    BooleanFunction,
     HazardFreeTable,
     PartialAssignment,
     TernaryString,
     as_ternary,
-    _table_of,
     check_cap,
 )
 
@@ -119,10 +117,10 @@ class _MeasureArrays:
     certificates: CertificateSummary | None = None
 
 
-def _measure_arrays(table: HazardFreeTable, cap: int | None = None) -> _MeasureArrays:
-    """The per-input arrays of a table; they hold 4**n bytes and building
-    them takes 4**n more."""
-    check_cap(table.arity, cap, DEFAULT_SEARCH_CAP, "certificate arrays")
+def _measure_arrays(table: HazardFreeTable) -> _MeasureArrays:
+    """The per-input arrays of a table, under its cap; they hold 4**n
+    bytes and building them takes 4**n more."""
+    check_cap(table.arity, table.cap, DEFAULT_SEARCH_CAP, "certificate arrays")
     return _tabulate(table)
 
 
@@ -246,9 +244,9 @@ def sensitivity_u(table: HazardFreeTable) -> int:
     return _sensitivity_scan(table)[0]
 
 
-def _sensitivity_scan(table: HazardFreeTable, cap: int | None = None):
+def _sensitivity_scan(table: HazardFreeTable):
     """s_u, the lex-least input attaining it and its lowest sensitive variable."""
-    sens = _measure_arrays(table, cap).sensitivity
+    sens = _measure_arrays(table).sensitivity
     code = int(sens.argmax())
     x = TernaryString.from_code(code, table.arity)
     positions = _sensitive_positions(table, x)
@@ -413,7 +411,7 @@ def _overall(best: list) -> tuple:
     return max((b for b in best if b is not None), key=lambda b: (b[0], -b[1].code()))
 
 
-def block_summary(table: HazardFreeTable, cap: int | None = None) -> BlockSensitivitySummary:
+def block_summary(table: HazardFreeTable) -> BlockSensitivitySummary:
     """Block sensitivity over all inputs and split by output value.
 
     Inputs are scanned in code order, so each attaining input is the
@@ -421,7 +419,7 @@ def block_summary(table: HazardFreeTable, cap: int | None = None) -> BlockSensit
     summary is kept with the table's arrays (``_tabulate``), so a report
     and the solver's budget read the same one.
     """
-    arrays = _measure_arrays(table, cap)
+    arrays = _measure_arrays(table)
     if arrays.blocks is None:
         arrays.blocks = _block_summary(table, arrays)
     return arrays.blocks
@@ -456,22 +454,20 @@ def block_sensitivity_u_value(table: HazardFreeTable, value: int) -> int:
 # Certificates.
 
 
-def certificate_u_at(
-    table: HazardFreeTable, x: TernaryString | str, cap: int | None = None
-) -> CertificateWitness:
+def certificate_u_at(table: HazardFreeTable, x: TernaryString | str) -> CertificateWitness:
     """A minimum certificate at x; domain chosen smallest, then lex-least.
 
-    Its size C(x) is read from the per-table arrays, whose size ``cap``
-    guards as in ``measure_report``.  A domain S certifies x iff the cell
-    equal to x on S and * elsewhere is forced (``_tabulate``), so each
-    domain of size C(x), in ``combinations`` order, costs one lookup; the
-    value is the table's at x on S and 0 elsewhere, F(x) on an extension.
+    Its size C(x) is read from the per-table arrays.  A domain S
+    certifies x iff the cell equal to x on S and * elsewhere is forced
+    (``_tabulate``), so each domain of size C(x), in ``combinations``
+    order, costs one lookup; the value is the table's at x on S and 0
+    elsewhere, F(x) on an extension.
     """
     x = as_ternary(x)
     n = table.arity
     if len(x) != n:
         raise ValueError(f"input length {len(x)} != arity {n}")
-    arrays = _measure_arrays(table, cap)
+    arrays = _measure_arrays(table)
     digits, pw3, pw4 = x.trits, _weights(n), _weights(n, 4)
     all_star = 4 ** n - 1
     for S in combinations(range(n), int(arrays.certificate[x.code()])):
@@ -487,17 +483,16 @@ def certificate_u_at(
     raise AssertionError("the certificate array names no certifying domain")
 
 
-def certificate_summary(table: HazardFreeTable, cap: int | None = None) -> CertificateSummary:
+def certificate_summary(table: HazardFreeTable) -> CertificateSummary:
     """Worst minimum certificate per value class, at its lex-least input;
     kept with the table's arrays on first use, as in ``block_summary``."""
-    arrays = _measure_arrays(table, cap)
+    arrays = _measure_arrays(table)
     if arrays.certificates is None:
-        arrays.certificates = _certificate_summary(table, arrays, cap)
+        arrays.certificates = _certificate_summary(table, arrays)
     return arrays.certificates
 
 
-def _certificate_summary(table: HazardFreeTable, arrays: _MeasureArrays,
-                         cap: int | None) -> CertificateSummary:
+def _certificate_summary(table: HazardFreeTable, arrays: _MeasureArrays) -> CertificateSummary:
     worst = [0, 0, 0]
     attaining: list[TernaryString | None] = [None, None, None]
     witnesses: list[CertificateWitness | None] = [None, None, None]
@@ -506,7 +501,7 @@ def _certificate_summary(table: HazardFreeTable, arrays: _MeasureArrays,
         if code is not None:
             worst[v] = int(arrays.certificate[code])
             attaining[v] = TernaryString.from_code(code, table.arity)
-            witnesses[v] = certificate_u_at(table, attaining[v], cap)
+            witnesses[v] = certificate_u_at(table, attaining[v])
     return CertificateSummary(
         c_u=max(worst[0], worst[1]),
         c_u_0=worst[0],
@@ -526,10 +521,9 @@ def certificate_complexity_u(table: HazardFreeTable) -> int:
 # Classical measures of the underlying Boolean function.
 
 
-def standard_measures(
-    f: BooleanFunction, table: HazardFreeTable | None = None, cap: int | None = None
-) -> StandardMeasures:
-    """Classical s, bs and C of f over binary inputs with bit-flip blocks.
+def standard_measures(table: HazardFreeTable) -> StandardMeasures:
+    """Classical s, bs and C of the table's f over binary inputs with
+    bit-flip blocks.
 
     At a binary input the u-sensitive positions are the flip-sensitive
     ones and the certificates are the subcubes on which f is constant,
@@ -542,9 +536,8 @@ def standard_measures(
     minimal block changes each of its positions (else a smaller block
     would be sensitive), so the lex-least one is the full flip.
     """
-    n = f.arity
-    table = _table_of(f, table)
-    arrays = _measure_arrays(table, cap)
+    n = table.arity
+    arrays = _measure_arrays(table)
     codes = np.arange(3 ** n).reshape((3,) * n)[(slice(0, 2),) * n].reshape(-1)
     sens, cert = arrays.sensitivity[codes], arrays.certificate[codes]
 
@@ -563,7 +556,7 @@ def standard_measures(
         bs_attaining=bs_x,
         bs_family=bs_family,
         c_attaining=c_x,
-        c_witness=certificate_u_at(table, c_x, cap),
+        c_witness=certificate_u_at(table, c_x),
     )
 
 
@@ -628,26 +621,14 @@ def _certificate_witness(x: TernaryString | None, w: CertificateWitness | None):
     return {"input": str(x), "certificate": str(w.assignment)}
 
 
-def measure_report(
-    f: BooleanFunction,
-    *,
-    with_witnesses: bool = False,
-    table: HazardFreeTable | None = None,
-    cap: int | None = None,
-) -> MeasureReport:
-    """Compute every measure of f, including exact decision-tree depths.
-
-    ``cap`` bounds the arity of the table, when it is built here, and
-    of every per-table array and search behind the measures.
-    """
-    table = _table_of(f, table, cap)
-    s_u, s_u_x, s_u_var = _sensitivity_scan(table, cap)
-    blocks = block_summary(table, cap)
-    certs = certificate_summary(table, cap)
-    classical = standard_measures(f, table, cap)
-    d_u, tree_u = depth.query_complexity_u(table, cap=cap,
-                                           forced=_measure_arrays(table, cap).forced)
-    d, tree_b = depth.query_complexity(f, table=table, cap=cap)
+def measure_report(table: HazardFreeTable, *, with_witnesses: bool = False) -> MeasureReport:
+    """Compute every measure of the table's f, including exact decision-tree depths."""
+    s_u, s_u_x, s_u_var = _sensitivity_scan(table)
+    blocks = block_summary(table)
+    certs = certificate_summary(table)
+    classical = standard_measures(table)
+    d_u, tree_u = depth.query_complexity_u(table, forced=_measure_arrays(table).forced)
+    d, tree_b = depth.query_complexity(table)
 
     witnesses = None
     if with_witnesses:

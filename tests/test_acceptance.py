@@ -129,7 +129,7 @@ def test_criterion_3_inequality_chain(capsys):
     for n, bits in population:
         if n == 4 and small_done is None:
             small_done = time.perf_counter() - started
-        report = measure_report(BooleanFunction(n, bits))
+        report = measure_report(hazard_free_table(BooleanFunction(n, bits)))
         for name, link in true_links.items():
             if not link(report, n):
                 violations[name] += 1
@@ -150,7 +150,7 @@ def test_criterion_3_inequality_chain(capsys):
     least = min(flagged_small)
     least_spec = BooleanFunction(*least).to_spec()
     assert least_spec == "table:e0:3"
-    r = measure_report(BooleanFunction(*least))
+    r = measure_report(hazard_free_table(BooleanFunction(*least)))
     assert (r.bs_u, r.C_u, r.C_u_uval) == (3, 2, 3)
     assert flagged_sampled > 0
     assert small_done is not None and small_done < 300.0
@@ -166,13 +166,13 @@ def test_criterion_3_inequality_chain(capsys):
 def test_criterion_4_exact_depths(capsys):
     got = {}
     for n in (1, 2, 3, 4):
-        f = generate(f"or:{n}")
-        got[f"D(or:{n})"] = query_complexity(f)[0]
-        got[f"D_u(or:{n})"] = query_complexity_u(hazard_free_table(f))[0]
+        table = hazard_free_table(generate(f"or:{n}"))
+        got[f"D(or:{n})"] = query_complexity(table)[0]
+        got[f"D_u(or:{n})"] = query_complexity_u(table)[0]
     for spec in ("ind:1", "ind:2"):
-        f = generate(spec)
-        got[f"D({spec})"] = query_complexity(f)[0]
-        got[f"D_u({spec})"] = query_complexity_u(hazard_free_table(f))[0]
+        table = hazard_free_table(generate(spec))
+        got[f"D({spec})"] = query_complexity(table)[0]
+        got[f"D_u({spec})"] = query_complexity_u(table)[0]
 
     for n in (1, 2, 3, 4):
         assert got[f"D(or:{n})"] == n
@@ -218,7 +218,7 @@ def test_criterion_6_monotone_bracket_and_simulation(capsys):
             assert len(pool) == 168
         for f in pool:
             table = hazard_free_table(f)
-            d, tree = query_complexity(f)
+            d, tree = query_complexity(table)
             du, _ = query_complexity_u(table)
             assert d <= du <= 2 * d
             functions += 1
@@ -230,9 +230,9 @@ def test_criterion_6_monotone_bracket_and_simulation(capsys):
                 assert got == table.values[code]
                 assert oracle.query_count <= 2 * d
                 sims += 1
-    m = generate("mind:2")
-    dm, _ = query_complexity(m)
-    dum, _ = query_complexity_u(hazard_free_table(m))
+    tm = hazard_free_table(generate("mind:2"))
+    dm, _ = query_complexity(tm)
+    dum, _ = query_complexity_u(tm)
     assert (dm, dum) == (3, 3)
     assert dum <= 2 * dm
     _say(capsys, f"criterion 6: PASS — D<=D_u<=2D and pointwise simulation "
@@ -256,7 +256,7 @@ def test_criterion_7_downward_closure(capsys):
                 == g.value_at_index(idx)
             assert oracle.query_count <= du
             runs += 1
-        dg, _ = query_complexity(g)
+        dg, _ = query_complexity(hazard_free_table(g))
         assert dg <= du
     _say(capsys, f"criterion 7: PASS — closure solver equals the monotone "
                  f"closure on all {runs} binary inputs at n<=3 within D_u "
@@ -284,7 +284,7 @@ def test_criterion_9_witness_integrity(capsys):
 
         _, tree_u = query_complexity_u(table)
         assert verify_tree(tree_u, table) == (True, None)
-        _, tree_b = query_complexity(f)
+        _, tree_b = query_complexity(table)
         for i in range(1 << n):
             y = format(i, f"0{n}b")
             assert evaluate_tree(tree_b, y) == f.value_at_index(i)
@@ -307,7 +307,7 @@ def test_criterion_9_witness_integrity(capsys):
                 assert not (seen & member.block)
                 seen |= member.block
 
-        classical = standard_measures(f)
+        classical = standard_measures(table)
         if classical.c_witness is not None:
             assert validate_certificate(table, classical.c_witness)
         if classical.bs_family:

@@ -280,7 +280,7 @@ def test_monotone_simulation():
     for spec in ("or:3", "and:3", "mind:2"):
         f = generate(spec)
         table = hazard_free_table(f)
-        d, tree = query_complexity(f)
+        d, tree = query_complexity(table)
         solver = unate_solver(f, Orientation((0,) * f.arity), tree)
         for code in range(3 ** f.arity):
             hidden = TernaryString.from_code(code, f.arity)
@@ -292,7 +292,7 @@ def test_monotone_simulation():
 
 def test_monotone_simulation_rejects_non_monotone():
     f = generate("parity:2")
-    _, tree = query_complexity(f)
+    _, tree = query_complexity(hazard_free_table(f))
     with pytest.raises(ValueError):
         unate_solver(f, Orientation((0, 0)), tree)
 
@@ -302,7 +302,7 @@ def test_unate_simulation():
     orientation = unate_orientation(f)
     assert orientation is not None
     table = hazard_free_table(f)
-    d, tree = query_complexity(f)
+    d, tree = query_complexity(table)
     solver = unate_solver(f, orientation, tree)
     for code in range(27):
         hidden = TernaryString.from_code(code, 3)
@@ -316,7 +316,7 @@ def test_unate_simulation_rejects_bad_orientations():
     for n in (1, 2, 3):
         for bits in range(1 << (1 << n)):
             f = BooleanFunction(n, bits)
-            _, tree = query_complexity(f)
+            _, tree = query_complexity(hazard_free_table(f))
             for shift in range(1 << n):
                 orientation = Orientation(
                     tuple((shift >> (n - 1 - p)) & 1 for p in range(n)))

@@ -154,10 +154,19 @@ def test_parse_spec_metadata():
 
 
 def test_bad_specs():
+    # Numbers are ASCII digits and hex digits only: no sign, space,
+    # underscore or base prefix, which int() would otherwise take.
     for spec in ("nosuch:1", "or", "or:0", "or:x", "maj:2", "mind:3",
-                 "table:zz:2", "table:7", "random:3"):
+                 "table:zz:2", "table:7", "random:3",
+                 "table:-8:3", "table:0x08:4", "table:+008:4", "table:0_08:4",
+                 "table: 008:4", "maj:+3", "maj: 3", "or:2_0", "random:3:-5"):
         with pytest.raises(SpecError):
             generate(spec)
+    # leading zeros and uppercase hex stay accepted, and print canonically
+    assert generate("maj:03") == generate("maj:3")
+    assert generate("random:03:05") == generate("random:3:5")
+    assert generate("table:E8:3").to_spec() == "table:e8:3"
+    assert generate("table:0008:04").to_spec() == "table:0008:4"
 
 
 def test_random_spec_is_seeded():
@@ -254,6 +263,14 @@ def test_grid_is_a_read_only_view_of_the_values():
         assert copy == table and not copy.grid.flags.writeable
 
 
+def test_a_table_keeps_its_cap_outside_equality():
+    f = generate("maj:3")
+    table, capped = hazard_free_table(f), hazard_free_table(f, cap=5)
+    assert (table.cap, capped.cap) == (None, 5)
+    assert capped == table and hash(capped) == hash(table)
+    assert pickle.loads(pickle.dumps(capped)).cap == 5
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_least_input_matches_the_reference_scan(n):
     # every table and cell vector at n <= 3, seeded ones at n = 4..6
@@ -273,6 +290,13 @@ def test_least_input_matches_the_reference_scan(n):
                 got = table.least_input(cells, value)
                 want = R.least_input(ref, cells, value)
                 assert (None if got is None else got.trits) == want, (bits, cells, value)
+
+
+def test_least_input_refuses_cells_of_another_length():
+    table = hazard_free_table(generate("maj:3"))
+    for cells in ((3, 1), (STAR, 0, 1, 1)):
+        with pytest.raises(ValueError):
+            table.least_input(cells, 0)
 
 
 def test_is_monotone_brute():

@@ -1,4 +1,5 @@
-"""The trust base and the depth search import only what they may.
+"""The trust base and the depth search import only what they may, and no
+computation on a table takes an arity cap beside it.
 
 ``check`` re-derives every reported witness from the definitions, so it
 must not reach the kernels whose output it checks: it imports only
@@ -52,3 +53,16 @@ def test_trees_imports_only_core_at_module_level():
 
 def test_depth_imports_only_core_and_trees():
     assert _package_modules(_imports("depth", top_level_only=False)) == {"core", "trees"}
+
+
+def test_no_computation_on_a_table_takes_a_cap():
+    """A table carries the arity cap it was built under, so no function
+    of the modules computing on tables takes one beside it."""
+    for module in ("measures", "depth", "algorithms"):
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                names = {p.arg for p in params if p is not None}
+                assert "cap" not in names, (module, getattr(node, "name", "lambda"))

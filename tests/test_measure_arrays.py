@@ -156,7 +156,7 @@ def _check_summaries(n, bits):
     assert blocks.family_global == pointwise_bs[x][1]
     assert certs.c_u == max(certs.c_u_0, certs.c_u_1)
 
-    classical = standard_measures(f, table)
+    classical = standard_measures(table)
     binary = [x for x in xs if x.is_binary()]
     s, x = _lex_max((sensitivity_u_at(table, x), x) for x in binary)
     assert (classical.s, classical.s_attaining) == (s, x)
@@ -210,30 +210,32 @@ def test_pointwise_sensitivity_follows_the_array_on_corrupted_tables():
 
 
 def test_array_size_is_capped(monkeypatch):
+    """Every reader of the per-table arrays obeys the cap its table was
+    built under, and an explicit cap is the limit whatever the default."""
     f = generate("maj:3")
     table = hazard_free_table(f)
-    for summary in (block_summary, certificate_summary, _sensitivity_scan):
+    capped = HazardFreeTable(f, table.values, cap=2)
+    readers = (
+        block_summary, certificate_summary, _sensitivity_scan, standard_measures,
+        measure_report,
+        lambda t: certificate_u_at(t, "010"),
+        lambda t: minimal_sensitive_blocks(t, "010"),
+        lambda t: block_sensitivity_u_at(t, "010"),
+        lambda t: algorithm1_solve(t, Oracle("010")),
+    )
+    for read in readers:
         with pytest.raises(ArityCapError):
-            summary(table, cap=2)
-    with pytest.raises(ArityCapError):
-        certificate_u_at(table, "010", cap=2)
-    with pytest.raises(ArityCapError):
-        standard_measures(f, table, cap=2)
-    with pytest.raises(ArityCapError):
-        measure_report(f, cap=2)
-    with pytest.raises(ArityCapError):
-        measure_report(f, table=table, cap=2)
-    with pytest.raises(ArityCapError):
-        algorithm1_solve(table, Oracle("010"), cap=2)
-    assert measure_report(f, cap=3).bs_u == 3
-    assert algorithm1_solve(table, Oracle("010"), cap=3).output == 0
-    # Below the default cap only an explicit cap reaches the arrays, so
-    # every reader on these paths must be handed it.
+            read(capped)
+    blocks = minimal_sensitive_blocks(table, "010")
+    packing = block_sensitivity_u_at(table, "010")
     monkeypatch.setattr(uquery.measures, "DEFAULT_SEARCH_CAP", 2)
     with pytest.raises(ArityCapError):
         minimal_sensitive_blocks(table, "010")
-    assert measure_report(f, cap=3).bs_u == 3
-    assert algorithm1_solve(table, Oracle("010"), cap=3).output == 0
+    raised = hazard_free_table(f, cap=3)
+    assert measure_report(raised).bs_u == 3
+    assert algorithm1_solve(raised, Oracle("010")).output == 0
+    assert minimal_sensitive_blocks(raised, "010") == blocks
+    assert block_sensitivity_u_at(raised, "010") == packing
 
 
 # sha256 of the sorted-key JSON of measure_report(f, with_witnesses=True), one
@@ -253,7 +255,7 @@ def _pinned_tables():
 def test_reports_byte_identical():
     digest = hashlib.sha256()
     for f in _pinned_tables():
-        report = measure_report(f, with_witnesses=True).to_json_dict()
+        report = measure_report(hazard_free_table(f), with_witnesses=True).to_json_dict()
         digest.update(json.dumps(report, sort_keys=True).encode())
         digest.update(b"\n")
     assert digest.hexdigest() == REPORT_DIGEST
@@ -279,7 +281,7 @@ def test_measure_report_builds_the_forced_table_once(monkeypatch):
         monkeypatch.setattr(module, "_forced_bits", counted)
     uquery.measures._tabulate.cache_clear()
     f = BooleanFunction(5, random.Random(41).getrandbits(32))
-    measure_report(f, with_witnesses=True)
+    measure_report(hazard_free_table(f), with_witnesses=True)
     assert sorted(calls) == [(0, 1), (0, 1, 2)]
 
 
@@ -295,18 +297,6 @@ def test_a_table_built_from_a_bytearray_stores_bytes():
         with pytest.raises(ValueError):
             copy.grid[(0,) * f.arity] = 1
         uquery.measures._tabulate.cache_clear()
-        assert measure_report(f, with_witnesses=True, table=copy) \
-            == measure_report(f, with_witnesses=True, table=table)
+        assert measure_report(copy, with_witnesses=True) \
+            == measure_report(table, with_witnesses=True)
 
-
-def test_measures_refuse_the_table_of_another_function():
-    """A table is read only with the function it extends: another
-    function of the same arity or of another one is a ValueError."""
-    f = generate("or:2")
-    for other in ("and:2", "or:3"):
-        table = hazard_free_table(generate(other))
-        with pytest.raises(ValueError):
-            measure_report(f, table=table)
-        with pytest.raises(ValueError):
-            standard_measures(f, table)
-    assert measure_report(f, table=hazard_free_table(f)) == measure_report(f)

@@ -37,7 +37,7 @@ KNOWN = {
 
 @pytest.mark.parametrize("spec,want", sorted(KNOWN.items()))
 def test_known_values(spec, want):
-    report = measure_report(generate(spec))
+    report = measure_report(hazard_free_table(generate(spec)))
     got = (report.s, report.bs, report.C,
            report.s_u, report.bs_u, report.C_u, report.C_u_uval)
     assert got == want
@@ -69,7 +69,7 @@ def test_measures_match_brute_force(n, bits):
     assert certificate_complexity_u(table) == max(c0, c1)
 
     s, bs, c = R.classical_measures(bits, n)
-    got = standard_measures(f)
+    got = standard_measures(table)
     assert (got.s, got.bs, got.c) == (s, bs, c)
 
 
@@ -213,13 +213,13 @@ def test_bs_u_is_max_over_values():
 def test_constant_functions():
     for bits in (0, 0xFF):
         f = BooleanFunction(3, bits)
-        report = measure_report(f)
+        report = measure_report(hazard_free_table(f))
         assert (report.s_u, report.bs_u, report.C_u) == (0, 0, 0)
         assert (report.C_u_uval, report.D, report.D_u) == (0, 0, 0)
 
 
 def test_report_serialization():
-    report = measure_report(generate("ind:1"), with_witnesses=True)
+    report = measure_report(hazard_free_table(generate("ind:1")), with_witnesses=True)
     d = report.to_json_dict()
     assert d["C_u"] == 2 and d["bs_u"] == 3 and d["D_u"] == 3
     assert d["witnesses"]["C_u_uval"]["certificate"] == "u01"
@@ -230,9 +230,9 @@ def test_report_serialization():
 def test_bs_u_can_exceed_settled_certificates():
     # the catalogued extremal case: three pairwise-disjoint blocks at a
     # u-valued input, while every settled input has a 2-cell certificate
-    report = measure_report(generate("table:e0:3"))
-    assert report.bs_u == 3 and report.C_u == 2 and report.C_u_uval == 3
     table = hazard_free_table(generate("table:e0:3"))
+    report = measure_report(table)
+    assert report.bs_u == 3 and report.C_u == 2 and report.C_u_uval == 3
     summary = block_summary(table)
     assert table.evaluate(summary.attaining_global) == 2
     assert len(summary.family_global) == 3

@@ -13,7 +13,7 @@ import pytest
 import reference as R
 import uquery.measures
 import uquery.trees
-from uquery import ArityCapError, BooleanFunction, generate, hazard_free_table
+from uquery import ArityCapError, BooleanFunction, HazardFreeTable, generate, hazard_free_table
 from uquery.algorithms import algorithm1_tree
 from uquery.core import UNKNOWN
 from uquery.depth import (
@@ -60,8 +60,9 @@ KNOWN_DEPTHS = {
 @pytest.mark.parametrize("spec,want", sorted(KNOWN_DEPTHS.items()))
 def test_known_depths(spec, want):
     f = generate(spec)
-    d, tree = query_complexity(f)
-    du, tree_u = query_complexity_u(hazard_free_table(f))
+    table = hazard_free_table(f)
+    d, tree = query_complexity(table)
+    du, tree_u = query_complexity_u(table)
     assert (d, du) == want
     assert tree_depth(tree) == d
     assert tree_depth(tree_u) == du
@@ -88,7 +89,7 @@ def _sampled_functions():
 def test_depths_match_brute_force(n, bits):
     f = BooleanFunction(n, bits)
     table = hazard_free_table(f)
-    d, tree = query_complexity(f)
+    d, tree = query_complexity(table)
     du, tree_u = query_complexity_u(table)
     assert d == R.depth(bits, n)
     assert du == R.depth_u(R.full_table(bits, n), n)
@@ -116,7 +117,7 @@ def test_trees_byte_identical():
     digest = hashlib.sha256()
     for f in functions:
         table = hazard_free_table(f)
-        d, tree = query_complexity(f, table=table)
+        d, tree = query_complexity(table)
         du, tree_u = query_complexity_u(table)
         record = {"D": d, "D_u": du, "tree": tree_to_json_dict(tree),
                   "tree_u": tree_to_json_dict(tree_u)}
@@ -305,16 +306,8 @@ def test_relaxed_depths_against_the_minimax(both_paths, n, count):
                                     for j, a in enumerate(answers))
 
 
-def test_classical_depth_refuses_the_table_of_another_function():
-    f = generate("or:2")
-    for other in ("and:2", "or:3"):
-        with pytest.raises(ValueError):
-            query_complexity(f, table=hazard_free_table(generate(other)))
-    assert query_complexity(f, table=hazard_free_table(f)) == query_complexity(f)
-
-
 def test_binary_tree_rejects_unresolved_input():
-    _, tree = query_complexity(generate("or:2"))
+    _, tree = query_complexity(hazard_free_table(generate("or:2")))
     with pytest.raises(ValueError):
         evaluate_tree(tree, "0u")
 
@@ -339,7 +332,7 @@ def test_verify_tree_flags_tampering():
 def test_verify_tree_checks_classical_trees_on_binary_inputs():
     f = generate("maj:3")
     table = hazard_free_table(f)
-    _, tree = query_complexity(f, table=table)
+    _, tree = query_complexity(table)
     assert verify_tree(tree, table) == (True, None)
     # Evaluating a classical tree on a u input raises, so a counterexample
     # at all means only binary inputs were tried; it is the least of them.
@@ -496,7 +489,7 @@ def test_verify_tree_matches_the_input_replay(n):
         f = BooleanFunction(n, bits)
         table = hazard_free_table(f)
         candidates = list(_edge_trees(n))
-        for tree in (query_complexity(f, table=table)[1], query_complexity_u(table)[1]):
+        for tree in (query_complexity(table)[1], query_complexity_u(table)[1]):
             obj = tree_to_json_dict(tree)
             candidates += [obj, tree_to_json_dict(_flip_last_leaf(tree))]
             for _ in range(5 if n <= 6 else 0):
@@ -531,7 +524,7 @@ def test_built_trees_take_the_leaf_grid(n):
         f = BooleanFunction(n, bits)
         table = hazard_free_table(f)
         values = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)
-        for tree in (query_complexity(f, table=table)[1], query_complexity_u(table)[1],
+        for tree in (query_complexity(table)[1], query_complexity_u(table)[1],
                      algorithm1_tree(table)):
             classical = tree.var[0] and tree.first[1] - tree.first[0] == 2
             block = values[(slice(0, 2 if classical else 3),) * n]
@@ -589,7 +582,7 @@ def test_serialization_roundtrip():
         _, tree = query_complexity_u(table)
         assert parse_tree(serialize_tree(tree)) == tree
         assert tree_from_json_dict(tree_to_json_dict(tree)) == tree
-    _, binary = query_complexity(generate("maj:3"))
+    _, binary = query_complexity(hazard_free_table(generate("maj:3")))
     assert parse_tree(serialize_tree(binary)) == binary
 
 
@@ -649,16 +642,19 @@ def test_deep_tree_without_repeats_builds():
 
 
 def test_search_cap():
+    f = generate("maj:3")
+    capped = HazardFreeTable(f, hazard_free_table(f).values, cap=2)
     with pytest.raises(ArityCapError):
-        query_complexity_u(hazard_free_table(generate("maj:3")), cap=2)
+        query_complexity_u(capped)
     with pytest.raises(ArityCapError):
-        query_complexity(generate("maj:3"), cap=2)
+        query_complexity(capped)
 
 
 def test_constant_trees():
     f = BooleanFunction(2, 0b1111)
-    d, tree = query_complexity(f)
-    du, tree_u = query_complexity_u(hazard_free_table(f))
+    table = hazard_free_table(f)
+    d, tree = query_complexity(table)
+    du, tree_u = query_complexity_u(table)
     assert (d, du) == (0, 0)
     assert tree == tree_u == DecisionTree((0,), (1,), (1, 1))
 
@@ -671,7 +667,7 @@ def _text_trees():
         for bits in _kernel_tables(n, 4):
             f = BooleanFunction(n, bits)
             table = hazard_free_table(f)
-            yield query_complexity(f, table=table)[1]
+            yield query_complexity(table)[1]
             yield query_complexity_u(table)[1]
         yield from map(_build, _edge_trees(n))
     yield DecisionTree((0,), (2,), (1, 1))

@@ -189,7 +189,7 @@ def test_record_fields():
 def test_witness_problems_reach_the_classical_witnesses():
     f = BooleanFunction(3, 0b11101000)  # maj:3
     table = hazard_free_table(f)
-    report = measure_report(f, with_witnesses=True, table=table)
+    report = measure_report(table, with_witnesses=True)
     problems = uquery.check._witness_problems
     assert problems(table, report) is None
 
@@ -213,6 +213,12 @@ def test_witness_problems_reach_the_classical_witnesses():
         == "s_u input attains a different sensitivity"
     assert broken(C={"certificate": "01*"}, D={"depth": 2}) \
         == "C certificate conflicts with its input"
+    # an input of another length is a defect, not a crash or a pass
+    assert broken(C_u={"input": "01"}) == "C_u input has the wrong length"
+    assert broken(bs_u={"input": "u"}) == "bs_u input has the wrong length"
+    assert broken(s={"input": "0101"}) == "s input has the wrong length"
+    for base in ("01", "0101"):
+        assert not uquery.check.validate_block_family(table, base, ())
 
 
 def test_survivor_prefers_the_least_one_valued_input():
@@ -283,10 +289,10 @@ def test_final_claims_fail_on_an_early_u(monkeypatch):
     # the row must fail and name the least one of the first bad run.
     real = uquery.algorithms._algorithm1_step
 
-    def early_u(table, cells, stage, cap):
+    def early_u(table, cells, stage):
         if stage is not None:
             return UNKNOWN
-        stage, todo = real(table, cells, stage, cap)
+        stage, todo = real(table, cells, stage)
         return stage, todo[:1]
 
     def problem(f, run, want):
@@ -302,8 +308,8 @@ def test_correct_fails_on_a_flipped_output(monkeypatch):
     # extension is resolved.
     real = uquery.algorithms._algorithm1_step
 
-    def flipped(table, cells, stage, cap):
-        step = real(table, cells, stage, cap)
+    def flipped(table, cells, stage):
+        step = real(table, cells, stage)
         return 1 - step if step in (0, 1) else step
 
     def problem(f, run, want):
@@ -319,8 +325,8 @@ def test_within_budget_fails_on_a_lowered_budget(monkeypatch):
     # the budget is lowered by 2 for some runs to exceed it.
     real = uquery.algorithms._cost_budget
 
-    def lowered(table, cap=None):
-        return real(table, cap) - 2
+    def lowered(table):
+        return real(table) - 2
 
     def problem(f, run, want):
         budget = run.bound - 2
