@@ -3,7 +3,8 @@
 Every command prints deterministic text for fixed arguments; wall-clock
 timing appears only inside JSON reports written with --json.  Exit
 codes: 0 on success, 1 when a verification or consistency check fails,
-2 for usage errors (bad specs, bad inputs, inapplicable methods).
+2 for usage errors (bad specs, bad inputs, inapplicable methods,
+unwritable output paths).
 """
 
 from __future__ import annotations
@@ -66,17 +67,21 @@ def _write_json(path: str, payload: dict, trees: Sequence[DecisionTree] = ()) ->
     where ``trees[k]`` stands in the payload as ``_TREE_SLOT % k``.  Those
     trees are written by ``write_indented_tree`` at the nesting of their
     slot: the ``json`` module's indenting encoder is pure Python, and on a
-    tree of 100k nodes takes ten times as long."""
+    tree of 100k nodes takes ten times as long.  A path that cannot be
+    written is a usage error."""
     text = json.dumps(payload, indent=2, sort_keys=True)
     pieces = re.split(r'"\\u0000tree(\d+)"', text)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(pieces[0])
-        for k in range(1, len(pieces), 2):
-            line = pieces[k - 1].rpartition("\n")[2]
-            nesting = (len(line) - len(line.lstrip(" "))) // 2
-            write_indented_tree(trees[int(pieces[k])], handle, nesting)
-            handle.write(pieces[k + 1])
-        handle.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(pieces[0])
+            for k in range(1, len(pieces), 2):
+                line = pieces[k - 1].rpartition("\n")[2]
+                nesting = (len(line) - len(line.lstrip(" "))) // 2
+                write_indented_tree(trees[int(pieces[k])], handle, nesting)
+                handle.write(pieces[k + 1])
+            handle.write("\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _input_for(f, text: str) -> TernaryString:

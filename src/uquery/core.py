@@ -26,6 +26,7 @@ from __future__ import annotations
 import random as _random
 import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -372,43 +373,59 @@ class HazardFreeTable:
         return HazardFreeTable, (self.function, self.values, self.cap)
 
 
-def _merge_axes(vals: np.ndarray) -> None:
-    """In place, along each axis: the u layer takes the 0 layer where
-    that agrees with the 1 layer, and u elsewhere.
+def _add_u_layers(codes: np.ndarray, axes: int, block: int) -> np.ndarray:
+    """Extend ``axes`` binary axes of value codes to ternary ones, innermost first.
 
-    Axis k is variable k+1.  Merging axis by axis is sound because the
-    entry with u on a set S of axes is (re)written at every axis in S
-    and the last write, at max(S), reads children whose sets are subsets
-    of S already finalized by earlier axes.
+    ``codes`` holds blocks of ``block`` entries in C order, each closed
+    over its own variables, one block per setting of the binary axes.
+    Each step pairs the blocks that differ only in the innermost binary
+    axis, keeps the pair as its 0 and 1 layers and adds their OR as its
+    u layer, so a step triples the block and halves the number of
+    blocks.  The OR is right because the resolutions of an entry with a
+    u on that axis are those of its two neighbours there together.
     """
-    n = vals.ndim
-    for axis in range(n):
-        view = vals.reshape(3 ** axis, 3, 3 ** (n - 1 - axis))
-        view[:, UNKNOWN] = view[:, 0]
-        np.copyto(view[:, UNKNOWN], UNKNOWN, where=view[:, 0] != view[:, 1])
+    for _ in range(axes):
+        pairs = codes.reshape(-1, 2, block)
+        codes = np.empty((len(pairs), 3, block), np.uint8)
+        codes[:, :2] = pairs
+        np.bitwise_or(pairs[:, 0], pairs[:, 1], out=codes[:, UNKNOWN])
+        block *= 3
+    return codes.reshape(-1, block)
 
 
-def _truth_bits(f: BooleanFunction) -> np.ndarray:
-    """The 2**n truth-table bits of f as uint8, entry i the value at index i."""
-    size = 1 << f.arity
-    packed = np.frombuffer(f.bits.to_bytes(max(1, size // 8), "little"), np.uint8)
-    return np.unpackbits(packed, bitorder="little")[:size]
+@cache
+def _byte_codes(m: int) -> np.ndarray:
+    """Row b: the 3**m value codes of the function of m <= 3 variables
+    whose truth bits are the byte b, as ``hazard_free_table`` codes them."""
+    size = 1 << m
+    bits = np.arange(1 << size)[:, None] >> np.arange(size) & 1
+    codes = _add_u_layers((bits + 1).astype(np.uint8), m, 1)
+    codes.flags.writeable = False
+    return codes
 
 
 def hazard_free_table(f: BooleanFunction, cap: int | None = None) -> HazardFreeTable:
     """Tabulate the hazard-free extension of f over all 3**n ternary inputs.
 
-    Computed by dynamic programming over the number of u positions: an
-    entry with a u at position i is the merge of its two one-step
-    resolutions at i (equal bits stay, disagreement gives u).  No entry
-    ever enumerates its full resolution set.
+    Each entry is first coded by the values its resolutions take: 1 for
+    0 alone, 2 for 1 alone and 3 for both, that is u, so the code is
+    one plus the table value.  An entry with a u at some position
+    resolves exactly as its two neighbours there, 0 and 1, together, so
+    its code is their bitwise OR: equal codes stay, different ones give
+    3.  Byte j of the truth table holds the bits of the last m = min(n, 3)
+    variables at the j-th setting of the others, so one lookup of each
+    byte in ``_byte_codes(m)`` gives those 3**m entries, and
+    ``_add_u_layers`` adds the other n - m variables' u layers with one
+    OR each over blocks of at least 3**m entries.  No entry ever
+    enumerates its resolutions.
     """
     n = f.arity
     check_cap(n, cap, DEFAULT_TABLE_CAP, "hazard-free table")
-    vals = np.empty((3,) * n, dtype=np.uint8)
-    vals[np.ix_(*([0, 1],) * n)] = _truth_bits(f).reshape((2,) * n)
-    _merge_axes(vals)
-    return HazardFreeTable(f, vals.reshape(-1).tobytes(), cap)
+    m = min(n, 3)  # a byte holds 8 truth bits
+    packed = np.frombuffer(f.bits.to_bytes(max(1, (1 << n) // 8), "little"), np.uint8)
+    codes = _add_u_layers(_byte_codes(m).take(packed, axis=0), n - m, 3 ** m)
+    codes -= 1
+    return HazardFreeTable(f, codes.tobytes(), cap)
 
 
 def _slopes(f: BooleanFunction) -> list[tuple[bool, bool]]:

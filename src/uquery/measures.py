@@ -337,13 +337,22 @@ def _block_witnesses(vals, x, base, pw, blocks) -> tuple[SensitiveBlockWitness, 
 
 
 def _max_disjoint(blocks: list[tuple[int, ...]]) -> list[int]:
-    """Indices of a maximum disjoint subfamily (exact branch and bound)."""
+    """Indices of a maximum disjoint subfamily (exact branch and bound).
+
+    The blocks come ordered by size, so the blocks from j on that still
+    fit are at most ``free // len(blocks[j])``, ``free`` being the
+    positions of their union outside ``used``; a branch is cut only when
+    it cannot strictly beat the best family, which thus stays the first
+    maximum one in search order.
+    """
     masks = []
+    union = 0
     for blk in blocks:
         bm = 0
         for p in blk:
             bm |= 1 << p
         masks.append(bm)
+        union |= bm
     best: list[int] = []
     chosen: list[int] = []
 
@@ -351,8 +360,9 @@ def _max_disjoint(blocks: list[tuple[int, ...]]) -> list[int]:
         nonlocal best
         if len(chosen) > len(best):
             best = chosen.copy()
+        free = (union & ~used).bit_count()
         for j in range(start, len(blocks)):
-            if len(chosen) + len(blocks) - j <= len(best):
+            if len(chosen) + min(len(blocks) - j, free // len(blocks[j])) <= len(best):
                 break
             if masks[j] & used:
                 continue

@@ -4,7 +4,11 @@ Everything here recomputes definitions by plain enumeration over raw
 truth-table integers, deliberately independent of the package's
 optimized code paths.  Trits are 0, 1 and U = 2; truth-table bit i is
 the value at binary index i with variable 1 as the most significant
-bit of the index.  The exceptions run package code the plain way:
+bit of the index.  The exceptions run package code the plain way, or
+are package kernels as they were before a faster one replaced them:
+``merged_table`` is the hazard-free table builder that merged one axis
+at a time, ``max_disjoint_indices`` the packing search whose bound
+counted the blocks left but not the free positions,
 ``verify_tree_by_inputs`` replays package trees on package tables input
 by input, ``read_tree`` is the recursive tree extraction the layered one
 of ``depth._read_tree`` replaced, ``far_start_tree`` is a byte
@@ -65,6 +69,25 @@ def resolution_eval(bits: int, n: int, x) -> int:
 
 def full_table(bits: int, n: int) -> dict:
     return {x: resolution_eval(bits, n, x) for x in ternary_strings(n)}
+
+
+def merged_table(bits: int, n: int) -> bytes:
+    """The hazard-free table's values as the builder before the byte
+    lookup made them: the truth bits unpacked into the binary entries of
+    a (3,) * n array, then in place, along each axis in turn, the u layer
+    takes the 0 layer where that agrees with the 1 layer and u elsewhere.
+    The entry with u on a set S of axes is last written at the last axis
+    of S, from children whose sets are subsets of S already final."""
+    size = 1 << n
+    packed = np.frombuffer(bits.to_bytes(max(1, size // 8), "little"), np.uint8)
+    vals = np.empty((3,) * n, dtype=np.uint8)
+    vals[np.ix_(*([0, 1],) * n)] = np.unpackbits(
+        packed, bitorder="little")[:size].reshape((2,) * n)
+    for axis in range(n):
+        view = vals.reshape(3 ** axis, 3, 3 ** (n - 1 - axis))
+        view[:, U] = view[:, 0]
+        np.copyto(view[:, U], U, where=view[:, 0] != view[:, 1])
+    return vals.tobytes()
 
 
 def forced_value(table: dict, cell):
@@ -137,6 +160,30 @@ def sensitive_blocks(table: dict, n: int, x) -> list:
                     out.append(frozenset(blk))
                     break
     return out
+
+
+def max_disjoint_indices(blocks) -> list:
+    """Indices of the first maximum disjoint subfamily, in search order,
+    of blocks ordered by size: a branch is cut only when the blocks left
+    could not beat the best family even if all of them fit."""
+    masks = [sum(1 << p for p in blk) for blk in blocks]
+    best, chosen = [], []
+
+    def dfs(start, used):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen.copy()
+        for j in range(start, len(blocks)):
+            if len(chosen) + len(blocks) - j <= len(best):
+                break
+            if masks[j] & used:
+                continue
+            chosen.append(j)
+            dfs(j + 1, used | masks[j])
+            chosen.pop()
+
+    dfs(0, 0)
+    return best
 
 
 def max_disjoint(blocks) -> int:

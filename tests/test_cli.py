@@ -278,6 +278,23 @@ def test_bad_spec_exits_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "or:2", "--out"),
+    ("tree", "maj:3", "--out"),
+    ("measures", "maj:3", "--json"),
+    ("solve", "maj:3", "01u", "--json"),
+    ("verify", "core", "--n", "1", "--workers", "1", "--json"),
+], ids=lambda argv: argv[0])
+def test_unwritable_output_path_exits_2(capsys, tmp_path, argv):
+    missing = tmp_path / "missing" / "x.json"
+    for path, reason in ((missing, "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        rc, _, err = run(capsys, *argv, str(path))
+        assert rc == 2
+        assert err == f"error: cannot write {path}: {reason}\n"
+    assert not missing.parent.exists()
+
+
 def test_cap_flag(capsys):
     rc, _, err = run(capsys, "measures", "or:5", "--cap", "4")
     assert rc == 2 and "cap" in err

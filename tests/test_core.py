@@ -1,5 +1,6 @@
 """Core types: ternary strings, assignments, functions, extensions."""
 
+import hashlib
 import itertools
 import pickle
 import random
@@ -29,7 +30,6 @@ from uquery import (
     resolutions,
     unate_orientation,
 )
-from uquery.core import _truth_bits
 
 
 def test_ternary_parse_and_str():
@@ -200,17 +200,27 @@ def test_caps():
     assert generate("or:5", cap=5).arity == 5
 
 
-def test_truth_bits_match_the_generator():
-    # n = 1 and 2 pack fewer than 8 bits into their one byte.
-    functions = [BooleanFunction(n, bits) for n in (1, 2) for bits in range(1 << (1 << n))]
+def test_table_matches_the_axis_merge():
+    # Every table at n <= 4, n = 1 and 2 among them with fewer than 8
+    # truth bits in their one byte, then seeded ones up to n = 14.
+    functions = [BooleanFunction(n, bits) for n in range(1, 5) for bits in range(1 << (1 << n))]
     rng = random.Random(3)
-    functions += [BooleanFunction(n, rng.getrandbits(1 << n)) for n in range(3, 13)]
-    functions += [generate("random:8:1"), generate("random:12:1"), generate("or:12")]
+    functions += [BooleanFunction(n, rng.getrandbits(1 << n)) for n in range(5, 15) for _ in range(2)]
+    functions += [generate(spec) for spec in ("random:8:1", "random:12:1", "or:12", "and:9")]
     for f in functions:
-        want = np.fromiter(((f.bits >> i) & 1 for i in range(1 << f.arity)),
-                           dtype=np.uint8, count=1 << f.arity)
-        got = _truth_bits(f)
-        assert got.dtype == np.uint8 and np.array_equal(got, want), f.to_spec()
+        assert hazard_free_table(f).values == R.merged_table(f.bits, f.arity), f.to_spec()
+
+
+# sha256 of the values of every table at n = 1..4, in order of n then bits.
+ALL_TABLES_DIGEST = "ce1aa3ca4b4625a1969650701ccf5f2ee034b3bd68ff0d0ba64ac8ff3e91b6bc"
+
+
+def test_every_table_to_arity_4_has_the_pinned_digest():
+    digest = hashlib.sha256()
+    for n in range(1, 5):
+        for bits in range(1 << (1 << n)):
+            digest.update(hazard_free_table(BooleanFunction(n, bits)).values)
+    assert digest.hexdigest() == ALL_TABLES_DIGEST
 
 
 def test_extension_matches_brute_force():

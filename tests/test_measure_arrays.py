@@ -108,6 +108,20 @@ def test_summaries_match_pointwise_maxima(both_paths, n):
             _check_summaries(n, bits)
 
 
+@pytest.mark.parametrize("n", ARITIES)
+def test_packing_picks_the_family_of_the_block_count_bound(n):
+    # The bound that also counts free positions cuts only branches that
+    # cannot strictly beat the best family, so the same one is chosen.
+    for bits in _tables(n):
+        table = hazard_free_table(BooleanFunction(n, bits))
+        arrays = _measure_arrays(table)
+        for x in _inputs(n):
+            blocks = uquery.measures._minimal_blocks(
+                table, arrays, x.trits, table.values[x.code()])
+            assert uquery.measures._max_disjoint(blocks) == R.max_disjoint_indices(blocks), (
+                n, bits, x)
+
+
 def _check_pointwise(n, bits):
     table = hazard_free_table(BooleanFunction(n, bits))
     arrays = _measure_arrays(table)
