@@ -24,7 +24,7 @@ from .core import (
     TernaryString,
     as_ternary,
 )
-from .trees import tree_depth, tree_from_json_dict, verify_tree
+from .trees import tree_depth, tree_from_json_dict, tree_to_json_dict, verify_tree
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,9 @@ def _certificate_problem(table: HazardFreeTable, key: str, d: dict,
 
 def _tree_problem(table: HazardFreeTable, key: str, d: dict, want: int,
                   model: str) -> str | None:
-    tree = tree_from_json_dict(d["tree"])
+    # The tree is checked as read back from its JSON form, the form the
+    # report is written in.
+    tree = tree_from_json_dict(tree_to_json_dict(d["tree"]))
     if d["depth"] != want or tree_depth(tree) != want:
         return f"{model} tree depth differs from the reported value"
     ok, bad = verify_tree(tree, table)

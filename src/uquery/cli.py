@@ -15,6 +15,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from .algorithms import (
@@ -33,10 +34,11 @@ from .core import (
     unate_orientation,
 )
 from .depth import query_complexity, query_complexity_u
-from .measures import measure_report
+from .measures import TREE_WITNESSES, measure_report
 from .trees import (
     DecisionTree,
     serialize_tree,
+    sorted_tree_text,
     verify_tree,
     write_indented_tree,
 )
@@ -47,39 +49,57 @@ ENV_CAP = "UQUERY_CAP"
 
 
 def _resolve_cap(args) -> int | None:
-    if args.cap is not None:
-        return args.cap
-    text = os.environ.get(ENV_CAP)
-    if text is None:
-        return None
-    try:
-        return int(text, 10)
-    except ValueError:
-        raise ValueError(f"{ENV_CAP} must be an integer, got {text!r}") from None
+    """The --cap flag, else the environment fallback, else None.  A cap
+    below 1 would refuse every function, so it is a usage error."""
+    cap = args.cap
+    if cap is None:
+        text = os.environ.get(ENV_CAP)
+        if text is None:
+            return None
+        try:
+            cap = int(text, 10)
+        except ValueError:
+            raise ValueError(f"{ENV_CAP} must be an integer, got {text!r}") from None
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    return cap
 
 
-# The payload value _write_json replaces with the tree of that index.
+# The string that stands for ``trees[k]`` in text that _write_spliced writes.
 _TREE_SLOT = "\0tree%d"
+
+
+def _tree_slots(witnesses: dict) -> tuple[dict, list[DecisionTree]]:
+    """The witnesses with ``_TREE_SLOT % k`` in place of the k-th tree, and the trees."""
+    slotted = dict(witnesses)
+    for k, key in enumerate(TREE_WITNESSES):
+        slotted[key] = {**witnesses[key], "tree": _TREE_SLOT % k}
+    return slotted, [witnesses[key]["tree"] for key in TREE_WITNESSES]
+
+
+def _write_spliced(handle, text: str, trees: Sequence[DecisionTree], write_tree) -> None:
+    """Write the ``json.dumps`` text ``text`` with each ``_TREE_SLOT % k`` in
+    it replaced by ``write_tree(trees[k], handle, nesting)``, ``nesting``
+    being the indentation of the slot's line in steps of two spaces: its
+    depth in an indented text."""
+    pieces = re.split(r'"\\u0000tree(\d+)"', text)
+    handle.write(pieces[0])
+    for k in range(1, len(pieces), 2):
+        line = pieces[k - 1].rpartition("\n")[2]
+        write_tree(trees[int(pieces[k])], handle, (len(line) - len(line.lstrip(" "))) // 2)
+        handle.write(pieces[k + 1])
 
 
 def _write_json(path: str, payload: dict, trees: Sequence[DecisionTree] = ()) -> None:
     """Write ``json.dump(payload, indent=2, sort_keys=True)`` and a newline,
-    where ``trees[k]`` stands in the payload as ``_TREE_SLOT % k``.  Those
-    trees are written by ``write_indented_tree`` at the nesting of their
-    slot: the ``json`` module's indenting encoder is pure Python, and on a
-    tree of 100k nodes takes ten times as long.  A path that cannot be
-    written is a usage error."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    pieces = re.split(r'"\\u0000tree(\d+)"', text)
+    with the trees in the payload's slots written by ``write_indented_tree``:
+    the ``json`` module's indenting encoder is pure Python, and on a tree of
+    100k nodes takes ten times as long.  A path that cannot be written is a
+    usage error."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(pieces[0])
-            for k in range(1, len(pieces), 2):
-                line = pieces[k - 1].rpartition("\n")[2]
-                nesting = (len(line) - len(line.lstrip(" "))) // 2
-                write_indented_tree(trees[int(pieces[k])], handle, nesting)
-                handle.write(pieces[k + 1])
-            handle.write("\n")
+            _write_spliced(handle, text, trees, write_indented_tree)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -129,18 +149,15 @@ def cmd_measures(args) -> int:
     print(f"function = {f.to_spec()}")
     print(f"arity = {f.arity}")
     print(report.to_text())
+    payload = {"function": f.to_spec(), "arity": f.arity,
+               **replace(report, witnesses=None).to_json_dict()}
+    trees = ()
     if args.witnesses:
-        print(f"witnesses = {json.dumps(report.witnesses, sort_keys=True)}")
+        payload["witnesses"], trees = _tree_slots(report.witnesses)
+        _write_spliced(sys.stdout,
+                       f"witnesses = {json.dumps(payload['witnesses'], sort_keys=True)}\n",
+                       trees, lambda tree, handle, nesting: handle.write(sorted_tree_text(tree)))
     if args.json_path:
-        payload = {"function": f.to_spec(), "arity": f.arity}
-        payload.update(report.to_json_dict())
-        if args.witnesses:
-            payload["witnesses"] = witnesses = dict(report.witnesses)
-            for k, key in enumerate(("D", "D_u")):
-                witnesses[key] = {**witnesses[key], "tree": _TREE_SLOT % k}
-        # The report's own tree dicts go before the tree texts are built.
-        trees = report.witness_trees
-        del report
         _write_json(args.json_path, payload, trees)
     return 0
 

@@ -582,7 +582,7 @@ def parse_spec(spec: str) -> dict:
     def int_param(text: str, name: str) -> int:
         # Digits only: int() would also take a sign, spaces and underscores.
         if not re.fullmatch("[0-9]+", text):
-            raise SpecError(f"{name} in spec {spec!r} must be an integer")
+            raise SpecError(f"{name} in spec {spec!r} must be a non-negative decimal integer")
         return int(text, 10)
 
     if family in _FAMILIES:

@@ -39,7 +39,7 @@ loops can be distributed freely (the verification harness does).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Sequence
@@ -580,10 +580,18 @@ _REPORT_FIELDS = (
     "s", "bs", "C", "D", "D_u",
 )
 
+# The witnesses that hold a ``DecisionTree`` under "tree".
+TREE_WITNESSES = ("D", "D_u")
+
 
 @dataclass(frozen=True)
 class MeasureReport:
-    """All measures of one function, with optional serializable witnesses."""
+    """All measures of one function, with optional witnesses.
+
+    The witnesses are plain JSON values, but for the D and D_u witness
+    trees, which are held as ``DecisionTree``s under ``"tree"``;
+    ``to_json_dict`` gives the report with their JSON form there.
+    """
 
     s_u: int
     bs_u: int
@@ -600,15 +608,14 @@ class MeasureReport:
     D: int
     D_u: int
     witnesses: dict | None = None
-    # The D and D_u witness trees themselves, for writers that format
-    # them without going through their dicts in ``witnesses``.
-    witness_trees: tuple[trees.DecisionTree, trees.DecisionTree] | None = field(
-        default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         out = {name: getattr(self, name) for name in _REPORT_FIELDS}
         if self.witnesses is not None:
-            out["witnesses"] = self.witnesses
+            out["witnesses"] = witnesses = dict(self.witnesses)
+            for key in TREE_WITNESSES:
+                witnesses[key] = {**witnesses[key],
+                                  "tree": trees.tree_to_json_dict(witnesses[key]["tree"])}
         return out
 
     def to_text(self) -> str:
@@ -662,8 +669,8 @@ def measure_report(table: HazardFreeTable, *, with_witnesses: bool = False) -> M
             },
             "bs": _family_witness(classical.bs_attaining, classical.bs_family),
             "C": _certificate_witness(classical.c_attaining, classical.c_witness),
-            "D": {"depth": d, "tree": trees.tree_to_json_dict(tree_b)},
-            "D_u": {"depth": d_u, "tree": trees.tree_to_json_dict(tree_u)},
+            "D": {"depth": d, "tree": tree_b},
+            "D_u": {"depth": d_u, "tree": tree_u},
         }
 
     return MeasureReport(
@@ -682,5 +689,4 @@ def measure_report(table: HazardFreeTable, *, with_witnesses: bool = False) -> M
         D=d,
         D_u=d_u,
         witnesses=witnesses,
-        witness_trees=(tree_b, tree_u),
     )

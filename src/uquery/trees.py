@@ -14,20 +14,28 @@ evaluation and checking read them; no per-node object exists.
 
 ``tree_to_json_dict`` builds the JSON form bottom up, layer by layer,
 each node from its children's dicts, so any depth converts without
-recursion.  ``serialize_tree`` and ``write_indented_tree`` lay the nodes
-out in pre-order with NumPy, from subtree sizes found a layer at a time,
-and join a text fragment per node and a closer per query node from
-small tables.  ``verify_tree`` checks a well-formed tree without
-replaying it input by input: it finds each node's least input and
-queried axes a layer at a time, writes the leaves into a prediction
-array one group of leaves with the same queried axes at a time, and
-compares the array with the table once to find the least
-counterexample; the verify harness writes leaf indices the same way
-(``_leaf_grid``) to find the leaf each input reaches.  A tree that is
-not well formed (a variable outside 1..n or repeated on a path, or a
-node with another child count than the root) is evaluated input by
-input instead; no tree the package builds is one.  The check reads only
-the tree and the table, never the depth search's level planes.
+recursion.  Only ``MeasureReport.to_json_dict`` and the verify harness's
+tree check, which reads each witness tree back from its JSON form, still
+build it.  The text of a tree comes in three styles, each the text
+``json.dumps`` gives the JSON form: compact (``serialize_tree``, the
+``tree`` command's), with sorted keys on one line (``sorted_tree_text``,
+the ``measures --witnesses`` line's) and with sorted keys indented
+(``write_indented_tree``, the ``--json`` files').  All three lay the
+nodes out in pre-order with NumPy, from the pieces of text below each
+layer, found a layer at a time, and join a text fragment per node and a
+closer per query node from small tables.
+
+``verify_tree`` checks a well-formed tree without replaying it input by
+input: it finds each node's least input and queried axes a layer at a
+time, writes the leaves into a prediction array one group of leaves
+with the same queried axes at a time, and compares the array with the
+table once to find the least counterexample; the verify harness writes
+leaf indices the same way (``_leaf_grid``) to find the leaf each input
+reaches.  A tree that is not well formed (a variable outside 1..n or
+repeated on a path, or a node with another child count than the root)
+is evaluated input by input instead; no tree the package builds is one.
+The check reads only the tree and the table, never the depth search's
+level planes.
 """
 
 from __future__ import annotations
@@ -134,19 +142,20 @@ def _node_values(values: tuple[int, ...]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _links(tree: DecisionTree) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The first node of each layer (then the node count), and per node
-    its parent (0 at the root) and the answer that leads to it (3 at the
-    root).  As the children of each node are consecutive and come in the
-    order of their parents, node j > 0 is a child of the node repeated at
-    j - 1 when each node is repeated once per child."""
+def _links(tree: DecisionTree) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """The first node of each layer (then the node count), the ``first``
+    array, and per node its parent (0 at the root) and the answer that
+    leads to it (3 at the root).  As the children of each node are
+    consecutive and come in the order of their parents, node j > 0 is a
+    child of the node repeated at j - 1 when each node is repeated once
+    per child."""
     first = _node_values(tree.first)
     size = len(first) - 1
     parent = np.zeros(size, dtype=np.intp)
-    parent[1:] = np.repeat(np.arange(size), first[1:] - first[:-1])
+    parent[1:] = np.arange(size).repeat(first[1:] - first[:-1])
     answer = np.arange(size) - first[parent]
     answer[0] = 3
-    return _layer_starts(tree.first), parent, answer
+    return _layer_starts(tree.first), first, parent, answer
 
 
 def evaluate_tree(tree: DecisionTree, y: TernaryString | str) -> int:
@@ -210,7 +219,7 @@ def _leaf_grid(tree: DecisionTree, n: int, entry: np.ndarray) -> _Leaves | None:
     group's queried axes first: a leaf's block is its path answer on each
     of them and every value on the others.
     """
-    starts, parent, answer = _links(tree)
+    starts, _, parent, answer = _links(tree)
     var = _node_values(tree.var)
     kids = np.bincount(parent[1:], minlength=parent.size)
     if (var > n).any() or (kids[var != 0] != kids[0]).any():
@@ -306,66 +315,79 @@ def _slots(tree: DecisionTree, query: np.ndarray) -> tuple[np.ndarray, ...]:
     and where the fragment of each node and the closer of each query
     node go among the pieces of the tree's text.
 
-    Subtree sizes are summed a layer at a time from the deepest up.  In
-    pre-order a node then comes right after its parent and its earlier
-    siblings' subtrees, found a layer at a time from the root down.  The
-    closers of the query nodes whose subtree ends at a node follow its
-    fragment, deepest first.
+    A leaf writes one piece and a query node two, its fragment and its
+    closer; the pieces of a subtree are consecutive, the fragment of its
+    root first and its closer last.  ``ahead[j]`` starts as minus the
+    pieces of nodes j and on (0 at j = size) and then, a layer at a time
+    from the deepest up, adds ``ahead[first[j]]``.  As the children of
+    nodes a..b-1 of one layer are nodes first[a]..first[b]-1,
+    ``ahead[b] - ahead[a]`` then counts the pieces of those nodes'
+    subtrees.  A node's fragment comes right after its parent's fragment
+    and the pieces of its earlier siblings' subtrees, offsets summed
+    along each path a layer at a time from the root down.
     """
-    starts, parent, answer = _links(tree)
-    layer = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
-    size = np.ones(len(parent), dtype=np.int64)
-    for start, stop in reversed(list(zip(starts[1:], starts[2:]))):
-        np.add.at(size, parent[start:stop], size[start:stop])
-    pos = np.cumsum(size)
-    pos -= size  # the subtrees of the nodes before each, in node order
-    pos -= pos[np.maximum(np.arange(len(pos)) - answer, 0)]  # of its earlier siblings only
-    pos += 1
-    pos[0] = 0
-    for start, stop in zip(starts[1:], starts[2:]):
-        pos[start:stop] += pos[parent[start:stop]]
-    end = pos[query] + size[query] - 1  # the position a query node's subtree ends at
-    # The piece of each position: the position and the closers before it.
-    at = np.bincount(end, minlength=len(pos))
-    at = np.cumsum(at) - at
-    at += np.arange(len(pos))
-    layer_at = np.empty_like(layer)  # the layer of the node at each position
-    layer_at[pos] = layer
-    return layer, answer, at[pos], at[end] + layer_at[end] - layer[query]
+    starts, first, parent, answer = _links(tree)
+    size = len(parent)
+    ahead = np.zeros(size + 1, dtype=np.int64)
+    ahead[query + 1] = 1
+    ahead = ahead.cumsum()  # the query nodes before each node
+    ahead += np.arange(-size - len(query), 1 - len(query))
+    for start, stop in reversed(list(zip(starts, starts[1:-1]))):  # the deepest has no nodes below
+        ahead[start:stop] += ahead[first[start:stop]]
+    at = ahead[:-1] - ahead[first[parent]]
+    at += 1
+    at[0] = 0
+    layer = np.zeros(size, dtype=np.int64)
+    for depth, (start, stop) in enumerate(zip(starts[1:], starts[2:]), 1):
+        at[start:stop] += at[parent[start:stop]]
+        layer[start:stop] = depth
+    return layer, answer, at, at[query] + ahead[query + 1] - ahead[query] - 1
 
 
-def _preorder_text(tree: DecisionTree, fragment: Callable, closer: Callable) -> list:
+def _preorder_text(tree: DecisionTree, fragment: Callable, closer: Callable,
+                   by_layer: bool) -> list:
     """The text of a tree as pieces, in the order they are written.
 
     Each node, in pre-order, writes ``fragment(answer, layer, head)``: its
     key among its siblings (answer 0, 1 or 2; 3 at the root, which has
     none), then its head, a leaf trit or 3 + the variable it queries.
     After it come, for each query node whose subtree ends there, deepest
-    first, ``closer(layer, var)``.  A table holds the text of each
-    distinct fragment and closer, so no text is made per node.
+    first, ``closer(layer, var)``.  Each piece gets a key, a closer's
+    negative, and a table holds the text of each distinct key, so no text
+    is made per node.  Texts that do not depend on the layer are keyed
+    without it (``by_layer`` false, the layer passed as 0), so that fewer
+    are made.
     """
     var = _node_values(tree.var)
     query = var.nonzero()[0]
     layer, answer, fragment_at, closer_at = _slots(tree, query)
+    if not by_layer:
+        layer[:] = 0
     layers = int(layer[-1]) + 1
-    pieces = np.empty(len(var) + len(query), dtype=object)
-    pieces[closer_at] = _texts(var[query] * layers + layer[query],
-                               lambda key: closer(key % layers, key // layers))
-    head = np.where(var > 0, var + 3, np.frombuffer(bytes(tree.leaf), dtype=np.uint8))
+    keys = np.empty(len(var) + len(query), dtype=var.dtype)
+    keys[closer_at] = -1 - (var[query] * layers + layer[query])
+    head = var + np.frombuffer(bytes(tree.leaf), dtype=np.uint8)
+    head[query] += 3
     head *= layers
     head += layer
     head *= 4
     head += answer
-    del var, layer, answer  # freed for the lookup of the fragments, the peak of memory
-    pieces[fragment_at] = _texts(
-        head, lambda key: fragment(key % 4, key // 4 % layers, key // 4 // layers))
+    del var, layer, answer  # freed for the lookup of the texts, the peak of memory
+    keys[fragment_at] = head
+    del head
+    # The distinct keys, as np.unique finds them, without its fixed cost.
+    order = keys.argsort()
+    keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    texts = [fragment(key % 4, key // 4 % layers, key // 4 // layers) if key >= 0
+             else closer((-1 - key) % layers, (-1 - key) // layers)
+             for key in keys[new].tolist()]
+    del keys
+    pieces = np.empty(len(order), dtype=object)
+    pieces[order] = np.array(texts, dtype=object)[new.cumsum() - 1]
     return pieces.tolist()
-
-
-def _texts(keys: np.ndarray, text: Callable) -> np.ndarray:
-    """``text(key)`` for each key, made once per distinct key."""
-    distinct, index = np.unique(keys, return_inverse=True)
-    return np.array([text(key) for key in distinct.tolist()], dtype=object)[index]
 
 
 _LEAF_TEXT = ('{"leaf":"0"}', '{"leaf":"1"}', '{"leaf":"u"}')
@@ -377,30 +399,52 @@ def serialize_tree(tree: DecisionTree) -> str:
     form, joined from its pre-order pieces."""
     def fragment(answer, layer, head):
         return _KEY_TEXT[answer] + (_LEAF_TEXT[head] if head < 3 else '{"query":%d,' % (head - 3))
-    return "".join(_preorder_text(tree, fragment, lambda layer, var: "}"))
+    return "".join(_preorder_text(tree, fragment, lambda layer, var: "}", False))
 
 
-def write_indented_tree(tree: DecisionTree, handle, nesting: int = 0) -> None:
-    """Write the text ``json.dumps(..., indent=2, sort_keys=True)`` gives the
-    JSON form of a tree that sits ``nesting`` objects deep.  The pieces are
-    those of ``serialize_tree``, indented by the node's layer, with the
-    ``"query"`` line in the closer as ``sort_keys`` puts it last; they are
-    written one by one, so the whole text is never held.  The ``json``
-    module's indenting encoder is pure Python, and on a tree of 100k nodes
-    takes ten times as long."""
-    def indent(layer):
-        return "\n" + "  " * (nesting + layer)
+def _sorted_key_text(tree: DecisionTree, nesting: int | None) -> list:
+    """The pieces of the text ``json.dumps(..., sort_keys=True)`` gives the
+    JSON form of a tree: on one line with the default separators when
+    ``nesting`` is None, else with ``indent=2`` for a tree that sits
+    ``nesting`` objects deep.  They are those of ``serialize_tree`` with
+    the ``"query"`` key moved into the closer, as ``sort_keys`` puts it
+    last; indented, each is indented by its node's layer."""
+    if nesting is None:
+        comma = ", "
+
+        def indent(layer):
+            return ""
+    else:
+        comma = ","
+
+        def indent(layer):
+            return "\n" + "  " * (nesting + layer)
 
     def fragment(answer, layer, head):
         key = "" if answer == 3 else \
-            "," * (answer > 0) + indent(layer) + '"%s": ' % TRIT_KEYS[answer]
+            comma * (answer > 0) + indent(layer) + '"%s": ' % TRIT_KEYS[answer]
         if head >= 3:
             return key + "{"
         return key + "{" + indent(layer + 1) + '"leaf": "%s"' % "01u"[head] + indent(layer) + "}"
 
     def closer(layer, var):
-        return "," + indent(layer + 1) + '"query": %d' % var + indent(layer) + "}"
-    handle.writelines(_preorder_text(tree, fragment, closer))
+        return comma + indent(layer + 1) + '"query": %d' % var + indent(layer) + "}"
+    return _preorder_text(tree, fragment, closer, nesting is not None)
+
+
+def sorted_tree_text(tree: DecisionTree) -> str:
+    """The text ``json.dumps(tree_to_json_dict(tree), sort_keys=True)``
+    gives, joined from the tree's pre-order pieces without a dict per node."""
+    return "".join(_sorted_key_text(tree, None))
+
+
+def write_indented_tree(tree: DecisionTree, handle, nesting: int = 0) -> None:
+    """Write the text ``json.dumps(..., indent=2, sort_keys=True)`` gives the
+    JSON form of a tree that sits ``nesting`` objects deep.  The pieces are
+    written one by one, so the whole text is never held.  The ``json``
+    module's indenting encoder is pure Python, and on a tree of 100k nodes
+    takes ten times as long."""
+    handle.writelines(_sorted_key_text(tree, nesting))
 
 
 def tree_from_json_dict(obj) -> DecisionTree:

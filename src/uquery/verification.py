@@ -225,13 +225,13 @@ class _Table:
     def depth(self):
         """D and an optimal classical tree: the report's, else searched."""
         if self.report is not None:
-            return self.report.D, self.report.witness_trees[0]
+            return self.report.D, self.report.witnesses["D"]["tree"]
         return query_complexity(self.table)
 
     def u_depth(self):
         """D_u and an optimal u-model tree: the report's, else searched."""
         if self.report is not None:
-            return self.report.D_u, self.report.witness_trees[1]
+            return self.report.D_u, self.report.witnesses["D_u"]["tree"]
         return query_complexity_u(self.table)
 
 

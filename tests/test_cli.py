@@ -272,6 +272,29 @@ def test_measures_json_is_the_json_module_text(capsys, tmp_path, spec, witnesses
     assert ('"tree"' in path.read_text()) == witnesses
 
 
+@pytest.mark.parametrize("spec", ["maj:5", "ind:2", "random:7:1"])
+def test_measures_witnesses_line_is_the_json_module_text(capsys, spec):
+    """The witnesses line is ``json.dumps`` of the report's JSON witnesses,
+    though its trees are written by sorted_tree_text."""
+    rc, out, _ = run(capsys, "measures", spec, "--witnesses")
+    assert rc == 0
+    report = uquery.measure_report(uquery.hazard_free_table(uquery.generate(spec)),
+                                   with_witnesses=True)
+    want = json.dumps(report.to_json_dict()["witnesses"], sort_keys=True)
+    assert out.splitlines()[-1] == f"witnesses = {want}"
+
+
+# sha256 of the stdout of `measures maj:11 --witnesses`, recorded while its
+# witness trees still went through a dict per node.
+MAJ11_WITNESSES_DIGEST = "61369493817b1a0d9014a3dc053b04b5c366f46d4ae67f275632464f835a6b73"
+
+
+def test_measures_maj11_witnesses_bytes(capsys):
+    rc, out, _ = run(capsys, "measures", "maj:11", "--witnesses")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MAJ11_WITNESSES_DIGEST
+
+
 def test_bad_spec_exits_2(capsys):
     rc, _, err = run(capsys, "gen", "bogus:1")
     assert rc == 2
@@ -318,6 +341,19 @@ def test_verify_ignores_the_cap(capsys, monkeypatch):
     rc, out, _ = run(capsys, "verify", "core", "--n", "1..2", "--workers", "1")
     assert rc == 0
     assert out.splitlines()[-1].startswith("suite core: PASS")
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cap_below_1_exits_2(capsys, cap):
+    rc, out, err = run(capsys, "measures", "or:1", "--cap", cap)
+    assert (rc, out, err) == (2, "", "error: cap must be >= 1\n")
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cap_env_below_1_exits_2(capsys, monkeypatch, cap):
+    monkeypatch.setenv("UQUERY_CAP", cap)
+    rc, out, err = run(capsys, "gen", "or:2")
+    assert (rc, out, err) == (2, "", "error: cap must be >= 1\n")
 
 
 def test_cap_env_must_be_integer(capsys, monkeypatch):

@@ -169,6 +169,16 @@ def test_bad_specs():
     assert generate("table:0008:04").to_spec() == "table:0008:4"
 
 
+@pytest.mark.parametrize("spec,name", [
+    ("random:3:-1", "seed"), ("maj:-3", "n"), ("random:-3:1", "n"), ("table:e8:-3", "n"),
+])
+def test_signed_spec_integers_name_the_rule(spec, name):
+    # They are integers; the rule they break is the digits-only one.
+    with pytest.raises(SpecError) as caught:
+        generate(spec)
+    assert str(caught.value) == f"{name} in spec {spec!r} must be a non-negative decimal integer"
+
+
 def test_random_spec_is_seeded():
     assert generate("random:3:42") == generate("random:3:42")
     assert generate("random:3:42") != generate("random:3:43")

@@ -34,6 +34,7 @@ from uquery.trees import (
     evaluate_tree,
     parse_tree,
     serialize_tree,
+    sorted_tree_text,
     tree_depth,
     tree_from_json_dict,
     tree_to_json_dict,
@@ -624,6 +625,16 @@ def test_deeply_nested_trees_rejected(depth):
         tree_from_json_dict(_chain(depth, lambda level: level % 7 + 1))
 
 
+def _sorted_chain_text(depth):
+    """The text ``json.dumps(_chain(depth, ...), sort_keys=True)`` gives,
+    variable level + 1 at each level, made without the json module, which
+    does not nest that deep."""
+    text = '{"leaf": "0"}'
+    for level in range(depth):
+        text = f'{{"on0": {text}, "on1": {{"leaf": "1"}}, "query": {level + 1}}}'
+    return text
+
+
 def test_deep_tree_without_repeats_builds():
     tree = tree_from_json_dict(_chain(3000, lambda level: level + 1))
     assert tree_depth(tree) == 3000
@@ -634,6 +645,7 @@ def test_deep_tree_without_repeats_builds():
         assert tree.var[i] == 3000 - depth and (tree.var[on1], tree.leaf[on1]) == (0, 1)
         i = on0
     assert (tree.var[i], tree.leaf[i]) == (0, 0)
+    assert sorted_tree_text(tree) == _sorted_chain_text(3000)
     # Written bottom-up, the text nests deeper than parse_tree's json.loads reads.
     text = serialize_tree(tree)
     assert text == _chain_text(3000)
@@ -688,7 +700,29 @@ def test_indented_text_matches_the_json_module():
     for tree in _text_trees():
         obj = tree_to_json_dict(tree)
         assert serialize_tree(tree) == json.dumps(obj, separators=(",", ":"))
+        assert sorted_tree_text(tree) == json.dumps(obj, sort_keys=True)
         for nesting in range(3):
             handle = io.StringIO()
             write_indented_tree(tree, handle, nesting)
             assert handle.getvalue() == _json_at_nesting(obj, nesting)
+
+
+def test_sorted_chain_text_is_the_json_module_text():
+    for depth in range(4):
+        assert _sorted_chain_text(depth) == json.dumps(
+            _chain(depth, lambda level: level + 1), sort_keys=True)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_witness_tree_text_is_the_json_module_text(n):
+    """The one-line text of the D and D_u witness trees of every table at
+    n <= 3 and of seeded tables at n = 4-8, and of Algorithm 1's tree at
+    n <= 4, is ``json.dumps`` of their JSON form with sorted keys."""
+    for bits in _kernel_tables(n, 6):
+        table = hazard_free_table(BooleanFunction(n, bits))
+        witnesses = uquery.measures.measure_report(table, with_witnesses=True).witnesses
+        trees = [witnesses["D"]["tree"], witnesses["D_u"]["tree"]]
+        if n <= 4:
+            trees.append(algorithm1_tree(table))
+        for tree in trees:
+            assert sorted_tree_text(tree) == json.dumps(tree_to_json_dict(tree), sort_keys=True)
