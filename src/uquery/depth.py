@@ -11,15 +11,22 @@ with u as *.  L_k adds every cell with a * on some axis whose children
 all lie in L_{k-1}, so L_k holds exactly the cells of depth at most k,
 and the search stops at the level the all-* root enters: D.  A level
 costs a shift and a mask per axis inside a 64-bit word, and an AND of
-views per axis across words.  Each cell's level is kept as bit planes,
-and the tree is read off them one layer of cells at a time, taking at
-each node the lowest variable that attains the optimum, so results are
-canonical.
+views per axis across words.  A cell with j *s has depth at most j, as
+querying its j free variables decides it, so only a cell with at least
+k *s can enter L_k: a word whose word-axis digits hold s *s gains no bit
+above level s + min(n, 3).  A level runs on the whole array while at
+least ``_GATHER_SHARE`` of the words can still gain bits, and on those
+words alone, gathered with their children, from then on.  Each cell's
+level is kept as bit planes, and the tree is read off them one layer of
+cells at a time, taking at each node the lowest variable that attains
+the optimum, so results are canonical; each layer tries the axes from
+the lowest * of any of its cells.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from math import comb
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,7 +37,7 @@ from .core import (
     HazardFreeTable,
     check_cap,
 )
-from .trees import DecisionTree
+from .trees import DecisionTree, _Nodes
 
 # A bitset holds one bit per cell of {answers, *}^n.  The last min(n, 3)
 # axes lie inside a 64-bit word, in base 4 with * at digit 3, so that
@@ -40,10 +47,11 @@ from .trees import DecisionTree
 # A bitset of fewer than ``_SMALL_CELLS`` bits is a Python int, on which
 # every axis is a shift and a mask, each far cheaper than a NumPy call; a
 # larger one is a uint64 array, one entry per word, whose word axes are
-# views.  Timed with each forced (2-CPU x86-64), ints take 40% less time
-# at 64 cells (maj:3), 3-6% less at 46,656 (the classical search at
-# n = 9), 10% more at 65,536 (the u-model at n = 8) and 2-4 times as long
-# from 2**20 on.
+# views.  Timed over the whole search with each forced (2-CPU x86-64),
+# ints take 37% less time at 64 cells (maj:3, 0.069 against 0.110 ms),
+# 9% less at 46,656 (the classical search on random:9:1), 6% more at
+# 65,536 (the u-model on random:8:1) and 2.6 times as long at 2**20
+# (random:10:1, 11.2 against 4.3 ms).
 
 _SMALL_CELLS = 1 << 16
 
@@ -55,6 +63,17 @@ class _Layout(NamedTuple):
     as_int: bool     # a Python int, else a uint64 array
     shifts: tuple    # per axis done by shifts: (stride, star digit, mask of its * cells)
     views: tuple     # per word axis of an array: the (before, digit, after) shape
+    gather: int      # the first level run on the live words alone (n + 1: none)
+
+
+# A level runs on the whole array while at least this share of the words
+# can still gain bits, and on the gathered live words from the first level
+# where fewer can.  Gathering the live words and their children costs
+# about as much as a whole-array level over them, so a lower share
+# switches later and builds less: timed in a fresh interpreter (2-CPU
+# x86-64), the levels of random:12:77 in the u-model take 40 ms at 0.1,
+# 43 ms at 0.3 and 57 ms on the whole array alone.
+_GATHER_SHARE = 0.1
 
 
 @cache
@@ -71,9 +90,9 @@ def _moves(n: int, answers: tuple[int, ...]):
         strides[p] = strides[p + 1] * bases[p + 1]
     span = np.multiply(bases, strides)
     top = span - strides
-    steps = np.outer(strides, answers) - top[:, None]
+    steps = np.outer(answers, strides) - top
     both = np.zeros((2, n + 1, len(answers)), dtype=np.intp)
-    both[0, 1:] = steps
+    both[0, 1:] = steps.T
     both[1, 1:] = np.outer([3 ** (n - 1 - p) for p in range(n)], np.subtract(answers, UNKNOWN))
     for array in (span, top, steps, both):
         array.flags.writeable = False  # shared through the cache
@@ -99,7 +118,46 @@ def _layout(n: int, answers: tuple[int, ...]) -> _Layout:
             shifts.append((stride, star // stride, mask & (1 << width) - 1))
     base, outer = len(answers) + 1, 0 if as_int else n - len(shifts)
     views = tuple((base ** p, base, base ** (outer - 1 - p)) for p in range(outer))
-    return _Layout(size, as_int, tuple(shifts), views)
+    gather = n + 1
+    for k in range(n, len(shifts), -1):  # level k changes only words with k - len(shifts) *s or more
+        if sum(comb(outer, s) * (base - 1) ** (outer - s)
+               for s in range(k - len(shifts), outer + 1)) >= _GATHER_SHARE * base ** outer:
+            break
+        gather = k
+    return _Layout(size, as_int, tuple(shifts), views, gather)
+
+
+class _Live(NamedTuple):
+    """The words that the gathered levels may change, and their children."""
+
+    words: np.ndarray   # the words live at ``_Layout.gather``, by *s descending
+    counts: tuple       # per level k from ``gather`` on: the words live at k, a prefix of ``words``
+    kids: np.ndarray    # per (live word, word axis with a *), by word: the child word per answer
+    starts: np.ndarray  # per live word: its first row of ``kids``, then the row count
+
+
+def _live_words(n: int, answers: tuple[int, ...]) -> _Live:
+    """The words live at the first gathered level and their children,
+    from the count and the axes of the *s in every word's word-axis
+    digits.  Built for each search: in the u-model they take 1.7 MB at
+    n = 12 and 23 MB at n = 14, and kept in a cache they raised the peak
+    memory of ``tree random:12:1`` from 57 to 62 MB."""
+    layout = _layout(n, answers)
+    inner, base, star = len(layout.shifts), len(answers) + 1, len(answers)
+    outer, need = n - inner, layout.gather - inner  # need: the word-axis *s live at ``gather``
+    hit = np.arange(base) == star
+    code = np.zeros(1, dtype=np.uint32)  # per word: its *s times 2**outer, plus bit p for a * on axis p
+    for p in range(outer):
+        code = (code[:, None] + hit * np.uint32((1 << outer) + (1 << p))).reshape(-1)
+    stars = code >> outer
+    words = np.concatenate([(stars == s).nonzero()[0] for s in range(outer, need - 1, -1)])
+    stars, code = stars[words], code[words]
+    counts = tuple(int((stars >= k - inner).sum()) for k in range(layout.gather, n + 1))
+    row, p = np.divmod(np.flatnonzero(code[:, None] >> np.arange(outer, dtype=np.uint32) & 1), outer)
+    kids = words[row, None] + (base ** np.arange(outer - 1, -1, -1))[p, None] * np.subtract(answers, star)
+    starts = np.zeros(words.size + 1, dtype=np.intp)
+    np.cumsum(stars, out=starts[1:])
+    return _Live(words, counts, kids, starts)
 
 
 def _kids_by_shift(bits, stride: int, star: int, answers: tuple[int, ...]):
@@ -200,6 +258,16 @@ def _depth_levels(level, n: int, answers: tuple[int, ...]):
     tree is one.  So the root enters at k = D.  Each level reads only
     L_{k-1}, and axis by axis ORs the children's AND into a new bitset.
 
+    A cell entering L_k has at least k *s: its children on the axis it
+    enters through lie in L_{k-1} and one of them not in L_{k-2}, so by
+    induction that child has k - 1 *s and the cell one more.  Hence a
+    word whose word-axis digits hold s *s gains no bit at a level above
+    s + min(n, 3), and no bit is lost by leaving it.  From level
+    ``_Layout.gather`` on, a level gathers the words that can still gain
+    bits (``_live_words``), their children and their planes, grows them
+    and scatters them back, and the planes go back at the end; every
+    other word is left as it is.
+
     Returns D and the level of each cell, the least k with the cell in
     L_k, as m bit planes: plane j holds bit j of every level, and a cell
     outside L_D reads 2**m - 1, above any depth.
@@ -210,25 +278,48 @@ def _depth_levels(level, n: int, answers: tuple[int, ...]):
     last = layout.size - 1 if layout.as_int else 63  # the root's bit, in the int or the last word
     full = (2 << last) - 1
     planes = [full ^ level for _ in range(m)]
+    live = None  # the live words, from the first gathered level on
     k = 0
     while not (level if layout.as_int else int(level[-1])) >> last:
         if k == n:  # every cell without a * is forced, so D <= n
             raise AssertionError("the root entered no level up to n")
         k += 1
-        grown = level
+        if k == layout.gather:
+            live = _live_words(n, answers)
+            every, planes = planes, [plane[live.words] for plane in planes]
+        if live is None:
+            old = grown = level
+        else:
+            count = live.counts[k - layout.gather]
+            old = level[live.words[:count]]
+            grown = np.bitwise_or.reduceat(
+                _kids_in_view(level[live.kids[:live.starts[count]]], answers), live.starts[:count])
+            grown |= old
         for stride, digit, mask in layout.shifts:
-            kids = _kids_by_shift(level, stride, digit, answers)
+            kids = _kids_by_shift(old, stride, digit, answers)
             kids &= mask
             kids |= grown
             grown = kids
-        for shape in layout.views:
-            grown.reshape(shape)[:, star] |= _kids_in_view(level.reshape(shape), answers)
-        new = grown ^ level
+        if live is None:
+            for shape in layout.views:
+                grown.reshape(shape)[:, star] |= _kids_in_view(level.reshape(shape), answers)
+        new = grown ^ old
         for j in range(m):
             if not k >> j & 1:
-                planes[j] ^= new
-        level = grown
-    return k, planes
+                if live is None:
+                    planes[j] ^= new
+                else:
+                    planes[j][:count] ^= new
+        if live is None:
+            level = grown
+        else:
+            level[live.words[:count]] = grown
+        del old, grown, kids, new  # freed before the next level allocates
+    if live is None:
+        return k, planes
+    for plane, gathered in zip(every, planes):
+        plane[live.words] = gathered
+    return k, every
 
 
 def _level_reader(planes: list, size: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -266,10 +357,10 @@ def _level_reader(planes: list, size: int) -> Callable[[np.ndarray], np.ndarray]
 
 # Child lookups per pass over the axes of some cells.  When those of all
 # cells fit one pass, ``_read_tree`` makes it before the first layer;
-# timed with each way forced (2-CPU x86-64), that wins by 30% at n = 4
-# (u-model, 3,072 lookups: 0.13 against 0.19 ms), by 1.5% at 15,360
-# (u-model n = 5) and loses from 20,736 on (classical n = 6, 0.53
-# against 0.25 ms on random:6:1).
+# timed with each way forced (2-CPU x86-64), that wins by 43% at n = 4
+# (u-model, 3,072 lookups: 0.047 against 0.083 ms on random:4:1), by 23%
+# at 15,360 (u-model n = 5) and loses from 20,736 on (classical n = 6,
+# 0.141 against 0.119 ms on random:6:1).
 _CHUNK = 1 << 14
 
 
@@ -280,35 +371,42 @@ def _query_axes(keys: np.ndarray, level: np.ndarray, level_of: Callable,
     variable attaining the minimax value; 0 at level 0.  Every cell of
     level d >= 1 entered L_d through such an axis, so the last axes tried
     serve every cell left (a cell outside L_D, which no tree reaches,
-    gets an arbitrary variable).  The axes are tried a few at a time, as
-    many as keep the lookups of the cells still without one under
-    ``_CHUNK``.  When one chunk tried every axis of every cell, also
-    returns the levels of the children on the chosen axes, a row for each
-    cell of level >= 1 in order; else None."""
+    gets an arbitrary variable).  The axes are tried from the lowest * of
+    any cell, a few at a time, as many as keep the lookups of the cells
+    still without one under ``_CHUNK``.  When one chunk tried all those
+    axes, also returns the levels of the children on the chosen axes, a
+    row per answer and a column for each cell of level >= 1 in order;
+    else None.  The lookups are laid out by answer first, so that their
+    maximum over the answers is taken row by row: over a last axis of
+    two or three entries NumPy takes some 30 times as long."""
     span, top, steps, _, _ = _moves(n, answers)
     var = np.zeros(keys.size, dtype=np.intp)
     todo = level.nonzero()[0]
+    if not todo.size:
+        return var, None
+    at = keys[todo]
+    star = at % span[:, None] >= top[:, None]  # per axis and cell: a * there
+    p = start = int(star.argmax()) // todo.size  # the lowest * of any cell
     kids = None
-    p = 0
-    while todo.size:
+    while True:
         stop = min(n, p + max(1, _CHUNK // (todo.size * len(answers))))
-        at = keys[todo, None]
         # Off the * the steps land on other cells (or wrap round from the
         # end), whose levels the star test drops.
-        found = at % span[p:stop] >= top[p:stop]
-        levels = level_of(at[:, :, None] + steps[p:stop])
-        found &= levels.max(axis=2) < level[todo, None]
+        found = star[p:stop]
+        levels = level_of(steps[:, p:stop, None] + at)  # per answer, axis and cell
+        found &= levels.max(axis=0) < level[todo]
         if stop == n:
-            axis = found.argmax(axis=1)
+            axis = found.argmax(axis=0)
             var[todo] = axis + (p + 1)
-            if not p:
-                kids = levels[np.arange(todo.size), axis]
-            break
-        hit = found.any(axis=1)
-        var[todo[hit]] = found[hit].argmax(axis=1) + (p + 1)
-        todo = todo[~hit]
+            if p == start:
+                kids = levels[:, axis, np.arange(todo.size)]
+            return var, kids
+        hit = found.any(axis=0)
+        var[todo[hit]] = found[:, hit].argmax(axis=0) + (p + 1)
+        todo, at, star = todo[~hit], at[~hit], star[:, ~hit]
+        if not todo.size:
+            return var, None
         p = stop
-    return var, kids
 
 
 def _read_tree(level_of: Callable, n: int, answers: tuple[int, ...],
@@ -323,11 +421,12 @@ def _read_tree(level_of: Callable, n: int, answers: tuple[int, ...],
     the variable ``_query_axes`` gives it, found for the frontier's cells
     at once, or, when all the cells take fewer lookups than one chunk,
     for all of them before the first layer, through the level of every
-    cell.  The children make up
-    the next frontier in (parent, answer) order, so every temporary has
-    the size of a frontier or of a small table.  Their levels are those
-    ``_query_axes`` looked up to choose the variables when it tried every
-    axis in one chunk, and are looked up again only otherwise.
+    cell.  The children make up the next frontier in (parent, answer)
+    order, so every temporary has the size of a frontier or of a small
+    table.  Their levels are those ``_query_axes`` looked up to choose
+    the variables when it tried all the axes it needed in one chunk, and
+    are looked up again only otherwise.  The tree keeps the node arrays
+    it is built from, for its readers in ``trees``.
     """
     _, _, _, both, root = _moves(n, answers)
     size = _layout(n, answers).size
@@ -351,16 +450,19 @@ def _read_tree(level_of: Callable, n: int, answers: tuple[int, ...],
             break
         cells = (cells[:, inner, None] + both[:, var[inner]]).reshape(2, -1)
         if var_of is None:
-            level = level_of(cells[0]) if kids is None else kids.reshape(-1)
+            level = level_of(cells[0]) if kids is None else kids.T.reshape(-1)
     var = np.concatenate(var_layers)
     inner = var > 0
     leaf = values[np.concatenate(coarse_layers)]
     leaf[inner] = 0
-    first = np.empty(var.size + 1, dtype=np.intp)  # 1 + children before each node
+    first = np.empty(var.size + 1, dtype=np.int64)  # 1 + children before each node
     first[0] = 1
     np.cumsum(inner * len(answers), out=first[1:])
     first[1:] += 1
-    return DecisionTree._of(tuple(var.tolist()), tuple(leaf.tolist()), tuple(first.tolist()))
+    nodes = _Nodes(var.astype(np.int64, copy=False), leaf, first)
+    for array in nodes:
+        array.setflags(write=False)  # kept with the tree, for its readers
+    return DecisionTree._of(tuple(var.tolist()), tuple(leaf.tolist()), tuple(first.tolist()), nodes)
 
 
 def _optimal_tree(table: HazardFreeTable, answers: tuple[int, ...],

@@ -10,7 +10,11 @@ the variable each node queries (0 at a leaf), the trit each leaf
 outputs, and the index of each node's first child, its two or three
 children being consecutive.  The depth search of ``depth`` builds them
 directly, parsing builds them from the JSON form, and serialization,
-evaluation and checking read them; no per-node object exists.
+evaluation and checking read them; no per-node object exists.  The
+arrays are tuples; serialization and checking read them as NumPy arrays
+(``_node_arrays``), which a tree keeps: the depth search hands over
+those it built the tree from, and any other tree makes them from its
+tuples on first use.
 
 ``tree_to_json_dict`` builds the JSON form bottom up, layer by layer,
 each node from its children's dicts, so any depth converts without
@@ -43,7 +47,7 @@ from __future__ import annotations
 import array
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
 from typing import Callable, NamedTuple
@@ -59,6 +63,14 @@ class TreeFormatError(ValueError):
     """Raised for malformed serialized trees."""
 
 
+class _Nodes(NamedTuple):
+    """The node arrays of a tree as NumPy arrays, shared and read-only."""
+
+    var: np.ndarray    # int64, or Python ints for a variable of 2**31 or more
+    leaf: np.ndarray   # uint8
+    first: np.ndarray  # int64
+
+
 @dataclass(frozen=True, slots=True)
 class DecisionTree:
     """A decision tree as flat node arrays, one entry per node.
@@ -72,11 +84,15 @@ class DecisionTree:
     always exists.  Children are laid out in the order of their parents,
     which is what makes the nodes come in layers.  The constructor
     refuses arrays that do not make such a tree with ``TreeFormatError``.
+
+    The same arrays as NumPy arrays (``_node_arrays``) are kept with the
+    tree but take no part in its equality, hash, repr or pickled state.
     """
 
     var: tuple[int, ...]
     leaf: tuple[int, ...]
     first: tuple[int, ...]
+    _arrays: _Nodes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("var", "leaf", "first"):
@@ -85,13 +101,23 @@ class DecisionTree:
         if error is not None:
             raise TreeFormatError(error)
 
+    def __getstate__(self) -> list:
+        return [self.var, self.leaf, self.first]
+
+    def __setstate__(self, state: list) -> None:
+        for name, value in zip(("var", "leaf", "first", "_arrays"), (*state, None)):
+            object.__setattr__(self, name, value)
+
     @classmethod
-    def _of(cls, var: tuple, leaf: tuple, first: tuple) -> "DecisionTree":
+    def _of(cls, var: tuple, leaf: tuple, first: tuple,
+            arrays: _Nodes | None = None) -> "DecisionTree":
         """Wrap node arrays that are well formed by construction, without
-        the constructor's check, which visits every node in Python."""
+        the constructor's check, which visits every node in Python; with
+        ``arrays``, the same nodes as NumPy arrays, which are then kept
+        instead of being rebuilt on first use."""
         tree = object.__new__(cls)
-        for name, array in zip(("var", "leaf", "first"), (var, leaf, first)):
-            object.__setattr__(tree, name, array)
+        for name, value in zip(("var", "leaf", "first", "_arrays"), (var, leaf, first, arrays)):
+            object.__setattr__(tree, name, value)
         return tree
 
 
@@ -142,6 +168,18 @@ def _node_values(values: tuple[int, ...]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
+def _node_arrays(tree: DecisionTree) -> _Nodes:
+    """The tree's node arrays as NumPy arrays: those the depth search
+    built, else made from the tuples on first use and kept."""
+    if tree._arrays is None:
+        nodes = _Nodes(_node_values(tree.var), np.frombuffer(bytes(tree.leaf), dtype=np.uint8),
+                       _node_values(tree.first))
+        for values in nodes:
+            values.setflags(write=False)  # shared by every reader of the tree
+        object.__setattr__(tree, "_arrays", nodes)
+    return tree._arrays
+
+
 def _links(tree: DecisionTree) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
     """The first node of each layer (then the node count), the ``first``
     array, and per node its parent (0 at the root) and the answer that
@@ -149,7 +187,7 @@ def _links(tree: DecisionTree) -> tuple[list[int], np.ndarray, np.ndarray, np.nd
     consecutive and come in the order of their parents, node j > 0 is a
     child of the node repeated at j - 1 when each node is repeated once
     per child."""
-    first = _node_values(tree.first)
+    first = _node_arrays(tree).first
     size = len(first) - 1
     parent = np.zeros(size, dtype=np.intp)
     parent[1:] = np.arange(size).repeat(first[1:] - first[:-1])
@@ -220,7 +258,7 @@ def _leaf_grid(tree: DecisionTree, n: int, entry: np.ndarray) -> _Leaves | None:
     of them and every value on the others.
     """
     starts, _, parent, answer = _links(tree)
-    var = _node_values(tree.var)
+    var = _node_arrays(tree).var
     kids = np.bincount(parent[1:], minlength=parent.size)
     if (var > n).any() or (kids[var != 0] != kids[0]).any():
         return None
@@ -278,7 +316,7 @@ def verify_tree(
     n = table.arity
     answers = _answers(tree)
     expected = table.grid[(slice(0, answers),) * n]
-    leaves = _leaf_grid(tree, n, np.frombuffer(bytes(tree.leaf), dtype=np.uint8))
+    leaves = _leaf_grid(tree, n, _node_arrays(tree).leaf)
     if leaves is None:
         for trits, want in zip(product(range(answers), repeat=n), expected.ravel().tolist()):
             y = TernaryString(trits)
@@ -358,7 +396,7 @@ def _preorder_text(tree: DecisionTree, fragment: Callable, closer: Callable,
     without it (``by_layer`` false, the layer passed as 0), so that fewer
     are made.
     """
-    var = _node_values(tree.var)
+    var, leaf, _ = _node_arrays(tree)
     query = var.nonzero()[0]
     layer, answer, fragment_at, closer_at = _slots(tree, query)
     if not by_layer:
@@ -366,13 +404,13 @@ def _preorder_text(tree: DecisionTree, fragment: Callable, closer: Callable,
     layers = int(layer[-1]) + 1
     keys = np.empty(len(var) + len(query), dtype=var.dtype)
     keys[closer_at] = -1 - (var[query] * layers + layer[query])
-    head = var + np.frombuffer(bytes(tree.leaf), dtype=np.uint8)
+    head = var + leaf
     head[query] += 3
     head *= layers
     head += layer
     head *= 4
     head += answer
-    del var, layer, answer  # freed for the lookup of the texts, the peak of memory
+    del layer, answer  # freed for the lookup of the texts, the peak of memory
     keys[fragment_at] = head
     del head
     # The distinct keys, as np.unique finds them, without its fixed cost.

@@ -172,7 +172,9 @@ def test_tree_binary_model(capsys, tmp_path):
 # sha256 of the stdout of `tree SPEC --model MODEL`, then of the stdout and
 # the file of the same command with `--out`, recorded when trees were
 # still built as nested node objects; maj:11 (variables above 9, long runs
-# of closing braces) was recorded from the node-by-node text writers.
+# of closing braces) was recorded from the node-by-node text writers, and
+# random:10:1 and random:12:1 from the search whose every level ran on the
+# whole bitset.
 TREE_COMMAND_DIGESTS = {
     ("ind:3", "u"): (
         "c257f68b3fe5d2287ba560aa5bcafcffc22c590a991388ee64b0aaf10103cff7",
@@ -202,6 +204,18 @@ TREE_COMMAND_DIGESTS = {
         "91bb8eb755f6741bb82ade80f3205ed6d4488c093d161b5bac6595fb1df9f5a7",
         "35ac487ee72f6a799053423fe0deaa0b09c6ffa07f45225c24c365e9de477cf6",
         "1c79b03ed307d2c626af8dda31b0be2b3475bd2528c38294ede3417abcd3006c"),
+    ("random:10:1", "u"): (
+        "0d02fc8e26d71fcb2343fdc30fed8884614384511f2fa157877e65f81a889103",
+        "4ad9abc8cebab369017c27bac0744276dabf6b83f39611a6276127ab32d72647",
+        "765893844a6444c5765967354a96f035e45bac69bb8a6139e94ff72cad516f6f"),
+    ("random:12:1", "u"): (
+        "efb707788a2ea39f03563e6c73d10f6348565717a50989924dfbab03a981aa87",
+        "599339df70f00e65b76232737fcbcbff0fe2c849cd7b130b11b1b3a8e90b57f0",
+        "a6d1694ce9abf24eded7dda37ca7de5d5090d23b5da4dc33796f5629e980f1e5"),
+    ("random:12:1", "binary"): (
+        "e02c1853f9c3cc541a7911628e58831dee48df5efc6b4bc54aaa91ba2eb2e947",
+        "1b2598f2c91685932940f0868736ec165d15d9675dfec8374f68da4b53a2a780",
+        "47dea8b390fbc970b06774dbd18ead9690d9949595a95720a10b3b94a2dce001"),
 }
 
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import json
+import pickle
 import random
 
 import numpy as np
@@ -307,6 +308,48 @@ def test_relaxed_depths_against_the_minimax(both_paths, n, count):
                                     for j, a in enumerate(answers))
 
 
+@pytest.mark.parametrize("n,count", [(1, 0), (2, 0), (3, 0), (4, 20), (5, 6), (6, 2)])
+def test_no_cell_level_exceeds_its_stars(both_paths, n, count):
+    """A cell with j *s has depth at most j, as querying its j free
+    variables decides it, so every cell's level is at most its count of
+    *s unless the cell reads the unreached mark (a classical cell with a
+    u digit in a word, which never grows).  The gathered levels skip the
+    words this bound leaves dead; the second pass gathers every level
+    from 4 on, so it runs them at n = 4-6."""
+    for _ in both_paths:
+        gathered = False
+        for bits in _kernel_tables(n, count):
+            table = hazard_free_table(BooleanFunction(n, bits))
+            for answers in MODELS:
+                depth, level = _cell_levels(table, answers)
+                gathered |= depth >= _layout(n, answers).gather
+                stars = sum(np.indices(level.shape) == len(answers))
+                unreached = 2 ** (n + 1).bit_length() - 1
+                assert ((level <= stars) | (level == unreached)).all()
+    assert gathered == (n >= 4)
+
+
+@pytest.mark.parametrize("n,answers", [(8, MODELS[0]), (9, MODELS[0]), (10, MODELS[1])])
+def test_gathered_levels_match_the_full_levels(monkeypatch, n, answers):
+    """The depth and level planes are the same whether every level runs
+    on the whole array, the levels switch to the live words at the
+    default share, or every level from 4 on runs on them."""
+    results = []
+    for share in (0, uquery.depth._GATHER_SHARE, 1):
+        monkeypatch.setattr(uquery.depth, "_GATHER_SHARE", share)
+        uquery.depth._layout.cache_clear()
+        run = []
+        for bits in _kernel_tables(n, 3):
+            table = hazard_free_table(BooleanFunction(n, bits))
+            size = _layout(n, answers).size
+            depth, planes = _depth_levels(_forced_bits(table, answers), n, answers)
+            run.append((depth, [_bitset_bytes(plane, size).tobytes() for plane in planes]))
+        results.append(run)
+    monkeypatch.undo()
+    uquery.depth._layout.cache_clear()
+    assert results[0] == results[1] == results[2]
+
+
 def test_binary_tree_rejects_unresolved_input():
     _, tree = query_complexity(hazard_free_table(generate("or:2")))
     with pytest.raises(ValueError):
@@ -577,6 +620,23 @@ def test_depth_is_permutation_invariant():
             assert query_complexity_u(hazard_free_table(g))[0] == base
 
 
+def test_node_arrays_are_not_part_of_a_tree():
+    """A searched tree keeps the arrays it was built from and a parsed one
+    makes them on first use; they read the same, and neither equality,
+    hash, repr nor the pickled bytes see them."""
+    searched = query_complexity_u(hazard_free_table(generate("maj:5")))[1]
+    parsed = parse_tree(serialize_tree(searched))
+    assert searched._arrays is not None and parsed._arrays is None
+    before = pickle.dumps(parsed)
+    for got, want in zip(uquery.trees._node_arrays(searched), uquery.trees._node_arrays(parsed)):
+        assert got.dtype == want.dtype and (got == want).all() and not got.flags.writeable
+    assert parsed._arrays is not None
+    assert searched == parsed and hash(searched) == hash(parsed) and repr(searched) == repr(parsed)
+    assert pickle.dumps(searched) == pickle.dumps(parsed) == before
+    copy = pickle.loads(before)
+    assert copy == searched and copy._arrays is None
+
+
 def test_serialization_roundtrip():
     for spec in ("or:3", "ind:1", "parity:2"):
         table = hazard_free_table(generate(spec))
@@ -600,6 +660,27 @@ def test_serialization_roundtrip():
 def test_malformed_trees_rejected(text):
     with pytest.raises(TreeFormatError):
         parse_tree(text)
+
+
+def _assert_same_text(got, want):
+    """Assert that two texts are equal.  A failing plain ``assert`` on
+    texts of 100 kB and more makes pytest diff them for minutes, so a
+    mismatch is reported by lengths, sha256 and the first differing
+    offset with 40 characters of context on each side."""
+    if got == want:
+        return
+    lo, hi = 0, min(len(got), len(want))  # the texts agree on [0, lo)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if got[:mid] == want[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    digests = [hashlib.sha256(text.encode()).hexdigest()[:16] for text in (got, want)]
+    start = max(lo - 40, 0)
+    pytest.fail(f"texts differ: lengths {len(got)} and {len(want)}, sha256 {digests[0]} and "
+                f"{digests[1]}, first at offset {lo}: {got[start:lo + 40]!r} where "
+                f"{want[start:lo + 40]!r} was wanted", pytrace=False)
 
 
 def _chain(depth, var_of_level):
@@ -645,10 +726,10 @@ def test_deep_tree_without_repeats_builds():
         assert tree.var[i] == 3000 - depth and (tree.var[on1], tree.leaf[on1]) == (0, 1)
         i = on0
     assert (tree.var[i], tree.leaf[i]) == (0, 0)
-    assert sorted_tree_text(tree) == _sorted_chain_text(3000)
+    _assert_same_text(sorted_tree_text(tree), _sorted_chain_text(3000))
     # Written bottom-up, the text nests deeper than parse_tree's json.loads reads.
     text = serialize_tree(tree)
-    assert text == _chain_text(3000)
+    _assert_same_text(text, _chain_text(3000))
     with pytest.raises(TreeFormatError, match="nested too deeply"):
         parse_tree(text)
 
@@ -699,12 +780,12 @@ def _json_at_nesting(obj, nesting):
 def test_indented_text_matches_the_json_module():
     for tree in _text_trees():
         obj = tree_to_json_dict(tree)
-        assert serialize_tree(tree) == json.dumps(obj, separators=(",", ":"))
-        assert sorted_tree_text(tree) == json.dumps(obj, sort_keys=True)
+        _assert_same_text(serialize_tree(tree), json.dumps(obj, separators=(",", ":")))
+        _assert_same_text(sorted_tree_text(tree), json.dumps(obj, sort_keys=True))
         for nesting in range(3):
             handle = io.StringIO()
             write_indented_tree(tree, handle, nesting)
-            assert handle.getvalue() == _json_at_nesting(obj, nesting)
+            _assert_same_text(handle.getvalue(), _json_at_nesting(obj, nesting))
 
 
 def test_sorted_chain_text_is_the_json_module_text():
@@ -725,4 +806,4 @@ def test_witness_tree_text_is_the_json_module_text(n):
         if n <= 4:
             trees.append(algorithm1_tree(table))
         for tree in trees:
-            assert sorted_tree_text(tree) == json.dumps(tree_to_json_dict(tree), sort_keys=True)
+            _assert_same_text(sorted_tree_text(tree), json.dumps(tree_to_json_dict(tree), sort_keys=True))
