@@ -4,9 +4,15 @@ Each check re-derives a claim from the definitions, reading only the
 hazard-free table (its values, or one block of its grid) and the
 witness, never a kernel that produced it: no measure array, no depth
 search and no solver.  ``_witness_problems`` checks every witness of a
-measure report, ``_survivor`` a solver's u answer, ``_resolution_value``
-a table entry against the resolutions of f, and ``trees.verify_tree``
-replays the witness trees.  The verify harness runs all of them.
+measure report, ``_survivor`` a solver's u answer, and
+``trees.verify_tree`` replays the witness trees.  The scan plans list,
+per ternary input, the truth-table indices of its binary resolutions
+(``_resolution_plan``) and the codes of its refinements
+(``_refinement_plan``).  They depend on the arity alone: the verify
+harness builds them once per arity, then checks each table's entries
+by reading them, against f's truth bits and against the entries of
+their refinements.  This module memoizes nothing; the harness runs all
+of its checks.
 """
 
 from __future__ import annotations
@@ -18,11 +24,11 @@ from typing import Sequence
 from .core import (
     STAR,
     UNKNOWN,
-    BooleanFunction,
     HazardFreeTable,
     PartialAssignment,
     TernaryString,
     as_ternary,
+    resolutions,
 )
 from .trees import tree_depth, tree_from_json_dict, tree_to_json_dict, verify_tree
 
@@ -87,24 +93,33 @@ def validate_block_family(
     return True
 
 
-def _resolution_value(f: BooleanFunction, x: TernaryString) -> int:
-    """Extension value by brute enumeration of all binary resolutions."""
-    n = f.arity
-    spots = [p for p in range(n) if x[p] == UNKNOWN]
-    base = 0
-    for p in range(n):
-        if x[p] == 1:
-            base |= 1 << (n - 1 - p)
-    seen: set[int] = set()
-    for fill in product((0, 1), repeat=len(spots)):
-        idx = base
-        for k, p in enumerate(spots):
-            if fill[k]:
-                idx |= 1 << (n - 1 - p)
-        seen.add(f.value_at_index(idx))
-        if len(seen) == 2:
-            return UNKNOWN
-    return seen.pop()
+# Scan plans: per ternary code of arity n, in code order, what a
+# definitional scan of a table reads.  They depend on n alone.
+
+
+def _resolution_plan(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per code, the truth-table indices of its binary resolutions, in
+    the lex order ``resolutions`` lists them in."""
+    return tuple(tuple(y.bin_index() for y in resolutions(TernaryString.from_code(code, n)))
+                 for code in range(3 ** n))
+
+
+def _refinement_plan(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per code, the codes of its refinements: each u replaced by 0, 1
+    or u, in ``product`` order over its u positions, the code itself
+    last."""
+    plan = []
+    for code in range(3 ** n):
+        x = TernaryString.from_code(code, n)
+        spots = x.u_positions()
+        refinements = []
+        for fill in product((0, 1, UNKNOWN), repeat=len(spots)):
+            y = list(x.trits)
+            for p, t in zip(spots, fill):
+                y[p] = t
+            refinements.append(TernaryString(tuple(y)).code())
+        plan.append(tuple(refinements))
+    return tuple(plan)
 
 
 def _sensitivity_problem(table: HazardFreeTable, key: str, d: dict, want: int,

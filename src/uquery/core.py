@@ -350,15 +350,21 @@ class HazardFreeTable:
         """The least input of the given value agreeing with every cell
         that is not STAR, or None.  The cells fix a block of the grid,
         free on the STAR axes, and as C order over those axes is lex order
-        of the whole input, the block's first hit is the least input."""
+        of the whole input, the block's first hit is the least input:
+        ``argmax`` of the block's match mask finds it, and its C-order
+        offset gives the STAR positions' trits, last axis first."""
         if len(cells) != self.arity:
             raise ValueError(f"cells length {len(cells)} != arity {self.arity}")
-        block = self.grid[tuple(slice(None) if c == STAR else c for c in cells)]
-        hits = np.flatnonzero(block == value)
-        if not hits.size:
+        block = self.grid[tuple([slice(None) if c == STAR else c for c in cells])]
+        match = (block == value).ravel()
+        offset = int(match.argmax())
+        if not match[offset]:
             return None
-        free = iter(np.unravel_index(hits[0], block.shape))
-        return TernaryString(tuple(int(next(free)) if c == STAR else c for c in cells))
+        trits = list(cells)
+        for p in range(len(trits) - 1, -1, -1):
+            if trits[p] == STAR:
+                offset, trits[p] = divmod(offset, 3)
+        return TernaryString(tuple(trits))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HazardFreeTable):

@@ -23,6 +23,18 @@ the measure arrays and summaries ``core`` just left in the table's
 instead of searching again.  A sweep of one suite is the same sweep
 with one kind of check.
 
+What depends on the arity alone is built once per arity, on first use:
+the ``core`` check's scan plans (``check._resolution_plan`` and
+``check._refinement_plan``: per ternary input, the truth-table indices
+of its resolutions and the codes of its refinements, in the order the
+definitions enumerate them), and the tuples of ternary and binary
+inputs that the simulation and closure runs feed their oracles.  The
+resolution and refinement checks then read only the truth bits and the
+table's values, and build an input's string only for a counterexample.
+A chunk of work holds one memo from downward closure to its D, shared
+by every table's state, so the ``closure`` check searches each distinct
+closure once per chunk; the memo goes with the chunk.
+
 The ``algorithm1`` suite replays no solver run per input.  It builds
 the solver's decision tree once per table (``algorithm1_tree``) and
 reads every row off the leaf each input reaches: the output, the query
@@ -44,7 +56,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from functools import cache
 from random import Random
 from time import perf_counter
 from typing import Callable, Sequence
@@ -62,7 +74,7 @@ from .algorithms import (
     tree_solver,
     unate_solver,
 )
-from .check import _resolution_value, _survivor, _witness_problems
+from .check import _refinement_plan, _resolution_plan, _survivor, _witness_problems
 from .core import (
     UNKNOWN,
     BooleanFunction,
@@ -200,6 +212,25 @@ def _trit(v: int) -> str:
     return "01u"[v]
 
 
+# The scan plans and the inputs depend on the arity alone, so a sweep
+# builds each once per arity, on first use.
+_resolution_plans = cache(_resolution_plan)
+_refinement_plans = cache(_refinement_plan)
+
+
+@cache
+def _ternary_inputs(n: int) -> tuple[TernaryString, ...]:
+    """Every ternary input of arity n, in code order."""
+    return tuple(TernaryString.from_code(code, n) for code in range(3 ** n))
+
+
+@cache
+def _binary_inputs(n: int) -> tuple[TernaryString, ...]:
+    """Every binary input of arity n, in truth-table index order."""
+    return tuple(TernaryString(tuple(idx >> (n - 1 - p) & 1 for p in range(n)))
+                 for idx in range(1 << n))
+
+
 def _values_dict(m: MeasureReport) -> dict:
     return {
         "s": m.s, "bs": m.bs, "C": m.C, "D": m.D,
@@ -214,13 +245,15 @@ def _values_dict(m: MeasureReport) -> dict:
 
 class _Table:
     """One function's state in a sweep, read by every kind of check run
-    on it: the hazard-free table, built once, and the ``core`` report,
-    once that check has made it."""
+    on it: the hazard-free table, built once, the ``core`` report, once
+    that check has made it, and the chunk's memo of D per downward
+    closure, shared by every state of the chunk."""
 
-    def __init__(self, f: BooleanFunction):
+    def __init__(self, f: BooleanFunction, closure_depths: dict):
         self.f = f
         self.table = hazard_free_table(f)
         self.report: MeasureReport | None = None
+        self.closure_depths = closure_depths
 
     def depth(self):
         """D and an optimal classical tree: the report's, else searched."""
@@ -239,31 +272,32 @@ def _core_function_rows(state: _Table):
     f, table = state.f, state.table
     n = f.arity
     spec = f.to_spec()
+    values = table.values
     m = state.report = measure_report(table, with_witnesses=True)
 
     def resolutions():
-        for code in range(3 ** n):
-            x = TernaryString.from_code(code, n)
-            want = _resolution_value(f, x)
-            yield None if table.values[code] == want else {
-                "function": spec, "input": str(x),
-                "got": _trit(table.values[code]), "expected": _trit(want),
+        bits = f.bits
+        for code, indices in enumerate(_resolution_plans(n)):
+            seen = 0  # bit b set: some resolution takes the value b
+            for idx in indices:
+                seen |= 1 << (bits >> idx & 1)
+                if seen == 3:
+                    break
+            want = seen - 1  # only 0s: 0, only 1s: 1, both: u
+            yield None if values[code] == want else {
+                "function": spec, "input": str(TernaryString.from_code(code, n)),
+                "got": _trit(values[code]), "expected": _trit(want),
             }
 
     def refinements():
-        for code in range(3 ** n):
-            v = table.values[code]
+        for code, refined in enumerate(_refinement_plans(n)):
+            v = values[code]
             if v == UNKNOWN:
                 continue
-            x = TernaryString.from_code(code, n)
-            spots = [p for p in range(n) if x[p] == UNKNOWN]
-            for fill in product((0, 1, UNKNOWN), repeat=len(spots)):
-                y = list(x.trits)
-                for k, p in enumerate(spots):
-                    y[p] = fill[k]
-                y = TernaryString(tuple(y))
-                yield None if table.values[y.code()] == v else {
-                    "function": spec, "input": str(x), "refinement": str(y),
+            for r in refined:
+                yield None if values[r] == v else {
+                    "function": spec, "input": str(TernaryString.from_code(code, n)),
+                    "refinement": str(TernaryString.from_code(r, n)),
                 }
 
     rows = {"extension-matches-resolutions": _row(resolutions()),
@@ -361,8 +395,7 @@ def _simulation_row(f: BooleanFunction, table: HazardFreeTable, d: int,
     n = f.arity
 
     def runs():
-        for code in range(3 ** n):
-            hidden = TernaryString.from_code(code, n)
+        for code, hidden in enumerate(_ternary_inputs(n)):
             oracle = Oracle(hidden)
             got = solver(oracle)
             ok = got == table.values[code] and oracle.query_count <= 2 * d
@@ -404,16 +437,18 @@ def _closure_function_rows(state: _Table):
     n = f.arity
     du, ut = state.u_depth()
     g = downward_closure(f)
-    # Built through core's binding, not this module's: the failing-sweep
-    # test corrupts the tables of f by patching this module's binding, and
-    # its pinned records take D of the closure from g's true extension.
-    dg, _ = query_complexity(core.hazard_free_table(g))
+    dg = state.closure_depths.get(g)
+    if dg is None:
+        # Built through core's binding, not this module's: the failing-sweep
+        # test corrupts the tables of f by patching this module's binding,
+        # and its pinned records take D of the closure from g's true
+        # extension.
+        dg = state.closure_depths[g] = query_complexity(core.hazard_free_table(g))[0]
     solver = tree_solver(ut)
     spec = f.to_spec()
 
     def runs():
-        for idx in range(1 << n):
-            x = TernaryString(tuple((idx >> (n - 1 - p)) & 1 for p in range(n)))
+        for idx, x in enumerate(_binary_inputs(n)):
             oracle = Oracle(x)
             got = downward_closure_solve(f, solver, oracle)
             want = g.value_at_index(idx)
@@ -443,8 +478,9 @@ def _chunk_worker(payload):
     state is built once and every kind's checks run on it in order."""
     kinds, arity, bits_chunk = payload
     agg: dict = {kind: {} for kind in kinds}
+    closure_depths: dict = {}
     for bits in bits_chunk:
-        state = _Table(BooleanFunction(arity, bits))
+        state = _Table(BooleanFunction(arity, bits), closure_depths)
         for kind in kinds:
             _fold(agg[kind], _KINDS[kind](state))
     return agg
@@ -499,9 +535,7 @@ def _reduction_rows():
         _, tree = query_complexity_u(table)
         solver = tree_solver(tree)
         worst = 0
-        for xbits in range(1 << m):
-            x = TernaryString(tuple((xbits >> (m - 1 - p)) & 1
-                                    for p in range(m)))
+        for xbits, x in enumerate(_binary_inputs(m)):
             oracle = Oracle(x)
             got = or_via_ind_reduction(n, solver, oracle)
             want = 1 if xbits else 0

@@ -4,10 +4,13 @@ import copy
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -382,6 +385,79 @@ def test_failing_verify_records_byte_identical(monkeypatch):
     assert _records_digest(reports) == FAILING_VERIFY_DIGEST
 
 
+# The same failures reaching sampled arity-4 tables: the records of
+# run_suite("core", ns=ns, samples=5, workers=1) with every table
+# corrupted, each ns digested alone.  At ns=(4,) the first
+# counterexamples lie on a sampled table, so the order in which the
+# resolution and refinement scans meet failures there is pinned too.
+# Both were recorded before those scans read per-arity plans.
+FAILING_SAMPLED_DIGESTS = {
+    (1, 2, 3): "6990778314a47054bf91382bf48049fd41e31b212b5533d19d50fd58e645e8fe",
+    (4,): "be9391cc221a426ebab293e15a7db5dba47ca7bdf6dadfc42f1dba614b298763",
+}
+
+
+def test_failing_sampled_records_byte_identical(monkeypatch):
+    _corrupt_tables(monkeypatch)
+    assert {ns: _records_digest([run_suite("core", ns=ns, samples=5, workers=1)])
+            for ns in FAILING_SAMPLED_DIGESTS} == FAILING_SAMPLED_DIGESTS
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_scan_plans_match_the_reference_enumerations(n):
+    """Per ternary code, the resolution plan lists the truth-table
+    indices ``reference.resolution_eval`` reads, in its order, and the
+    refinement plan the codes of a brute-force product over the code's
+    u positions, in product order."""
+
+    class Reads:
+        """Truth bits that record each index read and answer 0 there, so
+        that no read ends the enumeration early."""
+
+        def __init__(self):
+            self.indices = []
+
+        def __rshift__(self, idx):
+            self.indices.append(idx)
+            return 0
+
+    resolution = uquery.check._resolution_plan(n)
+    refinement = uquery.check._refinement_plan(n)
+    assert len(resolution) == len(refinement) == 3 ** n
+    for code, x in enumerate(R.ternary_strings(n)):  # code order
+        reads = Reads()
+        R.resolution_eval(reads, n, x)
+        assert resolution[code] == tuple(reads.indices), x
+        spots = [p for p in range(n) if x[p] == R.U]
+        refined = []
+        for fill in product((0, 1, R.U), repeat=len(spots)):
+            y = list(x)
+            for p, t in zip(spots, fill):
+                y[p] = t
+            refined.append(int("".join(map(str, y)), 3))
+        assert refinement[code] == tuple(refined), x
+
+
+def test_importing_builds_no_plan_and_no_inputs():
+    """The scan plans and the input tuples are built on a sweep's first
+    use of an arity, never on import, so the CLI starts without them."""
+    script = (
+        "import uquery.cli, uquery.verification as V\n"
+        "caches = (V._resolution_plans, V._refinement_plans,\n"
+        "          V._ternary_inputs, V._binary_inputs)\n"
+        "print(*(c.cache_info().currsize for c in caches))\n"
+        "V.run_suite('all', ns=(1,), workers=1)\n"
+        "print(*(c.cache_info().currsize for c in caches))\n")
+    env = dict(os.environ)
+    src = str(Path(uquery.verification.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                           text=True, timeout=120, env=env, check=True)
+    # After the sweep: the plans and ternary inputs of arity 1, and the
+    # binary inputs of arity 1 (closure) and 2 and 4 (the or reduction).
+    assert child.stdout.splitlines() == ["0 0 0 0", "1 1 1 3"]
+
+
 @pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupted"])
 def test_all_gives_the_records_of_each_suite_run_alone(monkeypatch, corrupt):
     """``all`` sweeps the full population once for core, algorithm1 and
@@ -428,8 +504,8 @@ def test_all_builds_searches_and_prices_each_shared_table_once(monkeypatch):
     monotone, ``all`` at n = 3 builds each of the 256 tables once,
     searches its D and its D_u once and prices its block and
     certificate summaries once, the monotone check included; the
-    closure check also builds and searches the table of each function's
-    downward closure."""
+    closure check also builds and searches the table of each distinct
+    downward closure once, as the sweep is one chunk."""
     counts = _count_table_work(monkeypatch)
     V = uquery.verification
 
@@ -449,7 +525,7 @@ def test_all_builds_searches_and_prices_each_shared_table_once(monkeypatch):
     others = tally(rest)
     whole = tally(lambda: run_suite("all", ns=(3,), workers=1))
     shared = Counter(BooleanFunction(3, bits) for bits in range(256))
-    closures = Counter(downward_closure(f) for f in shared)
+    closures = Counter({downward_closure(f) for f in shared})
     for name in ("hazard_free_table", "query_complexity"):
         assert whole[name] == others[name] + shared + closures, name
     for name in ("query_complexity_u", "_block_summary", "_certificate_summary"):
