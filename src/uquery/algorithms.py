@@ -156,7 +156,7 @@ def transcript_json(transcript: Sequence[tuple[int, int]]) -> list[dict]:
 
 def tree_solver(tree: DecisionTree) -> Solver:
     """Turn a decision tree into a solver that walks it against an oracle."""
-    var, leaf, first = tree.var, tree.leaf, tree.first
+    var, leaf, first = (values.tolist() for values in (tree.var, tree.leaf, tree.first))
 
     def run(oracle: QueryOracle) -> int:
         i = 0
@@ -246,7 +246,7 @@ def algorithm1_tree(table: HazardFreeTable) -> DecisionTree:
     """
     f = table.function
     if f.is_constant():
-        return DecisionTree._of((0,), (f.value_at_index(0),), (1, 1))
+        return DecisionTree._of([0], [f.value_at_index(0)], [1, 1])
     var, leaf, first = [], [], [1]
     layer = [((STAR,) * table.arity, None, ())]
     while layer:
@@ -267,7 +267,7 @@ def algorithm1_tree(table: HazardFreeTable) -> DecisionTree:
             below.extend((cells[:p] + (a,) + cells[p + 1:], stage, todo[1:])
                          for a in (0, 1, UNKNOWN))
         layer = below
-    return DecisionTree._of(tuple(var), tuple(leaf), tuple(first))
+    return DecisionTree._of(var, leaf, first)
 
 
 def algorithm1_solve(table: HazardFreeTable, oracle: QueryOracle) -> SolveResult:

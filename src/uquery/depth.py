@@ -37,7 +37,7 @@ from .core import (
     HazardFreeTable,
     check_cap,
 )
-from .trees import DecisionTree, _Nodes
+from .trees import DecisionTree
 
 # A bitset holds one bit per cell of {answers, *}^n.  The last min(n, 3)
 # axes lie inside a 64-bit word, in base 4 with * at digit 3, so that
@@ -425,8 +425,8 @@ def _read_tree(level_of: Callable, n: int, answers: tuple[int, ...],
     order, so every temporary has the size of a frontier or of a small
     table.  Their levels are those ``_query_axes`` looked up to choose
     the variables when it tried all the axes it needed in one chunk, and
-    are looked up again only otherwise.  The tree keeps the node arrays
-    it is built from, for its readers in ``trees``.
+    are looked up again only otherwise.  The arrays built here are the
+    tree's own, made read-only, with no copy.
     """
     _, _, _, both, root = _moves(n, answers)
     size = _layout(n, answers).size
@@ -459,10 +459,7 @@ def _read_tree(level_of: Callable, n: int, answers: tuple[int, ...],
     first[0] = 1
     np.cumsum(inner * len(answers), out=first[1:])
     first[1:] += 1
-    nodes = _Nodes(var.astype(np.int64, copy=False), leaf, first)
-    for array in nodes:
-        array.setflags(write=False)  # kept with the tree, for its readers
-    return DecisionTree._of(tuple(var.tolist()), tuple(leaf.tolist()), tuple(first.tolist()), nodes)
+    return DecisionTree._of(var.astype(np.int64, copy=False), leaf, first)
 
 
 def _optimal_tree(table: HazardFreeTable, answers: tuple[int, ...],

@@ -8,13 +8,10 @@ two ways and is evaluated on resolved inputs only (``onU`` is absent).
 A ``DecisionTree`` is three flat node arrays laid out layer by layer:
 the variable each node queries (0 at a leaf), the trit each leaf
 outputs, and the index of each node's first child, its two or three
-children being consecutive.  The depth search of ``depth`` builds them
-directly, parsing builds them from the JSON form, and serialization,
-evaluation and checking read them; no per-node object exists.  The
-arrays are tuples; serialization and checking read them as NumPy arrays
-(``_node_arrays``), which a tree keeps: the depth search hands over
-those it built the tree from, and any other tree makes them from its
-tuples on first use.
+children being consecutive.  The arrays are read-only NumPy arrays and
+are the tree: the depth search of ``depth`` hands over those it built,
+parsing builds them from the JSON form, and serialization, evaluation
+and checking read them; no per-node object or tuple exists.
 
 ``tree_to_json_dict`` builds the JSON form bottom up, layer by layer,
 each node from its children's dicts, so any depth converts without
@@ -47,10 +44,10 @@ from __future__ import annotations
 import array
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,15 +60,10 @@ class TreeFormatError(ValueError):
     """Raised for malformed serialized trees."""
 
 
-class _Nodes(NamedTuple):
-    """The node arrays of a tree as NumPy arrays, shared and read-only."""
-
-    var: np.ndarray    # int64, or Python ints for a variable of 2**31 or more
-    leaf: np.ndarray   # uint8
-    first: np.ndarray  # int64
+_FIELDS = ("var", "leaf", "first")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class DecisionTree:
     """A decision tree as flat node arrays, one entry per node.
 
@@ -82,43 +74,54 @@ class DecisionTree:
     when there are three, u; a leaf has none.  ``first`` has one entry
     more than there are nodes, the node count, so that ``first[i + 1]``
     always exists.  Children are laid out in the order of their parents,
-    which is what makes the nodes come in layers.  The constructor
-    refuses arrays that do not make such a tree with ``TreeFormatError``.
+    which is what makes the nodes come in layers.
 
-    The same arrays as NumPy arrays (``_node_arrays``) are kept with the
-    tree but take no part in its equality, hash, repr or pickled state.
+    The fields are read-only NumPy arrays: ``var`` and ``first`` int64,
+    ``leaf`` uint8; ``var`` holds Python ints instead when a variable is
+    2**31 or more, so that no sum or product with it overflows.  The
+    constructor takes any int sequences and refuses those that do not
+    make such a tree with ``TreeFormatError``.  Two trees are equal when
+    their arrays hold the same values.
     """
 
-    var: tuple[int, ...]
-    leaf: tuple[int, ...]
-    first: tuple[int, ...]
-    _arrays: _Nodes | None = field(default=None, init=False, repr=False, compare=False)
+    var: np.ndarray
+    leaf: np.ndarray
+    first: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("var", "leaf", "first"):
-            object.__setattr__(self, name, tuple(map(operator.index, getattr(self, name))))
-        error = _layout_error(self.var, self.leaf, self.first)
+        nodes = [list(map(operator.index, getattr(self, name))) for name in _FIELDS]
+        error = _layout_error(*nodes)
         if error is not None:
             raise TreeFormatError(error)
-
-    def __getstate__(self) -> list:
-        return [self.var, self.leaf, self.first]
-
-    def __setstate__(self, state: list) -> None:
-        for name, value in zip(("var", "leaf", "first", "_arrays"), (*state, None)):
-            object.__setattr__(self, name, value)
+        _set_nodes(self, *nodes)
 
     @classmethod
-    def _of(cls, var: tuple, leaf: tuple, first: tuple,
-            arrays: _Nodes | None = None) -> "DecisionTree":
-        """Wrap node arrays that are well formed by construction, without
-        the constructor's check, which visits every node in Python; with
-        ``arrays``, the same nodes as NumPy arrays, which are then kept
-        instead of being rebuilt on first use."""
-        tree = object.__new__(cls)
-        for name, value in zip(("var", "leaf", "first", "_arrays"), (var, leaf, first, arrays)):
-            object.__setattr__(tree, name, value)
-        return tree
+    def _of(cls, var: Sequence[int], leaf: Sequence[int], first: Sequence[int]) -> "DecisionTree":
+        """Wrap node arrays, or int lists, that are well formed by
+        construction, without the constructor's check, which visits every
+        node in Python.  An array is kept as it is, made read-only."""
+        return _set_nodes(object.__new__(cls), var, leaf, first)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DecisionTree):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _FIELDS)
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.var.tolist()), self.leaf.tobytes(), tuple(self.first.tolist())))
+
+    def __reduce__(self):
+        # Rebuilt through _of, so a copy's arrays are read-only too.
+        return DecisionTree._of, (self.var, self.leaf, self.first)
+
+
+def _set_nodes(tree: DecisionTree, var, leaf, first) -> DecisionTree:
+    """Store the node arrays on a tree, each read-only, shared by every reader."""
+    leaf = leaf if isinstance(leaf, np.ndarray) else np.frombuffer(bytes(leaf), dtype=np.uint8)
+    for name, values in zip(_FIELDS, (_node_values(var), leaf, _node_values(first))):
+        values.setflags(write=False)
+        object.__setattr__(tree, name, values)
+    return tree
 
 
 def _layout_error(var, leaf, first) -> str | None:
@@ -142,13 +145,13 @@ def _layout_error(var, leaf, first) -> str | None:
     return None
 
 
-def _layer_starts(first: tuple[int, ...]) -> list[int]:
+def _layer_starts(first: Sequence[int]) -> list[int]:
     """The first node of each layer, then the node count.  The children
     of one layer make up the next, so each layer starts at the first
     child of the layer before it."""
     starts = [0]
     while starts[-1] < len(first) - 1:
-        starts.append(first[starts[-1]])
+        starts.append(int(first[starts[-1]]))
     return starts
 
 
@@ -157,27 +160,18 @@ def tree_depth(tree: DecisionTree) -> int:
     return len(_layer_starts(tree.first)) - 2
 
 
-def _node_values(values: tuple[int, ...]) -> np.ndarray:
-    """A node array as int64, read without a Python step per node.  One
-    holding a value of 2**31 or more (a variable no table has) becomes an
-    array of Python ints, on which the same NumPy calls work, so that no
-    sum or product of a value and a node count overflows."""
+def _node_values(values: Sequence[int]) -> np.ndarray:
+    """A node array as int64, read without a Python step per node; an
+    ndarray is passed through as it is.  One holding a value of 2**31 or
+    more (a variable no table has) becomes an array of Python ints, on
+    which the same NumPy calls work, so that no sum or product of a
+    value and a node count overflows."""
+    if isinstance(values, np.ndarray):
+        return values
     try:
         return np.frombuffer(array.array("i", values), dtype=np.int32).astype(np.int64)
     except OverflowError:
         return np.array(values, dtype=object)
-
-
-def _node_arrays(tree: DecisionTree) -> _Nodes:
-    """The tree's node arrays as NumPy arrays: those the depth search
-    built, else made from the tuples on first use and kept."""
-    if tree._arrays is None:
-        nodes = _Nodes(_node_values(tree.var), np.frombuffer(bytes(tree.leaf), dtype=np.uint8),
-                       _node_values(tree.first))
-        for values in nodes:
-            values.setflags(write=False)  # shared by every reader of the tree
-        object.__setattr__(tree, "_arrays", nodes)
-    return tree._arrays
 
 
 def _links(tree: DecisionTree) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
@@ -187,13 +181,13 @@ def _links(tree: DecisionTree) -> tuple[list[int], np.ndarray, np.ndarray, np.nd
     consecutive and come in the order of their parents, node j > 0 is a
     child of the node repeated at j - 1 when each node is repeated once
     per child."""
-    first = _node_arrays(tree).first
+    first = tree.first
     size = len(first) - 1
     parent = np.zeros(size, dtype=np.intp)
     parent[1:] = np.arange(size).repeat(first[1:] - first[:-1])
     answer = np.arange(size) - first[parent]
     answer[0] = 3
-    return _layer_starts(tree.first), first, parent, answer
+    return _layer_starts(first), first, parent, answer
 
 
 def evaluate_tree(tree: DecisionTree, y: TernaryString | str) -> int:
@@ -201,17 +195,17 @@ def evaluate_tree(tree: DecisionTree, y: TernaryString | str) -> int:
     y = as_ternary(y)
     var, first = tree.var, tree.first
     i, seen = 0, set()
-    while var[i]:
-        if not 1 <= var[i] <= len(y):
-            raise ValueError(f"tree queries variable {var[i]} outside 1..{len(y)}")
-        if var[i] in seen:
-            raise ValueError(f"tree queries variable {var[i]} twice on one path")
-        seen.add(var[i])
-        kid = first[i] + y[var[i] - 1]
+    while v := int(var[i]):
+        if not 1 <= v <= len(y):
+            raise ValueError(f"tree queries variable {v} outside 1..{len(y)}")
+        if v in seen:
+            raise ValueError(f"tree queries variable {v} twice on one path")
+        seen.add(v)
+        kid = int(first[i]) + y[v - 1]
         if kid >= first[i + 1]:
             raise ValueError("classical tree evaluated on an unresolved input")
         i = kid
-    return tree.leaf[i]
+    return int(tree.leaf[i])
 
 
 @cache
@@ -238,7 +232,7 @@ class _Leaves(NamedTuple):
 
 def _answers(tree: DecisionTree) -> int:
     """The answers a node branches on: 2 under a classical root, else 3."""
-    return tree.first[1] - tree.first[0] if tree.var[0] else 3
+    return int(tree.first[1] - tree.first[0]) if tree.var[0] else 3
 
 
 def _leaf_grid(tree: DecisionTree, n: int, entry: np.ndarray) -> _Leaves | None:
@@ -258,7 +252,7 @@ def _leaf_grid(tree: DecisionTree, n: int, entry: np.ndarray) -> _Leaves | None:
     of them and every value on the others.
     """
     starts, _, parent, answer = _links(tree)
-    var = _node_arrays(tree).var
+    var = tree.var
     kids = np.bincount(parent[1:], minlength=parent.size)
     if (var > n).any() or (kids[var != 0] != kids[0]).any():
         return None
@@ -316,7 +310,7 @@ def verify_tree(
     n = table.arity
     answers = _answers(tree)
     expected = table.grid[(slice(0, answers),) * n]
-    leaves = _leaf_grid(tree, n, _node_arrays(tree).leaf)
+    leaves = _leaf_grid(tree, n, tree.leaf)
     if leaves is None:
         for trits, want in zip(product(range(answers), repeat=n), expected.ravel().tolist()):
             y = TernaryString(trits)
@@ -338,7 +332,7 @@ def verify_tree(
 def tree_to_json_dict(tree: DecisionTree) -> dict:
     """The JSON form of a tree, built bottom-up, layer by layer: only the
     dicts of the layer below are held while a layer is built."""
-    var, leaf, first = tree.var, tree.leaf, tree.first
+    var, leaf, first = (values.tolist() for values in (tree.var, tree.leaf, tree.first))
     starts = _layer_starts(first)
     below: list = []
     for start, stop in reversed(list(zip(starts, starts[1:]))):
@@ -396,7 +390,7 @@ def _preorder_text(tree: DecisionTree, fragment: Callable, closer: Callable,
     without it (``by_layer`` false, the layer passed as 0), so that fewer
     are made.
     """
-    var, leaf, _ = _node_arrays(tree)
+    var, leaf = tree.var, tree.leaf
     query = var.nonzero()[0]
     layer, answer, fragment_at, closer_at = _slots(tree, query)
     if not by_layer:
@@ -539,7 +533,7 @@ def tree_from_json_dict(obj) -> DecisionTree:
         first.append(len(order))
         order.extend(kids)
     first.append(len(order))
-    return DecisionTree._of(tuple(var), tuple(leaf), tuple(first))
+    return DecisionTree._of(var, leaf, first)
 
 
 def parse_tree(text: str) -> DecisionTree:

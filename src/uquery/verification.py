@@ -348,7 +348,7 @@ def _alg1_function_rows(state: _Table):
     node = leaves.grid.reshape(-1)  # per input, the leaf it reaches
     starts = _layer_starts(tree.first)
     depth = np.repeat(np.arange(len(starts) - 1), np.diff(starts))[node]
-    output = np.array(tree.leaf)[node]
+    output = tree.leaf[node]
 
     hidden = TernaryString.from_code(int(depth.argmax()), n)
     res = algorithm1_solve(table, Oracle(hidden))
@@ -357,7 +357,7 @@ def _alg1_function_rows(state: _Table):
             (tree_solver(tree)(walk), walk.query_count, walk.transcript):
         raise AssertionError(f"{spec}: the solver's run on {hidden} leaves its tree")
 
-    u_leaves = np.flatnonzero((np.array(tree.var) == 0) & (np.array(tree.leaf) == UNKNOWN))
+    u_leaves = np.flatnonzero((tree.var == 0) & (tree.leaf == UNKNOWN))
     axes, codes = np.divmod(leaves.reach[u_leaves], 3 ** n)
     paths = np.stack(np.unravel_index(codes, (3,) * n), axis=1).tolist()
     survivors = {}

@@ -13,10 +13,9 @@ import pytest
 
 import reference as R
 import uquery.measures
-import uquery.trees
 from uquery import ArityCapError, BooleanFunction, HazardFreeTable, generate, hazard_free_table
-from uquery.algorithms import algorithm1_tree
-from uquery.core import UNKNOWN
+from uquery.algorithms import Oracle, algorithm1_tree, tree_solver, unate_solver
+from uquery.core import UNKNOWN, Orientation
 from uquery.depth import (
     _bitset_bytes,
     _depth_levels,
@@ -515,7 +514,8 @@ def _edge_trees(n):
 
 def _flip_last_leaf(tree):
     """The tree with its last node, a leaf of the deepest layer, changed."""
-    leaf = tree.leaf[:-1] + ((tree.leaf[-1] + 1) % 2,)
+    leaf = tree.leaf.tolist()
+    leaf[-1] = (leaf[-1] + 1) % 2
     return DecisionTree(tree.var, leaf, tree.first)
 
 
@@ -620,21 +620,58 @@ def test_depth_is_permutation_invariant():
             assert query_complexity_u(hazard_free_table(g))[0] == base
 
 
-def test_node_arrays_are_not_part_of_a_tree():
-    """A searched tree keeps the arrays it was built from and a parsed one
-    makes them on first use; they read the same, and neither equality,
-    hash, repr nor the pickled bytes see them."""
-    searched = query_complexity_u(hazard_free_table(generate("maj:5")))[1]
-    parsed = parse_tree(serialize_tree(searched))
-    assert searched._arrays is not None and parsed._arrays is None
-    before = pickle.dumps(parsed)
-    for got, want in zip(uquery.trees._node_arrays(searched), uquery.trees._node_arrays(parsed)):
-        assert got.dtype == want.dtype and (got == want).all() and not got.flags.writeable
-    assert parsed._arrays is not None
-    assert searched == parsed and hash(searched) == hash(parsed) and repr(searched) == repr(parsed)
-    assert pickle.dumps(searched) == pickle.dumps(parsed) == before
-    copy = pickle.loads(before)
-    assert copy == searched and copy._arrays is None
+def _routes(table):
+    """Trees by every route that builds one, in groups of trees with the
+    same nodes: each depth search's tree, Algorithm 1's, a constant
+    function's, and the 2**61 and 2**70 edge trees, each also parsed,
+    read from its JSON form and passed to the public constructor."""
+    def copies(tree):
+        return [tree, parse_tree(serialize_tree(tree)), tree_from_json_dict(tree_to_json_dict(tree)),
+                DecisionTree(tree.var, tree.leaf, tree.first),
+                DecisionTree(tree.var.tolist(), tree.leaf.tolist(), tree.first.tolist())]
+
+    constant = hazard_free_table(BooleanFunction(table.arity, 0))
+    groups = [copies(tree) for tree in (query_complexity(table)[1], query_complexity_u(table)[1],
+                                        algorithm1_tree(table), algorithm1_tree(constant))]
+    groups += [[tree_from_json_dict(obj), parse_tree(json.dumps(obj)), _build(obj)]
+               for obj in _edge_trees(table.arity)[:2]]
+    return groups
+
+
+def test_a_tree_is_its_read_only_node_arrays():
+    """Whatever its route, a tree's fields are read-only NumPy arrays of
+    the documented dtypes; trees with the same nodes are equal and hash
+    equal, and a pickled copy is an equal tree, read-only too."""
+    groups = _routes(hazard_free_table(generate("maj:3")))
+    for big, group in zip((False,) * 4 + (True,) * 2, groups):
+        for tree in group:
+            for copy in (tree, pickle.loads(pickle.dumps(tree))):
+                assert copy == group[0] and hash(copy) == hash(group[0])
+                assert [values.dtype for values in (copy.var, copy.leaf, copy.first)] == \
+                    [np.dtype(object if big else np.int64), np.dtype(np.uint8), np.dtype(np.int64)]
+                for values in (copy.var, copy.leaf, copy.first):
+                    assert type(values) is np.ndarray
+                    with pytest.raises(ValueError):
+                        values[0] = 1
+    # A classical and a u-model tree, the two edge trees, and a tree and its JSON form differ.
+    assert groups[0][0] != groups[1][0] and groups[4][0] != groups[5][0]
+    assert groups[0][0] != tree_to_json_dict(groups[0][0])
+
+
+def test_tree_walkers_give_plain_ints():
+    """The walkers give Python ints, never NumPy scalars, so that their
+    results go into JSON and the verify records as they are."""
+    table = hazard_free_table(generate("maj:3"))
+    f = table.function
+    searched = query_complexity_u(table)[1]
+    for tree in (searched, query_complexity(table)[1], parse_tree(serialize_tree(searched)),
+                 algorithm1_tree(table)):
+        assert type(tree_depth(tree)) is int
+        json.dumps(tree_to_json_dict(tree))
+        solvers = (tree_solver(tree), unate_solver(f, Orientation((0,) * 3), tree))
+        for x in itertools.product((0, 1), repeat=3):
+            assert type(evaluate_tree(tree, x)) is int
+            assert all(type(solve(Oracle(x))) is int for solve in solvers)
 
 
 def test_serialization_roundtrip():
