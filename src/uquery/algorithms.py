@@ -155,17 +155,22 @@ def transcript_json(transcript: Sequence[tuple[int, int]]) -> list[dict]:
 
 
 def tree_solver(tree: DecisionTree) -> Solver:
-    """Turn a decision tree into a solver that walks it against an oracle."""
-    var, leaf, first = (values.tolist() for values in (tree.var, tree.leaf, tree.first))
+    """Turn a decision tree into a solver that walks it against an oracle.
+    A run reads the node arrays one step at a time, as Python ints: it
+    visits at most n + 1 of the nodes, so nothing is built per solver.
+    Every query node has at least the children 0 and 1, so only a larger
+    answer needs the check against the node's child count."""
+    var, leaf, first = tree.var.item, tree.leaf.item, tree.first.item
 
     def run(oracle: QueryOracle) -> int:
         i = 0
-        while var[i]:
-            kid = first[i] + oracle.query(var[i])
-            if kid >= first[i + 1]:
+        while v := var(i):
+            answer = oracle.query(v)
+            kid = first(i) + answer
+            if answer > 1 and kid >= first(i + 1):
                 raise ValueError("classical tree received a u answer")
             i = kid
-        return leaf[i]
+        return leaf(i)
 
     return run
 

@@ -16,16 +16,23 @@ querying its j free variables decides it, so only a cell with at least
 k *s can enter L_k: a word whose word-axis digits hold s *s gains no bit
 above level s + min(n, 3).  A level runs on the whole array while at
 least ``_GATHER_SHARE`` of the words can still gain bits, and on those
-words alone, gathered with their children, from then on.  Each cell's
-level is kept as bit planes, and the tree is read off them one layer of
-cells at a time, taking at each node the lowest variable that attains
-the optimum, so results are canonical; each layer tries the axes from
-the lowest * of any of its cells.
+words alone, gathered with their children, from then on.  A whole-array
+level is grown in place, one cache-sized block of words at a time, the
+blocks with more *s first, so that no block is overwritten before the
+blocks that read it are done.  Timed in one process on random:12:1
+(2-CPU x86-64, best of 15), the u-model's L_0 takes 4.3 ms and its
+levels 23 ms, where L_0 merged a byte per cell and levels run over whole
+arrays with fresh temporaries took 9.3 and 35 ms.  Each cell's level is
+kept as bit planes, and the tree is read off them one layer of cells at
+a time, taking at each node the lowest variable that attains the
+optimum, so results are canonical; each layer tries the axes from the
+lowest * of any of its cells.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import product
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -62,7 +69,10 @@ class _Layout(NamedTuple):
     size: int        # bits: one per cell
     as_int: bool     # a Python int, else a uint64 array
     shifts: tuple    # per axis done by shifts: (stride, star digit, mask of its * cells)
-    views: tuple     # per word axis of an array: the (before, digit, after) shape
+    block: int       # words per block of a whole-array level
+    views: tuple     # per word axis inside a block: the (before, digit, after) shape
+    blocks: tuple    # per block, by *s descending: its first word, and per * axis
+                     # numbering blocks the first words of its children by answer
     gather: int      # the first level run on the live words alone (n + 1: none)
 
 
@@ -70,10 +80,19 @@ class _Layout(NamedTuple):
 # can still gain bits, and on the gathered live words from the first level
 # where fewer can.  Gathering the live words and their children costs
 # about as much as a whole-array level over them, so a lower share
-# switches later and builds less: timed in a fresh interpreter (2-CPU
-# x86-64), the levels of random:12:77 in the u-model take 40 ms at 0.1,
-# 43 ms at 0.3 and 57 ms on the whole array alone.
+# switches later and builds less: timed in one process (2-CPU x86-64,
+# best of 7), the levels of random:12:77 in the u-model take 22 ms at
+# 0.1 (and at 0.05, which switches at the same level), 22-23 ms at 0.02,
+# 28 ms at 0.3 and 30 ms on the whole array alone.
 _GATHER_SHARE = 0.1
+
+# A whole-array level runs in blocks of at most this many words, so that
+# a block, its scratch and its slice of the planes stay in a core's L2
+# cache (2 MiB here).  Timed as above, the u-model levels of random:12:1
+# take 22 ms in blocks of 4**7 words (this bound), 22-24 ms in blocks of
+# 4**8, 29 ms in blocks of 4**6 (more NumPy calls) and 34 ms in one
+# block of 4**9.
+_BLOCK_WORDS = 1 << 15
 
 
 @cache
@@ -117,14 +136,24 @@ def _layout(n: int, answers: tuple[int, ...]) -> _Layout:
                 cycle *= 2
             shifts.append((stride, star // stride, mask & (1 << width) - 1))
     base, outer = len(answers) + 1, 0 if as_int else n - len(shifts)
-    views = tuple((base ** p, base, base ** (outer - 1 - p)) for p in range(outer))
+    fixed = 0  # the leading word axes, whose digits number the blocks
+    while base ** (outer - fixed) > _BLOCK_WORDS:
+        fixed += 1
+    block = base ** (outer - fixed)
+    views = tuple((base ** p, base, base ** (outer - fixed - 1 - p)) for p in range(outer - fixed))
+    blocks = []
+    for digits in sorted(product(range(base), repeat=fixed), key=lambda d: -d.count(base - 1)):
+        first = sum(d * base ** (fixed - 1 - p) for p, d in enumerate(digits)) * block
+        blocks.append((first, tuple(
+            tuple(first + (a + 1 - base) * base ** (fixed - 1 - p) * block for a in answers)
+            for p, d in enumerate(digits) if d == base - 1)))
     gather = n + 1
     for k in range(n, len(shifts), -1):  # level k changes only words with k - len(shifts) *s or more
         if sum(comb(outer, s) * (base - 1) ** (outer - s)
                for s in range(k - len(shifts), outer + 1)) >= _GATHER_SHARE * base ** outer:
             break
         gather = k
-    return _Layout(size, as_int, tuple(shifts), views, gather)
+    return _Layout(size, as_int, tuple(shifts), block, views, tuple(blocks), gather)
 
 
 class _Live(NamedTuple):
@@ -171,8 +200,8 @@ def _kids_by_shift(bits, stride: int, star: int, answers: tuple[int, ...]):
 
 
 def _kids_in_view(view: np.ndarray, answers: tuple[int, ...]) -> np.ndarray:
-    """The AND of the children on an axis, ``view`` being the bitset (or
-    bit planes) as (before, digit, after)."""
+    """The AND of the children on an axis, ``view`` holding the axis's
+    digit on its second axis."""
     kids = view[:, answers[0]] & view[:, answers[1]]
     for a in answers[2:]:
         kids &= view[:, a]
@@ -180,16 +209,25 @@ def _kids_in_view(view: np.ndarray, answers: tuple[int, ...]) -> np.ndarray:
 
 
 @cache
-def _in_word_codes(inner: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per cell of ``inner`` in-word digits, by bit: the ternary code of
+def _cell_codes(digits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell of ``digits`` base-4 digits, by bit: the ternary code of
     its coarsest completion (u at every *), and whether it has no *."""
     codes, starless = np.zeros(1, dtype=np.intp), np.ones(1, dtype=bool)
-    for _ in range(inner):
-        codes = (3 * codes[:, None] + [0, 1, UNKNOWN, UNKNOWN]).reshape(-1)
-        starless = (starless[:, None] & [True, True, True, False]).reshape(-1)
+    for p in range(digits):  # each pass puts a more significant digit in front
+        codes = (np.array([0, 1, UNKNOWN, UNKNOWN])[:, None] * 3 ** p + codes).reshape(-1)
+        starless = (np.array([True, True, True, False])[:, None] & starless).reshape(-1)
     for array in (codes, starless):
         array.flags.writeable = False  # shared through the cache
     return codes, starless
+
+
+@cache
+def _side_by_side(n: int, answers: tuple[int, ...]) -> tuple:
+    """The shifts of the int bitsets of arity n, each mask repeated over
+    one bitset per answer laid side by side in one int, the first lowest."""
+    layout = _layout(n, answers)
+    return tuple((stride, digit, sum(mask << v * layout.size for v in range(len(answers))))
+                 for stride, digit, mask in layout.shifts)
 
 
 def _packed(cells: np.ndarray, layout: _Layout):
@@ -217,46 +255,131 @@ def _forced_bits(table: HazardFreeTable, answers: tuple[int, ...]):
     are, as a completion with u there is coarser than one through each
     child and so keeps their common resolved value, or stays u.  So a
     forced cell's value is the table's at its 0-fill (0 at every *), on
-    any table.  The planes are merged on the in-word axes a byte per cell
-    while they hold only the words of ternary cells, then packed, spread
-    over the words of * cells and merged on the word axes.
+    any table.
+
+    On an int the planes lie side by side and every axis is merged by
+    shifts, as the levels do; a * cell's children lie in its own plane,
+    so the bits a shift carries across planes land on cells the mask
+    drops.  On an array the planes of the cells without a * are packed
+    into the words of ternary word digits and merged on the in-word axes
+    by shifts; then each plane in turn is spread over the words of *
+    cells, merged on the word axes in place and ORed into L_0.  At n = 12
+    this takes 4.3 ms, where merging the planes a byte per cell before
+    packing, and all three at once on the word axes, took 9.3 (random:12:1,
+    2-CPU x86-64, best of 15 in one process).
     """
     n = table.arity
     layout = _layout(n, answers)
-    inner, outer = min(n, 3), n - min(n, 3)
-    codes, starless = _in_word_codes(inner)
-    # C order, which the in-place merges below need
-    cells = table.grid.reshape(-1, 3 ** inner).take(codes, axis=1)
     if len(answers) == 2:
+        inner = min(n, 3)
+        cells = table.grid.reshape(-1, 3 ** inner).take(_cell_codes(inner)[0], axis=1)
         return _packed(cells != UNKNOWN, layout)
-    planes = cells == np.array(answers, dtype=np.uint8)[:, None, None]
+    values = np.array(answers, dtype=np.uint8)
+    if layout.as_int:
+        codes, starless = _cell_codes(n)
+        planes = table.grid.reshape(-1).take(codes) == values[:, None]
+        planes = _packed(planes & starless, layout)
+        for stride, digit, mask in _side_by_side(n, answers):
+            planes |= _kids_by_shift(planes, stride, digit, (0, 1)) & mask
+        forced, full = 0, (1 << layout.size) - 1
+        for v in range(len(answers)):
+            forced |= planes >> v * layout.size & full
+        return forced
+    outer = n - 3
+    codes, starless = _cell_codes(3)
+    planes = table.grid.reshape(-1, 27).take(codes, axis=1) == values[:, None, None]
     planes &= starless
-    for q in range(inner):
-        view = planes.reshape(-1, 4, 4 ** (inner - 1 - q))
-        view[:, 3] = _kids_in_view(view, (0, 1))
-    if not outer:
-        return _packed(np.bitwise_or.reduce(planes, axis=0), layout)
-    planes = np.packbits(planes.reshape(-1), bitorder="little").view(np.uint64)
-    words = np.zeros((len(answers),) + (4,) * outer, dtype=np.uint64)
+    packed = np.packbits(planes, axis=-1, bitorder="little").view(np.uint64)[..., 0]
+    for stride, digit, mask in _layout(3, answers).shifts:  # those of the in-word axes
+        kids = _kids_by_shift(packed, stride, digit, (0, 1))
+        kids &= mask
+        packed |= kids
+    forced = np.zeros(4 ** outer, dtype=np.uint64)
+    words = np.empty((1,) + (4,) * outer, dtype=np.uint64)
     ternary = words[(slice(None),) + (slice(0, 3),) * outer]  # the words of ternary cells
-    ternary[...] = planes.reshape(ternary.shape)
-    for p in range(outer):
-        view = words.reshape(len(answers) * 4 ** p, 4, -1)
-        view[:, 3] = _kids_in_view(view, (0, 1))
-    forced = np.bitwise_or.reduce(words.reshape(len(answers), -1), axis=0)
-    return int.from_bytes(forced, "little") if layout.as_int else forced
+    for plane in packed:
+        # Every word of * cells is written by the merge on its last * axis,
+        # from children whose *s all lie on earlier axes, so what a word
+        # held before, from the plane before or from np.empty, is never read.
+        ternary[...] = plane.reshape(ternary.shape)
+        for p in range(outer):
+            view = words.reshape(4 ** p, 4, -1)
+            np.bitwise_and(view[:, 0], view[:, 1], out=view[:, 3])
+        forced |= words.reshape(-1)
+    return forced
+
+
+def _block_grower(level: np.ndarray, planes: np.ndarray, layout: _Layout,
+                  answers: tuple[int, ...]) -> Callable[[list], None]:
+    """A step that grows the array ``level`` from L_{k-1} to L_k in
+    place, a block of words at a time, and flips the bit of each cell
+    entering L_k in the given planes, those whose bit of k is 0.
+
+    A block is the words of one prefix of the leading word-axis digits
+    (``_Layout.blocks``).  Its new words read its own old words, on the
+    in-word axes and on the word axes inside the block, and on each * of
+    its prefix the old words of its child blocks, whose prefixes hold one
+    * fewer.  The blocks go by *s descending, so the blocks that read a
+    block are all done before it is overwritten, and the level needs no
+    second array: three block-sized buffers, and views of them, of the
+    level and of the planes, all built here once for the search.  A
+    merge ANDs the children on a word axis into a buffer and ORs that
+    into the cells with a * there.
+    """
+    scratch = np.empty((3, layout.block), dtype=np.uint64)
+    grown, kids, _ = scratch
+    star, size = len(answers), layout.block
+    inside = [(kids[:before * after].reshape(before, after),
+               grown.reshape(before, digit, after)[:, star]) for before, digit, after in layout.views]
+    steps = []  # per block, by *s descending: its words, merges and slice of the planes
+    for first, axes in layout.blocks:
+        old = level[first:first + size]
+        merges = [([view[:, a] for a in answers], out, into)
+                  for view, (out, into) in zip((old.reshape(shape) for shape in layout.views), inside)]
+        merges += [([level[lo:lo + size] for lo in starts], kids, grown) for starts in axes]
+        steps.append((old, merges, planes[:, first:first + size]))
+
+    def grow(unset: list) -> None:
+        grown, kids, spare = scratch
+        for old, merges, rows in steps:
+            prior = old  # the first axis ORs its children's AND into the old words
+            for stride, _, mask in layout.shifts:
+                # An in-word axis holds 0, 1 and u at digits 0-2 and * at 3,
+                # so the AND of a cell and the cell one digit below it,
+                # moved up two digits, is that of the 0 and 1 children at
+                # the *, and the cell one digit below the * is the u child.
+                np.left_shift(old, stride, out=spare)
+                np.bitwise_and(old, spare, out=kids)
+                kids <<= 2 * stride
+                if UNKNOWN in answers:
+                    kids &= spare
+                kids &= mask
+                prior = np.bitwise_or(prior, kids, out=grown)
+            for children, out, into in merges:
+                np.bitwise_and(children[0], children[1], out=out)
+                for child in children[2:]:
+                    out &= child
+                into |= out
+            np.bitwise_xor(grown, old, out=kids)
+            for j in unset:
+                rows[j] ^= kids
+            old[...] = grown
+
+    return grow
 
 
 def _depth_levels(level, n: int, answers: tuple[int, ...]):
     """Grow L_0, the bitset ``level``, level by level until the all-* root
-    enters.
+    enters; an array is grown in place, to L_D.
 
     L_k adds to L_{k-1} every cell with a * on some axis whose children
     there all lie in L_{k-1}.  By induction on k, L_k holds exactly the
     cells of depth at most k: a query with every answer leading to depth
     at most k - 1 is a tree of depth k, and the first query of such a
     tree is one.  So the root enters at k = D.  Each level reads only
-    L_{k-1}, and axis by axis ORs the children's AND into a new bitset.
+    L_{k-1}, and axis by axis ORs the children's AND into L_k: on an int
+    a new one, on an array in place, a block of words at a time
+    (``_block_grower``).
 
     A cell entering L_k has at least k *s: its children on the axis it
     enters through lie in L_{k-1} and one of them not in L_{k-2}, so by
@@ -269,52 +392,59 @@ def _depth_levels(level, n: int, answers: tuple[int, ...]):
     other word is left as it is.
 
     Returns D and the level of each cell, the least k with the cell in
-    L_k, as m bit planes: plane j holds bit j of every level, and a cell
-    outside L_D reads 2**m - 1, above any depth.
+    L_k, as m bit planes, a list of ints or one (m, words) array: plane j
+    holds bit j of every level, and a cell outside L_D reads 2**m - 1,
+    above any depth.
     """
     layout = _layout(n, answers)
-    star = len(answers)
     m = (n + 1).bit_length()
-    last = layout.size - 1 if layout.as_int else 63  # the root's bit, in the int or the last word
-    full = (2 << last) - 1
-    planes = [full ^ level for _ in range(m)]
+    if layout.as_int:
+        last = layout.size - 1  # the root's bit
+        planes = [((2 << last) - 1) ^ level] * m
+    else:
+        last = 63  # the root's bit in the last word
+        planes = np.empty((m, level.size), dtype=np.uint64)
+        np.invert(level, out=planes[0])
+        planes[1:] = planes[0]
+        grow = _block_grower(level, planes, layout, answers)
     live = None  # the live words, from the first gathered level on
     k = 0
     while not (level if layout.as_int else int(level[-1])) >> last:
         if k == n:  # every cell without a * is forced, so D <= n
             raise AssertionError("the root entered no level up to n")
         k += 1
+        if layout.as_int:
+            grown = level
+            for stride, digit, mask in layout.shifts:
+                grown |= _kids_by_shift(level, stride, digit, answers) & mask
+            new = grown ^ level
+            for j in range(m):
+                if not k >> j & 1:
+                    planes[j] ^= new
+            level = grown
+            continue
+        unset = [j for j in range(m) if not k >> j & 1]  # the planes a cell entering at k flips
+        if k < layout.gather:
+            grow(unset)
+            continue
         if k == layout.gather:
+            del grow  # and its block buffers
             live = _live_words(n, answers)
-            every, planes = planes, [plane[live.words] for plane in planes]
-        if live is None:
-            old = grown = level
-        else:
-            count = live.counts[k - layout.gather]
-            old = level[live.words[:count]]
-            grown = np.bitwise_or.reduceat(
-                _kids_in_view(level[live.kids[:live.starts[count]]], answers), live.starts[:count])
-            grown |= old
+            every, planes = planes, planes.take(live.words, axis=1)
+        count = live.counts[k - layout.gather]
+        old = level[live.words[:count]]
+        grown = np.bitwise_or.reduceat(
+            _kids_in_view(level[live.kids[:live.starts[count]]], answers), live.starts[:count])
+        grown |= old
         for stride, digit, mask in layout.shifts:
             kids = _kids_by_shift(old, stride, digit, answers)
             kids &= mask
-            kids |= grown
-            grown = kids
-        if live is None:
-            for shape in layout.views:
-                grown.reshape(shape)[:, star] |= _kids_in_view(level.reshape(shape), answers)
-        new = grown ^ old
-        for j in range(m):
-            if not k >> j & 1:
-                if live is None:
-                    planes[j] ^= new
-                else:
-                    planes[j][:count] ^= new
-        if live is None:
-            level = grown
-        else:
-            level[live.words[:count]] = grown
-        del old, grown, kids, new  # freed before the next level allocates
+            grown |= kids
+        old ^= grown  # the cells entering at k
+        for j in unset:
+            planes[j, :count] ^= old
+        level[live.words[:count]] = grown
+        del old, grown, kids  # freed before the next level allocates
     if live is None:
         return k, planes
     for plane, gathered in zip(every, planes):
@@ -322,7 +452,7 @@ def _depth_levels(level, n: int, answers: tuple[int, ...]):
     return k, every
 
 
-def _level_reader(planes: list, size: int) -> Callable[[np.ndarray], np.ndarray]:
+def _level_reader(planes: list | np.ndarray, size: int) -> Callable[[np.ndarray], np.ndarray]:
     """A lookup of the level of the cells with the given keys.
 
     The planes are interleaved, one per byte of a word: word i of the
@@ -470,6 +600,7 @@ def _optimal_tree(table: HazardFreeTable, answers: tuple[int, ...],
     n = table.arity
     level = _forced_bits(table, answers) if forced is None else _packed(forced, _layout(n, answers))
     depth, planes = _depth_levels(level, n, answers)
+    del level  # L_D, which nothing reads: freed before the lookup is built
     level_of = _level_reader(planes, _layout(n, answers).size)
     del planes  # the lookup holds what it reads: at n = 12 the planes take 8 MB
     return depth, _read_tree(level_of, n, answers, table.grid.reshape(-1))

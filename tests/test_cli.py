@@ -258,6 +258,10 @@ SIMULATION_COMMAND_DIGESTS = {
         "17ba3f773f27a708fe17e1f7d548fc2693d55ad8bd80c70411d73eb7f798b195",
     ("table:e8:3", "1uu", "unate"):
         "deb43e6b7aec06b0b75702aaf035fb44138d09a39806518b7c77d6a0ad0581bb",
+    ("random:12:1", "1u0u1u1u01u0", "tree"):
+        "da29da395b90f4aabec7257ca247fb5c315b37f709f7095c25593308920c49cd",
+    ("random:12:1", "010011010110", "tree"):
+        "c8748b71cc5ee323c15707b01f5e97ab4d539b97a8ecfd02f4c831eb1d147fc4",
 }
 
 

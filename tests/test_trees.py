@@ -328,25 +328,47 @@ def test_no_cell_level_exceeds_its_stars(both_paths, n, count):
     assert gathered == (n >= 4)
 
 
+def _level_bytes(monkeypatch, tables, n, answers, **settings):
+    """The depth and the bytes of each level plane of every table, with
+    the module's settings patched as given and fresh layouts."""
+    for name, value in settings.items():
+        monkeypatch.setattr(uquery.depth, name, value)
+    uquery.depth._layout.cache_clear()
+    run = []
+    for table in tables:
+        size = _layout(n, answers).size
+        depth, planes = _depth_levels(_forced_bits(table, answers), n, answers)
+        run.append((depth, [_bitset_bytes(plane, size).tobytes() for plane in planes]))
+    monkeypatch.undo()
+    uquery.depth._layout.cache_clear()
+    return run
+
+
 @pytest.mark.parametrize("n,answers", [(8, MODELS[0]), (9, MODELS[0]), (10, MODELS[1])])
 def test_gathered_levels_match_the_full_levels(monkeypatch, n, answers):
     """The depth and level planes are the same whether every level runs
     on the whole array, the levels switch to the live words at the
-    default share, or every level from 4 on runs on them."""
-    results = []
-    for share in (0, uquery.depth._GATHER_SHARE, 1):
-        monkeypatch.setattr(uquery.depth, "_GATHER_SHARE", share)
-        uquery.depth._layout.cache_clear()
-        run = []
-        for bits in _kernel_tables(n, 3):
-            table = hazard_free_table(BooleanFunction(n, bits))
-            size = _layout(n, answers).size
-            depth, planes = _depth_levels(_forced_bits(table, answers), n, answers)
-            run.append((depth, [_bitset_bytes(plane, size).tobytes() for plane in planes]))
-        results.append(run)
-    monkeypatch.undo()
-    uquery.depth._layout.cache_clear()
-    assert results[0] == results[1] == results[2]
+    default share, or every level from 4 on runs on them, and whether
+    the whole-array levels run in one block, in blocks of the default
+    size or in blocks of the last two word axes (16 words in the u-model,
+    9 classically), 64 to 256 of them."""
+    tables = [hazard_free_table(BooleanFunction(n, bits)) for bits in _kernel_tables(n, 3)]
+    results = [_level_bytes(monkeypatch, tables, n, answers,
+                            _GATHER_SHARE=share, _BLOCK_WORDS=words)
+               for share in (0, uquery.depth._GATHER_SHARE, 1)
+               for words in (1 << 30, uquery.depth._BLOCK_WORDS, (len(answers) + 1) ** 2)]
+    assert all(run == results[0] for run in results)
+
+
+def test_blocked_levels_match_at_n_12(monkeypatch):
+    """On two seeded arity-12 tables the u-model levels give the same
+    depth and plane bytes in the default blocks (16 of them) as in blocks
+    of 4**4 words, 1,024 of them in *s-descending order."""
+    tables = [hazard_free_table(generate(f"random:12:{seed}")) for seed in (3, 4)]
+    assert len(_layout(12, MODELS[0]).blocks) == 16
+    small = _level_bytes(monkeypatch, tables, 12, MODELS[0], _BLOCK_WORDS=4 ** 4)
+    assert small == _level_bytes(monkeypatch, tables, 12, MODELS[0])
+    assert [depth for depth, _ in small] == [12, 12]
 
 
 def test_binary_tree_rejects_unresolved_input():
