@@ -230,10 +230,15 @@ def _side_by_side(n: int, answers: tuple[int, ...]) -> tuple:
                  for stride, digit, mask in layout.shifts)
 
 
+def _bitset(data, layout: _Layout):
+    """The bitset of a cell per bit of ``data``, lowest cell first: an int,
+    or a uint64 array over ``data`` itself, which must then be writable."""
+    return int.from_bytes(data, "little") if layout.as_int else np.frombuffer(data, dtype=np.uint64)
+
+
 def _packed(cells: np.ndarray, layout: _Layout):
     """The bitset of a bool per cell, in key order."""
-    bits = np.packbits(cells.reshape(-1), bitorder="little")
-    return int.from_bytes(bits, "little") if layout.as_int else bits.view(np.uint64)
+    return _bitset(np.packbits(cells.reshape(-1), bitorder="little"), layout)
 
 
 def _bitset_bytes(bits, size: int) -> np.ndarray:
@@ -593,12 +598,13 @@ def _read_tree(level_of: Callable, n: int, answers: tuple[int, ...],
 
 
 def _optimal_tree(table: HazardFreeTable, answers: tuple[int, ...],
-                  forced: np.ndarray | None = None) -> tuple[int, DecisionTree]:
+                  forced: bytes | None = None) -> tuple[int, DecisionTree]:
     """The exact depth over ``answers`` and the canonical optimal tree;
-    L_0 is packed from ``forced``, a bool per cell in key order, when
-    given, and built from the table otherwise."""
+    L_0 is a copy of ``forced``, the bytes of the bitset in key order,
+    when given, as the levels grow it in place, and built from the table
+    otherwise."""
     n = table.arity
-    level = _forced_bits(table, answers) if forced is None else _packed(forced, _layout(n, answers))
+    level = _forced_bits(table, answers) if forced is None else _bitset(bytearray(forced), _layout(n, answers))
     depth, planes = _depth_levels(level, n, answers)
     del level  # L_D, which nothing reads: freed before the lookup is built
     level_of = _level_reader(planes, _layout(n, answers).size)
@@ -607,15 +613,21 @@ def _optimal_tree(table: HazardFreeTable, answers: tuple[int, ...],
 
 
 def query_complexity_u(
-    table: HazardFreeTable, *, forced: np.ndarray | None = None,
+    table: HazardFreeTable, *, forced: bytes | None = None,
 ) -> tuple[int, DecisionTree]:
     """Exact optimal depth for computing the extension, with a witness tree.
 
-    ``forced``, when given, must say for each cell of {0, 1, u, *}^n, by
-    base-4 code, whether the table forces its value, as the measure
-    arrays hold it; the search then packs it instead of building its L_0.
+    ``forced``, when given, must be the table's L_0 as the measure arrays
+    hold it: a bit per cell of {0, 1, u, *}^n, by base-4 code, set where
+    the table forces the cell's value, in ceil(4**n / 8) bytes, lowest
+    cell first.  The search then starts from a copy of it instead of
+    building its own; bytes of another length raise ``ValueError``.
     """
-    check_cap(table.arity, table.cap, DEFAULT_SEARCH_CAP, "u-model depth search")
+    n = table.arity
+    check_cap(n, table.cap, DEFAULT_SEARCH_CAP, "u-model depth search")
+    nbytes = -(-4 ** n // 8)
+    if forced is not None and len(forced) != nbytes:
+        raise ValueError(f"the forced cells of arity {n} take {nbytes} bytes, not {len(forced)}")
     return _optimal_tree(table, (0, 1, UNKNOWN), forced)
 
 

@@ -112,14 +112,14 @@ class _MeasureArrays:
     certificate: np.ndarray  # minimum certificate size
     sensitivity: np.ndarray  # number of sensitive positions (s_u)
     block_bound: np.ndarray  # min(C, s + (n - s) // 2), at least bs
-    forced: np.ndarray       # whether each cell of {0, 1, u, *}^n is forced, by base-4 code
+    forced: bytes            # a bit per cell of {0, 1, u, *}^n, by base-4 code: forced
     blocks: BlockSensitivitySummary | None = None
     certificates: CertificateSummary | None = None
 
 
 def _measure_arrays(table: HazardFreeTable) -> _MeasureArrays:
-    """The per-input arrays of a table, under its cap; they hold 4**n
-    bytes and building them takes 4**n more."""
+    """The per-input arrays of a table, under its cap; they hold 4**n / 8
+    bytes and 3 * 3**n more, and building them takes 1.25 * 4**n more."""
     check_cap(table.arity, table.cap, DEFAULT_SEARCH_CAP, "certificate arrays")
     return _tabulate(table)
 
@@ -153,15 +153,16 @@ def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
     """Certificate size, s_u and the bs bound at every input.
 
     *Certificates.*  A domain S certifies x iff the cell equal to x on S
-    and * elsewhere is forced (``depth._forced_bits``, unpacked to a bool
-    per cell): every string consistent with S is a completion of it.
-    Hence C(x) is n minus the most *s that a forced coarsening of x adds
-    (x itself adds none).  Every forced cell starts at n and
-    ``_min_over_coarsenings`` leaves n minus the most *s added at each
-    ternary cell.  A cell that is not forced starts at 0xFE and passes on
-    at least 0xFE - n, above every real count, so no second marker is
-    needed; and no cell drops below its own number of *s, so none wraps
-    below zero.
+    and * elsewhere is forced (``depth._forced_bits``, kept as its bytes):
+    every string consistent with S is a completion of it.  Hence C(x) is
+    n minus the most *s that a forced coarsening of x adds (x itself adds
+    none).  The forced bits are unpacked a byte per cell into the array
+    that becomes the certificate sizes, where every forced cell starts at
+    n and ``_min_over_coarsenings`` leaves n minus the most *s added at
+    each ternary cell.  A cell that is not forced starts at 0xFE and
+    passes on at least 0xFE - n, above every real count, so no second
+    marker is needed; and no cell drops below its own number of *s, so
+    none wraps below zero.
 
     *s_u.*  Position p is sensitive at x iff either other trit at p
     changes the value, on any table; ``_sensitive_positions`` applies
@@ -190,9 +191,12 @@ def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
     n = table.arity
     vals = table.grid
 
-    bits, size = depth._forced_bits(table, (0, 1, UNKNOWN)), 4 ** n
-    forced = np.unpackbits(depth._bitset_bytes(bits, size), count=size, bitorder="little").view(bool)
-    cert = np.where(forced, np.uint8(n), np.uint8(0xFE)).reshape((4,) * n)
+    size = 4 ** n
+    forced = depth._bitset_bytes(depth._forced_bits(table, (0, 1, UNKNOWN)), size).tobytes()
+    cert = np.unpackbits(np.frombuffer(forced, dtype=np.uint8), count=size, bitorder="little")
+    cert *= np.uint8(n + 2)  # a forced cell's 1 becomes n + 2, which 0xFE more wraps to n;
+    cert += np.uint8(0xFE)   # every other cell reads 0xFE
+    cert = cert.reshape((4,) * n)
     _min_over_coarsenings(cert)
     cert = np.ascontiguousarray(cert[(slice(0, 3),) * n])
 
@@ -303,7 +307,8 @@ def _minimal_blocks(table: HazardFreeTable, arrays: _MeasureArrays,
     """
     blocks, weights, offsets, less = _block_lattice(len(digits))
     cell, zero_fill = weights @ np.array(digits, dtype=np.int64) + offsets
-    sensitive = ~arrays.forced[cell] | (table.grid.take(zero_fill) != v)
+    forced = np.frombuffer(arrays.forced, dtype=np.uint8)[cell >> 3] >> (cell & 7) & 1
+    sensitive = (forced == 0) | (table.grid.take(zero_fill) != v)
     minimal = sensitive[:-1] & ~sensitive[less].any(axis=0)
     return [blocks[i] for i in np.flatnonzero(minimal)]
 
@@ -381,31 +386,31 @@ def block_sensitivity_u_at(
     x = as_ternary(x)
     if len(x) != table.arity:
         raise ValueError(f"input length {len(x)} != arity {table.arity}")
-    code = x.code()
-    size, _, family = _packing_scan(table, _measure_arrays(table), [code])[table.values[code]]
+    code, arrays = x.code(), _measure_arrays(table)
+    scan = _packing_scan(table, arrays, [code], [int(arrays.block_bound[code])])
+    size, _, family = scan[table.values[code]]
     return size, family
 
 
 def _packing_scan(
-    table: HazardFreeTable, arrays: _MeasureArrays, codes: Sequence[int]
+    table: HazardFreeTable, arrays: _MeasureArrays, codes: Sequence[int], bounds: Sequence[int]
 ) -> list:
     """Per output trit, the largest packing of blocks over the inputs ``codes``.
 
     Entry v is None when no input of value v is scanned, else (size, x,
     family) at the first input x of ``codes`` attaining the class
     maximum: a maximum moves only on a strict increase.  An input whose
-    bound (``_tabulate``, indexed by ternary code) does not exceed the
-    best of its value class so far cannot move that maximum, nor the
-    overall one, which is at least as large; it is skipped without
-    packing its blocks.
+    bound, the entry of ``bounds`` beside it (``_tabulate``'s
+    ``block_bound`` at its code), does not exceed the best of its value
+    class so far cannot move that maximum, nor the overall one, which is
+    at least as large; it is skipped without packing its blocks.
     """
     n = table.arity
     vals, pw = table.values, _weights(n)
-    bound = arrays.block_bound.tolist()
     best: list = [None, None, None]
-    for base in codes:
+    for base, bound in zip(codes, bounds):
         v = vals[base]
-        if best[v] is not None and bound[base] <= best[v][0]:
+        if best[v] is not None and bound <= best[v][0]:
             continue
         x = TernaryString.from_code(base, n)
         blocks = _minimal_blocks(table, arrays, x.trits, v)
@@ -436,7 +441,7 @@ def block_summary(table: HazardFreeTable) -> BlockSensitivitySummary:
 
 
 def _block_summary(table: HazardFreeTable, arrays: _MeasureArrays) -> BlockSensitivitySummary:
-    best = _packing_scan(table, arrays, range(3 ** table.arity))
+    best = _packing_scan(table, arrays, range(3 ** table.arity), arrays.block_bound.tolist())
     by_value = tuple(0 if b is None else b[0] for b in best)
     bs_u, x, family = _overall(best)
     return BlockSensitivitySummary(
@@ -484,7 +489,7 @@ def certificate_u_at(table: HazardFreeTable, x: TernaryString | str) -> Certific
         code = all_star
         for p in S:
             code += (digits[p] - STAR) * pw4[p]
-        if arrays.forced[code]:
+        if arrays.forced[code >> 3] >> (code & 7) & 1:
             zero = sum([digits[p] * pw3[p] for p in S])  # x on S, 0 elsewhere
             return CertificateWitness(
                 PartialAssignment.restriction(x, (p + 1 for p in S)),
@@ -555,7 +560,7 @@ def standard_measures(table: HazardFreeTable) -> StandardMeasures:
     flips = _sensitive_positions(table, s_x)
     c_x = TernaryString.from_code(int(codes[cert.argmax()]), n)
     bs, bs_x, bs_family = _overall(
-        _packing_scan(table, arrays, codes.tolist()))
+        _packing_scan(table, arrays, codes.tolist(), arrays.block_bound[codes].tolist()))
 
     return StandardMeasures(
         s=int(sens.max()),

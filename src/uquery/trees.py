@@ -108,7 +108,9 @@ class DecisionTree:
         return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _FIELDS)
 
     def __hash__(self) -> int:
-        return hash((tuple(self.var.tolist()), self.leaf.tobytes(), tuple(self.first.tolist())))
+        # Of the arrays that are uint8 and int64 on every route, so that
+        # equal trees have equal bytes; ``var`` may hold Python ints.
+        return hash((self.leaf.tobytes(), self.first.tobytes()))
 
     def __reduce__(self):
         # Rebuilt through _of, so a copy's arrays are read-only too.

@@ -12,6 +12,7 @@ import hashlib
 import json
 import random
 import sys
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -30,6 +31,7 @@ from uquery import (
 )
 from uquery.algorithms import Oracle, algorithm1_solve
 from uquery.check import validate_block_family
+from uquery.depth import query_complexity_u
 from uquery.measures import (
     _measure_arrays,
     _sensitivity_scan,
@@ -90,8 +92,8 @@ def _classical_bs_at(f, x):
     return R.max_disjoint(blocks)
 
 
-# Both tests run under both bitset forms of the forced cells the arrays
-# are unpacked from: a Python int below 2**16 cells, which the measures
+# Both tests run under both bitset forms of the forced cells that the
+# arrays keep as bytes: a Python int below 2**16 cells, which the measures
 # use up to n = 7, and a uint64 array.
 
 @pytest.mark.parametrize("n", ARITIES)
@@ -278,7 +280,7 @@ def test_reports_byte_identical():
 def test_measure_report_builds_the_forced_table_once(monkeypatch):
     """A report on a fresh table builds the forced cells of the u-model
     once, for the measure arrays, whose readers share them and whose
-    cells the u-model depth search packs into its L_0; the classical
+    bytes the u-model depth search copies into its L_0; the classical
     search builds its own.  Every module binding of the builder counts."""
     original = uquery.depth._forced_bits
     calls = []
@@ -297,6 +299,44 @@ def test_measure_report_builds_the_forced_table_once(monkeypatch):
     f = BooleanFunction(5, random.Random(41).getrandbits(32))
     measure_report(hazard_free_table(f), with_witnesses=True)
     assert sorted(calls) == [(0, 1), (0, 1, 2)]
+
+
+def test_the_arrays_keep_the_forced_cells_as_bytes():
+    """The arrays keep the u-model's L_0 as the bytes of its bitset, a bit
+    per cell of {0, 1, u, *}^n by base-4 code, on the int and the array
+    route.  A report and a search started from them leave them as they
+    were, and the search refuses bytes of another length."""
+    for spec in ("or:1", "and:2", "maj:3", "random:5:2", "random:8:1"):
+        table = hazard_free_table(generate(spec))
+        n = table.arity
+        forced = _measure_arrays(table).forced
+        assert type(forced) is bytes and len(forced) == -(-4 ** n // 8)
+        bits = uquery.depth._forced_bits(table, (0, 1, 2))
+        assert forced == uquery.depth._bitset_bytes(bits, 4 ** n).tobytes()
+        before = bytearray(forced)
+        measure_report(table, with_witnesses=True)
+        assert query_complexity_u(table, forced=forced) == query_complexity_u(table)
+        assert _measure_arrays(table).forced is forced and forced == before
+        for wrong in (forced[:-1], forced + b"\0"):
+            with pytest.raises(ValueError, match="bytes"):
+                query_complexity_u(table, forced=wrong)
+
+
+def test_tabulating_keeps_no_byte_per_cell():
+    """Only the certificate sizes are unpacked a byte per cell of
+    {0, 1, u, *}^n, while they are built: at n = 10 building the arrays
+    peaks below 1.75 bytes per cell, and they keep below 0.5, a bit per
+    cell for the forced cells and 3 bytes per ternary input."""
+    table = hazard_free_table(generate("random:10:1"))
+    uquery.measures._tabulate.cache_clear()
+    tracemalloc.start()
+    try:
+        uquery.measures._tabulate(table)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cells = 4 ** table.arity
+    assert peak < 1.75 * cells and kept < 0.5 * cells, (peak / cells, kept / cells)
 
 
 def test_a_table_built_from_a_bytearray_stores_bytes():
