@@ -23,10 +23,11 @@ blocks that read it are done.  Timed in one process on random:12:1
 (2-CPU x86-64, best of 15), the u-model's L_0 takes 4.3 ms and its
 levels 23 ms, where L_0 merged a byte per cell and levels run over whole
 arrays with fresh temporaries took 9.3 and 35 ms.  Each cell's level is
-kept as bit planes, and the tree is read off them one layer of cells at
-a time, taking at each node the lowest variable that attains the
-optimum, so results are canonical; each layer tries the axes from the
-lowest * of any of its cells.
+kept once, as bit planes that every level updates in place, and the
+tree is read straight off them one layer of cells at a time, taking at
+each node the lowest variable that attains the optimum, so results are
+canonical; each layer tries the axes from the lowest * of any of its
+cells.
 """
 
 from __future__ import annotations
@@ -83,7 +84,9 @@ class _Layout(NamedTuple):
 # switches later and builds less: timed in one process (2-CPU x86-64,
 # best of 7), the levels of random:12:77 in the u-model take 22 ms at
 # 0.1 (and at 0.05, which switches at the same level), 22-23 ms at 0.02,
-# 28 ms at 0.3 and 30 ms on the whole array alone.
+# 28 ms at 0.3 and 30 ms on the whole array alone.  Whole-array levels
+# that skip each block whose *s cannot reach the level gave the same
+# planes in 27 ms: the live words of late levels lie in every block.
 _GATHER_SHARE = 0.1
 
 # A whole-array level runs in blocks of at most this many words, so that
@@ -392,14 +395,15 @@ def _depth_levels(level, n: int, answers: tuple[int, ...]):
     word whose word-axis digits hold s *s gains no bit at a level above
     s + min(n, 3), and no bit is lost by leaving it.  From level
     ``_Layout.gather`` on, a level gathers the words that can still gain
-    bits (``_live_words``), their children and their planes, grows them
-    and scatters them back, and the planes go back at the end; every
-    other word is left as it is.
+    bits (``_live_words``) and their children, grows those words, writes
+    them back and flips the bits of their entering cells in the planes
+    in place; every other word is left as it is.
 
     Returns D and the level of each cell, the least k with the cell in
     L_k, as m bit planes, a list of ints or one (m, words) array: plane j
     holds bit j of every level, and a cell outside L_D reads 2**m - 1,
-    above any depth.
+    above any depth.  An array of planes is the search's only copy of the
+    levels, built once and updated in place from L_1 on.
     """
     layout = _layout(n, answers)
     m = (n + 1).bit_length()
@@ -412,7 +416,6 @@ def _depth_levels(level, n: int, answers: tuple[int, ...]):
         np.invert(level, out=planes[0])
         planes[1:] = planes[0]
         grow = _block_grower(level, planes, layout, answers)
-    live = None  # the live words, from the first gathered level on
     k = 0
     while not (level if layout.as_int else int(level[-1])) >> last:
         if k == n:  # every cell without a * is forced, so D <= n
@@ -435,9 +438,9 @@ def _depth_levels(level, n: int, answers: tuple[int, ...]):
         if k == layout.gather:
             del grow  # and its block buffers
             live = _live_words(n, answers)
-            every, planes = planes, planes.take(live.words, axis=1)
         count = live.counts[k - layout.gather]
-        old = level[live.words[:count]]
+        words = live.words[:count]
+        old = level[words]
         grown = np.bitwise_or.reduceat(
             _kids_in_view(level[live.kids[:live.starts[count]]], answers), live.starts[:count])
         grown |= old
@@ -447,45 +450,34 @@ def _depth_levels(level, n: int, answers: tuple[int, ...]):
             grown |= kids
         old ^= grown  # the cells entering at k
         for j in unset:
-            planes[j, :count] ^= old
-        level[live.words[:count]] = grown
+            planes[j, words] ^= old
+        level[words] = grown
         del old, grown, kids  # freed before the next level allocates
-    if live is None:
-        return k, planes
-    for plane, gathered in zip(every, planes):
-        plane[live.words] = gathered
-    return k, every
+    return k, planes
 
 
 def _level_reader(planes: list | np.ndarray, size: int) -> Callable[[np.ndarray], np.ndarray]:
-    """A lookup of the level of the cells with the given keys.
+    """A lookup of the level of the cells with the given keys, as uint8.
 
-    The planes are interleaved, one per byte of a word: word i of the
-    lookup array holds byte i of every plane, so a lookup gathers one
-    word, keeps the key's bit of each byte and multiplies the bits
-    together into the level.  At n = 12 this takes 8 MB, where a byte per
-    cell would take 16.
+    It reads the planes where they lie: an (m, words) array is viewed as
+    (m, bytes) with no copy, and int planes, at most 8 KiB each, are
+    joined from their bytes.  A lookup takes the key's byte from every
+    plane in one call, keeps the key's bit of each, weights the bit of
+    plane j by 2**j and ORs the planes together.
     """
-    m, nbytes = len(planes), -(-size // 8)
-    width = 4 if m <= 4 else 8
-    words = np.zeros((nbytes, width), dtype=np.uint8)
-    for j, plane in enumerate(planes):
-        words[:, j] = _bitset_bytes(plane, size)
-    words = words.view(f"<u{width}")[:, 0]
-    ones = sum(1 << 8 * j for j in range(width))  # bit 0 of each byte
-    high = 8 * width - 8
-    # Bit 0 of byte j, times 2**(high - 7j), lands on bit high + j; every
-    # other product lands on a distinct bit below high or at 8 * width and
-    # above, where the word's arithmetic drops it.
-    magic = sum(1 << high - 7 * j for j in range(width))
+    if isinstance(planes[0], int):
+        data = b"".join(plane.to_bytes(-(-size // 8), "little") for plane in planes)
+        rows = np.frombuffer(data, dtype=np.uint8).reshape(len(planes), -1)
+    else:
+        rows = np.asarray(planes).view(np.uint8)
+    weights = 1 << np.arange(len(rows), dtype=np.uint8)  # the level bit of each plane
 
     def lookup(keys: np.ndarray) -> np.ndarray:
-        found = words[keys >> 3]
-        found >>= (keys & 7).astype(words.dtype)
-        found &= ones
-        found *= magic
-        found >>= high
-        return found
+        found = rows.take(keys >> 3, axis=1)
+        found >>= (keys & 7).astype(np.uint8)
+        found &= 1
+        found *= weights.reshape(weights.shape + (1,) * keys.ndim)
+        return np.bitwise_or.reduce(found, axis=0)
 
     return lookup
 
@@ -602,13 +594,12 @@ def _optimal_tree(table: HazardFreeTable, answers: tuple[int, ...],
     """The exact depth over ``answers`` and the canonical optimal tree;
     L_0 is a copy of ``forced``, the bytes of the bitset in key order,
     when given, as the levels grow it in place, and built from the table
-    otherwise."""
+    otherwise.  The tree is read off the level planes where they lie."""
     n = table.arity
     level = _forced_bits(table, answers) if forced is None else _bitset(bytearray(forced), _layout(n, answers))
     depth, planes = _depth_levels(level, n, answers)
-    del level  # L_D, which nothing reads: freed before the lookup is built
+    del level  # L_D, which nothing reads: freed before the tree is read
     level_of = _level_reader(planes, _layout(n, answers).size)
-    del planes  # the lookup holds what it reads: at n = 12 the planes take 8 MB
     return depth, _read_tree(level_of, n, answers, table.grid.reshape(-1))
 
 

@@ -294,9 +294,13 @@ def _block_lattice(n: int):
     return tuple(blocks), np.stack((kept * pw4, kept * pw3)), offsets, less
 
 
-def _minimal_blocks(table: HazardFreeTable, arrays: _MeasureArrays,
+_BIT = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)  # entry b: the mask of bit b
+
+
+def _minimal_blocks(table: HazardFreeTable, forced: np.ndarray,
                     digits: Sequence[int], v: int) -> list[tuple[int, ...]]:
-    """The minimal sensitive blocks at the input x with trits ``digits``.
+    """The minimal sensitive blocks at the input x with trits ``digits``;
+    ``forced`` is the measure arrays' forced bits as uint8.
 
     B is sensitive iff the cell equal to x off B and * on B is not forced
     to v = F(x), whatever v is: not forced, or its value, the table's at
@@ -307,8 +311,8 @@ def _minimal_blocks(table: HazardFreeTable, arrays: _MeasureArrays,
     """
     blocks, weights, offsets, less = _block_lattice(len(digits))
     cell, zero_fill = weights @ np.array(digits, dtype=np.int64) + offsets
-    forced = np.frombuffer(arrays.forced, dtype=np.uint8)[cell >> 3] >> (cell & 7) & 1
-    sensitive = (forced == 0) | (table.grid.take(zero_fill) != v)
+    sensitive = (forced[cell >> 3] & _BIT[cell & 7]) == 0
+    sensitive |= table.grid.take(zero_fill) != v
     minimal = sensitive[:-1] & ~sensitive[less].any(axis=0)
     return [blocks[i] for i in np.flatnonzero(minimal)]
 
@@ -322,7 +326,8 @@ def minimal_sensitive_blocks(
     if len(x) != n:
         raise ValueError(f"input length {len(x)} != arity {n}")
     vals, pw, base = table.values, _weights(n), x.code()
-    blocks = _minimal_blocks(table, _measure_arrays(table), x.trits, vals[base])
+    forced = np.frombuffer(_measure_arrays(table).forced, dtype=np.uint8)
+    blocks = _minimal_blocks(table, forced, x.trits, vals[base])
     return list(_block_witnesses(vals, x, base, pw, blocks))
 
 
@@ -407,13 +412,14 @@ def _packing_scan(
     """
     n = table.arity
     vals, pw = table.values, _weights(n)
+    forced = np.frombuffer(arrays.forced, dtype=np.uint8)
     best: list = [None, None, None]
     for base, bound in zip(codes, bounds):
         v = vals[base]
         if best[v] is not None and bound <= best[v][0]:
             continue
         x = TernaryString.from_code(base, n)
-        blocks = _minimal_blocks(table, arrays, x.trits, v)
+        blocks = _minimal_blocks(table, forced, x.trits, v)
         picked = _max_disjoint(blocks)
         if best[v] is None or len(picked) > best[v][0]:
             family = _block_witnesses(vals, x, base, pw, [blocks[j] for j in picked])

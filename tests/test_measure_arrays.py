@@ -15,6 +15,7 @@ import sys
 import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 
 import reference as R
@@ -116,10 +117,10 @@ def test_packing_picks_the_family_of_the_block_count_bound(n):
     # cannot strictly beat the best family, so the same one is chosen.
     for bits in _tables(n):
         table = hazard_free_table(BooleanFunction(n, bits))
-        arrays = _measure_arrays(table)
+        forced = np.frombuffer(_measure_arrays(table).forced, dtype=np.uint8)
         for x in _inputs(n):
             blocks = uquery.measures._minimal_blocks(
-                table, arrays, x.trits, table.values[x.code()])
+                table, forced, x.trits, table.values[x.code()])
             assert uquery.measures._max_disjoint(blocks) == R.max_disjoint_indices(blocks), (
                 n, bits, x)
 
