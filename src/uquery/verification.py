@@ -358,7 +358,7 @@ def _alg1_function_rows(state: _Table):
         raise AssertionError(f"{spec}: the solver's run on {hidden} leaves its tree")
 
     u_leaves = np.flatnonzero((tree.var == 0) & (tree.leaf == UNKNOWN))
-    axes, codes = np.divmod(leaves.reach[u_leaves], 3 ** n)
+    axes, codes = leaves.paths(u_leaves)
     paths = np.stack(np.unravel_index(codes, (3,) * n), axis=1).tolist()
     survivors = {}
     for i, mask, trits in zip(u_leaves.tolist(), axes.tolist(), paths):

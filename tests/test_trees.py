@@ -16,7 +16,7 @@ import reference as R
 import uquery.measures
 from uquery import ArityCapError, BooleanFunction, HazardFreeTable, generate, hazard_free_table
 from uquery.algorithms import Oracle, algorithm1_tree, tree_solver, unate_solver
-from uquery.core import UNKNOWN, Orientation
+from uquery.core import UNKNOWN, Orientation, TernaryString
 from uquery.depth import (
     _bitset_bytes,
     _depth_levels,
@@ -628,6 +628,81 @@ def test_leaf_grid_refuses_malformed_trees(n):
         assert _leaf_grid(tree, n, np.arange(len(tree.var))) is None
 
 
+@functools.cache
+def _trees_at_scale():
+    """(table, tree) for the u-model and the classical tree of maj:11 and
+    of random:12:1: u-model trees of about 100,000 nodes in many groups of
+    leaves, and classical ones, which take the replay's base-2 codes."""
+    cases = []
+    for spec in ("maj:11", "random:12:1"):
+        table = hazard_free_table(generate(spec))
+        cases += [(table, query_complexity_u(table)[1]), (table, query_complexity(table)[1])]
+    return cases
+
+
+def _walk(tree, trits):
+    """The node a per-input walk reaches, and the answers on its path as
+    (variable, answer) pairs."""
+    i, path = 0, []
+    while tree.var[i]:
+        v = int(tree.var[i])
+        path.append((v, trits[v - 1]))
+        i = int(tree.first[i]) + trits[v - 1]
+    return i, path
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_leaf_grid_matches_the_walk_at_scale(case):
+    """Against brute force on large trees: the grid sends seeded inputs to
+    the leaf the walk reaches; per node, the queried axes and least-input
+    code the solver's check decodes are those of its path; and a tree with
+    one leaf flipped fails first at the least input of that leaf's block."""
+    table, tree = _trees_at_scale()[case]
+    n, size = table.arity, len(tree.var)
+    base = int(tree.first[1] - tree.first[0])
+    leaves = _leaf_grid(tree, n, np.arange(size))
+    rng = random.Random(900 + case)
+    inputs = [tuple(rng.randrange(base) for _ in range(n)) for _ in range(2000)]
+    assert [int(leaves.grid[x]) for x in inputs] == [_walk(tree, x)[0] for x in inputs]
+
+    var, first = tree.var.tolist(), tree.first.tolist()
+    axes, codes = [0] * size, [0] * size
+    for i in range(size):
+        for answer, kid in enumerate(range(first[i], first[i + 1])):
+            axes[kid] = axes[i] | 1 << var[i] - 1
+            codes[kid] = codes[i] + answer * base ** (n - var[i])
+    got = leaves.paths(np.arange(size))
+    assert got[0].tolist() == axes and got[1].tolist() == codes
+
+    assert verify_tree(tree, table) == (True, None)
+    leaf, path = _walk(tree, inputs[0])
+    flipped = tree.leaf.copy()
+    flipped[leaf] = (flipped[leaf] + 1) % base
+    least = [0] * n
+    for v, answer in path:
+        least[v - 1] = answer
+    assert verify_tree(DecisionTree(tree.var, flipped, tree.first), table) == \
+        (False, TernaryString(tuple(least)))
+
+
+def test_leaf_grid_allocates_about_its_grid():
+    """At n = 12 the replay of a single leaf and of the trees of or:12
+    allocates at most about twice the grid's bytes: groups of leaves with
+    large blocks are written by broadcasting, and flat codes a chunk at a
+    time, never an int64 index per input."""
+    table = hazard_free_table(generate("or:12"))
+    for tree in (DecisionTree((0,), (1,), (1, 1)), query_complexity_u(table)[1],
+                 query_complexity(table)[1]):
+        _leaf_grid(tree, 12, tree.leaf)  # the cached step tables
+        tracemalloc.start()
+        try:
+            grid = _leaf_grid(tree, 12, tree.leaf).grid
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * grid.nbytes + (1 << 16), (len(tree.var), peak, grid.nbytes)
+
+
 def test_no_single_query_tree_computes_or2():
     # exhaust every depth<=1 ternary tree: none computes the extension
     table = hazard_free_table(generate("or:2"))
@@ -791,6 +866,23 @@ def _sorted_chain_text(depth):
     return text
 
 
+def _indented_chain_text(depth, nesting):
+    """The text ``json.dumps(_chain(depth, ...), indent=2, sort_keys=True)``
+    gives, variable level + 1 at each level, where the chain sits
+    ``nesting`` objects deep, made without the json module."""
+    def pad(layer):
+        return "\n" + "  " * (nesting + layer)
+
+    heads, tails = [], []
+    for layer in range(depth):
+        heads.append("{" + pad(layer + 1) + '"on0": ')
+        tails.append("," + pad(layer + 1) + '"on1": {' + pad(layer + 2) + '"leaf": "1"'
+                     + pad(layer + 1) + "}," + pad(layer + 1) + '"query": %d' % (depth - layer)
+                     + pad(layer) + "}")
+    leaf = "{" + pad(depth + 1) + '"leaf": "0"' + pad(depth) + "}"
+    return "".join(heads) + leaf + "".join(reversed(tails))
+
+
 def test_deep_tree_without_repeats_builds():
     tree = tree_from_json_dict(_chain(3000, lambda level: level + 1))
     assert tree_depth(tree) == 3000
@@ -801,7 +893,13 @@ def test_deep_tree_without_repeats_builds():
         assert tree.var[i] == 3000 - depth and (tree.var[on1], tree.leaf[on1]) == (0, 1)
         i = on0
     assert (tree.var[i], tree.leaf[i]) == (0, 0)
+    # Keyed by layer, its 3001 layers of 3000 variables span too many keys
+    # for the table of keys, and the indented text numbers them by sorting.
     _assert_same_text(sorted_tree_text(tree), _sorted_chain_text(3000))
+    for nesting in (0, 2):
+        handle = io.StringIO()
+        write_indented_tree(tree, handle, nesting)
+        _assert_same_text(handle.getvalue(), _indented_chain_text(3000, nesting))
     # Written bottom-up, the text nests deeper than parse_tree's json.loads reads.
     text = serialize_tree(tree)
     _assert_same_text(text, _chain_text(3000))
@@ -830,7 +928,9 @@ def test_constant_trees():
 def _text_trees():
     """The optimal trees of every table of arity n <= 3 and of seeded
     n = 4-6 ones, in both models, then trees that mix nodes with two and
-    three children, repeat a variable or query one beyond int64."""
+    three children, repeat a variable or query one beyond int64.  The
+    variables of the last, 2**61 and 2**70, are Python ints, too wide for
+    the table of keys, so their texts number their keys by sorting."""
     for n in range(1, 7):
         for bits in _kernel_tables(n, 4):
             f = BooleanFunction(n, bits)
@@ -865,8 +965,10 @@ def test_indented_text_matches_the_json_module():
 
 def test_sorted_chain_text_is_the_json_module_text():
     for depth in range(4):
-        assert _sorted_chain_text(depth) == json.dumps(
-            _chain(depth, lambda level: level + 1), sort_keys=True)
+        chain = _chain(depth, lambda level: level + 1)
+        assert _sorted_chain_text(depth) == json.dumps(chain, sort_keys=True)
+        for nesting in range(3):
+            assert _indented_chain_text(depth, nesting) == _json_at_nesting(chain, nesting)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
