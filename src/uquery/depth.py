@@ -4,10 +4,13 @@
 the solver picking the variable and the adversary the worst answer,
 with one search over packed bitsets of the partial assignments:
 {0, 1, u, *}^n for the u-model and {0, 1, *}^n classically, a bit per
-cell.  Level L_0 marks the cells whose value is forced, built from the
-hazard-free table: for the u-model one bit plane per value, merged axis
-by axis (the measures read this L_0 too), and classically the table read
-with u as *.  L_k adds every cell with a * on some axis whose children
+cell.  A bitset enters and leaves the search in one format, packed
+little-endian bytes, lowest cell first; Python ints live only inside the
+level loop and the u-model's L_0 merge at small arities.  Level L_0
+marks the cells whose value is forced, built from the hazard-free
+table: for the u-model one bit plane per value, merged axis by axis (the
+measures keep this L_0's bytes), and classically the table read with u
+as *.  L_k adds every cell with a * on some axis whose children
 all lie in L_{k-1}, so L_k holds exactly the cells of depth at most k,
 and the search stops at the level the all-* root enters: D.  A level
 costs a shift and a mask per axis inside a 64-bit word, and an AND of
@@ -52,14 +55,16 @@ from .trees import DecisionTree
 # 4**3 cells fill a word; the axes before them index the words, in base
 # len(answers) + 1 with * as the largest digit (the classical model
 # stores no u there).  A cell's key is its bit index, a mixed-radix code.
-# A bitset of fewer than ``_SMALL_CELLS`` bits is a Python int, on which
-# every axis is a shift and a mask, each far cheaper than a NumPy call; a
-# larger one is a uint64 array, one entry per word, whose word axes are
-# views.  Timed over the whole search with each forced (2-CPU x86-64),
-# ints take 37% less time at 64 cells (maj:3, 0.069 against 0.110 ms),
-# 9% less at 46,656 (the classical search on random:9:1), 6% more at
-# 65,536 (the u-model on random:8:1) and 2.6 times as long at 2**20
-# (random:10:1, 11.2 against 4.3 ms).
+# A bitset comes in and goes out as packed bytes, lowest cell first.  The
+# level loop and the u-model's L_0 merge hold one of fewer than
+# ``_SMALL_CELLS`` bits as a Python int, on which every axis is a shift
+# and a mask, each far cheaper than a NumPy call, and a larger one as a
+# uint64 array, one entry per word, whose word axes are views.  Timed
+# over the whole search with each forced (2-CPU x86-64), ints take 37%
+# less time at 64 cells (maj:3, 0.069 against 0.110 ms), 9% less at
+# 46,656 (the classical search on random:9:1), 6% more at 65,536 (the
+# u-model on random:8:1) and 2.6 times as long at 2**20 (random:10:1,
+# 11.2 against 4.3 ms).
 
 _SMALL_CELLS = 1 << 16
 
@@ -68,7 +73,7 @@ class _Layout(NamedTuple):
     """The bitsets of one arity and alphabet."""
 
     size: int        # bits: one per cell
-    as_int: bool     # a Python int, else a uint64 array
+    as_int: bool     # the loops hold a Python int, else a uint64 array
     shifts: tuple    # per axis done by shifts: (stride, star digit, mask of its * cells)
     block: int       # words per block of a whole-array level
     views: tuple     # per word axis inside a block: the (before, digit, after) shape
@@ -123,8 +128,9 @@ def _moves(n: int, answers: tuple[int, ...]):
 
 @cache
 def _layout(n: int, answers: tuple[int, ...]) -> _Layout:
-    """The bitsets of arity n over ``answers``; those of fewer than
-    ``_SMALL_CELLS`` bits, and those of less than a word, are ints."""
+    """The bitsets of arity n over ``answers``; the loops hold those of
+    fewer than ``_SMALL_CELLS`` bits, and those of less than a word, as
+    ints."""
     span, top, _, _, root = _moves(n, answers)
     size = root + 1
     as_int = size < _SMALL_CELLS or size < 64
@@ -227,32 +233,23 @@ def _cell_codes(digits: int) -> tuple[np.ndarray, np.ndarray]:
 @cache
 def _side_by_side(n: int, answers: tuple[int, ...]) -> tuple:
     """The shifts of the int bitsets of arity n, each mask repeated over
-    one bitset per answer laid side by side in one int, the first lowest."""
+    one bitset per answer laid side by side in one int, the first lowest.
+    The u-model's int L_0 merges its three planes at once with these:
+    merging one plane at a time made L_0 1.6-1.9 times as slow at n <= 5
+    (9-15 against 14-25 us, 2-CPU x86-64)."""
     layout = _layout(n, answers)
     return tuple((stride, digit, sum(mask << v * layout.size for v in range(len(answers))))
                  for stride, digit, mask in layout.shifts)
 
 
-def _bitset(data, layout: _Layout):
-    """The bitset of a cell per bit of ``data``, lowest cell first: an int,
-    or a uint64 array over ``data`` itself, which must then be writable."""
-    return int.from_bytes(data, "little") if layout.as_int else np.frombuffer(data, dtype=np.uint64)
+def _packed(cells: np.ndarray) -> np.ndarray:
+    """The bytes of a bool per cell, in key order, lowest cell first."""
+    return np.packbits(cells.reshape(-1), bitorder="little")
 
 
-def _packed(cells: np.ndarray, layout: _Layout):
-    """The bitset of a bool per cell, in key order."""
-    return _bitset(np.packbits(cells.reshape(-1), bitorder="little"), layout)
-
-
-def _bitset_bytes(bits, size: int) -> np.ndarray:
-    """The bytes of a bitset of ``size`` cells as uint8, lowest cell first."""
-    if isinstance(bits, int):
-        return np.frombuffer(bits.to_bytes(-(-size // 8), "little"), dtype=np.uint8)
-    return bits.view(np.uint8)
-
-
-def _forced_bits(table: HazardFreeTable, answers: tuple[int, ...]):
-    """L_0: the cells of {answers, *}^n whose value is forced.
+def _forced_bits(table: HazardFreeTable, answers: tuple[int, ...]) -> np.ndarray:
+    """L_0: the cells of {answers, *}^n whose value is forced, as a
+    writable uint8 array of ceil(size / 8) bytes, lowest cell first.
 
     Classically the extension is resolved exactly where f is constant,
     so a cell is forced iff the table, read with u at every *, is 0 or
@@ -274,25 +271,26 @@ def _forced_bits(table: HazardFreeTable, answers: tuple[int, ...]):
     cells, merged on the word axes in place and ORed into L_0.  At n = 12
     this takes 4.3 ms, where merging the planes a byte per cell before
     packing, and all three at once on the word axes, took 9.3 (random:12:1,
-    2-CPU x86-64, best of 15 in one process).
+    2-CPU x86-64, best of 15 in one process).  Either way L_0 leaves as
+    its bytes: the int's, or a view of the array's words.
     """
     n = table.arity
     layout = _layout(n, answers)
     if len(answers) == 2:
         inner = min(n, 3)
         cells = table.grid.reshape(-1, 3 ** inner).take(_cell_codes(inner)[0], axis=1)
-        return _packed(cells != UNKNOWN, layout)
+        return _packed(cells != UNKNOWN)
     values = np.array(answers, dtype=np.uint8)
     if layout.as_int:
         codes, starless = _cell_codes(n)
         planes = table.grid.reshape(-1).take(codes) == values[:, None]
-        planes = _packed(planes & starless, layout)
+        planes = int.from_bytes(_packed(planes & starless), "little")
         for stride, digit, mask in _side_by_side(n, answers):
             planes |= _kids_by_shift(planes, stride, digit, (0, 1)) & mask
         forced, full = 0, (1 << layout.size) - 1
         for v in range(len(answers)):
             forced |= planes >> v * layout.size & full
-        return forced
+        return np.frombuffer(bytearray(forced.to_bytes(-(-layout.size // 8), "little")), dtype=np.uint8)
     outer = n - 3
     codes, starless = _cell_codes(3)
     planes = table.grid.reshape(-1, 27).take(codes, axis=1) == values[:, None, None]
@@ -314,7 +312,7 @@ def _forced_bits(table: HazardFreeTable, answers: tuple[int, ...]):
             view = words.reshape(4 ** p, 4, -1)
             np.bitwise_and(view[:, 0], view[:, 1], out=view[:, 3])
         forced |= words.reshape(-1)
-    return forced
+    return forced.view(np.uint8)
 
 
 def _block_grower(level: np.ndarray, planes: np.ndarray, layout: _Layout,
@@ -376,9 +374,10 @@ def _block_grower(level: np.ndarray, planes: np.ndarray, layout: _Layout,
     return grow
 
 
-def _depth_levels(level, n: int, answers: tuple[int, ...]):
-    """Grow L_0, the bitset ``level``, level by level until the all-* root
-    enters; an array is grown in place, to L_D.
+def _depth_levels(level: np.ndarray, n: int, answers: tuple[int, ...]) -> tuple[int, np.ndarray]:
+    """Grow L_0, the uint8 bytes ``level`` of a bitset, level by level
+    until the all-* root enters.  The loop reads the bytes once as an
+    int, or as a uint64 view that it grows in place, to L_D.
 
     L_k adds to L_{k-1} every cell with a * on some axis whose children
     there all lie in L_{k-1}.  By induction on k, L_k holds exactly the
@@ -400,17 +399,22 @@ def _depth_levels(level, n: int, answers: tuple[int, ...]):
     in place; every other word is left as it is.
 
     Returns D and the level of each cell, the least k with the cell in
-    L_k, as m bit planes, a list of ints or one (m, words) array: plane j
-    holds bit j of every level, and a cell outside L_D reads 2**m - 1,
-    above any depth.  An array of planes is the search's only copy of the
-    levels, built once and updated in place from L_1 on.
+    L_k, as m bit planes in one (m, ceil(size / 8)) uint8 array, the
+    bytes of each plane lowest cell first: plane j holds bit j of every
+    level, and a cell outside L_D reads 2**m - 1, above any depth.  The
+    int loop keeps a list of planes and joins their bytes at the end; the
+    array loop builds its planes once, as (m, words), updates them in
+    place from L_1 on and returns a view of their bytes, the search's
+    only copy of the levels.
     """
     layout = _layout(n, answers)
     m = (n + 1).bit_length()
     if layout.as_int:
+        level = int.from_bytes(level, "little")
         last = layout.size - 1  # the root's bit
         planes = [((2 << last) - 1) ^ level] * m
     else:
+        level = level.view(np.uint64)
         last = 63  # the root's bit in the last word
         planes = np.empty((m, level.size), dtype=np.uint64)
         np.invert(level, out=planes[0])
@@ -453,23 +457,19 @@ def _depth_levels(level, n: int, answers: tuple[int, ...]):
             planes[j, words] ^= old
         level[words] = grown
         del old, grown, kids  # freed before the next level allocates
-    return k, planes
+    if layout.as_int:  # m planes of at most 8 KiB each
+        data = b"".join(plane.to_bytes(-(-layout.size // 8), "little") for plane in planes)
+        return k, np.frombuffer(data, dtype=np.uint8).reshape(m, -1)
+    return k, planes.view(np.uint8)
 
 
-def _level_reader(planes: list | np.ndarray, size: int) -> Callable[[np.ndarray], np.ndarray]:
-    """A lookup of the level of the cells with the given keys, as uint8.
-
-    It reads the planes where they lie: an (m, words) array is viewed as
-    (m, bytes) with no copy, and int planes, at most 8 KiB each, are
-    joined from their bytes.  A lookup takes the key's byte from every
-    plane in one call, keeps the key's bit of each, weights the bit of
-    plane j by 2**j and ORs the planes together.
+def _level_reader(rows: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """A lookup of the level of the cells with the given keys, as uint8,
+    read where they lie off the (m, bytes) planes ``_depth_levels``
+    returns.  A lookup takes the key's byte from every plane in one call,
+    keeps the key's bit of each, weights the bit of plane j by 2**j and
+    ORs the planes together.
     """
-    if isinstance(planes[0], int):
-        data = b"".join(plane.to_bytes(-(-size // 8), "little") for plane in planes)
-        rows = np.frombuffer(data, dtype=np.uint8).reshape(len(planes), -1)
-    else:
-        rows = np.asarray(planes).view(np.uint8)
     weights = 1 << np.arange(len(rows), dtype=np.uint8)  # the level bit of each plane
 
     def lookup(keys: np.ndarray) -> np.ndarray:
@@ -591,16 +591,16 @@ def _read_tree(level_of: Callable, n: int, answers: tuple[int, ...],
 
 def _optimal_tree(table: HazardFreeTable, answers: tuple[int, ...],
                   forced: bytes | None = None) -> tuple[int, DecisionTree]:
-    """The exact depth over ``answers`` and the canonical optimal tree;
-    L_0 is a copy of ``forced``, the bytes of the bitset in key order,
-    when given, as the levels grow it in place, and built from the table
-    otherwise.  The tree is read off the level planes where they lie."""
+    """The exact depth over ``answers`` and the canonical optimal tree.
+    L_0 is a writable copy of ``forced``, the bytes of the bitset in key
+    order, when given, as an array's levels grow it in place, and built
+    from the table otherwise.  The tree is read off the level planes'
+    bytes where they lie."""
     n = table.arity
-    level = _forced_bits(table, answers) if forced is None else _bitset(bytearray(forced), _layout(n, answers))
+    level = _forced_bits(table, answers) if forced is None else np.frombuffer(bytearray(forced), np.uint8)
     depth, planes = _depth_levels(level, n, answers)
     del level  # L_D, which nothing reads: freed before the tree is read
-    level_of = _level_reader(planes, _layout(n, answers).size)
-    return depth, _read_tree(level_of, n, answers, table.grid.reshape(-1))
+    return depth, _read_tree(_level_reader(planes), n, answers, table.grid.reshape(-1))
 
 
 def query_complexity_u(

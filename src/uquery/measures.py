@@ -192,7 +192,7 @@ def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
     vals = table.grid
 
     size = 4 ** n
-    forced = depth._bitset_bytes(depth._forced_bits(table, (0, 1, UNKNOWN)), size).tobytes()
+    forced = depth._forced_bits(table, (0, 1, UNKNOWN)).tobytes()
     cert = np.unpackbits(np.frombuffer(forced, dtype=np.uint8), count=size, bitorder="little")
     cert *= np.uint8(n + 2)  # a forced cell's 1 becomes n + 2, which 0xFE more wraps to n;
     cert += np.uint8(0xFE)   # every other cell reads 0xFE

@@ -56,7 +56,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from random import Random
 from time import perf_counter
 from typing import Callable, Sequence
@@ -78,7 +78,6 @@ from .check import _refinement_plan, _resolution_plan, _survivor, _witness_probl
 from .core import (
     UNKNOWN,
     BooleanFunction,
-    HazardFreeTable,
     TernaryString,
     as_ternary,
     downward_closure,
@@ -389,20 +388,19 @@ def _alg1_function_rows(state: _Table):
     }
 
 
-def _simulation_row(f: BooleanFunction, table: HazardFreeTable, d: int,
-                    solver: Solver):
-    """Run ``solver`` on every ternary input against 2 * d queries."""
-    n = f.arity
-
+def _runs_row(spec: str, inputs, solve: Solver, wanted, budget: int,
+              show: Callable[[int], object]):
+    """Run ``solve`` on each hidden input against the wanted value at the
+    same place and ``budget`` queries; ``show`` formats the values that a
+    counterexample reports."""
     def runs():
-        for code, hidden in enumerate(_ternary_inputs(n)):
+        for hidden, want in zip(inputs, wanted):
             oracle = Oracle(hidden)
-            got = solver(oracle)
-            ok = got == table.values[code] and oracle.query_count <= 2 * d
-            yield None if ok else {
-                "function": f.to_spec(), "input": str(hidden),
-                "got": _trit(got), "expected": _trit(table.values[code]),
-                "queries": oracle.query_count, "budget": 2 * d,
+            got = solve(oracle)
+            yield None if got == want and oracle.query_count <= budget else {
+                "function": spec, "input": str(hidden),
+                "got": show(got), "expected": show(want),
+                "queries": oracle.query_count, "budget": budget,
             }
     return _row(runs())
 
@@ -427,8 +425,9 @@ def _monotone_function_rows(state: _Table):
             else {"function": f.to_spec(), "D": d, "D_u": du}])
     names = ("monotone-simulation",) * monotone + ("unate-simulation",) * (f.arity <= _UNATE_MAX)
     if names:
-        rows.update(dict.fromkeys(names, _simulation_row(
-            f, table, d, unate_solver(f, orientation, tree_b))))
+        rows.update(dict.fromkeys(names, _runs_row(
+            f.to_spec(), _ternary_inputs(f.arity), unate_solver(f, orientation, tree_b),
+            table.values, 2 * d, _trit)))
     return rows
 
 
@@ -444,21 +443,11 @@ def _closure_function_rows(state: _Table):
         # and its pinned records take D of the closure from g's true
         # extension.
         dg = state.closure_depths[g] = query_complexity(core.hazard_free_table(g))[0]
-    solver = tree_solver(ut)
     spec = f.to_spec()
-
-    def runs():
-        for idx, x in enumerate(_binary_inputs(n)):
-            oracle = Oracle(x)
-            got = downward_closure_solve(f, solver, oracle)
-            want = g.value_at_index(idx)
-            yield None if got == want and oracle.query_count <= du else {
-                "function": spec, "input": str(x),
-                "got": got, "expected": want,
-                "queries": oracle.query_count, "budget": du,
-            }
     return {
-        "closure-pointwise": _row(runs()),
+        "closure-pointwise": _runs_row(
+            spec, _binary_inputs(n), partial(downward_closure_solve, f, tree_solver(ut)),
+            map(g.value_at_index, range(1 << n)), du, int),
         "closure-depth": _row([
             None if dg <= du
             else {"function": spec, "closure_depth": dg, "D_u": du}]),

@@ -312,8 +312,7 @@ def test_the_arrays_keep_the_forced_cells_as_bytes():
         n = table.arity
         forced = _measure_arrays(table).forced
         assert type(forced) is bytes and len(forced) == -(-4 ** n // 8)
-        bits = uquery.depth._forced_bits(table, (0, 1, 2))
-        assert forced == uquery.depth._bitset_bytes(bits, 4 ** n).tobytes()
+        assert forced == uquery.depth._forced_bits(table, (0, 1, 2)).tobytes()
         before = bytearray(forced)
         measure_report(table, with_witnesses=True)
         assert query_complexity_u(table, forced=forced) == query_complexity_u(table)

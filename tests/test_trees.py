@@ -18,7 +18,6 @@ from uquery import ArityCapError, BooleanFunction, HazardFreeTable, generate, ha
 from uquery.algorithms import Oracle, algorithm1_tree, tree_solver, unate_solver
 from uquery.core import UNKNOWN, Orientation, TernaryString
 from uquery.depth import (
-    _bitset_bytes,
     _depth_levels,
     _forced_bits,
     _layout,
@@ -175,7 +174,7 @@ def _cell_levels(table, answers):
     depth, planes = _depth_levels(_forced_bits(table, answers), n, answers)
     level = np.zeros(size, dtype=np.uint8)
     for j, plane in enumerate(planes):
-        level |= np.unpackbits(_bitset_bytes(plane, size), count=size, bitorder="little") << j
+        level |= np.unpackbits(plane, count=size, bitorder="little") << j
     inner, base = min(n, 3), len(answers) + 1
     level = level.reshape((base,) * (n - inner) + (4,) * inner)
     for axis in range(n - inner, n):
@@ -203,44 +202,64 @@ def test_forced_bits_match_the_forced_table(both_paths, n):
             table = hazard_free_table(BooleanFunction(n, bits))
             values = np.frombuffer(table.values, dtype=np.uint8)
             size = _layout(n, MODELS[0]).size
-            forced = np.unpackbits(_bitset_bytes(_forced_bits(table, MODELS[0]), size),
-                                   count=size, bitorder="little")
+            forced = np.unpackbits(_forced_bits(table, MODELS[0]), count=size, bitorder="little")
             want = _forced_values(table).reshape(-1)
             assert (forced == (want != _OPEN)).all()
             assert (values[zero_fill] == want)[want != _OPEN].all()
             classical = np.packbits(values[codes] != UNKNOWN, bitorder="little")
-            size = _layout(n, MODELS[1]).size
-            assert _bitset_bytes(_forced_bits(table, MODELS[1]), size).tobytes() == classical.tobytes()
+            assert _forced_bits(table, MODELS[1]).tobytes() == classical.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bitsets_leave_the_search_as_bytes(both_paths, n):
+    """On every route, ints below 2**16 cells and uint64 arrays from 64
+    cells on, ``_forced_bits`` gives L_0 as a writable uint8 array of
+    ceil(size / 8) bytes, and ``_depth_levels`` gives D and the level
+    planes as one (m, ceil(size / 8)) uint8 array; both routes give the
+    same bytes in both models."""
+    tables = [hazard_free_table(BooleanFunction(n, bits)) for bits in _kernel_tables(n, 10)]
+    m = (n + 1).bit_length()
+    runs = []
+    for _ in both_paths:
+        run = []
+        for answers in MODELS:
+            nbytes = -(-_layout(n, answers).size // 8)
+            for table in tables:
+                forced = _forced_bits(table, answers)
+                assert forced.dtype == np.uint8 and forced.shape == (nbytes,)
+                assert forced.flags.writeable
+                run.append(forced.tobytes())  # before the levels grow it
+                depth, planes = _depth_levels(forced, n, answers)
+                assert planes.dtype == np.uint8 and planes.shape == (m, nbytes)
+                run.append((depth, planes.tobytes()))
+        runs.append(run)
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_level_reader_decodes_the_planes(m):
     """The lookup reads, at every key, the level whose bit j is the key's
-    bit in plane j, for 1 to 6 planes, from a list of arrays, from one
-    (m, words) array and from ints, and wraps a negative key round from
-    the end."""
+    bit in plane j, for 1 to 6 planes given as one (m, bytes) array, and
+    wraps a negative key round from the end."""
     rng = np.random.default_rng(m)
     size = 64 * 40
-    planes = [rng.integers(0, 1 << 64, size // 64, dtype=np.uint64, endpoint=False)
-              for _ in range(m)]
+    planes = rng.integers(0, 1 << 8, (m, size // 8), dtype=np.uint8, endpoint=False)
     want = np.zeros(size, dtype=np.int64)
     for j, plane in enumerate(planes):
-        want |= np.unpackbits(plane.view(np.uint8), bitorder="little").astype(np.int64) << j
+        want |= np.unpackbits(plane, bitorder="little").astype(np.int64) << j
     assert want.max() == 2 ** m - 1
     keys = np.arange(-size, size)
-    as_ints = [int.from_bytes(plane.tobytes(), "little") for plane in planes]
-    for given in (planes, np.stack(planes), as_ints):
-        assert (_level_reader(given, size)(keys) == np.tile(want, 2)).all()
+    assert (_level_reader(planes)(keys) == np.tile(want, 2)).all()
 
 
 def test_level_reader_reads_the_planes_in_place():
-    """Building the lookup over the (m, words) planes of arity 12 in the
+    """Building the lookup over the (m, bytes) planes of arity 12 in the
     u-model, 8 MB, allocates under 1% of their bytes: it copies none."""
     size = _layout(12, MODELS[0]).size
-    planes = np.zeros(((12 + 1).bit_length(), size // 64), dtype=np.uint64)
+    planes = np.zeros(((12 + 1).bit_length(), size // 8), dtype=np.uint8)
     tracemalloc.start()
     try:
-        _level_reader(planes, size)
+        _level_reader(planes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -352,9 +371,8 @@ def _level_bytes(monkeypatch, tables, n, answers, **settings):
     uquery.depth._layout.cache_clear()
     run = []
     for table in tables:
-        size = _layout(n, answers).size
         depth, planes = _depth_levels(_forced_bits(table, answers), n, answers)
-        run.append((depth, [_bitset_bytes(plane, size).tobytes() for plane in planes]))
+        run.append((depth, [plane.tobytes() for plane in planes]))
     monkeypatch.undo()
     uquery.depth._layout.cache_clear()
     return run
