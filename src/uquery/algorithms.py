@@ -53,7 +53,7 @@ from .core import (
     _slopes,
 )
 from .measures import block_summary, certificate_summary, certificate_u_at
-from .trees import DecisionTree
+from .trees import DecisionTree, _answers
 
 
 class QueryOracle(Protocol):
@@ -158,18 +158,18 @@ def tree_solver(tree: DecisionTree) -> Solver:
     """Turn a decision tree into a solver that walks it against an oracle.
     A run reads the node arrays one step at a time, as Python ints: it
     visits at most n + 1 of the nodes, so nothing is built per solver.
-    Every query node has at least the children 0 and 1, so only a larger
-    answer needs the check against the node's child count."""
+    Every query node has the root's child count, so each answer is
+    checked against that one count: a classical tree takes no u."""
     var, leaf, first = tree.var.item, tree.leaf.item, tree.first.item
+    answers = _answers(tree)
 
     def run(oracle: QueryOracle) -> int:
         i = 0
         while v := var(i):
             answer = oracle.query(v)
-            kid = first(i) + answer
-            if answer > 1 and kid >= first(i + 1):
+            if answer >= answers:
                 raise ValueError("classical tree received a u answer")
-            i = kid
+            i = first(i) + answer
         return leaf(i)
 
     return run

@@ -13,6 +13,14 @@ are the tree: the depth search of ``depth`` hands over those it built,
 parsing builds them from the JSON form, and serialization, evaluation
 and checking read them; no per-node object or tuple exists.
 
+Every tree is well formed: each query node has as many children as the
+root, no variable repeats on a path, and each variable lies in
+1..2**31 - 1.  The constructor, ``tree_from_json_dict`` and
+``parse_tree`` refuse any other with ``TreeFormatError``, so the readers
+below rely on it: query node k of the tree has children 1 + b*k to
+b*k + b, for its b answers, and each node is reached by some input of
+its model once its variables are among the table's.
+
 ``tree_to_json_dict`` builds the JSON form bottom up, layer by layer,
 each node from its children's dicts, so any depth converts without
 recursion.  Only ``MeasureReport.to_json_dict`` and the verify harness's
@@ -26,10 +34,10 @@ nodes out in pre-order with NumPy, from the pieces of text below each
 layer, found a layer at a time, and join a text fragment per node and a
 closer per query node from small tables.
 
-``verify_tree`` checks a well-formed tree without replaying it input by
-input: it finds each node's least input, coded in the model's base (2
-for a classical tree), and its queried axes a layer at a time, writes
-the leaves into a prediction array one group of leaves with the same
+``verify_tree`` checks a tree without replaying it input by input: it
+finds each node's least input, coded in the model's base (2 for a
+classical tree), and its queried axes a layer at a time, writes the
+leaves into a prediction array one group of leaves with the same
 queried axes at a time, and compares the array with the table once to
 find the least counterexample; the verify harness writes leaf indices
 the same way (``_leaf_grid``) to find the leaf each input reaches.  A
@@ -37,12 +45,10 @@ group of leaves with small blocks writes through flat input codes, one
 index per input in chunks; one with large blocks broadcasts each leaf's
 entry over its block.  On the u-model tree of maj:11 (107,095 nodes)
 the check takes 1.9 ms, on that of random:12:777 2.6 ms (best of 15,
-2-CPU x86-64).  A tree that is not well formed (a variable outside
-1..n or repeated on a path, or a node with another child count than
-the root) is evaluated input by input instead; no tree the package
-builds is one.
-The check reads only the tree and the table, never the depth search's
-level planes.
+2-CPU x86-64).  A tree that queries a variable above the table's arity
+is refused with ``ValueError`` before any input is replayed.  The check
+reads only the tree and the table, never the depth search's level
+planes.
 """
 
 from __future__ import annotations
@@ -50,9 +56,9 @@ from __future__ import annotations
 import array
 import json
 import operator
+from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -60,10 +66,12 @@ import numpy as np
 from .core import UNKNOWN, HazardFreeTable, TernaryString, as_ternary
 
 TRIT_KEYS = ("on0", "on1", "onU")
+_MODELS = {2: "classical", 3: "u-model"}  # by the answers a query node branches on
 
 
 class TreeFormatError(ValueError):
-    """Raised for malformed serialized trees."""
+    """Raised for node arrays, JSON forms or texts that do not make a
+    well-formed tree."""
 
 
 _FIELDS = ("var", "leaf", "first")
@@ -83,11 +91,13 @@ class DecisionTree:
     which is what makes the nodes come in layers.
 
     The fields are read-only NumPy arrays: ``var`` and ``first`` int64,
-    ``leaf`` uint8; ``var`` holds Python ints instead when a variable is
-    2**31 or more, so that no sum or product with it overflows.  The
-    constructor takes any int sequences and refuses those that do not
-    make such a tree with ``TreeFormatError``.  Two trees are equal when
-    their arrays hold the same values.
+    ``leaf`` uint8.  The tree is well formed: every query node has as
+    many children as the root, two in a classical tree and three in a
+    u-model tree, no variable repeats on a path, and every variable is
+    below 2**31, so that no sum or product of one with a node count
+    overflows.  The constructor takes any int sequences and refuses those
+    that do not make such a tree with ``TreeFormatError``.  Two trees are
+    equal when their arrays hold the same values.
     """
 
     var: np.ndarray
@@ -96,9 +106,7 @@ class DecisionTree:
 
     def __post_init__(self) -> None:
         nodes = [list(map(operator.index, getattr(self, name))) for name in _FIELDS]
-        error = _layout_error(*nodes)
-        if error is not None:
-            raise TreeFormatError(error)
+        _check_layout(*nodes)
         _set_nodes(self, *nodes)
 
     @classmethod
@@ -114,9 +122,9 @@ class DecisionTree:
         return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _FIELDS)
 
     def __hash__(self) -> int:
-        # Of the arrays that are uint8 and int64 on every route, so that
-        # equal trees have equal bytes; ``var`` may hold Python ints.
-        return hash((self.leaf.tobytes(), self.first.tobytes()))
+        # The arrays are int64 and uint8 on every route, so equal trees
+        # have equal bytes.
+        return hash(tuple(getattr(self, name).tobytes() for name in _FIELDS))
 
     def __reduce__(self):
         # Rebuilt through _of, so a copy's arrays are read-only too.
@@ -132,25 +140,38 @@ def _set_nodes(tree: DecisionTree, var, leaf, first) -> DecisionTree:
     return tree
 
 
-def _layout_error(var, leaf, first) -> str | None:
-    """Why the node arrays do not make a tree; None when they do.  With
-    ``first[0] == 1`` and every query node's children after it, each node
-    but the root is the child of exactly one earlier node."""
+# Every variable is below 2**31, so that a sum or product of one with a
+# node count stays within int64.
+_VAR_LIMIT = 1 << 31
+
+
+def _check_layout(var, leaf, first) -> None:
+    """Raise ``TreeFormatError`` unless the node arrays make a well-formed
+    tree.  With ``first[0] == 1`` and every query node's children after
+    it, each node but the root is the child of exactly one earlier node,
+    so the variables on the path to a node are known before it is
+    reached."""
     size = len(var)
     if not size or len(leaf) != size or len(first) != size + 1:
-        return "a tree needs one var and leaf entry per node, at least one node, and one first entry more"
+        raise TreeFormatError("a tree needs one var and leaf entry per node, at least one node, "
+                              "and one first entry more")
     if first[0] != 1 or first[size] != size:
-        return f"first must run from 1 to the node count {size}"
+        raise TreeFormatError(f"first must run from 1 to the node count {size}")
+    answers = first[1] - 1  # the root's children
+    above = [frozenset()] * size  # the variables on the path to each node
     for i, (v, trit, start, stop) in enumerate(zip(var, leaf, first, first[1:])):
-        if v < 0:
-            return f"node {i}: variable {v} is below 1"
-        if v == 0 and stop != start:
-            return f"node {i}: variable 0 marks a leaf, which has no children"
-        if v == 0 and trit not in (0, 1, UNKNOWN):
-            return f"node {i}: leaf value {trit} is not a trit (0, 1 or 2)"
-        if v and (stop - start not in (2, 3) or start <= i or trit != 0):
-            return f"node {i}: a query node needs 2 or 3 children after it, and leaf value 0"
-    return None
+        if not 0 <= v < _VAR_LIMIT:
+            raise TreeFormatError(f"node {i}: variable {v} is outside 1..2**31 - 1")
+        if v == 0:
+            if stop != start or trit not in (0, 1, UNKNOWN):
+                raise TreeFormatError(f"node {i}: a leaf needs no children and a trit (0, 1 or 2)")
+            continue
+        if stop - start != answers or answers not in (2, 3) or start <= i or trit != 0:
+            raise TreeFormatError(f"node {i}: a query node needs the root's 2 or 3 children, after it, "
+                                  "and leaf value 0")
+        if v in above[i]:
+            raise TreeFormatError(f"node {i}: variable {v} repeats along the path")
+        above[start:stop] = (above[i] | {v},) * answers
 
 
 def _layer_starts(first: Sequence[int]) -> list[int]:
@@ -168,51 +189,33 @@ def tree_depth(tree: DecisionTree) -> int:
     return len(_layer_starts(tree.first)) - 2
 
 
+def _answers(tree: DecisionTree) -> int:
+    """The answers every query node branches on: 2 under a classical
+    root, else 3."""
+    return tree.first.item(1) - 1 if tree.var.item(0) else 3
+
+
 def _node_values(values: Sequence[int]) -> np.ndarray:
     """A node array as int64, read without a Python step per node; an
-    ndarray is passed through as it is.  One holding a value of 2**31 or
-    more (a variable no table has) becomes an array of Python ints, on
-    which the same NumPy calls work, so that no sum or product of a
-    value and a node count overflows."""
+    ndarray is passed through as it is."""
     if isinstance(values, np.ndarray):
         return values
-    try:
-        return np.frombuffer(array.array("i", values), dtype=np.int32).astype(np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def _links(tree: DecisionTree) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-    """The first node of each layer (then the node count), the ``first``
-    array, and per node its parent (0 at the root) and the answer that
-    leads to it (3 at the root).  As the children of each node are
-    consecutive and come in the order of their parents, node j > 0 is a
-    child of the node repeated at j - 1 when each node is repeated once
-    per child."""
-    first = tree.first
-    size = len(first) - 1
-    parent = np.zeros(size, dtype=np.intp)
-    parent[1:] = np.arange(size).repeat(first[1:] - first[:-1])
-    answer = np.arange(size) - first[parent]
-    answer[0] = 3
-    return _layer_starts(first), first, parent, answer
+    return np.frombuffer(array.array("q", values), dtype=np.int64)
 
 
 def evaluate_tree(tree: DecisionTree, y: TernaryString | str) -> int:
-    """Walk the tree reading answers off y; returns the leaf trit."""
+    """Walk the tree reading answers off y; returns the leaf trit.  A
+    classical tree raises ``ValueError`` on a u answer, as does any tree
+    on a variable beyond y."""
     y = as_ternary(y)
-    var, first = tree.var, tree.first
-    i, seen = 0, set()
+    var, first, answers = tree.var, tree.first, _answers(tree)
+    i = 0
     while v := int(var[i]):
-        if not 1 <= v <= len(y):
+        if v > len(y):
             raise ValueError(f"tree queries variable {v} outside 1..{len(y)}")
-        if v in seen:
-            raise ValueError(f"tree queries variable {v} twice on one path")
-        seen.add(v)
-        kid = int(first[i]) + y[v - 1]
-        if kid >= first[i + 1]:
+        if y[v - 1] >= answers:
             raise ValueError("classical tree evaluated on an unresolved input")
-        i = kid
+        i = int(first[i]) + y[v - 1]
     return int(tree.leaf[i])
 
 
@@ -224,20 +227,18 @@ _CODE_BITS = 40
 
 
 @cache
-def _axis_steps(n: int, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per variable v in 0..n: its bit among a set of queried axes, per
-    answer a below base, a times v's weight in the code of an input of
-    length n in that base, and that plus the bit above the code; all 0
-    at v = 0."""
+def _axis_steps(n: int, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per variable v in 0..n and answer a below base: a times v's weight
+    in the code of an input of length n in that base, and that plus v's
+    bit among a set of queried axes above the code; all 0 at v = 0."""
     weight = np.zeros(n + 1, dtype=np.int64)
     weight[1:] = base ** np.arange(n - 1, -1, -1)
-    bit = np.zeros(n + 1, dtype=np.int64)
-    bit[1:] = 1 << np.arange(n)
     spread = np.outer(weight, range(base))
-    step = spread + (bit << _CODE_BITS)[:, None]
-    for table in (bit, spread, step):
+    step = spread.copy()
+    step[1:] += (1 << _CODE_BITS + np.arange(n))[:, None]
+    for table in (spread, step):
         table.flags.writeable = False  # shared through the cache
-    return bit, spread, step
+    return spread, step
 
 
 class _Leaves(NamedTuple):
@@ -253,11 +254,6 @@ class _Leaves(NamedTuple):
         return reach >> _CODE_BITS, reach & (1 << _CODE_BITS) - 1
 
 
-def _answers(tree: DecisionTree) -> int:
-    """The answers a node branches on: 2 under a classical root, else 3."""
-    return int(tree.first[1] - tree.first[0]) if tree.var[0] else 3
-
-
 # The largest block a group of leaves writes through flat codes; larger
 # blocks are written by broadcasting, which costs less per input.  The
 # flat index of one write has at most _CHUNK entries, 32 KiB.
@@ -265,17 +261,16 @@ _FLAT_BLOCK = 16
 _CHUNK = 1 << 12
 
 
-def _leaf_grid(tree: DecisionTree, n: int, entry: np.ndarray) -> _Leaves | None:
-    """Write ``entry[i]`` at every input of length n that reaches leaf i;
-    None when the tree is not well formed for arity n.
+def _leaf_grid(tree: DecisionTree, n: int, entry: np.ndarray) -> _Leaves:
+    """Write ``entry[i]`` at every input of length n that reaches leaf i,
+    for a tree whose variables lie in 1..n.
 
-    Well formed means that every query variable lies in 1..n, that no
-    variable repeats on a path and that every query node has as many
-    children as the root, b of them, so that every input of the tree's
-    model reaches exactly one leaf.  The grid has one axis per variable
-    over the b answers.  The nodes are taken a layer at a time: the
-    children of a layer's query nodes, b each, make up the next layer,
-    and each gets the code in base b of the least input reaching it (its
+    As the tree is well formed, every input of its model, over the b
+    answers of its query nodes, reaches exactly one leaf.  The grid has
+    one axis per variable over the b answers.  The nodes are taken a
+    layer at a time: the children of a layer's query nodes, b each, make
+    up the next layer, and each gets the code in base b of the least
+    input reaching it (its
     path answers, 0 elsewhere) and the set of axes its path queries, its
     parent's plus one step.  The leaves are grouped by that set with a
     stable sort on it alone.  The block of inputs a leaf reaches is its
@@ -288,11 +283,7 @@ def _leaf_grid(tree: DecisionTree, n: int, entry: np.ndarray) -> _Leaves | None:
     var = tree.var
     base = _answers(tree)
     query = var.nonzero()[0]
-    # A query node has two or three children, so all have the root's b
-    # exactly when there are b children per query node.
-    if query.size * base != var.size - 1 or (var > n).any():
-        return None
-    bit, spread, step = _axis_steps(n, base)
+    spread, step = _axis_steps(n, base)
     asked = var[query]
     reach = np.zeros(var.size, dtype=np.int64)
     starts = _layer_starts(tree.first)
@@ -300,9 +291,6 @@ def _leaf_grid(tree: DecisionTree, n: int, entry: np.ndarray) -> _Leaves | None:
         # Query node j has children 1 + b*j to b*j + b.
         parents = slice((start - 1) // base, (stop - 1) // base)
         reach[start:stop] = (reach[query[parents], None] + step[asked[parents]]).ravel()
-    # Below a repeated variable the reach reads anything; the tree is refused.
-    if (reach[query] >> _CODE_BITS & bit[asked]).any():
-        return None
 
     leaves = (var == 0).nonzero()[0]
     leaves = leaves[(reach[leaves] >> _CODE_BITS).argsort(kind="stable")]
@@ -338,32 +326,23 @@ def verify_tree(
     binary inputs against f, any other tree on all 3**n ternary inputs
     against the extension.  Returns (True, None) or (False, c) with the
     lexicographically least counterexample under the position-wise order
-    0 < 1 < u.
+    0 < 1 < u.  A tree that queries a variable above n raises
+    ``ValueError`` naming it, before any input is checked: as the tree
+    is well formed, some input reaches that query.
 
-    A well-formed tree (see ``_leaf_grid``) is checked in one step: its
-    leaf values fill a prediction array with one axis per variable, each
-    group of leaves with the same queried axes in one or a few writes,
-    and as 0 < 1 < u is code order, the array's first mismatch with the
-    table in C order is the least counterexample.  That takes 1.9 ms on
-    the 107,095-node u-model tree of maj:11 and about 0.03 ms on a tree
-    of arity 3 (2-CPU x86-64).  Any other tree is evaluated
-    on each input in code order, and the ``ValueError`` that
-    ``evaluate_tree`` raises at the least input that fails propagates
-    unless a mismatch comes first.  That walk takes a Python step per
-    input, seconds at n = 12, and only trees from outside input take it:
-    every tree the package builds is well formed.
+    The check is one step: the leaf values fill a prediction array with
+    one axis per variable (see ``_leaf_grid``), each group of leaves with
+    the same queried axes in one or a few writes, and as 0 < 1 < u is
+    code order, the array's first mismatch with the table in C order is
+    the least counterexample.  That takes 1.9 ms on the 107,095-node
+    u-model tree of maj:11 and about 0.03 ms on a tree of arity 3 (2-CPU
+    x86-64).
     """
     n = table.arity
-    answers = _answers(tree)
-    expected = table.grid[(slice(0, answers),) * n]
-    leaves = _leaf_grid(tree, n, tree.leaf)
-    if leaves is None:
-        for trits, want in zip(product(range(answers), repeat=n), expected.ravel().tolist()):
-            y = TernaryString(trits)
-            if evaluate_tree(tree, y) != want:
-                return False, y
-        return True, None
-    mismatch = leaves.grid != expected
+    top = int(tree.var.max())
+    if top > n:
+        raise ValueError(f"tree queries variable {top} outside 1..{n}")
+    mismatch = _leaf_grid(tree, n, tree.leaf).grid != table.grid[(slice(0, _answers(tree)),) * n]
     if not mismatch.any():
         return True, None
     first_bad = np.unravel_index(int(mismatch.argmax()), mismatch.shape)
@@ -404,20 +383,27 @@ def _slots(tree: DecisionTree, query: np.ndarray) -> tuple[np.ndarray, ...]:
     and the pieces of its earlier siblings' subtrees, offsets summed
     along each path a layer at a time from the root down.
     """
-    starts, first, parent, answer = _links(tree)
-    size = len(parent)
+    first, base = tree.first, _answers(tree)
+    starts = _layer_starts(first)
+    size = len(first) - 1
+    # Query node k has children 1 + b*k to b*k + b, answering 0 to b - 1;
+    # parent[j - 1] is the parent of node j > 0.
+    parent = query.repeat(base)
+    answer = np.zeros(size, dtype=np.int64)
+    answer[1:].reshape(-1, base)[:] = range(base)
     ahead = np.zeros(size + 1, dtype=np.int64)
     ahead[query + 1] = 1
     ahead = ahead.cumsum()  # the query nodes before each node
     ahead += np.arange(-size - len(query), 1 - len(query))
     for start, stop in reversed(list(zip(starts, starts[1:-1]))):  # the deepest has no nodes below
         ahead[start:stop] += ahead[first[start:stop]]
-    at = ahead[:-1] - ahead[first[parent]]
+    at = ahead[:-1] - ahead[np.arange(size) - answer]  # from the first sibling
     at += 1
     at[0] = 0
+    answer[0] = 3
     layer = np.zeros(size, dtype=np.int64)
     for depth, (start, stop) in enumerate(zip(starts[1:], starts[2:]), 1):
-        at[start:stop] += at[parent[start:stop]]
+        at[start:stop] += at[parent[start - 1:stop - 1]]
         layer[start:stop] = depth
     return layer, answer, at, at[query] + ahead[query + 1] - ahead[query] - 1
 
@@ -446,7 +432,7 @@ def _preorder_text(tree: DecisionTree, fragment: Callable, closer: Callable,
     if not by_layer:
         layer[:] = 0
     layers = int(layer[-1]) + 1
-    keys = np.empty(len(var) + len(query), dtype=var.dtype)
+    keys = np.empty(len(var) + len(query), dtype=np.int64)
     keys[closer_at] = -1 - (var[query] * layers + layer[query])
     head = var + leaf
     head[query] += 3
@@ -536,18 +522,19 @@ def write_indented_tree(tree: DecisionTree, handle, nesting: int = 0) -> None:
 def tree_from_json_dict(obj) -> DecisionTree:
     """Build a tree from its JSON form; error messages carry the JSON path.
 
-    No variable may repeat along a path, so no path is longer than the
+    The tree must be well formed: every query node has ``onU`` when the
+    root has it and not otherwise, each variable lies in 1..2**31 - 1,
+    and no variable repeats along a path, so no path is longer than the
     tree's number of distinct variables; a deeper tree is rejected at
-    its first repeat.  Nodes are validated in pre-order with an explicit
-    stack and then laid out layer by layer, so any nesting depth ends in
+    its first repeat.  Nodes are validated layer by layer, from a queue
+    of nodes in the order they are laid out, so any nesting depth ends in
     a tree or a ``TreeFormatError``, never in a ``RecursionError``.
     """
-    entries: list = []  # pre-order: (var, leaf trit, child entry indices)
-    todo = [(obj, "$", frozenset(), None)]
+    var, leaf, first = [], [], [1]
+    todo = deque([(obj, "$", frozenset())])
+    answers = 0  # the root's children: 2 in a classical tree, 3 in a u-model one
     while todo:
-        obj, path, seen, parent = todo.pop()
-        if parent is not None:
-            entries[parent][2].append(len(entries))
+        obj, path, seen = todo.popleft()
         if not isinstance(obj, dict):
             raise TreeFormatError(f"{path}: expected an object, got {type(obj).__name__}")
         if "leaf" in obj:
@@ -555,38 +542,30 @@ def tree_from_json_dict(obj) -> DecisionTree:
                 raise TreeFormatError(f"{path}: leaf object has extra keys {sorted(set(obj) - {'leaf'})}")
             if obj["leaf"] not in ("0", "1", "u"):
                 raise TreeFormatError(f"{path}: leaf value must be '0', '1' or 'u'")
-            entries.append((0, "01u".index(obj["leaf"]), ()))
+            var.append(0)
+            leaf.append("01u".index(obj["leaf"]))
+            first.append(first[-1])
             continue
         if "query" not in obj:
             raise TreeFormatError(f"{path}: object is neither a leaf nor a query node")
-        extra = set(obj) - {"query", "on0", "on1", "onU"}
+        answers = answers or 2 + ("onU" in obj)
+        kids = TRIT_KEYS[:answers]
+        extra = set(obj) - {"query", *kids}
         if extra:
-            raise TreeFormatError(f"{path}: unexpected keys {sorted(extra)}")
-        var = obj["query"]
-        if not isinstance(var, int) or isinstance(var, bool) or var < 1:
-            raise TreeFormatError(f"{path}: query must be a positive variable index")
-        if var in seen:
-            raise TreeFormatError(f"{path}: variable {var} repeats along the path")
-        for key in ("on0", "on1"):
+            raise TreeFormatError(f"{path}: unexpected keys {sorted(extra)} in a {_MODELS[answers]} tree")
+        v = obj["query"]
+        if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v < _VAR_LIMIT:
+            raise TreeFormatError(f"{path}: query must be a variable index in 1..2**31 - 1")
+        if v in seen:
+            raise TreeFormatError(f"{path}: variable {v} repeats along the path")
+        for key in kids:
             if key not in obj:
                 raise TreeFormatError(f"{path}: missing child {key!r}")
-        index, seen = len(entries), seen | {var}
-        entries.append((var, 0, []))
-        # Pushed in reverse so that on0 is checked first, then on1, then onU;
-        # each child appends itself to its parent's list in that order.
-        for key in reversed(TRIT_KEYS):
-            if key in obj:
-                todo.append((obj[key], f"{path}.{key}", seen, index))
-    # Lay the entries out layer by layer: a queue of entries in node order,
-    # each node's children appended as it is reached.
-    order, var, leaf, first = [0], [], [], []
-    for entry in order:
-        v, trit, kids = entries[entry]
         var.append(v)
-        leaf.append(trit)
-        first.append(len(order))
-        order.extend(kids)
-    first.append(len(order))
+        leaf.append(0)
+        first.append(first[-1] + answers)
+        seen |= {v}
+        todo.extend((obj[key], f"{path}.{key}", seen) for key in kids)
     return DecisionTree._of(var, leaf, first)
 
 

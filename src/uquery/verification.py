@@ -342,8 +342,6 @@ def _alg1_function_rows(state: _Table):
     tree = algorithm1_tree(table)
     size = len(tree.var)
     leaves = _leaf_grid(tree, n, np.arange(size))
-    if leaves is None:
-        raise AssertionError(f"{spec}: the solver's tree is not well formed")
     node = leaves.grid.reshape(-1)  # per input, the leaf it reaches
     starts = _layer_starts(tree.first)
     depth = np.repeat(np.arange(len(starts) - 1), np.diff(starts))[node]

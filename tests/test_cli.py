@@ -17,7 +17,10 @@ except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
 import uquery
+from uquery import generate, hazard_free_table
 from uquery.cli import main
+from uquery.depth import query_complexity, query_complexity_u
+from uquery.trees import tree_from_json_dict, verify_tree
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -229,6 +232,22 @@ def test_tree_command_bytes(capsys, tmp_path, spec, model):
     digests = tuple(hashlib.sha256(data).hexdigest() for data in
                     (out.encode(), out_with_file.encode(), path.read_bytes()))
     assert digests == TREE_COMMAND_DIGESTS[spec, model]
+
+
+@pytest.mark.parametrize("model", ["u", "binary"])
+def test_tree_file_reads_back(capsys, tmp_path, model):
+    """The file of `tree random:12:1 --out`, the tree form users keep, reads
+    back through ``tree_from_json_dict``, whose checks then run on about
+    10**5 nodes, as the tree the search found, and that tree verifies."""
+    path = tmp_path / "tree.json"
+    rc, _, _ = run(capsys, "tree", "random:12:1", "--model", model, "--out", str(path))
+    assert rc == 0
+    with open(path) as handle:
+        tree = tree_from_json_dict(json.load(handle)["tree"])
+    table = hazard_free_table(generate("random:12:1"))
+    search = query_complexity_u if model == "u" else query_complexity
+    assert tree == search(table)[1]
+    assert verify_tree(tree, table) == (True, None)
 
 
 # sha256 of the stdout of `solve SPEC HIDDEN`, recorded from the solver that

@@ -14,6 +14,7 @@ import pytest
 
 import reference as R
 import uquery.measures
+import uquery.trees
 from uquery import ArityCapError, BooleanFunction, HazardFreeTable, generate, hazard_free_table
 from uquery.algorithms import Oracle, algorithm1_tree, tree_solver, unate_solver
 from uquery.core import UNKNOWN, Orientation, TernaryString
@@ -411,6 +412,27 @@ def test_binary_tree_rejects_unresolved_input():
         evaluate_tree(tree, "0u")
 
 
+def test_only_classical_trees_reject_a_u_answer():
+    """A classical tree raises on a u its path reads, and says that it is
+    classical, whether evaluated or run as a solver; a u its path does not
+    read is fine.  A u-model tree cannot lack onU on any node, so it takes
+    every ternary input."""
+    table = hazard_free_table(generate("or:2"))
+    _, tree = query_complexity(table)
+    assert tree.var.tolist()[:2] == [1, 2] and evaluate_tree(tree, "1u") == 1
+    with pytest.raises(ValueError, match="^classical tree evaluated on an unresolved input$"):
+        evaluate_tree(tree, "0u")
+    with pytest.raises(ValueError, match="^classical tree received a u answer$"):
+        tree_solver(tree)(Oracle("0u"))
+    _, tree_u = query_complexity_u(table)
+    obj = tree_to_json_dict(tree_u)
+    on0 = {key: kid for key, kid in obj["on0"].items() if key != "onU"}
+    with pytest.raises(TreeFormatError, match=r"^\$\.on0: missing child 'onU'$"):
+        tree_from_json_dict({**obj, "on0": on0})
+    for x in R.ternary_strings(2):
+        assert evaluate_tree(tree_u, x) == tree_solver(tree_u)(Oracle(x)) == table.evaluate(x)
+
+
 def test_ternary_tree_handles_unresolved_input():
     table = hazard_free_table(generate("or:2"))
     _, tree = query_complexity_u(table)
@@ -444,9 +466,7 @@ def test_verify_tree_checks_classical_trees_on_binary_inputs():
 
 def _build(obj):
     """A tree from its JSON form through the ``DecisionTree`` constructor,
-    laid out layer by layer.  Unlike ``tree_from_json_dict`` it lets a
-    variable repeat on a path, and leaves every other check to the
-    constructor."""
+    laid out layer by layer, so that every check is the constructor's."""
     order, var, leaf, first = [obj], [], [], []
     for node in order:
         first.append(len(order))
@@ -461,15 +481,78 @@ def _build(obj):
     return DecisionTree(var, leaf, first)
 
 
+def _malformation(obj):
+    """Why a tree in JSON form is not well formed, or None: a query node
+    whose children differ from the root's (onU present in one, absent in
+    the other), a variable repeated on its path, or a variable outside
+    1..2**31 - 1."""
+    u_model = "onU" in obj
+    todo = [(obj, ())]
+    while todo:
+        node, above = todo.pop()
+        if "leaf" in node:
+            continue
+        var = node["query"]
+        if not 1 <= var < 2 ** 31:
+            return "variable"
+        if var in above:
+            return "repeat"
+        if ("onU" in node) != u_model:
+            return "child count"
+        todo.extend((node[key], above + (var,)) for key in TRIT_KEYS if key in node)
+    return None
+
+
+def _node(var, *kids):
+    """A query node in JSON form, its children answering 0, 1 and u in order."""
+    return {"query": var, **dict(zip(TRIT_KEYS, kids))}
+
+
+_LEAVES = [{"leaf": value} for value in "01u"]
+
+# Each kind of malformed tree: its JSON form, the JSON path of the node
+# that makes it malformed, and that node's index in the layered arrays.
+MALFORMED = {
+    "onU in a classical tree": (_node(1, _LEAVES[0], _node(2, *_LEAVES)), "$.on1", 2),
+    "onU missing in a u-model tree": (_node(1, _node(2, *_LEAVES[:2]), *_LEAVES[1:]), "$.on0", 1),
+    "repeat": (_node(1, _LEAVES[0], _node(1, *_LEAVES), _LEAVES[2]), "$.on1", 2),
+    "variable 2**31": (_node(2, *_LEAVES[:2], _node(2 ** 31, *_LEAVES)), "$.onU", 3),
+    "variable 2**70": (_node(2 ** 70, *_LEAVES[:2]), "$", 0),
+    "variable 0": (_node(1, _node(0, *_LEAVES[:2]), _LEAVES[1]), "$.on0", 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_malformed_trees_are_refused_where_they_enter(kind):
+    """Each kind of malformed tree is refused by the constructor, naming
+    the node, and by ``tree_from_json_dict`` and ``parse_tree``, naming
+    its JSON path."""
+    obj, path, node = MALFORMED[kind]
+    assert _malformation(obj)
+    with pytest.raises(TreeFormatError, match=f"^node {node}: "):
+        _build(obj)
+    for build in (tree_from_json_dict, lambda obj: parse_tree(json.dumps(obj))):
+        with pytest.raises(TreeFormatError) as refused:
+            build(obj)
+        assert str(refused.value).startswith(path + ": ")
+
+
 @pytest.mark.parametrize("var", [2, 0, 4])
 def test_verify_tree_raises_on_malformed_trees(var):
+    """Below maj:3's root query of x2, on the all-0 path: a repeat of x2 or
+    a query of variable 0 makes a malformed tree, refused when built; a
+    query of x4, beyond the arity, makes ``verify_tree`` raise naming it."""
     table = hazard_free_table(generate("maj:3"))
-    # A repeat of variable 2, or a variable outside 1..3, on the all-0 path;
-    # variable 0 is refused as the tree is built, with a TreeFormatError.
-    inner = {"query": var, "on0": {"leaf": "0"}, "on1": {"leaf": "1"}}
     for onU in ({}, {"onU": {"leaf": "u"}}):
-        with pytest.raises(ValueError):
-            verify_tree(_build({"query": 2, "on0": inner, "on1": {"leaf": "1"}, **onU}), table)
+        inner = {"query": var, "on0": {"leaf": "0"}, "on1": {"leaf": "1"}, **onU}
+        obj = {"query": 2, "on0": inner, "on1": {"leaf": "1"}, **onU}
+        if var == 4:
+            with pytest.raises(ValueError, match="^tree queries variable 4 outside 1..3$"):
+                verify_tree(_build(obj), table)
+            continue
+        for build in (_build, tree_from_json_dict):
+            with pytest.raises(TreeFormatError):
+                build(obj)
 
 
 @pytest.mark.parametrize("var,leaf,first", [
@@ -493,7 +576,8 @@ def _replace_random_node(tree, rng, n):
     replaced: by a random leaf, or by the same node with a variable out
     of range (0 among them) or drawn at random (possibly repeating one on
     its path), without onU, with on0 and on1 swapped, or with onU a
-    random leaf."""
+    random leaf.  A variable 0 or repeated, a u-model node without onU
+    and a classical one with it make the tree malformed."""
     spots, todo = [], [(tree, ())]
     while todo:
         node, path = todo.pop()
@@ -529,34 +613,31 @@ def _queries(obj):
     return found
 
 
-def _outcome(check, tree, table):
-    try:
-        return check(tree, table)
-    except ValueError as exc:
-        return "ValueError", str(exc)
-
-
 def _edge_trees(n):
     """Hand-built trees in JSON form over n variables, each a case a layer
-    by layer check could get wrong: two malformed nodes in different
-    layers, the deeper one reached by the smaller input; a malformed node
-    below another; a u-model node three layers down without onU; a
-    classical tree holding a three-child node, whose onU subtree is never
-    reached, once with a malformed node there; variables near and beyond
-    the top of int64."""
-    leaf = [{"leaf": value} for value in "01u"]
-
-    def node(var, *kids):
-        return {"query": var, **dict(zip(TRIT_KEYS, kids))}
-
-    trees = [node(2 ** 61, *leaf), node(1, leaf[0], node(2 ** 70, *leaf), leaf[2])]
+    by layer check could get wrong.  Well formed, each with a variable
+    above n: the largest variable a tree can hold, 2**31 - 1, at the root
+    of a u-model and a classical tree and one layer down; two such nodes
+    in different layers, the deeper one reached by the smaller input; one
+    three layers down in a classical tree.  Malformed: variables 2**31,
+    2**61 and 2**70; a repeat below another malformed node; a malformed
+    node below a repeat; a classical tree holding a three-child node,
+    whose onU subtree is never reached, once with a repeat and a node
+    above n there; a u-model node three layers down without onU."""
+    leaf = _LEAVES
+    node = _node
+    top = 2 ** 31 - 1
+    trees = [node(top, *leaf), node(top, *leaf[:2]), node(1, leaf[0], node(top, *leaf), leaf[2]),
+             node(2 ** 31, *leaf), node(2 ** 61, *leaf), node(1, leaf[0], node(2 ** 70, *leaf), leaf[2])]
     if n >= 2:
         trees += [
+            node(1, node(2, node(n + 1, *leaf), *leaf[1:]), node(n + 1, *leaf), leaf[2]),
             node(1, node(2, node(2, *leaf), *leaf[1:]), node(n + 1, *leaf), leaf[2]),
             node(1, leaf[0], node(1, node(n + 1, *leaf), *leaf[1:]), leaf[2]),
             node(1, node(2, leaf[1], leaf[0], node(n + 1, *leaf)), leaf[1]),
         ]
     if n >= 3:
+        trees.append(node(1, node(2, leaf[0], node(3, leaf[1], node(n + 1, leaf[0], leaf[1]))), leaf[1]))
         # The onU subtree repeats x2, so the malformed node in it adds up the
         # code of the least input of the malformed node below x1 = 1.
         unreached = node(2, leaf[0], node(n + 1, leaf[0], leaf[0]))
@@ -577,6 +658,11 @@ def _flip_last_leaf(tree):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_verify_tree_matches_the_input_replay(n):
+    """Over the optimal trees, seeded tamperings of them and the edge
+    trees: a malformed tree is refused when built, through the constructor
+    and through ``tree_from_json_dict``; a well-formed one with a variable
+    above n makes ``verify_tree`` raise ``ValueError`` naming it; any
+    other gets the result of the input-by-input replay."""
     rng = random.Random(600 + n)
     if n <= 3:
         tables = range(1 << (1 << n))
@@ -596,28 +682,36 @@ def test_verify_tree_matches_the_input_replay(n):
                 obj = _replace_random_node(obj, rng, n)
                 candidates.append(obj)
         if f.is_constant():
-            # A malformed tree is evaluated input by input, so the least
-            # input that raises wins, though every leaf below the root is
-            # right.
+            # Every leaf below the root is right, yet a root above n raises
+            # and a root of variable 0 cannot be built.
             leaf = {"leaf": "01u"[f.value_at_index(0)]}
             candidates += [{"query": n + 1, "on0": leaf, "on1": leaf, "onU": leaf},
                            {"query": 0, "on0": leaf, "on1": leaf}]
         for obj in candidates:
-            try:
-                tree = _build(obj)
-            except TreeFormatError:
-                assert 0 in _queries(obj)  # the one node a tree cannot hold
+            if _malformation(obj):
+                for build in (_build, tree_from_json_dict):
+                    with pytest.raises(TreeFormatError):
+                        build(obj)
+                kinds.add("refused")
                 continue
-            got = _outcome(verify_tree, tree, table)
-            assert got == _outcome(R.verify_tree_by_inputs, tree, table)
+            tree = _build(obj)
+            assert tree == tree_from_json_dict(obj)
+            top = max(_queries(obj), default=0)
+            if top > n:
+                with pytest.raises(ValueError, match=f"^tree queries variable {top} outside 1..{n}$"):
+                    verify_tree(tree, table)
+                kinds.add("ValueError")
+                continue
+            got = verify_tree(tree, table)
+            assert got == R.verify_tree_by_inputs(tree, table)
             kinds.add(got[0])
-    assert kinds == {True, False, "ValueError"}
+    assert kinds == {True, False, "ValueError", "refused"}
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_built_trees_take_the_leaf_grid(n):
-    # Every tree the package builds is well formed, so the vectorised check
-    # takes it; the grid sends each input to a leaf holding the table value.
+    # The grid of every tree the package builds sends each input to a leaf
+    # holding the table value.
     rng = random.Random(700 + n)
     tables = range(1 << (1 << n)) if n <= 3 else [rng.getrandbits(1 << n) for _ in range(12)]
     for bits in tables:
@@ -629,21 +723,33 @@ def test_built_trees_take_the_leaf_grid(n):
             classical = tree.var[0] and tree.first[1] - tree.first[0] == 2
             block = values[(slice(0, 2 if classical else 3),) * n]
             leaves = _leaf_grid(tree, n, np.arange(len(tree.var)))
-            assert leaves is not None and leaves.grid.shape == block.shape
+            assert leaves.grid.shape == block.shape
             assert (np.array(tree.leaf)[leaves.grid] == block).all()
 
 
 @pytest.mark.parametrize("n", range(1, 5))
-def test_leaf_grid_refuses_malformed_trees(n):
-    # Each edge tree is malformed, and so are a bad root and a repeat alone.
+def test_leaf_grid_refuses_malformed_trees(monkeypatch, n):
+    """No tree the leaf grid cannot take reaches it: each malformed edge
+    tree, and a repeat alone, is refused when built, and ``verify_tree``
+    refuses a well-formed one with a variable above n, a root among them,
+    before the grid is written."""
     leaf = {"leaf": "0"}
 
     def node(var, kid):
         return {"query": var, "on0": kid, "on1": leaf, "onU": leaf}
 
+    def no_grid(*args):
+        raise AssertionError("the leaf grid was written")
+
+    monkeypatch.setattr(uquery.trees, "_leaf_grid", no_grid)
+    table = hazard_free_table(BooleanFunction(n, 0))
     for obj in _edge_trees(n) + [node(n + 1, leaf), node(1, node(1, leaf))]:
-        tree = _build(obj)
-        assert _leaf_grid(tree, n, np.arange(len(tree.var))) is None
+        if _malformation(obj):
+            with pytest.raises(TreeFormatError):
+                _build(obj)
+            continue
+        with pytest.raises(ValueError, match="^tree queries variable"):
+            verify_tree(_build(obj), table)
 
 
 @functools.cache
@@ -754,8 +860,9 @@ def test_depth_is_permutation_invariant():
 def _routes(table):
     """Trees by every route that builds one, in groups of trees with the
     same nodes: each depth search's tree, Algorithm 1's, a constant
-    function's, and the 2**61 and 2**70 edge trees, each also parsed,
-    read from its JSON form and passed to the public constructor."""
+    function's, and the u-model and classical edge trees of variable
+    2**31 - 1, each also parsed, read from its JSON form and passed to
+    the public constructor."""
     def copies(tree):
         return [tree, parse_tree(serialize_tree(tree)), tree_from_json_dict(tree_to_json_dict(tree)),
                 DecisionTree(tree.var, tree.leaf, tree.first),
@@ -774,12 +881,12 @@ def test_a_tree_is_its_read_only_node_arrays():
     the documented dtypes; trees with the same nodes are equal and hash
     equal, and a pickled copy is an equal tree, read-only too."""
     groups = _routes(hazard_free_table(generate("maj:3")))
-    for big, group in zip((False,) * 4 + (True,) * 2, groups):
+    for group in groups:
         for tree in group:
             for copy in (tree, pickle.loads(pickle.dumps(tree))):
                 assert copy == group[0] and hash(copy) == hash(group[0])
                 assert [values.dtype for values in (copy.var, copy.leaf, copy.first)] == \
-                    [np.dtype(object if big else np.int64), np.dtype(np.uint8), np.dtype(np.int64)]
+                    [np.dtype(np.int64), np.dtype(np.uint8), np.dtype(np.int64)]
                 for values in (copy.var, copy.leaf, copy.first):
                     assert type(values) is np.ndarray
                     with pytest.raises(ValueError):
@@ -945,17 +1052,16 @@ def test_constant_trees():
 
 def _text_trees():
     """The optimal trees of every table of arity n <= 3 and of seeded
-    n = 4-6 ones, in both models, then trees that mix nodes with two and
-    three children, repeat a variable or query one beyond int64.  The
-    variables of the last, 2**61 and 2**70, are Python ints, too wide for
-    the table of keys, so their texts number their keys by sorting."""
+    n = 4-6 ones, in both models, then the well-formed edge trees.  Those
+    of variable 2**31 - 1 span too many keys for the table of keys, so
+    their texts number their keys by sorting."""
     for n in range(1, 7):
         for bits in _kernel_tables(n, 4):
             f = BooleanFunction(n, bits)
             table = hazard_free_table(f)
             yield query_complexity(table)[1]
             yield query_complexity_u(table)[1]
-        yield from map(_build, _edge_trees(n))
+        yield from (_build(obj) for obj in _edge_trees(n) if not _malformation(obj))
     yield DecisionTree((0,), (2,), (1, 1))
 
 
