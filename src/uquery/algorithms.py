@@ -156,12 +156,14 @@ def transcript_json(transcript: Sequence[tuple[int, int]]) -> list[dict]:
 
 def tree_solver(tree: DecisionTree) -> Solver:
     """Turn a decision tree into a solver that walks it against an oracle.
-    A run reads the node arrays one step at a time, as Python ints: it
-    visits at most n + 1 of the nodes, so nothing is built per solver.
-    Every query node has the root's child count, so each answer is
-    checked against that one count: a classical tree takes no u."""
-    var, leaf, first = tree.var.item, tree.leaf.item, tree.first.item
-    answers = _answers(tree)
+    Query node k has children 1 + b*k to b*k + b, for its b answers, so
+    the solver counts the query nodes up to each node once, in one
+    cumsum; a run reads it and the node arrays a step at a time, as
+    Python ints.  Each answer is checked against b: a classical tree
+    takes no u."""
+    answers = _answers(tree.var)
+    var, leaf = tree.var.item, tree.leaf.item
+    kids = ((tree.var != 0).cumsum() * answers + 1 - answers).item  # first child of each query node
 
     def run(oracle: QueryOracle) -> int:
         i = 0
@@ -169,7 +171,7 @@ def tree_solver(tree: DecisionTree) -> Solver:
             answer = oracle.query(v)
             if answer >= answers:
                 raise ValueError("classical tree received a u answer")
-            i = first(i) + answer
+            i = kids(i) + answer
         return leaf(i)
 
     return run
@@ -251,8 +253,8 @@ def algorithm1_tree(table: HazardFreeTable) -> DecisionTree:
     """
     f = table.function
     if f.is_constant():
-        return DecisionTree._of([0], [f.value_at_index(0)], [1, 1])
-    var, leaf, first = [], [], [1]
+        return DecisionTree._of([0], [f.value_at_index(0)])
+    var, leaf = [], []
     layer = [((STAR,) * table.arity, None, ())]
     while layer:
         below = []
@@ -262,17 +264,15 @@ def algorithm1_tree(table: HazardFreeTable) -> DecisionTree:
                 if isinstance(step, int):
                     var.append(0)
                     leaf.append(step)
-                    first.append(first[-1])
                     continue
                 stage, todo = step
             p = todo[0] - 1
             var.append(todo[0])
             leaf.append(0)
-            first.append(first[-1] + 3)
             below.extend((cells[:p] + (a,) + cells[p + 1:], stage, todo[1:])
                          for a in (0, 1, UNKNOWN))
         layer = below
-    return DecisionTree._of(var, leaf, first)
+    return DecisionTree._of(var, leaf)
 
 
 def algorithm1_solve(table: HazardFreeTable, oracle: QueryOracle) -> SolveResult:

@@ -579,14 +579,9 @@ def _read_tree(level_of: Callable, n: int, answers: tuple[int, ...],
         if var_of is None:
             level = level_of(cells[0]) if kids is None else kids.T.reshape(-1)
     var = np.concatenate(var_layers)
-    inner = var > 0
     leaf = values[np.concatenate(coarse_layers)]
-    leaf[inner] = 0
-    first = np.empty(var.size + 1, dtype=np.int64)  # 1 + children before each node
-    first[0] = 1
-    np.cumsum(inner * len(answers), out=first[1:])
-    first[1:] += 1
-    return DecisionTree._of(var.astype(np.int64, copy=False), leaf, first)
+    leaf[var > 0] = 0
+    return DecisionTree._of(var.astype(np.int64, copy=False), leaf)
 
 
 def _optimal_tree(table: HazardFreeTable, answers: tuple[int, ...],

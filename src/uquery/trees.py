@@ -5,21 +5,19 @@ A u-model tree branches three ways on the answer to a variable query
 with the extension on every ternary input.  A classical tree branches
 two ways and is evaluated on resolved inputs only (``onU`` is absent).
 
-A ``DecisionTree`` is three flat node arrays laid out layer by layer:
-the variable each node queries (0 at a leaf), the trit each leaf
-outputs, and the index of each node's first child, its two or three
-children being consecutive.  The arrays are read-only NumPy arrays and
-are the tree: the depth search of ``depth`` hands over those it built,
-parsing builds them from the JSON form, and serialization, evaluation
-and checking read them; no per-node object or tuple exists.
-
-Every tree is well formed: each query node has as many children as the
-root, no variable repeats on a path, and each variable lies in
-1..2**31 - 1.  The constructor, ``tree_from_json_dict`` and
-``parse_tree`` refuse any other with ``TreeFormatError``, so the readers
-below rely on it: query node k of the tree has children 1 + b*k to
-b*k + b, for its b answers, and each node is reached by some input of
-its model once its variables are among the table's.
+A ``DecisionTree`` is two read-only NumPy arrays laid out layer by
+layer, the variable each node queries (0 at a leaf) and the trit each
+leaf outputs, and they are the tree: the depth search of ``depth``
+hands over those it built, parsing builds them from the JSON form, and
+serialization, evaluation and checking read them, with no per-node
+object.  Every tree is well formed, as the constructor
+``DecisionTree(var, leaf)``, ``tree_from_json_dict`` and ``parse_tree``
+refuse any other with ``TreeFormatError``: query node k, the k-th in
+node order, has children 1 + b*k to b*k + b for its b answers, b read
+off the node count (1 + b times the query nodes), no variable repeats
+on a path, and each variable lies in 1..2**31 - 1.  So each node is
+reached by some input of its model once its variables are among the
+table's.
 
 ``tree_to_json_dict`` builds the JSON form bottom up, layer by layer,
 each node from its children's dicts, so any depth converts without
@@ -74,47 +72,44 @@ class TreeFormatError(ValueError):
     well-formed tree."""
 
 
-_FIELDS = ("var", "leaf", "first")
+_FIELDS = ("var", "leaf")
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class DecisionTree:
-    """A decision tree as flat node arrays, one entry per node.
+    """A decision tree as two flat node arrays, one entry per node.
 
     Node 0 is the root and the nodes come layer by layer.  ``var[i]`` is
     the variable node i queries, 1-based, or 0 at a leaf; ``leaf[i]`` is
-    the trit a leaf outputs, 0 at a query node.  The children of node i
-    are nodes ``first[i]`` to ``first[i + 1] - 1``, answering 0, 1 and,
-    when there are three, u; a leaf has none.  ``first`` has one entry
-    more than there are nodes, the node count, so that ``first[i + 1]``
-    always exists.  Children are laid out in the order of their parents,
-    which is what makes the nodes come in layers.
+    the trit a leaf outputs, 0 at a query node.  Query node k, the k-th
+    in node order, has children 1 + b*k to b*k + b, answering 0, 1 and,
+    when b is 3, u; so a tree of q query nodes has 1 + b*q nodes, and b
+    is read off the node count (3 for a tree that is one leaf).
 
-    The fields are read-only NumPy arrays: ``var`` and ``first`` int64,
-    ``leaf`` uint8.  The tree is well formed: every query node has as
-    many children as the root, two in a classical tree and three in a
-    u-model tree, no variable repeats on a path, and every variable is
-    below 2**31, so that no sum or product of one with a node count
-    overflows.  The constructor takes any int sequences and refuses those
-    that do not make such a tree with ``TreeFormatError``.  Two trees are
-    equal when their arrays hold the same values.
+    The fields are read-only NumPy arrays, ``var`` int64 and ``leaf``
+    uint8.  The tree is well formed: b is 2 (classical) or 3 (u-model),
+    every query node's children come after it, no variable repeats on a
+    path, and every variable is below 2**31, so that no sum or product of
+    one with a node count overflows.  ``DecisionTree(var, leaf)`` copies
+    any int sequences and refuses those that do not make such a tree
+    with ``TreeFormatError``.  Two trees are equal when their arrays hold
+    the same values.
     """
 
     var: np.ndarray
     leaf: np.ndarray
-    first: np.ndarray
 
     def __post_init__(self) -> None:
-        nodes = [list(map(operator.index, getattr(self, name))) for name in _FIELDS]
-        _check_layout(*nodes)
-        _set_nodes(self, *nodes)
+        var, leaf = (_ints(getattr(self, name)) for name in _FIELDS)
+        _check_layout(var, leaf)
+        _set_nodes(self, var.astype(np.int64), leaf.astype(np.uint8))
 
     @classmethod
-    def _of(cls, var: Sequence[int], leaf: Sequence[int], first: Sequence[int]) -> "DecisionTree":
+    def _of(cls, var: Sequence[int], leaf: Sequence[int]) -> "DecisionTree":
         """Wrap node arrays, or int lists, that are well formed by
-        construction, without the constructor's check, which visits every
-        node in Python.  An array is kept as it is, made read-only."""
-        return _set_nodes(object.__new__(cls), var, leaf, first)
+        construction, without the constructor's check.  An array is kept
+        as it is, made read-only."""
+        return _set_nodes(object.__new__(cls), var, leaf)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DecisionTree):
@@ -128,79 +123,85 @@ class DecisionTree:
 
     def __reduce__(self):
         # Rebuilt through _of, so a copy's arrays are read-only too.
-        return DecisionTree._of, (self.var, self.leaf, self.first)
+        return DecisionTree._of, (self.var, self.leaf)
 
 
-def _set_nodes(tree: DecisionTree, var, leaf, first) -> DecisionTree:
-    """Store the node arrays on a tree, each read-only, shared by every reader."""
-    leaf = leaf if isinstance(leaf, np.ndarray) else np.frombuffer(bytes(leaf), dtype=np.uint8)
-    for name, values in zip(_FIELDS, (_node_values(var), leaf, _node_values(first))):
+def _set_nodes(tree: DecisionTree, var, leaf) -> DecisionTree:
+    """Store the node arrays on a tree, each read-only, shared by every
+    reader; int lists are read without a Python step per node."""
+    if not isinstance(var, np.ndarray):
+        var = np.frombuffer(array.array("q", var), dtype=np.int64)
+    if not isinstance(leaf, np.ndarray):
+        leaf = np.frombuffer(bytes(leaf), dtype=np.uint8)
+    for name, values in zip(_FIELDS, (var, leaf)):
         values.setflags(write=False)
         object.__setattr__(tree, name, values)
     return tree
 
 
-# Every variable is below 2**31, so that a sum or product of one with a
-# node count stays within int64.
-_VAR_LIMIT = 1 << 31
+def _ints(values) -> np.ndarray:
+    """Int sequence values as an array of their NumPy int dtype, or else
+    of Python ints, so that one beyond int64 is checked as it is."""
+    held = np.asarray(values)
+    return held if held.dtype.kind in "iu" else np.array(list(map(operator.index, values)), dtype=object)
 
 
-def _check_layout(var, leaf, first) -> None:
+_VAR_LIMIT = 1 << 31  # so that a sum or product of a variable and a node count fits int64
+
+
+def _check_layout(var: np.ndarray, leaf: np.ndarray) -> None:
     """Raise ``TreeFormatError`` unless the node arrays make a well-formed
-    tree.  With ``first[0] == 1`` and every query node's children after
-    it, each node but the root is the child of exactly one earlier node,
-    so the variables on the path to a node are known before it is
-    reached."""
-    size = len(var)
-    if not size or len(leaf) != size or len(first) != size + 1:
-        raise TreeFormatError("a tree needs one var and leaf entry per node, at least one node, "
-                              "and one first entry more")
-    if first[0] != 1 or first[size] != size:
-        raise TreeFormatError(f"first must run from 1 to the node count {size}")
-    answers = first[1] - 1  # the root's children
-    above = [frozenset()] * size  # the variables on the path to each node
-    for i, (v, trit, start, stop) in enumerate(zip(var, leaf, first, first[1:])):
-        if not 0 <= v < _VAR_LIMIT:
-            raise TreeFormatError(f"node {i}: variable {v} is outside 1..2**31 - 1")
-        if v == 0:
-            if stop != start or trit not in (0, 1, UNKNOWN):
-                raise TreeFormatError(f"node {i}: a leaf needs no children and a trit (0, 1 or 2)")
-            continue
-        if stop - start != answers or answers not in (2, 3) or start <= i or trit != 0:
-            raise TreeFormatError(f"node {i}: a query node needs the root's 2 or 3 children, after it, "
-                                  "and leaf value 0")
-        if v in above[i]:
-            raise TreeFormatError(f"node {i}: variable {v} repeats along the path")
-        above[start:stop] = (above[i] | {v},) * answers
+    tree, naming the least node at fault once the node count fits.  Node
+    j > 0 has parent query node (j - 1) // b; repeats are found by
+    walking every query node's ancestors a layer at a time, each walk
+    ending at the root or at a parent that does not come first."""
+    size = var.size
+    if not size or var.shape != (size,) or leaf.shape != (size,):
+        raise TreeFormatError("a tree needs one var and one leaf entry per node, and at least one node")
+    query, base = var.nonzero()[0], _answers(var)
+    if size != 1 + base * query.size or base not in (2, 3):
+        raise TreeFormatError(f"{size} nodes with {query.size} query nodes: a tree of q query nodes "
+                              "has 1 + b*q nodes, b = 2 or 3")
+    parent = np.append(0, query.repeat(base))
+    node = above = query
+    repeats = [query[:0]]
+    while node.size:
+        up = parent[above]
+        live = (above > 0) & (up < above)
+        node, above = node[live], up[live]
+        repeats.append(node[var[above] == var[node]])
+    rules = [(np.flatnonzero((var < 0) | (var >= _VAR_LIMIT)), "variable {} is outside 1..2**31 - 1"),
+             (np.flatnonzero((var == 0) & ((leaf < 0) | (leaf > UNKNOWN))), "a leaf needs a trit (0, 1 or 2)"),
+             (query[leaf[query] != 0], "a query node needs leaf value 0"),
+             (query[query >= 1 + base * np.arange(query.size)], "a query node needs its children after it"),
+             (np.concatenate(repeats), "variable {} repeats along the path")]
+    faults = [(int(nodes.min()), text) for nodes, text in rules if nodes.size]
+    if faults:
+        i, text = min(faults, key=operator.itemgetter(0))  # the first rule broken at the least node
+        raise TreeFormatError(f"node {i}: " + text.format(var[i]))
 
 
-def _layer_starts(first: Sequence[int]) -> list[int]:
-    """The first node of each layer, then the node count.  The children
-    of one layer make up the next, so each layer starts at the first
-    child of the layer before it."""
-    starts = [0]
-    while starts[-1] < len(first) - 1:
-        starts.append(int(first[starts[-1]]))
+def _answers(var: np.ndarray) -> int:
+    """The answers b every query node branches on, read off the node
+    count, 1 + b times the query nodes: 3 for a tree that is one leaf."""
+    queries = int(np.count_nonzero(var))
+    return (var.size - 1) // queries if queries else 3
+
+
+def _layer_starts(tree: DecisionTree) -> list[int]:
+    """The first node of each layer, then the node count: the root makes
+    layer 0, and each later layer holds b children per query node of the
+    layer before it."""
+    var = tree.var
+    base, starts = _answers(var), [0, 1]
+    while starts[-1] < var.size:
+        starts.append(starts[-1] + base * int(np.count_nonzero(var[starts[-2]:starts[-1]])))
     return starts
 
 
 def tree_depth(tree: DecisionTree) -> int:
     """Length of the longest root-to-leaf path: the number of layers - 1."""
-    return len(_layer_starts(tree.first)) - 2
-
-
-def _answers(tree: DecisionTree) -> int:
-    """The answers every query node branches on: 2 under a classical
-    root, else 3."""
-    return tree.first.item(1) - 1 if tree.var.item(0) else 3
-
-
-def _node_values(values: Sequence[int]) -> np.ndarray:
-    """A node array as int64, read without a Python step per node; an
-    ndarray is passed through as it is."""
-    if isinstance(values, np.ndarray):
-        return values
-    return np.frombuffer(array.array("q", values), dtype=np.int64)
+    return len(_layer_starts(tree)) - 2
 
 
 def evaluate_tree(tree: DecisionTree, y: TernaryString | str) -> int:
@@ -208,14 +209,14 @@ def evaluate_tree(tree: DecisionTree, y: TernaryString | str) -> int:
     classical tree raises ``ValueError`` on a u answer, as does any tree
     on a variable beyond y."""
     y = as_ternary(y)
-    var, first, answers = tree.var, tree.first, _answers(tree)
+    var, answers = tree.var, _answers(tree.var)
     i = 0
     while v := int(var[i]):
         if v > len(y):
             raise ValueError(f"tree queries variable {v} outside 1..{len(y)}")
         if y[v - 1] >= answers:
             raise ValueError("classical tree evaluated on an unresolved input")
-        i = int(first[i]) + y[v - 1]
+        i = 1 + answers * int(np.count_nonzero(var[:i])) + y[v - 1]  # the answer's child of query node k
     return int(tree.leaf[i])
 
 
@@ -270,23 +271,22 @@ def _leaf_grid(tree: DecisionTree, n: int, entry: np.ndarray) -> _Leaves:
     one axis per variable over the b answers.  The nodes are taken a
     layer at a time: the children of a layer's query nodes, b each, make
     up the next layer, and each gets the code in base b of the least
-    input reaching it (its
-    path answers, 0 elsewhere) and the set of axes its path queries, its
-    parent's plus one step.  The leaves are grouped by that set with a
-    stable sort on it alone.  The block of inputs a leaf reaches is its
-    code plus each code that is 0 on the queried axes.  A group whose
-    blocks have at most 16 inputs writes its entries through those flat
-    codes, a chunk of leaves at a time so that the index stays small;
-    one with larger blocks writes each block as one broadcast value,
-    through a view of the grid with the queried axes first.
+    input reaching it (its path answers, 0 elsewhere) and the set of
+    axes its path queries, its parent's plus one step.  The leaves are
+    grouped by that set with a stable sort on it alone.  The block of
+    inputs a leaf reaches is its code plus each code that is 0 on the
+    queried axes.  A group whose blocks have at most 16 inputs writes
+    its entries through those flat codes, a chunk of leaves at a time so
+    that the index stays small; one with larger blocks writes each block
+    as one broadcast value, through a view of the grid with the queried
+    axes first.
     """
     var = tree.var
-    base = _answers(tree)
-    query = var.nonzero()[0]
+    base, query = _answers(var), var.nonzero()[0]
     spread, step = _axis_steps(n, base)
     asked = var[query]
     reach = np.zeros(var.size, dtype=np.int64)
-    starts = _layer_starts(tree.first)
+    starts = _layer_starts(tree)
     for start, stop in zip(starts[1:], starts[2:]):
         # Query node j has children 1 + b*j to b*j + b.
         parents = slice((start - 1) // base, (stop - 1) // base)
@@ -342,7 +342,7 @@ def verify_tree(
     top = int(tree.var.max())
     if top > n:
         raise ValueError(f"tree queries variable {top} outside 1..{n}")
-    mismatch = _leaf_grid(tree, n, tree.leaf).grid != table.grid[(slice(0, _answers(tree)),) * n]
+    mismatch = _leaf_grid(tree, n, tree.leaf).grid != table.grid[(slice(0, _answers(tree.var)),) * n]
     if not mismatch.any():
         return True, None
     first_bad = np.unravel_index(int(mismatch.argmax()), mismatch.shape)
@@ -357,12 +357,13 @@ def verify_tree(
 def tree_to_json_dict(tree: DecisionTree) -> dict:
     """The JSON form of a tree, built bottom-up, layer by layer: only the
     dicts of the layer below are held while a layer is built."""
-    var, leaf, first = (values.tolist() for values in (tree.var, tree.leaf, tree.first))
-    starts = _layer_starts(first)
+    var, leaf = tree.var.tolist(), tree.leaf.tolist()
+    base, starts = _answers(tree.var), _layer_starts(tree)
     below: list = []
     for start, stop in reversed(list(zip(starts, starts[1:]))):
-        below = [{"query": var[i],
-                  **dict(zip(TRIT_KEYS, below[first[i] - stop:first[i + 1] - stop]))}
+        # The j-th query node of the layer takes below[b*j:b*j + b].
+        kids = (below[j:j + base] for j in range(0, len(below), base))
+        below = [{"query": var[i], **dict(zip(TRIT_KEYS, next(kids)))}
                  if var[i] else {"leaf": "01u"[leaf[i]]} for i in range(start, stop)]
     return below[0]
 
@@ -374,33 +375,32 @@ def _slots(tree: DecisionTree, query: np.ndarray) -> tuple[np.ndarray, ...]:
 
     A leaf writes one piece and a query node two, its fragment and its
     closer; the pieces of a subtree are consecutive, the fragment of its
-    root first and its closer last.  ``ahead[j]`` starts as minus the
-    pieces of nodes j and on (0 at j = size) and then, a layer at a time
-    from the deepest up, adds ``ahead[first[j]]``.  As the children of
-    nodes a..b-1 of one layer are nodes first[a]..first[b]-1,
-    ``ahead[b] - ahead[a]`` then counts the pieces of those nodes'
-    subtrees.  A node's fragment comes right after its parent's fragment
-    and the pieces of its earlier siblings' subtrees, offsets summed
-    along each path a layer at a time from the root down.
+    root first and its closer last.  Any children of node j start at
+    c(j) = 1 + b * (the query nodes before j), so those of nodes
+    i..e-1 of a layer are nodes c(i)..c(e)-1.  ``ahead[j]`` starts as
+    minus the pieces of nodes j and on (0 at j = size) and then, a layer
+    at a time from the deepest up, adds ``ahead[c(j)]``, so that
+    ``ahead[e] - ahead[i]`` counts the pieces of their subtrees.  A
+    node's fragment comes right after its parent's fragment and the
+    pieces of its earlier siblings' subtrees, offsets summed along each
+    path a layer at a time from the root down.
     """
-    first, base = tree.first, _answers(tree)
-    starts = _layer_starts(first)
-    size = len(first) - 1
-    # Query node k has children 1 + b*k to b*k + b, answering 0 to b - 1;
-    # parent[j - 1] is the parent of node j > 0.
-    parent = query.repeat(base)
+    base, starts = _answers(tree.var), _layer_starts(tree)
+    size = tree.var.size
     answer = np.zeros(size, dtype=np.int64)
     answer[1:].reshape(-1, base)[:] = range(base)
-    ahead = np.zeros(size + 1, dtype=np.int64)
-    ahead[query + 1] = 1
-    ahead = ahead.cumsum()  # the query nodes before each node
-    ahead += np.arange(-size - len(query), 1 - len(query))
+    before = np.zeros(size + 1, dtype=np.int64)
+    before[query + 1] = 1
+    before = before.cumsum()  # the query nodes before each node
+    ahead = before + np.arange(-size - len(query), 1 - len(query))
     for start, stop in reversed(list(zip(starts, starts[1:-1]))):  # the deepest has no nodes below
-        ahead[start:stop] += ahead[first[start:stop]]
+        ahead[start:stop] += ahead[1 + base * before[start:stop]]
+    del before  # freed before the arrays below are made, to keep the peak of memory
     at = ahead[:-1] - ahead[np.arange(size) - answer]  # from the first sibling
     at += 1
     at[0] = 0
     answer[0] = 3
+    parent = query.repeat(base)  # parent[j - 1] is node j's, query node (j - 1) // b
     layer = np.zeros(size, dtype=np.int64)
     for depth, (start, stop) in enumerate(zip(starts[1:], starts[2:]), 1):
         at[start:stop] += at[parent[start - 1:stop - 1]]
@@ -530,7 +530,7 @@ def tree_from_json_dict(obj) -> DecisionTree:
     of nodes in the order they are laid out, so any nesting depth ends in
     a tree or a ``TreeFormatError``, never in a ``RecursionError``.
     """
-    var, leaf, first = [], [], [1]
+    var, leaf = [], []
     todo = deque([(obj, "$", frozenset())])
     answers = 0  # the root's children: 2 in a classical tree, 3 in a u-model one
     while todo:
@@ -544,7 +544,6 @@ def tree_from_json_dict(obj) -> DecisionTree:
                 raise TreeFormatError(f"{path}: leaf value must be '0', '1' or 'u'")
             var.append(0)
             leaf.append("01u".index(obj["leaf"]))
-            first.append(first[-1])
             continue
         if "query" not in obj:
             raise TreeFormatError(f"{path}: object is neither a leaf nor a query node")
@@ -563,10 +562,9 @@ def tree_from_json_dict(obj) -> DecisionTree:
                 raise TreeFormatError(f"{path}: missing child {key!r}")
         var.append(v)
         leaf.append(0)
-        first.append(first[-1] + answers)
         seen |= {v}
         todo.extend((obj[key], f"{path}.{key}", seen) for key in kids)
-    return DecisionTree._of(var, leaf, first)
+    return DecisionTree._of(var, leaf)
 
 
 def parse_tree(text: str) -> DecisionTree:

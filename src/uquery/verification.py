@@ -343,7 +343,7 @@ def _alg1_function_rows(state: _Table):
     size = len(tree.var)
     leaves = _leaf_grid(tree, n, np.arange(size))
     node = leaves.grid.reshape(-1)  # per input, the leaf it reaches
-    starts = _layer_starts(tree.first)
+    starts = _layer_starts(tree)
     depth = np.repeat(np.arange(len(starts) - 1), np.diff(starts))[node]
     output = tree.leaf[node]
 

@@ -495,7 +495,8 @@ def verify_tree_by_inputs(tree, table):
     """``trees.verify_tree`` by evaluating the tree on each input in code
     order: the first input that raises or mismatches decides."""
     n = table.arity
-    if tree.var[0] and tree.first[1] - tree.first[0] == 2:  # a classical root
+    # A tree of q query nodes has 1 + b*q nodes, b = 2 in a classical one.
+    if tree.var[0] and len(tree.var) == 1 + 2 * np.count_nonzero(tree.var):
         inputs, value = product((0, 1), repeat=n), table.function.value_at_index
     else:
         inputs, value = product((0, 1, U), repeat=n), table.values.__getitem__

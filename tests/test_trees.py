@@ -7,6 +7,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -333,13 +334,14 @@ def test_relaxed_depths_against_the_minimax(both_paths, n, count):
                            for cell in np.ndindex(grid.shape))
                 root = (star,) * n
                 assert grid[root] == d == want(root)
+                kids = _first_children(tree)[1]
                 todo = [(0, root)]
                 while todo:
                     i, cell = todo.pop()
                     assert grid[cell] == want(cell)
                     if tree.var[i]:
                         p = tree.var[i] - 1
-                        todo.extend((tree.first[i] + j, cell[:p] + (a,) + cell[p + 1:])
+                        todo.extend((kids[i] + j, cell[:p] + (a,) + cell[p + 1:])
                                     for j, a in enumerate(answers))
 
 
@@ -467,9 +469,8 @@ def test_verify_tree_checks_classical_trees_on_binary_inputs():
 def _build(obj):
     """A tree from its JSON form through the ``DecisionTree`` constructor,
     laid out layer by layer, so that every check is the constructor's."""
-    order, var, leaf, first = [obj], [], [], []
+    order, var, leaf = [obj], [], []
     for node in order:
-        first.append(len(order))
         if "leaf" in node:
             var.append(0)
             leaf.append("01u".index(node["leaf"]))
@@ -477,8 +478,18 @@ def _build(obj):
             var.append(node["query"])
             leaf.append(0)
             order.extend(node[key] for key in TRIT_KEYS if key in node)
-    first.append(len(order))
-    return DecisionTree(var, leaf, first)
+    return DecisionTree(var, leaf)
+
+
+def _first_children(tree):
+    """The test's own reading of the layout: b, read off the node count,
+    1 + b times the query nodes (3 for a leaf alone), and per node the
+    index its children would start at, 1 + b*k for query node k."""
+    var = tree.var.tolist()
+    queries = sum(v != 0 for v in var)
+    base = (len(var) - 1) // queries if queries else 3
+    kids = list(itertools.accumulate((base * (v != 0) for v in var[:-1]), initial=1))
+    return base, kids
 
 
 def _malformation(obj):
@@ -511,25 +522,29 @@ def _node(var, *kids):
 _LEAVES = [{"leaf": value} for value in "01u"]
 
 # Each kind of malformed tree: its JSON form, the JSON path of the node
-# that makes it malformed, and that node's index in the layered arrays.
+# that makes it malformed, and that node's index in the layered arrays,
+# or None where the layered arrays have no node count 1 + b*q.
 MALFORMED = {
-    "onU in a classical tree": (_node(1, _LEAVES[0], _node(2, *_LEAVES)), "$.on1", 2),
-    "onU missing in a u-model tree": (_node(1, _node(2, *_LEAVES[:2]), *_LEAVES[1:]), "$.on0", 1),
+    "onU in a classical tree": (_node(1, _LEAVES[0], _node(2, *_LEAVES)), "$.on1", None),
+    "onU missing in a u-model tree": (_node(1, _node(2, *_LEAVES[:2]), *_LEAVES[1:]), "$.on0", None),
     "repeat": (_node(1, _LEAVES[0], _node(1, *_LEAVES), _LEAVES[2]), "$.on1", 2),
     "variable 2**31": (_node(2, *_LEAVES[:2], _node(2 ** 31, *_LEAVES)), "$.onU", 3),
     "variable 2**70": (_node(2 ** 70, *_LEAVES[:2]), "$", 0),
-    "variable 0": (_node(1, _node(0, *_LEAVES[:2]), _LEAVES[1]), "$.on0", 1),
+    "variable 0": (_node(1, _node(0, *_LEAVES[:2]), _LEAVES[1]), "$.on0", None),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(MALFORMED))
 def test_malformed_trees_are_refused_where_they_enter(kind):
     """Each kind of malformed tree is refused by the constructor, naming
-    the node, and by ``tree_from_json_dict`` and ``parse_tree``, naming
+    the node, or the node count where a child count differs from the
+    root's (a query of variable 0 is a leaf with children in node
+    arrays), and by ``tree_from_json_dict`` and ``parse_tree``, naming
     its JSON path."""
     obj, path, node = MALFORMED[kind]
     assert _malformation(obj)
-    with pytest.raises(TreeFormatError, match=f"^node {node}: "):
+    with pytest.raises(TreeFormatError, match=r"^\d+ nodes with \d+ query nodes: " if node is None
+                       else f"^node {node}: "):
         _build(obj)
     for build in (tree_from_json_dict, lambda obj: parse_tree(json.dumps(obj))):
         with pytest.raises(TreeFormatError) as refused:
@@ -555,20 +570,37 @@ def test_verify_tree_raises_on_malformed_trees(var):
                 build(obj)
 
 
-@pytest.mark.parametrize("var,leaf,first", [
-    ((0,), (-1,), (1, 1)),                  # a leaf -1
-    ((0,), (3,), (1, 1)),                   # a leaf 3
-    ((1, 0, 0), (0, 0, 7), (1, 3, 3, 3)),   # a leaf 7 below a query of x1
-    ((0, 0, 0), (0, 0, 1), (1, 3, 3, 3)),   # a query of variable 0
-    ((1, 0, 0), (0, 0, 1), (1, 2, 3, 3)),   # a query node with one child
-    ((1, 0, 0), (1, 0, 1), (1, 3, 3, 3)),   # a query node with a leaf value
-])
+# Node arrays that make no well-formed tree, and how the refusal's message
+# begins: a fault at a node names the least such node.
+BAD_NODE_ARRAYS = [
+    ((0,), (-1,), "node 0: a leaf needs a trit"),
+    ((0,), (3,), "node 0: a leaf needs a trit"),
+    ((1, 0, 0), (0, 0, 7), "node 2: a leaf needs a trit"),  # below a query of x1
+    ((0, 0, 0), (0, 0, 1), "3 nodes with 0 query nodes"),   # a query of variable 0
+    ((1, 0), (0, 0), "2 nodes with 1 query nodes"),         # a query node with one child
+    ((1, 0, 0), (1, 0, 1), "node 0: a query node needs leaf value 0"),
+    ((1, 2, 0, 0), (0, 0, 0, 0), "4 nodes with 2 query nodes"),  # not 1 + b*q
+    ((1, 0, 0, 0, 0), (0, 0, 0, 0, 0), "5 nodes with 1 query nodes"),  # b = 4
+    ((0, 1, 0, 0), (0, 0, 0, 0), "node 1: a query node needs its children after it"),  # a leaf root
+    ((1, 0, 0, 0, 2), (0, 0, 0, 0, 0), "node 4: a query node needs its children after it"),
+    ((1, 2, 0, 1, 0, 0, 0), (0,) * 7, "node 3: variable 1 repeats along the path"),
+    ((1, 2, 0, 1, 0, 0, 0), (0,) * 6 + (7,), "node 3: variable 1 repeats"),  # the least at fault
+    ((-1, 0, 0), (0, 0, 0), "node 0: variable -1 is outside 1..2**31 - 1"),
+    ((), (), "a tree needs one var and one leaf entry per node"),
+    ((1, 0, 0), (0, 0), "a tree needs one var and one leaf entry per node"),
+]
+
+
+@pytest.mark.parametrize("var,leaf,first", BAD_NODE_ARRAYS,
+                         ids=[f"var{i}-leaf{i}-first{i}" for i in range(len(BAD_NODE_ARRAYS))])
 def test_bad_node_arrays_are_refused(var, leaf, first):
     # Leaf values are trits and variables are 1-based, so a leaf value of
     # -1, 3 or 7 or a query of variable 0 cannot be built, nor arrays that
-    # do not lay out a tree.
-    with pytest.raises(TreeFormatError):
-        DecisionTree(var, leaf, first)
+    # do not lay out a tree: a node count other than 1 + b*q for q query
+    # nodes and b = 2 or 3, or a query node k at or after node 1 + b*k,
+    # where its children would start.
+    with pytest.raises(TreeFormatError, match="^" + re.escape(first)):
+        DecisionTree(var, leaf)
 
 
 def _replace_random_node(tree, rng, n):
@@ -613,6 +645,23 @@ def _queries(obj):
     return found
 
 
+def _assert_refused(obj):
+    """Assert that a malformed tree in JSON form is refused from its JSON
+    form and from its node arrays.  Node arrays hold a query of variable
+    0 as a leaf, so the arrays of a tree with one may lay out another,
+    well-formed tree; it then must not be the tree in JSON form."""
+    with pytest.raises(TreeFormatError):
+        tree_from_json_dict(obj)
+    if 0 in _queries(obj):
+        try:
+            assert tree_to_json_dict(_build(obj)) != obj
+        except TreeFormatError:
+            pass
+        return
+    with pytest.raises(TreeFormatError):
+        _build(obj)
+
+
 def _edge_trees(n):
     """Hand-built trees in JSON form over n variables, each a case a layer
     by layer check could get wrong.  Well formed, each with a variable
@@ -653,16 +702,17 @@ def _flip_last_leaf(tree):
     """The tree with its last node, a leaf of the deepest layer, changed."""
     leaf = tree.leaf.tolist()
     leaf[-1] = (leaf[-1] + 1) % 2
-    return DecisionTree(tree.var, leaf, tree.first)
+    return DecisionTree(tree.var, leaf)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_verify_tree_matches_the_input_replay(n):
     """Over the optimal trees, seeded tamperings of them and the edge
     trees: a malformed tree is refused when built, through the constructor
-    and through ``tree_from_json_dict``; a well-formed one with a variable
-    above n makes ``verify_tree`` raise ``ValueError`` naming it; any
-    other gets the result of the input-by-input replay."""
+    and through ``tree_from_json_dict`` (see ``_assert_refused``); a
+    well-formed one with a variable above n makes ``verify_tree`` raise
+    ``ValueError`` naming it; any other gets the result of the
+    input-by-input replay."""
     rng = random.Random(600 + n)
     if n <= 3:
         tables = range(1 << (1 << n))
@@ -689,9 +739,7 @@ def test_verify_tree_matches_the_input_replay(n):
                            {"query": 0, "on0": leaf, "on1": leaf}]
         for obj in candidates:
             if _malformation(obj):
-                for build in (_build, tree_from_json_dict):
-                    with pytest.raises(TreeFormatError):
-                        build(obj)
+                _assert_refused(obj)
                 kinds.add("refused")
                 continue
             tree = _build(obj)
@@ -720,7 +768,7 @@ def test_built_trees_take_the_leaf_grid(n):
         values = np.frombuffer(table.values, dtype=np.uint8).reshape((3,) * n)
         for tree in (query_complexity(table)[1], query_complexity_u(table)[1],
                      algorithm1_tree(table)):
-            classical = tree.var[0] and tree.first[1] - tree.first[0] == 2
+            classical = _first_children(tree)[0] == 2
             block = values[(slice(0, 2 if classical else 3),) * n]
             leaves = _leaf_grid(tree, n, np.arange(len(tree.var)))
             assert leaves.grid.shape == block.shape
@@ -730,9 +778,10 @@ def test_built_trees_take_the_leaf_grid(n):
 @pytest.mark.parametrize("n", range(1, 5))
 def test_leaf_grid_refuses_malformed_trees(monkeypatch, n):
     """No tree the leaf grid cannot take reaches it: each malformed edge
-    tree, and a repeat alone, is refused when built, and ``verify_tree``
-    refuses a well-formed one with a variable above n, a root among them,
-    before the grid is written."""
+    tree, and a repeat alone, is refused when built (see
+    ``_assert_refused``), and ``verify_tree`` refuses a well-formed one
+    with a variable above n, a root among them, before the grid is
+    written."""
     leaf = {"leaf": "0"}
 
     def node(var, kid):
@@ -745,8 +794,7 @@ def test_leaf_grid_refuses_malformed_trees(monkeypatch, n):
     table = hazard_free_table(BooleanFunction(n, 0))
     for obj in _edge_trees(n) + [node(n + 1, leaf), node(1, node(1, leaf))]:
         if _malformation(obj):
-            with pytest.raises(TreeFormatError):
-                _build(obj)
+            _assert_refused(obj)
             continue
         with pytest.raises(ValueError, match="^tree queries variable"):
             verify_tree(_build(obj), table)
@@ -764,48 +812,56 @@ def _trees_at_scale():
     return cases
 
 
-def _walk(tree, trits):
-    """The node a per-input walk reaches, and the answers on its path as
-    (variable, answer) pairs."""
+def _walk(var, kids, trits):
+    """The node a per-input walk reaches, over a tree's variables and the
+    first child of each node (see ``_first_children``), and the answers
+    on its path as (variable, answer) pairs."""
     i, path = 0, []
-    while tree.var[i]:
-        v = int(tree.var[i])
+    while var[i]:
+        v = var[i]
         path.append((v, trits[v - 1]))
-        i = int(tree.first[i]) + trits[v - 1]
+        i = kids[i] + trits[v - 1]
     return i, path
 
 
 @pytest.mark.parametrize("case", range(4))
 def test_leaf_grid_matches_the_walk_at_scale(case):
     """Against brute force on large trees: the grid sends seeded inputs to
-    the leaf the walk reaches; per node, the queried axes and least-input
+    the leaf the walk reaches, and ``evaluate_tree`` and ``tree_solver``
+    give that leaf's value; per node, the queried axes and least-input
     code the solver's check decodes are those of its path; and a tree with
     one leaf flipped fails first at the least input of that leaf's block."""
     table, tree = _trees_at_scale()[case]
+    assert DecisionTree(tree.var, tree.leaf) == tree  # the constructor takes it
     n, size = table.arity, len(tree.var)
-    base = int(tree.first[1] - tree.first[0])
+    var, leaf = tree.var.tolist(), tree.leaf.tolist()
+    base, kids = _first_children(tree)
     leaves = _leaf_grid(tree, n, np.arange(size))
     rng = random.Random(900 + case)
     inputs = [tuple(rng.randrange(base) for _ in range(n)) for _ in range(2000)]
-    assert [int(leaves.grid[x]) for x in inputs] == [_walk(tree, x)[0] for x in inputs]
+    reached = [_walk(var, kids, x)[0] for x in inputs]
+    assert [int(leaves.grid[x]) for x in inputs] == reached
+    solve = tree_solver(tree)
+    assert [evaluate_tree(tree, x) for x in inputs] == [leaf[i] for i in reached]
+    assert [solve(Oracle(TernaryString(x))) for x in inputs] == [leaf[i] for i in reached]
 
-    var, first = tree.var.tolist(), tree.first.tolist()
     axes, codes = [0] * size, [0] * size
     for i in range(size):
-        for answer, kid in enumerate(range(first[i], first[i + 1])):
+        for answer in range(base if var[i] else 0):
+            kid = kids[i] + answer
             axes[kid] = axes[i] | 1 << var[i] - 1
             codes[kid] = codes[i] + answer * base ** (n - var[i])
     got = leaves.paths(np.arange(size))
     assert got[0].tolist() == axes and got[1].tolist() == codes
 
     assert verify_tree(tree, table) == (True, None)
-    leaf, path = _walk(tree, inputs[0])
+    leaf, path = _walk(var, kids, inputs[0])
     flipped = tree.leaf.copy()
     flipped[leaf] = (flipped[leaf] + 1) % base
     least = [0] * n
     for v, answer in path:
         least[v - 1] = answer
-    assert verify_tree(DecisionTree(tree.var, flipped, tree.first), table) == \
+    assert verify_tree(DecisionTree(tree.var, flipped), table) == \
         (False, TernaryString(tuple(least)))
 
 
@@ -815,7 +871,7 @@ def test_leaf_grid_allocates_about_its_grid():
     large blocks are written by broadcasting, and flat codes a chunk at a
     time, never an int64 index per input."""
     table = hazard_free_table(generate("or:12"))
-    for tree in (DecisionTree((0,), (1,), (1, 1)), query_complexity_u(table)[1],
+    for tree in (DecisionTree((0,), (1,)), query_complexity_u(table)[1],
                  query_complexity(table)[1]):
         _leaf_grid(tree, 12, tree.leaf)  # the cached step tables
         tracemalloc.start()
@@ -865,8 +921,8 @@ def _routes(table):
     the public constructor."""
     def copies(tree):
         return [tree, parse_tree(serialize_tree(tree)), tree_from_json_dict(tree_to_json_dict(tree)),
-                DecisionTree(tree.var, tree.leaf, tree.first),
-                DecisionTree(tree.var.tolist(), tree.leaf.tolist(), tree.first.tolist())]
+                DecisionTree(tree.var, tree.leaf),
+                DecisionTree(tree.var.tolist(), tree.leaf.tolist())]
 
     constant = hazard_free_table(BooleanFunction(table.arity, 0))
     groups = [copies(tree) for tree in (query_complexity(table)[1], query_complexity_u(table)[1],
@@ -885,9 +941,9 @@ def test_a_tree_is_its_read_only_node_arrays():
         for tree in group:
             for copy in (tree, pickle.loads(pickle.dumps(tree))):
                 assert copy == group[0] and hash(copy) == hash(group[0])
-                assert [values.dtype for values in (copy.var, copy.leaf, copy.first)] == \
-                    [np.dtype(np.int64), np.dtype(np.uint8), np.dtype(np.int64)]
-                for values in (copy.var, copy.leaf, copy.first):
+                assert [values.dtype for values in (copy.var, copy.leaf)] == \
+                    [np.dtype(np.int64), np.dtype(np.uint8)]
+                for values in (copy.var, copy.leaf):
                     assert type(values) is np.ndarray
                     with pytest.raises(ValueError):
                         values[0] = 1
@@ -1012,9 +1068,10 @@ def test_deep_tree_without_repeats_builds():
     tree = tree_from_json_dict(_chain(3000, lambda level: level + 1))
     assert tree_depth(tree) == 3000
     assert tree_from_json_dict(tree_to_json_dict(tree)) == tree
+    kids = _first_children(tree)[1]
     i = 0
     for depth in range(3000):
-        on0, on1 = tree.first[i], tree.first[i] + 1
+        on0, on1 = kids[i], kids[i] + 1
         assert tree.var[i] == 3000 - depth and (tree.var[on1], tree.leaf[on1]) == (0, 1)
         i = on0
     assert (tree.var[i], tree.leaf[i]) == (0, 0)
@@ -1047,7 +1104,7 @@ def test_constant_trees():
     d, tree = query_complexity(table)
     du, tree_u = query_complexity_u(table)
     assert (d, du) == (0, 0)
-    assert tree == tree_u == DecisionTree((0,), (1,), (1, 1))
+    assert tree == tree_u == DecisionTree((0,), (1,))
 
 
 def _text_trees():
@@ -1062,7 +1119,7 @@ def _text_trees():
             yield query_complexity(table)[1]
             yield query_complexity_u(table)[1]
         yield from (_build(obj) for obj in _edge_trees(n) if not _malformation(obj))
-    yield DecisionTree((0,), (2,), (1, 1))
+    yield DecisionTree((0,), (2,))
 
 
 def _json_at_nesting(obj, nesting):
