@@ -28,8 +28,8 @@ at x iff the cell equal to x off B and * on B is not forced to F(x), and
 S certifies x iff the cell equal to x on S and * elsewhere is forced.  So
 the minimal blocks of a packed input take two gathers, and a certificate
 witness one lookup per candidate domain.  The arrays also bound bs at
-every input, letting the bs scans skip the inputs that cannot change
-their result.  The entry also keeps the table's block and certificate
+every input, so the bs scans pack only the inputs that could still
+change their result.  The entry also keeps the table's block and certificate
 summaries once first read, so a report and the solver's budget price
 them once between them.
 
@@ -119,7 +119,10 @@ class _MeasureArrays:
 
 def _measure_arrays(table: HazardFreeTable) -> _MeasureArrays:
     """The per-input arrays of a table, under its cap; they hold 4**n / 8
-    bytes and 3 * 3**n more, and building them takes 1.25 * 4**n more."""
+    bytes and 3 * 3**n more.  Building them peaks at 0.41 * 4**n bytes
+    more at n = 14 (105 MiB), most of it ``depth._forced_bits``; the
+    certificate slabs take under 0.2 * 4**n, and up to n = 9, where the
+    whole array is one slab, under 3 * 4**n (0.7 MB)."""
     check_cap(table.arity, table.cap, DEFAULT_SEARCH_CAP, "certificate arrays")
     return _tabulate(table)
 
@@ -129,23 +132,63 @@ def _layer(a: np.ndarray, axis: int, k: int) -> np.ndarray:
     return a[(slice(None),) * axis + (slice(k, k + 1),)]
 
 
-def _min_over_coarsenings(a: np.ndarray) -> None:
-    """In place over {0, 1, u, *}^n: a[x] becomes the least a[y] - k over
-    x and every cell y made from x by turning k of its cells into *.
+def _min_over_coarsenings(a: np.ndarray, axes: int) -> np.ndarray:
+    """Over the first ``axes`` base-4 digits of each row's index, which
+    read 0, 1, u, * (a contiguous (rows, 4**axes * m) array): the cells
+    with no * there, as a new (rows, 3**axes * m) array, each the least
+    a[y] - k over x and every cell y made from x by turning k of those
+    digits into *.
 
     One pass per axis suffices, as in the subset zeta transform
     (Bjorklund, Husfeldt, Kaski, Koivisto, STOC 2007), here over the
-    min-plus semiring: each of the 0, 1 and u layers takes the min with
-    the * layer less one, through one layer-sized scratch buffer.
+    min-plus semiring: the 0, 1 and u layers take the min with the *
+    layer less one.  No later pass reads an axis's * layer, so each pass
+    keeps only the other three, and pass k touches 3**k * 4**(axes - k)
+    cells per row and entry of the other axes.  Each pass writes a new
+    contiguous array, so that it runs over three axes: the ones before,
+    its own and the ones after.
     """
-    lower = np.empty_like(_layer(a, 0, STAR))
-    for axis in range(a.ndim):
-        top = _layer(a, axis, STAR)
-        scratch = lower.reshape(top.shape)
-        np.subtract(top, 1, out=scratch)
-        for k in (0, 1, UNKNOWN):
-            cell = _layer(a, axis, k)
-            np.minimum(cell, scratch, out=cell)
+    rows, rest = a.shape
+    for axis in range(axes):
+        rest //= 4
+        a = a.reshape(rows * 3 ** axis, 4, rest)
+        a = np.minimum(a[:, :STAR], a[:, STAR:] - 1)
+    return a.reshape(rows, -1)
+
+
+# Certificate sizes are built from slabs of at most 4**_SLAB_AXES cells
+# (``_certificate_sizes``).  A whole array takes 2.7 bytes a cell to build,
+# so from n = 10 on it is split.  Slabs of 4**10 or 4**11 cells were 10-12%
+# faster at n = 14, but leave the whole 4**10 array at n = 10.
+_SLAB_AXES = 9
+
+
+def _certificate_sizes(forced: bytes, n: int, prefix: int) -> np.ndarray:
+    """The minimum certificate size at every ternary input, by code, from
+    the forced bits of {0, 1, u, *}^n (``depth._forced_bits``' bytes).
+
+    Each forced cell starts at n and every other at 0xFE, and
+    ``_min_over_coarsenings`` leaves n minus the most *s a forced
+    coarsening adds (``_tabulate``).  Its passes along the last n -
+    ``prefix`` axes, 0 or at least 2, are independent for each base-4
+    prefix of the first ``prefix``, whose cells are one contiguous slab
+    of the bits.  So the slabs are unpacked a byte per cell, as many at
+    once as fit in 4**_SLAB_AXES cells, and each keeps its 3**(n - prefix)
+    result; then the prefix passes run on those.  With a prefix, the
+    4**n byte array never exists.
+    """
+    bits = np.frombuffer(forced, dtype=np.uint8)
+    axes = n - prefix
+    rows = 4 ** min(prefix, max(0, _SLAB_AXES - axes))  # slabs a step
+    cells = rows * 4 ** axes
+    out = np.empty((4 ** prefix, 3 ** axes), dtype=np.uint8)
+    for j in range(0, 4 ** prefix, rows):
+        start = j * 4 ** axes // 8
+        slab = np.unpackbits(bits[start:start - (-cells // 8)], count=cells, bitorder="little")
+        slab *= np.uint8(n + 2)  # a forced cell's 1 becomes n + 2, which 0xFE more wraps to n;
+        slab += np.uint8(0xFE)   # every other cell reads 0xFE
+        out[j:j + rows] = _min_over_coarsenings(slab.reshape(rows, -1), axes)
+    return _min_over_coarsenings(out.reshape(1, -1), prefix).reshape(-1)
 
 
 @lru_cache(maxsize=8)
@@ -156,13 +199,13 @@ def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
     and * elsewhere is forced (``depth._forced_bits``, kept as its bytes):
     every string consistent with S is a completion of it.  Hence C(x) is
     n minus the most *s that a forced coarsening of x adds (x itself adds
-    none).  The forced bits are unpacked a byte per cell into the array
-    that becomes the certificate sizes, where every forced cell starts at
-    n and ``_min_over_coarsenings`` leaves n minus the most *s added at
-    each ternary cell.  A cell that is not forced starts at 0xFE and
-    passes on at least 0xFE - n, above every real count, so no second
-    marker is needed; and no cell drops below its own number of *s, so
-    none wraps below zero.
+    none).  The forced bits are unpacked a byte per cell, a slab at a
+    time from n = _SLAB_AXES + 1 on (``_certificate_sizes``), where every
+    forced cell starts at n and ``_min_over_coarsenings`` leaves n minus
+    the most *s added at each ternary cell.  A cell that is not forced
+    starts at 0xFE and passes on at least 0xFE - n, above every real
+    count, so no second marker is needed; and no cell drops below its
+    own number of *s, so none wraps below zero.
 
     *s_u.*  Position p is sensitive at x iff either other trit at p
     changes the value, on any table; ``_sensitive_positions`` applies
@@ -191,14 +234,8 @@ def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
     n = table.arity
     vals = table.grid
 
-    size = 4 ** n
     forced = depth._forced_bits(table, (0, 1, UNKNOWN)).tobytes()
-    cert = np.unpackbits(np.frombuffer(forced, dtype=np.uint8), count=size, bitorder="little")
-    cert *= np.uint8(n + 2)  # a forced cell's 1 becomes n + 2, which 0xFE more wraps to n;
-    cert += np.uint8(0xFE)   # every other cell reads 0xFE
-    cert = cert.reshape((4,) * n)
-    _min_over_coarsenings(cert)
-    cert = np.ascontiguousarray(cert[(slice(0, 3),) * n])
+    cert = _certificate_sizes(forced, n, max(0, n - _SLAB_AXES)).reshape((3,) * n)
 
     sens = np.zeros((3,) * n, dtype=np.uint8)
     for axis in range(n):
@@ -279,19 +316,29 @@ def _block_lattice(n: int):
     base-4 code of the cell equal to x off B and * on B and the base-3
     code of its 0-fill (x off B, 0 on B), per block B and then the empty
     block; and, per position p, the index of each block less p (the empty
-    block's where p is not a member or the block is {p})."""
-    blocks = [blk for size in range(1, n + 1) for blk in combinations(range(n), size)]
-    index = {blk: i for i, blk in enumerate(blocks)}
+    block's where p is not a member or the block is {p}).
+
+    A block is a bitmask with position p at bit n - 1 - p, so that
+    ``combinations`` order is descending mask order within a size, and a
+    block less p is its mask less that bit, indexed through a rank table
+    over the 2**n masks.  No sort is needed: the first call of a NumPy
+    sort in a process added 0.25 MB of resident memory.
+    """
+    blocks = tuple(blk for size in range(1, n + 1) for blk in combinations(range(n), size))
+    bit = 1 << np.arange(n - 1, -1, -1)
+    masks = np.arange((1 << n) - 1, 0, -1)
+    sizes = ((masks[:, None] & bit) != 0).sum(axis=1)
+    masks = np.concatenate([masks[sizes == size] for size in range(1, n + 1)])
+    member = (masks[:, None] & bit) != 0
+    rank = np.empty(1 << n, dtype=np.intp)
+    rank[masks] = np.arange(len(blocks))
+    rank[0] = len(blocks)  # the empty block
+    less = np.where(member.T, rank[masks & ~bit[:, None]], len(blocks))
     kept = np.ones((len(blocks) + 1, n), dtype=np.int64)
-    less = np.full((n, len(blocks)), len(blocks), dtype=np.intp)
-    for i, blk in enumerate(blocks):
-        kept[i, list(blk)] = 0
-        if len(blk) > 1:
-            for p in blk:
-                less[p, i] = index[tuple(q for q in blk if q != p)]
+    kept[:-1] -= member
     pw3, pw4 = np.array(_weights(n)), np.array(_weights(n, 4))
     offsets = np.outer((1, 0), (1 - kept) @ (STAR * pw4))  # the *s, in the cell code only
-    return tuple(blocks), np.stack((kept * pw4, kept * pw3)), offsets, less
+    return blocks, np.stack((kept * pw4, kept * pw3)), offsets, less
 
 
 _BIT = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)  # entry b: the mask of bit b
@@ -310,11 +357,13 @@ def _minimal_blocks(table: HazardFreeTable, forced: np.ndarray,
     the blocks one position smaller is.
     """
     blocks, weights, offsets, less = _block_lattice(len(digits))
-    cell, zero_fill = weights @ np.array(digits, dtype=np.int64) + offsets
+    codes = weights @ np.array(digits, dtype=np.int64)
+    codes += offsets
+    cell = codes[0]
     sensitive = (forced[cell >> 3] & _BIT[cell & 7]) == 0
-    sensitive |= table.grid.take(zero_fill) != v
+    sensitive |= table.grid.take(codes[1]) != v  # the 0-fills
     minimal = sensitive[:-1] & ~sensitive[less].any(axis=0)
-    return [blocks[i] for i in np.flatnonzero(minimal)]
+    return [blocks[i] for i in minimal.nonzero()[0].tolist()]
 
 
 def minimal_sensitive_blocks(
@@ -391,39 +440,81 @@ def block_sensitivity_u_at(
     x = as_ternary(x)
     if len(x) != table.arity:
         raise ValueError(f"input length {len(x)} != arity {table.arity}")
-    code, arrays = x.code(), _measure_arrays(table)
-    scan = _packing_scan(table, arrays, [code], [int(arrays.block_bound[code])])
-    size, _, family = scan[table.values[code]]
+    code = x.code()
+    size, _, family = _packing_scan(table, _measure_arrays(table), [code])[table.values[code]]
     return size, family
 
 
-def _packing_scan(
-    table: HazardFreeTable, arrays: _MeasureArrays, codes: Sequence[int], bounds: Sequence[int]
-) -> list:
-    """Per output trit, the largest packing of blocks over the inputs ``codes``.
+_CLASSES = np.arange(3, dtype=np.uint8)[:, None]  # the output trits, a row each
 
-    Entry v is None when no input of value v is scanned, else (size, x,
-    family) at the first input x of ``codes`` attaining the class
-    maximum: a maximum moves only on a strict increase.  An input whose
-    bound, the entry of ``bounds`` beside it (``_tabulate``'s
-    ``block_bound`` at its code), does not exceed the best of its value
-    class so far cannot move that maximum, nor the overall one, which is
-    at least as large; it is skipped without packing its blocks.
+# Codes searched at a time for inputs that could still win a bs scan.
+_SCAN_WINDOW = 1 << 16
+
+
+def _packing_scan(table: HazardFreeTable, arrays: _MeasureArrays,
+                  codes: Sequence[int] | None = None) -> list:
+    """Per output trit v, the largest packing of blocks over the inputs
+    ``codes`` (increasing; every input when None) of value v.
+
+    Entry v is None when none is scanned, else (size, x, family) at the
+    least input x attaining the class maximum.  No input packs more than
+    its bound (``_tabulate``'s ``block_bound``).  So each class is first
+    packed at its least input of highest bound, and is settled when that
+    packing reaches the bound: every class is, at maj:11, ind:3 and
+    random:14:1, and all but one at mind:4.  Otherwise an input can
+    still win only if its bound is above the best size so far, or equal
+    to it at a smaller code.  These inputs are found with
+    ``np.flatnonzero`` a window of codes at a time and packed in code
+    order, and the search starts again after each one that wins.  The
+    arrays are read in place: the only index arrays made hold the inputs
+    of one window that could win.
     """
     n = table.arity
-    vals, pw = table.values, _weights(n)
+    vals, bound = table.grid.reshape(-1), arrays.block_bound
+    if codes is not None:
+        vals, bound = vals[codes], bound[codes]
+    members = vals == _CLASSES  # row v: the inputs of value v
     forced = np.frombuffer(arrays.forced, dtype=np.uint8)
-    best: list = [None, None, None]
-    for base, bound in zip(codes, bounds):
-        v = vals[base]
-        if best[v] is not None and bound <= best[v][0]:
-            continue
-        x = TernaryString.from_code(base, n)
+
+    def pack(i: int, v: int) -> tuple:
+        code = i if codes is None else int(codes[i])
+        x = TernaryString.from_code(code, n)
         blocks = _minimal_blocks(table, forced, x.trits, v)
-        picked = _max_disjoint(blocks)
-        if best[v] is None or len(picked) > best[v][0]:
-            family = _block_witnesses(vals, x, base, pw, [blocks[j] for j in picked])
-            best[v] = (len(picked), x, family)
+        picked = [blocks[j] for j in _max_disjoint(blocks)]
+        return len(picked), i, x, code, picked
+
+    best: list = []
+    # Each class's least input of highest bound; bound + 1, so that an
+    # input of bound 0 outranks the inputs of other values.
+    for v, top in enumerate((members * (bound + np.uint8(1))).argmax(axis=1).tolist()):
+        if not members[v, top]:
+            best.append(None)
+            continue
+        best.append(pack(top, v))
+        size, at = best[v][:2]
+        pos, limit = 0, int(bound[top])
+        while size < limit and pos < len(vals):
+            stop = min(pos + _SCAN_WINDOW, len(vals))
+            window = bound[pos:stop]
+            wins = window > size
+            if at > pos:
+                wins[:at - pos] |= window[:at - pos] == size
+            wins &= members[v, pos:stop]
+            if pos <= top < stop:
+                wins[top - pos] = False  # packed first
+            start, pos = pos, stop
+            for i in np.flatnonzero(wins).tolist():
+                got = pack(start + i, v)
+                if got[0] > size or got[0] == size and start + i < at:
+                    best[v] = got
+                    size, at = got[:2]
+                    pos = at + 1
+                    break
+    pw = _weights(n)
+    for v, got in enumerate(best):
+        if got is not None:
+            size, _, x, code, picked = got
+            best[v] = (size, x, _block_witnesses(table.values, x, code, pw, picked))
     return best
 
 
@@ -435,8 +526,10 @@ def _overall(best: list) -> tuple:
 def block_summary(table: HazardFreeTable) -> BlockSensitivitySummary:
     """Block sensitivity over all inputs and split by output value.
 
-    Inputs are scanned in code order, so each attaining input is the
-    lex-least one (``_packing_scan``).  The scan runs once per table: its
+    Each attaining input is the lex-least one: the scan seeds each value
+    class at its least input of highest bound, then packs in code order
+    only the inputs that could still win (``_packing_scan``).  At
+    random:14:1 it packs 3 inputs.  The scan runs once per table: its
     summary is kept with the table's arrays (``_tabulate``), so a report
     and the solver's budget read the same one.
     """
@@ -447,7 +540,7 @@ def block_summary(table: HazardFreeTable) -> BlockSensitivitySummary:
 
 
 def _block_summary(table: HazardFreeTable, arrays: _MeasureArrays) -> BlockSensitivitySummary:
-    best = _packing_scan(table, arrays, range(3 ** table.arity), arrays.block_bound.tolist())
+    best = _packing_scan(table, arrays)
     by_value = tuple(0 if b is None else b[0] for b in best)
     bs_u, x, family = _overall(best)
     return BlockSensitivitySummary(
@@ -542,6 +635,16 @@ def certificate_complexity_u(table: HazardFreeTable) -> int:
 # Classical measures of the underlying Boolean function.
 
 
+@lru_cache(maxsize=None)
+def _binary_codes(n: int) -> np.ndarray:
+    """The ternary codes of the 2**n binary inputs, increasing."""
+    codes = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        codes = (3 * codes[:, None] + (0, 1)).reshape(-1)
+    codes.flags.writeable = False
+    return codes
+
+
 def standard_measures(table: HazardFreeTable) -> StandardMeasures:
     """Classical s, bs and C of the table's f over binary inputs with
     bit-flip blocks.
@@ -559,14 +662,13 @@ def standard_measures(table: HazardFreeTable) -> StandardMeasures:
     """
     n = table.arity
     arrays = _measure_arrays(table)
-    codes = np.arange(3 ** n).reshape((3,) * n)[(slice(0, 2),) * n].reshape(-1)
+    codes = _binary_codes(n)
     sens, cert = arrays.sensitivity[codes], arrays.certificate[codes]
 
     s_x = TernaryString.from_code(int(codes[sens.argmax()]), n)
     flips = _sensitive_positions(table, s_x)
     c_x = TernaryString.from_code(int(codes[cert.argmax()]), n)
-    bs, bs_x, bs_family = _overall(
-        _packing_scan(table, arrays, codes.tolist(), arrays.block_bound[codes].tolist()))
+    bs, bs_x, bs_family = _overall(_packing_scan(table, arrays, codes))
 
     return StandardMeasures(
         s=int(sens.max()),

@@ -14,8 +14,9 @@ def both_paths(monkeypatch):
     axis per pass, whole-array levels run in blocks, here of one word
     each, so that every word axis numbers blocks, and levels run on the
     words that can still gain bits, here from level 4 on, the first with
-    words that cannot.  The memoized bitset layouts and measure arrays
-    are dropped at each switch, so each pass builds its own."""
+    words that cannot, and certificate sizes built a slab at a time, here
+    of two axes.  The memoized bitset layouts and measure arrays are
+    dropped at each switch, so each pass builds its own."""
     def clear():
         uquery.depth._layout.cache_clear()
         uquery.depth._side_by_side.cache_clear()
@@ -27,6 +28,7 @@ def both_paths(monkeypatch):
         monkeypatch.setattr(uquery.depth, "_CHUNK", 0)
         monkeypatch.setattr(uquery.depth, "_BLOCK_WORDS", 1)
         monkeypatch.setattr(uquery.depth, "_GATHER_SHARE", 1)
+        monkeypatch.setattr(uquery.measures, "_SLAB_AXES", 2)
         clear()
         yield
     yield paths()

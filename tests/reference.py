@@ -13,8 +13,12 @@ counted the blocks left but not the free positions,
 by input, ``read_tree`` is the recursive tree extraction the layered one
 of ``depth._read_tree`` replaced, ``far_start_tree`` is a byte
 relaxation of the depths from a start far above them, the depth kernel
-before the level search, and ``solve_by_scan`` is the certificate-guided
-solver that scanned every decoded input for the least consistent one.
+before the level search, ``solve_by_scan`` is the certificate-guided
+solver that scanned every decoded input for the least consistent one,
+and ``min_over_coarsenings``, ``packing_scan`` and ``block_lattice`` are
+the certificate transform over the whole unpacked array, the bs scan
+that walked every input in code order, and the block lattice built
+block by block.
 """
 
 from functools import lru_cache
@@ -538,3 +542,82 @@ def solve_by_scan(table, oracle):
             if value != U:
                 return SolveResult(value, oracle.query_count, bound, oracle.transcript)
     return SolveResult(U, oracle.query_count, bound, oracle.transcript)
+
+
+# ---------------------------------------------------------------------------
+# Measure kernels as they were before the slab transform, the seeded bs
+# scan and the bitmask block lattice replaced them.
+
+
+def min_over_coarsenings(a):
+    """In place over {0, 1, u, *}^n: a[x] becomes the least a[y] - k over
+    x and every cell y made from x by turning k of its cells into *, by
+    one pass per axis over the whole array, each of the 0, 1 and u layers
+    taking the min with the * layer less one."""
+    def layer(axis, k):
+        return a[(slice(None),) * axis + (slice(k, k + 1),)]
+
+    lower = np.empty_like(layer(0, 3))
+    for axis in range(a.ndim):
+        scratch = lower.reshape(layer(axis, 3).shape)
+        np.subtract(layer(axis, 3), 1, out=scratch)
+        for k in (0, 1, U):
+            np.minimum(layer(axis, k), scratch, out=layer(axis, k))
+
+
+def certificate_sizes(forced: bytes, n: int):
+    """The minimum certificate size at every ternary input, by code, from
+    the forced bits of {0, 1, u, *}^n unpacked whole, a byte per cell:
+    n at a forced cell and 0xFE elsewhere, less the most *s a forced
+    coarsening adds."""
+    cert = np.unpackbits(np.frombuffer(forced, dtype=np.uint8), count=4 ** n,
+                         bitorder="little")
+    cert *= np.uint8(n + 2)
+    cert += np.uint8(0xFE)
+    cert = cert.reshape((4,) * n)
+    min_over_coarsenings(cert)
+    return np.ascontiguousarray(cert[(slice(0, 3),) * n]).reshape(-1)
+
+
+def packing_scan(table, arrays, codes, bounds) -> list:
+    """Per output trit, None or (size, x, family) at the first input x of
+    ``codes`` attaining the largest packing of its value class, scanned
+    one input at a time in the order given; an input whose bound does not
+    exceed the best of its class so far is skipped unpacked."""
+    from uquery.measures import _block_witnesses, _max_disjoint, _minimal_blocks, _weights
+
+    n = table.arity
+    vals, pw = table.values, _weights(n)
+    forced = np.frombuffer(arrays.forced, dtype=np.uint8)
+    best = [None, None, None]
+    for base, bound in zip(codes, bounds):
+        v = vals[base]
+        if best[v] is not None and bound <= best[v][0]:
+            continue
+        x = TernaryString.from_code(base, n)
+        blocks = _minimal_blocks(table, forced, x.trits, v)
+        picked = _max_disjoint(blocks)
+        if best[v] is None or len(picked) > best[v][0]:
+            family = _block_witnesses(vals, x, base, pw, [blocks[j] for j in picked])
+            best[v] = (len(picked), x, family)
+    return best
+
+
+def block_lattice(n: int):
+    """``measures._block_lattice`` built block by block: the blocks by
+    size then in ``combinations`` order, the cell and 0-fill weights and
+    offsets per block and then the empty block, and each block's index
+    less each member (the empty block's where there is none)."""
+    blocks = [blk for size in range(1, n + 1) for blk in combinations(range(n), size)]
+    index = {blk: i for i, blk in enumerate(blocks)}
+    kept = np.ones((len(blocks) + 1, n), dtype=np.int64)
+    less = np.full((n, len(blocks)), len(blocks), dtype=np.intp)
+    for i, blk in enumerate(blocks):
+        kept[i, list(blk)] = 0
+        if len(blk) > 1:
+            for p in blk:
+                less[p, i] = index[tuple(q for q in blk if q != p)]
+    pw3 = np.array([3 ** (n - 1 - p) for p in range(n)])
+    pw4 = np.array([4 ** (n - 1 - p) for p in range(n)])
+    offsets = np.outer((1, 0), (1 - kept) @ (3 * pw4))
+    return tuple(blocks), np.stack((kept * pw4, kept * pw3)), offsets, less
