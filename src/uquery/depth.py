@@ -296,6 +296,7 @@ def _forced_bits(table: HazardFreeTable, answers: tuple[int, ...]) -> np.ndarray
     planes = table.grid.reshape(-1, 27).take(codes, axis=1) == values[:, None, None]
     planes &= starless
     packed = np.packbits(planes, axis=-1, bitorder="little").view(np.uint64)[..., 0]
+    del planes  # a byte per cell: freed before the word axes are spread
     for stride, digit, mask in _layout(3, answers).shifts:  # those of the in-word axes
         kids = _kids_by_shift(packed, stride, digit, (0, 1))
         kids &= mask

@@ -119,9 +119,9 @@ class _MeasureArrays:
 
 def _measure_arrays(table: HazardFreeTable) -> _MeasureArrays:
     """The per-input arrays of a table, under its cap; they hold 4**n / 8
-    bytes and 3 * 3**n more.  Building them peaks at 0.41 * 4**n bytes
-    more at n = 14 (105 MiB), most of it ``depth._forced_bits``; the
-    certificate slabs take under 0.2 * 4**n, and up to n = 9, where the
+    bytes and 3 * 3**n more.  Building them peaks at 0.31 * 4**n bytes
+    more at n = 14 (80 MiB), the certificate slabs beside the forced
+    bits: the slabs take under 0.2 * 4**n, and up to n = 9, where the
     whole array is one slab, under 3 * 4**n (0.7 MB)."""
     check_cap(table.arity, table.cap, DEFAULT_SEARCH_CAP, "certificate arrays")
     return _tabulate(table)
@@ -207,11 +207,11 @@ def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
     count, so no second marker is needed; and no cell drops below its
     own number of *s, so none wraps below zero.
 
-    *s_u.*  Position p is sensitive at x iff either other trit at p
-    changes the value, on any table; ``_sensitive_positions`` applies
-    the same rule at one input, so the s_u witness variable agrees with
-    the count.  (On an extension the u setting alone decides it for a
-    0/1-valued x, but a corrupted table need not be an extension.)
+    *s_u.*  Position p is sensitive at x iff x's values with 0, 1 and u
+    at p are not all equal, whichever trit x holds, on any table.  One
+    mask per axis counts it at the axis' three layers at once, and
+    ``_sensitive_positions`` applies the same test at one input, so the
+    s_u witness variable agrees with the count.
 
     *The bs bound.*  bs(x) <= min(C(x), s(x) + (n - s(x)) // 2) for
     every input x, and classically for every binary x with flip blocks
@@ -240,10 +240,7 @@ def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
     sens = np.zeros((3,) * n, dtype=np.uint8)
     for axis in range(n):
         v0, v1, vu = (_layer(vals, axis, k) for k in (0, 1, UNKNOWN))
-        d01, d0u, d1u = v0 != v1, v0 != vu, v1 != vu
-        for k, moved in ((0, d01 | d0u), (1, d01 | d1u), (UNKNOWN, d0u | d1u)):
-            cell = _layer(sens, axis, k)
-            cell += moved
+        sens += (v0 != v1) | (v1 != vu)  # broadcast over the axis' three layers
 
     bound = np.minimum(cert, sens + (n - sens) // 2)
     return _MeasureArrays(cert.reshape(-1), sens.reshape(-1), bound.reshape(-1), forced)
@@ -267,16 +264,16 @@ def sensitivity_u_at(table: HazardFreeTable, x: TernaryString | str) -> int:
 
 def _sensitive_positions(table: HazardFreeTable, x: TernaryString) -> list[int]:
     """0-based positions whose singleton block is sensitive at x: those
-    where either other trit changes the value, as in ``_tabulate``."""
+    where the values at 0, 1 and u are not all equal (``_tabulate``)."""
     n = table.arity
     if len(x) != n:
         raise ValueError(f"input length {len(x)} != arity {n}")
     vals, pw, base = table.values, _weights(n), x.code()
-    v = vals[base]
     out = []
     for p, t in enumerate(x.trits):
         low = base - t * pw[p]  # x with 0 at p
-        if vals[low + (t + 1) % 3 * pw[p]] != v or vals[low + (t + 2) % 3 * pw[p]] != v:
+        v1 = vals[low + pw[p]]
+        if vals[low] != v1 or v1 != vals[low + 2 * pw[p]]:
             out.append(p)
     return out
 

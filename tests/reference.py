@@ -15,10 +15,11 @@ of ``depth._read_tree`` replaced, ``far_start_tree`` is a byte
 relaxation of the depths from a start far above them, the depth kernel
 before the level search, ``solve_by_scan`` is the certificate-guided
 solver that scanned every decoded input for the least consistent one,
-and ``min_over_coarsenings``, ``packing_scan`` and ``block_lattice`` are
+``min_over_coarsenings``, ``packing_scan`` and ``block_lattice`` are
 the certificate transform over the whole unpacked array, the bs scan
 that walked every input in code order, and the block lattice built
-block by block.
+block by block, and ``sensitivity_array`` is the s_u array counted a
+layer at a time.
 """
 
 from functools import lru_cache
@@ -621,3 +622,20 @@ def block_lattice(n: int):
     pw4 = np.array([4 ** (n - 1 - p) for p in range(n)])
     offsets = np.outer((1, 0), (1 - kept) @ (3 * pw4))
     return tuple(blocks), np.stack((kept * pw4, kept * pw3)), offsets, less
+
+
+def sensitivity_array(grid):
+    """s_u at every ternary input, as a (3,) * n uint8 array: per axis,
+    the 0, 1 and u layers each count the positions where one of the
+    other two trits changes the value, from three pairwise masks."""
+    def layer(a, axis, k):
+        return a[(slice(None),) * axis + (slice(k, k + 1),)]
+
+    sens = np.zeros(grid.shape, dtype=np.uint8)
+    for axis in range(grid.ndim):
+        v0, v1, vu = (layer(grid, axis, k) for k in (0, 1, U))
+        d01, d0u, d1u = v0 != v1, v0 != vu, v1 != vu
+        for k, moved in ((0, d01 | d0u), (1, d01 | d1u), (U, d0u | d1u)):
+            cell = layer(sens, axis, k)
+            cell += moved
+    return sens

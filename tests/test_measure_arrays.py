@@ -6,9 +6,10 @@ inputs from them and skip inputs by the bound.  Every check here
 recomputes the same quantities input by input through the pointwise
 functions (and, at n <= 3, through ``reference.py``): exhaustively for
 n <= 3 and on seeded samples for n = 4..6.  The slab transform, the
-seeded bs scan and the bitmask block lattice are checked against the
-kernels they replaced, kept in ``reference.py``: exhaustively for
-n <= 3, on seeded samples for n = 4..8, and on fixed specs up to n = 12.
+seeded bs scan, the bitmask block lattice and the s_u array are checked
+against the kernels they replaced, kept in ``reference.py``:
+exhaustively for n <= 3, on seeded samples for n = 4..8, and on fixed
+specs up to n = 12.
 """
 
 import dataclasses
@@ -195,6 +196,14 @@ def _check_summaries(n, bits):
         assert (classical.s, classical.bs, classical.c) == R.classical_measures(bits, n)
 
 
+def _corrupted(table):
+    """The table wrong at its all-u entry, as the verify harness builds
+    to test itself."""
+    values = bytearray(table.values)
+    values[-1] = (values[-1] + 1) % 3
+    return HazardFreeTable(table.function, bytes(values))
+
+
 def test_certificates_on_a_table_that_is_no_extension():
     """On a table corrupted at its all-u entry, as the verify harness
     builds to test itself, a cell is forced when the completions of its
@@ -202,9 +211,7 @@ def test_certificates_on_a_table_that_is_no_extension():
     can differ from the table's at x."""
     differs = 0
     for n, bits in _all_small():
-        values = bytearray(hazard_free_table(BooleanFunction(n, bits)).values)
-        values[-1] = (values[-1] + 1) % 3
-        table = HazardFreeTable(BooleanFunction(n, bits), bytes(values))
+        table = _corrupted(hazard_free_table(BooleanFunction(n, bits)))
         for x in _inputs(n):
             w = certificate_u_at(table, x)
             cells = w.assignment.cells
@@ -223,9 +230,7 @@ def test_pointwise_sensitivity_follows_the_array_on_corrupted_tables():
     longer decides a position; the pointwise count still reads the rule
     of the s_u array, so the s_u witness variable agrees with the count."""
     for n, bits in _all_small():
-        values = bytearray(hazard_free_table(BooleanFunction(n, bits)).values)
-        values[-1] = (values[-1] + 1) % 3
-        table = HazardFreeTable(BooleanFunction(n, bits), bytes(values))
+        table = _corrupted(hazard_free_table(BooleanFunction(n, bits)))
         sens = _measure_arrays(table).sensitivity
         for x in _inputs(n):
             assert sensitivity_u_at(table, x) == sens[x.code()], (bits, x)
@@ -401,6 +406,26 @@ def test_certificate_slabs_match_the_whole_array_transform(n):
 
 def test_certificate_slabs_at_every_split_at_arity_12():
     _check_certificate_slabs(hazard_free_table(generate("random:12:1")), range(11))
+
+
+def _check_sensitivity(table):
+    want = R.sensitivity_array(table.grid).reshape(-1)
+    got = _measure_arrays(table).sensitivity
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", DIFFERENTIAL_ARITIES)
+def test_sensitivity_array_matches_the_layer_loop(n):
+    for bits in _tables(n):
+        table = hazard_free_table(BooleanFunction(n, bits))
+        _check_sensitivity(table)
+        _check_sensitivity(_corrupted(table))
+
+
+def test_sensitivity_array_matches_the_layer_loop_at_arity_12():
+    table = hazard_free_table(generate("random:12:1"))
+    _check_sensitivity(table)
+    _check_sensitivity(_corrupted(table))
 
 
 def _check_scans(table, every_input):

@@ -238,6 +238,23 @@ def test_bitsets_leave_the_search_as_bytes(both_paths, n):
     assert runs[0] == runs[1]
 
 
+def test_forced_bits_keep_no_byte_per_cell():
+    """The array route packs the bool planes of the cells without a *,
+    a byte per cell, and frees them before it spreads the words of the
+    * cells: at n = 12 building L_0 of the u-model peaks below 0.4 bytes
+    per cell of {0, 1, u, *}^n, where holding the planes read 0.54."""
+    table = hazard_free_table(generate("random:12:1"))
+    want = _forced_bits(table, MODELS[0]).tobytes()  # the cached step tables
+    tracemalloc.start()
+    try:
+        forced = _forced_bits(table, MODELS[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert forced.tobytes() == want
+    assert peak < 0.4 * 4 ** table.arity, peak / 4 ** table.arity
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_level_reader_decodes_the_planes(m):
     """The lookup reads, at every key, the level whose bit j is the key's
