@@ -4,41 +4,46 @@
 the solver picking the variable and the adversary the worst answer,
 with one search over packed bitsets of the partial assignments:
 {0, 1, u, *}^n for the u-model and {0, 1, *}^n classically, a bit per
-cell.  A bitset enters and leaves the search in one format, packed
-little-endian bytes, lowest cell first; Python ints live only inside the
-level loop and the u-model's L_0 merge at small arities.  Level L_0
-marks the cells whose value is forced, built from the hazard-free
-table: for the u-model one bit plane per value, merged axis by axis (the
-measures keep this L_0's bytes), and classically the table read with u
-as *.  L_k adds every cell with a * on some axis whose children
-all lie in L_{k-1}, so L_k holds exactly the cells of depth at most k,
-and the search stops at the level the all-* root enters: D.  A level
-costs a shift and a mask per axis inside a 64-bit word, and an AND of
-views per axis across words.  A cell with j *s has depth at most j, as
-querying its j free variables decides it, so only a cell with at least
-k *s can enter L_k: a word whose word-axis digits hold s *s gains no bit
-above level s + min(n, 3).  A level runs on the whole array while at
-least ``_GATHER_SHARE`` of the words can still gain bits, and on those
-words alone, gathered with their children, from then on.  A whole-array
-level is grown in place, one cache-sized block of words at a time, the
-blocks with more *s first, so that no block is overwritten before the
-blocks that read it are done.  Timed in one process on random:12:1
-(2-CPU x86-64, best of 15), the u-model's L_0 takes 4.3 ms and its
-levels 23 ms, where L_0 merged a byte per cell and levels run over whole
-arrays with fresh temporaries took 9.3 and 35 ms.  Each cell's level is
-kept once, as bit planes that every level updates in place, and the
-tree is read straight off them one layer of cells at a time, taking at
-each node the lowest variable that attains the optimum, so results are
+cell.  The search takes a batch of tables of one arity, a single table
+being a batch of one: below ``_SMALL_CELLS`` cells their bitsets lie
+side by side in one Python int, each in whole bytes, so that every step
+costs one int operation for the whole batch, and from there on the
+tables go one at a time.  A bitset enters and leaves the search in one
+format, packed little-endian bytes, lowest cell first, a row per table;
+Python ints live only inside the level loop and the u-model's L_0 merge.
+Level L_0 marks the cells whose value is forced, built from the
+hazard-free table: for the u-model one bit plane per value, merged axis
+by axis (the measures keep this L_0's bytes), and classically the table
+read with u as *.  L_k adds every cell with a * on some axis whose
+children all lie in L_{k-1}, so L_k holds exactly the cells of depth at
+most k, and a table's search stops at the level its all-* root enters:
+D.  A level costs a shift and a mask per axis inside a 64-bit word, and
+an AND of views per axis across words.  A cell with j *s has depth at
+most j, as querying its j free variables decides it, so only a cell with
+at least k *s can enter L_k: a word whose word-axis digits hold s *s
+gains no bit above level s + min(n, 3).  A level runs on the whole array
+while at least ``_GATHER_SHARE`` of the words can still gain bits, and
+on those words alone, gathered with their children, from then on.  A
+whole-array level is grown in place, one cache-sized block of words at
+a time, the blocks with more *s first, so that no block is overwritten
+before the blocks that read it are done.  Timed in one process on
+random:12:1 (2-CPU x86-64, best of 15), the u-model's L_0 takes 4.3 ms
+and its levels 23 ms, where L_0 merged a byte per cell and levels run
+over whole arrays with fresh temporaries took 9.3 and 35 ms.  Each
+cell's level is kept once, as bit planes that every level updates in
+place, and the trees are read straight off them one layer of cells at a
+time, the layer of every table of the batch at once, taking at each
+node the lowest variable that attains the optimum, so results are
 canonical; each layer tries the axes from the lowest * of any of its
 cells.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 from math import comb
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,25 +60,30 @@ from .trees import DecisionTree
 # 4**3 cells fill a word; the axes before them index the words, in base
 # len(answers) + 1 with * as the largest digit (the classical model
 # stores no u there).  A cell's key is its bit index, a mixed-radix code.
-# A bitset comes in and goes out as packed bytes, lowest cell first.  The
-# level loop and the u-model's L_0 merge hold one of fewer than
-# ``_SMALL_CELLS`` bits as a Python int, on which every axis is a shift
-# and a mask, each far cheaper than a NumPy call, and a larger one as a
-# uint64 array, one entry per word, whose word axes are views.  Timed
-# over the whole search with each forced (2-CPU x86-64), ints take 37%
-# less time at 64 cells (maj:3, 0.069 against 0.110 ms), 9% less at
-# 46,656 (the classical search on random:9:1), 6% more at 65,536 (the
-# u-model on random:8:1) and 2.6 times as long at 2**20 (random:10:1,
-# 11.2 against 4.3 ms).
+# A bitset comes in and goes out as packed bytes, lowest cell first, in
+# ceil(size / 8) bytes a table.  The level loop and the u-model's L_0
+# merge hold the bitsets of fewer than ``_SMALL_CELLS`` bits as one
+# Python int, a batch's tables side by side, table t from bit 8 * t *
+# ceil(size / 8) on, so that every axis is a shift and a mask for the
+# whole batch, each far cheaper than a NumPy call; a larger bitset is a
+# uint64 array, one entry per word, whose word axes are views, and its
+# tables go one at a time.  Timed over the whole search of one table
+# with each route forced (2-CPU x86-64), ints take 37% less time at 64
+# cells (maj:3, 0.069 against 0.110 ms), 9% less at 46,656 (the
+# classical search on random:9:1), 6% more at 65,536 (the u-model on
+# random:8:1) and 2.6 times as long at 2**20 (random:10:1, 11.2 against
+# 4.3 ms).
 
 _SMALL_CELLS = 1 << 16
 
 
 class _Layout(NamedTuple):
-    """The bitsets of one arity and alphabet."""
+    """The bitsets of one arity and alphabet: those of a batch's tables
+    lie side by side in one int on the int route (``_side_by_side``)."""
 
     size: int        # bits: one per cell
-    as_int: bool     # the loops hold a Python int, else a uint64 array
+    nbytes: int      # the bytes a bitset takes, ceil(size / 8), side by side in a batch
+    as_int: bool     # the loops hold a batch in one Python int, else a table in a uint64 array
     shifts: tuple    # per axis done by shifts: (stride, star digit, mask of its * cells)
     block: int       # words per block of a whole-array level
     views: tuple     # per word axis inside a block: the (before, digit, after) shape
@@ -162,7 +172,7 @@ def _layout(n: int, answers: tuple[int, ...]) -> _Layout:
                for s in range(k - len(shifts), outer + 1)) >= _GATHER_SHARE * base ** outer:
             break
         gather = k
-    return _Layout(size, as_int, tuple(shifts), block, views, tuple(blocks), gather)
+    return _Layout(size, -(-size // 8), as_int, tuple(shifts), block, views, tuple(blocks), gather)
 
 
 class _Live(NamedTuple):
@@ -230,26 +240,57 @@ def _cell_codes(digits: int) -> tuple[np.ndarray, np.ndarray]:
     return codes, starless
 
 
-@cache
-def _side_by_side(n: int, answers: tuple[int, ...]) -> tuple:
+def _tiled(mask: int, nbytes: int, count: int) -> int:
+    """``count`` copies of the ``nbytes``-byte ``mask`` side by side in
+    one int, the first lowest, repeated as bytes: summing the shifted
+    copies takes time quadratic in ``count``, 7.6 against 0.03 us a copy
+    of 256 bits at 2,000 copies (2-CPU x86-64).  One copy is the mask
+    itself, which spares a lone table of 2 KB two 2-3 us conversions."""
+    if count == 1:
+        return mask
+    return int.from_bytes(mask.to_bytes(nbytes, "little") * count, "little")
+
+
+@lru_cache(maxsize=16)
+def _side_by_side(n: int, answers: tuple[int, ...], count: int) -> tuple:
     """The shifts of the int bitsets of arity n, each mask repeated over
-    one bitset per answer laid side by side in one int, the first lowest.
-    The u-model's int L_0 merges its three planes at once with these:
-    merging one plane at a time made L_0 1.6-1.9 times as slow at n <= 5
-    (9-15 against 14-25 us, 2-CPU x86-64)."""
+    ``count`` bitsets laid side by side in one int, the first lowest, each
+    in whole bytes.  A batch's level loop runs on one bitset per table
+    with these, and the u-model's L_0 merges its three planes of every
+    table at once: merging one plane at a time made L_0 1.6-1.9 times as
+    slow at n <= 5 (9-15 against 14-25 us, 2-CPU x86-64).  A bit a shift
+    carries out of a bitset lands on a cell of the next, which the mask
+    keeps only where the cell's children lie in its own bitset."""
     layout = _layout(n, answers)
-    return tuple((stride, digit, sum(mask << v * layout.size for v in range(len(answers))))
+    return tuple((stride, digit, _tiled(mask, layout.nbytes, count))
                  for stride, digit, mask in layout.shifts)
 
 
+def _values(tables: Sequence[HazardFreeTable]) -> np.ndarray:
+    """The values of a batch's tables by code, a (tables, 3**n) uint8 array."""
+    if len(tables) == 1:
+        return tables[0].grid.reshape(1, -1)
+    return np.frombuffer(b"".join(table.values for table in tables), dtype=np.uint8).reshape(len(tables), -1)
+
+
+def _rows(arrays: list, axis: int = 0) -> np.ndarray:
+    """Each table's array stacked on a new table axis: a view of a lone
+    one, as the array route's bitsets are large."""
+    if len(arrays) == 1:
+        return arrays[0][(slice(None),) * axis + (None,)]
+    return np.stack(arrays, axis)
+
+
 def _packed(cells: np.ndarray) -> np.ndarray:
-    """The bytes of a bool per cell, in key order, lowest cell first."""
-    return np.packbits(cells.reshape(-1), bitorder="little")
+    """The bytes of a bool per cell, in key order, lowest cell first, each
+    row of the last axis packed on its own."""
+    return np.packbits(cells, axis=-1, bitorder="little")
 
 
-def _forced_bits(table: HazardFreeTable, answers: tuple[int, ...]) -> np.ndarray:
-    """L_0: the cells of {answers, *}^n whose value is forced, as a
-    writable uint8 array of ceil(size / 8) bytes, lowest cell first.
+def _forced_bits(tables: Sequence[HazardFreeTable], answers: tuple[int, ...]) -> np.ndarray:
+    """L_0 of each table of a batch of one arity: the cells of {answers,
+    *}^n whose value is forced, as a writable (tables, ceil(size / 8))
+    uint8 array, each row lowest cell first.
 
     Classically the extension is resolved exactly where f is constant,
     so a cell is forced iff the table, read with u at every *, is 0 or
@@ -262,10 +303,11 @@ def _forced_bits(table: HazardFreeTable, answers: tuple[int, ...]) -> np.ndarray
     forced cell's value is the table's at its 0-fill (0 at every *), on
     any table.
 
-    On an int the planes lie side by side and every axis is merged by
-    shifts, as the levels do; a * cell's children lie in its own plane,
-    so the bits a shift carries across planes land on cells the mask
-    drops.  On an array the planes of the cells without a * are packed
+    On an int the planes of every table lie side by side, by plane and
+    then by table, and every axis is merged by shifts, as the levels do;
+    a * cell's children lie in its own plane, so the bits a shift
+    carries across planes land on cells the mask drops.  On an array,
+    one table at a time, the planes of the cells without a * are packed
     into the words of ternary word digits and merged on the in-word axes
     by shifts; then each plane in turn is spread over the words of *
     cells, merged on the word axes in place and ORed into L_0.  At n = 12
@@ -274,26 +316,36 @@ def _forced_bits(table: HazardFreeTable, answers: tuple[int, ...]) -> np.ndarray
     2-CPU x86-64, best of 15 in one process).  Either way L_0 leaves as
     its bytes: the int's, or a view of the array's words.
     """
-    n = table.arity
+    n, count = tables[0].arity, len(tables)
     layout = _layout(n, answers)
+    grids = _values(tables)
     if len(answers) == 2:
         inner = min(n, 3)
-        cells = table.grid.reshape(-1, 3 ** inner).take(_cell_codes(inner)[0], axis=1)
-        return _packed(cells != UNKNOWN)
+        cells = grids.reshape(count, -1, 3 ** inner).take(_cell_codes(inner)[0], axis=2)
+        return _packed((cells != UNKNOWN).reshape(count, -1))
+    if not layout.as_int:
+        return _rows([_forced_words(grid, n, answers) for grid in grids])
     values = np.array(answers, dtype=np.uint8)
-    if layout.as_int:
-        codes, starless = _cell_codes(n)
-        planes = table.grid.reshape(-1).take(codes) == values[:, None]
-        planes = int.from_bytes(_packed(planes & starless), "little")
-        for stride, digit, mask in _side_by_side(n, answers):
-            planes |= _kids_by_shift(planes, stride, digit, (0, 1)) & mask
-        forced, full = 0, (1 << layout.size) - 1
-        for v in range(len(answers)):
-            forced |= planes >> v * layout.size & full
-        return np.frombuffer(bytearray(forced.to_bytes(-(-layout.size // 8), "little")), dtype=np.uint8)
+    codes, starless = _cell_codes(n)
+    planes = grids.take(codes, axis=1) == values[:, None, None]
+    planes &= starless
+    planes = int.from_bytes(_packed(planes), "little")
+    for stride, digit, mask in _side_by_side(n, answers, len(answers) * count):
+        planes |= _kids_by_shift(planes, stride, digit, (0, 1)) & mask
+    plane = count * layout.nbytes  # the bytes of one plane of every table
+    forced, full = 0, (1 << 8 * plane) - 1
+    for v in range(len(answers)):
+        forced |= planes >> 8 * v * plane & full
+    return np.frombuffer(bytearray(forced.to_bytes(plane, "little")), dtype=np.uint8).reshape(count, -1)
+
+
+def _forced_words(grid: np.ndarray, n: int, answers: tuple[int, ...]) -> np.ndarray:
+    """The u-model's L_0 of one table on the array route, as the bytes of
+    its words; ``grid`` holds the table's values by code."""
+    values = np.array(answers, dtype=np.uint8)
     outer = n - 3
     codes, starless = _cell_codes(3)
-    planes = table.grid.reshape(-1, 27).take(codes, axis=1) == values[:, None, None]
+    planes = grid.reshape(-1, 27).take(codes, axis=1) == values[:, None, None]
     planes &= starless
     packed = np.packbits(planes, axis=-1, bitorder="little").view(np.uint64)[..., 0]
     del planes  # a byte per cell: freed before the word axes are spread
@@ -375,67 +427,104 @@ def _block_grower(level: np.ndarray, planes: np.ndarray, layout: _Layout,
     return grow
 
 
-def _depth_levels(level: np.ndarray, n: int, answers: tuple[int, ...]) -> tuple[int, np.ndarray]:
-    """Grow L_0, the uint8 bytes ``level`` of a bitset, level by level
-    until the all-* root enters.  The loop reads the bytes once as an
-    int, or as a uint64 view that it grows in place, to L_D.
+def _depth_levels(level: np.ndarray, n: int, answers: tuple[int, ...]) -> tuple[list, np.ndarray]:
+    """Grow L_0 of each table of a batch, the (tables, ceil(size / 8))
+    uint8 rows ``level``, level by level until every table's all-* root
+    has entered.  On the int route the loop reads the rows once as one
+    int; on the array route it grows each row in place, as a uint64 view,
+    to its L_D (``_array_levels``).
 
     L_k adds to L_{k-1} every cell with a * on some axis whose children
     there all lie in L_{k-1}.  By induction on k, L_k holds exactly the
     cells of depth at most k: a query with every answer leading to depth
     at most k - 1 is a tree of depth k, and the first query of such a
     tree is one.  So the root enters at k = D.  Each level reads only
-    L_{k-1}, and axis by axis ORs the children's AND into L_k: on an int
-    a new one, on an array in place, a block of words at a time
-    (``_block_grower``).
+    L_{k-1}, and axis by axis ORs the children's AND into L_k.  A table
+    whose root has entered gains no cell after that level, so that its
+    levels are those of a batch of one.
 
-    A cell entering L_k has at least k *s: its children on the axis it
-    enters through lie in L_{k-1} and one of them not in L_{k-2}, so by
+    Returns each table's D, the level its root entered at (read off the
+    planes in a batch of more than one), and the level of each cell, the
+    least k with the cell in L_k, as m bit planes in one (m, tables,
+    ceil(size / 8)) uint8 array, the bytes of each plane and table lowest
+    cell first: plane j holds bit j of every level, and a cell outside
+    its table's L_D reads 2**m - 1, above any depth.  The int loop keeps
+    a list of planes, one int each, and joins their bytes at the end.
+    """
+    layout = _layout(n, answers)
+    m = (n + 1).bit_length()
+    count, nbytes = level.shape
+    if not layout.as_int:  # one table at a time
+        depths, planes = zip(*(_array_levels(row, n, answers) for row in level))
+        return list(depths), _rows(planes, axis=1)
+    cells = _tiled((1 << layout.size) - 1, nbytes, count)
+    roots = _tiled(1 << layout.size - 1, nbytes, count)
+    shifts = _side_by_side(n, answers, count)
+    level = int.from_bytes(level, "little")
+    planes = [cells ^ level] * m
+
+    def tables_of(entered: int) -> int:  # the cells of the tables of these roots
+        return (entered << 1) - (entered >> layout.size - 1)
+
+    growing = cells ^ tables_of(level & roots)  # the tables whose root has not entered
+    k = 0
+    while growing:
+        if k == n:  # every cell without a * is forced, so D <= n
+            raise AssertionError("a root entered no level up to n")
+        k += 1
+        grown = level
+        for stride, digit, mask in shifts:
+            grown |= _kids_by_shift(level, stride, digit, answers) & mask
+        new = grown ^ level  # the cells entering at k
+        if growing != cells:  # tables whose root has entered keep their levels
+            new &= growing
+            grown = level | new
+        for j in range(m):
+            if not k >> j & 1:
+                planes[j] ^= new
+        level = grown
+        entered = new & roots
+        if entered:
+            growing ^= tables_of(entered)
+    # m planes of at most 8 KiB a table each
+    data = b"".join(plane.to_bytes(count * nbytes, "little") for plane in planes)
+    planes = np.frombuffer(data, dtype=np.uint8).reshape(m, count, nbytes)
+    if count == 1:  # the last level, with no lookup
+        return [k], planes
+    roots = np.arange(count) * (8 * nbytes) + (layout.size - 1)
+    return _level_reader(planes.reshape(m, -1))(roots).tolist(), planes
+
+
+def _array_levels(level: np.ndarray, n: int, answers: tuple[int, ...]) -> tuple[int, np.ndarray]:
+    """D and the level planes of one table on the array route, the planes
+    as ``_depth_levels`` returns them for a batch of one, but (m, bytes):
+    the loop grows the uint64 view of ``level`` in place to L_D.
+
+    A level runs a block of words at a time (``_block_grower``).  A cell
+    entering L_k has at least k *s: its children on the axis it enters
+    through lie in L_{k-1} and one of them not in L_{k-2}, so by
     induction that child has k - 1 *s and the cell one more.  Hence a
     word whose word-axis digits hold s *s gains no bit at a level above
     s + min(n, 3), and no bit is lost by leaving it.  From level
     ``_Layout.gather`` on, a level gathers the words that can still gain
     bits (``_live_words``) and their children, grows those words, writes
     them back and flips the bits of their entering cells in the planes
-    in place; every other word is left as it is.
-
-    Returns D and the level of each cell, the least k with the cell in
-    L_k, as m bit planes in one (m, ceil(size / 8)) uint8 array, the
-    bytes of each plane lowest cell first: plane j holds bit j of every
-    level, and a cell outside L_D reads 2**m - 1, above any depth.  The
-    int loop keeps a list of planes and joins their bytes at the end; the
-    array loop builds its planes once, as (m, words), updates them in
-    place from L_1 on and returns a view of their bytes, the search's
-    only copy of the levels.
+    in place; every other word is left as it is.  The planes are built
+    once, as (m, words), updated in place from L_1 on and returned as a
+    view of their bytes, the search's only copy of the levels.
     """
     layout = _layout(n, answers)
     m = (n + 1).bit_length()
-    if layout.as_int:
-        level = int.from_bytes(level, "little")
-        last = layout.size - 1  # the root's bit
-        planes = [((2 << last) - 1) ^ level] * m
-    else:
-        level = level.view(np.uint64)
-        last = 63  # the root's bit in the last word
-        planes = np.empty((m, level.size), dtype=np.uint64)
-        np.invert(level, out=planes[0])
-        planes[1:] = planes[0]
-        grow = _block_grower(level, planes, layout, answers)
+    level = level.view(np.uint64)
+    planes = np.empty((m, level.size), dtype=np.uint64)
+    np.invert(level, out=planes[0])
+    planes[1:] = planes[0]
+    grow = _block_grower(level, planes, layout, answers)
     k = 0
-    while not (level if layout.as_int else int(level[-1])) >> last:
+    while not int(level[-1]) >> 63:  # the root's bit in the last word
         if k == n:  # every cell without a * is forced, so D <= n
             raise AssertionError("the root entered no level up to n")
         k += 1
-        if layout.as_int:
-            grown = level
-            for stride, digit, mask in layout.shifts:
-                grown |= _kids_by_shift(level, stride, digit, answers) & mask
-            new = grown ^ level
-            for j in range(m):
-                if not k >> j & 1:
-                    planes[j] ^= new
-            level = grown
-            continue
         unset = [j for j in range(m) if not k >> j & 1]  # the planes a cell entering at k flips
         if k < layout.gather:
             grow(unset)
@@ -458,9 +547,6 @@ def _depth_levels(level: np.ndarray, n: int, answers: tuple[int, ...]) -> tuple[
             planes[j, words] ^= old
         level[words] = grown
         del old, grown, kids  # freed before the next level allocates
-    if layout.as_int:  # m planes of at most 8 KiB each
-        data = b"".join(plane.to_bytes(-(-layout.size // 8), "little") for plane in planes)
-        return k, np.frombuffer(data, dtype=np.uint8).reshape(m, -1)
     return k, planes.view(np.uint8)
 
 
@@ -538,33 +624,39 @@ def _query_axes(keys: np.ndarray, level: np.ndarray, level_of: Callable,
 
 
 def _read_tree(level_of: Callable, n: int, answers: tuple[int, ...],
-               values: np.ndarray) -> DecisionTree:
-    """The optimal tree below the all-* cell, read off the cell levels
-    that ``level_of`` looks up.
+               values: np.ndarray, count: int) -> list[DecisionTree]:
+    """The optimal tree below the all-* cell of each of ``count`` tables
+    side by side, read off the cell levels that ``level_of`` looks up.
 
-    The tree is read layer by layer from a frontier that starts at the
-    root cell, each cell carried with its coarsest completion (u at
-    every *).  A cell of level 0 is a leaf and reads ``values``, the
-    table's values by code, at that completion; any other cell queries
-    the variable ``_query_axes`` gives it, found for the frontier's cells
-    at once, or, when all the cells take fewer lookups than one chunk,
-    for all of them before the first layer, through the level of every
-    cell.  The children make up the next frontier in (parent, answer)
-    order, so every temporary has the size of a frontier or of a small
-    table.  Their levels are those ``_query_axes`` looked up to choose
-    the variables when it tried all the axes it needed in one chunk, and
-    are looked up again only otherwise.  The arrays built here are the
-    tree's own, made read-only, with no copy.
+    The trees are read layer by layer from one frontier that starts at
+    the tables' roots, each cell carried with its coarsest completion (u
+    at every *); table t's cells are keyed from t * 8 * ceil(size / 8)
+    on and its completions from t * 3**n on.  A cell of level 0 is a leaf
+    and reads ``values``, the tables' values by code side by side, at
+    that completion; any other cell queries the variable
+    ``_query_axes`` gives it, found for the frontier's cells at once, or,
+    when all the cells take fewer lookups than one chunk, for all of them
+    before the first layer, through the level of every cell.  The
+    children make up the next frontier in (parent, answer) order, so
+    every temporary has the size of a frontier or of a small table.
+    Their levels are those ``_query_axes`` looked up to choose the
+    variables when it tried all the axes it needed in one chunk, and are
+    looked up again only otherwise.  Each layer holds the tables' cells
+    in table order, so one stable sort by table puts each tree's nodes
+    together, in its own layer order.  The arrays built here are the
+    trees' own, made read-only, with no copy for a batch of one.
     """
     _, _, _, both, root = _moves(n, answers)
-    size = _layout(n, answers).size
-    if size * n * len(answers) <= _CHUNK:
-        every = np.arange(size)
+    layout = _layout(n, answers)
+    size, width = layout.size, 8 * layout.nbytes  # width: the bits a table takes side by side
+    cells = np.concatenate((np.arange(root, count * width, width),  # cell keys, completions
+                            np.arange(3 ** n - 1, count * 3 ** n, 3 ** n))).reshape(2, -1)
+    if count * size * n * len(answers) <= _CHUNK:
+        every = np.arange(count * width)
         level = level_of(every)
         var_of = _query_axes(every, level, level.__getitem__, n, answers)[0]
     else:
-        var_of, level = None, level_of(np.array([root]))
-    cells = np.array([[root], [3 ** n - 1]])  # cell keys, completions
+        var_of, level = None, level_of(cells[0])
     var_layers, coarse_layers = [], []
     while True:
         if var_of is None:
@@ -579,24 +671,37 @@ def _read_tree(level_of: Callable, n: int, answers: tuple[int, ...],
         cells = (cells[:, inner, None] + both[:, var[inner]]).reshape(2, -1)
         if var_of is None:
             level = level_of(cells[0]) if kids is None else kids.T.reshape(-1)
-    var = np.concatenate(var_layers)
-    leaf = values[np.concatenate(coarse_layers)]
+    var = np.concatenate(var_layers).astype(np.int64, copy=False)
+    coarse = np.concatenate(coarse_layers)
+    leaf = values[coarse]
     leaf[var > 0] = 0
-    return DecisionTree._of(var.astype(np.int64, copy=False), leaf)
+    if count == 1:
+        return [DecisionTree._of(var, leaf)]
+    owner = coarse // 3 ** n
+    order = np.argsort(owner, kind="stable")
+    ends = np.cumsum(np.bincount(owner, minlength=count))[:-1]
+    return [DecisionTree._of(*nodes)
+            for nodes in zip(np.split(var[order], ends), np.split(leaf[order], ends))]
 
 
-def _optimal_tree(table: HazardFreeTable, answers: tuple[int, ...],
-                  forced: bytes | None = None) -> tuple[int, DecisionTree]:
-    """The exact depth over ``answers`` and the canonical optimal tree.
-    L_0 is a writable copy of ``forced``, the bytes of the bitset in key
-    order, when given, as an array's levels grow it in place, and built
-    from the table otherwise.  The tree is read off the level planes'
-    bytes where they lie."""
-    n = table.arity
-    level = _forced_bits(table, answers) if forced is None else np.frombuffer(bytearray(forced), np.uint8)
-    depth, planes = _depth_levels(level, n, answers)
-    del level  # L_D, which nothing reads: freed before the tree is read
-    return depth, _read_tree(_level_reader(planes), n, answers, table.grid.reshape(-1))
+def _optimal_trees(tables: Sequence[HazardFreeTable], answers: tuple[int, ...],
+                   forced: Sequence[bytes] | None = None) -> list[tuple[int, DecisionTree]]:
+    """The exact depth over ``answers`` and the canonical optimal tree of
+    each table of a batch of one arity.  L_0 is a writable copy of
+    ``forced``, each table's bytes of the bitset in key order, when
+    given, as an array's levels grow it in place, and built from the
+    tables otherwise.  The trees are read off the level planes' bytes
+    where they lie."""
+    n, count = tables[0].arity, len(tables)
+    if forced is None:
+        level = _forced_bits(tables, answers)
+    else:
+        level = np.frombuffer(bytearray(b"".join(forced)), dtype=np.uint8).reshape(count, -1)
+    depths, planes = _depth_levels(level, n, answers)
+    del level  # L_D, which nothing reads: freed before the trees are read
+    trees = _read_tree(_level_reader(planes.reshape(len(planes), -1)), n, answers,
+                       _values(tables).reshape(-1), count)
+    return list(zip(depths, trees))
 
 
 def query_complexity_u(
@@ -615,11 +720,11 @@ def query_complexity_u(
     nbytes = -(-4 ** n // 8)
     if forced is not None and len(forced) != nbytes:
         raise ValueError(f"the forced cells of arity {n} take {nbytes} bytes, not {len(forced)}")
-    return _optimal_tree(table, (0, 1, UNKNOWN), forced)
+    return _optimal_trees([table], (0, 1, UNKNOWN), None if forced is None else [forced])[0]
 
 
 def query_complexity(table: HazardFreeTable) -> tuple[int, DecisionTree]:
     """Exact optimal classical decision-tree depth of the table's f, with
     a witness tree."""
     check_cap(table.arity, table.cap, DEFAULT_SEARCH_CAP, "classical depth search")
-    return _optimal_tree(table, (0, 1))
+    return _optimal_trees([table], (0, 1))[0]

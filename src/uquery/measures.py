@@ -20,18 +20,19 @@ member-wise to minimal sensitive blocks without losing disjointness, so
 a maximum packing over the minimal blocks is a maximum packing overall.
 
 The certificate size and s_u at every input come from per-table arrays
-(``_tabulate``), computed once and memoized beside the forced cells of
-{0, 1, u, *}^n (``depth._forced_bits``); every maximum, lex-least
-attaining input and classical s and C is read from them.  One forced-cell
-test answers the pointwise questions for every value of x: B is sensitive
-at x iff the cell equal to x off B and * on B is not forced to F(x), and
-S certifies x iff the cell equal to x on S and * elsewhere is forced.  So
-the minimal blocks of a packed input take two gathers, and a certificate
+(``_tabulate``, which builds a batch of tables at once), computed once
+and memoized by table content beside the forced cells of {0, 1, u, *}^n
+(``depth._forced_bits``); every maximum, lex-least attaining input and
+classical s and C is read from them.  One forced-cell test answers the
+pointwise questions for every value of x: B is sensitive at x iff the
+cell equal to x off B and * on B is not forced to F(x), and S certifies
+x iff the cell equal to x on S and * elsewhere is forced.  So the
+minimal blocks of a packed input take two gathers, and a certificate
 witness one lookup per candidate domain.  The arrays also bound bs at
 every input, so the bs scans pack only the inputs that could still
-change their result.  The entry also keeps the table's block and certificate
-summaries once first read, so a report and the solver's budget price
-them once between them.
+change their result.  The entry also keeps the table's block and
+certificate summaries once first read, so a report and the solver's
+budget price them once between them.
 
 Everything here is pure and operates on immutable tables, so per-input
 loops can be distributed freely (the verification harness does).
@@ -118,13 +119,34 @@ class _MeasureArrays:
 
 
 def _measure_arrays(table: HazardFreeTable) -> _MeasureArrays:
-    """The per-input arrays of a table, under its cap; they hold 4**n / 8
-    bytes and 3 * 3**n more.  Building them peaks at 0.31 * 4**n bytes
-    more at n = 14 (80 MiB), the certificate slabs beside the forced
-    bits: the slabs take under 0.2 * 4**n, and up to n = 9, where the
-    whole array is one slab, under 3 * 4**n (0.7 MB)."""
+    """The per-input arrays of a table, under its cap, from the memo or
+    tabulated as a batch of one; they hold 4**n / 8 bytes and 3 * 3**n
+    more.  Building them peaks at 0.31 * 4**n bytes more at n = 14 (80
+    MiB), the certificate slabs beside the forced bits: the slabs take
+    under 0.2 * 4**n, and up to n = 9, where the whole array is one slab,
+    under 3 * 4**n (0.7 MB)."""
     check_cap(table.arity, table.cap, DEFAULT_SEARCH_CAP, "certificate arrays")
-    return _tabulate(table)
+    arrays = _tabulated.pop(table, None)
+    if arrays is None:
+        (arrays,) = _tabulate([table])
+    _remember(table, arrays)
+    return arrays
+
+
+# The memo of measure arrays, keyed by table content, the most recently
+# used last: a report and the solver's budget read one entry between
+# them, and so do the 300 solves of one function in one process.
+_tabulated: dict[HazardFreeTable, _MeasureArrays] = {}
+_MEMO_SIZE = 8
+
+
+def _remember(table: HazardFreeTable, arrays: _MeasureArrays) -> None:
+    """Keep a table's arrays as its memo entry, the most recent one,
+    dropping the least recently used beyond ``_MEMO_SIZE``; a batch's
+    entries go in one at a time, as their tables are read."""
+    _tabulated[table] = arrays
+    if len(_tabulated) > _MEMO_SIZE:
+        del _tabulated[next(iter(_tabulated))]
 
 
 def _layer(a: np.ndarray, axis: int, k: int) -> np.ndarray:
@@ -163,37 +185,38 @@ def _min_over_coarsenings(a: np.ndarray, axes: int) -> np.ndarray:
 _SLAB_AXES = 9
 
 
-def _certificate_sizes(forced: bytes, n: int, prefix: int) -> np.ndarray:
-    """The minimum certificate size at every ternary input, by code, from
-    the forced bits of {0, 1, u, *}^n (``depth._forced_bits``' bytes).
+def _certificate_sizes(forced: np.ndarray, n: int, prefix: int) -> np.ndarray:
+    """The minimum certificate size at every ternary input of each table
+    of a batch, a (tables, 3**n) array by code, from the forced bits of
+    {0, 1, u, *}^n (``depth._forced_bits``' rows).
 
     Each forced cell starts at n and every other at 0xFE, and
     ``_min_over_coarsenings`` leaves n minus the most *s a forced
     coarsening adds (``_tabulate``).  Its passes along the last n -
-    ``prefix`` axes, 0 or at least 2, are independent for each base-4
-    prefix of the first ``prefix``, whose cells are one contiguous slab
-    of the bits.  So the slabs are unpacked a byte per cell, as many at
-    once as fit in 4**_SLAB_AXES cells, and each keeps its 3**(n - prefix)
-    result; then the prefix passes run on those.  With a prefix, the
-    4**n byte array never exists.
+    ``prefix`` axes are independent for each base-4 prefix of the first
+    ``prefix`` of each table, whose cells are one contiguous slab of the
+    bits, of whole bytes as a prefix leaves at least 2 axes; without a
+    prefix a table is one slab.  So the slabs are unpacked a byte per
+    cell, a row each, as many at once as fit in 4**_SLAB_AXES cells, and
+    each keeps its 3**(n - prefix) result; then the prefix passes run on
+    those, a row per table.  With a prefix, the 4**n byte array of a
+    table never exists.
     """
-    bits = np.frombuffer(forced, dtype=np.uint8)
-    axes = n - prefix
-    rows = 4 ** min(prefix, max(0, _SLAB_AXES - axes))  # slabs a step
-    cells = rows * 4 ** axes
-    out = np.empty((4 ** prefix, 3 ** axes), dtype=np.uint8)
-    for j in range(0, 4 ** prefix, rows):
-        start = j * 4 ** axes // 8
-        slab = np.unpackbits(bits[start:start - (-cells // 8)], count=cells, bitorder="little")
+    tables, axes = len(forced), n - prefix
+    slabs = forced.reshape(tables * 4 ** prefix, -1)  # a slab of 4**axes cells a row
+    step = 4 ** max(0, _SLAB_AXES - axes)  # slabs a step
+    out = np.empty((len(slabs), 3 ** axes), dtype=np.uint8)
+    for j in range(0, len(slabs), step):
+        slab = np.unpackbits(slabs[j:j + step], axis=1, count=4 ** axes, bitorder="little")
         slab *= np.uint8(n + 2)  # a forced cell's 1 becomes n + 2, which 0xFE more wraps to n;
         slab += np.uint8(0xFE)   # every other cell reads 0xFE
-        out[j:j + rows] = _min_over_coarsenings(slab.reshape(rows, -1), axes)
-    return _min_over_coarsenings(out.reshape(1, -1), prefix).reshape(-1)
+        out[j:j + step] = _min_over_coarsenings(slab, axes)
+    return _min_over_coarsenings(out.reshape(tables, -1), prefix)
 
 
-@lru_cache(maxsize=8)
-def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
-    """Certificate size, s_u and the bs bound at every input.
+def _tabulate(tables: Sequence[HazardFreeTable]) -> list[_MeasureArrays]:
+    """Certificate size, s_u and the bs bound at every input, for each
+    table of a batch of one arity, a table alone being a batch of one.
 
     *Certificates.*  A domain S certifies x iff the cell equal to x on S
     and * elsewhere is forced (``depth._forced_bits``, kept as its bytes):
@@ -209,9 +232,9 @@ def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
 
     *s_u.*  Position p is sensitive at x iff x's values with 0, 1 and u
     at p are not all equal, whichever trit x holds, on any table.  One
-    mask per axis counts it at the axis' three layers at once, and
-    ``_sensitive_positions`` applies the same test at one input, so the
-    s_u witness variable agrees with the count.
+    mask per axis counts it at the axis' three layers at once, for every
+    table of the batch, and ``_sensitive_positions`` applies the same
+    test at one input, so the s_u witness variable agrees with the count.
 
     *The bs bound.*  bs(x) <= min(C(x), s(x) + (n - s(x)) // 2) for
     every input x, and classically for every binary x with flip blocks
@@ -230,20 +253,26 @@ def _tabulate(table: HazardFreeTable) -> _MeasureArrays:
 
     Taking the maximum over x gives bs_u <= max(C_u, C_uu), which the
     verification suite checks.
+
+    Each table's arrays are rows of the batch's, and its forced cells
+    the bytes of its row of the batch's L_0, which a batched D_u search
+    can start from too.
     """
-    n = table.arity
-    vals = table.grid
+    n, count = tables[0].arity, len(tables)
+    vals = depth._values(tables).reshape((count,) + (3,) * n)
 
-    forced = depth._forced_bits(table, (0, 1, UNKNOWN)).tobytes()
-    cert = _certificate_sizes(forced, n, max(0, n - _SLAB_AXES)).reshape((3,) * n)
+    forced = [bits.tobytes() for bits in depth._forced_bits(tables, (0, 1, UNKNOWN))]
+    bits = np.frombuffer(b"".join(forced), dtype=np.uint8).reshape(count, -1)  # no copy for one table
+    cert = _certificate_sizes(bits, n, max(0, n - _SLAB_AXES))
 
-    sens = np.zeros((3,) * n, dtype=np.uint8)
-    for axis in range(n):
+    sens = np.zeros(vals.shape, dtype=np.uint8)
+    for axis in range(1, n + 1):
         v0, v1, vu = (_layer(vals, axis, k) for k in (0, 1, UNKNOWN))
         sens += (v0 != v1) | (v1 != vu)  # broadcast over the axis' three layers
+    sens = sens.reshape(count, -1)
 
     bound = np.minimum(cert, sens + (n - sens) // 2)
-    return _MeasureArrays(cert.reshape(-1), sens.reshape(-1), bound.reshape(-1), forced)
+    return [_MeasureArrays(*rows) for rows in zip(cert, sens, bound, forced)]
 
 
 def _first_max(measure: np.ndarray, mask: np.ndarray) -> int | None:
@@ -748,14 +777,20 @@ def _certificate_witness(x: TernaryString | None, w: CertificateWitness | None):
     return {"input": str(x), "certificate": str(w.assignment)}
 
 
-def measure_report(table: HazardFreeTable, *, with_witnesses: bool = False) -> MeasureReport:
-    """Compute every measure of the table's f, including exact decision-tree depths."""
+def measure_report(table: HazardFreeTable, *, with_witnesses: bool = False,
+                   searched: tuple | None = None) -> MeasureReport:
+    """Compute every measure of the table's f, including exact decision-tree
+    depths.  ``searched``, when given, holds the table's classical and
+    u-model searches, ((D, tree), (D_u, tree)), already made with a
+    batch of tables; otherwise the report searches them itself."""
     s_u, s_u_x, s_u_var = _sensitivity_scan(table)
     blocks = block_summary(table)
     certs = certificate_summary(table)
     classical = standard_measures(table)
-    d_u, tree_u = depth.query_complexity_u(table, forced=_measure_arrays(table).forced)
-    d, tree_b = depth.query_complexity(table)
+    if searched is None:
+        searched = (depth.query_complexity(table),
+                    depth.query_complexity_u(table, forced=_measure_arrays(table).forced))
+    (d, tree_b), (d_u, tree_u) = searched
 
     witnesses = None
     if with_witnesses:

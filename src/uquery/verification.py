@@ -10,18 +10,28 @@ or the measured numbers.
 
 The ``core``, ``algorithm1`` and ``closure`` suites check one population
 (every table at n <= 3, at n = 4 too when exhaustive, and the seeded
-sample), and it is swept once, whichever of them run.  Below arity 4
-the ``monotone`` suite's functions are in that population too, so its
-check rides the same sweep: on a function ``unate_orientation`` rejects
-it gives no rows.  Only its arity-4 monotone functions are a population
-of their own.  Each function gets one ``_Table``: its hazard-free table,
-built once, and the ``core`` report made on it.  Every requested
-suite's rows run on that state in ``SUITES`` order: ``algorithm1`` reads
-the measure arrays and summaries ``core`` just left in the table's
-``measures._tabulate`` entry, so the budget is priced once, and
-``monotone`` and ``closure`` take D, D_u and their trees from the report
-instead of searching again.  A sweep of one suite is the same sweep
-with one kind of check.
+sample), and it is swept once, whichever of them run.  Below arity 4 the
+``monotone`` suite's functions are in that population too, so its check
+rides the same sweep: on a function ``unate_orientation`` rejects it
+gives no rows.  Only its arity-4 monotone functions are a population of
+their own.  Each function gets one ``_Table``: its hazard-free table,
+built once, its measure arrays and its D and D_u searches, and the
+``core`` report made on them.  A chunk of work runs its functions in
+batches of up to ``_BATCH``: a batch's tables go through the measure
+arrays and the two depth searches together (``measures._tabulate`` and
+``depth._optimal_trees``, whose bitsets lie side by side), the u-model
+search starting from the L_0 the arrays keep.  At n = 3 a table's
+arrays, D and D_u take 16 us in a batch of 128, against about 220 us
+alone, all fixed NumPy call cost (timeit, 2-CPU x86-64).  The batch
+holds only those outputs; then every requested suite's rows run on each
+table's state in turn, in ``SUITES`` order, and the state, with its
+report, is dropped once they are done.  The table's arrays enter the
+memo of measure arrays as its checks begin, so ``core`` and
+``algorithm1`` read one entry and the budget is priced once; ``core``,
+``monotone`` and ``closure`` read the batch's D, D_u and trees.  So the
+rows, and the first counterexample of each check, are those of one table
+at a time.  A sweep of one suite is the same sweep with one kind of
+check.
 
 What depends on the arity alone is built once per arity, on first use:
 the ``core`` check's scan plans (``check._resolution_plan`` and
@@ -86,8 +96,8 @@ from .core import (
     is_monotone,
     unate_orientation,
 )
-from .depth import query_complexity, query_complexity_u
-from .measures import MeasureReport, measure_report
+from .depth import _optimal_trees, query_complexity, query_complexity_u
+from .measures import MeasureReport, _remember, _tabulate, measure_report
 from .trees import _layer_starts, _leaf_grid
 
 SUITES = ("core", "algorithm1", "monotone", "closure", "reduction")
@@ -244,27 +254,18 @@ def _values_dict(m: MeasureReport) -> dict:
 
 class _Table:
     """One function's state in a sweep, read by every kind of check run
-    on it: the hazard-free table, built once, the ``core`` report, once
-    that check has made it, and the chunk's memo of D per downward
-    closure, shared by every state of the chunk."""
+    on it: the hazard-free table, built once, its measure arrays and its
+    D and D_u searches, made with its batch (``_run_kernels``), the
+    ``core`` report, once that check has made it, and the chunk's memo
+    of D per downward closure, shared by every state of the chunk."""
 
     def __init__(self, f: BooleanFunction, closure_depths: dict):
         self.f = f
         self.table = hazard_free_table(f)
+        self.arrays = None  # the measure arrays, when a kind reads them
+        self.searched: tuple = (None, None)  # (D, tree) and (D_u, tree), when a kind reads them
         self.report: MeasureReport | None = None
         self.closure_depths = closure_depths
-
-    def depth(self):
-        """D and an optimal classical tree: the report's, else searched."""
-        if self.report is not None:
-            return self.report.D, self.report.witnesses["D"]["tree"]
-        return query_complexity(self.table)
-
-    def u_depth(self):
-        """D_u and an optimal u-model tree: the report's, else searched."""
-        if self.report is not None:
-            return self.report.D_u, self.report.witnesses["D_u"]["tree"]
-        return query_complexity_u(self.table)
 
 
 def _core_function_rows(state: _Table):
@@ -272,7 +273,7 @@ def _core_function_rows(state: _Table):
     n = f.arity
     spec = f.to_spec()
     values = table.values
-    m = state.report = measure_report(table, with_witnesses=True)
+    m = state.report = measure_report(table, with_witnesses=True, searched=state.searched)
 
     def resolutions():
         bits = f.bits
@@ -413,11 +414,10 @@ def _monotone_function_rows(state: _Table):
     orientation = unate_orientation(f)
     if orientation is None:
         return {}
-    d, tree_b = state.depth()
+    (d, tree_b), (du, _) = state.searched
     rows = {}
     monotone = not any(orientation.bits)  # no variable flipped
     if monotone:
-        du, _ = state.u_depth()
         rows["monotone-depth-bracket"] = _row([
             None if d <= du <= 2 * d
             else {"function": f.to_spec(), "D": d, "D_u": du}])
@@ -432,7 +432,7 @@ def _monotone_function_rows(state: _Table):
 def _closure_function_rows(state: _Table):
     f = state.f
     n = f.arity
-    du, ut = state.u_depth()
+    du, ut = state.searched[1]
     g = downward_closure(f)
     dg = state.closure_depths.get(g)
     if dg is None:
@@ -460,16 +460,56 @@ _KINDS = {
 }
 
 
+# Tables a chunk runs through the batched kernels at a time.  A batch
+# holds its kernel outputs, about 3.5 KB a table of arity 4 (tracemalloc),
+# until its last table's checks are done: batches of 1,024 raised the
+# peak RSS of `verify all --n 1..3 --samples 100` by 0.9% over one table
+# at a time, and batches of 128 by 0.3%, at about 3 us a table more.
+_BATCH = 128
+
+# The kinds of check that read each kernel's outputs.
+_READS_ARRAYS = {"core", "algorithm1"}
+_READS_D = {"core", "monotone"}
+_READS_D_U = {"core", "monotone", "closure"}
+
+
+def _run_kernels(states: list, kinds) -> None:
+    """Build the measure arrays and search D and D_u of a batch's tables
+    at once, those of them that ``kinds`` read, onto their states.  The
+    u-model search starts from the L_0 the arrays keep."""
+    tables = [state.table for state in states]
+    forced = None
+    if _READS_ARRAYS.intersection(kinds):
+        for state, arrays in zip(states, _tabulate(tables)):
+            state.arrays = arrays
+        forced = [state.arrays.forced for state in states]
+    d = _optimal_trees(tables, (0, 1)) if _READS_D.intersection(kinds) else [None] * len(states)
+    d_u = (_optimal_trees(tables, (0, 1, UNKNOWN), forced) if _READS_D_U.intersection(kinds)
+           else [None] * len(states))
+    for state, searched in zip(states, zip(d, d_u)):
+        state.searched = searched
+
+
 def _chunk_worker(payload):
-    """Per kind, the rows of a chunk of one population: each function's
-    state is built once and every kind's checks run on it in order."""
+    """Per kind, the rows of a chunk of one population.  The chunk's
+    functions go in batches of at most ``_BATCH``: a batch's states are
+    built and run through the kernels together, then every kind's checks
+    run on each state in order, the table's measure arrays entering the
+    memo as its checks begin, and each state is dropped, with its
+    report, once its checks are done."""
     kinds, arity, bits_chunk = payload
     agg: dict = {kind: {} for kind in kinds}
     closure_depths: dict = {}
-    for bits in bits_chunk:
-        state = _Table(BooleanFunction(arity, bits), closure_depths)
-        for kind in kinds:
-            _fold(agg[kind], _KINDS[kind](state))
+    for start in range(0, len(bits_chunk), _BATCH):
+        states = [_Table(BooleanFunction(arity, bits), closure_depths)
+                  for bits in bits_chunk[start:start + _BATCH]]
+        _run_kernels(states, kinds)
+        for i, state in enumerate(states):
+            states[i] = None
+            if state.arrays is not None:
+                _remember(state.table, state.arrays)
+            for kind in kinds:
+                _fold(agg[kind], _KINDS[kind](state))
     return agg
 
 

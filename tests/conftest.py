@@ -20,7 +20,7 @@ def both_paths(monkeypatch):
     def clear():
         uquery.depth._layout.cache_clear()
         uquery.depth._side_by_side.cache_clear()
-        uquery.measures._tabulate.cache_clear()
+        uquery.measures._tabulated.clear()
 
     def paths():
         yield

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 import reference as R
+import uquery.cli
 import uquery.depth
 import uquery.measures
 from uquery import (
@@ -204,6 +205,72 @@ def _corrupted(table):
     return HazardFreeTable(table.function, bytes(values))
 
 
+def _mixed_batch(n, count, seed):
+    """``count`` tables of arity n for a batch: every third a constant
+    one, every third from the second a seeded one corrupted at its all-u
+    entry (``_corrupted``), the rest seeded."""
+    rng = random.Random(seed)
+    tables = []
+    for i in range(count):
+        bits = rng.getrandbits(1 << n)
+        if i % 3 == 0:
+            bits = 0 if i % 2 else (1 << (1 << n)) - 1
+        table = hazard_free_table(BooleanFunction(n, bits))
+        tables.append(_corrupted(table) if i % 3 == 1 else table)
+    return tables
+
+
+_ARRAY_FIELDS = ("certificate", "sensitivity", "block_bound")
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+def test_batched_arrays_match_one_table_and_the_reference(both_paths, n):
+    """The arrays of a batch, every table at n <= 3 and 100 mixed ones
+    from n = 4 on, equal those of each table tabulated alone and the
+    reference kernels', on either path: the second, with the forced bits
+    built as arrays and the certificates a slab of two axes at a time,
+    runs the batch one table at a time."""
+    tables = ([hazard_free_table(BooleanFunction(n, bits)) for bits in _tables(n)] if n <= 3
+              else _mixed_batch(n, 100, 4600 + n))
+    for _ in both_paths:
+        batch = uquery.measures._tabulate(tables)
+        assert len(batch) == len(tables)
+        for table, arrays in zip(tables, batch):
+            (alone,) = uquery.measures._tabulate([table])
+            for name in _ARRAY_FIELDS:
+                got, want = getattr(arrays, name), getattr(alone, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert type(arrays.forced) is bytes and arrays.forced == alone.forced
+            assert np.array_equal(arrays.certificate, R.certificate_sizes(arrays.forced, n))
+            assert np.array_equal(arrays.sensitivity, R.sensitivity_array(table.grid).reshape(-1))
+
+
+def test_the_memo_is_keyed_by_table_content(monkeypatch, capsys):
+    """Two tables of equal content, built separately, share one memo
+    entry of measure arrays; and two solves of one function in one
+    process price its budget, the block summary, once."""
+    uquery.measures._tabulated.clear()
+    f = generate("random:8:1")
+    first, second = hazard_free_table(f), hazard_free_table(f)
+    assert first is not second
+    assert _measure_arrays(first) is _measure_arrays(second)
+
+    original, priced = uquery.measures._block_summary, []
+
+    def counted(table, arrays):
+        priced.append(table.function)
+        return original(table, arrays)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "uquery" and getattr(module, "_block_summary", None) is original:
+            monkeypatch.setattr(module, "_block_summary", counted)
+    uquery.measures._tabulated.clear()
+    for _ in range(2):
+        assert uquery.cli.main(["solve", "random:8:1", "01u10u1u"]) == 0
+    assert "output = " in capsys.readouterr().out
+    assert priced == [f]
+
+
 def test_certificates_on_a_table_that_is_no_extension():
     """On a table corrupted at its all-u entry, as the verify harness
     builds to test itself, a cell is forced when the completions of its
@@ -292,13 +359,14 @@ def test_measure_report_builds_the_forced_table_once(monkeypatch):
     """A report on a fresh table builds the forced cells of the u-model
     once, for the measure arrays, whose readers share them and whose
     bytes the u-model depth search copies into its L_0; the classical
-    search builds its own.  Every module binding of the builder counts."""
+    search builds its own.  Every module binding of the builder counts,
+    each table of a batch once."""
     original = uquery.depth._forced_bits
     calls = []
 
-    def counted(table, answers):
-        calls.append(answers)
-        return original(table, answers)
+    def counted(tables, answers):
+        calls.extend(answers for _ in tables)
+        return original(tables, answers)
 
     bindings = [module for name, module in sys.modules.items()
                 if name.split(".")[0] == "uquery"
@@ -306,7 +374,7 @@ def test_measure_report_builds_the_forced_table_once(monkeypatch):
     assert uquery.depth in bindings
     for module in bindings:
         monkeypatch.setattr(module, "_forced_bits", counted)
-    uquery.measures._tabulate.cache_clear()
+    uquery.measures._tabulated.clear()
     f = BooleanFunction(5, random.Random(41).getrandbits(32))
     measure_report(hazard_free_table(f), with_witnesses=True)
     assert sorted(calls) == [(0, 1), (0, 1, 2)]
@@ -322,7 +390,7 @@ def test_the_arrays_keep_the_forced_cells_as_bytes():
         n = table.arity
         forced = _measure_arrays(table).forced
         assert type(forced) is bytes and len(forced) == -(-4 ** n // 8)
-        assert forced == uquery.depth._forced_bits(table, (0, 1, 2)).tobytes()
+        assert forced == uquery.depth._forced_bits([table], (0, 1, 2)).tobytes()
         before = bytearray(forced)
         measure_report(table, with_witnesses=True)
         assert query_complexity_u(table, forced=forced) == query_complexity_u(table)
@@ -338,10 +406,10 @@ def test_tabulating_keeps_no_byte_per_cell():
     peaks below 1.75 bytes per cell, and they keep below 0.5, a bit per
     cell for the forced cells and 3 bytes per ternary input."""
     table = hazard_free_table(generate("random:10:1"))
-    uquery.measures._tabulate.cache_clear()
+    uquery.measures._tabulated.clear()
     tracemalloc.start()
     try:
-        uquery.measures._tabulate(table)
+        uquery.measures._tabulate([table])
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -360,7 +428,7 @@ def test_a_table_built_from_a_bytearray_stores_bytes():
         assert type(copy.values) is bytes and not copy.grid.flags.writeable
         with pytest.raises(ValueError):
             copy.grid[(0,) * f.arity] = 1
-        uquery.measures._tabulate.cache_clear()
+        uquery.measures._tabulated.clear()
         assert measure_report(copy, with_witnesses=True) \
             == measure_report(table, with_witnesses=True)
 
@@ -371,10 +439,10 @@ def test_certificate_slabs_keep_no_byte_per_cell():
     {0, 1, u, *}^n exists: at n = 12 building the arrays peaks below
     0.75 bytes per cell, where one such array alone is 1."""
     table = hazard_free_table(generate("random:12:1"))
-    uquery.measures._tabulate.cache_clear()
+    uquery.measures._tabulated.clear()
     tracemalloc.start()
     try:
-        uquery.measures._tabulate(table)
+        uquery.measures._tabulate([table])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -389,10 +457,10 @@ DIFFERENTIAL_ARITIES = (1, 2, 3, 4, 5, 6, 7, 8)
 
 def _check_certificate_slabs(table, prefixes):
     n = table.arity
-    forced = uquery.depth._forced_bits(table, (0, 1, 2)).tobytes()
-    want = R.certificate_sizes(forced, n)
+    forced = uquery.depth._forced_bits([table], (0, 1, 2))
+    want = R.certificate_sizes(forced.tobytes(), n)
     for prefix in prefixes:
-        got = uquery.measures._certificate_sizes(forced, n, prefix)
+        (got,) = uquery.measures._certificate_sizes(forced, n, prefix)
         assert got.dtype == want.dtype and np.array_equal(got, want), prefix
 
 
@@ -486,11 +554,11 @@ def test_seeded_scans_past_an_unsettled_class(monkeypatch, window):
     # A tiny window makes the search cross windows, and restart inside one.
     if window is not None:
         monkeypatch.setattr(uquery.measures, "_SCAN_WINDOW", window)
-    uquery.measures._tabulate.cache_clear()
+    uquery.measures._tabulated.clear()
     for n, bits in UNSETTLED:
         _check_scans(hazard_free_table(BooleanFunction(n, bits)), every_input=False)
     _check_scans(hazard_free_table(generate("mind:4")), every_input=False)
-    uquery.measures._tabulate.cache_clear()
+    uquery.measures._tabulated.clear()
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))

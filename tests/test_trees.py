@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import reference as R
+from test_measure_arrays import _mixed_batch
 import uquery.measures
 import uquery.trees
 from uquery import ArityCapError, BooleanFunction, HazardFreeTable, generate, hazard_free_table
@@ -24,7 +25,7 @@ from uquery.depth import (
     _forced_bits,
     _layout,
     _level_reader,
-    _optimal_tree,
+    _optimal_trees,
     query_complexity,
     query_complexity_u,
 )
@@ -173,15 +174,15 @@ def _cell_levels(table, answers):
     axes in base 4 in both models, so the classical u digit is dropped."""
     n = table.arity
     size = _layout(n, answers).size
-    depth, planes = _depth_levels(_forced_bits(table, answers), n, answers)
+    depths, planes = _depth_levels(_forced_bits([table], answers), n, answers)
     level = np.zeros(size, dtype=np.uint8)
-    for j, plane in enumerate(planes):
+    for j, plane in enumerate(planes[:, 0]):
         level |= np.unpackbits(plane, count=size, bitorder="little") << j
     inner, base = min(n, 3), len(answers) + 1
     level = level.reshape((base,) * (n - inner) + (4,) * inner)
     for axis in range(n - inner, n):
         level = np.take(level, list(answers) + [3], axis=axis)
-    return depth, level
+    return int(depths[0]), level
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -204,21 +205,21 @@ def test_forced_bits_match_the_forced_table(both_paths, n):
             table = hazard_free_table(BooleanFunction(n, bits))
             values = np.frombuffer(table.values, dtype=np.uint8)
             size = _layout(n, MODELS[0]).size
-            forced = np.unpackbits(_forced_bits(table, MODELS[0]), count=size, bitorder="little")
+            forced = np.unpackbits(_forced_bits([table], MODELS[0])[0], count=size, bitorder="little")
             want = _forced_values(table).reshape(-1)
             assert (forced == (want != _OPEN)).all()
             assert (values[zero_fill] == want)[want != _OPEN].all()
             classical = np.packbits(values[codes] != UNKNOWN, bitorder="little")
-            assert _forced_bits(table, MODELS[1]).tobytes() == classical.tobytes()
+            assert _forced_bits([table], MODELS[1]).tobytes() == classical.tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_bitsets_leave_the_search_as_bytes(both_paths, n):
     """On every route, ints below 2**16 cells and uint64 arrays from 64
-    cells on, ``_forced_bits`` gives L_0 as a writable uint8 array of
-    ceil(size / 8) bytes, and ``_depth_levels`` gives D and the level
-    planes as one (m, ceil(size / 8)) uint8 array; both routes give the
-    same bytes in both models."""
+    cells on, ``_forced_bits`` gives L_0 of a batch as a writable uint8
+    array of ceil(size / 8) bytes a table, and ``_depth_levels`` gives
+    each table's D and the level planes as one (m, tables, ceil(size /
+    8)) uint8 array; both routes give the same bytes in both models."""
     tables = [hazard_free_table(BooleanFunction(n, bits)) for bits in _kernel_tables(n, 10)]
     m = (n + 1).bit_length()
     runs = []
@@ -226,14 +227,13 @@ def test_bitsets_leave_the_search_as_bytes(both_paths, n):
         run = []
         for answers in MODELS:
             nbytes = -(-_layout(n, answers).size // 8)
-            for table in tables:
-                forced = _forced_bits(table, answers)
-                assert forced.dtype == np.uint8 and forced.shape == (nbytes,)
-                assert forced.flags.writeable
-                run.append(forced.tobytes())  # before the levels grow it
-                depth, planes = _depth_levels(forced, n, answers)
-                assert planes.dtype == np.uint8 and planes.shape == (m, nbytes)
-                run.append((depth, planes.tobytes()))
+            forced = _forced_bits(tables, answers)
+            assert forced.dtype == np.uint8 and forced.shape == (len(tables), nbytes)
+            assert forced.flags.writeable
+            run.append(forced.tobytes())  # before the levels grow it
+            depths, planes = _depth_levels(forced, n, answers)
+            assert planes.dtype == np.uint8 and planes.shape == (m, len(tables), nbytes)
+            run.append((depths, planes.tobytes()))
         runs.append(run)
     assert runs[0] == runs[1]
 
@@ -244,10 +244,10 @@ def test_forced_bits_keep_no_byte_per_cell():
     * cells: at n = 12 building L_0 of the u-model peaks below 0.4 bytes
     per cell of {0, 1, u, *}^n, where holding the planes read 0.54."""
     table = hazard_free_table(generate("random:12:1"))
-    want = _forced_bits(table, MODELS[0]).tobytes()  # the cached step tables
+    want = _forced_bits([table], MODELS[0]).tobytes()  # the cached step tables
     tracemalloc.start()
     try:
-        forced = _forced_bits(table, MODELS[0])
+        forced = _forced_bits([table], MODELS[0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -294,7 +294,7 @@ def test_depth_kernel_matches_the_far_start(both_paths, n):
         for bits in _kernel_tables(n, 30):
             table = hazard_free_table(BooleanFunction(n, bits))
             for answers in MODELS:
-                got = _optimal_tree(table, answers)
+                (got,) = _optimal_trees([table], answers)
                 want = R.far_start_tree(_reference_grid(table, answers), len(answers),
                                         answers, table.values)
                 assert got[0] == want[0]
@@ -320,7 +320,7 @@ def test_layered_tree_matches_the_recursive_reading(both_paths, n):
         for bits in _kernel_tables(n, 20):
             table = hazard_free_table(BooleanFunction(n, bits))
             for answers in MODELS:
-                _, tree = _optimal_tree(table, answers)
+                ((_, tree),) = _optimal_trees([table], answers)
                 _, level = _cell_levels(table, answers)
                 want = R.read_tree(level, len(answers), answers, table.values)
                 _assert_same_text(serialize_tree(tree), json.dumps(want, separators=(",", ":")))
@@ -338,7 +338,7 @@ def test_relaxed_depths_against_the_minimax(both_paths, n, count):
             minimax = (R.cell_depths_u(R.full_table(bits, n), n), R.cell_depths(bits, n))
             for answers, exact in zip(MODELS, minimax):
                 star = len(answers)
-                d, tree = _optimal_tree(table, answers)
+                ((d, tree),) = _optimal_trees([table], answers)
                 depth, grid = _cell_levels(table, answers)
                 assert depth == d
                 unreached = 2 ** (n + 1).bit_length() - 1
@@ -391,11 +391,64 @@ def _level_bytes(monkeypatch, tables, n, answers, **settings):
     uquery.depth._layout.cache_clear()
     run = []
     for table in tables:
-        depth, planes = _depth_levels(_forced_bits(table, answers), n, answers)
-        run.append((depth, [plane.tobytes() for plane in planes]))
+        depths, planes = _depth_levels(_forced_bits([table], answers), n, answers)
+        run.append((int(depths[0]), [plane.tobytes() for plane in planes[:, 0]]))
     monkeypatch.undo()
     uquery.depth._layout.cache_clear()
     return run
+
+
+def _searched_alone(tables, answers):
+    """Per table searched as a batch of one: its D and tree, and the
+    bytes of its level planes."""
+    out = []
+    for table in tables:
+        (found,) = _optimal_trees([table], answers)
+        depths, planes = _depth_levels(_forced_bits([table], answers), table.arity, answers)
+        assert depths == [found[0]]
+        out.append((found, planes[:, 0].tobytes()))
+    return out
+
+
+def _searched_together(tables, answers):
+    """The same, the tables searched as one batch."""
+    found = _optimal_trees(tables, answers)
+    depths, planes = _depth_levels(_forced_bits(tables, answers), tables[0].arity, answers)
+    assert depths == [d for d, _ in found]
+    return [(pair, planes[:, t].tobytes()) for t, pair in enumerate(found)]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_a_batch_of_every_table_searches_as_each_alone(n):
+    """Every table of arity n as one batch gets the depth, the tree and
+    the level planes it gets alone, in both models."""
+    tables = [hazard_free_table(BooleanFunction(n, bits)) for bits in range(1 << (1 << n))]
+    for answers in MODELS:
+        assert _searched_together(tables, answers) == _searched_alone(tables, answers)
+
+
+@pytest.mark.parametrize("count", (1, 2, 7, 100))
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_seeded_batches_search_as_each_alone(n, count):
+    """Batches of 1 to 100 seeded tables at n = 4-6, with constant
+    tables and tables wrong at their all-u entry among them, whose
+    tables' roots enter at different levels, search as each alone."""
+    tables = _mixed_batch(n, count, 7100 + 10 * n + count)
+    for answers in MODELS:
+        assert _searched_together(tables, answers) == _searched_alone(tables, answers)
+
+
+@pytest.mark.parametrize("n", (3, 5))
+def test_a_batch_on_the_array_route_searches_as_each_alone(both_paths, n):
+    """On the array route, forced by the fixture's second pass, a batch
+    runs one table at a time and gives what the int route gives."""
+    tables = _mixed_batch(n, 7, 7300 + n)
+    runs = []
+    for _ in both_paths:
+        run = [_searched_together(tables, answers) for answers in MODELS]
+        assert run == [_searched_alone(tables, answers) for answers in MODELS]
+        runs.append(run)
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("n,answers", [(8, MODELS[0]), (9, MODELS[0]), (10, MODELS[1])])

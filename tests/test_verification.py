@@ -12,6 +12,7 @@ from collections import Counter
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reference as R
@@ -29,6 +30,7 @@ from uquery.core import (
     hazard_free_table,
     unate_orientation,
 )
+from uquery.depth import query_complexity, query_complexity_u
 from uquery.measures import measure_report
 from uquery.verification import (
     SUITES,
@@ -365,6 +367,31 @@ def test_verify_records_byte_identical():
     assert _records_digest([report]) == VERIFY_DIGEST
 
 
+def test_split_batches_keep_the_records_and_the_kernels(monkeypatch):
+    """With the batch cap at 3, every population's tables go in batches
+    of three and a shorter last one; the records are still the pinned
+    ones, and every table's measure arrays, depths and trees are those
+    it gets alone."""
+    V = uquery.verification
+    monkeypatch.setattr(V, "_BATCH", 3)
+    run, batches = V._run_kernels, []
+
+    def recorded(states, kinds):
+        run(states, kinds)
+        batches.append([(state.table, state.arrays, state.searched) for state in states])
+
+    monkeypatch.setattr(V, "_run_kernels", recorded)
+    report = run_suite("all", ns=(1, 2, 3), samples=5, workers=1)
+    assert _records_digest([report]) == VERIFY_DIGEST
+    assert sorted({len(batch) for batch in batches}) == [1, 2, 3]
+    for table, arrays, searched in (entry for batch in batches for entry in batch):
+        assert searched == (query_complexity(table), query_complexity_u(table))
+        (alone,) = uquery.measures._tabulate([table])
+        assert arrays.forced == alone.forced
+        for name in ("certificate", "sensitivity", "block_bound"):
+            assert np.array_equal(getattr(arrays, name), getattr(alone, name)), name
+
+
 def _corrupt_tables(monkeypatch) -> None:
     """Make every table the harness builds wrong at its all-u entry."""
     build = uquery.verification.hazard_free_table
@@ -477,42 +504,51 @@ def test_all_gives_the_records_of_each_suite_run_alone(monkeypatch, corrupt):
 
 def _count_table_work(monkeypatch) -> dict[str, Counter]:
     """Per function, the calls through every module binding of the table
-    builder, the D and D_u searches and the pricing of the two
-    summaries."""
-    counts = {}
+    builder and of the pricing of the two summaries; the tables that the
+    batched depth search, the entry of every D and D_u search, takes in
+    each model, counted under "D" and "D_u"; and those that the batched
+    build of the measure arrays takes."""
+    counts = {"D": Counter(), "D_u": Counter()}
     for owner, name in ((uquery.core, "hazard_free_table"),
-                        (uquery.depth, "query_complexity"),
-                        (uquery.depth, "query_complexity_u"),
+                        (uquery.depth, "_optimal_trees"),
+                        (uquery.measures, "_tabulate"),
                         (uquery.measures, "_block_summary"),
                         (uquery.measures, "_certificate_summary")):
-        original, counter = getattr(owner, name), Counter()
+        original = getattr(owner, name)
 
-        def counted(first, *args, original=original, counter=counter, **kwargs):
-            counter[first if isinstance(first, BooleanFunction) else first.function] += 1
+        def counted(first, *args, original=original, name=name, **kwargs):
+            if name == "_optimal_trees":
+                counts["D" if len(args[0]) == 2 else "D_u"].update(t.function for t in first)
+            elif name == "_tabulate":
+                counts[name].update(t.function for t in first)
+            else:
+                counts[name][first if isinstance(first, BooleanFunction) else first.function] += 1
             return original(first, *args, **kwargs)
 
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "uquery" and \
                     getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
-        counts[name] = counter
+        counts.setdefault(name, Counter())
     return counts
 
 
 def test_all_builds_searches_and_prices_each_shared_table_once(monkeypatch):
-    """Beyond the reduction suite and the fixed rows of core and
-    monotone, ``all`` at n = 3 builds each of the 256 tables once,
-    searches its D and its D_u once and prices its block and
-    certificate summaries once, the monotone check included; the
-    closure check also builds and searches the table of each distinct
-    downward closure once, as the sweep is one chunk."""
+    """Beyond the reduction suite and the fixed rows of core and monotone,
+    ``all`` at n = 3 builds each of the 256 tables once, searches its D
+    and its D_u once, builds its measure arrays once and prices its
+    block and certificate summaries once, the monotone check included;
+    the closure check also builds and searches the table of each
+    distinct downward closure once, as the sweep is one chunk.  The
+    searches are counted per table at the batch entry, which the
+    one-table searches go through too."""
     counts = _count_table_work(monkeypatch)
     V = uquery.verification
 
     def tally(run) -> dict[str, Counter]:
         for counter in counts.values():
             counter.clear()
-        uquery.measures._tabulate.cache_clear()
+        uquery.measures._tabulated.clear()
         run()
         return {name: counter.copy() for name, counter in counts.items()}
 
@@ -526,9 +562,9 @@ def test_all_builds_searches_and_prices_each_shared_table_once(monkeypatch):
     whole = tally(lambda: run_suite("all", ns=(3,), workers=1))
     shared = Counter(BooleanFunction(3, bits) for bits in range(256))
     closures = Counter({downward_closure(f) for f in shared})
-    for name in ("hazard_free_table", "query_complexity"):
+    for name in ("hazard_free_table", "D"):
         assert whole[name] == others[name] + shared + closures, name
-    for name in ("query_complexity_u", "_block_summary", "_certificate_summary"):
+    for name in ("D_u", "_tabulate", "_block_summary", "_certificate_summary"):
         assert whole[name] == others[name] + shared, name
 
 
