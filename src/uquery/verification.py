@@ -15,23 +15,25 @@ sample), and it is swept once, whichever of them run.  Below arity 4 the
 rides the same sweep: on a function ``unate_orientation`` rejects it
 gives no rows.  Only its arity-4 monotone functions are a population of
 their own.  Each function gets one ``_Table``: its hazard-free table,
-built once, its measure arrays and its D and D_u searches, and the
-``core`` report made on them.  A chunk of work runs its functions in
-batches of up to ``_BATCH``: a batch's tables go through the measure
-arrays and the two depth searches together (``measures._tabulate`` and
-``depth._optimal_trees``, whose bitsets lie side by side), the u-model
-search starting from the L_0 the arrays keep.  At n = 3 a table's
-arrays, D and D_u take 16 us in a batch of 128, against about 220 us
-alone, all fixed NumPy call cost (timeit, 2-CPU x86-64).  The batch
-holds only those outputs; then every requested suite's rows run on each
-table's state in turn, in ``SUITES`` order, and the state, with its
-report, is dropped once they are done.  The table's arrays enter the
-memo of measure arrays as its checks begin, so ``core`` and
-``algorithm1`` read one entry and the budget is priced once; ``core``,
-``monotone`` and ``closure`` read the batch's D, D_u and trees.  So the
-rows, and the first counterexample of each check, are those of one table
-at a time.  A sweep of one suite is the same sweep with one kind of
-check.
+built once, its measure arrays, its D and D_u searches and Algorithm
+1's tree, and the ``core`` report made on them.  A chunk of work runs
+its functions in batches of up to ``_BATCH``: a batch's tables go
+through the measure arrays, the two depth searches and Algorithm 1's
+compile together (``measures._tabulate``, ``depth._optimal_trees``,
+whose bitsets lie side by side, and ``algorithms._algorithm1_trees``,
+one frontier of answer states), the u-model search and the compile
+reading the L_0 the arrays keep.  At n = 3 a table's arrays, D and D_u
+take 16 us in a batch of 128, against about 220 us alone, and its
+Algorithm 1 tree 12-21 us, against about 105 us stepping one answer
+state at a time, all fixed NumPy call cost (timeit, 2-CPU x86-64).  The batch holds only those outputs;
+then every requested suite's rows run on each table's state in turn,
+in ``SUITES`` order, and the state, with its report, is dropped once
+they are done.  The table's arrays enter the memo of measure arrays as
+its checks begin, so ``core`` and ``algorithm1`` read one entry and the
+budget is priced once; ``core``, ``monotone`` and ``closure`` read the
+batch's D, D_u and trees.  So the rows, and the first counterexample of
+each check, are those of one table at a time.  A sweep of one suite is
+the same sweep with one kind of check.
 
 What depends on the arity alone is built once per arity, on first use:
 the ``core`` check's scan plans (``check._resolution_plan`` and
@@ -45,14 +47,14 @@ A chunk of work holds one memo from downward closure to its D, shared
 by every table's state, so the ``closure`` check searches each distinct
 closure once per chunk; the memo goes with the chunk.
 
-The ``algorithm1`` suite replays no solver run per input.  It builds
-the solver's decision tree once per table (``algorithm1_tree``) and
-reads every row off the leaf each input reaches: the output, the query
-count against the budget, and the final-state claims.  At a u leaf no
-1-valued and no 0-valued input may still agree with the path's answers;
-each u leaf's block of the value grid is tested once, from the path
-alone, never from the solver's state.  One oracle run per table must
-walk the tree's deepest path.
+The ``algorithm1`` suite replays no solver run per input.  It reads
+every row off the solver's decision tree, compiled with the batch, at
+the leaf each input reaches: the output, the query count against the
+budget, and the final-state claims.  At a u leaf no 1-valued and no
+0-valued input may still agree with the path's answers; each u leaf's
+block of the value grid is tested once, from the path alone, never from
+the solver's state.  One run of the oracle driver per table, which
+steps one answer state at a time, must walk the tree's deepest path.
 
 Populations are swept in a fixed order and rows fold per suite in
 submission order, so for fixed parameters a report is deterministic in
@@ -77,8 +79,8 @@ from . import core
 from .algorithms import (
     Oracle,
     Solver,
+    _algorithm1_trees,
     algorithm1_solve,
-    algorithm1_tree,
     downward_closure_solve,
     or_via_ind_reduction,
     tree_solver,
@@ -254,16 +256,18 @@ def _values_dict(m: MeasureReport) -> dict:
 
 class _Table:
     """One function's state in a sweep, read by every kind of check run
-    on it: the hazard-free table, built once, its measure arrays and its
-    D and D_u searches, made with its batch (``_run_kernels``), the
-    ``core`` report, once that check has made it, and the chunk's memo
-    of D per downward closure, shared by every state of the chunk."""
+    on it: the hazard-free table, built once, its measure arrays, its D
+    and D_u searches and Algorithm 1's tree, made with its batch
+    (``_run_kernels``), the ``core`` report, once that check has made
+    it, and the chunk's memo of D per downward closure, shared by every
+    state of the chunk."""
 
     def __init__(self, f: BooleanFunction, closure_depths: dict):
         self.f = f
         self.table = hazard_free_table(f)
         self.arrays = None  # the measure arrays, when a kind reads them
         self.searched: tuple = (None, None)  # (D, tree) and (D_u, tree), when a kind reads them
+        self.algorithm1 = None  # Algorithm 1's tree, when the algorithm1 kind runs
         self.report: MeasureReport | None = None
         self.closure_depths = closure_depths
 
@@ -331,16 +335,17 @@ def _core_function_rows(state: _Table):
 
 
 def _alg1_function_rows(state: _Table):
-    """The solver's rows, read off ``algorithm1_tree``.  The run on an
-    input is the path to the leaf it reaches: the leaf's value is the
-    output and its depth the query count.  The inputs of a u leaf share
-    its path, so its block is tested for survivors once.  The oracle
-    driver runs once, on the least input of the deepest leaf; it must
-    walk that path, and its bound is the budget."""
+    """The solver's rows, read off Algorithm 1's tree, compiled with the
+    batch.  The run on an input is the path to the leaf it reaches: the
+    leaf's value is the output and its depth the query count.  The
+    inputs of a u leaf share its path, so its block is tested for
+    survivors once.  The oracle driver runs once, on the least input of
+    the deepest leaf; it must walk that path, and its bound is the
+    budget."""
     f, table = state.f, state.table
     n = f.arity
     spec = f.to_spec()
-    tree = algorithm1_tree(table)
+    tree = state.algorithm1
     size = len(tree.var)
     leaves = _leaf_grid(tree, n, np.arange(size))
     node = leaves.grid.reshape(-1)  # per input, the leaf it reaches
@@ -461,10 +466,12 @@ _KINDS = {
 
 
 # Tables a chunk runs through the batched kernels at a time.  A batch
-# holds its kernel outputs, about 3.5 KB a table of arity 4 (tracemalloc),
-# until its last table's checks are done: batches of 1,024 raised the
-# peak RSS of `verify all --n 1..3 --samples 100` by 0.9% over one table
-# at a time, and batches of 128 by 0.3%, at about 3 us a table more.
+# holds its kernel outputs, about 3.8 KB a table of arity 4 (tracemalloc),
+# 1 KB of it Algorithm 1's tree, until its last table's checks are done:
+# batches of 1,024 raised the peak RSS of `verify all --n 1..3 --samples
+# 100` by 0.9% over one table at a time, and batches of 128 by 0.3%, at
+# about 3 us a table more, before the trees were compiled with the batch,
+# which added 1.2% more.
 _BATCH = 128
 
 # The kinds of check that read each kernel's outputs.
@@ -474,9 +481,10 @@ _READS_D_U = {"core", "monotone", "closure"}
 
 
 def _run_kernels(states: list, kinds) -> None:
-    """Build the measure arrays and search D and D_u of a batch's tables
-    at once, those of them that ``kinds`` read, onto their states.  The
-    u-model search starts from the L_0 the arrays keep."""
+    """Build the measure arrays, search D and D_u and compile Algorithm
+    1's trees of a batch's tables at once, those of them that ``kinds``
+    read, onto their states.  The u-model search and the compile read
+    the L_0 the arrays keep."""
     tables = [state.table for state in states]
     forced = None
     if _READS_ARRAYS.intersection(kinds):
@@ -488,6 +496,9 @@ def _run_kernels(states: list, kinds) -> None:
            else [None] * len(states))
     for state, searched in zip(states, zip(d, d_u)):
         state.searched = searched
+    if "algorithm1" in kinds:
+        for state, tree in zip(states, _algorithm1_trees(tables, forced)):
+            state.algorithm1 = tree
 
 
 def _chunk_worker(payload):

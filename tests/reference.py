@@ -18,19 +18,23 @@ solver that scanned every decoded input for the least consistent one,
 ``min_over_coarsenings``, ``packing_scan`` and ``block_lattice`` are
 the certificate transform over the whole unpacked array, the bs scan
 that walked every input in code order, and the block lattice built
-block by block, and ``sensitivity_array`` is the s_u array counted a
-layer at a time.
+block by block, ``sensitivity_array`` is the s_u array counted a layer
+at a time, ``algorithm1_tree`` is Algorithm 1's compile that stepped
+one answer state at a time through the oracle driver's step, and
+``check_layout`` is the tree constructor's check that walked every
+query node's ancestors.
 """
 
+import operator
 from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
-from uquery.algorithms import SolveResult
-from uquery.core import TernaryString
+from uquery.algorithms import SolveResult, _algorithm1_step
+from uquery.core import STAR, TernaryString
 from uquery.measures import block_summary, certificate_summary, certificate_u_at
-from uquery.trees import evaluate_tree
+from uquery.trees import _VAR_LIMIT, DecisionTree, TreeFormatError, _answers, evaluate_tree
 
 U = 2
 
@@ -514,6 +518,36 @@ def verify_tree_by_inputs(tree, table):
     return True, None
 
 
+def check_layout(var, leaf):
+    """``trees._check_layout`` walking every query node's ancestors a
+    layer at a time, each walk ending at the root or at a parent that
+    does not come first: O(depth x query nodes)."""
+    size = var.size
+    if not size or var.shape != (size,) or leaf.shape != (size,):
+        raise TreeFormatError("a tree needs one var and one leaf entry per node, and at least one node")
+    query, base = var.nonzero()[0], _answers(var)
+    if size != 1 + base * query.size or base not in (2, 3):
+        raise TreeFormatError(f"{size} nodes with {query.size} query nodes: a tree of q query nodes "
+                              "has 1 + b*q nodes, b = 2 or 3")
+    parent = np.append(0, query.repeat(base))
+    node = above = query
+    repeats = [query[:0]]
+    while node.size:
+        up = parent[above]
+        live = (above > 0) & (up < above)
+        node, above = node[live], up[live]
+        repeats.append(node[var[above] == var[node]])
+    rules = [(np.flatnonzero((var < 0) | (var >= _VAR_LIMIT)), "variable {} is outside 1..2**31 - 1"),
+             (np.flatnonzero((var == 0) & ((leaf < 0) | (leaf > U))), "a leaf needs a trit (0, 1 or 2)"),
+             (query[leaf[query] != 0], "a query node needs leaf value 0"),
+             (query[query >= 1 + base * np.arange(query.size)], "a query node needs its children after it"),
+             (np.concatenate(repeats), "variable {} repeats along the path")]
+    faults = [(int(nodes.min()), text) for nodes, text in rules if nodes.size]
+    if faults:
+        i, text = min(faults, key=operator.itemgetter(0))  # the first rule broken at the least node
+        raise TreeFormatError(f"node {i}: " + text.format(var[i]))
+
+
 # ---------------------------------------------------------------------------
 # The certificate-guided solver, scanning decoded inputs.
 
@@ -543,6 +577,36 @@ def solve_by_scan(table, oracle):
             if value != U:
                 return SolveResult(value, oracle.query_count, bound, oracle.transcript)
     return SolveResult(U, oracle.query_count, bound, oracle.transcript)
+
+
+def algorithm1_tree(table):
+    """``algorithms.algorithm1_tree`` built from a frontier of answer
+    states one at a time, each round's step taken by the oracle driver's
+    ``_algorithm1_step``: a round becomes a chain of query nodes over its
+    domain, and the step at the end of the chain gives the next round or
+    the leaf."""
+    f = table.function
+    if f.is_constant():
+        return DecisionTree._of([0], [f.value_at_index(0)])
+    var, leaf = [], []
+    layer = [((STAR,) * table.arity, None, ())]
+    while layer:
+        below = []
+        for cells, stage, todo in layer:
+            if not todo:
+                step = _algorithm1_step(table, cells, stage)
+                if isinstance(step, int):
+                    var.append(0)
+                    leaf.append(step)
+                    continue
+                stage, todo = step
+            p = todo[0] - 1
+            var.append(todo[0])
+            leaf.append(0)
+            below.extend((cells[:p] + (a,) + cells[p + 1:], stage, todo[1:])
+                         for a in (0, 1, U))
+        layer = below
+    return DecisionTree._of(var, leaf)
 
 
 # ---------------------------------------------------------------------------

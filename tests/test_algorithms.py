@@ -8,6 +8,7 @@ import pytest
 
 import reference as R
 import uquery
+from test_measure_arrays import _mixed_batch
 from uquery import (
     BooleanFunction,
     TernaryString,
@@ -18,6 +19,7 @@ from uquery import (
 )
 from uquery.algorithms import (
     Oracle,
+    _algorithm1_trees,
     algorithm1_solve,
     algorithm1_tree,
     downward_closure_solve,
@@ -31,7 +33,7 @@ from uquery.algorithms import (
 )
 from uquery.core import Orientation
 from uquery.depth import query_complexity, query_complexity_u
-from uquery.measures import block_summary, certificate_summary
+from uquery.measures import _tabulate, block_summary, certificate_summary
 from uquery.trees import tree_depth, verify_tree
 
 
@@ -392,3 +394,44 @@ def test_compiled_tree_walks_every_run(n):
                 == (res.output, res.queries, res.transcript), (f.to_spec(), str(hidden))
         assert verify_tree(tree, table) == (True, None)
         assert tree_depth(tree) <= res.bound
+
+
+def _compiled_together(tables):
+    """Algorithm 1's trees of a batch, from the forced bits of its
+    measure arrays, as the verify harness compiles them."""
+    return _algorithm1_trees(tables, [arrays.forced for arrays in _tabulate(tables)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_batch_of_every_table_compiles_as_the_reference(n):
+    """Every table of arity n <= 3 in one batch: each tree is the one the
+    reference compile builds stepping one answer state at a time."""
+    tables = [hazard_free_table(BooleanFunction(n, bits)) for bits in range(1 << (1 << n))]
+    assert _compiled_together(tables) == [R.algorithm1_tree(table) for table in tables]
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 100])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_seeded_batches_compile_as_the_reference(n, count):
+    """Seeded batches with constant tables and tables corrupted at their
+    all-u entry mixed in (``_mixed_batch``) compile to the reference's
+    trees, table by table."""
+    tables = _mixed_batch(n, count, 8100 + 10 * n + count)
+    assert _compiled_together(tables) == [R.algorithm1_tree(table) for table in tables]
+
+
+@pytest.mark.parametrize("spec", ["mind:4", "ind:2", "random:8:1"])
+def test_a_table_alone_compiles_as_the_reference(spec):
+    """A table alone is a batch of one, its forced bits read from the
+    memo of measure arrays."""
+    table = hazard_free_table(generate(spec))
+    assert algorithm1_tree(table) == R.algorithm1_tree(table)
+
+
+def test_a_round_that_asks_nothing_new_is_refused():
+    """A domain inside the asked positions would make a round that asks
+    nothing; forced bits claiming that the all-* cell is forced give one
+    at the root, and the compile refuses it naming the round's input."""
+    table = hazard_free_table(generate("maj:3"))
+    with pytest.raises(AssertionError, match="^a round at 000 asks nothing new$"):
+        _algorithm1_trees([table], [b"\xff" * 8])

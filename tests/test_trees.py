@@ -8,6 +8,7 @@ import json
 import pickle
 import random
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -670,6 +671,83 @@ def test_bad_node_arrays_are_refused(var, leaf, first):
     # nodes and b = 2 or 3, or a query node k at or after node 1 + b*k,
     # where its children would start.
     with pytest.raises(TreeFormatError, match="^" + re.escape(first)):
+        DecisionTree(var, leaf)
+
+
+def _refusal(check, var, leaf) -> str | None:
+    """The message ``check`` refuses the node arrays with, or None."""
+    try:
+        check(var, leaf)
+    except TreeFormatError as refused:
+        return str(refused)
+    return None
+
+
+def _plant_repeats(tree, rng, count):
+    """The node arrays of a tree with ``count`` query nodes below the
+    root, picked at random, each made to query the variable of one of
+    its ancestors, picked at random."""
+    var, leaf = np.array(tree.var), np.array(tree.leaf)
+    query = var.nonzero()[0]
+    base = (var.size - 1) // query.size
+    for node in rng.sample(query[1:].tolist(), count):
+        ancestors, j = [], node
+        while j:
+            j = int(query[(j - 1) // base])
+            ancestors.append(j)
+        var[node] = var[rng.choice(ancestors)]
+    return var, leaf
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_planted_repeats_are_named_as_the_walk_names_them(n):
+    """On seeded D, D_u and Algorithm 1 trees, each well formed as built
+    and then with 1, 2 or 5 query nodes at random depths made to repeat
+    an ancestor's variable, the constructor refuses exactly as the walk
+    over every node's ancestors (``reference.check_layout``) does,
+    naming the least node at fault."""
+    rng = random.Random(9100 + n)
+    for _ in range(8):
+        table = hazard_free_table(BooleanFunction(n, rng.getrandbits(1 << n)))
+        for tree in (query_complexity(table)[1], query_complexity_u(table)[1], algorithm1_tree(table)):
+            assert _refusal(DecisionTree, tree.var, tree.leaf) is None
+            below = np.count_nonzero(tree.var) - 1
+            for count in sorted({min(count, below) for count in (1, 2, 5)} - {0}):
+                var, leaf = _plant_repeats(tree, rng, count)
+                walked = _refusal(R.check_layout, var, leaf)
+                assert walked is not None and "repeats along the path" in walked
+                assert _refusal(DecisionTree, var, leaf) == walked
+
+
+def test_random_node_arrays_are_refused_as_the_walk_refuses_them():
+    """Node arrays with query nodes at random places, so that many lay
+    out no tree, small variables, so that many repeat, and a rare bad
+    leaf: the constructor accepts or refuses them as the walk does."""
+    rng = random.Random(9200)
+    for _ in range(3000):
+        base, queries = rng.choice((2, 3)), rng.randint(1, 12)
+        var = np.zeros(1 + base * queries, dtype=np.int64)
+        var[rng.sample(range(var.size), queries)] = [rng.randint(1, 6) for _ in range(queries)]
+        leaf = np.array([rng.choice((0, 1, 2) * 20 + (3,)) for _ in var]) * (var == 0)
+        assert _refusal(DecisionTree, var, leaf) == _refusal(R.check_layout, var, leaf), var.tolist()
+
+
+def test_a_deep_chain_is_checked_without_walking_its_paths():
+    """A classical chain of depth 100,000, the 0-child of each query node
+    querying the next variable, is accepted within seconds (walking every
+    query node's ancestors took 48 s on a 2-CPU x86-64 machine); with its
+    deepest query asking variable 1 again, it is refused naming that
+    node."""
+    depth = 100_000
+    var = np.zeros(2 * depth + 1, dtype=np.int64)
+    var[0] = 1
+    var[1:2 * depth - 2:2] = np.arange(2, depth + 1)  # query node k > 0 is node 2k - 1
+    leaf = np.zeros_like(var)
+    start = time.perf_counter()
+    assert tree_depth(DecisionTree(var, leaf)) == depth
+    assert time.perf_counter() - start < 5
+    var[2 * depth - 3] = 1
+    with pytest.raises(TreeFormatError, match=f"^node {2 * depth - 3}: variable 1 repeats along the path$"):
         DecisionTree(var, leaf)
 
 

@@ -254,14 +254,15 @@ def test_survivor_matches_the_reference_scan():
                 assert (got.trits if got is not None else None) == want
 
 
-def _faulty_record(monkeypatch, name, fault, check, problem):
-    """Put ``fault`` in place of ``uquery.algorithms.<name>``, sweep the
-    algorithm1 suite at n = 1, 2, and check its ``check`` record against
-    a tally over the reference solver's runs.  ``problem(f, run, want)``
-    says how the faulty solver fails the run on a table whose reference
-    value is ``want``: None when it passes, else the counterexample's
-    fields after the function and the input.  A constant table is
-    answered before any step or budget, so no fault reaches it."""
+def _faulty_record(monkeypatch, faults, check, problem):
+    """Put each fault of ``faults``, a dict by name, in place of
+    ``uquery.algorithms.<name>``, sweep the algorithm1 suite at n = 1, 2,
+    and check its ``check`` record against a tally over the reference
+    solver's runs.  ``problem(f, run, want)`` says how the faulty solver
+    fails the run on a table whose reference value is ``want``: None when
+    it passes, else the counterexample's fields after the function and
+    the input.  A constant table is answered before any step or budget,
+    so no fault reaches it."""
     failures, expected = 0, None
     for n in (1, 2):
         for bits in range(1 << (1 << n)):
@@ -280,7 +281,8 @@ def _faulty_record(monkeypatch, name, fault, check, problem):
                 if expected is None:
                     expected = {"function": f.to_spec(), "input": text, **fields}
 
-    monkeypatch.setattr(uquery.algorithms, name, fault)
+    for name, fault in faults.items():
+        monkeypatch.setattr(uquery.algorithms, name, fault)
     report = run_suite("algorithm1", ns=(1, 2), workers=1)
     record = {r.check: r for r in report.records}[check]
     assert not record.passed and not report.passed
@@ -291,8 +293,10 @@ def _faulty_record(monkeypatch, name, fault, check, problem):
 
 def test_final_claims_fail_on_an_early_u(monkeypatch):
     # A solver that answers u after its first answer leaves survivors;
-    # the row must fail and name the least one of the first bad run.
-    real = uquery.algorithms._algorithm1_step
+    # the row must fail and name the least one of the first bad run.  The
+    # fault goes into the oracle driver's step and the compile's alike,
+    # as the harness checks that the one walks the other's tree.
+    real, real_steps = uquery.algorithms._algorithm1_step, uquery.algorithms._algorithm1_steps
 
     def early_u(table, cells, stage):
         if stage is not None:
@@ -300,28 +304,37 @@ def test_final_claims_fail_on_an_early_u(monkeypatch):
         stage, todo = real(table, cells, stage)
         return stage, todo[:1]
 
+    def early_us(values, forced, owner, cells):
+        out, todo = real_steps(values, forced, owner, cells)
+        root = (cells == uquery.core.STAR).all(axis=1)
+        return np.where(root, out, UNKNOWN).astype(np.int8), todo & -todo
+
     def problem(f, run, want):
         bad = R.survivor(R.full_table(f.bits, f.arity), run.transcript[:1])
         return None if bad is None else {"survivor": "".join("01u"[t] for t in bad)}
 
-    _faulty_record(monkeypatch, "_algorithm1_step", early_u,
+    _faulty_record(monkeypatch, {"_algorithm1_step": early_u, "_algorithm1_steps": early_us},
                    "solver-final-claims", problem)
 
 
 def test_correct_fails_on_a_flipped_output(monkeypatch):
     # A solver that swaps the outputs 0 and 1 is wrong wherever the
     # extension is resolved.
-    real = uquery.algorithms._algorithm1_step
+    real, real_steps = uquery.algorithms._algorithm1_step, uquery.algorithms._algorithm1_steps
 
     def flipped(table, cells, stage):
         step = real(table, cells, stage)
         return 1 - step if step in (0, 1) else step
 
+    def flipped_steps(values, forced, owner, cells):
+        out, todo = real_steps(values, forced, owner, cells)
+        return np.where(out == 0, 1, np.where(out == 1, 0, out)).astype(np.int8), todo
+
     def problem(f, run, want):
         got = 1 - run.output if run.output in (0, 1) else run.output
         return None if got == want else {"got": "01u"[got], "expected": "01u"[want]}
 
-    _faulty_record(monkeypatch, "_algorithm1_step", flipped,
+    _faulty_record(monkeypatch, {"_algorithm1_step": flipped, "_algorithm1_steps": flipped_steps},
                    "solver-correct", problem)
 
 
@@ -337,7 +350,7 @@ def test_within_budget_fails_on_a_lowered_budget(monkeypatch):
         budget = run.bound - 2
         return None if run.queries <= budget else {"queries": run.queries, "budget": budget}
 
-    _faulty_record(monkeypatch, "_cost_budget", lowered,
+    _faulty_record(monkeypatch, {"_cost_budget": lowered},
                    "solver-within-budget", problem)
 
 
@@ -370,22 +383,24 @@ def test_verify_records_byte_identical():
 def test_split_batches_keep_the_records_and_the_kernels(monkeypatch):
     """With the batch cap at 3, every population's tables go in batches
     of three and a shorter last one; the records are still the pinned
-    ones, and every table's measure arrays, depths and trees are those
-    it gets alone."""
+    ones, every table's measure arrays, depths and trees are those it
+    gets alone, and its Algorithm 1 tree is the reference compile's."""
     V = uquery.verification
     monkeypatch.setattr(V, "_BATCH", 3)
     run, batches = V._run_kernels, []
 
     def recorded(states, kinds):
         run(states, kinds)
-        batches.append([(state.table, state.arrays, state.searched) for state in states])
+        batches.append([(state.table, state.arrays, state.searched, state.algorithm1)
+                        for state in states])
 
     monkeypatch.setattr(V, "_run_kernels", recorded)
     report = run_suite("all", ns=(1, 2, 3), samples=5, workers=1)
     assert _records_digest([report]) == VERIFY_DIGEST
     assert sorted({len(batch) for batch in batches}) == [1, 2, 3]
-    for table, arrays, searched in (entry for batch in batches for entry in batch):
+    for table, arrays, searched, compiled in (entry for batch in batches for entry in batch):
         assert searched == (query_complexity(table), query_complexity_u(table))
+        assert compiled == R.algorithm1_tree(table)
         (alone,) = uquery.measures._tabulate([table])
         assert arrays.forced == alone.forced
         for name in ("certificate", "sensitivity", "block_bound"):
@@ -507,11 +522,13 @@ def _count_table_work(monkeypatch) -> dict[str, Counter]:
     builder and of the pricing of the two summaries; the tables that the
     batched depth search, the entry of every D and D_u search, takes in
     each model, counted under "D" and "D_u"; and those that the batched
-    build of the measure arrays takes."""
+    build of the measure arrays and the batched compile of Algorithm 1,
+    the entry of every compile, take."""
     counts = {"D": Counter(), "D_u": Counter()}
     for owner, name in ((uquery.core, "hazard_free_table"),
                         (uquery.depth, "_optimal_trees"),
                         (uquery.measures, "_tabulate"),
+                        (uquery.algorithms, "_algorithm1_trees"),
                         (uquery.measures, "_block_summary"),
                         (uquery.measures, "_certificate_summary")):
         original = getattr(owner, name)
@@ -519,7 +536,7 @@ def _count_table_work(monkeypatch) -> dict[str, Counter]:
         def counted(first, *args, original=original, name=name, **kwargs):
             if name == "_optimal_trees":
                 counts["D" if len(args[0]) == 2 else "D_u"].update(t.function for t in first)
-            elif name == "_tabulate":
+            elif name in ("_tabulate", "_algorithm1_trees"):
                 counts[name].update(t.function for t in first)
             else:
                 counts[name][first if isinstance(first, BooleanFunction) else first.function] += 1
@@ -536,12 +553,12 @@ def _count_table_work(monkeypatch) -> dict[str, Counter]:
 def test_all_builds_searches_and_prices_each_shared_table_once(monkeypatch):
     """Beyond the reduction suite and the fixed rows of core and monotone,
     ``all`` at n = 3 builds each of the 256 tables once, searches its D
-    and its D_u once, builds its measure arrays once and prices its
-    block and certificate summaries once, the monotone check included;
-    the closure check also builds and searches the table of each
-    distinct downward closure once, as the sweep is one chunk.  The
-    searches are counted per table at the batch entry, which the
-    one-table searches go through too."""
+    and its D_u once, builds its measure arrays once, compiles its
+    Algorithm 1 tree once and prices its block and certificate summaries
+    once, the monotone check included; the closure check also builds and
+    searches the table of each distinct downward closure once, as the
+    sweep is one chunk.  The searches and the compiles are counted per
+    table at the batch entry, which the one-table calls go through too."""
     counts = _count_table_work(monkeypatch)
     V = uquery.verification
 
@@ -564,7 +581,7 @@ def test_all_builds_searches_and_prices_each_shared_table_once(monkeypatch):
     closures = Counter({downward_closure(f) for f in shared})
     for name in ("hazard_free_table", "D"):
         assert whole[name] == others[name] + shared + closures, name
-    for name in ("D_u", "_tabulate", "_block_summary", "_certificate_summary"):
+    for name in ("D_u", "_tabulate", "_algorithm1_trees", "_block_summary", "_certificate_summary"):
         assert whole[name] == others[name] + shared, name
 
 
