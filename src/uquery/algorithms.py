@@ -71,9 +71,9 @@ from .core import (
     Orientation,
     _slopes,
 )
-from .depth import _values
+from .depth import _rows, _values
 from .measures import _measure_arrays, block_summary, certificate_summary, certificate_u_at
-from .trees import DecisionTree, _answers, _split_trees
+from .trees import DecisionTree, _first_children, _split_trees
 
 
 class QueryOracle(Protocol):
@@ -176,14 +176,12 @@ def transcript_json(transcript: Sequence[tuple[int, int]]) -> list[dict]:
 
 def tree_solver(tree: DecisionTree) -> Solver:
     """Turn a decision tree into a solver that walks it against an oracle.
-    Query node k has children 1 + b*k to b*k + b, for its b answers, so
-    the solver counts the query nodes up to each node once, in one
-    cumsum; a run reads it and the node arrays a step at a time, as
-    Python ints.  Each answer is checked against b: a classical tree
-    takes no u."""
-    answers = _answers(tree.var)
-    var, leaf = tree.var.item, tree.leaf.item
-    kids = ((tree.var != 0).cumsum() * answers + 1 - answers).item  # first child of each query node
+    The first child of each query node is found once for the tree
+    (``trees._first_children``); a run reads it and the node arrays a
+    step at a time, as Python ints.  Each answer is checked against b: a
+    classical tree takes no u."""
+    answers, kids = _first_children(tree.var)
+    var, leaf, kids = tree.var.item, tree.leaf.item, kids.item
 
     def run(oracle: QueryOracle) -> int:
         i = 0
@@ -350,7 +348,7 @@ _STEP_CELLS = 1 << 17
 
 
 def _algorithm1_trees(tables: Sequence[HazardFreeTable],
-                      forced: Sequence[bytes] | None = None) -> list[DecisionTree]:
+                      forced: np.ndarray | None = None) -> list[DecisionTree]:
     """Algorithm 1 over every hidden input at once, as one u-model tree a
     table, for a batch of tables of one arity.
 
@@ -364,9 +362,10 @@ def _algorithm1_trees(tables: Sequence[HazardFreeTable],
     state is a query node asking the lowest position left in its round,
     and its children, one per answer, make up the next frontier in
     (parent, answer) order.  So each layer holds the tables' nodes in
-    table order, as ``_split_trees`` needs.  ``forced`` gives each table's
-    forced bits, as the measure arrays keep them; without it they are
-    read from the memo of measure arrays.
+    table order, as ``_split_trees`` needs.  ``forced`` is the batch's
+    forced bits, a uint8 row a table as ``depth._forced_bits`` gives
+    them; without it each table's row is read from the memo of measure
+    arrays.
     """
     n = tables[0].arity
     trees = [DecisionTree._of([0], [table.function.value_at_index(0)])
@@ -375,8 +374,7 @@ def _algorithm1_trees(tables: Sequence[HazardFreeTable],
     if not live:
         return trees
     values = _values([tables[t] for t in live])
-    bits = [forced[t] if forced is not None else _measure_arrays(tables[t]).forced for t in live]
-    bits = np.frombuffer(b"".join(bits), dtype=np.uint8).reshape(len(live), -1)
+    bits = forced[live] if forced is not None else _rows([_measure_arrays(tables[t]).forced for t in live])
     owner = np.arange(len(live))
     cells = np.full((len(live), n), STAR, dtype=np.uint8)
     todo = np.zeros(len(live), dtype=np.int64)

@@ -5,37 +5,37 @@ the solver picking the variable and the adversary the worst answer,
 with one search over packed bitsets of the partial assignments:
 {0, 1, u, *}^n for the u-model and {0, 1, *}^n classically, a bit per
 cell.  The search takes a batch of tables of one arity, a single table
-being a batch of one: below ``_SMALL_CELLS`` cells their bitsets lie
-side by side in one Python int, each in whole bytes, so that every step
-costs one int operation for the whole batch, and from there on the
-tables go one at a time.  A bitset enters and leaves the search in one
-format, packed little-endian bytes, lowest cell first, a row per table;
-Python ints live only inside the level loop and the u-model's L_0 merge.
-Level L_0 marks the cells whose value is forced, built from the
+being a batch of one: below ``_SMALL_CELLS`` cells the level loop holds
+their bitsets side by side in one Python int, each in whole bytes, so
+that every step costs one int operation for the whole batch, and from
+there on the tables go one at a time.  A bitset enters and leaves the
+search in one format, packed little-endian bytes, lowest cell first, a
+row per table of a uint8 array; Python ints live only inside the level
+loop.  Level L_0 marks the cells whose value is forced, built from the
 hazard-free table: for the u-model one bit plane per value, merged axis
-by axis (the measures keep this L_0's bytes), and classically the table
-read with u as *.  L_k adds every cell with a * on some axis whose
-children all lie in L_{k-1}, so L_k holds exactly the cells of depth at
-most k, and a table's search stops at the level its all-* root enters:
-D.  A level costs a shift and a mask per axis inside a 64-bit word, and
-an AND of views per axis across words.  A cell with j *s has depth at
-most j, as querying its j free variables decides it, so only a cell with
-at least k *s can enter L_k: a word whose word-axis digits hold s *s
-gains no bit above level s + min(n, 3).  A level runs on the whole array
-while at least ``_GATHER_SHARE`` of the words can still gain bits, and
-on those words alone, gathered with their children, from then on.  A
-whole-array level is grown in place, one cache-sized block of words at
-a time, the blocks with more *s first, so that no block is overwritten
-before the blocks that read it are done.  Timed in one process on
-random:12:1 (2-CPU x86-64, best of 15), the u-model's L_0 takes 4.3 ms
-and its levels 23 ms, where L_0 merged a byte per cell and levels run
-over whole arrays with fresh temporaries took 9.3 and 35 ms.  Each
-cell's level is kept once, as bit planes that every level updates in
-place, and the trees are read straight off them one layer of cells at a
-time, the layer of every table of the batch at once, taking at each
-node the lowest variable that attains the optimum, so results are
-canonical; each layer tries the axes from the lowest * of any of its
-cells.
+by axis in uint64 words for the whole batch (the measures keep this
+L_0's rows), and classically the table read with u as *.  L_k adds every
+cell with a * on some axis whose children all lie in L_{k-1}, so L_k
+holds exactly the cells of depth at most k, and a table's search stops
+at the level its all-* root enters: D.  A level costs a shift and a mask
+per axis inside a 64-bit word, and an AND of views per axis across
+words.  A cell with j *s has depth at most j, as querying its j free
+variables decides it, so only a cell with at least k *s can enter L_k: a
+word whose word-axis digits hold s *s gains no bit above level s +
+min(n, 3).  A level runs on the whole array while at least
+``_GATHER_SHARE`` of the words can still gain bits, and on those words
+alone, gathered with their children, from then on.  A whole-array level
+is grown in place, one cache-sized block of words at a time, the blocks
+with more *s first, so that no block is overwritten before the blocks
+that read it are done.  Timed in one process on random:12:1 (2-CPU
+x86-64, best of 15), the u-model's L_0 takes 4.3 ms and its levels 23
+ms, where L_0 merged a byte per cell and levels run over whole arrays
+with fresh temporaries took 9.3 and 35 ms.  Each cell's level is kept
+once, as bit planes that every level updates in place, and the trees are
+read straight off them one layer of cells at a time, the layer of every
+table of the batch at once, taking at each node the lowest variable that
+attains the optimum, so results are canonical; each layer tries the axes
+from the lowest * of any of its cells.
 """
 
 from __future__ import annotations
@@ -61,29 +61,29 @@ from .trees import DecisionTree, _split_trees
 # len(answers) + 1 with * as the largest digit (the classical model
 # stores no u there).  A cell's key is its bit index, a mixed-radix code.
 # A bitset comes in and goes out as packed bytes, lowest cell first, in
-# ceil(size / 8) bytes a table.  The level loop and the u-model's L_0
-# merge hold the bitsets of fewer than ``_SMALL_CELLS`` bits as one
-# Python int, a batch's tables side by side, table t from bit 8 * t *
-# ceil(size / 8) on, so that every axis is a shift and a mask for the
-# whole batch, each far cheaper than a NumPy call; a larger bitset is a
-# uint64 array, one entry per word, whose word axes are views, and its
-# tables go one at a time.  Timed over the whole search of one table
-# with each route forced (2-CPU x86-64), ints take 37% less time at 64
-# cells (maj:3, 0.069 against 0.110 ms), 9% less at 46,656 (the
-# classical search on random:9:1), 6% more at 65,536 (the u-model on
-# random:8:1) and 2.6 times as long at 2**20 (random:10:1, 11.2 against
-# 4.3 ms).
+# ceil(size / 8) bytes a table.  The level loop holds the bitsets of
+# fewer than ``_SMALL_CELLS`` bits as one Python int, a batch's tables
+# side by side, table t from bit 8 * t * ceil(size / 8) on, so that
+# every axis is a shift and a mask for the whole batch, each far cheaper
+# than a NumPy call; a larger bitset is a uint64 array, one entry per
+# word, whose word axes are views, and its tables go one at a time.
+# Timed over the whole search of one table with each route forced (2-CPU
+# x86-64), ints take 37% less time at 64 cells (maj:3, 0.069 against
+# 0.110 ms), 9% less at 46,656 (the classical search on random:9:1), 6%
+# more at 65,536 (the u-model on random:8:1) and 2.6 times as long at
+# 2**20 (random:10:1, 11.2 against 4.3 ms).
 
 _SMALL_CELLS = 1 << 16
 
 
 class _Layout(NamedTuple):
-    """The bitsets of one arity and alphabet: those of a batch's tables
-    lie side by side in one int on the int route (``_side_by_side``)."""
+    """The bitsets of one arity and alphabet: the level loop lays those
+    of a batch's tables side by side in one int on the int route
+    (``_side_by_side``)."""
 
     size: int        # bits: one per cell
     nbytes: int      # the bytes a bitset takes, ceil(size / 8), side by side in a batch
-    as_int: bool     # the loops hold a batch in one Python int, else a table in a uint64 array
+    as_int: bool     # the level loop holds a batch in one Python int, else a table in a uint64 array
     shifts: tuple    # per axis done by shifts: (stride, star digit, mask of its * cells)
     block: int       # words per block of a whole-array level
     views: tuple     # per word axis inside a block: the (before, digit, after) shape
@@ -138,9 +138,9 @@ def _moves(n: int, answers: tuple[int, ...]):
 
 @cache
 def _layout(n: int, answers: tuple[int, ...]) -> _Layout:
-    """The bitsets of arity n over ``answers``; the loops hold those of
-    fewer than ``_SMALL_CELLS`` bits, and those of less than a word, as
-    ints."""
+    """The bitsets of arity n over ``answers``; the level loop holds
+    those of fewer than ``_SMALL_CELLS`` bits, and those of less than a
+    word, as ints."""
     span, top, _, _, root = _moves(n, answers)
     size = root + 1
     as_int = size < _SMALL_CELLS or size < 64
@@ -228,16 +228,16 @@ def _kids_in_view(view: np.ndarray, answers: tuple[int, ...]) -> np.ndarray:
 
 
 @cache
-def _cell_codes(digits: int) -> tuple[np.ndarray, np.ndarray]:
+def _cell_codes(digits: int) -> tuple[np.ndarray, int]:
     """Per cell of ``digits`` base-4 digits, by bit: the ternary code of
-    its coarsest completion (u at every *), and whether it has no *."""
+    its coarsest completion (u at every *); and the mask of the cells
+    without a *, a bit per cell."""
     codes, starless = np.zeros(1, dtype=np.intp), np.ones(1, dtype=bool)
     for p in range(digits):  # each pass puts a more significant digit in front
         codes = (np.array([0, 1, UNKNOWN, UNKNOWN])[:, None] * 3 ** p + codes).reshape(-1)
         starless = (np.array([True, True, True, False])[:, None] & starless).reshape(-1)
-    for array in (codes, starless):
-        array.flags.writeable = False  # shared through the cache
-    return codes, starless
+    codes.flags.writeable = False  # shared through the cache
+    return codes, int.from_bytes(_packed(starless), "little")
 
 
 def _tiled(mask: int, nbytes: int, count: int) -> int:
@@ -255,12 +255,10 @@ def _tiled(mask: int, nbytes: int, count: int) -> int:
 def _side_by_side(n: int, answers: tuple[int, ...], count: int) -> tuple:
     """The shifts of the int bitsets of arity n, each mask repeated over
     ``count`` bitsets laid side by side in one int, the first lowest, each
-    in whole bytes.  A batch's level loop runs on one bitset per table
-    with these, and the u-model's L_0 merges its three planes of every
-    table at once: merging one plane at a time made L_0 1.6-1.9 times as
-    slow at n <= 5 (9-15 against 14-25 us, 2-CPU x86-64).  A bit a shift
-    carries out of a bitset lands on a cell of the next, which the mask
-    keeps only where the cell's children lie in its own bitset."""
+    in whole bytes: those a batch's level loop runs on, one bitset per
+    table.  A bit a shift carries out of a bitset lands on a cell of the
+    next, which the mask keeps only where the cell's children lie in its
+    own bitset."""
     layout = _layout(n, answers)
     return tuple((stride, digit, _tiled(mask, layout.nbytes, count))
                  for stride, digit, mask in layout.shifts)
@@ -301,60 +299,54 @@ def _forced_bits(tables: Sequence[HazardFreeTable], answers: tuple[int, ...]) ->
     are, as a completion with u there is coarser than one through each
     child and so keeps their common resolved value, or stays u.  So a
     forced cell's value is the table's at its 0-fill (0 at every *), on
-    any table.
-
-    On an int the planes of every table lie side by side, by plane and
-    then by table, and every axis is merged by shifts, as the levels do;
-    a * cell's children lie in its own plane, so the bits a shift
-    carries across planes land on cells the mask drops.  On an array,
-    one table at a time, the planes of the cells without a * are packed
-    into the words of ternary word digits and merged on the in-word axes
-    by shifts; then each plane in turn is spread over the words of *
-    cells, merged on the word axes in place and ORed into L_0.  At n = 12
-    this takes 4.3 ms, where merging the planes a byte per cell before
-    packing, and all three at once on the word axes, took 9.3 (random:12:1,
-    2-CPU x86-64, best of 15 in one process).  Either way L_0 leaves as
-    its bytes: the int's, or a view of the array's words.
+    any table.  The u-model's planes of the whole batch are merged at
+    once, in words (``_forced_words``), and L_0 leaves as a view of the
+    words' bytes.
     """
     n, count = tables[0].arity, len(tables)
-    layout = _layout(n, answers)
     grids = _values(tables)
     if len(answers) == 2:
         inner = min(n, 3)
         cells = grids.reshape(count, -1, 3 ** inner).take(_cell_codes(inner)[0], axis=2)
         return _packed((cells != UNKNOWN).reshape(count, -1))
-    if not layout.as_int:
-        return _rows([_forced_words(grid, n, answers) for grid in grids])
-    values = np.array(answers, dtype=np.uint8)
-    codes, starless = _cell_codes(n)
-    planes = grids.take(codes, axis=1) == values[:, None, None]
-    planes &= starless
-    planes = int.from_bytes(_packed(planes), "little")
-    for stride, digit, mask in _side_by_side(n, answers, len(answers) * count):
-        planes |= _kids_by_shift(planes, stride, digit, (0, 1)) & mask
-    plane = count * layout.nbytes  # the bytes of one plane of every table
-    forced, full = 0, (1 << 8 * plane) - 1
-    for v in range(len(answers)):
-        forced |= planes >> 8 * v * plane & full
-    return np.frombuffer(bytearray(forced.to_bytes(plane, "little")), dtype=np.uint8).reshape(count, -1)
+    return _forced_words(grids, n, answers)
 
 
-def _forced_words(grid: np.ndarray, n: int, answers: tuple[int, ...]) -> np.ndarray:
-    """The u-model's L_0 of one table on the array route, as the bytes of
-    its words; ``grid`` holds the table's values by code."""
+def _forced_words(grids: np.ndarray, n: int, answers: tuple[int, ...]) -> np.ndarray:
+    """The u-model's L_0 of a batch's tables, ``grids`` holding their
+    values by code, a row each, as the bytes of its words, a row of
+    ceil(4**n / 8) a table.
+
+    The planes of the cells without a * are packed into the words of
+    ternary word digits, 64 cells a word from n = 3 on and a table's 4
+    or 16 cells in one uint8 or uint16 below, and merged on the in-word
+    axes by shifts, with the masks of ``_layout(min(n, 3), answers)``;
+    then each plane in turn is spread over the words of * cells, merged
+    on the word axes in place and ORed into L_0, the tables side by side
+    on a leading axis.  At n = 12 this takes 4.3 ms, where merging the
+    planes a byte per cell before packing, and all three at once on the
+    word axes, took 9.3 (random:12:1, 2-CPU x86-64, best of 15 in one
+    process).  Timed against the planes of a batch merged in one Python
+    int, as they were below 2**16 cells, the words take 44-48 against
+    43-45 us for 128 tables at n = 3, 67-76 against 84-93 us for 100 at
+    n = 4, 65-68 against 70-74 us on maj:7 and 49-50 against 28 us on
+    ind:2 (same machine, best of 300, two rounds).
+    """
     values = np.array(answers, dtype=np.uint8)
-    outer = n - 3
-    codes, starless = _cell_codes(3)
-    planes = grid.reshape(-1, 27).take(codes, axis=1) == values[:, None, None]
-    planes &= starless
-    packed = np.packbits(planes, axis=-1, bitorder="little").view(np.uint64)[..., 0]
+    count, inner = len(grids), min(n, 3)
+    outer = n - inner
+    codes, starless = _cell_codes(inner)
+    planes = grids.reshape(count, -1, 3 ** inner).take(codes, axis=2) == values[:, None, None, None]
+    packed = _packed(planes)
     del planes  # a byte per cell: freed before the word axes are spread
-    for stride, digit, mask in _layout(3, answers).shifts:  # those of the in-word axes
+    packed = packed.view(f"<u{packed.shape[-1]}")[..., 0]  # a table of fewer cells in a shorter word
+    packed &= starless
+    for stride, digit, mask in _layout(inner, answers).shifts:  # those of the in-word axes
         kids = _kids_by_shift(packed, stride, digit, (0, 1))
         kids &= mask
         packed |= kids
-    forced = np.zeros(4 ** outer, dtype=np.uint64)
-    words = np.empty((1,) + (4,) * outer, dtype=np.uint64)
+    forced = np.zeros((count, 4 ** outer), dtype=packed.dtype)
+    words = np.empty((count,) + (4,) * outer, dtype=packed.dtype)
     ternary = words[(slice(None),) + (slice(0, 3),) * outer]  # the words of ternary cells
     for plane in packed:
         # Every word of * cells is written by the merge on its last * axis,
@@ -362,9 +354,9 @@ def _forced_words(grid: np.ndarray, n: int, answers: tuple[int, ...]) -> np.ndar
         # held before, from the plane before or from np.empty, is never read.
         ternary[...] = plane.reshape(ternary.shape)
         for p in range(outer):
-            view = words.reshape(4 ** p, 4, -1)
+            view = words.reshape(count * 4 ** p, 4, -1)
             np.bitwise_and(view[:, 0], view[:, 1], out=view[:, 3])
-        forced |= words.reshape(-1)
+        forced |= words.reshape(count, -1)
     return forced.view(np.uint8)
 
 
@@ -682,18 +674,15 @@ def _read_tree(level_of: Callable, n: int, answers: tuple[int, ...],
 
 
 def _optimal_trees(tables: Sequence[HazardFreeTable], answers: tuple[int, ...],
-                   forced: Sequence[bytes] | None = None) -> list[tuple[int, DecisionTree]]:
+                   forced: np.ndarray | None = None) -> list[tuple[int, DecisionTree]]:
     """The exact depth over ``answers`` and the canonical optimal tree of
-    each table of a batch of one arity.  L_0 is a writable copy of
-    ``forced``, each table's bytes of the bitset in key order, when
-    given, as an array's levels grow it in place, and built from the
-    tables otherwise.  The trees are read off the level planes' bytes
-    where they lie."""
+    each table of a batch of one arity.  L_0 is a copy of ``forced``,
+    the batch's uint8 rows as ``_forced_bits`` gives them, when given, as
+    an array's levels grow it in place, and built from the tables
+    otherwise.  The trees are read off the level planes' bytes where
+    they lie."""
     n, count = tables[0].arity, len(tables)
-    if forced is None:
-        level = _forced_bits(tables, answers)
-    else:
-        level = np.frombuffer(bytearray(b"".join(forced)), dtype=np.uint8).reshape(count, -1)
+    level = _forced_bits(tables, answers) if forced is None else np.array(forced)
     depths, planes = _depth_levels(level, n, answers)
     del level  # L_D, which nothing reads: freed before the trees are read
     trees = _read_tree(_level_reader(planes.reshape(len(planes), -1)), n, answers,
@@ -702,22 +691,25 @@ def _optimal_trees(tables: Sequence[HazardFreeTable], answers: tuple[int, ...],
 
 
 def query_complexity_u(
-    table: HazardFreeTable, *, forced: bytes | None = None,
+    table: HazardFreeTable, *, forced: bytes | np.ndarray | None = None,
 ) -> tuple[int, DecisionTree]:
     """Exact optimal depth for computing the extension, with a witness tree.
 
     ``forced``, when given, must be the table's L_0 as the measure arrays
-    hold it: a bit per cell of {0, 1, u, *}^n, by base-4 code, set where
-    the table forces the cell's value, in ceil(4**n / 8) bytes, lowest
-    cell first.  The search then starts from a copy of it instead of
-    building its own; bytes of another length raise ``ValueError``.
+    hold it, or any bytes-like copy: a bit per cell of {0, 1, u, *}^n, by
+    base-4 code, set where the table forces the cell's value, in
+    ceil(4**n / 8) bytes, lowest cell first.  The search then starts from
+    a copy of it instead of building its own; bytes of another length
+    raise ``ValueError``.
     """
     n = table.arity
     check_cap(n, table.cap, DEFAULT_SEARCH_CAP, "u-model depth search")
-    nbytes = -(-4 ** n // 8)
-    if forced is not None and len(forced) != nbytes:
-        raise ValueError(f"the forced cells of arity {n} take {nbytes} bytes, not {len(forced)}")
-    return _optimal_trees([table], (0, 1, UNKNOWN), None if forced is None else [forced])[0]
+    if forced is not None:
+        forced, nbytes = np.frombuffer(forced, dtype=np.uint8), -(-4 ** n // 8)
+        if forced.size != nbytes:
+            raise ValueError(f"the forced cells of arity {n} take {nbytes} bytes, not {forced.size}")
+        forced = forced[None]
+    return _optimal_trees([table], (0, 1, UNKNOWN), forced)[0]
 
 
 def query_complexity(table: HazardFreeTable) -> tuple[int, DecisionTree]:

@@ -113,7 +113,7 @@ class _MeasureArrays:
     certificate: np.ndarray  # minimum certificate size
     sensitivity: np.ndarray  # number of sensitive positions (s_u)
     block_bound: np.ndarray  # min(C, s + (n - s) // 2), at least bs
-    forced: bytes            # a bit per cell of {0, 1, u, *}^n, by base-4 code: forced
+    forced: np.ndarray       # read-only uint8, a bit per cell of {0, 1, u, *}^n, by base-4 code: forced
     blocks: BlockSensitivitySummary | None = None
     certificates: CertificateSummary | None = None
 
@@ -126,27 +126,27 @@ def _measure_arrays(table: HazardFreeTable) -> _MeasureArrays:
     under 0.2 * 4**n, and up to n = 9, where the whole array is one slab,
     under 3 * 4**n (0.7 MB)."""
     check_cap(table.arity, table.cap, DEFAULT_SEARCH_CAP, "certificate arrays")
-    arrays = _tabulated.pop(table, None)
+    arrays = _tabulated.get(table)
     if arrays is None:
         (arrays,) = _tabulate([table])
-    _remember(table, arrays)
+        _remember(table, arrays)
     return arrays
 
 
-# The memo of measure arrays, keyed by table content, the most recently
-# used last: a report and the solver's budget read one entry between
-# them, and so do the 300 solves of one function in one process.
+# The memo of measure arrays, keyed by table content: one entry, the last
+# table's.  Every reader reads the newest table: a CLI command builds one,
+# a report and the solver's budget read one entry between them, the 300
+# solves of one function in one process share it, and the verify harness
+# remembers each table as its checks begin.  At n = 14 an entry holds 32
+# MiB of forced bits and 3 * 4.8 MB of arrays.
 _tabulated: dict[HazardFreeTable, _MeasureArrays] = {}
-_MEMO_SIZE = 8
 
 
 def _remember(table: HazardFreeTable, arrays: _MeasureArrays) -> None:
-    """Keep a table's arrays as its memo entry, the most recent one,
-    dropping the least recently used beyond ``_MEMO_SIZE``; a batch's
-    entries go in one at a time, as their tables are read."""
+    """Make a table's arrays the memo's one entry, dropping the last
+    table's."""
+    _tabulated.clear()
     _tabulated[table] = arrays
-    if len(_tabulated) > _MEMO_SIZE:
-        del _tabulated[next(iter(_tabulated))]
 
 
 def _layer(a: np.ndarray, axis: int, k: int) -> np.ndarray:
@@ -214,12 +214,14 @@ def _certificate_sizes(forced: np.ndarray, n: int, prefix: int) -> np.ndarray:
     return _min_over_coarsenings(out.reshape(tables, -1), prefix)
 
 
-def _tabulate(tables: Sequence[HazardFreeTable]) -> list[_MeasureArrays]:
+def _tabulate(tables: Sequence[HazardFreeTable], forced: np.ndarray | None = None) -> list[_MeasureArrays]:
     """Certificate size, s_u and the bs bound at every input, for each
     table of a batch of one arity, a table alone being a batch of one.
+    ``forced`` is the batch's L_0 of the u-model as ``depth._forced_bits``
+    gives it, built here when None.
 
     *Certificates.*  A domain S certifies x iff the cell equal to x on S
-    and * elsewhere is forced (``depth._forced_bits``, kept as its bytes):
+    and * elsewhere is forced (``depth._forced_bits``, kept as its rows):
     every string consistent with S is a completion of it.  Hence C(x) is
     n minus the most *s that a forced coarsening of x adds (x itself adds
     none).  The forced bits are unpacked a byte per cell, a slab at a
@@ -254,16 +256,17 @@ def _tabulate(tables: Sequence[HazardFreeTable]) -> list[_MeasureArrays]:
     Taking the maximum over x gives bs_u <= max(C_u, C_uu), which the
     verification suite checks.
 
-    Each table's arrays are rows of the batch's, and its forced cells
-    the bytes of its row of the batch's L_0, which a batched D_u search
-    can start from too.
+    Each table's arrays are rows of the batch's, its forced cells too:
+    its row of the batch's L_0, made read-only, which a batched D_u
+    search can start from.
     """
     n, count = tables[0].arity, len(tables)
     vals = depth._values(tables).reshape((count,) + (3,) * n)
 
-    forced = [bits.tobytes() for bits in depth._forced_bits(tables, (0, 1, UNKNOWN))]
-    bits = np.frombuffer(b"".join(forced), dtype=np.uint8).reshape(count, -1)  # no copy for one table
-    cert = _certificate_sizes(bits, n, max(0, n - _SLAB_AXES))
+    if forced is None:
+        forced = depth._forced_bits(tables, (0, 1, UNKNOWN))
+    forced.flags.writeable = False  # shared by every reader of the arrays
+    cert = _certificate_sizes(forced, n, max(0, n - _SLAB_AXES))
 
     sens = np.zeros(vals.shape, dtype=np.uint8)
     for axis in range(1, n + 1):
@@ -373,7 +376,7 @@ _BIT = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)  # entry b: the m
 def _minimal_blocks(table: HazardFreeTable, forced: np.ndarray,
                     digits: Sequence[int], v: int) -> list[tuple[int, ...]]:
     """The minimal sensitive blocks at the input x with trits ``digits``;
-    ``forced`` is the measure arrays' forced bits as uint8.
+    ``forced`` is the measure arrays' forced bits.
 
     B is sensitive iff the cell equal to x off B and * on B is not forced
     to v = F(x), whatever v is: not forced, or its value, the table's at
@@ -401,8 +404,7 @@ def minimal_sensitive_blocks(
     if len(x) != n:
         raise ValueError(f"input length {len(x)} != arity {n}")
     vals, pw, base = table.values, _weights(n), x.code()
-    forced = np.frombuffer(_measure_arrays(table).forced, dtype=np.uint8)
-    blocks = _minimal_blocks(table, forced, x.trits, vals[base])
+    blocks = _minimal_blocks(table, _measure_arrays(table).forced, x.trits, vals[base])
     return list(_block_witnesses(vals, x, base, pw, blocks))
 
 
@@ -500,12 +502,11 @@ def _packing_scan(table: HazardFreeTable, arrays: _MeasureArrays,
     if codes is not None:
         vals, bound = vals[codes], bound[codes]
     members = vals == _CLASSES  # row v: the inputs of value v
-    forced = np.frombuffer(arrays.forced, dtype=np.uint8)
 
     def pack(i: int, v: int) -> tuple:
         code = i if codes is None else int(codes[i])
         x = TernaryString.from_code(code, n)
-        blocks = _minimal_blocks(table, forced, x.trits, v)
+        blocks = _minimal_blocks(table, arrays.forced, x.trits, v)
         picked = [blocks[j] for j in _max_disjoint(blocks)]
         return len(picked), i, x, code, picked
 
@@ -608,13 +609,14 @@ def certificate_u_at(table: HazardFreeTable, x: TernaryString | str) -> Certific
     if len(x) != n:
         raise ValueError(f"input length {len(x)} != arity {n}")
     arrays = _measure_arrays(table)
+    forced = memoryview(arrays.forced)  # its entries as ints, read faster than the array's
     digits, pw3, pw4 = x.trits, _weights(n), _weights(n, 4)
     all_star = 4 ** n - 1
     for S in combinations(range(n), int(arrays.certificate[x.code()])):
         code = all_star
         for p in S:
             code += (digits[p] - STAR) * pw4[p]
-        if arrays.forced[code >> 3] >> (code & 7) & 1:
+        if forced[code >> 3] >> (code & 7) & 1:
             zero = sum([digits[p] * pw3[p] for p in S])  # x on S, 0 elsewhere
             return CertificateWitness(
                 PartialAssignment.restriction(x, (p + 1 for p in S)),

@@ -241,6 +241,17 @@ def _answers(var: np.ndarray) -> int:
     return (var.size - 1) // queries if queries else 3
 
 
+def _first_children(var: np.ndarray) -> tuple[int, np.ndarray]:
+    """The answers b every query node branches on, and per node its first
+    child if it is a query node: query node k, the k-th in node order,
+    has children 1 + b*k to b*k + b, so one cumsum counts the query nodes
+    up to each node."""
+    answers, kids = _answers(var), (var != 0).cumsum()
+    kids *= answers
+    kids -= answers - 1
+    return answers, kids
+
+
 def _layer_starts(tree: DecisionTree) -> list[int]:
     """The first node of each layer, then the node count: the root makes
     layer 0, and each later layer holds b children per query node of the
@@ -262,14 +273,15 @@ def evaluate_tree(tree: DecisionTree, y: TernaryString | str) -> int:
     classical tree raises ``ValueError`` on a u answer, as does any tree
     on a variable beyond y."""
     y = as_ternary(y)
-    var, answers = tree.var, _answers(tree.var)
+    answers, kids = _first_children(tree.var)
+    var, kids = tree.var.item, kids.item
     i = 0
-    while v := int(var[i]):
+    while v := var(i):
         if v > len(y):
             raise ValueError(f"tree queries variable {v} outside 1..{len(y)}")
         if y[v - 1] >= answers:
             raise ValueError("classical tree evaluated on an unresolved input")
-        i = 1 + answers * int(np.count_nonzero(var[:i])) + y[v - 1]  # the answer's child of query node k
+        i = kids(i) + y[v - 1]
     return int(tree.leaf[i])
 
 

@@ -98,7 +98,7 @@ from .core import (
     is_monotone,
     unate_orientation,
 )
-from .depth import _optimal_trees, query_complexity, query_complexity_u
+from .depth import _forced_bits, _optimal_trees, query_complexity, query_complexity_u
 from .measures import MeasureReport, _remember, _tabulate, measure_report
 from .trees import _layer_starts, _leaf_grid
 
@@ -484,13 +484,13 @@ def _run_kernels(states: list, kinds) -> None:
     """Build the measure arrays, search D and D_u and compile Algorithm
     1's trees of a batch's tables at once, those of them that ``kinds``
     read, onto their states.  The u-model search and the compile read
-    the L_0 the arrays keep."""
+    the batch's L_0, whose rows the arrays keep."""
     tables = [state.table for state in states]
     forced = None
     if _READS_ARRAYS.intersection(kinds):
-        for state, arrays in zip(states, _tabulate(tables)):
+        forced = _forced_bits(tables, (0, 1, UNKNOWN))
+        for state, arrays in zip(states, _tabulate(tables, forced)):
             state.arrays = arrays
-        forced = [state.arrays.forced for state in states]
     d = _optimal_trees(tables, (0, 1)) if _READS_D.intersection(kinds) else [None] * len(states)
     d_u = (_optimal_trees(tables, (0, 1, UNKNOWN), forced) if _READS_D_U.intersection(kinds)
            else [None] * len(states))

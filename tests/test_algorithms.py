@@ -4,6 +4,7 @@ import hashlib
 import random
 import sys
 
+import numpy as np
 import pytest
 
 import reference as R
@@ -32,7 +33,7 @@ from uquery.algorithms import (
     unate_solver,
 )
 from uquery.core import Orientation
-from uquery.depth import query_complexity, query_complexity_u
+from uquery.depth import _forced_bits, query_complexity, query_complexity_u
 from uquery.measures import _tabulate, block_summary, certificate_summary
 from uquery.trees import tree_depth, verify_tree
 
@@ -397,9 +398,11 @@ def test_compiled_tree_walks_every_run(n):
 
 
 def _compiled_together(tables):
-    """Algorithm 1's trees of a batch, from the forced bits of its
-    measure arrays, as the verify harness compiles them."""
-    return _algorithm1_trees(tables, [arrays.forced for arrays in _tabulate(tables)])
+    """Algorithm 1's trees of a batch, from the forced bits its measure
+    arrays keep a row of each, as the verify harness compiles them."""
+    forced = _forced_bits(tables, (0, 1, 2))
+    _tabulate(tables, forced)
+    return _algorithm1_trees(tables, forced)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -434,4 +437,4 @@ def test_a_round_that_asks_nothing_new_is_refused():
     at the root, and the compile refuses it naming the round's input."""
     table = hazard_free_table(generate("maj:3"))
     with pytest.raises(AssertionError, match="^a round at 000 asks nothing new$"):
-        _algorithm1_trees([table], [b"\xff" * 8])
+        _algorithm1_trees([table], np.full((1, 8), 0xFF, dtype=np.uint8))

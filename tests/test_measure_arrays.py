@@ -100,9 +100,9 @@ def _classical_bs_at(f, x):
     return R.max_disjoint(blocks)
 
 
-# Both tests run under both bitset forms of the forced cells that the
-# arrays keep as bytes: a Python int below 2**16 cells, which the measures
-# use up to n = 7, and a uint64 array.
+# Both tests run on the paths a table of its size takes and on those of
+# large tables (``both_paths``): certificate sizes built a slab of two
+# axes at a time, and the u-model's levels grown in uint64 arrays.
 
 @pytest.mark.parametrize("n", ARITIES)
 def test_pointwise_arrays(both_paths, n):
@@ -124,7 +124,7 @@ def test_packing_picks_the_family_of_the_block_count_bound(n):
     # cannot strictly beat the best family, so the same one is chosen.
     for bits in _tables(n):
         table = hazard_free_table(BooleanFunction(n, bits))
-        forced = np.frombuffer(_measure_arrays(table).forced, dtype=np.uint8)
+        forced = _measure_arrays(table).forced
         for x in _inputs(n):
             blocks = uquery.measures._minimal_blocks(
                 table, forced, x.trits, table.values[x.code()])
@@ -227,9 +227,10 @@ _ARRAY_FIELDS = ("certificate", "sensitivity", "block_bound")
 def test_batched_arrays_match_one_table_and_the_reference(both_paths, n):
     """The arrays of a batch, every table at n <= 3 and 100 mixed ones
     from n = 4 on, equal those of each table tabulated alone and the
-    reference kernels', on either path: the second, with the forced bits
-    built as arrays and the certificates a slab of two axes at a time,
-    runs the batch one table at a time."""
+    reference kernels', on either path: the second builds the
+    certificates a slab of two axes at a time.  Each table keeps its
+    forced cells as a read-only uint8 row of ceil(4**n / 8) bytes, the
+    row ``_forced_bits`` gives the table alone."""
     tables = ([hazard_free_table(BooleanFunction(n, bits)) for bits in _tables(n)] if n <= 3
               else _mixed_batch(n, 100, 4600 + n))
     for _ in both_paths:
@@ -240,7 +241,10 @@ def test_batched_arrays_match_one_table_and_the_reference(both_paths, n):
             for name in _ARRAY_FIELDS:
                 got, want = getattr(arrays, name), getattr(alone, name)
                 assert got.dtype == want.dtype and np.array_equal(got, want), name
-            assert type(arrays.forced) is bytes and arrays.forced == alone.forced
+            forced = arrays.forced
+            assert forced.dtype == np.uint8 and forced.shape == (-(-4 ** n // 8),)
+            assert not forced.flags.writeable and np.array_equal(forced, alone.forced)
+            assert np.array_equal(forced, uquery.depth._forced_bits([table], (0, 1, 2))[0])
             assert np.array_equal(arrays.certificate, R.certificate_sizes(arrays.forced, n))
             assert np.array_equal(arrays.sensitivity, R.sensitivity_array(table.grid).reshape(-1))
 
@@ -355,6 +359,22 @@ def test_reports_byte_identical():
     assert digest.hexdigest() == REPORT_DIGEST
 
 
+def test_the_memo_keeps_the_last_table_alone():
+    """The memo of measure arrays holds one entry: measuring a second
+    table drops the first table's, whose arrays are then tabulated
+    afresh, equal to those dropped."""
+    uquery.measures._tabulated.clear()
+    first, second = (hazard_free_table(generate(spec)) for spec in ("maj:3", "random:5:2"))
+    arrays = _measure_arrays(first)
+    assert list(uquery.measures._tabulated) == [first]
+    measure_report(second)
+    assert list(uquery.measures._tabulated) == [second]
+    again = _measure_arrays(first)
+    assert again is not arrays and list(uquery.measures._tabulated) == [first]
+    for name in _ARRAY_FIELDS + ("forced",):
+        assert np.array_equal(getattr(again, name), getattr(arrays, name)), name
+
+
 def test_measure_report_builds_the_forced_table_once(monkeypatch):
     """A report on a fresh table builds the forced cells of the u-model
     once, for the measure arrays, whose readers share them and whose
@@ -381,21 +401,25 @@ def test_measure_report_builds_the_forced_table_once(monkeypatch):
 
 
 def test_the_arrays_keep_the_forced_cells_as_bytes():
-    """The arrays keep the u-model's L_0 as the bytes of its bitset, a bit
-    per cell of {0, 1, u, *}^n by base-4 code, on the int and the array
-    route.  A report and a search started from them leave them as they
-    were, and the search refuses bytes of another length."""
+    """The arrays keep the u-model's L_0 as a read-only uint8 row of the
+    bytes of its bitset, a bit per cell of {0, 1, u, *}^n by base-4 code:
+    the row ``_forced_bits`` gives, below and above 2**16 cells.  A
+    report and a search started from it leave it as it was; the search
+    takes its bytes as well, and refuses bytes of another length."""
     for spec in ("or:1", "and:2", "maj:3", "random:5:2", "random:8:1"):
         table = hazard_free_table(generate(spec))
         n = table.arity
         forced = _measure_arrays(table).forced
-        assert type(forced) is bytes and len(forced) == -(-4 ** n // 8)
-        assert forced == uquery.depth._forced_bits([table], (0, 1, 2)).tobytes()
-        before = bytearray(forced)
+        assert forced.dtype == np.uint8 and forced.shape == (-(-4 ** n // 8),)
+        assert not forced.flags.writeable
+        assert np.array_equal(forced, uquery.depth._forced_bits([table], (0, 1, 2))[0])
+        before = forced.tobytes()
         measure_report(table, with_witnesses=True)
-        assert query_complexity_u(table, forced=forced) == query_complexity_u(table)
-        assert _measure_arrays(table).forced is forced and forced == before
-        for wrong in (forced[:-1], forced + b"\0"):
+        searched = query_complexity_u(table)
+        assert query_complexity_u(table, forced=forced) == searched
+        assert query_complexity_u(table, forced=before) == searched
+        assert _measure_arrays(table).forced is forced and forced.tobytes() == before
+        for wrong in (forced[:-1], before + b"\0"):
             with pytest.raises(ValueError, match="bytes"):
                 query_complexity_u(table, forced=wrong)
 

@@ -214,13 +214,35 @@ def test_forced_bits_match_the_forced_table(both_paths, n):
             assert _forced_bits([table], MODELS[1]).tobytes() == classical.tobytes()
 
 
+# The sha256 of the bytes of the u-model's L_0 that ``_forced_bits``
+# gives every table at n <= 3, one batch per arity and then each table
+# alone, and mixed batches (``_mixed_batch``) of 1, 2, 7 and 100 tables
+# at n = 4-6, recorded when L_0 was still merged in one Python int below
+# 2**16 cells.
+FORCED_DIGEST = "2b45454422ae342154a2ab8e686fbda7ac1c2c4f2e2d410947e5484d16ca6b55"
+
+
+def test_forced_bits_reproduce_the_recorded_bytes():
+    digest = hashlib.sha256()
+    for n in (1, 2, 3):
+        tables = [hazard_free_table(BooleanFunction(n, bits)) for bits in range(1 << (1 << n))]
+        digest.update(_forced_bits(tables, MODELS[0]).tobytes())
+        for table in tables:
+            digest.update(_forced_bits([table], MODELS[0]).tobytes())
+    for n in (4, 5, 6):
+        for count in (1, 2, 7, 100):
+            digest.update(_forced_bits(_mixed_batch(n, count, 4500 + 10 * n + count), MODELS[0]).tobytes())
+    assert digest.hexdigest() == FORCED_DIGEST
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_bitsets_leave_the_search_as_bytes(both_paths, n):
-    """On every route, ints below 2**16 cells and uint64 arrays from 64
-    cells on, ``_forced_bits`` gives L_0 of a batch as a writable uint8
-    array of ceil(size / 8) bytes a table, and ``_depth_levels`` gives
-    each table's D and the level planes as one (m, tables, ceil(size /
-    8)) uint8 array; both routes give the same bytes in both models."""
+    """``_forced_bits`` gives L_0 of a batch as a writable uint8 array of
+    ceil(size / 8) bytes a table, and on both routes of the level loop,
+    ints below 2**16 cells and uint64 arrays from 64 cells on,
+    ``_depth_levels`` gives each table's D and the level planes as one
+    (m, tables, ceil(size / 8)) uint8 array; both routes give the same
+    bytes in both models."""
     tables = [hazard_free_table(BooleanFunction(n, bits)) for bits in _kernel_tables(n, 10)]
     m = (n + 1).bit_length()
     runs = []
@@ -240,7 +262,7 @@ def test_bitsets_leave_the_search_as_bytes(both_paths, n):
 
 
 def test_forced_bits_keep_no_byte_per_cell():
-    """The array route packs the bool planes of the cells without a *,
+    """The u-model's merge packs the bool planes of the cells without a *,
     a byte per cell, and frees them before it spreads the words of the
     * cells: at n = 12 building L_0 of the u-model peaks below 0.4 bytes
     per cell of {0, 1, u, *}^n, where holding the planes read 0.54."""
@@ -749,6 +771,27 @@ def test_a_deep_chain_is_checked_without_walking_its_paths():
     var[2 * depth - 3] = 1
     with pytest.raises(TreeFormatError, match=f"^node {2 * depth - 3}: variable 1 repeats along the path$"):
         DecisionTree(var, leaf)
+
+
+def test_a_deep_chain_evaluates_in_linear_time():
+    """Evaluating a classical chain of depth 100,000, the 0-child of each
+    query node querying the next variable, walks its path in under half
+    a second: counting the query nodes before each node afresh took 2.1-3 s
+    (2-CPU x86-64).  Both answers of the deepest query reach their own
+    leaf, and the solver walks the same path."""
+    depth = 100_000
+    var = np.zeros(2 * depth + 1, dtype=np.int64)
+    var[0] = 1
+    var[1:2 * depth - 2:2] = np.arange(2, depth + 1)  # query node k > 0 is node 2k - 1
+    leaf = np.zeros_like(var)
+    leaf[2 * depth - 1] = 1  # the 0-child of the deepest query node
+    tree = DecisionTree(var, leaf)
+    zeros = TernaryString((0,) * depth)
+    start = time.perf_counter()
+    assert evaluate_tree(tree, zeros) == 1
+    assert time.perf_counter() - start < 0.5
+    assert evaluate_tree(tree, TernaryString((0,) * (depth - 1) + (1,))) == 0
+    assert tree_solver(tree)(Oracle(zeros)) == 1
 
 
 def _replace_random_node(tree, rng, n):
