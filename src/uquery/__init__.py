@@ -63,6 +63,7 @@ from .trees import (
     serialize_tree,
     tree_depth,
     verify_tree,
+    verify_trees,
 )
 from .algorithms import (
     Oracle,

@@ -3,10 +3,15 @@
 Each check re-derives a claim from the definitions, reading only the
 hazard-free table (its values, or one block of its grid) and the
 witness, never a kernel that produced it: no measure array, no depth
-search and no solver.  ``_witness_problems`` checks every witness of a
-measure report, ``_survivor`` a solver's u answer, and
-``trees.verify_tree`` replays the witness trees.  The scan plans list,
-per ternary input, the truth-table indices of its binary resolutions
+search and no solver.  ``_survivor`` checks a solver's u answer, and
+``_witness_problems`` every witness of a measure report, its trees
+last.  A batch of reports has its trees checked together: each
+report's input witnesses are checked alone (``_input_witness_problem``),
+``_replay_trees`` reads the D and D_u witness trees of every report
+back from their JSON form, one tree at a time, and replays them all at
+once with ``trees.verify_trees``, and ``_tree_witness_problem`` finds
+each report's first tree defect.  The scan plans list, per ternary
+input, the truth-table indices of its binary resolutions
 (``_resolution_plan``) and the codes of its refinements
 (``_refinement_plan``).  They depend on the arity alone: the verify
 harness builds them once per arity, then checks each table's entries
@@ -30,7 +35,7 @@ from .core import (
     as_ternary,
     resolutions,
 )
-from .trees import tree_depth, tree_from_json_dict, tree_to_json_dict, verify_tree
+from .trees import tree_depth, tree_from_json_dict, tree_to_json_dict, verify_trees
 
 
 @dataclass(frozen=True)
@@ -172,23 +177,33 @@ def _certificate_problem(table: HazardFreeTable, key: str, d: dict,
 
 
 def _tree_problem(table: HazardFreeTable, key: str, d: dict, want: int,
-                  model: str) -> str | None:
-    # The tree is checked as read back from its JSON form, the form the
-    # report is written in.
-    tree = tree_from_json_dict(tree_to_json_dict(d["tree"]))
+                  model_replay: tuple) -> str | None:
+    model, (tree, (ok, bad)) = model_replay
     if d["depth"] != want or tree_depth(tree) != want:
         return f"{model} tree depth differs from the reported value"
-    ok, bad = verify_tree(tree, table)
     return None if ok else f"{model} tree misevaluates {bad}"
 
 
-def _witness_problems(table: HazardFreeTable, m) -> str | None:
-    """First defect in the witnesses of the measure report m, validated
-    definitionally; a measure reported above 0 needs a witness.
+def _first_problem(table: HazardFreeTable, checks) -> str | None:
+    """The first defect among witness checks, each (check, key, reported
+    value, witness, argument); a value reported above 0 needs a witness."""
+    for check, key, want, d, arg in checks:
+        if d is None:
+            problem = f"{key} reported {want} without a witness" if want else None
+        elif "input" in d and len(d["input"]) != table.arity:
+            problem = f"{key} input has the wrong length"
+        else:
+            problem = check(table, key, d, want, arg)
+        if problem:
+            return problem
+    return None
 
-    The classical witnesses s, bs and C are binary inputs, checked like
-    their u-model counterparts with the alphabet {0, 1}.
-    """
+
+def _input_witness_problem(table: HazardFreeTable, m) -> str | None:
+    """First defect in the witnesses of the measure report m other than
+    its trees, each an input validated definitionally.  The classical
+    witnesses s, bs and C are binary inputs, checked like their u-model
+    counterparts with the alphabet {0, 1}."""
     checks = (
         (_sensitivity_problem, "s_u", m.s_u, (0, 1, UNKNOWN)),
         (_family_problem, "bs_u", m.bs_u, None),
@@ -202,20 +217,46 @@ def _witness_problems(table: HazardFreeTable, m) -> str | None:
         (_sensitivity_problem, "s", m.s, (0, 1)),
         (_family_problem, "bs", m.bs, None),
         (_certificate_problem, "C", m.C, (0, 1)),
-        (_tree_problem, "D", m.D, "classical"),
-        (_tree_problem, "D_u", m.D_u, "u-model"),
     )
-    for check, key, want, arg in checks:
-        d = m.witnesses[key]
-        if d is None:
-            problem = f"{key} reported {want} without a witness" if want else None
-        elif "input" in d and len(d["input"]) != table.arity:
-            problem = f"{key} input has the wrong length"
-        else:
-            problem = check(table, key, d, want, arg)
-        if problem:
-            return problem
-    return None
+    return _first_problem(table, ((check, key, want, m.witnesses[key], arg) for check, key, want, arg in checks))
+
+
+_TREE_MODELS = {"D": "classical", "D_u": "u-model"}
+
+
+def _tree_claims(m) -> tuple:
+    """The D and D_u claims of the measure report m: per key, the value
+    reported and its witness, None when missing."""
+    return tuple((key, getattr(m, key), m.witnesses[key]) for key in _TREE_MODELS)
+
+
+def _replay_trees(tables: Sequence[HazardFreeTable], claims: Sequence[tuple]) -> list[tuple]:
+    """Per table's tree claims (``_tree_claims``), each witness tree read
+    back from its JSON form, the form a report is written in, with its
+    verdict, (ok, least counterexample); None for a missing witness.
+    Every claim's tree, each against its table, is replayed at once
+    (``trees.verify_trees``)."""
+    read = [tuple(None if d is None else tree_from_json_dict(tree_to_json_dict(d["tree"]))
+                  for _, _, d in claim) for claim in claims]
+    present = [(tree, table) for trees, table in zip(read, tables) for tree in trees if tree is not None]
+    verdicts = iter(verify_trees(*zip(*present)) if present else ())
+    return [tuple(None if tree is None else (tree, next(verdicts)) for tree in trees) for trees in read]
+
+
+def _tree_witness_problem(table: HazardFreeTable, claims: tuple, replays: tuple) -> str | None:
+    """First defect in a report's D and D_u claims (``_tree_claims``),
+    given their trees' replays (``_replay_trees``)."""
+    return _first_problem(table, ((_tree_problem, key, want, d, (_TREE_MODELS[key], replay))
+                                  for (key, want, d), replay in zip(claims, replays)))
+
+
+def _witness_problems(table: HazardFreeTable, m) -> str | None:
+    """First defect in the witnesses of the measure report m, validated
+    definitionally: its inputs in turn, then its D and D_u trees,
+    replayed against the table."""
+    claims = _tree_claims(m)
+    return _input_witness_problem(table, m) or \
+        _tree_witness_problem(table, claims, _replay_trees([table], [claims])[0])
 
 
 def _survivor(table: HazardFreeTable,

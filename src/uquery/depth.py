@@ -312,6 +312,19 @@ def _forced_bits(tables: Sequence[HazardFreeTable], answers: tuple[int, ...]) ->
     return _forced_words(grids, n, answers)
 
 
+@cache
+def _word_shifts(inner: int, answers: tuple[int, ...]) -> tuple:
+    """The in-word merge of ``_forced_words`` as constants of the word
+    that holds a table's 4**inner cells, so that no step converts a
+    Python int: the mask of the cells without a *, and per in-word axis
+    the shifts that bring a cell's 0 and 1 children to it, with the mask
+    of the axis's * cells (``_layout(inner, answers).shifts``)."""
+    word = np.dtype(f"<u{-(-4 ** inner // 8)}").type
+    return word(_cell_codes(inner)[1]), tuple(
+        (word(digit * stride), word((digit - 1) * stride), word(mask))
+        for stride, digit, mask in _layout(inner, answers).shifts)
+
+
 def _forced_words(grids: np.ndarray, n: int, answers: tuple[int, ...]) -> np.ndarray:
     """The u-model's L_0 of a batch's tables, ``grids`` holding their
     values by code, a row each, as the bytes of its words, a row of
@@ -320,31 +333,39 @@ def _forced_words(grids: np.ndarray, n: int, answers: tuple[int, ...]) -> np.nda
     The planes of the cells without a * are packed into the words of
     ternary word digits, 64 cells a word from n = 3 on and a table's 4
     or 16 cells in one uint8 or uint16 below, and merged on the in-word
-    axes by shifts, with the masks of ``_layout(min(n, 3), answers)``;
-    then each plane in turn is spread over the words of * cells, merged
-    on the word axes in place and ORed into L_0, the tables side by side
-    on a leading axis.  At n = 12 this takes 4.3 ms, where merging the
-    planes a byte per cell before packing, and all three at once on the
-    word axes, took 9.3 (random:12:1, 2-CPU x86-64, best of 15 in one
-    process).  Timed against the planes of a batch merged in one Python
-    int, as they were below 2**16 cells, the words take 44-48 against
-    43-45 us for 128 tables at n = 3, 67-76 against 84-93 us for 100 at
-    n = 4, 65-68 against 70-74 us on maj:7 and 49-50 against 28 us on
-    ind:2 (same machine, best of 300, two rounds).
+    axes by shifts, with the masks of ``_layout(min(n, 3), answers)`` as
+    constants of the word (``_word_shifts``); then each plane in turn is
+    spread over the words of * cells, merged on the word axes in place
+    and ORed into L_0, the tables side by side on a leading axis.  With
+    no word axes (n <= 3) the three planes are ORed in one call.  At n =
+    12 this takes 4.3 ms, where merging the planes a byte per cell
+    before packing, and all three at once on the word axes, took 9.3
+    (random:12:1, 2-CPU x86-64, best of 15 in one process).  Timed
+    against the planes of a batch merged in one Python int, as they were
+    below 2**16 cells, the words take 44-48 against 43-45 us for 128
+    tables at n = 3, 67-76 against 84-93 us for 100 at n = 4, 65-68
+    against 70-74 us on maj:7 and 49-50 against 28 us on ind:2 (same
+    machine, best of 300, two rounds); the word constants and the one
+    OR then took maj:3 alone from 23-27 to 15-16 us, and the batches of
+    every table at n = 1, 2 and 3 (128 of them) 5-6 us faster.
     """
     values = np.array(answers, dtype=np.uint8)
     count, inner = len(grids), min(n, 3)
     outer = n - inner
-    codes, starless = _cell_codes(inner)
+    codes = _cell_codes(inner)[0]
     planes = grids.reshape(count, -1, 3 ** inner).take(codes, axis=2) == values[:, None, None, None]
     packed = _packed(planes)
     del planes  # a byte per cell: freed before the word axes are spread
     packed = packed.view(f"<u{packed.shape[-1]}")[..., 0]  # a table of fewer cells in a shorter word
+    starless, shifts = _word_shifts(inner, answers)
     packed &= starless
-    for stride, digit, mask in _layout(inner, answers).shifts:  # those of the in-word axes
-        kids = _kids_by_shift(packed, stride, digit, (0, 1))
+    for to_0, to_1, mask in shifts:  # a * cell gets the AND of its 0 and 1 children
+        kids = packed << to_0
+        kids &= packed << to_1
         kids &= mask
         packed |= kids
+    if not outer:
+        return np.bitwise_or.reduce(packed, axis=0).view(np.uint8)
     forced = np.zeros((count, 4 ** outer), dtype=packed.dtype)
     words = np.empty((count,) + (4,) * outer, dtype=packed.dtype)
     ternary = words[(slice(None),) + (slice(0, 3),) * outer]  # the words of ternary cells

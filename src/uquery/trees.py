@@ -32,21 +32,29 @@ nodes out in pre-order with NumPy, from the pieces of text below each
 layer, found a layer at a time, and join a text fragment per node and a
 closer per query node from small tables.
 
-``verify_tree`` checks a tree without replaying it input by input: it
-finds each node's least input, coded in the model's base (2 for a
-classical tree), and its queried axes a layer at a time, writes the
+``verify_trees`` checks trees without replaying them input by input,
+and ``verify_tree`` is its forest of one.  The trees of one answer count
+and arity are joined into a forest (``_join_trees``): their nodes laid
+out layer by layer as one tree with R roots, each layer holding the
+trees' nodes in tree order, so that query node r has children R + b*r
+to R + b*r + b - 1, the layout the batched searches build and
+``_split_trees`` splits.  ``_leaf_grid`` finds each node's least input,
+coded in the model's base (2 for a classical tree) within its tree's
+row of the grid, and its queried axes a layer at a time, writes the
 leaves into a prediction array one group of leaves with the same
-queried axes at a time, and compares the array with the table once to
-find the least counterexample; the verify harness writes leaf indices
-the same way (``_leaf_grid``) to find the leaf each input reaches.  A
-group of leaves with small blocks writes through flat input codes, one
-index per input in chunks; one with large blocks broadcasts each leaf's
+queried axes at a time, whatever their tree, and the array is compared
+with the tables once to find each tree's least counterexample; the
+verify harness writes leaf indices the same way to find the leaf and
+the depth each input of a batch's Algorithm 1 trees reaches.  A group
+of leaves with small blocks writes through flat input codes, one index
+per input in chunks; one with large blocks broadcasts each leaf's
 entry over its block.  On the u-model tree of maj:11 (107,095 nodes)
 the check takes 1.9 ms, on that of random:12:777 2.6 ms (best of 15,
-2-CPU x86-64).  A tree that queries a variable above the table's arity
-is refused with ``ValueError`` before any input is replayed.  The check
-reads only the tree and the table, never the depth search's level
-planes.
+2-CPU x86-64), and the D and D_u trees of 128 tables of arity 3 take
+1.2 ms as two forests, against 9.9 ms one tree at a time.  A tree that
+queries a variable above its table's arity is refused with
+``ValueError`` before any input is replayed.  The check reads only the
+trees and the tables, never the depth search's level planes.
 """
 
 from __future__ import annotations
@@ -131,7 +139,8 @@ def _split_trees(var: np.ndarray, leaf: np.ndarray, owner: np.ndarray,
     """The trees of ``count`` tables read together layer by layer, node i
     of the node arrays belonging to table ``owner[i]``: each layer holds
     the tables' nodes in table order, so one stable sort by table puts
-    each tree's nodes together, in its own layer order."""
+    each tree's nodes together, in its own layer order; the inverse of
+    ``_join_trees``."""
     order = np.argsort(owner, kind="stable")
     ends = np.cumsum(np.bincount(owner, minlength=count))[:-1]
     return [DecisionTree._of(*nodes)
@@ -234,11 +243,12 @@ def _repeats(var: np.ndarray, query: np.ndarray, base: int) -> np.ndarray:
     return query[order[1:][covered[:-1] > key[order[1:]]]]
 
 
-def _answers(var: np.ndarray) -> int:
+def _answers(var: np.ndarray, roots: int = 1) -> int:
     """The answers b every query node branches on, read off the node
-    count, 1 + b times the query nodes: 3 for a tree that is one leaf."""
+    count of a tree, 1 + b times the query nodes, or of a forest of
+    ``roots`` trees, roots + b times them: 3 for leaves alone."""
     queries = int(np.count_nonzero(var))
-    return (var.size - 1) // queries if queries else 3
+    return (var.size - roots) // queries if queries else 3
 
 
 def _first_children(var: np.ndarray) -> tuple[int, np.ndarray]:
@@ -252,12 +262,12 @@ def _first_children(var: np.ndarray) -> tuple[int, np.ndarray]:
     return answers, kids
 
 
-def _layer_starts(tree: DecisionTree) -> list[int]:
-    """The first node of each layer, then the node count: the root makes
-    layer 0, and each later layer holds b children per query node of the
-    layer before it."""
-    var = tree.var
-    base, starts = _answers(var), [0, 1]
+def _layer_starts(var: np.ndarray, roots: int = 1) -> list[int]:
+    """The first node of each layer, then the node count, of a tree or of
+    a forest of ``roots`` trees laid out as one: the roots make layer 0,
+    and each later layer holds b children per query node of the layer
+    before it."""
+    base, starts = _answers(var, roots), [0, roots]
     while starts[-1] < var.size:
         starts.append(starts[-1] + base * int(np.count_nonzero(var[starts[-2]:starts[-1]])))
     return starts
@@ -265,7 +275,7 @@ def _layer_starts(tree: DecisionTree) -> list[int]:
 
 def tree_depth(tree: DecisionTree) -> int:
     """Length of the longest root-to-leaf path: the number of layers - 1."""
-    return len(_layer_starts(tree)) - 2
+    return len(_layer_starts(tree.var)) - 2
 
 
 def evaluate_tree(tree: DecisionTree, y: TernaryString | str) -> int:
@@ -285,10 +295,10 @@ def evaluate_tree(tree: DecisionTree, y: TernaryString | str) -> int:
     return int(tree.leaf[i])
 
 
-# A node's reach holds the code of its least input in the low bits and
-# its queried axes above them: 40 bits hold the code of a ternary input
-# of 25 variables and leave 23 bits for the axes, more than a table of
-# 3**n bytes can have on any machine.
+# A node's reach holds, in the low bits, the place of its least input in
+# the leaf grid, its tree's row of b**n inputs and then the input's code,
+# and its queried axes above: 40 bits hold the places of a grid of up to
+# 2**40 entries, more than any machine holds, and leave 23 bits for the axes.
 _CODE_BITS = 40
 
 
@@ -307,17 +317,51 @@ def _axis_steps(n: int, base: int) -> tuple[np.ndarray, np.ndarray]:
     return spread, step
 
 
-class _Leaves(NamedTuple):
-    """Where the leaves of a well-formed tree lie among the inputs of its model."""
+def _join_trees(trees: Sequence[DecisionTree]) -> tuple[np.ndarray, np.ndarray]:
+    """The node arrays of a forest: trees of one answer count b laid out
+    layer by layer as one tree with a root per tree, each layer holding
+    the trees' nodes in tree order, so that query node r, the r-th in
+    node order, has children R + b*r to R + b*r + b - 1 in a forest of R
+    trees.  The inverse of ``_split_trees``; a lone tree is its own
+    forest.  The trees' layers are found together, a layer of every tree
+    at a time from the query nodes before each node, and one gather puts
+    the nodes in forest order."""
+    if len(trees) == 1:
+        return trees[0].var, trees[0].leaf
+    var = np.concatenate([tree.var for tree in trees])
+    before = np.zeros(var.size + 1, dtype=np.int64)
+    np.cumsum(var != 0, out=before[1:])
+    base = _answers(var, len(trees))
+    hi = np.cumsum([tree.var.size for tree in trees])
+    lo = np.concatenate(([0], hi[:-1]))
+    hi = lo + 1  # per tree, the nodes of its current layer
+    layers = []
+    while (lo < hi).any():
+        layers.append((lo, hi))
+        lo, hi = hi, hi + base * (before[hi] - before[lo])
+    lo, hi = (np.concatenate(ends) for ends in zip(*layers))
+    count = hi - lo
+    order = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(var.size)
+    return var[order], np.concatenate([tree.leaf for tree in trees])[order]
 
-    grid: np.ndarray   # per input, one axis per variable: its leaf's entry
-    reach: np.ndarray  # per node: its queried axes and the code of its least input
+
+class _Leaves(NamedTuple):
+    """Where the leaves of a well-formed forest lie among the inputs of its model."""
+
+    grid: np.ndarray   # per tree and input, by code: its leaf's entry
+    reach: np.ndarray  # per node: its queried axes and the place of its least input in the grid
+    starts: list       # the first node of each layer, then the node count
 
     def paths(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per node given, the set of axes its path queries, bit p for
-        variable p + 1, and the code of its least input in the model's base."""
+        variable p + 1, and the place of its least input in the grid: its
+        tree's row times b**n plus the input's code in the model's base."""
         reach = self.reach[nodes]
         return reach >> _CODE_BITS, reach & (1 << _CODE_BITS) - 1
+
+    def layers(self, nodes: np.ndarray) -> np.ndarray:
+        """Per node given, its layer: the length of its path."""
+        return np.searchsorted(self.starts, nodes, side="right") - 1
 
 
 # The largest block a group of leaves writes through flat codes; larger
@@ -327,59 +371,117 @@ _FLAT_BLOCK = 16
 _CHUNK = 1 << 12
 
 
-def _leaf_grid(tree: DecisionTree, n: int, entry: np.ndarray) -> _Leaves:
-    """Write ``entry[i]`` at every input of length n that reaches leaf i,
-    for a tree whose variables lie in 1..n.
+@cache
+def _block_offsets(n: int, base: int, mask: int) -> np.ndarray | None:
+    """The codes, in base b, of the inputs of length n that are 0 on the
+    axes of ``mask`` (bit p for variable p + 1): a leaf's block is its
+    least input plus each.  None when they number more than
+    ``_FLAT_BLOCK``, as such a block is written by broadcasting."""
+    spread = _axis_steps(n, base)[0]
+    free = [p for p in range(n) if not mask >> p & 1]
+    if base ** len(free) > _FLAT_BLOCK:
+        return None
+    offsets = np.zeros(1, dtype=np.int64)
+    for p in free:
+        offsets = np.add.outer(offsets, spread[p + 1]).ravel()
+    offsets.flags.writeable = False  # shared through the cache
+    return offsets
 
-    As the tree is well formed, every input of its model, over the b
-    answers of its query nodes, reaches exactly one leaf.  The grid has
-    one axis per variable over the b answers.  The nodes are taken a
-    layer at a time: the children of a layer's query nodes, b each, make
-    up the next layer, and each gets the code in base b of the least
-    input reaching it (its path answers, 0 elsewhere) and the set of
-    axes its path queries, its parent's plus one step.  The leaves are
-    grouped by that set with a stable sort on it alone.  The block of
-    inputs a leaf reaches is its code plus each code that is 0 on the
-    queried axes.  A group whose blocks have at most 16 inputs writes
-    its entries through those flat codes, a chunk of leaves at a time so
-    that the index stays small; one with larger blocks writes each block
-    as one broadcast value, through a view of the grid with the queried
-    axes first.
+
+def _leaf_grid(var: np.ndarray, n: int, entry: np.ndarray, roots: int = 1) -> _Leaves:
+    """Write ``entry[i]`` at every input of length n that reaches leaf i
+    of a forest of ``roots`` well-formed trees (``_join_trees``), one row
+    of the grid per tree, for trees whose variables lie in 1..n; a lone
+    tree is a forest of one.
+
+    As each tree is well formed, every input of its model, over the b
+    answers of its query nodes, reaches exactly one of its leaves.  The
+    grid has a row of b**n inputs per tree, by code.  The nodes are
+    taken a layer at a time: the children of a layer's query nodes, b
+    each, make up the next layer, and each gets the place in the grid of
+    the least input reaching it (its path answers, 0 elsewhere, in its
+    tree's row) and the set of axes its path queries, its parent's plus
+    one step.  The leaves of every tree are grouped by that set with a
+    stable sort on it alone.  The block of inputs a leaf reaches is its
+    place plus each code that is 0 on the queried axes.  A group whose
+    blocks have at most 16 inputs writes its entries through those flat
+    places, a chunk of leaves at a time so that the index stays small;
+    one with larger blocks writes each block as one broadcast value,
+    through a view of the grid with the tree axis and the queried axes
+    first.
     """
-    var = tree.var
-    base, query = _answers(var), var.nonzero()[0]
-    spread, step = _axis_steps(n, base)
+    base, query = _answers(var, roots), var.nonzero()[0]
+    step = _axis_steps(n, base)[1]
     asked = var[query]
     reach = np.zeros(var.size, dtype=np.int64)
-    starts = _layer_starts(tree)
+    if roots > 1:
+        reach[:roots] = np.arange(roots) * base ** n  # each root's row
+    starts = _layer_starts(var, roots)
     for start, stop in zip(starts[1:], starts[2:]):
-        # Query node j has children 1 + b*j to b*j + b.
-        parents = slice((start - 1) // base, (stop - 1) // base)
+        # Query node j has children roots + b*j to roots + b*j + b - 1.
+        parents = slice((start - roots) // base, (stop - roots) // base)
         reach[start:stop] = (reach[query[parents], None] + step[asked[parents]]).ravel()
 
     leaves = (var == 0).nonzero()[0]
     leaves = leaves[(reach[leaves] >> _CODE_BITS).argsort(kind="stable")]
-    found = _Leaves(np.empty((base,) * n, dtype=entry.dtype), reach)
+    shape = (roots,) + (base,) * n
+    found = _Leaves(np.empty((roots, base ** n), dtype=entry.dtype), reach, starts)
     groups, codes = found.paths(leaves)
     entry = entry[leaves]
     flat = found.grid.reshape(-1)
     edges = ((groups[1:] != groups[:-1]).nonzero()[0] + 1).tolist()
-    for lo, hi in zip([0, *edges], [*edges, leaves.size]):
-        mask = int(groups[lo])
-        free = [p for p in range(n) if not mask >> p & 1]
-        if base ** len(free) > _FLAT_BLOCK:
-            fixed = [p for p in range(n) if mask >> p & 1]
-            digits = np.unravel_index(codes[lo:hi], (base,) * n)
-            found.grid.transpose(fixed + free)[tuple(digits[p] for p in fixed)] = \
+    for lo, hi, mask in zip([0, *edges], [*edges, leaves.size], groups[[0, *edges]].tolist()):
+        offsets = _block_offsets(n, base, mask)
+        if offsets is None:
+            fixed = [0] + [1 + p for p in range(n) if mask >> p & 1]
+            free = [1 + p for p in range(n) if not mask >> p & 1]
+            digits = np.unravel_index(codes[lo:hi], shape)
+            found.grid.reshape(shape).transpose(fixed + free)[tuple(digits[p] for p in fixed)] = \
                 entry[lo:hi].reshape((-1,) + (1,) * len(free))
             continue
-        offsets = np.zeros(1, dtype=np.int64)
-        for p in free:
-            offsets = np.add.outer(offsets, spread[p + 1]).ravel()
         cuts = [*range(lo, hi, _CHUNK // offsets.size), hi]
         for at, to in zip(cuts, cuts[1:]):
             flat[codes[at:to, None] + offsets] = entry[at:to, None]
     return found
+
+
+def verify_trees(
+    trees: Sequence[DecisionTree], tables: Sequence[HazardFreeTable]
+) -> list[tuple[bool, TernaryString | None]]:
+    """Check each tree against its table as ``verify_tree`` does, the
+    trees of one answer count and one arity replayed together.
+
+    Returns each tree's (True, None) or (False, c), c its least
+    counterexample.  The trees are grouped by their own answer count, so
+    a tree that is one leaf is checked on all 3**n ternary inputs, and
+    by their tables' arity; each group is joined into one forest
+    (``_join_trees``) whose leaf grid, a row per tree, is compared with
+    the tables' values at once.  A tree that queries a variable above
+    its table's arity raises ``ValueError`` naming it before any input
+    is replayed; with several such trees, the first does.
+    """
+    if len(trees) != len(tables):
+        raise ValueError(f"{len(trees)} trees need as many tables, not {len(tables)}")
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (tree, table) in enumerate(zip(trees, tables)):
+        n, top = table.arity, int(tree.var.max())
+        if top > n:
+            raise ValueError(f"tree queries variable {top} outside 1..{n}")
+        groups.setdefault((_answers(tree.var), n), []).append(i)
+    verdicts: list = [(True, None)] * len(trees)
+    for (base, n), members in groups.items():
+        var, leaf = _join_trees([trees[i] for i in members])
+        got = _leaf_grid(var, n, leaf, len(members)).grid
+        want = [tables[i].grid[(slice(0, base),) * n] for i in members]
+        mismatch = got.reshape((len(members),) + (base,) * n) != (want[0] if len(want) == 1 else np.stack(want))
+        if not mismatch.any():
+            continue
+        mismatch = mismatch.reshape(len(members), -1)
+        bad = mismatch.any(axis=1).nonzero()[0]
+        least = np.unravel_index(mismatch[bad].argmax(axis=1), (base,) * n)
+        for i, trits in zip(bad.tolist(), np.stack(least, axis=1).tolist()):
+            verdicts[members[i]] = (False, TernaryString(tuple(trits)))
+    return verdicts
 
 
 def verify_tree(
@@ -395,23 +497,16 @@ def verify_tree(
     ``ValueError`` naming it, before any input is checked: as the tree
     is well formed, some input reaches that query.
 
-    The check is one step: the leaf values fill a prediction array with
-    one axis per variable (see ``_leaf_grid``), each group of leaves with
-    the same queried axes in one or a few writes, and as 0 < 1 < u is
-    code order, the array's first mismatch with the table in C order is
-    the least counterexample.  That takes 1.9 ms on the 107,095-node
-    u-model tree of maj:11 and about 0.03 ms on a tree of arity 3 (2-CPU
-    x86-64).
+    The check is one step, the replay of a forest of one tree
+    (``verify_trees``): the leaf values fill a prediction array with one
+    entry per input (see ``_leaf_grid``), each group of leaves with the
+    same queried axes in one or a few writes, and as 0 < 1 < u is code
+    order, the array's first mismatch with the table is the least
+    counterexample.  That takes 1.9 ms on the 107,095-node u-model tree
+    of maj:11 and about 0.04 ms on a tree of arity 3, where a batch's
+    trees replayed as forests take about 0.005 ms a tree (2-CPU x86-64).
     """
-    n = table.arity
-    top = int(tree.var.max())
-    if top > n:
-        raise ValueError(f"tree queries variable {top} outside 1..{n}")
-    mismatch = _leaf_grid(tree, n, tree.leaf).grid != table.grid[(slice(0, _answers(tree.var)),) * n]
-    if not mismatch.any():
-        return True, None
-    first_bad = np.unravel_index(int(mismatch.argmax()), mismatch.shape)
-    return False, TernaryString(tuple(int(d) for d in first_bad))
+    return verify_trees([tree], [table])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +518,7 @@ def tree_to_json_dict(tree: DecisionTree) -> dict:
     """The JSON form of a tree, built bottom-up, layer by layer: only the
     dicts of the layer below are held while a layer is built."""
     var, leaf = tree.var.tolist(), tree.leaf.tolist()
-    base, starts = _answers(tree.var), _layer_starts(tree)
+    base, starts = _answers(tree.var), _layer_starts(tree.var)
     below: list = []
     for start, stop in reversed(list(zip(starts, starts[1:]))):
         # The j-th query node of the layer takes below[b*j:b*j + b].
@@ -450,7 +545,7 @@ def _slots(tree: DecisionTree, query: np.ndarray) -> tuple[np.ndarray, ...]:
     pieces of its earlier siblings' subtrees, offsets summed along each
     path a layer at a time from the root down.
     """
-    base, starts = _answers(tree.var), _layer_starts(tree)
+    base, starts = _answers(tree.var), _layer_starts(tree.var)
     size = tree.var.size
     answer = np.zeros(size, dtype=np.int64)
     answer[1:].reshape(-1, base)[:] = range(base)

@@ -16,7 +16,7 @@ rides the same sweep: on a function ``unate_orientation`` rejects it
 gives no rows.  Only its arity-4 monotone functions are a population of
 their own.  Each function gets one ``_Table``: its hazard-free table,
 built once, its measure arrays, its D and D_u searches and Algorithm
-1's tree, and the ``core`` report made on them.  A chunk of work runs
+1's tree, from which the ``core`` report is made.  A chunk of work runs
 its functions in batches of up to ``_BATCH``: a batch's tables go
 through the measure arrays, the two depth searches and Algorithm 1's
 compile together (``measures._tabulate``, ``depth._optimal_trees``,
@@ -25,15 +25,20 @@ one frontier of answer states), the u-model search and the compile
 reading the L_0 the arrays keep.  At n = 3 a table's arrays, D and D_u
 take 16 us in a batch of 128, against about 220 us alone, and its
 Algorithm 1 tree 12-21 us, against about 105 us stepping one answer
-state at a time, all fixed NumPy call cost (timeit, 2-CPU x86-64).  The batch holds only those outputs;
-then every requested suite's rows run on each table's state in turn,
-in ``SUITES`` order, and the state, with its report, is dropped once
-they are done.  The table's arrays enter the memo of measure arrays as
-its checks begin, so ``core`` and ``algorithm1`` read one entry and the
-budget is priced once; ``core``, ``monotone`` and ``closure`` read the
-batch's D, D_u and trees.  So the rows, and the first counterexample of
-each check, are those of one table at a time.  A sweep of one suite is
-the same sweep with one kind of check.
+state at a time, all fixed NumPy call cost (timeit, 2-CPU x86-64).
+Then each table takes its turn: its arrays enter the memo of measure
+arrays, so ``core`` and ``algorithm1`` read one entry and the budget is
+priced once, and every requested suite's check runs on it, in
+``SUITES`` order; ``core``, ``monotone`` and ``closure`` read the
+batch's D, D_u and trees.  Once every table has had its turn, ``core``
+replays the D and D_u witness trees of the batch's reports, and
+``algorithm1`` has replayed the batch's Algorithm 1 trees, as forests
+(``trees.verify_trees`` and ``trees._leaf_grid``): at n = 3 the D and
+D_u trees of 128 tables take 1.2 ms, against 9.9 ms one tree at a
+time, and the leaf grid of 128 Algorithm 1 trees 0.3 ms, against 3.9
+ms.  Each check's rows fold in table order, so the rows, and the first
+counterexample of each check, are those of one table at a time.  A
+sweep of one suite is the same sweep with one kind of check.
 
 What depends on the arity alone is built once per arity, on first use:
 the ``core`` check's scan plans (``check._resolution_plan`` and
@@ -48,13 +53,15 @@ by every table's state, so the ``closure`` check searches each distinct
 closure once per chunk; the memo goes with the chunk.
 
 The ``algorithm1`` suite replays no solver run per input.  It reads
-every row off the solver's decision tree, compiled with the batch, at
-the leaf each input reaches: the output, the query count against the
-budget, and the final-state claims.  At a u leaf no 1-valued and no
-0-valued input may still agree with the path's answers; each u leaf's
-block of the value grid is tested once, from the path alone, never from
-the solver's state.  One run of the oracle driver per table, which
-steps one answer state at a time, must walk the tree's deepest path.
+every row off the solver's decision trees, compiled and replayed with
+the batch, at the leaf each input reaches: the output, the query count
+against the budget, and the final-state claims, each a count and a
+first failure per table over the batch's (tables, 3**n) arrays.  At a
+u leaf no 1-valued and no 0-valued input may still agree with the
+path's answers; each u leaf's block of the value grid is tested once,
+from the path alone, never from the solver's state.  One run of the
+oracle driver per table, which steps one answer state at a time, must
+walk the tree's deepest path.
 
 Populations are swept in a fixed order and rows fold per suite in
 submission order, so for fixed parameters a report is deterministic in
@@ -86,7 +93,15 @@ from .algorithms import (
     tree_solver,
     unate_solver,
 )
-from .check import _refinement_plan, _resolution_plan, _survivor, _witness_problems
+from .check import (
+    _input_witness_problem,
+    _refinement_plan,
+    _replay_trees,
+    _resolution_plan,
+    _survivor,
+    _tree_claims,
+    _tree_witness_problem,
+)
 from .core import (
     UNKNOWN,
     BooleanFunction,
@@ -98,9 +113,9 @@ from .core import (
     is_monotone,
     unate_orientation,
 )
-from .depth import _forced_bits, _optimal_trees, query_complexity, query_complexity_u
+from .depth import _forced_bits, _optimal_trees, _values, query_complexity, query_complexity_u
 from .measures import MeasureReport, _remember, _tabulate, measure_report
-from .trees import _layer_starts, _leaf_grid
+from .trees import _join_trees, _leaf_grid, verify_tree
 
 SUITES = ("core", "algorithm1", "monotone", "closure", "reduction")
 
@@ -258,9 +273,8 @@ class _Table:
     """One function's state in a sweep, read by every kind of check run
     on it: the hazard-free table, built once, its measure arrays, its D
     and D_u searches and Algorithm 1's tree, made with its batch
-    (``_run_kernels``), the ``core`` report, once that check has made
-    it, and the chunk's memo of D per downward closure, shared by every
-    state of the chunk."""
+    (``_run_kernels``), and the chunk's memo of D per downward closure,
+    shared by every state of the chunk."""
 
     def __init__(self, f: BooleanFunction, closure_depths: dict):
         self.f = f
@@ -268,16 +282,34 @@ class _Table:
         self.arrays = None  # the measure arrays, when a kind reads them
         self.searched: tuple = (None, None)  # (D, tree) and (D_u, tree), when a kind reads them
         self.algorithm1 = None  # Algorithm 1's tree, when the algorithm1 kind runs
-        self.report: MeasureReport | None = None
         self.closure_depths = closure_depths
 
 
-def _core_function_rows(state: _Table):
+def _core_rows(states: list):
+    """The ``core`` rows of a batch's tables, a check of the batch (see
+    ``_chunk_worker``).  In each table's turn its report is made and its
+    rows given, all but witness-integrity, and its input witnesses are
+    checked.  The D and D_u witness trees of every report are then
+    replayed together (``check._replay_trees``), and each table's
+    witness-integrity row follows: its first input witness defect, else
+    its first tree defect."""
+    pending = []
+    for state in states:
+        m = measure_report(state.table, with_witnesses=True, searched=state.searched)
+        pending.append((_input_witness_problem(state.table, m), _tree_claims(m)))
+        yield _core_function_rows(state, m)
+    replays = _replay_trees([state.table for state in states], [claims for _, claims in pending])
+    for state, (problem, claims), replay in zip(states, pending, replays):
+        problem = problem or _tree_witness_problem(state.table, claims, replay)
+        yield {"witness-integrity": _row([
+            {"function": state.f.to_spec(), "witness": problem} if problem else None])}
+
+
+def _core_function_rows(state: _Table, m: MeasureReport):
     f, table = state.f, state.table
     n = f.arity
     spec = f.to_spec()
     values = table.values
-    m = state.report = measure_report(table, with_witnesses=True, searched=state.searched)
 
     def resolutions():
         bits = f.bits
@@ -328,68 +360,79 @@ def _core_function_rows(state: _Table):
     rows["bs_u-exceeds-C_u"] = _row([
         {"function": spec, "bs_u": m.bs_u, "C_u": m.C_u, "C_uu": m.C_u_uval}
         if m.bs_u > m.C_u else None])
-    problem = _witness_problems(table, m)
-    rows["witness-integrity"] = _row([
-        {"function": spec, "witness": problem} if problem else None])
     return rows
 
 
-def _alg1_function_rows(state: _Table):
-    """The solver's rows, read off Algorithm 1's tree, compiled with the
-    batch.  The run on an input is the path to the leaf it reaches: the
-    leaf's value is the output and its depth the query count.  The
-    inputs of a u leaf share its path, so its block is tested for
-    survivors once.  The oracle driver runs once, on the least input of
-    the deepest leaf; it must walk that path, and its bound is the
-    budget."""
-    f, table = state.f, state.table
-    n = f.arity
-    spec = f.to_spec()
-    tree = state.algorithm1
-    size = len(tree.var)
-    leaves = _leaf_grid(tree, n, np.arange(size))
-    node = leaves.grid.reshape(-1)  # per input, the leaf it reaches
-    starts = _layer_starts(tree)
-    depth = np.repeat(np.arange(len(starts) - 1), np.diff(starts))[node]
-    output = tree.leaf[node]
+def _alg1_rows(states: list):
+    """The solver's rows of a batch's tables, a check of the batch (see
+    ``_chunk_worker``), read off Algorithm 1's trees, compiled with the
+    batch and replayed as one forest (``_alg1_replay``).  The oracle
+    driver runs in each table's turn, on the least input of its deepest
+    leaf; it must walk that path, and its bound is the budget.  Then
+    each table's rows follow."""
+    n = states[0].table.arity
+    depth, correct, claims = _alg1_replay(states)
+    budget = []
+    for state, deepest in zip(states, depth.argmax(axis=1).tolist()):
+        hidden = TernaryString.from_code(deepest, n)
+        res = algorithm1_solve(state.table, Oracle(hidden))
+        walk = Oracle(hidden)
+        if (res.output, res.queries, res.transcript) != \
+                (tree_solver(state.algorithm1)(walk), walk.query_count, walk.transcript):
+            raise AssertionError(f"{state.f.to_spec()}: the solver's run on {hidden} leaves its tree")
+        budget.append(res.bound)
+        yield {}
+    within = _input_rows(states, depth > np.array(budget)[:, None], lambda t, code: {
+        "queries": int(depth[t, code]), "budget": budget[t]})
+    for rows in zip(correct, within, claims):
+        yield dict(zip(("solver-correct", "solver-within-budget", "solver-final-claims"), rows))
 
-    hidden = TernaryString.from_code(int(depth.argmax()), n)
-    res = algorithm1_solve(table, Oracle(hidden))
-    walk = Oracle(hidden)
-    if (res.output, res.queries, res.transcript) != \
-            (tree_solver(tree)(walk), walk.query_count, walk.transcript):
-        raise AssertionError(f"{spec}: the solver's run on {hidden} leaves its tree")
 
-    u_leaves = np.flatnonzero((tree.var == 0) & (tree.leaf == UNKNOWN))
-    axes, codes = leaves.paths(u_leaves)
-    paths = np.stack(np.unravel_index(codes, (3,) * n), axis=1).tolist()
+def _alg1_replay(states: list) -> tuple:
+    """Algorithm 1's trees of a batch replayed as one forest
+    (``trees._leaf_grid``): per table and input, the depth of the leaf it
+    reaches, the run's query count, and per table the rows of
+    solver-correct and solver-final-claims.  The run on an input is the
+    path to the leaf it reaches, and the leaf's value is the output.  At
+    a u leaf no 1-valued and no 0-valued input may still agree with the
+    path's answers, and the inputs of a u leaf share its path, so its
+    block is tested for survivors once."""
+    tables = [state.table for state in states]
+    n = tables[0].arity
+    var, leaf = _join_trees([state.algorithm1 for state in states])
+    leaves = _leaf_grid(var, n, np.arange(var.size), len(states))
+    node = leaves.grid  # per table and input, the leaf it reaches
+    output, values = leaf[node], _values(tables)
+
+    u_leaves = np.flatnonzero((var == 0) & (leaf == UNKNOWN))
+    axes, places = leaves.paths(u_leaves)
+    owner, *digits = np.unravel_index(places, (len(states),) + (3,) * n)
     survivors = {}
-    for i, mask, trits in zip(u_leaves.tolist(), axes.tolist(), paths):
-        bad = _survivor(table, [(p + 1, trits[p]) for p in range(n) if mask >> p & 1])
+    for i, t, mask, *trits in zip(u_leaves.tolist(), owner.tolist(), axes.tolist(),
+                                  *(digit.tolist() for digit in digits)):
+        bad = _survivor(tables[t], [(p + 1, trits[p]) for p in range(n) if mask >> p & 1])
         if bad is not None:
             survivors[i] = str(bad)
-    claimed = np.zeros(size, dtype=bool)
+    claimed = np.zeros(var.size, dtype=bool)
     claimed[list(survivors)] = True
 
-    values = table.grid.reshape(-1)
+    correct = _input_rows(states, output != values, lambda t, code: {
+        "got": _trit(output[t, code]), "expected": _trit(values[t, code])})
+    claims = _input_rows(states, claimed[node], lambda t, code: {
+        "survivor": survivors[int(node[t, code])]})
+    return leaves.layers(node), correct, claims
 
-    def row(fails: np.ndarray, problem: Callable[[int], dict]):
-        count = int(np.count_nonzero(fails))
-        if not count:
-            return 3 ** n, 0, None
-        code = int(fails.argmax())
-        return 3 ** n, count, {"function": spec,
-                               "input": str(TernaryString.from_code(code, n)),
-                               **problem(code)}
 
-    return {
-        "solver-correct": row(output != values, lambda code: {
-            "got": _trit(output[code]), "expected": _trit(values[code])}),
-        "solver-within-budget": row(depth > res.bound, lambda code: {
-            "queries": int(depth[code]), "budget": res.bound}),
-        "solver-final-claims": row(claimed[node], lambda code: {
-            "survivor": survivors[int(node[code])]}),
-    }
+def _input_rows(states: list, fails: np.ndarray, problem: Callable[[int, int], dict]) -> list:
+    """Per table of a batch, the row of a check over its 3**n inputs, from
+    the (tables, 3**n) array of the check's failures: the count, and the
+    first failing input with the fields ``problem(table, code)`` gives."""
+    n = states[0].table.arity
+    counts = np.count_nonzero(fails, axis=1).tolist()
+    return [(3 ** n, count, None) if not count else
+            (3 ** n, count, {"function": state.f.to_spec(), "input": str(TernaryString.from_code(code, n)),
+                             **problem(t, code)})
+            for t, (state, count, code) in enumerate(zip(states, counts, fails.argmax(axis=1).tolist()))]
 
 
 def _runs_row(spec: str, inputs, solve: Solver, wanted, budget: int,
@@ -457,11 +500,18 @@ def _closure_function_rows(state: _Table):
     }
 
 
+def _each(function_rows: Callable) -> Callable:
+    """A check of one table at a time as a check of a batch, whose rows
+    all come in the tables' turns."""
+    return partial(map, function_rows)
+
+
+# Per kind of check, its check of a batch (see ``_chunk_worker``).
 _KINDS = {
-    "core": _core_function_rows,
-    "algorithm1": _alg1_function_rows,
-    "monotone": _monotone_function_rows,
-    "closure": _closure_function_rows,
+    "core": _core_rows,
+    "algorithm1": _alg1_rows,
+    "monotone": _each(_monotone_function_rows),
+    "closure": _each(_closure_function_rows),
 }
 
 
@@ -471,7 +521,10 @@ _KINDS = {
 # batches of 1,024 raised the peak RSS of `verify all --n 1..3 --samples
 # 100` by 0.9% over one table at a time, and batches of 128 by 0.3%, at
 # about 3 us a table more, before the trees were compiled with the batch,
-# which added 1.2% more.
+# which added 1.2% more.  The witness trees, read back from each table's
+# report, and the replays of the batch's trees are held until the batch
+# is done, which added 1.8% more (`verify-sweep` peak_rss_mb, 38.2 to
+# 38.9 MB).
 _BATCH = 128
 
 # The kinds of check that read each kernel's outputs.
@@ -504,10 +557,13 @@ def _run_kernels(states: list, kinds) -> None:
 def _chunk_worker(payload):
     """Per kind, the rows of a chunk of one population.  The chunk's
     functions go in batches of at most ``_BATCH``: a batch's states are
-    built and run through the kernels together, then every kind's checks
-    run on each state in order, the table's measure arrays entering the
-    memo as its checks begin, and each state is dropped, with its
-    report, once its checks are done."""
+    built and run through the kernels together, then each table in turn
+    has its measure arrays made the memo's entry and every kind's check
+    take its turn on it, and its arrays are dropped.  A kind's check of
+    a batch is an iterator of row dicts: one per table, in its turn,
+    then any it gives from work done for the whole batch once every
+    table has had its turn, such as replaying the batch's trees.  Rows
+    fold in the order given, so a table's rows fold in table order."""
     kinds, arity, bits_chunk = payload
     agg: dict = {kind: {} for kind in kinds}
     closure_depths: dict = {}
@@ -515,12 +571,16 @@ def _chunk_worker(payload):
         states = [_Table(BooleanFunction(arity, bits), closure_depths)
                   for bits in bits_chunk[start:start + _BATCH]]
         _run_kernels(states, kinds)
-        for i, state in enumerate(states):
-            states[i] = None
+        checks = {kind: _KINDS[kind](states) for kind in kinds}
+        for state in states:
             if state.arrays is not None:
                 _remember(state.table, state.arrays)
-            for kind in kinds:
-                _fold(agg[kind], _KINDS[kind](state))
+            for kind, check in checks.items():
+                _fold(agg[kind], next(check))
+            state.arrays = None  # the memo keeps the last table's
+        for kind, check in checks.items():
+            for rows in check:
+                _fold(agg[kind], rows)
     return agg
 
 
@@ -569,8 +629,15 @@ def _reduction_rows():
     correct, cost = [], []
     for n in (1, 2):
         m = 1 << n
-        table = hazard_free_table(generate(f"ind:{n}"))
+        # The indexing tree is checked before it is used, as the cost row
+        # holds only for a sound solver.  Its table is built through core's
+        # binding, as the closure's is: a table the failing-sweep test
+        # corrupts has no sound tree to check.
+        table = core.hazard_free_table(generate(f"ind:{n}"))
         _, tree = query_complexity_u(table)
+        ok, bad = verify_tree(tree, table)
+        if not ok:
+            raise AssertionError(f"ind:{n}: the indexing tree misevaluates {bad}")
         solver = tree_solver(tree)
         worst = 0
         for xbits, x in enumerate(_binary_inputs(m)):

@@ -20,9 +20,11 @@ the certificate transform over the whole unpacked array, the bs scan
 that walked every input in code order, and the block lattice built
 block by block, ``sensitivity_array`` is the s_u array counted a layer
 at a time, ``algorithm1_tree`` is Algorithm 1's compile that stepped
-one answer state at a time through the oracle driver's step, and
+one answer state at a time through the oracle driver's step,
 ``check_layout`` is the tree constructor's check that walked every
-query node's ancestors.
+query node's ancestors, ``leaf_grid`` is the leaf grid of one tree
+before the replay took a forest, and ``forced_words`` is the u-model
+L_0 merge that ORed its planes word by word at every arity.
 """
 
 import operator
@@ -33,8 +35,9 @@ import numpy as np
 
 from uquery.algorithms import SolveResult, _algorithm1_step
 from uquery.core import STAR, TernaryString
+from uquery.depth import _cell_codes, _kids_by_shift, _layout, _packed
 from uquery.measures import block_summary, certificate_summary, certificate_u_at
-from uquery.trees import _VAR_LIMIT, DecisionTree, TreeFormatError, _answers, evaluate_tree
+from uquery.trees import _CODE_BITS, _VAR_LIMIT, DecisionTree, TreeFormatError, _answers, _axis_steps, evaluate_tree
 
 U = 2
 
@@ -518,6 +521,48 @@ def verify_tree_by_inputs(tree, table):
     return True, None
 
 
+def leaf_grid(tree, n, entry):
+    """``trees._leaf_grid`` of one tree as it was before it took a
+    forest: ``entry[i]`` written at every input of length n reaching
+    leaf i, a grid with one axis per variable, and per node its queried
+    axes and the code of its least input, packed as the package packs
+    them.  The layers are found from the root down, each leaf's block
+    written through flat codes when small and by broadcasting when
+    large."""
+    var = tree.var
+    base, query = _answers(var), var.nonzero()[0]
+    spread, step = _axis_steps(n, base)
+    asked = var[query]
+    reach = np.zeros(var.size, dtype=np.int64)
+    starts = [0, 1]
+    while starts[-1] < var.size:
+        starts.append(starts[-1] + base * int(np.count_nonzero(var[starts[-2]:starts[-1]])))
+    for start, stop in zip(starts[1:], starts[2:]):
+        parents = slice((start - 1) // base, (stop - 1) // base)
+        reach[start:stop] = (reach[query[parents], None] + step[asked[parents]]).ravel()
+    leaves = (var == 0).nonzero()[0]
+    leaves = leaves[(reach[leaves] >> _CODE_BITS).argsort(kind="stable")]
+    grid = np.empty((base,) * n, dtype=entry.dtype)
+    groups, codes = reach[leaves] >> _CODE_BITS, reach[leaves] & (1 << _CODE_BITS) - 1
+    entry = entry[leaves]
+    flat = grid.reshape(-1)
+    edges = ((groups[1:] != groups[:-1]).nonzero()[0] + 1).tolist()
+    for lo, hi in zip([0, *edges], [*edges, leaves.size]):
+        mask = int(groups[lo])
+        free = [p for p in range(n) if not mask >> p & 1]
+        if base ** len(free) > 16:
+            fixed = [p for p in range(n) if mask >> p & 1]
+            digits = np.unravel_index(codes[lo:hi], (base,) * n)
+            grid.transpose(fixed + free)[tuple(digits[p] for p in fixed)] = \
+                entry[lo:hi].reshape((-1,) + (1,) * len(free))
+            continue
+        offsets = np.zeros(1, dtype=np.int64)
+        for p in free:
+            offsets = np.add.outer(offsets, spread[p + 1]).ravel()
+        flat[codes[lo:hi, None] + offsets] = entry[lo:hi, None]
+    return grid, reach
+
+
 def check_layout(var, leaf):
     """``trees._check_layout`` walking every query node's ancestors a
     layer at a time, each walk ending at the root or at a parent that
@@ -703,3 +748,35 @@ def sensitivity_array(grid):
             cell = layer(sens, axis, k)
             cell += moved
     return sens
+
+
+def forced_words(grids, n, answers):
+    """``depth._forced_words`` as it was before the planes of an arity
+    with no word axes were ORed in one call: every plane spread over the
+    words and ORed into L_0 in turn, the shifts and masks Python ints."""
+    values = np.array(answers, dtype=np.uint8)
+    count, inner = len(grids), min(n, 3)
+    outer = n - inner
+    codes, starless = _cell_codes(inner)
+    planes = grids.reshape(count, -1, 3 ** inner).take(codes, axis=2) == values[:, None, None, None]
+    packed = _packed(planes)
+    del planes  # a byte per cell: freed before the word axes are spread
+    packed = packed.view(f"<u{packed.shape[-1]}")[..., 0]  # a table of fewer cells in a shorter word
+    packed &= starless
+    for stride, digit, mask in _layout(inner, answers).shifts:  # those of the in-word axes
+        kids = _kids_by_shift(packed, stride, digit, (0, 1))
+        kids &= mask
+        packed |= kids
+    forced = np.zeros((count, 4 ** outer), dtype=packed.dtype)
+    words = np.empty((count,) + (4,) * outer, dtype=packed.dtype)
+    ternary = words[(slice(None),) + (slice(0, 3),) * outer]  # the words of ternary cells
+    for plane in packed:
+        # Every word of * cells is written by the merge on its last * axis,
+        # from children whose *s all lie on earlier axes, so what a word
+        # held before, from the plane before or from np.empty, is never read.
+        ternary[...] = plane.reshape(ternary.shape)
+        for p in range(outer):
+            view = words.reshape(count * 4 ** p, 4, -1)
+            np.bitwise_and(view[:, 0], view[:, 1], out=view[:, 3])
+        forced |= words.reshape(count, -1)
+    return forced.view(np.uint8)

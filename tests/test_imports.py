@@ -3,7 +3,7 @@ computation on a table takes an arity cap beside it.
 
 ``check`` re-derives every reported witness from the definitions, so it
 must not reach the kernels whose output it checks: it imports only
-``core``, ``trees`` (the tree type, its reader and ``verify_tree``) and
+``core``, ``trees`` (the tree type, its reader and ``verify_trees``) and
 the standard library, and memoizes nothing.  ``trees`` imports only
 ``core`` at module level, and ``depth`` only ``core`` and ``trees``.
 The import statements are parsed rather than read off ``sys.modules``,

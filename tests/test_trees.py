@@ -24,6 +24,7 @@ from uquery.core import UNKNOWN, Orientation, TernaryString
 from uquery.depth import (
     _depth_levels,
     _forced_bits,
+    _forced_words,
     _layout,
     _level_reader,
     _optimal_trees,
@@ -34,7 +35,9 @@ from uquery.trees import (
     TRIT_KEYS,
     DecisionTree,
     TreeFormatError,
+    _join_trees,
     _leaf_grid,
+    _split_trees,
     evaluate_tree,
     parse_tree,
     serialize_tree,
@@ -43,6 +46,7 @@ from uquery.trees import (
     tree_from_json_dict,
     tree_to_json_dict,
     verify_tree,
+    verify_trees,
     write_indented_tree,
 )
 from uquery.verification import monotone_functions
@@ -233,6 +237,26 @@ def test_forced_bits_reproduce_the_recorded_bytes():
         for count in (1, 2, 7, 100):
             digest.update(_forced_bits(_mixed_batch(n, count, 4500 + 10 * n + count), MODELS[0]).tobytes())
     assert digest.hexdigest() == FORCED_DIGEST
+
+
+def test_forced_words_match_the_word_loop():
+    """The u-model's L_0 merge gives the bytes of the merge that ORed
+    every plane into L_0 word by word (``reference.forced_words``) on
+    every table at n <= 3, in one batch per arity and each alone, and on
+    mixed batches of 1, 7 and 100 tables at n = 4-6, as a writable uint8
+    array."""
+    batches = []
+    for n in (1, 2, 3):
+        tables = [hazard_free_table(BooleanFunction(n, bits)) for bits in range(1 << (1 << n))]
+        batches += [tables] + [[table] for table in tables]
+    batches += [_mixed_batch(n, count, 4700 + 10 * n + count) for n in (4, 5, 6) for count in (1, 7, 100)]
+    for tables in batches:
+        n = tables[0].arity
+        grids = np.stack([np.frombuffer(table.values, dtype=np.uint8) for table in tables])
+        got = _forced_words(grids, n, MODELS[0])
+        assert got.dtype == np.uint8 and got.flags.writeable
+        assert got.shape == (len(tables), _layout(n, MODELS[0]).nbytes)
+        assert np.array_equal(got, R.forced_words(grids, n, MODELS[0]))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -961,9 +985,9 @@ def test_built_trees_take_the_leaf_grid(n):
                      algorithm1_tree(table)):
             classical = _first_children(tree)[0] == 2
             block = values[(slice(0, 2 if classical else 3),) * n]
-            leaves = _leaf_grid(tree, n, np.arange(len(tree.var)))
-            assert leaves.grid.shape == block.shape
-            assert (np.array(tree.leaf)[leaves.grid] == block).all()
+            leaves = _leaf_grid(tree.var, n, np.arange(len(tree.var)))
+            assert leaves.grid.shape == (1, block.size)
+            assert (np.array(tree.leaf)[leaves.grid] == block.reshape(1, -1)).all()
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -1027,11 +1051,11 @@ def test_leaf_grid_matches_the_walk_at_scale(case):
     n, size = table.arity, len(tree.var)
     var, leaf = tree.var.tolist(), tree.leaf.tolist()
     base, kids = _first_children(tree)
-    leaves = _leaf_grid(tree, n, np.arange(size))
+    leaves = _leaf_grid(tree.var, n, np.arange(size))
     rng = random.Random(900 + case)
     inputs = [tuple(rng.randrange(base) for _ in range(n)) for _ in range(2000)]
     reached = [_walk(var, kids, x)[0] for x in inputs]
-    assert [int(leaves.grid[x]) for x in inputs] == reached
+    assert [int(leaves.grid.reshape((base,) * n)[x]) for x in inputs] == reached
     solve = tree_solver(tree)
     assert [evaluate_tree(tree, x) for x in inputs] == [leaf[i] for i in reached]
     assert [solve(Oracle(TernaryString(x))) for x in inputs] == [leaf[i] for i in reached]
@@ -1056,6 +1080,83 @@ def test_leaf_grid_matches_the_walk_at_scale(case):
         (False, TernaryString(tuple(least)))
 
 
+def _layers(tree):
+    """Per node of a tree, its layer, from the first child of each node."""
+    base, kids = _first_children(tree)
+    layer = [0] * len(tree.var)
+    for i, v in enumerate(tree.var.tolist()):
+        for answer in range(base if v else 0):
+            layer[kids[i] + answer] = layer[i] + 1
+    return layer
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_forest_replay_matches_each_tree_alone(n):
+    """Forests mixing one-leaf trees, trees of both models and of
+    different depths, and tampered trees, over every table at n <= 3
+    and seeded tables at n = 4-6, in a seeded order: ``verify_trees``
+    gives every tree the verdict of the input-by-input replay, so a
+    tampered tree gets its own least counterexample and the others keep
+    theirs.  Each forest of one answer count is the trees joined layer
+    by layer, which ``_split_trees`` splits back, and its leaf grid, the
+    places of its nodes' least inputs and its layers agree, tree by tree,
+    with the one-tree grid of ``reference.leaf_grid``."""
+    rng = random.Random(800 + n)
+    everything = 1 << (1 << n)
+    bits_list = range(everything) if n <= 3 else \
+        [rng.getrandbits(1 << n) for _ in range(12)] + [0, everything - 1]
+    pairs = []
+    for bits in bits_list:
+        table = hazard_free_table(BooleanFunction(n, bits))
+        for tree in (query_complexity(table)[1], query_complexity_u(table)[1], algorithm1_tree(table)):
+            pairs += [(tree, table), (_flip_last_leaf(tree), table)]
+        pairs.append((DecisionTree((0,), (rng.randrange(3),)), table))
+    rng.shuffle(pairs)
+    trees, tables = (list(side) for side in zip(*pairs))
+    verdicts = verify_trees(trees, tables)
+    assert verdicts == [R.verify_tree_by_inputs(tree, table) for tree, table in pairs]
+    assert {ok for ok, _ in verdicts} == {True, False}
+
+    for base in (2, 3):
+        members = [tree for tree in trees if _first_children(tree)[0] == base]
+        var, leaf = _join_trees(members)
+        size = len(var)
+        leaves = _leaf_grid(var, n, np.arange(size), len(members))
+        assert leaves.grid.shape == (len(members), base ** n)
+        axes, places = leaves.paths(np.arange(size))
+        owner, codes = np.divmod(places, base ** n)
+        assert _split_trees(var, leaf, owner, len(members)) == members
+        layer = leaves.layers(np.arange(size))
+        for k, tree in enumerate(members):
+            mine = np.flatnonzero(owner == k)  # the tree's nodes, in its own order
+            grid, reach = R.leaf_grid(tree, n, np.arange(len(tree.var)))
+            assert np.array_equal(leaves.grid[k], mine[grid.reshape(-1)])
+            assert np.array_equal(axes[mine], reach >> 40)
+            assert np.array_equal(codes[mine], reach & (1 << 40) - 1)
+            assert layer[mine].tolist() == _layers(tree)
+
+
+def test_forest_refuses_a_variable_above_n(monkeypatch):
+    """A tree that queries a variable above its table's arity makes
+    ``verify_trees`` raise ``ValueError`` naming that variable before any
+    input is replayed, first, last or amid trees of both models; with
+    two such trees the first is named."""
+    def no_grid(*args):
+        raise AssertionError("the leaf grid was written")
+
+    monkeypatch.setattr(uquery.trees, "_leaf_grid", no_grid)
+    table = hazard_free_table(generate("maj:3"))
+    good = [query_complexity(table)[1], query_complexity_u(table)[1], DecisionTree((0,), (1,))]
+    above = [DecisionTree((4, 0, 0, 0), (0, 0, 0, 0)), DecisionTree((1, 5, 0, 0, 0), (0,) * 5)]
+    for bad in above:
+        for at in range(len(good) + 1):
+            trees = good[:at] + [bad] + good[at:]
+            with pytest.raises(ValueError, match=f"^tree queries variable {int(bad.var.max())} outside 1..3$"):
+                verify_trees(trees, [table] * len(trees))
+    with pytest.raises(ValueError, match="^tree queries variable 5 outside 1..3$"):
+        verify_trees([good[0], above[1], above[0]], [table] * 3)
+
+
 def test_leaf_grid_allocates_about_its_grid():
     """At n = 12 the replay of a single leaf and of the trees of or:12
     allocates at most about twice the grid's bytes: groups of leaves with
@@ -1064,10 +1165,10 @@ def test_leaf_grid_allocates_about_its_grid():
     table = hazard_free_table(generate("or:12"))
     for tree in (DecisionTree((0,), (1,)), query_complexity_u(table)[1],
                  query_complexity(table)[1]):
-        _leaf_grid(tree, 12, tree.leaf)  # the cached step tables
+        _leaf_grid(tree.var, 12, tree.leaf)  # the cached step tables
         tracemalloc.start()
         try:
-            grid = _leaf_grid(tree, 12, tree.leaf).grid
+            grid = _leaf_grid(tree.var, 12, tree.leaf).grid
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -21,6 +21,7 @@ import uquery.check
 import uquery.core
 import uquery.depth
 import uquery.measures
+import uquery.trees
 import uquery.verification
 from uquery.core import (
     UNKNOWN,
@@ -226,6 +227,52 @@ def test_witness_problems_reach_the_classical_witnesses():
         assert not uquery.check.validate_block_family(table, base, ())
 
 
+def test_witness_integrity_keeps_each_tables_first_problem_in_a_batch(monkeypatch):
+    """A batch whose reports are tampered, one table's D_u witness tree, a
+    second table's C certificate, and a third table's s_u input as well
+    as its D_u tree: the batch replays every witness tree at once, yet
+    each table's witness-integrity row holds the first problem
+    ``_witness_problems`` finds in its report alone, and every other
+    table's none."""
+    V = uquery.verification
+    make, made = V.measure_report, {}
+    bits_list = list(range(23, 63))
+    edits = {30: {"D_u": "flip"}, 41: {"C": {"input": "000", "certificate": "***"}},
+             52: {"s_u": {"input": "000"}, "D_u": "flip"}}
+
+    def tampered(table, **kwargs):
+        m = make(table, **kwargs)
+        w = dict(m.witnesses)
+        for key, edit in edits.get(table.function.bits, {}).items():
+            if edit == "flip":
+                tree = w[key]["tree"]
+                leaf = tree.leaf.copy()
+                leaf[-1] = (leaf[-1] + 1) % 3
+                w[key] = {**w[key], "tree": uquery.trees.DecisionTree(tree.var, leaf)}
+            else:
+                w[key] = {**w[key], **edit}
+        m = made[table.function.bits] = dataclasses.replace(m, witnesses=w)
+        return m
+
+    monkeypatch.setattr(V, "measure_report", tampered)
+    states = [V._Table(BooleanFunction(3, bits), {}) for bits in bits_list]
+    V._run_kernels(states, ("core",))
+    check = V._core_rows(states)
+    for state in states:  # each table's turn, as ``_chunk_worker`` gives it
+        uquery.measures._remember(state.table, state.arrays)
+        assert "witness-integrity" not in next(check)
+    rows = list(check)
+    alone = {bits: uquery.check._witness_problems(state.table, made[bits])
+             for bits, state in zip(bits_list, states)}
+    assert rows == [{"witness-integrity": V._row(
+        [{"function": state.f.to_spec(), "witness": alone[state.f.bits]} if alone[state.f.bits] else None])}
+        for state in states]
+    assert {bits for bits, problem in alone.items() if problem} == set(edits)
+    assert alone[30].startswith("u-model tree misevaluates ")
+    assert alone[41] == "C certificate size differs from the reported value"
+    assert alone[52] == "s_u input attains a different sensitivity"
+
+
 def test_survivor_prefers_the_least_one_valued_input():
     table = hazard_free_table(BooleanFunction(2, 0b1000))  # and:2
     survivor = uquery.check._survivor
@@ -381,12 +428,12 @@ def test_verify_records_byte_identical():
 
 
 def test_split_batches_keep_the_records_and_the_kernels(monkeypatch):
-    """With the batch cap at 3, every population's tables go in batches
-    of three and a shorter last one; the records are still the pinned
-    ones, every table's measure arrays, depths and trees are those it
+    """With the batch cap at 1, 3 and 128, every population's tables go
+    in batches of the cap and a shorter last one, and the records, whose
+    trees each batch replays as one forest, are still the pinned ones.
+    At 3, every table's measure arrays, depths and trees are those it
     gets alone, and its Algorithm 1 tree is the reference compile's."""
     V = uquery.verification
-    monkeypatch.setattr(V, "_BATCH", 3)
     run, batches = V._run_kernels, []
 
     def recorded(states, kinds):
@@ -395,9 +442,13 @@ def test_split_batches_keep_the_records_and_the_kernels(monkeypatch):
                         for state in states])
 
     monkeypatch.setattr(V, "_run_kernels", recorded)
-    report = run_suite("all", ns=(1, 2, 3), samples=5, workers=1)
-    assert _records_digest([report]) == VERIFY_DIGEST
-    assert sorted({len(batch) for batch in batches}) == [1, 2, 3]
+    sizes = {1: [1], 3: [1, 2, 3], 128: [4, 5, 16, 128]}
+    for cap in (1, 128, 3):
+        monkeypatch.setattr(V, "_BATCH", cap)
+        batches.clear()
+        report = run_suite("all", ns=(1, 2, 3), samples=5, workers=1)
+        assert _records_digest([report]) == VERIFY_DIGEST
+        assert sorted({len(batch) for batch in batches}) == sizes[cap]
     for table, arrays, searched, compiled in (entry for batch in batches for entry in batch):
         assert searched == (query_complexity(table), query_complexity_u(table))
         assert compiled == R.algorithm1_tree(table)
